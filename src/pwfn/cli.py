@@ -267,14 +267,9 @@ def _run_observables(scenario, outdir):
 
 def _run_commutators(scenario, outdir):
     f0 = _initial_field(scenario)
-    tags = list(metrics.GeneratorTag)
-    rows = []
-    worst = 0.0
-    for i in range(len(tags)):
-        for j in range(i + 1, len(tags)):
-            r = metrics.commutator_residual(tags[i], tags[j], f0)
-            rows.append([tags[i].value, tags[j].value, r])
-            worst = max(worst, r)
+    rows = [[tag_a.value, tag_b.value, r]
+            for tag_a, tag_b, r in metrics.commutator_residuals(f0)]
+    worst = max(row[2] for row in rows)
     csv_path = outdir / scenario.output.get("summary", "commutators.csv")
     gridio.write_csv(csv_path, ["a", "b", "residual"], rows)
     return [csv_path], {"worst_residual": worst}
@@ -298,7 +293,12 @@ def run_scenario(config_path, outdir, verbose=False) -> int:
     scenario = cfgmod.load_scenario(config_path)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    outputs, extra = _RUNNERS[scenario.kind](scenario, outdir)
+    try:
+        outputs, extra = _RUNNERS[scenario.kind](scenario, outdir)
+    finally:
+        # Held past the run, the tables would keep the heap freed around
+        # them resident until another grid evicted them.
+        spectral.release_tables()
     manifest = outdir / "manifest.json"
     si_keys = {k: scenario.output[k] for k in ("hbar_si", "c_si", "eps0_si")
                if k in scenario.output}

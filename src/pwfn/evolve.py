@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, StabilityError
 from .fieldcore import RSPair
-from .spectral import GridSpec, SixField, to_k, to_r, triad_arrays
+from .spectral import GridSpec, SixField, curl, to_k, to_r, triad_arrays
 
 __all__ = [
     "MediumMap", "StepperConfig",
@@ -36,8 +36,7 @@ __all__ = [
 def _grad_spectral(spec: GridSpec, scalar):
     """Spectral gradient of a real scalar lattice; returns (3, nx, ny, nz)."""
     shat = to_k(spec, scalar.astype(complex))
-    kvec = spec.k_grid_diff()
-    return np.stack([to_r(spec, 1j * kvec[i] * shat).real for i in range(3)])
+    return to_r(spec, 1j * spec.k_grid_diff() * shat, overwrite=True).real.copy()
 
 
 @dataclass
@@ -108,35 +107,27 @@ def propagate_free(psi: SixField, t: float) -> SixField:
     """
     spec = psi.spec
     e, nhat, knorm = triad_arrays(spec)
+    ec = np.conj(e)
     ph_minus = np.exp(-1j * knorm * float(t))
     ph_plus = np.conj(ph_minus)
-    out_hat = np.empty((2, 3) + spec.n, dtype=complex)
+    hat = to_k(spec, psi.data)
     for block, (ph_e, ph_ec) in enumerate([(ph_minus, ph_plus), (ph_plus, ph_minus)]):
-        bhat = to_k(spec, psi.data[block])
-        ce = np.sum(np.conj(e) * bhat, axis=0)
+        bhat = hat[block]
+        ce = np.sum(ec * bhat, axis=0)
         cec = np.sum(e * bhat, axis=0)
         cn = np.sum(nhat * bhat, axis=0)
-        out_hat[block] = (e * (ph_e * ce) + np.conj(e) * (ph_ec * cec) + nhat * cn)
+        dc = bhat[:, 0, 0, 0].copy()
+        bhat[...] = e * (ph_e * ce) + ec * (ph_ec * cec) + nhat * cn
         # k = 0 carries no frame; it is static under the free generator.
-        out_hat[block][:, 0, 0, 0] = bhat[:, 0, 0, 0]
-    return SixField(spec=spec, data=np.stack([to_r(spec, out_hat[0]),
-                                              to_r(spec, out_hat[1])]))
-
-
-def _spectral_curl(spec: GridSpec, block):
-    bhat = to_k(spec, block)
-    kvec = spec.k_grid_diff()
-    curl_hat = 1j * np.cross(kvec, bhat, axisa=0, axisb=0, axisc=0)
-    return to_r(spec, curl_hat)
+        bhat[:, 0, 0, 0] = dc
+    return SixField(spec=spec, data=to_r(spec, hat, overwrite=True))
 
 
 def free_generator(psi: SixField) -> SixField:
     """Apply the free Hamiltonian rho_3 (s . grad/i): (curl F+, -curl F-)."""
-    spec = psi.spec
-    return SixField(spec=spec, data=np.stack([
-        _spectral_curl(spec, psi.upper),
-        -_spectral_curl(spec, psi.lower),
-    ]))
+    out = curl(psi.spec, psi.data)
+    np.negative(out[1], out=out[1])
+    return SixField(spec=psi.spec, data=out)
 
 
 def hamiltonian_apply(psi: SixField, medium: MediumMap) -> SixField:
@@ -149,9 +140,9 @@ def hamiltonian_apply(psi: SixField, medium: MediumMap) -> SixField:
         raise ShapeError("medium and field grids differ")
     spec = psi.spec
     sv = medium.sqrt_v
-    kin_up = sv * _spectral_curl(spec, sv * psi.upper)
-    kin_lo = -sv * _spectral_curl(spec, sv * psi.lower)
-    out = np.stack([kin_up, kin_lo])
+    out = curl(spec, sv * psi.data)
+    out *= sv
+    np.negative(out[1], out=out[1])
     if not medium.is_uniform_h:
         # (s . grad h) X = i grad h x X, pointwise; rho_2 mixes the blocks.
         coef = medium.v / (2.0 * medium.h)
@@ -262,11 +253,9 @@ def divergence_residual(psi: SixField, medium: MediumMap | None = None) -> float
     uniform-medium special case.
     """
     spec = psi.spec
-    kvec = spec.k_grid_diff()
-    res = np.empty((2,) + spec.n, dtype=complex)
-    for block in range(2):
-        bhat = to_k(spec, psi.data[block])
-        res[block] = to_r(spec, 1j * np.sum(kvec * bhat, axis=0))
+    bhat = to_k(spec, psi.data)
+    res = to_r(spec, 1j * np.sum(spec.k_grid_diff() * bhat, axis=1),
+               overwrite=True)
     if medium is not None:
         if medium.spec.n != spec.n:
             raise ShapeError("medium and field grids differ")

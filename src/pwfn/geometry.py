@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, StabilityError
-from .spectral import GridSpec, SixField, to_k, to_r
+from .spectral import GridSpec, SixField, curl, to_k, to_r
 
 __all__ = [
     "MetricField", "minkowski_metric", "conformal_metric",
@@ -139,22 +139,12 @@ def f_from_g(gfield: SixField, metric: MetricField) -> SixField:
     return SixField(spec=gfield.spec, data=out)
 
 
-def _curl_blocks(spec: GridSpec, data):
-    kvec = spec.k_grid_diff()
-    out = np.empty_like(data)
-    for block in range(2):
-        bhat = to_k(spec, data[block])
-        out[block] = to_r(spec, 1j * np.cross(kvec, bhat, axisa=0, axisb=0,
-                                              axisc=0))
-    return out
-
-
 def curved_generator(field: SixField, metric: MetricField) -> SixField:
     """Apply the curved-space generator: H F = rho_3 curl G(F)."""
     gf = g_from_f(field, metric)
-    curl = _curl_blocks(field.spec, gf.data)
-    curl[1] *= -1.0
-    return SixField(spec=field.spec, data=curl)
+    out = curl(field.spec, gf.data)
+    out[1] *= -1.0
+    return SixField(spec=field.spec, data=out)
 
 
 def step_curved(field: SixField, metric: MetricField, cfg, steps: int) -> SixField:

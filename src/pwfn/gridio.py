@@ -24,6 +24,7 @@ import time
 
 import numpy as np
 
+from . import __version__
 from .errors import FormatError
 from .spectral import GridSpec, SixField
 
@@ -126,7 +127,7 @@ def write_manifest(path, config_path, outputs, tolerances, started,
         "outputs": {str(p): file_sha256(p) for p in outputs},
         "tolerances": tolerances,
         "versions": {
-            "pwfn": "0.1.0",
+            "pwfn": __version__,
             "numpy": np.__version__,
             "scipy": scipy.__version__,
         },

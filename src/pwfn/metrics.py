@@ -32,7 +32,7 @@ from .errors import (DomainError, GaugeSingularityError, NormalizationError,
                      ResourceError, ShapeError)
 from .evolve import free_generator
 from .fieldcore import SPIN
-from .spectral import (GridSpec, HelicitySpectrum, SixField,
+from .spectral import (GridSpec, HelicitySpectrum, SixField, _decompose,
                        berry_connection_grid, decompose, synthesize, to_k,
                        to_r)
 
@@ -43,8 +43,8 @@ __all__ = [
     "observables_momentum", "observables_coordinate",
     "energy_density", "energy_probability",
     "landau_peierls", "kernel_identity_check", "newton_wigner_kernel",
-    "generator_apply", "commutator_residual", "expected_commutator",
-    "inverse_hamiltonian_apply",
+    "generator_apply", "commutator_residual", "commutator_residuals",
+    "expected_commutator", "inverse_hamiltonian_apply",
 ]
 
 # Brute-force double sums over point pairs are capped at this lattice size.
@@ -81,6 +81,17 @@ class GeneratorTag(enum.Enum):
     @property
     def family(self):
         return self.value[0]
+
+
+# Vector generators per family, indexed by axis.
+_VECTOR_TAGS = {
+    "P": (GeneratorTag.P_X, GeneratorTag.P_Y, GeneratorTag.P_Z),
+    "J": (GeneratorTag.J_X, GeneratorTag.J_Y, GeneratorTag.J_Z),
+    "K": (GeneratorTag.K_X, GeneratorTag.K_Y, GeneratorTag.K_Z),
+}
+# Levi-Civita symbol as (i, j) -> (k, eps_ijk) for i != j.
+_EPS = {(0, 1): (2, 1.0), (1, 2): (0, 1.0), (2, 0): (1, 1.0),
+        (1, 0): (2, -1.0), (2, 1): (0, -1.0), (0, 2): (1, -1.0)}
 
 
 def _check_specs(a, b):
@@ -188,7 +199,14 @@ def inverse_hamiltonian_apply(psi: SixField, projection_rtol=1e-8) -> SixField:
     Defined on positive-frequency fields only; raises DomainError when the
     input carries non-positive-frequency content above projection_rtol.
     """
-    proj = synthesize(decompose(psi), t=0.0)
+    hat = to_k(psi.spec, psi.data)
+    out = _inverse_hamiltonian(psi, hat, _decompose(psi, hat), projection_rtol)
+    return SixField(spec=psi.spec, data=out)
+
+
+def _inverse_hamiltonian(psi, hat, spectrum, projection_rtol=1e-8):
+    """1/H psi from hat = to_k(psi.data) and spectrum = decompose(psi)."""
+    proj = synthesize(spectrum, t=0.0)
     defect = np.sqrt(np.sum(np.abs(proj.data - psi.data) ** 2))
     scale = np.sqrt(np.sum(np.abs(psi.data) ** 2))
     if scale > 0 and defect > projection_rtol * scale:
@@ -201,10 +219,7 @@ def inverse_hamiltonian_apply(psi: SixField, projection_rtol=1e-8) -> SixField:
     inv = np.zeros_like(knorm)
     nz = knorm > 0
     inv[nz] = 1.0 / knorm[nz]
-    out = np.empty_like(psi.data)
-    for block in range(2):
-        out[block] = to_r(spec, inv * to_k(spec, psi.data[block]))
-    return SixField(spec=spec, data=out)
+    return to_r(spec, inv * hat, overwrite=True)
 
 
 def _gradient_k(spec: GridSpec, amp):
@@ -292,26 +307,39 @@ def observables_coordinate(psi: SixField, normalized_rtol=1e-8) -> Observables:
     Requires a positive-frequency field normalized to unit photon number;
     raises NormalizationError (with the measured norm attached) otherwise.
     """
-    n2 = norm_h(psi)
+    spec = psi.spec
+    # One forward transform serves the norm, 1/H psi and every
+    # P_m psi = (1/i) d_m psi.
+    hat = to_k(spec, psi.data)
+    spectrum = _decompose(psi, hat)
+    n2 = photon_number(spectrum)
     if abs(n2 - 1.0) > normalized_rtol:
         raise NormalizationError(
             f"field is not normalized: <psi|psi> = {n2:.12e}", measured_norm=n2
         )
-    spec = psi.spec
     dv = spec.cell_volume
-    invh = inverse_hamiltonian_apply(psi)
+    bra = _inverse_hamiltonian(psi, hat, spectrum)
+    np.conj(bra, out=bra)
     energy = float(np.sum(np.abs(psi.data) ** 2)) * dv
-    momentum = np.empty(3)
-    ang = np.empty(3)
-    for i in range(3):
-        tag_p = (GeneratorTag.P_X, GeneratorTag.P_Y, GeneratorTag.P_Z)[i]
-        tag_j = (GeneratorTag.J_X, GeneratorTag.J_Y, GeneratorTag.J_Z)[i]
-        pp = generator_apply(tag_p, psi)
-        jj = generator_apply(tag_j, psi)
-        momentum[i] = float(np.sum(np.real(np.conj(invh.data) * pp.data))) * dv
-        ang[i] = float(np.sum(np.real(np.conj(invh.data) * jj.data))) * dv
-    # <K> reduces exactly to the energy-weighted position integral.
     coords = spec.coords()
+    # P_m psi is built one axis at a time.  <P_m> is its overlap with 1/H
+    # psi; the same pointwise overlap, weighted by x_a, gives the orbital
+    # terms eps_iam x_a P_m of <J_i>.
+    momentum = np.empty(3)
+    ang = np.zeros(3)
+    for m in range(3):
+        overlap = np.real(bra * _derivative(spec, hat, m))
+        momentum[m] = float(np.sum(overlap)) * dv
+        density = np.sum(overlap, axis=(0, 1))
+        for a in range(3):
+            if (a, m) in _EPS:
+                i, sign = _EPS[(a, m)]
+                ang[i] += sign * float(np.sum(coords[a] * density))
+    for i in range(3):
+        spin = np.einsum("jk,bk...->bj...", SPIN[i], psi.data)
+        ang[i] += float(np.sum(np.real(bra * spin)))
+    ang *= dv
+    # <K> reduces exactly to the energy-weighted position integral.
     dens = np.sum(np.abs(psi.data) ** 2, axis=(0, 1))
     moe = np.array([float(np.sum(coords[i] * dens)) * dv for i in range(3)])
     return Observables(energy=energy, momentum=momentum,
@@ -361,14 +389,11 @@ def landau_peierls(psi: SixField, dc_rtol=1e-12) -> SixField:
     mult = np.zeros_like(knorm)
     nz = knorm > 0
     mult[nz] = knorm[nz] ** (-0.5)
-    out = np.empty_like(psi.data)
-    dc = 0.0
-    total = 0.0
-    for block in range(2):
-        bhat = to_k(spec, psi.data[block])
-        dc += float(np.sum(np.abs(bhat[:, 0, 0, 0]) ** 2))
-        total += float(np.sum(np.abs(bhat) ** 2))
-        out[block] = to_r(spec, mult * bhat)
+    bhat = to_k(spec, psi.data)
+    dc = float(np.sum(np.abs(bhat[..., 0, 0, 0]) ** 2))
+    total = float(np.sum(np.abs(bhat) ** 2))
+    bhat *= mult
+    out = to_r(spec, bhat, overwrite=True)
     if total > 0.0 and dc > dc_rtol * total:
         raise DomainError(
             f"field carries k = 0 energy fraction {dc / total:.3e}; the "
@@ -446,17 +471,9 @@ def newton_wigner_kernel(r, m):
     return out
 
 
-def _spectral_gradient_field(psi: SixField):
-    """(1/i) grad psi for all six components; returns (3, 2, 3, nx, ny, nz)."""
-    spec = psi.spec
-    kvec = spec.k_grid_diff()
-    out = np.empty((3, 2, 3) + spec.n, dtype=complex)
-    for block in range(2):
-        for comp in range(3):
-            chat = to_k(spec, psi.data[block, comp])
-            for ax in range(3):
-                out[ax, block, comp] = to_r(spec, kvec[ax] * chat)
-    return out
+def _derivative(spec: GridSpec, hat, ax):
+    """(1/i) d/dx_ax in coordinate space of the transformed field hat."""
+    return to_r(spec, spec.k_grid_diff()[ax] * hat, overwrite=True)
 
 
 def generator_apply(tag: GeneratorTag, psi: SixField) -> SixField:
@@ -466,77 +483,68 @@ def generator_apply(tag: GeneratorTag, psi: SixField) -> SixField:
         return free_generator(psi)
     ax = tag.axis
     if tag.family == "P":
-        kvec = spec.k_grid_diff()
-        out = np.empty_like(psi.data)
-        for block in range(2):
-            for comp in range(3):
-                out[block, comp] = to_r(spec, kvec[ax] * to_k(spec, psi.data[block, comp]))
-        return SixField(spec=spec, data=out)
+        return SixField(spec=spec, data=_derivative(spec, to_k(spec, psi.data), ax))
     if tag.family == "K":
         coords = spec.coords()
         scaled = SixField(spec=spec, data=psi.data * coords[ax])
         return free_generator(scaled)
     if tag.family == "J":
         coords = spec.coords()
-        grad = _spectral_gradient_field(psi)
+        hat = to_k(spec, psi.data)
         i, j = [(1, 2), (2, 0), (0, 1)][ax]
-        orbital = coords[i] * grad[j] - coords[j] * grad[i]
-        spin = np.einsum("jk,bk...->bj...", SPIN[ax], psi.data)
-        return SixField(spec=spec, data=orbital + spin)
+        out = coords[i] * _derivative(spec, hat, j)
+        out -= coords[j] * _derivative(spec, hat, i)
+        out += np.einsum("jk,bk...->bj...", SPIN[ax], psi.data)
+        return SixField(spec=spec, data=out)
     raise DomainError(f"unknown generator {tag!r}")
+
+
+def _commutator_rule(tag_a: GeneratorTag, tag_b: GeneratorTag):
+    """(C, c) with [A, B] = c C for the rules written with A first, else None."""
+    fa, fb = tag_a.family, tag_b.family
+    key = (tag_a.axis, tag_b.axis)
+    # [J_i, X_j] = i eps_ijk X_k for X in {P, J, K}
+    if fa == "J" and fb in ("P", "J", "K") and key in _EPS:
+        k, sign = _EPS[key]
+        return _VECTOR_TAGS[fb][k], 1j * sign
+    # [K_i, P_j] = i delta_ij H
+    if fa == "K" and fb == "P" and tag_a.axis == tag_b.axis:
+        return GeneratorTag.H, 1j
+    # [K_i, H] = i P_i
+    if fa == "K" and fb == "H":
+        return _VECTOR_TAGS["P"][tag_a.axis], 1j
+    # [K_i, K_j] = -i eps_ijk J_k
+    if fa == "K" and fb == "K" and key in _EPS:
+        k, sign = _EPS[key]
+        return _VECTOR_TAGS["J"][k], -1j * sign
+    return None
+
+
+def _commutator_term(tag_a: GeneratorTag, tag_b: GeneratorTag):
+    """(C, c) with [A, B] = c C by the Poincare algebra; None if A, B commute."""
+    term = _commutator_rule(tag_a, tag_b)
+    if term is not None:
+        return term
+    term = _commutator_rule(tag_b, tag_a)
+    return None if term is None else (term[0], -term[1])
 
 
 def expected_commutator(tag_a: GeneratorTag, tag_b: GeneratorTag,
                         psi: SixField) -> SixField:
     """The field ([A, B]) psi predicted by the Poincare algebra."""
-    eps = {(0, 1): (2, 1.0), (1, 2): (0, 1.0), (2, 0): (1, 1.0),
-           (1, 0): (2, -1.0), (2, 1): (0, -1.0), (0, 2): (1, -1.0)}
+    term = _commutator_term(tag_a, tag_b)
+    if term is None:
+        return SixField.zeros(psi.spec)
+    out = generator_apply(term[0], psi)
+    out.data *= term[1]
+    return out
 
-    def vec_tags(family):
-        return {"P": (GeneratorTag.P_X, GeneratorTag.P_Y, GeneratorTag.P_Z),
-                "J": (GeneratorTag.J_X, GeneratorTag.J_Y, GeneratorTag.J_Z),
-                "K": (GeneratorTag.K_X, GeneratorTag.K_Y, GeneratorTag.K_Z)}[family]
 
-    fa, fb = tag_a.family, tag_b.family
-    zero = SixField.zeros(psi.spec)
-
-    def scaled(tag, factor):
-        out = generator_apply(tag, psi)
-        out.data *= factor
-        return out
-
-    # [J_i, X_j] = i eps_ijk X_k for X in {P, J, K}
-    if fa == "J" and fb in ("P", "J", "K"):
-        key = (tag_a.axis, tag_b.axis)
-        if key not in eps:
-            return zero
-        k, sign = eps[key]
-        return scaled(vec_tags(fb)[k], 1j * sign)
-    if fb == "J" and fa in ("P", "K"):
-        out = expected_commutator(tag_b, tag_a, psi)
-        out.data *= -1.0
-        return out
-    # [K_i, P_j] = i delta_ij H
-    if fa == "K" and fb == "P":
-        return scaled(GeneratorTag.H, 1j) if tag_a.axis == tag_b.axis else zero
-    if fa == "P" and fb == "K":
-        out = expected_commutator(tag_b, tag_a, psi)
-        out.data *= -1.0
-        return out
-    # [K_i, H] = i P_i
-    if fa == "K" and fb == "H":
-        return scaled(vec_tags("P")[tag_a.axis], 1j)
-    if fa == "H" and fb == "K":
-        return scaled(vec_tags("P")[tag_b.axis], -1j)
-    # [K_i, K_j] = -i eps_ijk J_k
-    if fa == "K" and fb == "K":
-        key = (tag_a.axis, tag_b.axis)
-        if key not in eps:
-            return zero
-        k, sign = eps[key]
-        return scaled(vec_tags("J")[k], -1j * sign)
-    # remaining pairs commute
-    return zero
+def _relative_norm(resid, spec: GridSpec, denom) -> float:
+    """|| resid || / denom, or 0 for a zero denominator."""
+    if denom == 0.0:
+        return 0.0
+    return float(np.sqrt(np.sum(np.abs(resid) ** 2) * spec.cell_volume) / denom)
 
 
 def commutator_residual(tag_a: GeneratorTag, tag_b: GeneratorTag,
@@ -545,8 +553,28 @@ def commutator_residual(tag_a: GeneratorTag, tag_b: GeneratorTag,
     ab = generator_apply(tag_a, generator_apply(tag_b, psi))
     ba = generator_apply(tag_b, generator_apply(tag_a, psi))
     expected = expected_commutator(tag_a, tag_b, psi)
-    resid = ab.data - ba.data - expected.data
+    return _relative_norm(ab.data - ba.data - expected.data, psi.spec, psi.norm())
+
+
+def commutator_residuals(psi: SixField):
+    """commutator_residual for all 45 pairs of distinct generators.
+
+    Returns [(A, B, residual)] with A before B in GeneratorTag order.  The
+    ten images G psi are computed once and serve both the second-level
+    applications and the predicted side, so the sweep applies a generator
+    100 times where 45 separate commutator_residual calls apply one 204
+    times.
+    """
+    tags = list(GeneratorTag)
+    images = {tag: generator_apply(tag, psi) for tag in tags}
     denom = psi.norm()
-    if denom == 0.0:
-        return 0.0
-    return float(np.sqrt(np.sum(np.abs(resid) ** 2) * psi.spec.cell_volume) / denom)
+    out = []
+    for i, tag_a in enumerate(tags):
+        for tag_b in tags[i + 1:]:
+            resid = generator_apply(tag_a, images[tag_b]).data
+            resid -= generator_apply(tag_b, images[tag_a]).data
+            term = _commutator_term(tag_a, tag_b)
+            if term is not None:
+                resid -= images[term[0]].data * term[1]
+            out.append((tag_a, tag_b, _relative_norm(resid, psi.spec, denom)))
+    return out

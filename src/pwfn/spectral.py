@@ -34,6 +34,7 @@ tests).
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -47,7 +48,7 @@ __all__ = [
     "polarization_triad", "triad_arrays", "berry_connection",
     "berry_connection_grid", "decompose", "synthesize",
     "positive_frequency_project", "longitudinal_residual", "translate",
-    "to_k", "to_r", "get_workers", "set_workers",
+    "to_k", "to_r", "curl", "release_tables", "get_workers", "set_workers",
 ]
 
 # Worker count for scipy.fft; settable from the CLI (--threads / PWFN_THREADS).
@@ -107,8 +108,8 @@ class GridSpec:
 
     def coords(self):
         """Array (3, nx, ny, nz) of box-centered coordinates."""
-        ax = self.axes()
-        return np.stack(np.meshgrid(*ax, indexing="ij"))
+        return _table(self, "coords", lambda: np.stack(
+            np.meshgrid(*self.axes(), indexing="ij")))
 
     def k_axes(self):
         """Dual-lattice wave numbers per axis in FFT order."""
@@ -118,8 +119,8 @@ class GridSpec:
 
     def k_grid(self):
         """Array (3, nx, ny, nz) of wave vectors in FFT order."""
-        kx, ky, kz = self.k_axes()
-        return np.stack(np.meshgrid(kx, ky, kz, indexing="ij"))
+        return _table(self, "k_grid", lambda: np.stack(
+            np.meshgrid(*self.k_axes(), indexing="ij")))
 
     def k_grid_diff(self):
         """Wave vectors for odd-order derivative multipliers.
@@ -128,27 +129,53 @@ class GridSpec:
         conjugation-consistent odd derivative, and keeping it breaks the
         reality/conjugation symmetry of differentiated aliased products.
         """
-        axes = []
-        for m, L in zip(self.n, self.length):
-            k = 2.0 * np.pi * sfft.fftfreq(m, d=L / m)
-            k[m // 2] = 0.0
-            axes.append(k)
-        return np.stack(np.meshgrid(*axes, indexing="ij"))
+        def build():
+            axes = self.k_axes()
+            for k, m in zip(axes, self.n):
+                k[m // 2] = 0.0
+            return np.stack(np.meshgrid(*axes, indexing="ij"))
+        return _table(self, "k_grid_diff", build)
 
     def k_norm(self):
-        return np.sqrt(np.sum(self.k_grid() ** 2, axis=0))
+        return _table(self, "k_norm", lambda: np.sqrt(
+            np.sum(self.k_grid() ** 2, axis=0)))
 
     def checkerboard(self):
         """(-1)^(mx+my+mz) on the dual lattice: exp(-i k . r0) exactly."""
-        signs = [1 - 2 * (np.abs(sfft.fftfreq(m, d=1.0 / m)).astype(int) % 2)
-                 for m in self.n]
-        return (signs[0][:, None, None] * signs[1][None, :, None]
-                * signs[2][None, None, :]).astype(float)
+        def build():
+            signs = [1 - 2 * (np.abs(sfft.fftfreq(m, d=1.0 / m)).astype(int) % 2)
+                     for m in self.n]
+            return (signs[0][:, None, None] * signs[1][None, :, None]
+                    * signs[2][None, None, :]).astype(float)
+        return _table(self, "checkerboard", build)
 
 
-def _check_same_spec(a: GridSpec, b: GridSpec):
-    if a.n != b.n or a.length != b.length:
-        raise ShapeError(f"grid mismatch: {a} vs {b}")
+@functools.lru_cache(maxsize=1)
+def _grid_tables(spec: GridSpec) -> dict:
+    """Per-grid tables of the one grid most recently used.
+
+    A new grid evicts every table of the previous one, so the cache never
+    holds more than one grid's arrays; alternating between two grids
+    rebuilds them, which costs time but never serves a stale grid.
+    """
+    return {}
+
+
+def release_tables() -> None:
+    """Drop the cached per-grid tables; the next use rebuilds them."""
+    _grid_tables.cache_clear()
+
+
+def _table(spec: GridSpec, name, build):
+    """The read-only table ``name`` of ``spec``, built on first use."""
+    tables = _grid_tables(spec)
+    value = tables.get(name)
+    if value is None:
+        value = build()
+        for arr in value if isinstance(value, tuple) else (value,):
+            arr.flags.writeable = False
+        tables[name] = value
+    return value
 
 
 def to_k(spec: GridSpec, u):
@@ -158,12 +185,37 @@ def to_k(spec: GridSpec, u):
     return out
 
 
-def to_r(spec: GridSpec, uhat):
-    """Inverse of :func:`to_k`."""
-    out = sfft.ifftn(uhat * spec.checkerboard(), axes=(-3, -2, -1),
-                     workers=_FFT_WORKERS)
+def to_r(spec: GridSpec, uhat, overwrite=False):
+    """Inverse of :func:`to_k`.
+
+    overwrite=True lets a complex uhat that the caller no longer needs be
+    transformed in place, saving one array of its size.
+    """
+    if overwrite:
+        uhat *= spec.checkerboard()
+    else:
+        uhat = uhat * spec.checkerboard()
+    out = sfft.ifftn(uhat, axes=(-3, -2, -1), workers=_FFT_WORKERS,
+                     overwrite_x=True)
     out *= 1.0 / spec.cell_volume
     return out
+
+
+def curl(spec: GridSpec, data):
+    """Spectral curl of vectors stored along axis -4 of (..., 3, nx, ny, nz).
+
+    All components are transformed together; the odd-derivative wave
+    vectors drop the unpaired Nyquist mode.
+    """
+    hat = to_k(spec, data)
+    kvec = spec.k_grid_diff()
+    curl_hat = np.empty_like(hat)
+    for c, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+        out = curl_hat[..., c, :, :, :]
+        np.multiply(kvec[a], hat[..., b, :, :, :], out=out)
+        out -= kvec[b] * hat[..., a, :, :, :]
+    curl_hat *= 1j
+    return to_r(spec, curl_hat, overwrite=True)
 
 
 @dataclass
@@ -283,20 +335,22 @@ def triad_arrays(spec: GridSpec):
     """Gridded e(k), e*(k) and n(k) on the dual lattice.
 
     Returns (e, n_hat, knorm); e has shape (3, nx, ny, nz) and is zero at
-    the k = 0 point, where no transverse frame exists.
+    the k = 0 point, where no transverse frame exists.  The arrays are
+    cached per grid and read-only.
     """
-    kvec = spec.k_grid()
-    knorm = np.sqrt(np.sum(kvec**2, axis=0))
-    safe = np.where(knorm == 0.0, 1.0, knorm)
-    nhat = kvec / safe
-    nhat[:, knorm == 0.0] = 0.0
-    l1, l2 = _triads_from_khat(nhat[0], nhat[1], nhat[2])
-    dc = knorm == 0.0
-    for comp in range(3):
-        l1[comp][dc] = 0.0
-        l2[comp][dc] = 0.0
-    e = (l1 + 1j * l2) / np.sqrt(2.0)
-    return e, nhat, knorm
+    def build():
+        knorm = spec.k_norm()
+        safe = np.where(knorm == 0.0, 1.0, knorm)
+        nhat = spec.k_grid() / safe
+        nhat[:, knorm == 0.0] = 0.0
+        l1, l2 = _triads_from_khat(nhat[0], nhat[1], nhat[2])
+        dc = knorm == 0.0
+        for comp in range(3):
+            l1[comp][dc] = 0.0
+            l2[comp][dc] = 0.0
+        e = (l1 + 1j * l2) / np.sqrt(2.0)
+        return e, nhat, knorm
+    return _table(spec, "triad", build)
 
 
 def berry_connection(k, pole_cone=1e-6):
@@ -326,10 +380,9 @@ def berry_connection(k, pole_cone=1e-6):
 
 def berry_connection_grid(spec: GridSpec, pole_cone=1e-6):
     """Gridded connection; exact-axis points get 0, cone points get NaN."""
-    kvec = spec.k_grid()
-    knorm = np.sqrt(np.sum(kvec**2, axis=0))
+    knorm = spec.k_norm()
     safe = np.where(knorm == 0.0, 1.0, knorm)
-    n = kvec / safe
+    n = spec.k_grid() / safe
     sth = np.hypot(n[0], n[1])
     phi = np.arctan2(n[1], n[0])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -349,7 +402,7 @@ def _dc_energy_warning(spec, upper_hat, lower_hat):
         warnings.warn(
             f"field carries k = 0 energy fraction {dc / total:.3e}; "
             "the DC mode has no helicity content and is dropped",
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
@@ -361,16 +414,18 @@ def decompose(psi: SixField) -> HelicitySpectrum:
     Longitudinal content is not stored; measure it with
     :func:`longitudinal_residual`.
     """
+    return _decompose(psi, to_k(psi.spec, psi.data))
+
+
+def _decompose(psi: SixField, hat) -> HelicitySpectrum:
+    """:func:`decompose` of psi, given its transform hat = to_k(psi.data)."""
     if not psi.is_finite():
         raise DomainError("field contains non-finite values")
     e, _, _ = triad_arrays(psi.spec)
-    upper_hat = to_k(psi.spec, psi.upper)
-    lower_hat = to_k(psi.spec, psi.lower)
-    _dc_energy_warning(psi.spec, upper_hat, lower_hat)
-    amp = np.stack([
-        np.sum(np.conj(e) * upper_hat, axis=0),
-        np.sum(e * lower_hat, axis=0),
-    ])
+    _dc_energy_warning(psi.spec, hat[0], hat[1])
+    amp = np.empty((2,) + psi.spec.n, dtype=complex)
+    np.sum(np.conj(e) * hat[0], axis=0, out=amp[0])
+    np.sum(e * hat[1], axis=0, out=amp[1])
     amp[:, 0, 0, 0] = 0.0
     return HelicitySpectrum(spec=psi.spec, amp=amp)
 
@@ -387,10 +442,10 @@ def synthesize(spectrum: HelicitySpectrum, t=0.0) -> SixField:
     spec = spectrum.spec
     e, _, knorm = triad_arrays(spec)
     phase = np.exp(-1j * knorm * float(t))
-    upper_hat = e * (spectrum.amp[0] * phase)
-    lower_hat = np.conj(e) * (spectrum.amp[1] * phase)
-    data = np.stack([to_r(spec, upper_hat), to_r(spec, lower_hat)])
-    return SixField(spec=spec, data=data)
+    hat = np.empty((2, 3) + spec.n, dtype=complex)
+    np.multiply(e, spectrum.amp[0] * phase, out=hat[0])
+    np.multiply(np.conj(e), spectrum.amp[1] * phase, out=hat[1])
+    return SixField(spec=spec, data=to_r(spec, hat, overwrite=True))
 
 
 def positive_frequency_project(psi: SixField) -> SixField:
@@ -406,11 +461,10 @@ def positive_frequency_project(psi: SixField) -> SixField:
 def longitudinal_residual(psi: SixField) -> float:
     """Relative norm of the k-parallel content, ||n.psi_hat|| / ||psi_hat||."""
     _, nhat, _ = triad_arrays(psi.spec)
-    upper_hat = to_k(psi.spec, psi.upper)
-    lower_hat = to_k(psi.spec, psi.lower)
-    lon = (np.sum(np.abs(np.sum(nhat * upper_hat, axis=0)) ** 2)
-           + np.sum(np.abs(np.sum(nhat * lower_hat, axis=0)) ** 2))
-    tot = np.sum(np.abs(upper_hat) ** 2) + np.sum(np.abs(lower_hat) ** 2)
+    hat = to_k(psi.spec, psi.data)
+    lon = (np.sum(np.abs(np.sum(nhat * hat[0], axis=0)) ** 2)
+           + np.sum(np.abs(np.sum(nhat * hat[1], axis=0)) ** 2))
+    tot = np.sum(np.abs(hat[0]) ** 2) + np.sum(np.abs(hat[1]) ** 2)
     if tot == 0.0:
         return 0.0
     return float(np.sqrt(lon / tot))
@@ -419,8 +473,7 @@ def longitudinal_residual(psi: SixField) -> float:
 def translate(spectrum: HelicitySpectrum, r0=(0.0, 0.0, 0.0), t0=0.0) -> HelicitySpectrum:
     """Space-time translation: amp'(k) = exp(-i omega t0 + i k.r0) amp(k)."""
     spec = spectrum.spec
-    kvec = spec.k_grid()
-    knorm = np.sqrt(np.sum(kvec**2, axis=0))
     r0 = np.asarray(r0, dtype=float)
-    phase = np.exp(1j * np.tensordot(r0, kvec, axes=(0, 0)) - 1j * knorm * float(t0))
+    phase = np.exp(1j * np.tensordot(r0, spec.k_grid(), axes=(0, 0))
+                   - 1j * spec.k_norm() * float(t0))
     return HelicitySpectrum(spec=spec, amp=spectrum.amp * phase)

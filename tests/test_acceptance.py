@@ -51,17 +51,13 @@ def test_criterion_1_helicity_eigenstructure():
 def _commutator_sweep(spec):
     k0, sig = balanced_packet_params(spec)
     psi = gaussian_packet(spec, k0, sig)
-    tags = list(G)
     worst_flat = 0.0
     worst_position = 0.0
-    for i in range(len(tags)):
-        for j in range(i + 1, len(tags)):
-            r = mt.commutator_residual(tags[i], tags[j], psi)
-            families = {tags[i].family, tags[j].family}
-            if families <= {"H", "P"}:
-                worst_flat = max(worst_flat, r)
-            else:
-                worst_position = max(worst_position, r)
+    for tag_a, tag_b, r in mt.commutator_residuals(psi):
+        if {tag_a.family, tag_b.family} <= {"H", "P"}:
+            worst_flat = max(worst_flat, r)
+        else:
+            worst_position = max(worst_position, r)
     return worst_flat, worst_position
 
 

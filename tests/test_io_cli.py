@@ -4,7 +4,8 @@ import struct
 import numpy as np
 import pytest
 
-from pwfn import gridio
+import pwfn
+from pwfn import gridio, spectral
 from pwfn.cli import main
 from pwfn.errors import FormatError
 from conftest import cube, random_field
@@ -85,6 +86,9 @@ def test_cli_run_and_reproducibility(tmp_path):
     m2 = json.loads((out2 / "manifest.json").read_text())
     assert sorted(m1["outputs"].values()) == sorted(m2["outputs"].values())
     assert m1["config_sha256"] == m2["config_sha256"]
+    assert m1["versions"]["pwfn"] == pwfn.__version__
+    # A finished run holds no per-grid tables.
+    assert spectral._grid_tables.cache_info().currsize == 0
 
 
 def test_cli_report_idempotent(tmp_path, capsys):

@@ -324,6 +324,38 @@ def test_commutators_flat_pairs(rng):
     assert mt.commutator_residual(G.P_X, G.H, psi) < 1e-12
 
 
+def test_commutator_sweep_matches_single_pairs():
+    spec = cube(16, length=4 * np.pi)
+    k0, sig = balanced_packet_params(spec)
+    psi = gaussian_packet(spec, k0, sig)
+    sweep = mt.commutator_residuals(psi)
+    tags = list(G)
+    pairs = [(a, b) for i, a in enumerate(tags) for b in tags[i + 1:]]
+    assert [(a, b) for a, b, _ in sweep] == pairs
+    for a, b, r in sweep:
+        single = mt.commutator_residual(a, b, psi)
+        assert abs(r - single) <= 1e-15 * max(abs(single), 1e-300), (a, b)
+
+
+def test_rotation_generator_transforms_two_gradient_components(monkeypatch):
+    spec = cube(8)
+    psi = synthesize(plane_wave_mode(spec, (1, 0, 2)), t=0.0)
+    counts = {"to_k": 0, "to_r": 0}
+
+    def counting(name, fn):
+        def wrapper(spec_, arr, *args, **kwargs):
+            counts[name] += int(np.prod(arr.shape[:-3]))
+            return fn(spec_, arr, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(mt, "to_k", counting("to_k", mt.to_k))
+    monkeypatch.setattr(mt, "to_r", counting("to_r", mt.to_r))
+    for tag in (G.J_X, G.J_Y, G.J_Z):
+        counts.update(to_k=0, to_r=0)
+        mt.generator_apply(tag, psi)
+        assert counts == {"to_k": 6, "to_r": 12}, tag
+
+
 def test_commutator_j_and_k_pairs_balanced_packet():
     spec = cube(64, length=4 * np.pi)
     k0, sig = balanced_packet_params(spec)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pwfn import spectral
 from pwfn.errors import DomainError, GaugeSingularityError
 from pwfn.evolve import propagate_free
 from pwfn.spectral import (GridSpec, HelicitySpectrum, berry_connection,
@@ -16,6 +17,56 @@ def test_gridspec_validation():
         GridSpec(n=(7, 8, 8), length=(1.0, 1.0, 1.0))
     with pytest.raises(DomainError):
         GridSpec(n=(8, 8, 8), length=(0.0, 1.0, 1.0))
+
+
+def test_grid_tables_cached_read_only():
+    spec = cube(8)
+    twin = GridSpec(n=spec.n, length=spec.length)
+    for name in ("checkerboard", "k_grid", "k_grid_diff", "k_norm", "coords"):
+        table = getattr(spec, name)()
+        assert not table.flags.writeable, name
+        assert getattr(spec, name)() is table, name
+        assert getattr(twin, name)() is table, name
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 1.0
+    triad = triad_arrays(spec)
+    assert triad_arrays(spec) is triad
+    assert not any(arr.flags.writeable for arr in triad)
+
+
+def test_grid_tables_alternating_grids_match_cold_calls(rng):
+    grids = {"a": cube(8), "b": GridSpec(n=(6, 8, 10), length=(5.0, 6.0, 7.0))}
+    fields = {key: random_field(spec, rng, kmax=2.0)
+              for key, spec in grids.items()}
+
+    def run(key):
+        spectrum = decompose(fields[key])
+        return (spectrum.amp, synthesize(spectrum, t=0.4).data,
+                propagate_free(fields[key], 0.3).data)
+
+    cold = {}
+    for key in grids:
+        spectral.release_tables()
+        cold[key] = run(key)
+    for key in ("a", "b", "a"):
+        for warm, ref in zip(run(key), cold[key]):
+            assert np.array_equal(warm, ref), key
+        assert spectral._grid_tables.cache_info().currsize == 1
+
+
+def test_block_transforms_match_component_loop(rng):
+    spec = GridSpec(n=(8, 6, 10), length=(5.0, 6.0, 7.0))
+    data = (rng.normal(size=(2, 3) + spec.n)
+            + 1j * rng.normal(size=(2, 3) + spec.n))
+    hat = spectral.to_k(spec, data)
+    back = spectral.to_r(spec, hat)
+    for block in range(2):
+        for comp in range(3):
+            assert np.array_equal(hat[block, comp],
+                                  spectral.to_k(spec, data[block, comp]))
+            assert np.array_equal(back[block, comp],
+                                  spectral.to_r(spec, hat[block, comp]))
+    assert np.array_equal(spectral.to_r(spec, hat.copy(), overwrite=True), back)
 
 
 def test_triad_pole_conventions():
