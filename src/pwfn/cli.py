@@ -27,7 +27,8 @@ import numpy as np
 from . import config as cfgmod
 from . import eigen, evolve, gridio, metrics, phasespace, spectral, states
 from .config import parse_float, parse_int, parse_vector
-from .errors import (ConfigError, FormatError, PwfnError, StabilityError)
+from .errors import (ConfigError, DomainError, FormatError, PwfnError,
+                     StabilityError)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -87,9 +88,14 @@ def _medium(scenario):
 
 
 def _stepper(phys):
-    return evolve.StepperConfig(dt=parse_float(phys, "dt", 0.01),
-                                scheme=phys.get("scheme", "rk4"),
-                                cfl_safety=parse_float(phys, "cfl_safety", 0.5))
+    try:
+        return evolve.StepperConfig(dt=parse_float(phys, "dt", 0.01),
+                                    scheme=phys.get("scheme", "rk4"),
+                                    cfl_safety=parse_float(phys, "cfl_safety",
+                                                           0.5))
+    except DomainError as exc:
+        # StepperConfig's messages start with the key at fault.
+        raise ConfigError(f"[physics] {exc}") from exc
 
 
 def _conserved_rows(spec, fields, dt):
@@ -112,6 +118,8 @@ def _run_evolve(scenario, outdir, curved):
     phys = scenario.physics
     cfg = _stepper(phys)
     steps = parse_int(phys, "steps", 100)
+    if steps < 0:
+        raise ConfigError(f"[physics] steps must be >= 0, got {steps}")
     f0 = _initial_field(scenario)
     outputs = []
     if curved:

@@ -13,7 +13,9 @@ step-index geometries belong to the semi-analytic fiber solver instead.
 
 Steppers integrate i dF/dt = H F with classic RK4 (default) or, for
 uniform-speed media, Strang splitting between the exact kinetic phase and
-the pointwise helicity-coupling term.
+the pointwise helicity-coupling term.  :func:`rk4` and :func:`check_cfl`
+are the one integrator and the one step bound that the medium, curved-space
+and reduced Wigner evolutions share.
 """
 
 from __future__ import annotations
@@ -23,20 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, StabilityError
-from .fieldcore import RSPair
-from .spectral import GridSpec, SixField, curl, to_k, to_r, triad_arrays
+from .fieldcore import LEVI_CIVITA, RSPair
+from .spectral import (GridSpec, SixField, curl, div, grad, to_k, to_r,
+                       triad_arrays)
 
 __all__ = [
-    "MediumMap", "StepperConfig",
+    "MediumMap", "StepperConfig", "rk4", "check_cfl",
     "propagate_free", "free_generator", "hamiltonian_apply",
     "step_medium", "divergence_residual", "medium_basis_change",
 ]
-
-
-def _grad_spectral(spec: GridSpec, scalar):
-    """Spectral gradient of a real scalar lattice; returns (3, nx, ny, nz)."""
-    shat = to_k(spec, scalar.astype(complex))
-    return to_r(spec, 1j * spec.k_grid_diff() * shat, overwrite=True).real.copy()
 
 
 @dataclass
@@ -59,21 +56,15 @@ class MediumMap:
         if not (np.all(np.isfinite(self.v)) and np.all(np.isfinite(self.h))):
             raise DomainError("derived v, h must be finite")
         self.sqrt_v = np.sqrt(self.v)
-        self.grad_v = _grad_spectral(self.spec, self.v)
-        self.grad_h = _grad_spectral(self.spec, self.h)
+        self.grad_v = grad(self.spec, self.v)
+        self.grad_h = grad(self.spec, self.h)
+        self.is_uniform_v = bool(np.ptp(self.v) <= 1e-14 * np.max(self.v))
+        self.is_uniform_h = bool(np.ptp(self.h) <= 1e-14 * np.max(self.h))
 
     @classmethod
     def uniform(cls, spec: GridSpec, eps=1.0, mu=1.0):
         return cls(spec=spec, eps=np.full(spec.n, float(eps)),
                    mu=np.full(spec.n, float(mu)))
-
-    @property
-    def is_uniform_v(self):
-        return bool(np.ptp(self.v) <= 1e-14 * np.max(self.v))
-
-    @property
-    def is_uniform_h(self):
-        return bool(np.ptp(self.h) <= 1e-14 * np.max(self.h))
 
     def smoothness_metric(self):
         """max |grad v| * dx / v; large values mean an under-resolved medium."""
@@ -90,12 +81,46 @@ class StepperConfig:
     cfl_safety: float = 0.5
 
     def __post_init__(self):
-        if self.dt <= 0.0:
-            raise DomainError("dt must be positive")
+        if not (0.0 < self.dt < np.inf):
+            raise DomainError(f"dt must be positive and finite, got {self.dt}")
         if self.scheme not in ("rk4", "split_step"):
-            raise DomainError(f"unknown scheme {self.scheme!r}")
+            raise DomainError(f"scheme must be rk4 or split_step, "
+                              f"got {self.scheme!r}")
         if not (0.0 < self.cfl_safety <= 1.0):
-            raise DomainError("cfl_safety must lie in (0, 1]")
+            raise DomainError(f"cfl_safety must lie in (0, 1], "
+                              f"got {self.cfl_safety}")
+
+
+def check_cfl(dt, spacing, vmax, cfl_safety):
+    """Raise StabilityError unless dt <= cfl_safety * min(spacing) / vmax."""
+    limit = cfl_safety * min(spacing) / vmax
+    if dt > limit:
+        raise StabilityError(
+            f"dt = {dt:.3e} exceeds CFL bound {limit:.3e} "
+            f"(cfl_safety = {cfl_safety}, max speed = {vmax:.3e})"
+        )
+
+
+def rk4(rhs, y, dt, steps):
+    """Classic RK4 for dy/dt = rhs(y); returns the state after `steps` steps.
+
+    The result is a new array; y is not modified.  A blow-up turns into inf/NaN that the spectral
+    right-hand sides carry forward, so one finiteness check of the final
+    state catches it and raises StabilityError.
+    """
+    y = np.array(y)
+    for _ in range(steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.all(np.isfinite(y)):
+        raise StabilityError(
+            f"state is non-finite after {steps} RK4 steps of dt = {dt:.3e}; "
+            "the time step is beyond the stability limit of the scheme"
+        )
+    return y
 
 
 def propagate_free(psi: SixField, t: float) -> SixField:
@@ -154,34 +179,13 @@ def hamiltonian_apply(psi: SixField, medium: MediumMap) -> SixField:
     return SixField(spec=spec, data=out)
 
 
-def _cfl_limit(spec: GridSpec, medium: MediumMap, cfg: StepperConfig) -> float:
-    return cfg.cfl_safety * min(spec.spacing) / float(np.max(medium.v))
-
-
-def _check_cfl(spec, medium, cfg):
-    limit = _cfl_limit(spec, medium, cfg)
-    if cfg.dt > limit:
-        raise StabilityError(
-            f"dt = {cfg.dt:.3e} exceeds CFL bound {limit:.3e} "
-            f"(cfl_safety = {cfg.cfl_safety}, max v = {np.max(medium.v):.3e})"
-        )
-
-
 def _coupling_matrices(medium: MediumMap):
     """Pointwise 6x6 coupling generator B = (v/2h) rho_2 (s . grad h)."""
     coef = medium.v / (2.0 * medium.h)
     gh = medium.grad_h
-    n = medium.spec.n
-    b = np.zeros((6, 6) + n, dtype=complex)
+    b = np.zeros((6, 6) + medium.spec.n, dtype=complex)
     # (s.a)_{jk} = -i sum_a a_a eps_{ajk}
-    sdot = np.zeros((3, 3) + n, dtype=complex)
-    eps_sym = np.zeros((3, 3, 3))
-    for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-        eps_sym[i, j, k] = 1.0
-        eps_sym[i, k, j] = -1.0
-    for jj in range(3):
-        for kk in range(3):
-            sdot[jj, kk] = -1j * np.einsum("a...,a->...", gh, eps_sym[:, jj, kk])
+    sdot = -1j * np.einsum("a...,ajk->jk...", gh, LEVI_CIVITA)
     b[0:3, 3:6] = -1j * coef * sdot
     b[3:6, 0:3] = 1j * coef * sdot
     return b
@@ -195,29 +199,16 @@ def step_medium(psi: SixField, medium: MediumMap, cfg: StepperConfig,
     alternates the exact kinetic phase with the pointwise coupling phase in
     Strang order.
     """
-    _check_cfl(psi.spec, medium, cfg)
+    spec = psi.spec
+    check_cfl(cfg.dt, spec.spacing, float(np.max(medium.v)), cfg.cfl_safety)
     if cfg.scheme == "rk4":
-        return _step_rk4(psi, medium, cfg.dt, steps)
+        def rhs(arr):
+            return -1j * hamiltonian_apply(SixField(spec=spec, data=arr),
+                                           medium).data
+        return SixField(spec=spec, data=rk4(rhs, psi.data, cfg.dt, steps))
     if not medium.is_uniform_v:
         raise DomainError("split_step requires a uniform-speed medium")
     return _step_split(psi, medium, cfg.dt, steps)
-
-
-def _step_rk4(psi, medium, dt, steps):
-    data = psi.data.copy()
-    spec = psi.spec
-
-    def rhs(arr):
-        f = SixField(spec=spec, data=arr)
-        return -1j * hamiltonian_apply(f, medium).data
-
-    for _ in range(steps):
-        k1 = rhs(data)
-        k2 = rhs(data + 0.5 * dt * k1)
-        k3 = rhs(data + 0.5 * dt * k2)
-        k4 = rhs(data + dt * k3)
-        data = data + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return SixField(spec=spec, data=data)
 
 
 def _step_split(psi, medium, dt, steps):
@@ -238,10 +229,15 @@ def _step_split(psi, medium, dt, steps):
         flat = arr.reshape(6, -1)
         return np.einsum("pik,kp->ip", expb, flat).reshape(arr.shape)
 
-    for _ in range(steps):
-        data = propagate_free(SixField(spec=spec, data=data), 0.5 * v0 * dt).data
+    # Strang order K/2 C K/2 per step; the closing K/2 of one step and the
+    # opening K/2 of the next merge into one kinetic step K.
+    half = 0.5 * v0 * dt
+    for step in range(steps):
+        data = propagate_free(SixField(spec=spec, data=data),
+                              half if step == 0 else 2.0 * half).data
         data = apply_coupling(data)
-        data = propagate_free(SixField(spec=spec, data=data), 0.5 * v0 * dt).data
+    if steps:
+        data = propagate_free(SixField(spec=spec, data=data), half).data
     return SixField(spec=spec, data=data)
 
 
@@ -253,9 +249,7 @@ def divergence_residual(psi: SixField, medium: MediumMap | None = None) -> float
     uniform-medium special case.
     """
     spec = psi.spec
-    bhat = to_k(spec, psi.data)
-    res = to_r(spec, 1j * np.sum(spec.k_grid_diff() * bhat, axis=1),
-               overwrite=True)
+    res = div(spec, psi.data)
     if medium is not None:
         if medium.spec.n != spec.n:
             raise ShapeError("medium and field grids differ")

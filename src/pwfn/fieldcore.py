@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DomainError, InconsistencyError
 
 __all__ = [
-    "SPIN_X", "SPIN_Y", "SPIN_Z", "SPIN",
+    "SPIN_X", "SPIN_Y", "SPIN_Z", "SPIN", "LEVI_CIVITA",
     "RSPair", "SixVector", "FieldInvariants",
     "rho1", "rho2", "rho3", "spin_dot",
     "rs_from_fields", "fields_from_rs", "invariants", "duality_rotate",
@@ -35,6 +35,13 @@ __all__ = [
     "classical_energy", "classical_momentum", "classical_angular_momentum",
     "classical_moment_of_energy",
 ]
+
+# Levi-Civita symbol eps_{ijk}, the one copy every module contracts with.
+LEVI_CIVITA = np.zeros((3, 3, 3))
+for _i, _j, _k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
+    LEVI_CIVITA[_i, _j, _k] = 1.0
+    LEVI_CIVITA[_i, _k, _j] = -1.0
+LEVI_CIVITA.flags.writeable = False
 
 # Spin-1 matrices in the Cartesian representation; (s_i)_{jk} = -i eps_{ijk}.
 SPIN_X = np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]], dtype=complex)

@@ -30,7 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, StabilityError
+from .errors import DomainError, ShapeError
+from .evolve import check_cfl, rk4
+from .fieldcore import LEVI_CIVITA
 from .spectral import GridSpec, SixField, curl, to_k, to_r
 
 __all__ = [
@@ -40,12 +42,6 @@ __all__ = [
     "four_spinor_from_rs", "rs_from_four_spinor", "dirac_form_step",
     "ALPHA_X", "ALPHA_Y", "ALPHA_Z",
 ]
-
-_EPS3 = np.zeros((3, 3, 3))
-for _i, _j, _k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-    _EPS3[_i, _j, _k] = 1.0
-    _EPS3[_i, _k, _j] = -1.0
-
 
 @dataclass
 class MetricField:
@@ -105,7 +101,7 @@ def _constitutive_matrices(metric: MetricField):
     ginv = metric.g_inv
     sqrt_mg = np.sqrt(-metric.det)
     a0 = g[1:, 1:] / sqrt_mg[None, None]
-    b = np.einsum("k...,ikj->ij...", ginv[0, 1:], _EPS3)
+    b = np.einsum("k...,ikj->ij...", ginv[0, 1:], LEVI_CIVITA)
     g00_up = ginv[0, 0]
     if np.any(g00_up == 0.0):
         raise DomainError("metric has g^00 = 0 somewhere (degenerate)")
@@ -149,27 +145,13 @@ def curved_generator(field: SixField, metric: MetricField) -> SixField:
 
 def step_curved(field: SixField, metric: MetricField, cfg, steps: int) -> SixField:
     """RK4 integration of i dF/dt = rho_3 curl G(F) in a static metric."""
-    vmax = metric.light_speed_bound()
-    limit = cfg.cfl_safety * min(field.spec.spacing) / vmax
-    if cfg.dt > limit:
-        raise StabilityError(
-            f"dt = {cfg.dt:.3e} exceeds curved-space CFL bound {limit:.3e} "
-            f"(max local speed {vmax:.3e})"
-        )
     spec = field.spec
-    data = field.data.copy()
+    check_cfl(cfg.dt, spec.spacing, metric.light_speed_bound(), cfg.cfl_safety)
 
     def rhs(arr):
         return -1j * curved_generator(SixField(spec=spec, data=arr), metric).data
 
-    dt = cfg.dt
-    for _ in range(steps):
-        k1 = rhs(data)
-        k2 = rhs(data + 0.5 * dt * k1)
-        k3 = rhs(data + 0.5 * dt * k2)
-        k4 = rhs(data + dt * k3)
-        data = data + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return SixField(spec=spec, data=data)
+    return SixField(spec=spec, data=rk4(rhs, field.data, cfg.dt, steps))
 
 
 @dataclass

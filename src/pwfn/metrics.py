@@ -21,6 +21,7 @@ observables to be meaningful.
 from __future__ import annotations
 
 import enum
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ from scipy.special import gamma as gamma_fn, kv
 from .errors import (DomainError, GaugeSingularityError, NormalizationError,
                      ResourceError, ShapeError)
 from .evolve import free_generator
-from .fieldcore import SPIN
+from .fieldcore import LEVI_CIVITA, SPIN
 from .spectral import (GridSpec, HelicitySpectrum, SixField, _decompose,
                        berry_connection_grid, decompose, synthesize, to_k,
                        to_r)
@@ -90,8 +91,8 @@ _VECTOR_TAGS = {
     "K": (GeneratorTag.K_X, GeneratorTag.K_Y, GeneratorTag.K_Z),
 }
 # Levi-Civita symbol as (i, j) -> (k, eps_ijk) for i != j.
-_EPS = {(0, 1): (2, 1.0), (1, 2): (0, 1.0), (2, 0): (1, 1.0),
-        (1, 0): (2, -1.0), (2, 1): (0, -1.0), (0, 2): (1, -1.0)}
+_EPS = {(i, j): (k, float(LEVI_CIVITA[i, j, k]))
+        for i, j, k in itertools.permutations(range(3))}
 
 
 def _check_specs(a, b):

@@ -36,8 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sfft
 
-from .errors import DomainError, InconsistencyError, ShapeError, StabilityError
-from .spectral import GridSpec, to_k, to_r
+from .errors import DomainError, InconsistencyError, ShapeError
+from .evolve import check_cfl, rk4
+from .fieldcore import LEVI_CIVITA
+from .spectral import GridSpec, curl, div, grad, to_k, to_r
 
 __all__ = [
     "WignerField", "WignerDecomp", "HydroState",
@@ -47,12 +49,6 @@ __all__ = [
     "hydro_divergence_residuals", "hydro_evolution_residual",
     "quantization_integral",
 ]
-
-_EPS3 = np.zeros((3, 3, 3))
-for _i, _j, _k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-    _EPS3[_i, _j, _k] = 1.0
-    _EPS3[_i, _k, _j] = -1.0
-
 
 @dataclass
 class WignerField:
@@ -83,7 +79,7 @@ class WignerDecomp:
     u: np.ndarray       # (3, r..., k...) real
 
     def reconstruct(self):
-        anti = np.einsum("ijk,k...->ij...", _EPS3, self.u) / 2j
+        anti = np.einsum("ijk,k...->ij...", LEVI_CIVITA, self.u) / 2j
         return self.w_sym + anti
 
 
@@ -160,22 +156,13 @@ def wigner_decompose(wf: WignerField, herm_rtol=1e-9) -> WignerDecomp:
             f"Wigner matrix hermiticity defect {defect:.3e} exceeds {herm_rtol:.1e}"
         )
     w_sym = 0.5 * (wf.w + np.conj(np.swapaxes(wf.w, 0, 1))).real
-    u = np.einsum("ijk,ij...->k...", _EPS3, wf.w) * 1j
+    u = np.einsum("ijk,ij...->k...", LEVI_CIVITA, wf.w) * 1j
     return WignerDecomp(spec=wf.spec, w_sym=w_sym, u=u.real)
 
 
-def _grad_r(spec: GridSpec, arr):
-    """Spectral gradient over the three r axes of an (r..., k...) array."""
-    r_axes = (-6, -5, -4)
-    kvec = spec.k_grid_diff()
-    ahat = sfft.fftn(arr, axes=r_axes)
-    view = [1] * arr.ndim
-    view[-6], view[-5], view[-4] = spec.n
-    out = []
-    for ax_i in range(3):
-        out.append(sfft.ifftn(1j * kvec[ax_i].reshape(view) * ahat,
-                              axes=r_axes).real)
-    return out
+def _r_last(vec):
+    """(3, r..., k...) view as (k..., 3, r...), the layout grad/div/curl take."""
+    return np.moveaxis(vec, (0, 1, 2, 3), (3, 4, 5, 6))
 
 
 def wigner_subsidiary_residual(decomp: WignerDecomp):
@@ -190,33 +177,20 @@ def wigner_subsidiary_residual(decomp: WignerDecomp):
     solution-built distributions in the tests).
     """
     spec = decomp.spec
-    kvec = spec.k_grid()
-    kb = [kvec[i][None, None, None, :, :, :] for i in range(3)]
-    lhs1 = np.zeros((3,) + spec.n + spec.n)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                if _EPS3[i, j, k] != 0.0:
-                    lhs1[i] += _EPS3[i, j, k] * kb[j][0] * decomp.u[k]
-    rhs1 = np.stack([
-        sum(_grad_r(spec, decomp.w_sym[i, j])[j] for j in range(3))
-        for i in range(3)
-    ])
+    kvec = spec.k_grid()    # broadcasts over the trailing k axes
+    lhs1 = np.cross(kvec, decomp.u, axisa=0, axisb=0, axisc=0)
+    # one row i at a time keeps a single row's transform in memory
+    rhs1 = np.stack([np.moveaxis(div(spec, _r_last(decomp.w_sym[i])),
+                                 (0, 1, 2), (3, 4, 5)) for i in range(3)])
     # normalize by the representable field scale, not by the residual terms
     # themselves (which vanish identically for single modes)
     kmax = float(np.max(spec.k_norm()))
     scale1 = kmax * (np.max(np.abs(decomp.u)) + np.max(np.abs(decomp.w_sym)))
     r1 = float(np.max(np.abs(lhs1 - rhs1)) / scale1) if scale1 > 0 else 0.0
 
-    lhs2 = np.zeros((3,) + spec.n + spec.n)
-    grads_u = [_grad_r(spec, decomp.u[k]) for k in range(3)]
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                if _EPS3[i, j, k] != 0.0:
-                    lhs2[i] += _EPS3[i, j, k] * grads_u[k][j]
+    lhs2 = np.moveaxis(curl(spec, _r_last(decomp.u)), (3, 4, 5, 6), (0, 1, 2, 3))
     rhs2 = np.stack([
-        sum(-4.0 * kb[j][0] * decomp.w_sym[i, j] for j in range(3))
+        sum(-4.0 * kvec[j] * decomp.w_sym[i, j] for j in range(3))
         for i in range(3)
     ])
     scale2 = 4.0 * kmax * (np.max(np.abs(decomp.w_sym))
@@ -239,33 +213,23 @@ def wigner_reduced_step(spec: GridSpec, k, w, u, dt, steps, cfl_safety=0.5):
     dw/dt = -c^2 div u, du/dt = -2 c (k x u)... rotation about k minus grad w:
     du_i/dt = -2 c eps_ijk k_j u_k - grad_i w.  c = 1 internally.
     """
-    if dt <= 0.0:
-        raise DomainError("dt must be positive")
-    limit = cfl_safety * min(spec.spacing)
-    if dt > limit:
-        raise StabilityError(f"dt = {dt:.3e} exceeds CFL bound {limit:.3e}")
+    if not dt > 0.0:
+        raise DomainError(f"dt must be positive, got {dt}")
+    check_cfl(dt, spec.spacing, 1.0, cfl_safety)
     k = np.asarray(k, dtype=float)
-    kvec = spec.k_grid_diff()
 
-    def rhs(state):
-        wf, uf = state
-        what = to_k(spec, wf.astype(complex))
-        uhat = to_k(spec, uf.astype(complex))
-        div_u = to_r(spec, 1j * np.sum(kvec * uhat, axis=0)).real
-        grad_w = np.stack([to_r(spec, 1j * kvec[i] * what).real for i in range(3)])
-        kxu = np.cross(k, uf, axisb=0, axisc=0)
-        return (-div_u, -2.0 * kxu - grad_w)
+    def rhs(y):
+        # y packs (w, u) as (4, nx, ny, nz)
+        out = np.empty_like(y)
+        out[0] = -div(spec, y[1:])
+        out[1:] = -2.0 * np.cross(k, y[1:], axisb=0, axisc=0) - grad(spec, y[0])
+        return out
 
-    wf = np.array(w, dtype=float)
-    uf = np.array(u, dtype=float)
-    for _ in range(steps):
-        k1 = rhs((wf, uf))
-        k2 = rhs((wf + 0.5 * dt * k1[0], uf + 0.5 * dt * k1[1]))
-        k3 = rhs((wf + 0.5 * dt * k2[0], uf + 0.5 * dt * k2[1]))
-        k4 = rhs((wf + dt * k3[0], uf + dt * k3[1]))
-        wf = wf + (dt / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-        uf = uf + (dt / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    return wf, uf
+    y = np.empty((4,) + spec.n)
+    y[0] = w
+    y[1:] = u
+    y = rk4(rhs, y, dt, steps)
+    return y[0], y[1:]
 
 
 @dataclass
@@ -290,14 +254,11 @@ def hydro_from_field(spec: GridSpec, f) -> HydroState:
     v = cross / safe
     t = np.einsum("i...,j...->ij...", np.conj(f), f)
     t = (t + np.swapaxes(t, 0, 1)).real / safe
-    kvec = spec.k_grid_diff()
+    grad_f = grad(spec, f)      # [j, i]: d_i f_j
     u = np.zeros((3,) + spec.n)
-    for i in range(3):
-        total = np.zeros(spec.n)
-        for j in range(3):
-            djf = to_r(spec, 1j * kvec[i] * to_k(spec, f[j]))
-            total += (np.conj(f[j]) * djf).imag
-        u[i] = total / safe
+    for j in range(3):
+        u += (np.conj(f[j]) * grad_f[j]).imag
+    u /= safe
     return HydroState(spec=spec, rho=rho, v=v, t=t, u=u)
 
 
@@ -317,12 +278,6 @@ def hydro_identity_residuals(state: HydroState, rho_floor=1e-8):
     return float(r1), float(r2), float(r3)
 
 
-def _grad_scalar(spec, arr):
-    kvec = spec.k_grid_diff()
-    ahat = to_k(spec, arr.astype(complex))
-    return np.stack([to_r(spec, 1j * kvec[i] * ahat).real for i in range(3)])
-
-
 def gradient_bilinears(state: HydroState, g_rho=None, g_v=None, g_t=None):
     """The complex gradient bilinears C_a = F* (x) grad_a F in hydro form.
 
@@ -339,17 +294,16 @@ def gradient_bilinears(state: HydroState, g_rho=None, g_v=None, g_t=None):
     spec = state.spec
     rho, v, t, u = state.rho, state.v, state.t, state.u
     if g_rho is None:
-        g_rho = _grad_scalar(spec, rho)
+        g_rho = grad(spec, rho)
     if g_v is None:
-        g_v = np.stack([_grad_scalar(spec, v[i]) for i in range(3)])
+        g_v = grad(spec, v)
     if g_t is None:
-        g_t = np.stack([[_grad_scalar(spec, t[i, j]) for j in range(3)]
-                        for i in range(3)])
-    epsv = np.einsum("ijk,k...->ij...", _EPS3, v)
+        g_t = grad(spec, t)
+    epsv = np.einsum("ijk,k...->ij...", LEVI_CIVITA, v)
     big_b = 0.5 * rho * (t + 1j * epsv)
     out = np.empty((3, 3, 3) + spec.n, dtype=complex)
     for a in range(3):
-        depsv = np.einsum("ijk,k...->ij...", _EPS3, g_v[:, a])
+        depsv = np.einsum("ijk,k...->ij...", LEVI_CIVITA, g_v[:, a])
         db = 0.5 * (g_rho[a] * (t + 1j * epsv)
                     + rho * (g_t[:, :, a] + 1j * depsv))
         theta = 0.5 * g_rho[a] + 1j * rho * u[a]
@@ -389,11 +343,10 @@ def hydro_evolution_residual(state_m: HydroState, state_0: HydroState,
     """
     spec = state_0.spec
     rho, v, t, u = state_0.rho, state_0.v, state_0.t, state_0.u
-    g_rho = _grad_scalar(spec, rho)
-    g_v = np.stack([_grad_scalar(spec, v[i]) for i in range(3)])      # [i, d, ...]
-    g_t = np.stack([[_grad_scalar(spec, t[i, j]) for j in range(3)]
-                    for i in range(3)])                               # [i, j, d, ...]
-    g_u = np.stack([_grad_scalar(spec, u[i]) for i in range(3)])
+    g_rho = grad(spec, rho)
+    g_v = grad(spec, v)      # [i, d, ...]
+    g_t = grad(spec, t)      # [i, j, d, ...]
+    g_u = grad(spec, u)
     div_v = sum(g_v[i][i] for i in range(3))
 
     def vdot(arr_grad):
@@ -408,30 +361,23 @@ def hydro_evolution_residual(state_m: HydroState, state_0: HydroState,
 
     # velocity
     dt_v = (state_p.v - state_m.v) / (2.0 * dt)
+    # flux[i] = d_j [rho (v_i v_j + t_ij - delta_ij)]
+    delta = np.eye(3)[:, :, None, None, None]
+    flux = div(spec, rho * (v[:, None] * v[None, :] + t - delta))
     res_v = np.empty_like(v)
     for i in range(3):
-        flux = np.zeros(spec.n)
-        for j in range(3):
-            term = rho * (v[i] * v[j] + t[i, j]) - (rho if i == j else 0.0)
-            flux += _grad_scalar(spec, term)[j]
-        res_v[i] = dt_v[i] + vdot(g_v[i]) - flux / rho
+        res_v[i] = dt_v[i] + vdot(g_v[i]) - flux[i] / rho
     out["velocity"] = float(np.max(np.abs(res_v))
                             / (np.max(np.abs(dt_v)) + 1e-300))
 
     # u equation
     dt_u = (state_p.u - state_m.u) / (2.0 * dt)
+    # flux[i] = d_j [rho eps_jkl (t_km d_i t_ml + v_k d_i v_l)]
+    tgrad = np.einsum("km...,mli...->kli...", t, g_t) + v[:, None, None] * g_v
+    flux = div(spec, rho * np.einsum("jkl,kli...->ij...", LEVI_CIVITA, tgrad))
     res_u = np.empty_like(u)
     for i in range(3):
-        flux = np.zeros(spec.n)
-        for j in range(3):
-            inner = np.zeros(spec.n)
-            for k in range(3):
-                for l in range(3):
-                    if _EPS3[j, k, l] != 0.0:
-                        tsum = sum(t[k, m] * g_t[m, l][i] for m in range(3))
-                        inner += _EPS3[j, k, l] * (tsum + v[k] * g_v[l][i])
-            flux += _grad_scalar(spec, rho * inner)[j]
-        res_u[i] = dt_u[i] + vdot(g_u[i]) - flux / (4.0 * rho)
+        res_u[i] = dt_u[i] + vdot(g_u[i]) - flux[i] / (4.0 * rho)
     out["u"] = float(np.max(np.abs(res_u)) / (np.max(np.abs(dt_u)) + 1e-300))
 
     # stress equation, via the closed gradient-bilinear form:
@@ -439,7 +385,7 @@ def hydro_evolution_residual(state_m: HydroState, state_0: HydroState,
     # d/dt t = (2 Im(P + P^T) - t d rho/dt)/rho, d rho/dt = -div(rho v).
     dt_t = (state_p.t - state_m.t) / (2.0 * dt)
     c = gradient_bilinears(state_0, g_rho=g_rho, g_v=g_v, g_t=g_t)
-    p = np.einsum("jab,aib...->ij...", _EPS3, c)
+    p = np.einsum("jab,aib...->ij...", LEVI_CIVITA, c)
     drho_t = -(vdot(g_rho) + rho * div_v)
     rhs_t = (2.0 * np.imag(p + np.swapaxes(p, 0, 1)) - t * drho_t) / rho
     res_t = dt_t - rhs_t
@@ -517,14 +463,13 @@ def quantization_integral(state: HydroState, surface, rho_floor=1e-8):
 
     # correction flux: (1/8c^3) eps_ijk (v_i dv_j x dv_k + v_i dt_jl x dt_kl
     #                                     - 2 t_il dt_jl x dv_k) . n
-    g_v = np.stack([_grad_scalar(spec, state.v[i]) for i in range(3)])
-    g_t = np.stack([[_grad_scalar(spec, state.t[i, j]) for j in range(3)]
-                    for i in range(3)])
+    g_v = grad(spec, state.v)
+    g_t = grad(spec, state.t)
     corr = np.zeros((3,) + spec.n)
     for i in range(3):
         for j in range(3):
             for k in range(3):
-                if _EPS3[i, j, k] == 0.0:
+                if LEVI_CIVITA[i, j, k] == 0.0:
                     continue
                 cross_vv = np.cross(g_v[j], g_v[k], axisa=0, axisb=0, axisc=0)
                 term = state.v[i] * cross_vv
@@ -535,7 +480,7 @@ def quantization_integral(state: HydroState, surface, rho_floor=1e-8):
                                         axisa=0, axisb=0, axisc=0)
                     term = term + state.v[i] * cross_tt \
                         - 2.0 * state.t[i, l] * cross_tv
-                corr += _EPS3[i, j, k] * term
+                corr += LEVI_CIVITA[i, j, k] * term
     corr /= 8.0
     flux = float(np.sum(corr[axis][take][psel]) * d1 * d2)
     return (total - flux) / (2.0 * np.pi)

@@ -48,7 +48,8 @@ __all__ = [
     "polarization_triad", "triad_arrays", "berry_connection",
     "berry_connection_grid", "decompose", "synthesize",
     "positive_frequency_project", "longitudinal_residual", "translate",
-    "to_k", "to_r", "curl", "release_tables", "get_workers", "set_workers",
+    "to_k", "to_r", "grad", "div", "curl", "release_tables", "get_workers",
+    "set_workers",
 ]
 
 # Worker count for scipy.fft; settable from the CLI (--threads / PWFN_THREADS).
@@ -201,13 +202,59 @@ def to_r(spec: GridSpec, uhat, overwrite=False):
     return out
 
 
+def _derivative_hat(spec: GridSpec, u):
+    """to_k of u for the derivative operators below.
+
+    A real u is transformed as complex: scipy's real-input path rounds
+    differently, and a real field must differentiate exactly like its
+    complex copy.
+    """
+    return to_k(spec, np.asarray(u).astype(complex, copy=False))
+
+
+def grad(spec: GridSpec, u):
+    """Spectral gradient over the last three axes of (..., nx, ny, nz).
+
+    Returns (..., 3, nx, ny, nz): the derivative index sits at axis -4,
+    where :func:`div` and :func:`curl` keep the vector index.  A real u
+    gives a real gradient.  One forward transform of u serves all three
+    axes; each derivative is formed in one reused buffer, transformed back
+    in place and copied into the output, so besides the result only the
+    transform of u and that buffer are held.  The odd-derivative wave
+    vectors drop the unpaired Nyquist mode.
+    """
+    hat = _derivative_hat(spec, u)
+    kvec = spec.k_grid_diff()
+    real = np.isrealobj(u)
+    out = np.empty(hat.shape[:-3] + (3,) + spec.n,
+                   dtype=float if real else complex)
+    buf = np.empty_like(hat)
+    for a in range(3):
+        np.multiply(1j * kvec[a], hat, out=buf)
+        d = to_r(spec, buf, overwrite=True)
+        out[..., a, :, :, :] = d.real if real else d
+    return out
+
+
+def div(spec: GridSpec, u):
+    """Spectral divergence of vectors stored along axis -4 of (..., 3, nx, ny, nz).
+
+    Returns (..., nx, ny, nz); a real u gives a real result.
+    """
+    hat = _derivative_hat(spec, u)
+    out = to_r(spec, 1j * np.sum(spec.k_grid_diff() * hat, axis=-4),
+               overwrite=True)
+    return out.real.copy() if np.isrealobj(u) else out
+
+
 def curl(spec: GridSpec, data):
     """Spectral curl of vectors stored along axis -4 of (..., 3, nx, ny, nz).
 
     All components are transformed together; the odd-derivative wave
-    vectors drop the unpaired Nyquist mode.
+    vectors drop the unpaired Nyquist mode.  A real input gives a real
+    result.
     """
-    hat = to_k(spec, data)
+    hat = _derivative_hat(spec, data)
     kvec = spec.k_grid_diff()
     curl_hat = np.empty_like(hat)
     for c, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
@@ -215,7 +262,8 @@ def curl(spec: GridSpec, data):
         np.multiply(kvec[a], hat[..., b, :, :, :], out=out)
         out -= kvec[b] * hat[..., a, :, :, :]
     curl_hat *= 1j
-    return to_r(spec, curl_hat, overwrite=True)
+    out = to_r(spec, curl_hat, overwrite=True)
+    return out.real.copy() if np.isrealobj(data) else out
 
 
 @dataclass

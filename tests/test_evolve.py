@@ -4,7 +4,8 @@ import pytest
 from pwfn.errors import DomainError, ShapeError, StabilityError
 from pwfn.evolve import (MediumMap, StepperConfig, divergence_residual,
                          free_generator, hamiltonian_apply,
-                         medium_basis_change, propagate_free, step_medium)
+                         medium_basis_change, propagate_free, rk4,
+                         step_medium)
 from pwfn.fieldcore import RSPair, rs_from_fields, fields_from_rs
 from pwfn.spectral import SixField, synthesize
 from pwfn.states import plane_wave_mode
@@ -129,9 +130,12 @@ def test_step_medium_norm_drift_and_reversibility(rng):
     cfg = StepperConfig(dt=0.005)
     fwd = step_medium(psi, med, cfg, 200)
     assert abs(fwd.norm2() - psi.norm2()) < 1e-8 * psi.norm2()
-    from pwfn.evolve import _step_rk4
-    back = _step_rk4(fwd, med, -cfg.dt, 200)
-    assert rel_err(back.data, psi.data) < 1e-7
+
+    def rhs(arr):
+        return -1j * hamiltonian_apply(SixField(spec=spec, data=arr), med).data
+
+    back = rk4(rhs, fwd.data, -cfg.dt, 200)
+    assert rel_err(back, psi.data) < 1e-7
 
 
 def test_step_medium_rk4_convergence_order(rng):
@@ -183,6 +187,28 @@ def test_split_step_with_varying_resistance(rng):
     assert e1 < 1e-6
     # Strang splitting converges at second order
     assert 3.0 < e1 / e2 < 5.0
+
+
+def test_split_step_merges_kinetic_half_steps(monkeypatch, rng):
+    import pwfn.evolve as ev
+    spec = cube(8)
+    psi = random_field(spec, rng, kmax=2.0)
+    x = spec.coords()
+    mu = 1.0 + 0.1 * np.cos(x[0])
+    med = MediumMap(spec=spec, eps=1.0 / mu, mu=mu)
+    times = []
+
+    def counting(field, t):
+        times.append(t)
+        return propagate_free(field, t)
+
+    monkeypatch.setattr(ev, "propagate_free", counting)
+    cfg = StepperConfig(dt=0.01, scheme="split_step")
+    for steps in (0, 1, 5):
+        times.clear()
+        step_medium(psi, med, cfg, steps)
+        assert len(times) == (steps + 1 if steps else 0)
+        assert sum(times) == pytest.approx(steps * 0.01, abs=1e-15)
 
 
 def test_divergence_residual_detector(rng):

@@ -105,7 +105,7 @@ def test_cli_report_idempotent(tmp_path, capsys):
     assert "norm2" in first
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     bad_cfg = tmp_path / "bad.ini"
     bad_cfg.write_text("[scenario]\nkind = nonsense\n")
     assert main(["evolve-free", "--config", str(bad_cfg),
@@ -138,6 +138,32 @@ steps = 2
     missing = tmp_path / "nope.ini"
     assert main(["evolve-free", "--config", str(missing),
                  "--out", str(tmp_path / "z")]) == 2
+
+    # |k| dt = 4.1 passes the CFL guard but lies beyond RK4's imaginary-axis
+    # limit 2 sqrt(2): the run blows up and is reported as unstable.
+    medium = """
+[scenario]
+kind = evolve-medium
+[grid]
+n = 8 8 8
+length = 6.283185307179586 6.283185307179586 6.283185307179586
+[initial]
+packet = mode
+k_index = 3 3 3
+[physics]
+cfl_safety = 1.0
+"""
+    for physics, code, key in [("dt = 0.785\nsteps = 400\n", 4, "non-finite"),
+                               ("dt = nan\nsteps = 2\n", 2, "dt"),
+                               ("dt = 0.01\nsteps = -3\n", 2, "steps")]:
+        case = tmp_path / f"case{code}{key}.ini"
+        case.write_text(medium + physics)
+        out = tmp_path / f"case{code}{key}_out"
+        capsys.readouterr()
+        assert main(["evolve-medium", "--config", str(case),
+                     "--out", str(out)]) == code, physics
+        assert key in capsys.readouterr().err, physics
+        assert not (out / "final_field.pwfn").exists()
 
 
 def test_cli_report_corrupt_file(tmp_path):

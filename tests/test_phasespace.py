@@ -170,6 +170,25 @@ def test_hydro_identities_and_plane_wave(rng):
     assert rel_err(stp.u[2], 2.0 * np.ones(spec.n)) < 1e-12
 
 
+def test_hydro_from_field_transforms_field_once(monkeypatch, rng):
+    from pwfn import spectral
+    spec = cube(8)
+    psi = random_field(spec, rng, kmax=2.5, helicities=(0,))
+    calls = {"to_k": [], "to_r": []}
+
+    def counting(name, fn):
+        def wrapper(spec_, arr, *args, **kwargs):
+            calls[name].append(int(np.prod(arr.shape[:-3])))
+            return fn(spec_, arr, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spectral, "to_k", counting("to_k", spectral.to_k))
+    monkeypatch.setattr(spectral, "to_r", counting("to_r", spectral.to_r))
+    ps.hydro_from_field(spec, psi.upper)
+    # one block transform of the three components; one inverse per axis
+    assert calls == {"to_k": [3], "to_r": [3, 3, 3]}
+
+
 def test_hydro_standing_wave_nodal_velocity():
     from pwfn.states import standing_wave_classical
     spec = cube(16)

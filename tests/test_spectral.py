@@ -69,6 +69,57 @@ def test_block_transforms_match_component_loop(rng):
     assert np.array_equal(spectral.to_r(spec, hat.copy(), overwrite=True), back)
 
 
+def _trig_case(name):
+    """(spec, u, grad u, div u or None) for band-limited trig fields."""
+    spec = GridSpec(n=(8, 12, 10), length=(2 * np.pi, 3 * np.pi, 5.0))
+    x, y, z = spec.coords()
+    kx, ky, kz = 1.0, 4.0 / 3.0, 2 * np.pi / 5.0
+    if name == "real scalar":
+        u = np.sin(kx * x) * np.cos(ky * y) + np.cos(kz * z)
+        g = np.stack([kx * np.cos(kx * x) * np.cos(ky * y),
+                      -ky * np.sin(kx * x) * np.sin(ky * y),
+                      -kz * np.sin(kz * z)])
+        return spec, u, g, None
+    if name == "complex vector":
+        a = np.array([1.0, 2.0 - 1.0j, -0.5j])
+        q = np.array([kx, -2 * ky, kz])
+        wave = np.exp(1j * (q[0] * x + q[1] * y + q[2] * z))
+        u = a[:, None, None, None] * wave
+        g = 1j * q[None, :, None, None, None] * u[:, None]
+        return spec, u, g, 1j * (q @ a) * wave
+    m = np.arange(9.0).reshape(3, 3) - 4.0
+    q = np.array([kx, ky, 0.0])
+    phase = q[0] * x + q[1] * y
+    u = m[:, :, None, None, None] * np.sin(phase)
+    g = (m[:, :, None, None, None, None] * q[:, None, None, None]
+         * np.cos(phase))
+    return spec, u, g, (m @ q)[:, None, None, None] * np.cos(phase)
+
+
+@pytest.mark.parametrize("name", ["real scalar", "complex vector",
+                                  "3x3 tensor"])
+def test_grad_div_match_trig_derivatives(name):
+    spec, u, g, d = _trig_case(name)
+    out = spectral.grad(spec, u)
+    assert out.shape == u.shape[:-3] + (3,) + spec.n
+    assert np.isrealobj(out) == np.isrealobj(u)
+    assert rel_err(out, g) < 1e-13
+    if d is not None:
+        out = spectral.div(spec, u)
+        assert np.isrealobj(out) == np.isrealobj(u)
+        assert rel_err(out, d) < 1e-13
+
+
+def test_div_of_curl_vanishes(rng):
+    spec = GridSpec(n=(8, 12, 10), length=(2 * np.pi, 3 * np.pi, 5.0))
+    psi = random_field(spec, rng, kmax=2.0)
+    c = spectral.curl(spec, psi.data)
+    assert np.max(np.abs(spectral.div(spec, c))) < 1e-13 * np.max(np.abs(c))
+    real = spectral.curl(spec, psi.data.real)
+    assert np.isrealobj(real)
+    assert rel_err(real, spectral.curl(spec, psi.data.real + 0j).real) == 0.0
+
+
 def test_triad_pole_conventions():
     t = polarization_triad([0.0, 0.0, 2.0])
     assert np.allclose(t.l1, [1, 0, 0]) and np.allclose(t.l2, [0, 1, 0])
