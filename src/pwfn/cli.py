@@ -25,8 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from . import eigen, evolve, gridio, metrics, phasespace, spectral, states
-from .config import parse_float, parse_int, parse_vector
+from . import (eigen, evolve, geometry, gridio, metrics, phasespace, spectral,
+               states)
+from .config import parse_float, parse_int, parse_list, parse_vector
 from .errors import (ConfigError, DomainError, FormatError, PwfnError,
                      StabilityError)
 
@@ -52,7 +53,7 @@ def _initial_field(scenario):
             r_center=parse_vector(init, "r_center", (0.0, 0.0, 0.0)),
         )
     if kind == "mode":
-        idx = [int(v) for v in init.get("k_index", "0 0 2").split()]
+        idx = parse_list("k_index", init.get("k_index", "0 0 2"), 3, int)
         return spectral.synthesize(
             states.plane_wave_mode(spec, idx,
                                    helicity=parse_int(init, "helicity", 1)),
@@ -70,21 +71,31 @@ def _medium(scenario):
     spec = scenario.grid
     phys = scenario.physics
 
-    def profile(text):
+    def profile(key):
+        text = phys.get(key, "uniform:1")
         kind, _, args = text.partition(":")
         if kind == "uniform":
-            return np.full(spec.n, float(args or 1.0))
+            return np.full(spec.n, parse_list(key, args or "1", 1)[0])
         if kind == "cosine":
-            base, amp = (float(v) for v in args.split(","))
+            base, amp = parse_list(key, args, 2)
             x = spec.coords()
             wave = np.cos(2 * np.pi * x[0] / spec.length[0]) \
                 * np.cos(2 * np.pi * x[1] / spec.length[1])
             return base + amp * wave
         raise ConfigError(f"unknown medium profile {text!r}")
 
-    return evolve.MediumMap(spec=spec,
-                            eps=profile(phys.get("eps_profile", "uniform:1")),
-                            mu=profile(phys.get("mu_profile", "uniform:1")))
+    return evolve.MediumMap(spec=spec, eps=profile("eps_profile"),
+                            mu=profile("mu_profile"))
+
+
+def _metric(scenario):
+    text = scenario.physics.get("metric", "minkowski")
+    if text == "minkowski":
+        return geometry.minkowski_metric(scenario.grid)
+    if text.startswith("conformal:"):
+        index = parse_list("metric", text.partition(":")[2], 1)[0]
+        return geometry.conformal_metric(scenario.grid, index)
+    raise ConfigError(f"unknown metric {text!r}")
 
 
 def _stepper(phys):
@@ -98,14 +109,15 @@ def _stepper(phys):
         raise ConfigError(f"[physics] {exc}") from exc
 
 
-def _conserved_rows(spec, fields, dt):
+def _conserved_rows(snapshots):
+    """Rows of conserved quantities for (step, t, field) snapshots."""
     rows = []
     base = None
-    for step, f in fields:
+    for step, t, f in snapshots:
         sp = spectral.decompose(f)
         n_ph = metrics.photon_number(sp)
         obs = metrics.observables_momentum(sp)
-        row = [step, step * dt, n_ph, obs.energy, *obs.momentum]
+        row = [step, t, n_ph, obs.energy, *obs.momentum]
         if base is None:
             base = row[2:]
         scale = abs(base[1]) + 1e-300  # conserved-quantity drift vs energy
@@ -114,47 +126,37 @@ def _conserved_rows(spec, fields, dt):
     return rows
 
 
-def _run_evolve(scenario, outdir, curved):
+def _run_evolve(scenario, outdir):
     phys = scenario.physics
-    cfg = _stepper(phys)
-    steps = parse_int(phys, "steps", 100)
-    if steps < 0:
-        raise ConfigError(f"[physics] steps must be >= 0, got {steps}")
-    f0 = _initial_field(scenario)
-    outputs = []
-    if curved:
-        from . import geometry
-        metric_text = phys.get("metric", "minkowski")
-        if metric_text == "minkowski":
-            metric = geometry.minkowski_metric(scenario.grid)
-        elif metric_text.startswith("conformal:"):
-            metric = geometry.conformal_metric(scenario.grid,
-                                               float(metric_text.split(":")[1]))
-        else:
-            raise ConfigError(f"unknown metric {metric_text!r}")
-        final = geometry.step_curved(f0, metric, cfg, steps)
-        snapshots = [(0, f0), (steps, final)]
-    elif scenario.kind == "evolve-free":
+    if scenario.kind == "evolve-free":
+        # Exact propagation by any finite time, backward included; no dt.
         t_total = parse_float(phys, "time", 1.0)
+        if not np.isfinite(t_total):
+            raise ConfigError(f"[physics] time must be finite, got {t_total}")
+        f0 = _initial_field(scenario)
         final = evolve.propagate_free(f0, t_total)
-        snapshots = [(0, f0), (1, final)]
-        cfg = evolve.StepperConfig(dt=t_total)
-        steps = 1
+        snapshots = [(0, 0.0, f0), (1, t_total, final)]
+        extra = {"steps": 1, "time": t_total}
     else:
-        medium = _medium(scenario)
-        final = evolve.step_medium(f0, medium, cfg, steps)
-        snapshots = [(0, f0), (steps, final)]
-    field_name = scenario.output.get("field", "final_field.pwfn")
-    field_path = outdir / field_name
+        cfg = _stepper(phys)
+        steps = parse_int(phys, "steps", 100)
+        if steps < 0:
+            raise ConfigError(f"[physics] steps must be >= 0, got {steps}")
+        f0 = _initial_field(scenario)
+        if scenario.kind == "evolve-curved":
+            final = geometry.step_curved(f0, _metric(scenario), cfg, steps)
+        else:
+            final = evolve.step_medium(f0, _medium(scenario), cfg, steps)
+        snapshots = [(0, 0.0, f0), (steps, steps * cfg.dt, final)]
+        extra = {"steps": steps, "dt": cfg.dt}
+    field_path = outdir / scenario.output.get("field", "final_field.pwfn")
     gridio.write_sixfield(field_path, final)
-    outputs.append(field_path)
     csv_path = outdir / scenario.output.get("summary", "conserved.csv")
-    rows = _conserved_rows(scenario.grid, snapshots, cfg.dt)
     gridio.write_csv(csv_path,
                      ["step", "t", "photon_number", "energy",
-                      "px", "py", "pz", "max_drift"], rows)
-    outputs.append(csv_path)
-    return outputs, {"steps": steps, "dt": cfg.dt}
+                      "px", "py", "pz", "max_drift"],
+                     _conserved_rows(snapshots))
+    return [field_path, csv_path], extra
 
 
 def _run_fiber(scenario, outdir):
@@ -242,8 +244,8 @@ def _run_hydro(scenario, outdir):
 
 
 def _si_scale(output):
-    hbar = float(output.get("hbar_si", 1.0))
-    c = float(output.get("c_si", 1.0))
+    hbar = parse_float(output, "hbar_si", 1.0)
+    c = parse_float(output, "c_si", 1.0)
     return {"energy": hbar * c, "momentum": hbar, "angular_momentum": hbar}
 
 
@@ -284,9 +286,9 @@ def _run_commutators(scenario, outdir):
 
 
 _RUNNERS = {
-    "evolve-free": lambda s, o: _run_evolve(s, o, curved=False),
-    "evolve-medium": lambda s, o: _run_evolve(s, o, curved=False),
-    "evolve-curved": lambda s, o: _run_evolve(s, o, curved=True),
+    "evolve-free": _run_evolve,
+    "evolve-medium": _run_evolve,
+    "evolve-curved": _run_evolve,
     "fiber-modes": _run_fiber,
     "boost-eigen": _run_boost,
     "wigner": _run_wigner,
@@ -366,7 +368,7 @@ def main(argv=None) -> int:
             return report(args.files)
         threads = args.threads
         if threads is None:
-            threads = int(os.environ.get("PWFN_THREADS", "1"))
+            threads = parse_int(os.environ, "PWFN_THREADS", 1)
         spectral.set_workers(threads)
         config_path = Path(args.config)
         scenario_kind = args.command

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, PwfnError
 from .spectral import GridSpec
 
 __all__ = ["Scenario", "load_scenario", "SCENARIO_KINDS"]
@@ -35,17 +35,15 @@ class Scenario:
     path: str = ""
 
 
-def _floats(text, count=None):
-    vals = [float(v) for v in text.replace(",", " ").split()]
-    if count is not None and len(vals) != count:
-        raise ConfigError(f"expected {count} numbers, got {len(vals)}: {text!r}")
-    return vals
-
-
-def _ints(text, count=None):
-    vals = [int(v) for v in text.replace(",", " ").split()]
-    if count is not None and len(vals) != count:
-        raise ConfigError(f"expected {count} integers, got {len(vals)}: {text!r}")
+def parse_list(key, text, count=None, kind=float):
+    """Whitespace- or comma-separated values of type kind; errors name key."""
+    try:
+        vals = [kind(v) for v in text.replace(",", " ").split()]
+    except ValueError:
+        vals = None
+    if vals is None or count not in (None, len(vals)):
+        what = f"{count or 'some'} {kind.__name__} value(s)"
+        raise ConfigError(f"key {key!r} needs {what}, got {text!r}")
     return vals
 
 
@@ -69,12 +67,10 @@ def load_scenario(path) -> Scenario:
     grid = None
     if parser.has_section("grid"):
         try:
-            n = _ints(parser.get("grid", "n"), 3)
-            length = _floats(parser.get("grid", "length"), 3)
+            n = parse_list("n", parser.get("grid", "n"), 3, int)
+            length = parse_list("length", parser.get("grid", "length"), 3)
             grid = GridSpec(n=tuple(n), length=tuple(length))
-        except (configparser.NoOptionError, ValueError) as exc:
-            raise ConfigError(f"bad [grid] section: {exc}") from exc
-        except Exception as exc:
+        except (configparser.NoOptionError, PwfnError) as exc:
             raise ConfigError(f"bad [grid] section: {exc}") from exc
     elif kind not in ("fiber-modes", "boost-eigen"):
         raise ConfigError(f"scenario {kind!r} requires a [grid] section")
@@ -92,26 +88,18 @@ def parse_vector(d, key, default=None, count=3):
         if default is None:
             raise ConfigError(f"missing key {key!r}")
         return np.asarray(default, dtype=float)
-    return np.asarray(_floats(d[key], count), dtype=float)
+    return np.asarray(parse_list(key, d[key], count), dtype=float)
+
+
+def _scalar(d, key, default, kind):
+    if key not in d and default is None:
+        raise ConfigError(f"missing key {key!r}")
+    return parse_list(key, str(d.get(key, default)), 1, kind)[0]
 
 
 def parse_float(d, key, default=None):
-    if key not in d:
-        if default is None:
-            raise ConfigError(f"missing key {key!r}")
-        return float(default)
-    try:
-        return float(d[key])
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r} is not a number: {d[key]!r}") from exc
+    return _scalar(d, key, default, float)
 
 
 def parse_int(d, key, default=None):
-    if key not in d:
-        if default is None:
-            raise ConfigError(f"missing key {key!r}")
-        return int(default)
-    try:
-        return int(d[key])
-    except ValueError as exc:
-        raise ConfigError(f"key {key!r} is not an integer: {d[key]!r}") from exc
+    return _scalar(d, key, default, int)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, StabilityError
-from .fieldcore import LEVI_CIVITA, RSPair
+from .fieldcore import RSPair
 from .spectral import (GridSpec, SixField, curl, div, grad, to_k, to_r,
                        triad_arrays)
 
@@ -58,6 +58,8 @@ class MediumMap:
         self.sqrt_v = np.sqrt(self.v)
         self.grad_v = grad(self.spec, self.v)
         self.grad_h = grad(self.spec, self.h)
+        # c = (v/2h) grad h: (v/2h) rho_2 (s . grad h) F = (c x F-, -c x F+).
+        self.coupling = self.v / (2.0 * self.h) * self.grad_h
         self.is_uniform_v = bool(np.ptp(self.v) <= 1e-14 * np.max(self.v))
         self.is_uniform_h = bool(np.ptp(self.h) <= 1e-14 * np.max(self.h))
 
@@ -101,12 +103,14 @@ def check_cfl(dt, spacing, vmax, cfl_safety):
         )
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def rk4(rhs, y, dt, steps):
     """Classic RK4 for dy/dt = rhs(y); returns the state after `steps` steps.
 
     The result is a new array; y is not modified.  A blow-up turns into inf/NaN that the spectral
     right-hand sides carry forward, so one finiteness check of the final
-    state catches it and raises StabilityError.
+    state catches it and raises StabilityError, with no numpy overflow
+    warnings on the way.
     """
     y = np.array(y)
     for _ in range(steps):
@@ -123,29 +127,37 @@ def rk4(rhs, y, dt, steps):
     return y
 
 
-def propagate_free(psi: SixField, t: float) -> SixField:
-    """Exact free propagation by time t.
+def _kinetic(spec: GridSpec, t: float):
+    """Exact free propagation of field data by time t, as a function.
 
     Per mode the upper block is resolved on the (e, e*, n) frame with phases
     exp(-i|k|t), exp(+i|k|t), 1 and the lower block with the opposite
     transverse phases, which is the exact action of the free generator.
+    The phases are built once, here, for every application.
     """
-    spec = psi.spec
     e, nhat, knorm = triad_arrays(spec)
     ec = np.conj(e)
     ph_minus = np.exp(-1j * knorm * float(t))
     ph_plus = np.conj(ph_minus)
-    hat = to_k(spec, psi.data)
-    for block, (ph_e, ph_ec) in enumerate([(ph_minus, ph_plus), (ph_plus, ph_minus)]):
-        bhat = hat[block]
-        ce = np.sum(ec * bhat, axis=0)
-        cec = np.sum(e * bhat, axis=0)
-        cn = np.sum(nhat * bhat, axis=0)
-        dc = bhat[:, 0, 0, 0].copy()
-        bhat[...] = e * (ph_e * ce) + ec * (ph_ec * cec) + nhat * cn
-        # k = 0 carries no frame; it is static under the free generator.
-        bhat[:, 0, 0, 0] = dc
-    return SixField(spec=spec, data=to_r(spec, hat, overwrite=True))
+
+    def apply(data):
+        hat = to_k(spec, data)
+        for bhat, ph_e, ph_ec in ((hat[0], ph_minus, ph_plus),
+                                  (hat[1], ph_plus, ph_minus)):
+            ce = np.sum(ec * bhat, axis=0)
+            cec = np.sum(e * bhat, axis=0)
+            cn = np.sum(nhat * bhat, axis=0)
+            dc = bhat[:, 0, 0, 0].copy()
+            bhat[...] = e * (ph_e * ce) + ec * (ph_ec * cec) + nhat * cn
+            # k = 0 carries no frame; it is static under the free generator.
+            bhat[:, 0, 0, 0] = dc
+        return to_r(spec, hat, overwrite=True)
+    return apply
+
+
+def propagate_free(psi: SixField, t: float) -> SixField:
+    """Exact free propagation by time t (see :func:`_kinetic`)."""
+    return SixField(spec=psi.spec, data=_kinetic(psi.spec, t)(psi.data))
 
 
 def free_generator(psi: SixField) -> SixField:
@@ -165,30 +177,19 @@ def hamiltonian_apply(psi: SixField, medium: MediumMap) -> SixField:
         raise ShapeError("medium and field grids differ")
     spec = psi.spec
     sv = medium.sqrt_v
-    out = curl(spec, sv * psi.data)
+    out = free_generator(SixField(spec=spec, data=sv * psi.data)).data
     out *= sv
-    np.negative(out[1], out=out[1])
     if not medium.is_uniform_h:
-        # (s . grad h) X = i grad h x X, pointwise; rho_2 mixes the blocks.
-        coef = medium.v / (2.0 * medium.h)
-        gh = medium.grad_h
-        sx_up = 1j * np.cross(gh, psi.upper, axisa=0, axisb=0, axisc=0)
-        sx_lo = 1j * np.cross(gh, psi.lower, axisa=0, axisb=0, axisc=0)
-        out[0] += coef * (-1j) * sx_lo
-        out[1] += coef * (1j) * sx_up
+        # rho_2 mixes the blocks: + c x F- above, - c x F+ below.
+        out[0] += _cross(medium.coupling, psi.lower)
+        out[1] -= _cross(medium.coupling, psi.upper)
     return SixField(spec=spec, data=out)
 
 
-def _coupling_matrices(medium: MediumMap):
-    """Pointwise 6x6 coupling generator B = (v/2h) rho_2 (s . grad h)."""
-    coef = medium.v / (2.0 * medium.h)
-    gh = medium.grad_h
-    b = np.zeros((6, 6) + medium.spec.n, dtype=complex)
-    # (s.a)_{jk} = -i sum_a a_a eps_{ajk}
-    sdot = -1j * np.einsum("a...,ajk->jk...", gh, LEVI_CIVITA)
-    b[0:3, 3:6] = -1j * coef * sdot
-    b[3:6, 0:3] = 1j * coef * sdot
-    return b
+def _cross(c, x):
+    """c x x for vectors along axis 0, by explicit component products."""
+    return np.stack([c[a] * x[b] - c[b] * x[a]
+                     for a, b in ((1, 2), (2, 0), (0, 1))])
 
 
 def step_medium(psi: SixField, medium: MediumMap, cfg: StepperConfig,
@@ -214,30 +215,38 @@ def step_medium(psi: SixField, medium: MediumMap, cfg: StepperConfig,
 def _step_split(psi, medium, dt, steps):
     spec = psi.spec
     v0 = float(np.mean(medium.v))
-    data = psi.data.copy()
+    if not steps:
+        return psi.copy()
     if medium.is_uniform_h:
-        out = propagate_free(SixField(spec=spec, data=data), v0 * dt * steps)
-        return out
-    b = _coupling_matrices(medium)
-    # exp(-i dt B) by eigendecomposition of the pointwise Hermitian B.
-    bm = np.moveaxis(b.reshape(6, 6, -1), -1, 0)
-    w, q = np.linalg.eigh(bm)
-    phase = np.exp(-1j * dt * w)
-    expb = np.einsum("pij,pj,pkj->pik", q, phase, np.conj(q))
+        return propagate_free(psi, v0 * dt * steps)
+    # The pointwise coupling B F = (c x F-, -c x F+) obeys B^3 = |c|^2 B and
+    # B^2 F = |c|^2 F - c (c . F) per block, so with theta = dt |c|
+    #   exp(-i dt B) F = cos(theta) F + s2 c (c . F) - i s1 B F,
+    # s1 = sin(theta)/|c| and s2 = (1 - cos theta)/|c|^2; np.sinc carries
+    # both through their |c| -> 0 limits dt and dt^2/2.
+    c = medium.coupling
+    cnorm = np.sqrt(np.sum(c * c, axis=0))
+    cos_t = np.cos(dt * cnorm)
+    s1c = dt * np.sinc(dt * cnorm / np.pi) * c
+    s2 = 0.5 * dt**2 * np.sinc(dt * cnorm / (2.0 * np.pi)) ** 2
 
     def apply_coupling(arr):
-        flat = arr.reshape(6, -1)
-        return np.einsum("pik,kp->ip", expb, flat).reshape(arr.shape)
+        out = cos_t * arr
+        out += c * (s2 * np.sum(c * arr, axis=1))[:, None]
+        out[0] -= 1j * _cross(s1c, arr[1])
+        out[1] += 1j * _cross(s1c, arr[0])
+        return out
 
     # Strang order K/2 C K/2 per step; the closing K/2 of one step and the
-    # opening K/2 of the next merge into one kinetic step K.
+    # opening K/2 of the next merge into one kinetic step K.  Both kinetic
+    # propagators are built once for the run.
     half = 0.5 * v0 * dt
+    kinetic_half = _kinetic(spec, half)
+    kinetic_full = _kinetic(spec, 2.0 * half)
+    data = kinetic_half(psi.data)
     for step in range(steps):
-        data = propagate_free(SixField(spec=spec, data=data),
-                              half if step == 0 else 2.0 * half).data
         data = apply_coupling(data)
-    if steps:
-        data = propagate_free(SixField(spec=spec, data=data), half).data
+        data = (kinetic_full if step < steps - 1 else kinetic_half)(data)
     return SixField(spec=spec, data=data)
 
 

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .evolve import check_cfl, rk4
+from .evolve import check_cfl, free_generator, rk4
 from .fieldcore import LEVI_CIVITA
-from .spectral import GridSpec, SixField, curl, to_k, to_r
+from .spectral import GridSpec, SixField, to_k, to_r
 
 __all__ = [
     "MetricField", "minkowski_metric", "conformal_metric",
@@ -45,7 +45,8 @@ __all__ = [
 
 @dataclass
 class MetricField:
-    """Static metric samples g (4, 4[, nx, ny, nz]) with cached inverse."""
+    """Static metric samples g (4, 4[, nx, ny, nz]) with cached inverse and
+    constitutive blocks M (2, 3, 3, nx, ny, nz) of G = M F, built once."""
 
     spec: GridSpec
     g: np.ndarray
@@ -66,6 +67,7 @@ class MetricField:
         inv = np.linalg.inv(gm)
         self.g_inv = np.moveaxis(inv, 0, -1).reshape((4, 4) + self.spec.n)
         self.det = det.reshape(self.spec.n)
+        self.constitutive = _constitutive_matrices(self)
 
     def light_speed_bound(self):
         """Largest local light speed, from the optical-medium equivalent."""
@@ -95,28 +97,27 @@ def conformal_metric(spec: GridSpec, refractive_index) -> MetricField:
 
 
 def _constitutive_matrices(metric: MetricField):
-    """Pointwise 3x3 blocks A0 (symmetric) and B (from g^{0k}) with
-    G = -(1/g^00)(A0 - i rho_3 B) F per helicity block."""
-    g = metric.g
+    """Pointwise blocks -(A0 -/+ i B)/g^00 of G = -(1/g^00)(A0 - i rho_3 B) F,
+    with A0 = g_ij/sqrt(-g) symmetric and B built from g^{0k}."""
     ginv = metric.g_inv
-    sqrt_mg = np.sqrt(-metric.det)
-    a0 = g[1:, 1:] / sqrt_mg[None, None]
-    b = np.einsum("k...,ikj->ij...", ginv[0, 1:], LEVI_CIVITA)
     g00_up = ginv[0, 0]
     if np.any(g00_up == 0.0):
         raise DomainError("metric has g^00 = 0 somewhere (degenerate)")
-    return a0, b, g00_up
+    a0 = metric.g[1:, 1:] / np.sqrt(-metric.det)[None, None]
+    b = np.einsum("k...,ikj->ij...", ginv[0, 1:], LEVI_CIVITA)
+    return np.stack([-(a0 - 1j * sign * b) / g00_up[None, None]
+                     for sign in (+1.0, -1.0)])
 
 
 def g_from_f(field: SixField, metric: MetricField) -> SixField:
     """Constitutive partner G of the six-component field F."""
     if metric.spec.n != field.spec.n:
         raise ShapeError("metric and field grids differ")
-    a0, b, g00 = _constitutive_matrices(metric)
-    out = np.empty_like(field.data)
-    for block, sign in ((0, +1.0), (1, -1.0)):
-        mat = a0 - 1j * sign * b
-        out[block] = -np.einsum("ij...,j...->i...", mat, field.data[block]) / g00
+    m = metric.constitutive
+    f = field.data[:, None]
+    out = m[:, :, 0] * f[:, :, 0]
+    out += m[:, :, 1] * f[:, :, 1]
+    out += m[:, :, 2] * f[:, :, 2]
     return SixField(spec=field.spec, data=out)
 
 
@@ -124,23 +125,16 @@ def f_from_g(gfield: SixField, metric: MetricField) -> SixField:
     """Inverse constitutive map, by exact pointwise linear solve."""
     if metric.spec.n != gfield.spec.n:
         raise ShapeError("metric and field grids differ")
-    a0, b, g00 = _constitutive_matrices(metric)
-    out = np.empty_like(gfield.data)
-    for block, sign in ((0, +1.0), (1, -1.0)):
-        mat = -(a0 - 1j * sign * b) / g00[None, None]
-        mm = np.moveaxis(mat.reshape(3, 3, -1), -1, 0)
-        rhs = np.moveaxis(gfield.data[block].reshape(3, -1), -1, 0)[..., None]
-        sol = np.linalg.solve(mm, rhs)[..., 0]
-        out[block] = np.moveaxis(sol, 0, -1).reshape((3,) + gfield.spec.n)
+    mm = np.moveaxis(metric.constitutive.reshape(2, 3, 3, -1), -1, 1)
+    rhs = np.moveaxis(gfield.data.reshape(2, 3, -1), -1, 1)[..., None]
+    sol = np.linalg.solve(mm, rhs)[..., 0]
+    out = np.moveaxis(sol, 1, -1).reshape(gfield.data.shape)
     return SixField(spec=gfield.spec, data=out)
 
 
 def curved_generator(field: SixField, metric: MetricField) -> SixField:
     """Apply the curved-space generator: H F = rho_3 curl G(F)."""
-    gf = g_from_f(field, metric)
-    out = curl(field.spec, gf.data)
-    out[1] *= -1.0
-    return SixField(spec=field.spec, data=out)
+    return free_generator(g_from_f(field, metric))
 
 
 def step_curved(field: SixField, metric: MetricField, cfg, steps: int) -> SixField:

@@ -179,9 +179,20 @@ def _table(spec: GridSpec, name, build):
     return value
 
 
+def _fft(u):
+    """Unscaled forward FFT over the last three axes."""
+    return sfft.fftn(u, axes=(-3, -2, -1), workers=_FFT_WORKERS)
+
+
+def _ifft(uhat):
+    """Unscaled inverse FFT over the last three axes; may overwrite uhat."""
+    return sfft.ifftn(uhat, axes=(-3, -2, -1), workers=_FFT_WORKERS,
+                      overwrite_x=True)
+
+
 def to_k(spec: GridSpec, u):
     """Forward transform dV * sum_r u exp(-i k.r) over the last three axes."""
-    out = sfft.fftn(u, axes=(-3, -2, -1), workers=_FFT_WORKERS)
+    out = _fft(u)
     out *= spec.cell_volume * spec.checkerboard()
     return out
 
@@ -196,21 +207,16 @@ def to_r(spec: GridSpec, uhat, overwrite=False):
         uhat *= spec.checkerboard()
     else:
         uhat = uhat * spec.checkerboard()
-    out = sfft.ifftn(uhat, axes=(-3, -2, -1), workers=_FFT_WORKERS,
-                     overwrite_x=True)
+    out = _ifft(uhat)
     out *= 1.0 / spec.cell_volume
     return out
 
 
-def _derivative_hat(spec: GridSpec, u):
-    """to_k of u for the derivative operators below.
-
-    A real u is transformed as complex: scipy's real-input path rounds
-    differently, and a real field must differentiate exactly like its
-    complex copy.
-    """
-    return to_k(spec, np.asarray(u).astype(complex, copy=False))
-
+# The derivative operators below pair a raw forward and inverse FFT: the
+# checkerboard and cell-volume factors of to_k/to_r cancel exactly between
+# the two, since (-1)^(2m) = 1, so they are left out.  A real u is
+# transformed as complex: scipy's real-input path rounds differently, and a
+# real field must differentiate exactly like its complex copy.
 
 def grad(spec: GridSpec, u):
     """Spectral gradient over the last three axes of (..., nx, ny, nz).
@@ -223,7 +229,7 @@ def grad(spec: GridSpec, u):
     transform of u and that buffer are held.  The odd-derivative wave
     vectors drop the unpaired Nyquist mode.
     """
-    hat = _derivative_hat(spec, u)
+    hat = _fft(np.asarray(u, dtype=complex))
     kvec = spec.k_grid_diff()
     real = np.isrealobj(u)
     out = np.empty(hat.shape[:-3] + (3,) + spec.n,
@@ -231,7 +237,7 @@ def grad(spec: GridSpec, u):
     buf = np.empty_like(hat)
     for a in range(3):
         np.multiply(1j * kvec[a], hat, out=buf)
-        d = to_r(spec, buf, overwrite=True)
+        d = _ifft(buf)
         out[..., a, :, :, :] = d.real if real else d
     return out
 
@@ -241,9 +247,8 @@ def div(spec: GridSpec, u):
 
     Returns (..., nx, ny, nz); a real u gives a real result.
     """
-    hat = _derivative_hat(spec, u)
-    out = to_r(spec, 1j * np.sum(spec.k_grid_diff() * hat, axis=-4),
-               overwrite=True)
+    hat = _fft(np.asarray(u, dtype=complex))
+    out = _ifft(1j * np.sum(spec.k_grid_diff() * hat, axis=-4))
     return out.real.copy() if np.isrealobj(u) else out
 
 
@@ -254,7 +259,7 @@ def curl(spec: GridSpec, data):
     vectors drop the unpaired Nyquist mode.  A real input gives a real
     result.
     """
-    hat = _derivative_hat(spec, data)
+    hat = _fft(np.asarray(data, dtype=complex))
     kvec = spec.k_grid_diff()
     curl_hat = np.empty_like(hat)
     for c, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
@@ -262,7 +267,7 @@ def curl(spec: GridSpec, data):
         np.multiply(kvec[a], hat[..., b, :, :, :], out=out)
         out -= kvec[b] * hat[..., a, :, :, :]
     curl_hat *= 1j
-    out = to_r(spec, curl_hat, overwrite=True)
+    out = _ifft(curl_hat)
     return out.real.copy() if np.isrealobj(data) else out
 
 

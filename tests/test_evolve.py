@@ -197,18 +197,54 @@ def test_split_step_merges_kinetic_half_steps(monkeypatch, rng):
     mu = 1.0 + 0.1 * np.cos(x[0])
     med = MediumMap(spec=spec, eps=1.0 / mu, mu=mu)
     times = []
+    builds = []
+    kinetic = ev._kinetic
 
-    def counting(field, t):
-        times.append(t)
-        return propagate_free(field, t)
+    def counting(spec_, t):
+        builds.append(t)
+        apply = kinetic(spec_, t)
 
-    monkeypatch.setattr(ev, "propagate_free", counting)
+        def counted(data):
+            times.append(t)
+            return apply(data)
+        return counted
+
+    monkeypatch.setattr(ev, "_kinetic", counting)
     cfg = StepperConfig(dt=0.01, scheme="split_step")
     for steps in (0, 1, 5):
         times.clear()
+        builds.clear()
         step_medium(psi, med, cfg, steps)
         assert len(times) == (steps + 1 if steps else 0)
         assert sum(times) == pytest.approx(steps * 0.01, abs=1e-15)
+        # the kinetic phases are built once per run, not once per step
+        assert len(builds) == (2 if steps else 0)
+
+
+def test_split_coupling_matches_eigh_reference(monkeypatch, rng):
+    import pwfn.evolve as ev
+    from pwfn.fieldcore import LEVI_CIVITA
+    spec = cube(16)
+    psi = random_field(spec, rng, kmax=3.0)
+    x = spec.coords()
+    mu = 1.0 + 0.5 * np.cos(x[0]) * np.sin(x[1]) + 0.2 * np.cos(x[2])
+    med = MediumMap(spec=spec, eps=1.0 / mu, mu=mu)
+    dt = 0.35    # dt |c| reaches 0.14
+    # exp(-i dt B) of the pointwise Hermitian 6x6 generator
+    # B = (v/2h) rho_2 (s . grad h), (s.a)_jk = -i a_a eps_ajk, by eigh
+    coef = med.v / (2.0 * med.h)
+    sdot = -1j * np.einsum("a...,ajk->jk...", med.grad_h, LEVI_CIVITA)
+    b = np.zeros((6, 6) + spec.n, dtype=complex)
+    b[0:3, 3:6] = -1j * coef * sdot
+    b[3:6, 0:3] = 1j * coef * sdot
+    w, q = np.linalg.eigh(np.moveaxis(b.reshape(6, 6, -1), -1, 0))
+    expb = np.einsum("pij,pj,pkj->pik", q, np.exp(-1j * dt * w), np.conj(q))
+    ref = np.einsum("pik,kp->ip", expb, psi.data.reshape(6, -1))
+    # one split step with the kinetic part switched off is one coupling step
+    monkeypatch.setattr(ev, "_kinetic", lambda spec_, t: lambda data: data)
+    out = step_medium(psi, med, StepperConfig(dt=dt, scheme="split_step",
+                                                cfl_safety=1.0), 1)
+    assert rel_err(out.data, ref.reshape(psi.data.shape)) <= 1e-14
 
 
 def test_divergence_residual_detector(rng):

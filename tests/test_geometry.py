@@ -26,6 +26,11 @@ def test_metric_validation():
         geo.MetricField(spec=spec, g=np.diag([-1.0, -1.0, -1.0, -1.0]))
     with pytest.raises(DomainError):
         geo.MetricField(spec=spec, g=np.diag([1.0, 1.0, -1.0, -1.0]))
+    # g^00 = 0 is rejected when the metric is built
+    g = np.array([[1.0, 1.0, 0, 0], [1.0, 0, 0, 0], [0, 0, -1.0, 0],
+                  [0, 0, 0, -1.0]])
+    with pytest.raises(DomainError, match="g\\^00"):
+        geo.MetricField(spec=spec, g=g)
 
 
 def test_minkowski_reduction(rng):
@@ -39,8 +44,29 @@ def test_constitutive_round_trip(rng):
     spec = cube(8)
     psi = random_field(spec, rng, kmax=2.5)
     met = offdiag_metric(spec)
-    back = geo.f_from_g(geo.g_from_f(psi, met), met)
+    gf = geo.g_from_f(psi, met)
+    # the multiply-adds over the column index are the einsum, bit for bit
+    ref = np.stack([np.einsum("ij...,j...->i...", met.constitutive[b],
+                              psi.data[b]) for b in range(2)])
+    assert np.array_equal(gf.data, ref)
+    back = geo.f_from_g(gf, met)
     assert rel_err(back.data, psi.data) < 1e-12
+
+
+def test_constitutive_matrices_built_once_per_metric(monkeypatch, rng):
+    spec = cube(8)
+    psi = random_field(spec, rng, kmax=2.5)
+    builds = []
+    build = geo._constitutive_matrices
+
+    def counting(metric):
+        builds.append(metric)
+        return build(metric)
+
+    monkeypatch.setattr(geo, "_constitutive_matrices", counting)
+    met = offdiag_metric(spec)
+    geo.step_curved(psi, met, StepperConfig(dt=0.01, cfl_safety=0.9), 3)
+    assert builds == [met]    # 12 right-hand sides, one build
 
 
 def test_constitutive_linear_solve_oracle(rng):

@@ -1,5 +1,6 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 import pwfn
 from pwfn import gridio, spectral
 from pwfn.cli import main
+from pwfn.evolve import propagate_free
 from pwfn.errors import FormatError
 from conftest import cube, random_field
 
@@ -153,17 +155,68 @@ k_index = 3 3 3
 [physics]
 cfl_safety = 1.0
 """
-    for physics, code, key in [("dt = 0.785\nsteps = 400\n", 4, "non-finite"),
-                               ("dt = nan\nsteps = 2\n", 2, "dt"),
-                               ("dt = 0.01\nsteps = -3\n", 2, "steps")]:
-        case = tmp_path / f"case{code}{key}.ini"
-        case.write_text(medium + physics)
-        out = tmp_path / f"case{code}{key}_out"
+    # Malformed numbers in any key exit 2 with the key named, not with a
+    # Python traceback.
+    bad_index = medium.replace("k_index = 3 3 3", "k_index = 0 0 x")
+    for n, (text, code, key) in enumerate([
+            (medium + "dt = 0.785\nsteps = 400\n", 4, "non-finite"),
+            (medium + "dt = nan\nsteps = 2\n", 2, "dt"),
+            (medium + "dt = 0.01\nsteps = -3\n", 2, "steps"),
+            (medium + "steps = 1\neps_profile = cosine:1.0\n", 2,
+             "eps_profile"),
+            (medium + "steps = 1\nmu_profile = uniform:abc\n", 2,
+             "mu_profile"),
+            (bad_index + "steps = 1\n", 2, "k_index")]):
+        case = tmp_path / f"case{n}.ini"
+        case.write_text(text)
+        out = tmp_path / f"case{n}_out"
         capsys.readouterr()
-        assert main(["evolve-medium", "--config", str(case),
-                     "--out", str(out)]) == code, physics
-        assert key in capsys.readouterr().err, physics
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["evolve-medium", "--config", str(case),
+                         "--out", str(out)]) == code, text
+        err = capsys.readouterr().err
+        assert key in err, text
+        # A blow-up is reported once, as the stability error.
+        assert "RuntimeWarning" not in err, text
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)], text
         assert not (out / "final_field.pwfn").exists()
+
+    curved = medium.replace("evolve-medium", "evolve-curved")
+    output = FREE_CONFIG + "\n[output]\nhbar_si = 1.0e-34x\n"
+    for kind, text, key in [
+            ("evolve-curved", curved + "metric = conformal:abc\n", "metric"),
+            ("evolve-curved", curved + "metric = conformal:\n", "metric"),
+            ("evolve-free", FREE_CONFIG.replace("time = 0.5", "time = inf"),
+             "time"),
+            ("observables", output.replace("evolve-free", "observables"),
+             "hbar_si")]:
+        case = tmp_path / f"{kind}_{key}.ini"
+        case.write_text(text)
+        capsys.readouterr()
+        assert main([kind, "--config", str(case),
+                     "--out", str(tmp_path / f"{kind}_{key}_out")]) == 2, text
+        assert key in capsys.readouterr().err, text
+
+
+def test_cli_free_propagation_backward(tmp_path):
+    # time < 0 is a valid backward propagation, written as such.
+    cfg = tmp_path / "back.ini"
+    cfg.write_text(FREE_CONFIG.replace("time = 0.5", "time = -0.5"))
+    out = tmp_path / "back"
+    assert main(["evolve-free", "--config", str(cfg), "--out", str(out)]) == 0
+    back = gridio.read_sixfield(out / "final_field.pwfn")
+    rows = (out / "conserved.csv").read_text().strip().splitlines()
+    assert float(rows[-1].split(",")[1]) == -0.5
+    start = tmp_path / "start.ini"
+    start.write_text(FREE_CONFIG.replace("time = 0.5", "time = 0.0"))
+    assert main(["evolve-free", "--config", str(start),
+                 "--out", str(tmp_path / "start")]) == 0
+    f0 = gridio.read_sixfield(tmp_path / "start" / "final_field.pwfn")
+    forward = propagate_free(back, 0.5)
+    scale = np.max(np.abs(f0.data))
+    assert np.max(np.abs(forward.data - f0.data)) <= 1e-12 * scale
 
 
 def test_cli_report_corrupt_file(tmp_path):

@@ -120,6 +120,28 @@ def test_div_of_curl_vanishes(rng):
     assert rel_err(real, spectral.curl(spec, psi.data.real + 0j).real) == 0.0
 
 
+@pytest.mark.parametrize("real", [False, True])
+def test_derivatives_match_scaled_transform_path(rng, real):
+    # grad/div/curl leave out the checkerboard and cell-volume factors of
+    # to_k/to_r, which cancel between the two transforms: the results may
+    # differ from the scaled path by rounding only.
+    spec = GridSpec(n=(8, 12, 10), length=(2 * np.pi, 3 * np.pi, 5.0))
+    data = rng.normal(size=(2, 3) + spec.n)
+    if not real:
+        data = data + 1j * rng.normal(size=data.shape)
+    k = spec.k_grid_diff()
+    hat = spectral.to_k(spec, data)
+    curl_hat = np.stack([k[a] * hat[:, b] - k[b] * hat[:, a]
+                         for a, b in ((1, 2), (2, 0), (0, 1))], axis=1)
+    cases = [(spectral.grad, 1j * k * hat[:, :, None]),
+             (spectral.div, 1j * np.sum(k * hat, axis=1)),
+             (spectral.curl, 1j * curl_hat)]
+    for op, ref_hat in cases:
+        out = op(spec, data)
+        assert np.isrealobj(out) == real
+        assert rel_err(out, spectral.to_r(spec, ref_hat)) <= 1e-15, op
+
+
 def test_triad_pole_conventions():
     t = polarization_triad([0.0, 0.0, 2.0])
     assert np.allclose(t.l1, [1, 0, 0]) and np.allclose(t.l2, [0, 1, 0])
