@@ -84,8 +84,11 @@ def _medium(scenario):
             return base + amp * wave
         raise ConfigError(f"unknown medium profile {text!r}")
 
-    return evolve.MediumMap(spec=spec, eps=profile("eps_profile"),
-                            mu=profile("mu_profile"))
+    try:
+        return evolve.MediumMap(spec=spec, eps=profile("eps_profile"),
+                                mu=profile("mu_profile"))
+    except DomainError as exc:
+        raise ConfigError(f"[physics] eps_profile/mu_profile: {exc}") from exc
 
 
 def _metric(scenario):
@@ -94,7 +97,10 @@ def _metric(scenario):
         return geometry.minkowski_metric(scenario.grid)
     if text.startswith("conformal:"):
         index = parse_list("metric", text.partition(":")[2], 1)[0]
-        return geometry.conformal_metric(scenario.grid, index)
+        try:
+            return geometry.conformal_metric(scenario.grid, index)
+        except DomainError as exc:
+            raise ConfigError(f"[physics] metric = {text}: {exc}") from exc
     raise ConfigError(f"unknown metric {text!r}")
 
 

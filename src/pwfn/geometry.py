@@ -209,7 +209,7 @@ def dirac_form_step(spec: GridSpec, phi, t: float):
     if phi.shape != (4,) + spec.n:
         raise ShapeError("spinor lattice shape does not match the grid")
     kvec = spec.k_grid()
-    knorm = np.sqrt(np.sum(kvec**2, axis=0))
+    knorm = spec.k_norm()
     phihat = to_k(spec, phi)
     akphi = np.einsum("aij,a...,j...->i...", _ALPHA, kvec, phihat)
     cos = np.cos(knorm * t)

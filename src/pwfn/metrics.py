@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sfft
 from scipy.special import gamma as gamma_fn, kv
 
 from .errors import (DomainError, GaugeSingularityError, NormalizationError,
@@ -35,7 +34,7 @@ from .evolve import free_generator
 from .fieldcore import LEVI_CIVITA, SPIN
 from .spectral import (GridSpec, HelicitySpectrum, SixField, _decompose,
                        berry_connection_grid, decompose, synthesize, to_k,
-                       to_r)
+                       to_r, triad_arrays)
 
 __all__ = [
     "Observables", "GeneratorTag",
@@ -103,10 +102,7 @@ def _check_specs(a, b):
 def scalar_product_momentum(a: HelicitySpectrum, b: HelicitySpectrum) -> complex:
     """Physical scalar product sum_lambda,k conj(a) b / (V |k|)."""
     _check_specs(a, b)
-    knorm = a.spec.k_norm()
-    weight = np.zeros_like(knorm)
-    nz = knorm > 0
-    weight[nz] = 1.0 / (a.spec.volume * knorm[nz])
+    weight = a.spec.k_inverse() / a.spec.volume
     return complex(np.sum(weight * np.conj(a.amp) * b.amp))
 
 
@@ -215,31 +211,17 @@ def _inverse_hamiltonian(psi, hat, spectrum, projection_rtol=1e-8):
             f"1/H needs a positive-frequency field; projection defect "
             f"{defect / scale:.3e}"
         )
-    spec = psi.spec
-    knorm = spec.k_norm()
-    inv = np.zeros_like(knorm)
-    nz = knorm > 0
-    inv[nz] = 1.0 / knorm[nz]
-    return to_r(spec, inv * hat, overwrite=True)
+    return to_r(psi.spec, psi.spec.k_inverse() * hat, overwrite=True)
 
 
 def _gradient_k(spec: GridSpec, amp):
-    """Centered differences of a dual-lattice function along the k axes."""
-    shifted = sfft.fftshift(amp)
+    """Centered differences of a dual-lattice function along the k axes
+    (periodic neighbours in FFT order, so no shift to centered order)."""
     out = np.empty((3,) + amp.shape, dtype=complex)
-    for ax, (m, L) in enumerate(zip(spec.n, spec.length)):
+    for ax, L in enumerate(spec.length):
         dk = 2.0 * np.pi / L
-        der = (np.roll(shifted, -1, axis=ax) - np.roll(shifted, 1, axis=ax)) / (2 * dk)
-        out[ax] = sfft.ifftshift(der)
+        out[ax] = (np.roll(amp, -1, axis=ax) - np.roll(amp, 1, axis=ax)) / (2 * dk)
     return out
-
-
-def _support_mask(amp, rel=1e-12):
-    power = np.abs(amp) ** 2
-    peak = power.max()
-    if peak == 0.0:
-        return np.zeros(amp.shape, dtype=bool)
-    return power > rel * peak
 
 
 def observables_momentum(spectrum: HelicitySpectrum, pole_cone=1e-6) -> Observables:
@@ -254,52 +236,33 @@ def observables_momentum(spectrum: HelicitySpectrum, pole_cone=1e-6) -> Observab
     convention) raises GaugeSingularityError.
     """
     spec = spectrum.spec
-    kvec = spec.k_grid()
-    knorm = spec.k_norm()
-    nz = knorm > 0
-    weight = np.zeros_like(knorm)
-    weight[nz] = 1.0 / (spec.volume * knorm[nz])
-    nhat = np.zeros_like(kvec)
-    nhat[:, nz] = kvec[:, nz] / knorm[nz]
-
-    sth = np.hypot(nhat[0], nhat[1])
-    in_cone = (sth > 0.0) & (sth < pole_cone) & nz
-    for lam_index in range(2):
-        if np.any(_support_mask(spectrum.amp[lam_index]) & in_cone):
-            raise GaugeSingularityError(
-                "spectrum has support inside the gauge pole cone"
-            )
-
-    alpha = np.nan_to_num(berry_connection_grid(spec, pole_cone))
-    energy = 0.0
-    momentum = np.zeros(3)
-    ang = np.zeros(3)
-    moe = np.zeros(3)
-    for lam_index, lam in enumerate(HelicitySpectrum.LAMBDAS):
-        phi = spectrum.amp[lam_index]
-        p2 = np.abs(phi) ** 2
-        energy += float(np.sum(p2[nz] / spec.volume))
-        momentum = momentum + np.array(
-            [float(np.sum(weight * kvec[i] * p2)) for i in range(3)]
+    _, nhat, knorm = triad_arrays(spec)
+    p2 = np.abs(spectrum.amp) ** 2
+    alpha = berry_connection_grid(spec, pole_cone)
+    in_cone = np.isnan(alpha[0])
+    # Support is power above 1e-12 of the peak of its helicity.
+    if np.any(in_cone & (p2 > 1e-12 * p2.max(axis=(1, 2, 3), keepdims=True))):
+        raise GaugeSingularityError(
+            "spectrum has support inside the gauge pole cone"
         )
-        # (1/i) D phi = (1/i) d phi + lambda alpha phi
-        dphi = _gradient_k(spec, phi)
-        covd = -1j * dphi + lam * alpha * phi
-        kxd = np.cross(kvec, covd, axisa=0, axisb=0, axisc=0)
-        ang = ang + np.array([
-            float(np.sum(weight * np.real(np.conj(phi) * kxd[i]))) for i in range(3)
-        ])
-        ang = ang + lam * np.array([float(np.sum(weight * nhat[i] * p2))
-                                    for i in range(3)])
-        # i omega D = i omega d/dk - lambda omega alpha
-        moe = moe + np.array([
-            float(np.sum(weight * knorm
-                         * (np.real(1j * np.conj(phi) * dphi[i])
-                            - lam * alpha[i] * p2)))
-            for i in range(3)
-        ])
-    return Observables(energy=energy, momentum=momentum,
-                       angular_momentum=ang, moment_of_energy=moe)
+    alpha[:, in_cone] = 0.0
+    kinv = spec.k_inverse()
+    # g = sum_lambda Re(phi* (1/i) D phi) = Im(phi* d phi) + lambda alpha |phi|^2
+    helicity = p2[0] - p2[1]
+    g = alpha * helicity
+    for phi in spectrum.amp:
+        g += (np.conj(phi) * _gradient_k(spec, phi)).imag
+    g = g.reshape(3, -1)
+    # Under the weight 1/(V |k|), k becomes n/V and omega becomes
+    # (|k|/|k|)/V, which is 0 at k = 0: that mode carries no energy.
+    n = nhat.reshape(3, -1) / spec.volume
+    omega = (knorm * kinv).ravel() / spec.volume
+    power = (p2[0] + p2[1]).ravel()
+    spin = (helicity * kinv).ravel()
+    return Observables(
+        energy=float(omega @ power), momentum=n @ power,
+        angular_momentum=np.einsum("ijk,jk->i", LEVI_CIVITA, n @ g.T) + n @ spin,
+        moment_of_energy=-(g @ omega))
 
 
 def observables_coordinate(psi: SixField, normalized_rtol=1e-8) -> Observables:
@@ -386,14 +349,10 @@ def landau_peierls(psi: SixField, dc_rtol=1e-12) -> SixField:
     dc_rtol of the total.
     """
     spec = psi.spec
-    knorm = spec.k_norm()
-    mult = np.zeros_like(knorm)
-    nz = knorm > 0
-    mult[nz] = knorm[nz] ** (-0.5)
     bhat = to_k(spec, psi.data)
     dc = float(np.sum(np.abs(bhat[..., 0, 0, 0]) ** 2))
     total = float(np.sum(np.abs(bhat) ** 2))
-    bhat *= mult
+    bhat *= np.sqrt(spec.k_inverse())
     out = to_r(spec, bhat, overwrite=True)
     if total > 0.0 and dc > dc_rtol * total:
         raise DomainError(
@@ -403,16 +362,14 @@ def landau_peierls(psi: SixField, dc_rtol=1e-12) -> SixField:
     return SixField(spec=spec, data=out)
 
 
-@dataclass
-class KernelQuadrature:
-    """Resolution knobs for kernel_identity_check."""
-
-    n_radial: int = 160
-    n_angular: int = 160
-    r_max_factor: float = 40.0
+# Gauss nodes and the radius beyond which kernel_identity_check adds the
+# analytic tail, in units of the point separation.
+_KERNEL_N_RADIAL = 160
+_KERNEL_N_ANGULAR = 160
+_KERNEL_R_MAX_FACTOR = 40.0
 
 
-def kernel_identity_check(r1, r2, quadrature: KernelQuadrature | None = None):
+def kernel_identity_check(r1, r2):
     """Evaluate both sides of the |r|^(-5/2) convolution identity.
 
     lhs = (1/16 pi) integral d^3r |r - r1|^(-5/2) |r - r2|^(-5/2), computed
@@ -421,18 +378,16 @@ def kernel_identity_check(r1, r2, quadrature: KernelQuadrature | None = None):
     that removes the singularity, and adding the analytic large-radius tail.
     rhs = |r1 - r2|^(-2).  Returns (lhs, rhs).
     """
-    if quadrature is None:
-        quadrature = KernelQuadrature()
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
     d = float(np.linalg.norm(r2 - r1))
     if d == 0.0:
         raise DomainError("kernel identity undefined for coincident points")
     rhs = 1.0 / d**2
-    rmax = quadrature.r_max_factor * d
+    rmax = _KERNEL_R_MAX_FACTOR * d
     # Gauss nodes: radial s in (0, sqrt(Rlim)], angular u = cos(gamma).
-    su, wu = np.polynomial.legendre.leggauss(quadrature.n_angular)
-    ss, ws = np.polynomial.legendre.leggauss(quadrature.n_radial)
+    su, wu = np.polynomial.legendre.leggauss(_KERNEL_N_ANGULAR)
+    ss, ws = np.polynomial.legendre.leggauss(_KERNEL_N_RADIAL)
     total = 0.0
     for u, wgt_u in zip(su, wu):
         # gamma measured from the axis pointing at the other focus.

@@ -103,36 +103,28 @@ def wigner_build(spec: GridSpec, block) -> WignerField:
         raise ShapeError("block shape does not match the grid")
     half, _ = _doubled_field(spec, block)
     n = spec.n
-    a_idx = [np.arange(m) for m in n]
-    b_idx = [np.arange(m) for m in n]
-    # half-lattice indices of r + s/2 and r - s/2 (r index a, s index b,
-    # both box-centered):  h+ = 2a + b - m/2,  h- = 2a - b + m/2  (mod 2m).
-    plus_idx = []
-    minus_idx = []
+    # Half-lattice indices of r + s/2 and r - s/2 (r index a on axis ax, s
+    # index b on axis 3 + ax, both box-centered): h+ = 2a + b - m/2 and
+    # h- = 2a - b + m/2 (mod 2m).
+    plus, minus = [], []
     for ax, m in enumerate(n):
-        aa = a_idx[ax][:, None]
-        bb = b_idx[ax][None, :]
-        plus_idx.append((2 * aa + bb - m // 2) % (2 * m))
-        minus_idx.append((2 * aa - bb + m // 2) % (2 * m))
-    px = plus_idx[0][:, None, None, :, None, None]
-    py = plus_idx[1][None, :, None, None, :, None]
-    pz = plus_idx[2][None, None, :, None, None, :]
-    mx = minus_idx[0][:, None, None, :, None, None]
-    my = minus_idx[1][None, :, None, None, :, None]
-    mz = minus_idx[2][None, None, :, None, None, :]
+        a = np.arange(m)[:, None]
+        b = np.arange(m)[None, :] - m // 2
+        others = tuple(d for d in range(6) if d not in (ax, 3 + ax))
+        plus.append(np.expand_dims((2 * a + b) % (2 * m), others))
+        minus.append(np.expand_dims((2 * a - b) % (2 * m), others))
     w = np.empty((3, 3) + n + n, dtype=complex)
+    partners = [np.conj(half[j][tuple(minus)]) for j in range(3)]
     for i in range(3):
-        fp = half[i][px, py, pz]
+        fp = half[i][tuple(plus)]
         for j in range(3):
-            fm = np.conj(half[j][mx, my, mz])
-            g = fp * fm
             # transform over the s axes with the box-centered convention
-            gh = sfft.fftn(g, axes=(-3, -2, -1))
-            w[i, j] = gh * spec.checkerboard() * spec.cell_volume
+            w[i, j] = to_k(spec, fp * partners[j])
     # The s = -L/2 lag slice has no +L/2 partner on the lattice; averaging
     # W with its matrix adjoint restores exact hermiticity (the symmetric
     # treatment of the half-period lag).
-    w = 0.5 * (w + np.conj(np.swapaxes(w, 0, 1)))
+    w += np.conj(np.swapaxes(w, 0, 1))
+    w *= 0.5
     return WignerField(spec=spec, w=w)
 
 
@@ -319,7 +311,12 @@ def hydro_divergence_residuals(state: HydroState):
     sum_a C[a, i, a] = 0; the real and imaginary parts give the two real
     vector conditions.  Returns their maxima relative to the bilinear
     scale."""
-    c = gradient_bilinears(state)
+    return _transversality_ratios(gradient_bilinears(state))
+
+
+def _transversality_ratios(c):
+    """Real and imaginary parts of sum_a C[a, i, a] = F_i* div F, each as
+    its maximum over 3 max |C|; (0, 0) for a zero field."""
     vec = sum(c[a, :, a] for a in range(3))
     scale = float(np.max(np.abs(c))) * 3.0
     if scale == 0.0:
@@ -391,12 +388,8 @@ def hydro_evolution_residual(state_m: HydroState, state_0: HydroState,
     res_t = dt_t - rhs_t
     out["stress"] = float(np.max(np.abs(res_t)) / (np.max(np.abs(dt_t)) + 1e-300))
 
-    # transversality conditions (no time derivative): real and imaginary
-    # parts of sum_a C[a, i, a] = F_i* div F = 0
-    vec = sum(c[a, :, a] for a in range(3))
-    cscale = float(np.max(np.abs(c))) * 3.0 + 1e-300
-    out["div1"] = float(np.max(np.abs(vec.real)) / cscale)
-    out["div2"] = float(np.max(np.abs(vec.imag)) / cscale)
+    # transversality conditions (no time derivative)
+    out["div1"], out["div2"] = _transversality_ratios(c)
     return out
 
 

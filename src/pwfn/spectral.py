@@ -141,6 +141,17 @@ class GridSpec:
         return _table(self, "k_norm", lambda: np.sqrt(
             np.sum(self.k_grid() ** 2, axis=0)))
 
+    def k_inverse(self):
+        """1/|k| on the dual lattice and 0 at k = 0, the mode without a
+        transverse frame: the k = 0 rule of every momentum-space weight.
+
+        Built on each call: a cached copy would keep one more grid-sized
+        array resident beside the per-grid tables.
+        """
+        knorm = self.k_norm()
+        return np.divide(1.0, knorm, out=np.zeros_like(knorm),
+                         where=knorm > 0.0)
+
     def checkerboard(self):
         """(-1)^(mx+my+mz) on the dual lattice: exp(-i k . r0) exactly."""
         def build():
@@ -393,14 +404,12 @@ def triad_arrays(spec: GridSpec):
     """
     def build():
         knorm = spec.k_norm()
-        safe = np.where(knorm == 0.0, 1.0, knorm)
-        nhat = spec.k_grid() / safe
-        nhat[:, knorm == 0.0] = 0.0
-        l1, l2 = _triads_from_khat(nhat[0], nhat[1], nhat[2])
         dc = knorm == 0.0
-        for comp in range(3):
-            l1[comp][dc] = 0.0
-            l2[comp][dc] = 0.0
+        nhat = spec.k_grid() / np.where(dc, 1.0, knorm)
+        nhat[:, dc] = 0.0
+        l1, l2 = _triads_from_khat(nhat[0], nhat[1], nhat[2])
+        l1[:, dc] = 0.0
+        l2[:, dc] = 0.0
         e = (l1 + 1j * l2) / np.sqrt(2.0)
         return e, nhat, knorm
     return _table(spec, "triad", build)
@@ -432,18 +441,19 @@ def berry_connection(k, pole_cone=1e-6):
 
 
 def berry_connection_grid(spec: GridSpec, pole_cone=1e-6):
-    """Gridded connection; exact-axis points get 0, cone points get NaN."""
-    knorm = spec.k_norm()
-    safe = np.where(knorm == 0.0, 1.0, knorm)
-    n = spec.k_grid() / safe
+    """Gridded connection; exact-axis points and k = 0 get 0, cone points get NaN.
+
+    Built on the cached frame of :func:`triad_arrays`, with
+    phi_hat = (-n_y, n_x, 0)/sin(theta).
+    """
+    _, n, _ = triad_arrays(spec)
     sth = np.hypot(n[0], n[1])
-    phi = np.arctan2(n[1], n[0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mag = np.where(sth > 0.0, -(n[2] / np.where(sth == 0, 1, sth)) / safe, 0.0)
-    alpha = np.stack([-np.sin(phi) * mag, np.cos(phi) * mag, np.zeros_like(mag)])
-    bad = (sth > 0.0) & (sth < pole_cone) & (knorm > 0.0)
-    alpha[:, bad] = np.nan
-    alpha[:, knorm == 0.0] = 0.0
+    off_axis = sth > 0.0   # k = 0 has n = 0 and counts as on the axis
+    inv_sth = np.divide(1.0, sth, out=np.zeros_like(sth), where=off_axis)
+    mag = -(n[2] * inv_sth) * spec.k_inverse()
+    alpha = np.stack([-n[1] * inv_sth * mag, n[0] * inv_sth * mag,
+                      np.zeros_like(mag)])
+    alpha[:, off_axis & (sth < pole_cone)] = np.nan
     return alpha
 
 

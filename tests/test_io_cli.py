@@ -166,6 +166,11 @@ cfl_safety = 1.0
              "eps_profile"),
             (medium + "steps = 1\nmu_profile = uniform:abc\n", 2,
              "mu_profile"),
+            # values that parse but are out of range
+            (medium + "steps = 1\neps_profile = cosine:1.0,2.0\n", 2,
+             "eps_profile"),
+            (medium + "steps = 1\nmu_profile = uniform:-1\n", 2,
+             "mu_profile"),
             (bad_index + "steps = 1\n", 2, "k_index")]):
         case = tmp_path / f"case{n}.ini"
         case.write_text(text)
@@ -188,6 +193,7 @@ cfl_safety = 1.0
     for kind, text, key in [
             ("evolve-curved", curved + "metric = conformal:abc\n", "metric"),
             ("evolve-curved", curved + "metric = conformal:\n", "metric"),
+            ("evolve-curved", curved + "metric = conformal:0\n", "metric"),
             ("evolve-free", FREE_CONFIG.replace("time = 0.5", "time = inf"),
              "time"),
             ("observables", output.replace("evolve-free", "observables"),

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from pwfn import metrics as mt
 from pwfn.errors import (DomainError, GaugeSingularityError,
@@ -8,7 +9,8 @@ from pwfn.evolve import propagate_free
 from pwfn.fieldcore import (classical_energy, classical_moment_of_energy,
                             classical_momentum)
 from pwfn.metrics import GeneratorTag as G
-from pwfn.spectral import HelicitySpectrum, SixField, decompose, synthesize
+from pwfn.spectral import (GridSpec, HelicitySpectrum, SixField, decompose,
+                           synthesize)
 from pwfn.states import (balanced_packet_params, gaussian_packet,
                          gaussian_packet_spectrum, plane_wave_mode)
 
@@ -163,6 +165,80 @@ def test_observables_pole_cone_guard():
     with pytest.raises(GaugeSingularityError):
         m2.observables_momentum(HelicitySpectrum(spec=spec_narrow, amp=bad),
                                 pole_cone=0.9)
+
+
+def _observables_momentum_reference(spectrum):
+    """observables_momentum written out per component: explicit n and
+    1/(V |k|) weight, the connection from arctan2, fftshift centered
+    differences and np.cross."""
+    spec = spectrum.spec
+    kvec = spec.k_grid()
+    knorm = spec.k_norm()
+    nz = knorm > 0
+    weight = np.zeros_like(knorm)
+    weight[nz] = 1.0 / (spec.volume * knorm[nz])
+    nhat = np.zeros_like(kvec)
+    nhat[:, nz] = kvec[:, nz] / knorm[nz]
+    sth = np.hypot(nhat[0], nhat[1])
+    phi_angle = np.arctan2(nhat[1], nhat[0])
+    mag = np.zeros_like(knorm)
+    off = sth > 0
+    mag[off] = -(nhat[2][off] / sth[off]) / knorm[off]
+    alpha = np.stack([-np.sin(phi_angle) * mag, np.cos(phi_angle) * mag,
+                      np.zeros_like(mag)])
+    energy = 0.0
+    momentum = np.zeros(3)
+    ang = np.zeros(3)
+    moe = np.zeros(3)
+    for lam_index, lam in enumerate(HelicitySpectrum.LAMBDAS):
+        phi = spectrum.amp[lam_index]
+        p2 = np.abs(phi) ** 2
+        energy += float(np.sum(p2[nz] / spec.volume))
+        momentum += [np.sum(weight * kvec[i] * p2) for i in range(3)]
+        shifted = sfft.fftshift(phi)
+        dphi = np.empty((3,) + spec.n, dtype=complex)
+        for ax, L in enumerate(spec.length):
+            dk = 2.0 * np.pi / L
+            dphi[ax] = sfft.ifftshift((np.roll(shifted, -1, axis=ax)
+                                       - np.roll(shifted, 1, axis=ax)) / (2 * dk))
+        covd = -1j * dphi + lam * alpha * phi
+        kxd = np.cross(kvec, covd, axisa=0, axisb=0, axisc=0)
+        ang += [np.sum(weight * np.real(np.conj(phi) * kxd[i]))
+                + lam * np.sum(weight * nhat[i] * p2) for i in range(3)]
+        moe += [np.sum(weight * knorm * (np.real(1j * np.conj(phi) * dphi[i])
+                                         - lam * alpha[i] * p2))
+                for i in range(3)]
+    return energy, momentum, ang, moe
+
+
+def test_observables_momentum_matches_component_form():
+    # anisotropic box, both helicities, packets off the box centre
+    spec = GridSpec(n=(24, 20, 16), length=(10.0, 9.0, 8.0))
+    psi = gaussian_packet(spec, (2.0, 1.2, -0.8), 0.6, helicity=1,
+                          r_center=(0.7, -0.4, 0.5))
+    psi.data += gaussian_packet(spec, (-1.0, 1.5, 1.0), 0.5, helicity=-1,
+                                r_center=(-0.6, 0.3, -0.2)).data
+    spectrum = decompose(psi)
+    obs = mt.observables_momentum(spectrum)
+    energy, momentum, ang, moe = _observables_momentum_reference(spectrum)
+    assert abs(obs.energy - energy) <= 1e-14 * energy
+    for got, ref in ((obs.momentum, momentum), (obs.angular_momentum, ang),
+                     (obs.moment_of_energy, moe)):
+        assert np.max(np.abs(got - ref)) <= 1e-14 * energy
+    assert np.max(np.abs(ang)) > 0.1 * energy   # the J terms are exercised
+    assert np.max(np.abs(moe)) > 0.1 * energy
+
+
+def test_gradient_k_matches_centered_order(rng):
+    spec = GridSpec(n=(8, 6, 10), length=(5.0, 4.0, 7.0))
+    amp = rng.normal(size=spec.n) + 1j * rng.normal(size=spec.n)
+    shifted = sfft.fftshift(amp)
+    got = mt._gradient_k(spec, amp)
+    for ax, L in enumerate(spec.length):
+        dk = 2.0 * np.pi / L
+        ref = sfft.ifftshift((np.roll(shifted, -1, axis=ax)
+                              - np.roll(shifted, 1, axis=ax)) / (2 * dk))
+        assert np.array_equal(got[ax], ref)
 
 
 def test_observables_coordinate_requires_normalization(rng):

@@ -283,6 +283,37 @@ def test_berry_connection_values_and_pole():
         berry_connection(np.zeros(3))
 
 
+@pytest.mark.parametrize("pole_cone", [1e-6, 0.5])
+def test_berry_connection_grid_matches_point_values(pole_cone):
+    spec = GridSpec(n=(8, 6, 10), length=(5.0, 4.0, 7.0))
+    alpha = spectral.berry_connection_grid(spec, pole_cone)
+    kvec = spec.k_grid()
+    in_cone = 0
+    for idx in np.ndindex(spec.n):
+        got = alpha[(slice(None),) + idx]
+        k = kvec[(slice(None),) + idx]
+        if not k.any():
+            assert np.array_equal(got, np.zeros(3))
+            continue
+        try:
+            ref = berry_connection(k, pole_cone)
+        except GaugeSingularityError:
+            assert np.all(np.isnan(got)), idx
+            in_cone += 1
+            continue
+        assert np.linalg.norm(got - ref) <= 1e-15 * np.linalg.norm(ref), idx
+    assert (in_cone > 0) == (pole_cone > 0.1)
+
+
+def test_k_inverse_zero_at_dc():
+    spec = GridSpec(n=(8, 6, 10), length=(5.0, 4.0, 7.0))
+    kinv = spec.k_inverse()
+    knorm = spec.k_norm()
+    off = knorm > 0
+    assert np.count_nonzero(~off) == 1 and kinv[0, 0, 0] == 0.0
+    assert np.array_equal(kinv[off], 1.0 / knorm[off])
+
+
 def test_berry_curvature_is_unit_monopole():
     # curl alpha = +n/k^2 for the covariant connection of this gauge
     k = np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0) * 2.0
