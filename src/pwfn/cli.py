@@ -6,11 +6,13 @@ Usage:
 
 Exit codes: 0 success, 2 configuration error, 3 solver precondition
 violated, 4 numeric instability, 5 I/O or file-format error.  Every run
-writes a JSON manifest (config hash, output hashes, versions, wall time)
-next to its artifacts; identical configs produce identical output hashes.
+writes a JSON manifest (config hash, resolved config values, output hashes,
+versions, wall time) next to its artifacts; identical configs produce
+identical output hashes.
 
-Internals use natural units; the optional [output] keys hbar_si, c_si and
-eps0_si only rescale reported scalars on the way out.
+Internals use natural units (hbar = c = eps0 = 1); the observables keys
+[output] hbar_si and c_si rescale its reported scalars on the way out.
+:data:`pwfn.config.SCHEMA` declares the keys of each scenario kind.
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ import numpy as np
 from . import config as cfgmod
 from . import (eigen, evolve, geometry, gridio, metrics, phasespace, spectral,
                states)
-from .config import parse_float, parse_int, parse_list, parse_vector
-from .errors import (ConfigError, DomainError, FormatError, PwfnError,
-                     StabilityError)
+from .config import checked, parse_list
+from .errors import ConfigError, FormatError, PwfnError, StabilityError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,80 +40,43 @@ EXIT_IO = 5
 
 
 def _initial_field(scenario):
-    init = scenario.initial
-    spec = scenario.grid
-    kind = init.get("packet", "gaussian")
-    if kind.startswith("file:"):
-        return gridio.read_sixfield(kind[5:])
-    if kind == "gaussian":
-        return states.gaussian_packet(
-            spec,
-            parse_vector(init, "k_center", (3.0, 0.0, 0.0)),
-            parse_float(init, "sigma_k", 0.7),
-            helicity=parse_int(init, "helicity", 1),
-            r_center=parse_vector(init, "r_center", (0.0, 0.0, 0.0)),
-        )
-    if kind == "mode":
-        idx = parse_list("k_index", init.get("k_index", "0 0 2"), 3, int)
+    params = dict(scenario.initial)
+    packet = params.pop("packet")
+    if packet.startswith("file:"):
+        return gridio.read_sixfield(packet[5:])
+    if packet == "gaussian":
+        return states.gaussian_packet(scenario.grid, **params)
+    if packet == "mode":
         return spectral.synthesize(
-            states.plane_wave_mode(spec, idx,
-                                   helicity=parse_int(init, "helicity", 1)),
-            t=0.0)
-    if kind == "vortex":
-        core = parse_vector(init, "core_xy", (0.0, 0.0), count=2)
-        return states.vortex_field(spec, core_xy=tuple(core),
-                                   k_z_index=parse_int(init, "k_z_index", 2),
-                                   transverse_k_index=parse_int(
-                                       init, "transverse_k_index", 1))
-    raise ConfigError(f"unknown initial packet {kind!r}")
+            states.plane_wave_mode(scenario.grid, **params), t=0.0)
+    return states.vortex_field(scenario.grid, **params)
 
 
 def _medium(scenario):
     spec = scenario.grid
-    phys = scenario.physics
 
     def profile(key):
-        text = phys.get(key, "uniform:1")
-        kind, _, args = text.partition(":")
+        kind, *args = scenario.physics[key]
         if kind == "uniform":
-            return np.full(spec.n, parse_list(key, args or "1", 1)[0])
-        if kind == "cosine":
-            base, amp = parse_list(key, args, 2)
-            x = spec.coords()
-            wave = np.cos(2 * np.pi * x[0] / spec.length[0]) \
-                * np.cos(2 * np.pi * x[1] / spec.length[1])
-            return base + amp * wave
-        raise ConfigError(f"unknown medium profile {text!r}")
+            return np.full(spec.n, args[0])
+        base, amp = args
+        x = spec.coords()
+        wave = np.cos(2 * np.pi * x[0] / spec.length[0]) \
+            * np.cos(2 * np.pi * x[1] / spec.length[1])
+        return base + amp * wave
 
-    try:
-        return evolve.MediumMap(spec=spec, eps=profile("eps_profile"),
-                                mu=profile("mu_profile"))
-    except DomainError as exc:
-        raise ConfigError(f"[physics] eps_profile/mu_profile: {exc}") from exc
+    return checked("physics", evolve.MediumMap, spec=spec,
+                   eps=profile("eps_profile"), mu=profile("mu_profile"),
+                   keys={"eps": "eps_profile", "mu": "mu_profile",
+                         None: "eps_profile/mu_profile"})
 
 
 def _metric(scenario):
-    text = scenario.physics.get("metric", "minkowski")
-    if text == "minkowski":
+    kind, *index = scenario.physics["metric"]
+    if kind == "minkowski":
         return geometry.minkowski_metric(scenario.grid)
-    if text.startswith("conformal:"):
-        index = parse_list("metric", text.partition(":")[2], 1)[0]
-        try:
-            return geometry.conformal_metric(scenario.grid, index)
-        except DomainError as exc:
-            raise ConfigError(f"[physics] metric = {text}: {exc}") from exc
-    raise ConfigError(f"unknown metric {text!r}")
-
-
-def _stepper(phys):
-    try:
-        return evolve.StepperConfig(dt=parse_float(phys, "dt", 0.01),
-                                    scheme=phys.get("scheme", "rk4"),
-                                    cfl_safety=parse_float(phys, "cfl_safety",
-                                                           0.5))
-    except DomainError as exc:
-        # StepperConfig's messages start with the key at fault.
-        raise ConfigError(f"[physics] {exc}") from exc
+    return checked("physics", geometry.conformal_metric, scenario.grid,
+                   index[0], keys={None: "metric"})
 
 
 def _conserved_rows(snapshots):
@@ -136,18 +100,16 @@ def _run_evolve(scenario, outdir):
     phys = scenario.physics
     if scenario.kind == "evolve-free":
         # Exact propagation by any finite time, backward included; no dt.
-        t_total = parse_float(phys, "time", 1.0)
-        if not np.isfinite(t_total):
-            raise ConfigError(f"[physics] time must be finite, got {t_total}")
+        t_total = phys["time"]
         f0 = _initial_field(scenario)
         final = evolve.propagate_free(f0, t_total)
         snapshots = [(0, 0.0, f0), (1, t_total, final)]
         extra = {"steps": 1, "time": t_total}
     else:
-        cfg = _stepper(phys)
-        steps = parse_int(phys, "steps", 100)
-        if steps < 0:
-            raise ConfigError(f"[physics] steps must be >= 0, got {steps}")
+        cfg = checked("physics", evolve.StepperConfig,
+                      **{k: phys[k] for k in ("dt", "scheme", "cfl_safety")
+                         if k in phys})
+        steps = phys["steps"]
         f0 = _initial_field(scenario)
         if scenario.kind == "evolve-curved":
             final = geometry.step_curved(f0, _metric(scenario), cfg, steps)
@@ -155,9 +117,9 @@ def _run_evolve(scenario, outdir):
             final = evolve.step_medium(f0, _medium(scenario), cfg, steps)
         snapshots = [(0, 0.0, f0), (steps, steps * cfg.dt, final)]
         extra = {"steps": steps, "dt": cfg.dt}
-    field_path = outdir / scenario.output.get("field", "final_field.pwfn")
+    field_path = outdir / scenario.output["field"]
     gridio.write_sixfield(field_path, final)
-    csv_path = outdir / scenario.output.get("summary", "conserved.csv")
+    csv_path = outdir / scenario.output["summary"]
     gridio.write_csv(csv_path,
                      ["step", "t", "photon_number", "energy",
                       "px", "py", "pz", "max_drift"],
@@ -166,26 +128,23 @@ def _run_evolve(scenario, outdir):
 
 
 def _run_fiber(scenario, outdir):
-    phys = scenario.physics
-    spec = eigen.FiberSpec(radius=parse_float(phys, "radius", 1.0),
-                           eps_in=parse_float(phys, "eps_in", 2.25),
-                           eps_out=parse_float(phys, "eps_out", 1.0),
-                           m_angular=parse_int(phys, "m_angular", 0),
-                           k_z=parse_float(phys, "k_z", 5.0))
-    modes = eigen.fiber_modes(spec, max_modes=parse_int(phys, "max_modes", 8))
+    phys = dict(scenario.physics)
+    max_modes = phys.pop("max_modes")
+    spec = eigen.FiberSpec(**phys)
+    modes = eigen.fiber_modes(spec, max_modes=max_modes)
     rows = []
     for md in modes:
         _, q = eigen._transverse_wavenumbers(spec, md.omega)
         rows.append([spec.m_angular, spec.k_z, md.omega, 1.0 / q,
                      md.matched_component_jump()])
-    csv_path = outdir / scenario.output.get("summary", "fiber_modes.csv")
+    csv_path = outdir / scenario.output["summary"]
     gridio.write_csv(csv_path,
                      ["m_angular", "k_z", "omega", "decay_length",
                       "matched_jump"], rows)
     outputs = [csv_path]
     if scenario.grid is not None and modes:
         field = eigen.fiber_mode_field(modes[0], scenario.grid)
-        field_path = outdir / scenario.output.get("field", "fiber_mode.pwfn")
+        field_path = outdir / scenario.output["field"]
         gridio.write_sixfield(field_path, field)
         outputs.append(field_path)
     return outputs, {"modes_found": len(modes)}
@@ -193,15 +152,11 @@ def _run_fiber(scenario, outdir):
 
 def _run_boost(scenario, outdir):
     phys = scenario.physics
-    b = eigen.boost_eigenfunction(parse_float(phys, "kappa", 1.0),
-                                  parse_float(phys, "kx", 1.0),
-                                  parse_float(phys, "ky", 0.0))
-    z = np.linspace(parse_float(phys, "z_min", 0.1),
-                    parse_float(phys, "z_max", 5.0),
-                    parse_int(phys, "samples", 64))
+    b = eigen.boost_eigenfunction(phys["kappa"], phys["kx"], phys["ky"])
+    z = np.linspace(phys["z_min"], phys["z_max"], phys["samples"])
     rows = list(zip(z, b.psi_z(z), np.abs(b.psi_x(z)), np.abs(b.psi_y(z)),
                     b.eigen_residual(z)))
-    csv_path = outdir / scenario.output.get("summary", "boost_profile.csv")
+    csv_path = outdir / scenario.output["summary"]
     gridio.write_csv(csv_path, ["z", "psi_z", "abs_psi_x", "abs_psi_y",
                                 "eigen_residual"], rows)
     return [csv_path], {"kappa": b.kappa, "k_perp": b.k_perp}
@@ -220,10 +175,10 @@ def _run_wigner(scenario, outdir):
     r1, r2 = phasespace.wigner_subsidiary_residual(dec)
     w_trace = np.einsum("ii...->...", dec.w_sym)
     mid = tuple(m // 2 for m in scenario.grid.n)
-    slice_path = outdir / scenario.output.get("field", "wigner_trace.pwfn")
+    slice_path = outdir / scenario.output["field"]
     gridio.write_grid_field(slice_path, scenario.grid,
                             w_trace[..., mid[0], mid[1], mid[2]][None].astype(complex))
-    csv_path = outdir / scenario.output.get("summary", "wigner_summary.csv")
+    csv_path = outdir / scenario.output["summary"]
     gridio.write_csv(csv_path, ["hermiticity_defect", "subsidiary_r1",
                                 "subsidiary_r2"],
                      [[wf.hermiticity_defect(), r1, r2]])
@@ -234,25 +189,18 @@ def _run_hydro(scenario, outdir):
     f0 = _initial_field(scenario)
     st = phasespace.hydro_from_field(scenario.grid, f0.upper)
     i1, i2, i3 = phasespace.hydro_identity_residuals(st)
-    axis = parse_int(scenario.physics, "surface_axis", 2)
-    index = parse_int(scenario.physics, "surface_index",
-                      scenario.grid.n[2] // 2)
-    winding = phasespace.quantization_integral(st, ("plane", axis, index))
-    csv_path = outdir / scenario.output.get("summary", "hydro_summary.csv")
+    surface = ("plane", scenario.physics["surface_axis"],
+               scenario.physics["surface_index"])
+    winding = phasespace.quantization_integral(st, surface)
+    csv_path = outdir / scenario.output["summary"]
     gridio.write_csv(csv_path,
                      ["trace_identity", "orthogonality_identity",
                       "contraction_identity", "plane_winding"],
                      [[i1, i2, i3, winding]])
-    field_path = outdir / scenario.output.get("field", "hydro_rho.pwfn")
+    field_path = outdir / scenario.output["field"]
     gridio.write_grid_field(field_path, scenario.grid,
                             st.rho[None].astype(complex))
     return [csv_path, field_path], {}
-
-
-def _si_scale(output):
-    hbar = parse_float(output, "hbar_si", 1.0)
-    c = parse_float(output, "c_si", 1.0)
-    return {"energy": hbar * c, "momentum": hbar, "angular_momentum": hbar}
 
 
 def _run_observables(scenario, outdir):
@@ -263,19 +211,17 @@ def _run_observables(scenario, outdir):
     psi = spectral.synthesize(sp, 0.0)
     om = metrics.observables_momentum(sp)
     oc = metrics.observables_coordinate(psi)
-    scale = _si_scale(scenario.output)
+    hbar, c = scenario.output["hbar_si"], scenario.output["c_si"]
     rows = [
         ["photon_number", n_ph, n_ph],
-        ["energy", om.energy * scale["energy"], oc.energy * scale["energy"]],
+        ["energy", om.energy * (hbar * c), oc.energy * (hbar * c)],
     ]
     for i, ax in enumerate("xyz"):
-        rows.append([f"p_{ax}", om.momentum[i] * scale["momentum"],
-                     oc.momentum[i] * scale["momentum"]])
-        rows.append([f"j_{ax}",
-                     om.angular_momentum[i] * scale["angular_momentum"],
-                     oc.angular_momentum[i] * scale["angular_momentum"]])
+        rows.append([f"p_{ax}", om.momentum[i] * hbar, oc.momentum[i] * hbar])
+        rows.append([f"j_{ax}", om.angular_momentum[i] * hbar,
+                     oc.angular_momentum[i] * hbar])
         rows.append([f"n_{ax}", om.moment_of_energy[i], oc.moment_of_energy[i]])
-    csv_path = outdir / scenario.output.get("summary", "observables.csv")
+    csv_path = outdir / scenario.output["summary"]
     gridio.write_csv(csv_path, ["quantity", "momentum_rep", "coordinate_rep"],
                      rows)
     return [csv_path], {"photon_number": n_ph}
@@ -286,7 +232,7 @@ def _run_commutators(scenario, outdir):
     rows = [[tag_a.value, tag_b.value, r]
             for tag_a, tag_b, r in metrics.commutator_residuals(f0)]
     worst = max(row[2] for row in rows)
-    csv_path = outdir / scenario.output.get("summary", "commutators.csv")
+    csv_path = outdir / scenario.output["summary"]
     gridio.write_csv(csv_path, ["a", "b", "residual"], rows)
     return [csv_path], {"worst_residual": worst}
 
@@ -316,13 +262,7 @@ def run_scenario(config_path, outdir, verbose=False) -> int:
         # them resident until another grid evicted them.
         spectral.release_tables()
     manifest = outdir / "manifest.json"
-    si_keys = {k: scenario.output[k] for k in ("hbar_si", "c_si", "eps0_si")
-               if k in scenario.output}
-    if si_keys:
-        extra = {**extra, "si_scaling": si_keys}
-    gridio.write_manifest(manifest, config_path, outputs,
-                          tolerances={"cfl_safety":
-                                      scenario.physics.get("cfl_safety", "0.5")},
+    gridio.write_manifest(manifest, config_path, outputs, scenario.resolved(),
                           started=started, extra=extra)
     if verbose:
         for p in outputs:
@@ -374,7 +314,8 @@ def main(argv=None) -> int:
             return report(args.files)
         threads = args.threads
         if threads is None:
-            threads = parse_int(os.environ, "PWFN_THREADS", 1)
+            threads = parse_list("PWFN_THREADS",
+                                 os.environ.get("PWFN_THREADS", "1"), 1, int)[0]
         spectral.set_workers(threads)
         config_path = Path(args.config)
         scenario_kind = args.command

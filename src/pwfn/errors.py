@@ -15,7 +15,14 @@ class ConfigError(PwfnError):
 
 
 class DomainError(PwfnError):
-    """An argument lies outside the mathematical domain of an operation."""
+    """An argument lies outside the mathematical domain of an operation.
+
+    ``arg`` names the argument at fault, when one argument is.
+    """
+
+    def __init__(self, message, arg=None):
+        super().__init__(message)
+        self.arg = arg
 
 
 class InconsistencyError(PwfnError):

@@ -49,8 +49,10 @@ class MediumMap:
         self.mu = np.ascontiguousarray(self.mu, dtype=float)
         if self.eps.shape != self.spec.n or self.mu.shape != self.spec.n:
             raise ShapeError("eps/mu shape does not match the grid")
-        if np.any(self.eps <= 0.0) or np.any(self.mu <= 0.0):
-            raise DomainError("eps and mu must be strictly positive everywhere")
+        for name, values in (("eps", self.eps), ("mu", self.mu)):
+            if not np.all(values > 0.0):
+                raise DomainError(f"{name} must be strictly positive "
+                                  f"everywhere", arg=name)
         self.v = 1.0 / np.sqrt(self.eps * self.mu)
         self.h = np.sqrt(self.mu / self.eps)
         if not (np.all(np.isfinite(self.v)) and np.all(np.isfinite(self.h))):
@@ -84,13 +86,14 @@ class StepperConfig:
 
     def __post_init__(self):
         if not (0.0 < self.dt < np.inf):
-            raise DomainError(f"dt must be positive and finite, got {self.dt}")
+            raise DomainError(f"dt must be positive and finite, got {self.dt}",
+                              arg="dt")
         if self.scheme not in ("rk4", "split_step"):
             raise DomainError(f"scheme must be rk4 or split_step, "
-                              f"got {self.scheme!r}")
+                              f"got {self.scheme!r}", arg="scheme")
         if not (0.0 < self.cfl_safety <= 1.0):
             raise DomainError(f"cfl_safety must lie in (0, 1], "
-                              f"got {self.cfl_safety}")
+                              f"got {self.cfl_safety}", arg="cfl_safety")
 
 
 def check_cfl(dt, spacing, vmax, cfl_safety):

@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .errors import FormatError
+from .errors import DomainError, FormatError
 from .spectral import GridSpec, SixField
 
 __all__ = [
@@ -72,7 +72,10 @@ def read_grid_field(path):
         raise FormatError(
             f"{path}: payload has {len(payload)} bytes, expected {expected}"
         )
-    spec = GridSpec(n=(nx, ny, nz), length=(lx, ly, lz))
+    try:
+        spec = GridSpec(n=(nx, ny, nz), length=(lx, ly, lz))
+    except DomainError as exc:
+        raise FormatError(f"{path}: bad grid header: {exc}") from exc
     inter = np.frombuffer(payload, dtype="<f8").reshape(ncomp, nx, ny, nz, 2)
     return spec, np.ascontiguousarray(inter[..., 0] + 1j * inter[..., 1])
 
@@ -116,16 +119,17 @@ def file_sha256(path) -> str:
     return h.hexdigest()
 
 
-def write_manifest(path, config_path, outputs, tolerances, started,
+def write_manifest(path, config_path, outputs, resolved, started,
                    extra=None) -> None:
-    """JSON run manifest: input hash, versions, tolerances, wall time."""
+    """JSON run manifest: input hash, every resolved config value (defaults
+    applied), output hashes, versions, wall time."""
     import scipy
 
     manifest = {
         "config": str(config_path),
         "config_sha256": file_sha256(config_path),
         "outputs": {str(p): file_sha256(p) for p in outputs},
-        "tolerances": tolerances,
+        "resolved": resolved,
         "versions": {
             "pwfn": __version__,
             "numpy": np.__version__,

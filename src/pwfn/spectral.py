@@ -78,9 +78,11 @@ class GridSpec:
         if len(n) != 3 or len(length) != 3:
             raise DomainError("GridSpec needs three point counts and three lengths")
         if any(v <= 0 or v % 2 for v in n):
-            raise DomainError(f"point counts must be positive and even, got {n}")
-        if any(v <= 0.0 for v in length):
-            raise DomainError(f"box lengths must be positive, got {length}")
+            raise DomainError(f"point counts must be positive and even, "
+                              f"got {n}", arg="n")
+        if not all(0.0 < v < np.inf for v in length):
+            raise DomainError(f"box lengths must be positive and finite, "
+                              f"got {length}", arg="length")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "length", length)
 

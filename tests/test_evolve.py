@@ -286,7 +286,14 @@ def test_medium_basis_change_cases(rng):
 
 def test_medium_map_validation_and_smoothness():
     spec = cube(8)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as err:
         MediumMap(spec=spec, eps=-np.ones(spec.n), mu=np.ones(spec.n))
+    assert err.value.arg == "eps"
+    # Each of eps and mu is checked on its own, NaN included.
+    mu = np.ones(spec.n)
+    mu[1, 2, 3] = np.nan
+    with pytest.raises(DomainError) as err:
+        MediumMap(spec=spec, eps=np.ones(spec.n), mu=mu)
+    assert err.value.arg == "mu" and "eps" not in str(err.value)
     med = MediumMap.uniform(spec, eps=2.0)
     assert med.smoothness_metric() < 1e-12

@@ -1,6 +1,8 @@
 import json
+import re
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import pytest
 import pwfn
 from pwfn import gridio, spectral
 from pwfn.cli import main
+from pwfn.config import SCENARIO_KINDS, SCHEMA, load_scenario
 from pwfn.evolve import propagate_free
 from pwfn.errors import FormatError
 from conftest import cube, random_field
@@ -28,6 +31,36 @@ sigma_k = 0.8
 [physics]
 time = 0.5
 """
+
+GRID8 = """
+[grid]
+n = 8 8 8
+length = 6.283185307179586 6.283185307179586 6.283185307179586
+"""
+
+# Short configs of every kind; each leaves every key it can to its default.
+MINIMAL = {
+    "evolve-free": GRID8,
+    "evolve-medium": GRID8 + "[initial]\npacket = mode\n",
+    "evolve-curved": GRID8 + "[initial]\npacket = vortex\n",
+    "fiber-modes": "",
+    "boost-eigen": "",
+    "wigner": GRID8,
+    # The default surface_index is n[surface_axis] // 2 = 4, not n[2] // 2.
+    "hydro": GRID8.replace("8 8 8", "8 8 24") + "[physics]\nsurface_axis = 0\n",
+    "observables": GRID8 + "[initial]\npacket = mode\n",
+    "commutators": GRID8 + "[initial]\npacket = vortex\n",
+}
+
+
+def _ini_text(value):
+    """INI text of a resolved manifest value."""
+    if isinstance(value, list) and isinstance(value[0], str):  # NAME:ARGS
+        name, *args = value
+        return name + (":" + ",".join(map(repr, args)) if args else "")
+    if isinstance(value, list):
+        return " ".join(map(repr, value))
+    return value if isinstance(value, str) else repr(value)
 
 
 def test_grid_file_round_trip(tmp_path, rng):
@@ -156,54 +189,123 @@ k_index = 3 3 3
 cfl_safety = 1.0
 """
     # Malformed numbers in any key exit 2 with the key named, not with a
-    # Python traceback.
+    # Python traceback; so do values out of their domain and keys or
+    # sections the kind does not declare.
     bad_index = medium.replace("k_index = 3 3 3", "k_index = 0 0 x")
-    for n, (text, code, key) in enumerate([
-            (medium + "dt = 0.785\nsteps = 400\n", 4, "non-finite"),
-            (medium + "dt = nan\nsteps = 2\n", 2, "dt"),
-            (medium + "dt = 0.01\nsteps = -3\n", 2, "steps"),
-            (medium + "steps = 1\neps_profile = cosine:1.0\n", 2,
-             "eps_profile"),
-            (medium + "steps = 1\nmu_profile = uniform:abc\n", 2,
-             "mu_profile"),
+    curved = medium.replace("evolve-medium", "evolve-curved")
+    observables = FREE_CONFIG.replace("evolve-free", "observables") \
+        .replace("[physics]\ntime = 0.5\n", "")
+    hydro = observables.replace("observables", "hydro") + "[physics]\n"
+    boost = "[scenario]\nkind = boost-eigen\n[physics]\n"
+    fiber = "[scenario]\nkind = fiber-modes\n[physics]\n"
+    for n, (kind, text, code, *needles) in enumerate([
+            ("evolve-medium", medium + "dt = 0.785\nsteps = 400\n", 4,
+             "non-finite"),
+            ("evolve-medium", medium + "dt = nan\nsteps = 2\n", 2, "dt"),
+            ("evolve-medium", medium + "dt = 0.01\nsteps = -3\n", 2, "steps"),
+            ("evolve-medium", medium + "steps = 1\neps_profile = cosine:1.0\n",
+             2, "eps_profile"),
+            ("evolve-medium", medium + "steps = 1\nmu_profile = uniform:abc\n",
+             2, "mu_profile"),
             # values that parse but are out of range
-            (medium + "steps = 1\neps_profile = cosine:1.0,2.0\n", 2,
+            ("evolve-medium",
+             medium + "steps = 1\neps_profile = cosine:1.0,2.0\n", 2,
              "eps_profile"),
-            (medium + "steps = 1\nmu_profile = uniform:-1\n", 2,
-             "mu_profile"),
-            (bad_index + "steps = 1\n", 2, "k_index")]):
+            ("evolve-medium", medium + "steps = 1\nmu_profile = uniform:-1\n",
+             2, "[physics] mu_profile: mu must"),
+            ("evolve-medium", bad_index + "steps = 1\n", 2, "k_index"),
+            ("evolve-curved", curved + "metric = conformal:abc\n", 2,
+             "metric"),
+            ("evolve-curved", curved + "metric = conformal:\n", 2, "metric"),
+            ("evolve-curved", curved + "metric = conformal:0\n", 2, "metric"),
+            ("evolve-free", FREE_CONFIG.replace("time = 0.5", "time = inf"), 2,
+             "time"),
+            ("observables", observables + "[output]\nhbar_si = 1.0e-34x\n", 2,
+             "hbar_si"),
+            ("evolve-free", FREE_CONFIG.replace("6.283185307179586 " * 2,
+                                                "nan 6.3 "), 2, "length"),
+            ("evolve-free", FREE_CONFIG.replace("sigma_k = 0.8",
+                                                "helicity = 3"), 2, "helicity"),
+            ("hydro", hydro + "surface_axis = 5\n", 2, "surface_axis"),
+            ("hydro", hydro + "surface_index = 99\n", 2, "surface_index"),
+            ("boost-eigen", boost + "samples = -1\n", 2, "samples"),
+            ("fiber-modes", fiber + "max_modes = 0\n", 2, "max_modes"),
+            # keys and sections the kind does not declare
+            ("evolve-medium", medium + "stpes = 3\n", 2, "stpes",
+             "did you mean steps"),
+            ("evolve-medium", medium + "[phyiscs]\nsteps = 1\n", 2,
+             "[phyiscs]", "did you mean physics"),
+            ("evolve-curved", curved + "steps = 1\nscheme = split_step\n", 2,
+             "scheme", "evolve-curved"),
+            ("evolve-medium", medium.replace("k_index = 3 3 3",
+                                             "k_center = 1 0 0")
+             + "steps = 1\n", 2, "k_center", "packet = mode"),
+            ("observables", observables + "[output]\neps0_si = 8.85e-12\n",
+             2, "eps0_si")]):
         case = tmp_path / f"case{n}.ini"
         case.write_text(text)
         out = tmp_path / f"case{n}_out"
         capsys.readouterr()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert main(["evolve-medium", "--config", str(case),
+            assert main([kind, "--config", str(case),
                          "--out", str(out)]) == code, text
         err = capsys.readouterr().err
-        assert key in err, text
+        for needle in needles:
+            assert needle in err, text
         # A blow-up is reported once, as the stability error.
         assert "RuntimeWarning" not in err, text
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)], text
-        assert not (out / "final_field.pwfn").exists()
+        assert not list(out.glob("*.pwfn")), text  # no partial field output
 
-    curved = medium.replace("evolve-medium", "evolve-curved")
-    output = FREE_CONFIG + "\n[output]\nhbar_si = 1.0e-34x\n"
-    for kind, text, key in [
-            ("evolve-curved", curved + "metric = conformal:abc\n", "metric"),
-            ("evolve-curved", curved + "metric = conformal:\n", "metric"),
-            ("evolve-curved", curved + "metric = conformal:0\n", "metric"),
-            ("evolve-free", FREE_CONFIG.replace("time = 0.5", "time = inf"),
-             "time"),
-            ("observables", output.replace("evolve-free", "observables"),
-             "hbar_si")]:
-        case = tmp_path / f"{kind}_{key}.ini"
-        case.write_text(text)
-        capsys.readouterr()
-        assert main([kind, "--config", str(case),
-                     "--out", str(tmp_path / f"{kind}_{key}_out")]) == 2, text
-        assert key in capsys.readouterr().err, text
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_manifest_resolves_every_key_and_defaults_reproduce(tmp_path, kind):
+    short = tmp_path / "short.ini"
+    short.write_text(f"[scenario]\nkind = {kind}\n" + MINIMAL[kind])
+    assert main([kind, "--config", str(short),
+                 "--out", str(tmp_path / "short")]) == 0
+    resolved = json.loads(
+        (tmp_path / "short" / "manifest.json").read_text())["resolved"]
+    # The manifest lists every declared key of the kind, defaults applied.
+    for section, declared in SCHEMA[kind].items():
+        if section == "initial":
+            declared = ["packet", *declared[resolved["initial"]["packet"]]]
+        if (kind, section) != ("fiber-modes", "grid"):  # optional, not given
+            assert sorted(resolved[section]) == sorted(declared), section
+    if kind == "hydro":
+        assert resolved["physics"]["surface_index"] == 4
+    # Spelling out every default gives byte-identical outputs.
+    full = tmp_path / "full.ini"
+    full.write_text("".join(
+        f"[{section}]\n" + "".join(f"{key} = {_ini_text(value)}\n"
+                                   for key, value in values.items())
+        for section, values in resolved.items()))
+    assert main([kind, "--config", str(full),
+                 "--out", str(tmp_path / "full")]) == 0
+    manifest = json.loads((tmp_path / "full" / "manifest.json").read_text())
+    assert manifest["resolved"] == resolved
+    names = sorted(p.name for p in (tmp_path / "short").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "full").iterdir())
+    for name in names:
+        if name != "manifest.json":
+            assert (tmp_path / "short" / name).read_bytes() == \
+                (tmp_path / "full" / name).read_bytes(), name
+
+
+def test_readme_config_runs_and_readme_lists_every_key(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    cfg = tmp_path / "readme.ini"
+    cfg.write_text(readme.split("```ini\n")[1].split("```")[0])
+    kind = load_scenario(cfg).kind
+    assert main([kind, "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    for sections in SCHEMA.values():
+        for section, keys in sections.items():
+            for key in (key for family in keys.values() for key in family) \
+                    if section == "initial" else keys:
+                assert re.search(f"`{key}[` ]", readme), (section, key)
 
 
 def test_cli_free_propagation_backward(tmp_path):
@@ -229,6 +331,13 @@ def test_cli_report_corrupt_file(tmp_path):
     bad = tmp_path / "bad.pwfn"
     bad.write_bytes(b"JUNKJUNKJUNK")
     assert main(["report", str(bad)]) == 5
+    # A header whose grid GridSpec refuses is a format error as well.
+    for dims, box in [((3, 4, 4), (1.0, 1.0, 1.0)),
+                      ((4, 4, 4), (np.nan, 1.0, 1.0))]:
+        header = gridio._HEADER.pack(gridio.GRID_MAGIC, gridio.GRID_VERSION,
+                                     *dims, *box, 1)
+        bad.write_bytes(header + bytes(16 * int(np.prod(dims))))
+        assert main(["report", str(bad)]) == 5, dims
 
 
 def test_cli_fiber_and_observables(tmp_path):

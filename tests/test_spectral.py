@@ -17,6 +17,10 @@ def test_gridspec_validation():
         GridSpec(n=(7, 8, 8), length=(1.0, 1.0, 1.0))
     with pytest.raises(DomainError):
         GridSpec(n=(8, 8, 8), length=(0.0, 1.0, 1.0))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError) as err:
+            GridSpec(n=(8, 8, 8), length=(1.0, bad, 1.0))
+        assert err.value.arg == "length"
 
 
 def test_grid_tables_cached_read_only():
