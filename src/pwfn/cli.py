@@ -43,13 +43,21 @@ def _initial_field(scenario):
     params = dict(scenario.initial)
     packet = params.pop("packet")
     if packet.startswith("file:"):
-        return gridio.read_sixfield(packet[5:])
+        field = gridio.read_sixfield(packet[5:])
+        if field.spec != scenario.grid:
+            raise ConfigError(
+                f"[initial] packet {packet!r} holds a field on n = "
+                f"{field.spec.n}, length = {field.spec.length}, but [grid] "
+                f"gives n = {scenario.grid.n}, "
+                f"length = {scenario.grid.length}")
+        return field
     if packet == "gaussian":
-        return states.gaussian_packet(scenario.grid, **params)
+        return checked("initial", states.gaussian_packet, scenario.grid,
+                       **params)
     if packet == "mode":
-        return spectral.synthesize(
-            states.plane_wave_mode(scenario.grid, **params), t=0.0)
-    return states.vortex_field(scenario.grid, **params)
+        return spectral.synthesize(checked(
+            "initial", states.plane_wave_mode, scenario.grid, **params), t=0.0)
+    return checked("initial", states.vortex_field, scenario.grid, **params)
 
 
 def _medium(scenario):
@@ -130,7 +138,7 @@ def _run_evolve(scenario, outdir):
 def _run_fiber(scenario, outdir):
     phys = dict(scenario.physics)
     max_modes = phys.pop("max_modes")
-    spec = eigen.FiberSpec(**phys)
+    spec = checked("physics", eigen.FiberSpec, **phys)
     modes = eigen.fiber_modes(spec, max_modes=max_modes)
     rows = []
     for md in modes:
@@ -154,8 +162,8 @@ def _run_boost(scenario, outdir):
     phys = scenario.physics
     b = eigen.boost_eigenfunction(phys["kappa"], phys["kx"], phys["ky"])
     z = np.linspace(phys["z_min"], phys["z_max"], phys["samples"])
-    rows = list(zip(z, b.psi_z(z), np.abs(b.psi_x(z)), np.abs(b.psi_y(z)),
-                    b.eigen_residual(z)))
+    psi_x, psi_y, psi_z, residual = b.profile(z)
+    rows = list(zip(z, psi_z, np.abs(psi_x), np.abs(psi_y), residual))
     csv_path = outdir / scenario.output["summary"]
     gridio.write_csv(csv_path, ["z", "psi_z", "abs_psi_x", "abs_psi_y",
                                 "eigen_residual"], rows)

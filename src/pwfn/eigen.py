@@ -33,10 +33,11 @@ cross-scan is available for comparison (classical_dispersion).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy.special import jv, jvp, kv, kvp
 
 from .errors import DomainError, TruncationError, WindowError
@@ -106,47 +107,44 @@ class BoostEigenfunction:
         if self.k_perp == 0.0:
             raise DomainError("boost eigenfunction needs k_perp > 0")
 
-    def psi_z(self, z):
+    def _psi_z_derivatives(self, z, order):
+        """(z, psi_z, psi_z', ...) up to the order-th z-derivative.
+
+        d^n/dz^n K_{i kappa}(k_perp z) is (-k_perp)^n times the n-th
+        quadrature moment; each moment is evaluated once per sample.
+        """
         z = np.atleast_1d(np.asarray(z, dtype=float))
         if np.any(z <= 0.0):
             raise DomainError("profiles are defined on z > 0")
-        return np.array([macdonald_imag(self.kappa, self.k_perp * zz) for zz in z])
-
-    def _dpsi_z(self, z):
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        return np.array([
-            -self.k_perp * macdonald_imag_moment(self.kappa, self.k_perp * zz, 1)
-            for zz in z
-        ])
-
-    def _d2psi_z(self, z):
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        return np.array([
-            self.k_perp**2 * macdonald_imag_moment(self.kappa, self.k_perp * zz, 2)
-            for zz in z
-        ])
+        moments = np.array([[macdonald_imag_moment(self.kappa, x, n)
+                             for n in range(order + 1)]
+                            for x in self.k_perp * z])
+        return (z, *((-self.k_perp) ** n * moments[:, n]
+                     for n in range(order + 1)))
 
     # Transverse components solving the first-order system; the kappa term
     # carries the 1/z, the derivative term does not:
     #   psi_x = (i/k_perp^2) (ky kappa psi_z / z + kx psi_z'),
     #   psi_y = (i/k_perp^2) (-kx kappa psi_z / z + ky psi_z').
 
+    def _transverse(self, z, w, dw):
+        return ((1j / self.k_perp**2) * (self.ky * self.kappa * w / z
+                                         + self.kx * dw),
+                (1j / self.k_perp**2) * (-self.kx * self.kappa * w / z
+                                         + self.ky * dw))
+
+    def psi_z(self, z):
+        return self._psi_z_derivatives(z, 0)[1]
+
     def psi_x(self, z):
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        return (1j / self.k_perp**2) * (self.ky * self.kappa * self.psi_z(z) / z
-                                        + self.kx * self._dpsi_z(z))
+        return self._transverse(*self._psi_z_derivatives(z, 1))[0]
 
     def psi_y(self, z):
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        return (1j / self.k_perp**2) * (-self.kx * self.kappa * self.psi_z(z) / z
-                                        + self.ky * self._dpsi_z(z))
+        return self._transverse(*self._psi_z_derivatives(z, 1))[1]
 
     def ode_residual(self, z):
         """Relative residual of z^2 w'' + z w' + (kappa^2 - k_perp^2 z^2) w = 0."""
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        w = self.psi_z(z)
-        dw = self._dpsi_z(z)
-        d2w = self._d2psi_z(z)
+        z, w, dw, d2w = self._psi_z_derivatives(z, 2)
         res = z**2 * d2w + z * dw + (self.kappa**2 - self.k_perp**2 * z**2) * w
         scale = (z**2 * np.abs(d2w) + z * np.abs(dw)
                  + (self.kappa**2 + self.k_perp**2 * z**2) * np.abs(w))
@@ -155,13 +153,14 @@ class BoostEigenfunction:
     def eigen_residual(self, z):
         """Relative residual of the three component equations of the
         eigenproblem K_z psi = kappa psi at the sampled z values."""
-        z = np.atleast_1d(np.asarray(z, dtype=float))
+        return self.profile(z)[3]
+
+    def profile(self, z):
+        """(psi_x, psi_y, psi_z, eigen_residual) at the sampled z values,
+        from three quadratures per sample."""
+        z, w, dw, d2w = self._psi_z_derivatives(z, 2)
         kx, ky, kap = self.kx, self.ky, self.kappa
-        w = self.psi_z(z)
-        dw = self._dpsi_z(z)
-        d2w = self._d2psi_z(z)
-        px = self.psi_x(z)
-        py = self.psi_y(z)
+        px, py = self._transverse(z, w, dw)
         kp2 = self.k_perp**2
         # z psi_x = (i/kp2)(ky kap w + kx z w'), so
         # d/dz (z psi_x) = (i/kp2)(ky kap w' + kx (w' + z w'')); same for y.
@@ -171,7 +170,7 @@ class BoostEigenfunction:
         r2 = d_zpx - 1j * kx * z * w - kap * py
         r3 = 1j * kx * z * py - 1j * ky * z * px - kap * w
         scale = np.abs(kap) * (np.abs(px) + np.abs(py) + np.abs(w)) + np.abs(z * w)
-        return (np.abs(r1) + np.abs(r2) + np.abs(r3)) / scale
+        return px, py, w, (np.abs(r1) + np.abs(r2) + np.abs(r3)) / scale
 
 
 def boost_eigenfunction(kappa, kx, ky) -> BoostEigenfunction:
@@ -190,10 +189,17 @@ class FiberSpec:
     k_z: float
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise DomainError("fiber radius must be positive")
-        if self.eps_out <= 0.0 or self.eps_in <= self.eps_out:
-            raise DomainError("guiding needs eps_in > eps_out > 0")
+        if not (math.isfinite(self.radius) and self.radius > 0.0):
+            raise DomainError("fiber radius must be finite and positive",
+                              arg="radius")
+        if not (math.isfinite(self.eps_out) and self.eps_out > 0.0):
+            raise DomainError("eps_out must be finite and positive",
+                              arg="eps_out")
+        if not (math.isfinite(self.eps_in) and self.eps_in > self.eps_out):
+            raise DomainError("guiding needs a finite eps_in > eps_out",
+                              arg="eps_in")
+        if not math.isfinite(self.k_z):
+            raise DomainError("k_z must be finite", arg="k_z")
 
 
 def bound_window(spec: FiberSpec):
@@ -202,11 +208,15 @@ def bound_window(spec: FiberSpec):
     return kz / np.sqrt(spec.eps_in), kz / np.sqrt(spec.eps_out)
 
 
-def _transverse_wavenumbers(spec: FiberSpec, omega: float):
+def _transverse_wavenumbers(spec: FiberSpec, omega):
+    """(k_in, q) at omega, a float or an array of frequencies in the window."""
     lo, hi = bound_window(spec)
-    if not (lo < omega < hi):
+    om = np.asarray(omega, dtype=float)
+    outside = ~((lo < om) & (om < hi))
+    if np.any(outside):
         raise WindowError(
-            f"omega = {omega:.6g} outside bound window ({lo:.6g}, {hi:.6g}): "
+            f"omega = {om[outside].flat[0]:.6g} outside bound window "
+            f"({lo:.6g}, {hi:.6g}): "
             "need eps_in omega^2 > k_z^2 > eps_out omega^2"
         )
     kin = np.sqrt(spec.eps_in * omega**2 - spec.k_z**2)
@@ -214,14 +224,16 @@ def _transverse_wavenumbers(spec: FiberSpec, omega: float):
     return kin, q
 
 
-def fiber_matching_determinant(spec: FiberSpec, omega: float) -> float:
+def fiber_matching_determinant(spec: FiberSpec, omega):
     """Real matching determinant whose sign changes locate guided modes.
 
     Rows: continuity of f_z/sqrt(eps) and of f_phi at rho = a, with the
     amplitude vector (A_in, A_out); the k_perp^(-2) pole factors of f_phi are
     cleared by the positive factor k_in^2 q^2, so the determinant is
-    continuous throughout the open window.
+    continuous throughout the open window.  A float omega gives a float, an
+    array of omega an array.
     """
+    omega = np.asarray(omega, dtype=float)
     kin, q = _transverse_wavenumbers(spec, omega)
     m = spec.m_angular
     a = spec.radius
@@ -230,41 +242,27 @@ def fiber_matching_determinant(spec: FiberSpec, omega: float) -> float:
     mkz = m * spec.k_z / a
     g_in = mkz * jv(m, u) + omega * np.sqrt(spec.eps_in) * kin * jvp(m, u)
     g_out = mkz * kv(m, w) + omega * np.sqrt(spec.eps_out) * q * kvp(m, w)
-    return float(-(jv(m, u) / np.sqrt(spec.eps_in)) * kin**2 * g_out
-                 - (kv(m, w) / np.sqrt(spec.eps_out)) * q**2 * g_in)
+    det = (-(jv(m, u) / np.sqrt(spec.eps_in)) * kin**2 * g_out
+           - (kv(m, w) / np.sqrt(spec.eps_out)) * q**2 * g_in)
+    return float(det) if det.ndim == 0 else det
 
 
-def _bisect(f, lo, hi, flo, fhi, rtol=1e-10, maxit=200):
-    for _ in range(maxit):
-        mid = 0.5 * (lo + hi)
-        fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if flo * fmid < 0.0:
-            hi, fhi = mid, fmid
-        else:
-            lo, flo = mid, fmid
-        if hi - lo <= rtol * abs(mid):
-            break
-    return 0.5 * (lo + hi)
+def _omega_at(spec: FiberSpec, w):
+    """The frequency whose exterior decay constant is q = w / a."""
+    return np.sqrt(spec.k_z**2 - (w / spec.radius) ** 2) / np.sqrt(spec.eps_out)
 
 
 @dataclass
 class FiberMode:
-    """One guided mode: frequency, amplitude ratio, radial profile samples."""
+    """One guided mode: frequency and exterior/interior amplitude ratio."""
 
     omega: float
     amp_ratio: complex          # A_out / A_in
-    rho: np.ndarray             # radial sample points
-    f_rho: np.ndarray
-    f_phi: np.ndarray
-    f_z: np.ndarray
     spec: FiberSpec
 
     def matched_component_jump(self):
         """Relative jump of (f_z/sqrt(eps), f_phi) across rho = a."""
         s = self.spec
-        kin, q = _transverse_wavenumbers(s, self.omega)
         inner = _radial_components(s, self.omega, np.array([s.radius]),
                                    inside=True)
         outer = _radial_components(s, self.omega, np.array([s.radius]),
@@ -321,53 +319,38 @@ def _radial_components(spec: FiberSpec, omega, rho, inside):
     return f_rho, f_phi, f_z.astype(complex)
 
 
-def fiber_modes(spec: FiberSpec, omega_window=None, max_modes=8,
-                scan_points=2000, rtol=1e-12):
+def fiber_modes(spec: FiberSpec, max_modes=8, scan_points=2000):
     """Guided modes found by bracketing sign changes of the determinant.
 
-    Returns a list of FiberMode sorted by frequency; empty when the window
-    is empty (k_z = 0) or holds no sign change.
+    Each bracket is refined in w = q a, not in omega: near cutoff
+    dq/domega ~ 1/q, so a root good to roundoff in omega is not one in the
+    exterior decay.  Returns a list of FiberMode sorted by frequency; empty
+    when the window is empty (k_z = 0) or holds no sign change.
     """
     if spec.k_z == 0.0:
         return []
     lo, hi = bound_window(spec)
-    if omega_window is not None:
-        lo = max(lo, omega_window[0])
-        hi = min(hi, omega_window[1])
-    if hi <= lo:
-        return []
     margin = 1e-6 * (hi - lo)
     grid = np.linspace(lo + margin, hi - margin, scan_points)
-    vals = np.array([fiber_matching_determinant(spec, om) for om in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            roots.append(grid[i])
-        elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(_bisect(lambda om: fiber_matching_determinant(spec, om),
-                                 grid[i], grid[i + 1], vals[i], vals[i + 1],
-                                 rtol=rtol))
-        if len(roots) >= max_modes:
-            break
+    vals = fiber_matching_determinant(spec, grid)
+    _, q = _transverse_wavenumbers(spec, grid)
+    a = spec.radius
+    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
     modes = []
-    for om in roots:
-        kin, q = _transverse_wavenumbers(spec, om)
-        ratio = ((jv(spec.m_angular, kin * spec.radius) / np.sqrt(spec.eps_in))
-                 / (kv(spec.m_angular, q * spec.radius) / np.sqrt(spec.eps_out)))
-        a = spec.radius
-        rho_in = np.linspace(a / 64.0, a, 64)
-        rho_out = np.linspace(a, 4.0 * a, 96)
-        fin = _radial_components(spec, om, rho_in, inside=True)
-        fout = tuple(ratio * c for c in _radial_components(spec, om, rho_out,
-                                                           inside=False))
-        modes.append(FiberMode(
-            omega=float(om), amp_ratio=complex(ratio),
-            rho=np.concatenate([rho_in, rho_out]),
-            f_rho=np.concatenate([fin[0], fout[0]]),
-            f_phi=np.concatenate([fin[1], fout[1]]),
-            f_z=np.concatenate([fin[2], fout[2]]),
-            spec=spec,
-        ))
+    for i in hits[:max_modes]:
+        om = grid[i]
+        if vals[i] != 0.0:
+            # q falls as omega rises; the tiny xtol leaves rtol in charge.
+            w = optimize.brentq(
+                lambda w: fiber_matching_determinant(spec, _omega_at(spec, w)),
+                q[i + 1] * a, q[i] * a, xtol=np.finfo(float).tiny,
+                rtol=4 * np.finfo(float).eps)
+            om = _omega_at(spec, w)
+        kin, q_om = _transverse_wavenumbers(spec, om)
+        ratio = ((jv(spec.m_angular, kin * a) / np.sqrt(spec.eps_in))
+                 / (kv(spec.m_angular, q_om * a) / np.sqrt(spec.eps_out)))
+        modes.append(FiberMode(omega=float(om), amp_ratio=complex(ratio),
+                               spec=spec))
     return modes
 
 
@@ -461,15 +444,14 @@ def fiber_mode_divergence_residual(mode: FiberMode, n_samples=200,
     s = mode.spec
     a = s.radius
     m = s.m_angular
-    kin, q = _transverse_wavenumbers(s, mode.omega)
     out = []
     for inside in (True, False):
         if inside:
             rr = np.linspace(0.05 * a, a * (1 - interface_pad), n_samples)
-            kp, wloc, ratio = kin, mode.omega * np.sqrt(s.eps_in), 1.0
+            ratio = 1.0
         else:
             rr = np.linspace(a * (1 + interface_pad), 4.0 * a, n_samples)
-            kp, wloc, ratio = q, mode.omega * np.sqrt(s.eps_out), mode.amp_ratio
+            ratio = mode.amp_ratio
         f_rho, f_phi, f_z = (ratio * c for c in
                              _radial_components(s, mode.omega, rr, inside))
         h = 1e-6 * a

@@ -212,10 +212,10 @@ def dirac_form_step(spec: GridSpec, phi, t: float):
     knorm = spec.k_norm()
     phihat = to_k(spec, phi)
     akphi = np.einsum("aij,a...,j...->i...", _ALPHA, kvec, phihat)
-    cos = np.cos(knorm * t)
-    sinc = np.where(knorm > 0.0, np.sin(knorm * t) / np.where(knorm == 0, 1, knorm),
-                    float(t))
-    out_hat = cos * phihat - 1j * sinc * akphi
+    # At k = 0, alpha.k phi vanishes, so the value of sin(|k|t)/|k| there
+    # does not matter.
+    sinc = np.sin(knorm * t) * spec.k_inverse()
+    out_hat = np.cos(knorm * t) * phihat - 1j * sinc * akphi
     return to_r(spec, out_hat)
 
 

@@ -29,7 +29,8 @@ def plane_wave_mode(spec: GridSpec, k_index, helicity=+1, amplitude=None):
     amp = np.zeros((2,) + spec.n, dtype=complex)
     idx = tuple(int(i) % m for i, m in zip(k_index, spec.n))
     if idx == (0, 0, 0):
-        raise DomainError("the k = 0 mode carries no helicity state")
+        raise DomainError("the k = 0 mode carries no helicity state",
+                          arg="k_index")
     amp[lam][idx] = 1.0
     spectrum = HelicitySpectrum(spec=spec, amp=amp)
     if amplitude is None:
@@ -42,6 +43,9 @@ def plane_wave_mode(spec: GridSpec, k_index, helicity=+1, amplitude=None):
 def gaussian_packet_spectrum(spec: GridSpec, k_center, sigma_k, helicity=+1,
                              r_center=(0.0, 0.0, 0.0), normalize=True):
     """Gaussian helicity amplitudes around k_center, centered at r_center."""
+    if not (np.isfinite(sigma_k) and sigma_k > 0.0):
+        raise DomainError(f"sigma_k must be finite and > 0, got {sigma_k!r}",
+                          arg="sigma_k")
     kvec = spec.k_grid()
     knorm = spec.k_norm()
     k0 = np.asarray(k_center, dtype=float)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pwfn import eigen
+from pwfn.cli import main
 from pwfn.errors import DomainError, TruncationError, WindowError
 from pwfn.spectral import GridSpec, to_k, to_r
 
@@ -84,6 +85,24 @@ def test_boost_eigen_residuals(kappa):
     assert np.max(b.eigen_residual(z)) < 1e-6
 
 
+def test_cli_boost_run_evaluates_each_moment_once(tmp_path, monkeypatch):
+    # psi_z, psi_x, psi_y and the eigen residual share one evaluation: one
+    # quadrature of each of the moments 0, 1 and 2 per sample.
+    calls = []
+    moment = eigen.macdonald_imag_moment
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return moment(*args, **kwargs)
+
+    monkeypatch.setattr(eigen, "macdonald_imag_moment", counted)
+    cfg = tmp_path / "boost.ini"
+    cfg.write_text("[scenario]\nkind = boost-eigen\n[physics]\nsamples = 12\n")
+    assert main(["boost-eigen", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 3 * 12
+
+
 def test_boost_eigenfunction_norm_grows_with_domain():
     # continuum spectrum: transverse plane waves make the norm scale with
     # the sampled transverse area
@@ -108,6 +127,21 @@ def test_fiber_window_and_errors():
     with pytest.raises(DomainError):
         eigen.FiberSpec(radius=1.0, eps_in=1.0, eps_out=1.0, m_angular=0,
                         k_z=5.0)
+
+
+@pytest.mark.parametrize("m_angular", [0, 1, 3])
+def test_fiber_determinant_on_array_matches_scalar_calls(m_angular):
+    spec = eigen.FiberSpec(m_angular=m_angular, **ACC_FIBER)
+    lo, hi = eigen.bound_window(spec)
+    om = np.linspace(lo + 1e-6, hi - 1e-6, 2000)
+    scalar = [eigen.fiber_matching_determinant(spec, w) for w in om]
+    assert all(type(v) is float for v in scalar)
+    scalar = np.array(scalar)
+    vals = eigen.fiber_matching_determinant(spec, om)
+    assert np.all(np.abs(vals - scalar) <= 1e-12 * np.abs(scalar))
+    assert np.array_equal(np.sign(vals), np.sign(scalar))
+    with pytest.raises(WindowError):
+        eigen.fiber_matching_determinant(spec, np.array([lo + 1e-3, hi]))
 
 
 def test_fiber_window_shrinks_with_contrast():
@@ -152,6 +186,18 @@ def test_fiber_modes_against_independent_scan(m_angular):
         slope = md.exterior_log_slope()
         assert abs(slope + q) < 0.01 * q
         assert eigen.fiber_mode_divergence_residual(md) < 1e-6
+
+
+def test_fiber_mode_near_cutoff_matches_at_the_interface():
+    # Its exterior decay q a is 0.0063; there dq/domega ~ 1/q, so a root
+    # refined in omega alone left a matched-component jump of 5e-8.
+    spec = eigen.FiberSpec(radius=1.0, eps_in=2.25, eps_out=1.0,
+                           m_angular=1, k_z=6.33)
+    modes = eigen.fiber_modes(spec)
+    _, q = eigen._transverse_wavenumbers(spec, modes[-1].omega)
+    assert q * spec.radius < 0.01
+    for md in modes:
+        assert md.matched_component_jump() < 1e-9
 
 
 def test_fiber_empty_spectrum_without_axial_momentum():

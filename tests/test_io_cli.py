@@ -140,7 +140,7 @@ def test_cli_report_idempotent(tmp_path, capsys):
     assert "norm2" in first
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, capsys, rng):
     bad_cfg = tmp_path / "bad.ini"
     bad_cfg.write_text("[scenario]\nkind = nonsense\n")
     assert main(["evolve-free", "--config", str(bad_cfg),
@@ -198,6 +198,11 @@ cfl_safety = 1.0
     hydro = observables.replace("observables", "hydro") + "[physics]\n"
     boost = "[scenario]\nkind = boost-eigen\n[physics]\n"
     fiber = "[scenario]\nkind = fiber-modes\n[physics]\n"
+    # A field file on an 8^3 grid, read by configs whose [grid] is 6^3.
+    file8 = tmp_path / "in8.pwfn"
+    gridio.write_sixfield(file8, random_field(cube(8), rng, kmax=2.0))
+    on_grid6 = "[grid]\nn = 6 6 6\nlength = 6.3 6.3 6.3\n" \
+        f"[initial]\npacket = file:{file8}\n"
     for n, (kind, text, code, *needles) in enumerate([
             ("evolve-medium", medium + "dt = 0.785\nsteps = 400\n", 4,
              "non-finite"),
@@ -230,6 +235,22 @@ cfl_safety = 1.0
             ("hydro", hydro + "surface_index = 99\n", 2, "surface_index"),
             ("boost-eigen", boost + "samples = -1\n", 2, "samples"),
             ("fiber-modes", fiber + "max_modes = 0\n", 2, "max_modes"),
+            ("fiber-modes", fiber + "radius = -1\n", 2, "[physics] radius"),
+            ("fiber-modes", fiber + "radius = nan\n", 2, "[physics] radius"),
+            ("fiber-modes", fiber + "eps_in = 0.5\n", 2, "[physics] eps_in"),
+            ("fiber-modes", fiber + "eps_in = nan\n", 2, "[physics] eps_in"),
+            ("fiber-modes", fiber + "eps_out = 0\n", 2, "[physics] eps_out"),
+            ("fiber-modes", fiber + "k_z = inf\n", 2, "[physics] k_z"),
+            ("evolve-free", FREE_CONFIG.replace("sigma_k = 0.8",
+                                                "sigma_k = 0"), 2,
+             "[initial] sigma_k"),
+            ("evolve-medium", medium.replace("k_index = 3 3 3",
+                                             "k_index = 8 0 0")
+             + "steps = 1\n", 2, "[initial] k_index"),
+            ("wigner", "[scenario]\nkind = wigner\n" + on_grid6, 2,
+             "[initial] packet", "(8, 8, 8)", "(6, 6, 6)"),
+            ("observables", "[scenario]\nkind = observables\n" + on_grid6, 2,
+             "[initial] packet", "(8, 8, 8)", "(6, 6, 6)"),
             # keys and sections the kind does not declare
             ("evolve-medium", medium + "stpes = 3\n", 2, "stpes",
              "did you mean steps"),
