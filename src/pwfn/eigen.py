@@ -52,12 +52,23 @@ __all__ = [
 ]
 
 
-def macdonald_imag_moment(kappa, x, moment=0, rtol=1e-12):
+# Macdonald quadrature: the relative accuracy asked of quad, and the error
+# estimate, relative to K_moment(x), up to which a result quad flags is kept.
+_QUAD_RTOL = 1e-12
+_QUAD_FLAG_RTOL = 1e-10
+_DECAY_LENGTHS = 6.0    # exterior decay lengths fiber_mode_field needs
+_DIV_SAMPLES = 200      # radii per region of fiber_mode_divergence_residual
+_INTERFACE_PAD = 0.05   # their distance from the interface, in radii
+
+
+def macdonald_imag_moment(kappa, x, moment=0):
     """integral_0^inf exp(-x cosh t) cosh(t)^moment cos(kappa t) dt.
 
     moment = 0 gives K_{i kappa}(x); moments 1, 2 give derivatives of the
     integrand used for d/dx terms.  Truncated where x cosh T < exp(-37)
-    leaves no contribution; adaptive quadrature to relative accuracy rtol.
+    leaves no contribution; adaptive quadrature to relative accuracy
+    _QUAD_RTOL.  A result quad flags raises TruncationError unless its error
+    estimate is within _QUAD_FLAG_RTOL * K_moment(x).
     """
     x = float(x)
     kappa = float(kappa)
@@ -73,18 +84,24 @@ def macdonald_imag_moment(kappa, x, moment=0, rtol=1e-12):
     # integrand scale, so give quad a matching absolute floor.
     limit = int(max(60, 12 * abs(kappa) * tmax + 60))
     epsabs = 1e-15 * np.exp(-x) * max(1.0, 45.0 / x) ** moment
-    val, _ = integrate.quad(integrand, 0.0, tmax, epsabs=epsabs, epsrel=rtol,
-                            limit=limit)
+    # full_output returns quad's complaint (if any) instead of warning
+    val, err, _, *message = integrate.quad(
+        integrand, 0.0, tmax, epsabs=epsabs, epsrel=_QUAD_RTOL, limit=limit,
+        full_output=1)
+    if message and err > _QUAD_FLAG_RTOL * kv(moment, x):
+        raise TruncationError(
+            f"Macdonald quadrature failed for kappa = {kappa:g}, x = {x:g}, "
+            f"moment {moment}: error estimate {err:.3e}; {message[0]}")
     return val
 
 
-def macdonald_imag(kappa, x, rtol=1e-12):
+def macdonald_imag(kappa, x):
     """Macdonald function of imaginary index, K_{i kappa}(x), for x > 0.
 
     Even in kappa by construction.  Relative accuracy about 1e-10 for
     x >= 0.01.
     """
-    return macdonald_imag_moment(kappa, x, moment=0, rtol=rtol)
+    return macdonald_imag_moment(kappa, x, moment=0)
 
 
 @dataclass
@@ -274,19 +291,18 @@ class FiberMode:
         scale = max(abs(w1_in), abs(w1_out), abs(w2_in), abs(w2_out))
         return max(abs(w1_in - w1_out), abs(w2_in - w2_out)) / scale
 
-    def exterior_log_slope(self, rho_lo=None, rho_hi=None):
+    def exterior_log_slope(self):
         """Fitted decay rate of the scaled tail sqrt(rho) |f_z|.
 
         The sqrt(rho) factor removes the known algebraic prefactor of the
         evanescent Bessel tail, so the fit converges to -|k_perp_out|.  The
-        default window is chosen in units of the decay length so that the
-        next asymptotic correction stays below one percent.
+        window is chosen in units of the decay length so that the next
+        asymptotic correction stays below one percent.
         """
         s = self.spec
         _, q = _transverse_wavenumbers(s, self.omega)
-        rho_lo = max(1.5 * s.radius, 6.0 / q) if rho_lo is None else rho_lo
-        rho_hi = rho_lo + 4.0 / q if rho_hi is None else rho_hi
-        rr = np.linspace(rho_lo, rho_hi, 64)
+        rho_lo = max(1.5 * s.radius, 6.0 / q)
+        rr = np.linspace(rho_lo, rho_lo + 4.0 / q, 64)
         fz = np.abs(_radial_components(s, self.omega, rr, inside=False)[2])
         slope = np.polyfit(rr, np.log(np.sqrt(rr) * fz), 1)[0]
         return float(slope)
@@ -378,21 +394,21 @@ def _mode_plus_minus(spec: FiberSpec, omega, amp_ratio, rho, inside):
     return plus, minus, fz
 
 
-def fiber_mode_field(mode: FiberMode, grid: GridSpec, decay_lengths=6.0) -> SixField:
+def fiber_mode_field(mode: FiberMode, grid: GridSpec) -> SixField:
     """Sample a guided mode onto a 3-D grid as an upper-block field.
 
     The fiber axis runs along z through the box center.  The transverse box
-    must leave at least ``decay_lengths`` exterior decay lengths between the
+    must leave at least _DECAY_LENGTHS exterior decay lengths between the
     fiber surface and the nearest box face, and k_z must be commensurate
     with the z period.
     """
     spec = mode.spec
     kin, q = _transverse_wavenumbers(spec, mode.omega)
     half = 0.5 * min(grid.length[0], grid.length[1])
-    if half - spec.radius < decay_lengths / q:
+    if half - spec.radius < _DECAY_LENGTHS / q:
         raise TruncationError(
             f"transverse half-box {half:.3g} leaves fewer than "
-            f"{decay_lengths} decay lengths (1/q = {1.0 / q:.3g}) outside "
+            f"{_DECAY_LENGTHS} decay lengths (1/q = {1.0 / q:.3g}) outside "
             f"radius {spec.radius:.3g}"
         )
     kz_lattice = 2.0 * np.pi / grid.length[2]
@@ -432,14 +448,13 @@ def fiber_mode_field(mode: FiberMode, grid: GridSpec, decay_lengths=6.0) -> SixF
     return SixField(spec=grid, data=data)
 
 
-def fiber_mode_divergence_residual(mode: FiberMode, n_samples=200,
-                                   interface_pad=0.05):
+def fiber_mode_divergence_residual(mode: FiberMode):
     """Relative residual of div psi = 0 evaluated semi-analytically.
 
     In cylindrical coordinates div psi = (1/rho) d(rho f_rho)/drho
     + i M f_phi / rho + i k_z f_z per azimuthal/axial factor; radial
     derivatives come from Bessel recurrences.  Evaluated at radii away from
-    the interface by interface_pad * radius.
+    the interface by _INTERFACE_PAD * radius.
     """
     s = mode.spec
     a = s.radius
@@ -447,10 +462,10 @@ def fiber_mode_divergence_residual(mode: FiberMode, n_samples=200,
     out = []
     for inside in (True, False):
         if inside:
-            rr = np.linspace(0.05 * a, a * (1 - interface_pad), n_samples)
+            rr = np.linspace(0.05 * a, a * (1 - _INTERFACE_PAD), _DIV_SAMPLES)
             ratio = 1.0
         else:
-            rr = np.linspace(a * (1 + interface_pad), 4.0 * a, n_samples)
+            rr = np.linspace(a * (1 + _INTERFACE_PAD), 4.0 * a, _DIV_SAMPLES)
             ratio = mode.amp_ratio
         f_rho, f_phi, f_z = (ratio * c for c in
                              _radial_components(s, mode.omega, rr, inside))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, StabilityError
-from .fieldcore import RSPair
+from .fieldcore import RSPair, cross, rodrigues
 from .spectral import (GridSpec, SixField, curl, div, grad, to_k, to_r,
                        triad_arrays)
 
@@ -133,27 +133,18 @@ def rk4(rhs, y, dt, steps):
 def _kinetic(spec: GridSpec, t: float):
     """Exact free propagation of field data by time t, as a function.
 
-    Per mode the upper block is resolved on the (e, e*, n) frame with phases
-    exp(-i|k|t), exp(+i|k|t), 1 and the lower block with the opposite
-    transverse phases, which is the exact action of the free generator.
-    The phases are built once, here, for every application.
+    Per mode the free generator rotates the upper block by the angle |k| t
+    about n = k/|k| and the lower block by -|k| t (:func:`rodrigues`); the
+    k = 0 mode, where n = 0 and the angle vanishes, stays static.  The
+    angles are built once, here, for every application.
     """
-    e, nhat, knorm = triad_arrays(spec)
-    ec = np.conj(e)
-    ph_minus = np.exp(-1j * knorm * float(t))
-    ph_plus = np.conj(ph_minus)
+    _, nhat, knorm = triad_arrays(spec)
+    cos_a, sin_a = np.cos(knorm * float(t)), np.sin(knorm * float(t))
 
     def apply(data):
         hat = to_k(spec, data)
-        for bhat, ph_e, ph_ec in ((hat[0], ph_minus, ph_plus),
-                                  (hat[1], ph_plus, ph_minus)):
-            ce = np.sum(ec * bhat, axis=0)
-            cec = np.sum(e * bhat, axis=0)
-            cn = np.sum(nhat * bhat, axis=0)
-            dc = bhat[:, 0, 0, 0].copy()
-            bhat[...] = e * (ph_e * ce) + ec * (ph_ec * cec) + nhat * cn
-            # k = 0 carries no frame; it is static under the free generator.
-            bhat[:, 0, 0, 0] = dc
+        hat[0] = rodrigues(nhat, cos_a, sin_a, hat[0])
+        hat[1] = rodrigues(nhat, cos_a, -sin_a, hat[1])
         return to_r(spec, hat, overwrite=True)
     return apply
 
@@ -176,7 +167,7 @@ def hamiltonian_apply(psi: SixField, medium: MediumMap) -> SixField:
     H F = sqrt(v) rho_3 (s . grad/i)(sqrt(v) F) + (v/2h) rho_2 (s . grad h) F.
     (s . grad/i) X is evaluated as the spectral curl of X.
     """
-    if medium.spec.n != psi.spec.n or medium.spec.length != psi.spec.length:
+    if medium.spec != psi.spec:
         raise ShapeError("medium and field grids differ")
     spec = psi.spec
     sv = medium.sqrt_v
@@ -184,15 +175,9 @@ def hamiltonian_apply(psi: SixField, medium: MediumMap) -> SixField:
     out *= sv
     if not medium.is_uniform_h:
         # rho_2 mixes the blocks: + c x F- above, - c x F+ below.
-        out[0] += _cross(medium.coupling, psi.lower)
-        out[1] -= _cross(medium.coupling, psi.upper)
+        out[0] += cross(medium.coupling, psi.lower)
+        out[1] -= cross(medium.coupling, psi.upper)
     return SixField(spec=spec, data=out)
-
-
-def _cross(c, x):
-    """c x x for vectors along axis 0, by explicit component products."""
-    return np.stack([c[a] * x[b] - c[b] * x[a]
-                     for a, b in ((1, 2), (2, 0), (0, 1))])
 
 
 def step_medium(psi: SixField, medium: MediumMap, cfg: StepperConfig,
@@ -236,8 +221,8 @@ def _step_split(psi, medium, dt, steps):
     def apply_coupling(arr):
         out = cos_t * arr
         out += c * (s2 * np.sum(c * arr, axis=1))[:, None]
-        out[0] -= 1j * _cross(s1c, arr[1])
-        out[1] += 1j * _cross(s1c, arr[0])
+        out[0] -= 1j * cross(s1c, arr[1])
+        out[1] += 1j * cross(s1c, arr[0])
         return out
 
     # Strang order K/2 C K/2 per step; the closing K/2 of one step and the
@@ -263,7 +248,7 @@ def divergence_residual(psi: SixField, medium: MediumMap | None = None) -> float
     spec = psi.spec
     res = div(spec, psi.data)
     if medium is not None:
-        if medium.spec.n != spec.n:
+        if medium.spec != spec:
             raise ShapeError("medium and field grids differ")
         fv = np.sum(psi.data * medium.grad_v, axis=1) / (2.0 * medium.v)
         fh = np.sum(psi.data * medium.grad_h, axis=1) / (2.0 * medium.h)

@@ -16,6 +16,12 @@ same code serves single points and whole grids.
 
 The spin-1 matrices act on Cartesian components and satisfy the conversion
 rule (a . s) b = i a x b for any 3-vectors a, b.
+
+The pointwise vector algebra of the package lives here: :func:`cross` is
+the one cross product, :func:`poynting` the one bilinear Im(F* x F) = D x B
+and :func:`rodrigues` the one rotation exponential, which rotates with a
+real angle, boosts with an imaginary one and propagates each free Fourier
+mode by the angle |k| t.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .errors import DomainError, InconsistencyError
 __all__ = [
     "SPIN_X", "SPIN_Y", "SPIN_Z", "SPIN", "LEVI_CIVITA",
     "RSPair", "SixVector", "FieldInvariants",
-    "rho1", "rho2", "rho3", "spin_dot",
+    "rho1", "rho2", "rho3", "spin_dot", "cross", "poynting", "rodrigues",
     "rs_from_fields", "fields_from_rs", "invariants", "duality_rotate",
     "conjugate", "lorentz_boost", "rotation_matrix", "rotate",
     "classical_energy", "classical_momentum", "classical_angular_momentum",
@@ -57,10 +63,6 @@ class RSPair:
     f_plus: np.ndarray
     f_minus: np.ndarray
 
-    def stack(self):
-        """Return the six-component array of shape (2, 3, ...)."""
-        return np.stack([np.asarray(self.f_plus), np.asarray(self.f_minus)])
-
 
 @dataclass
 class SixVector:
@@ -68,9 +70,6 @@ class SixVector:
 
     upper: np.ndarray
     lower: np.ndarray
-
-    def stack(self):
-        return np.stack([np.asarray(self.upper), np.asarray(self.lower)])
 
 
 @dataclass
@@ -96,18 +95,37 @@ def rho3(calf):
     return np.stack([calf[0], -calf[1]])
 
 
-def spin_dot(a, field):
-    """Apply (a . s) to a 3-vector field; equals i a x field.
+def cross(a, b):
+    """a x b for 3-vectors along axis 0, broadcast over the trailing axes;
+    equals numpy.cross(a, b, axisa=0, axisb=0, axisc=0) bit for bit."""
+    return np.stack([a[1] * b[2] - a[2] * b[1],
+                     a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
 
-    ``a`` may be a constant 3-vector or a field of them; broadcasting follows
-    numpy.cross over the trailing axes (component axis first).
+
+def poynting(f):
+    """The bilinear Im(F* x F) of a complex 3-vector field; equals D x B."""
+    return cross(np.conj(f), f).imag
+
+
+def rodrigues(n, cos_a, sin_a, f):
+    """Rotate 3-vectors f by the angle a about the unit axis n.
+
+    Returns cos a f + sin a (n x f) + (1 - cos a) n (n . f), the exponential
+    exp(-i a (n . s)) f.  n is a unit vector, or 0 where no axis exists;
+    n, cos a and sin a broadcast over the trailing axes of f, and a complex
+    angle (imaginary for a boost) is allowed.
     """
-    a = np.asarray(a)
-    return 1j * np.cross(a, field, axisa=0, axisb=0, axisc=0)
+    w = (1.0 - cos_a) * (n[0] * f[0] + n[1] * f[1] + n[2] * f[2])
+    nxf = cross(n, f)
+    return np.stack([cos_a * f[i] + sin_a * nxf[i] + n[i] * w
+                     for i in range(3)])
 
 
-def _vec_norm(v):
-    return np.sqrt(np.sum(np.abs(np.asarray(v)) ** 2))
+def spin_dot(a, field):
+    """Apply (a . s) to a 3-vector field; equals i a x field.  ``a`` may be a
+    constant 3-vector or a field of them (see :func:`cross`)."""
+    return 1j * cross(np.asarray(a), field)
 
 
 def rs_from_fields(d, b, eps=1.0, mu=1.0):
@@ -141,8 +159,8 @@ def fields_from_rs(pair, eps=1.0, mu=1.0, rtol=1e-12):
     """
     f_plus = np.asarray(pair.f_plus)
     f_minus = np.asarray(pair.f_minus)
-    scale = _vec_norm(f_plus) + _vec_norm(f_minus)
-    defect = _vec_norm(f_minus - np.conj(f_plus))
+    scale = np.linalg.norm(f_plus) + np.linalg.norm(f_minus)
+    defect = np.linalg.norm(f_minus - np.conj(f_plus))
     if defect > rtol * max(scale, 1e-300):
         raise InconsistencyError(
             f"RSPair is not conjugate symmetric: defect {defect:.3e} "
@@ -181,8 +199,9 @@ def lorentz_boost(f, v, sign=+1):
     """Boost one helicity component by velocity v (|v| < 1).
 
     F' = gamma (F -/+ i v x F) - gamma^2/(gamma+1) v (v . F), where the upper
-    sign (sign=+1) applies to F_plus and the lower to F_minus.  Preserves the
-    unconjugated square F.F.
+    sign (sign=+1) applies to F_plus and the lower to F_minus: the
+    :func:`rodrigues` rotation about v/|v| with cos = gamma and
+    sin = -/+ i gamma |v|.  Preserves the unconjugated square F.F.
     """
     v = np.asarray(v, dtype=float)
     v2 = float(np.dot(v, v))
@@ -191,27 +210,17 @@ def lorentz_boost(f, v, sign=+1):
     if sign not in (+1, -1):
         raise DomainError("sign must be +1 or -1")
     gamma = 1.0 / np.sqrt(1.0 - v2)
-    f = np.asarray(f)
-    vxf = np.cross(v, f, axisb=0, axisc=0)
-    vdotf = np.tensordot(v, f, axes=(0, 0))
-    out = gamma * (f - sign * 1j * vxf)
-    out -= (gamma**2 / (gamma + 1.0)) * v.reshape((3,) + (1,) * vdotf.ndim) * vdotf
-    return out
+    speed = np.sqrt(v2)
+    n = v / speed if speed else v
+    return rodrigues(n, gamma, -1j * sign * gamma * speed, np.asarray(f))
 
 
 def rotation_matrix(axis_angle):
-    """Rodrigues rotation matrix for the axis-angle vector."""
+    """Rotation matrix of an axis-angle vector: rodrigues on the identity."""
     w = np.asarray(axis_angle, dtype=float)
     theta = float(np.linalg.norm(w))
-    if theta == 0.0:
-        return np.eye(3)
-    n = w / theta
-    k = np.array([
-        [0.0, -n[2], n[1]],
-        [n[2], 0.0, -n[0]],
-        [-n[1], n[0], 0.0],
-    ])
-    return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
+    n = w / theta if theta else w
+    return rodrigues(n, np.cos(theta), np.sin(theta), np.eye(3))
 
 
 def rotate(psi: SixVector, axis_angle) -> SixVector:
@@ -239,9 +248,8 @@ def classical_energy(f, cell_volume=1.0):
 
 def classical_momentum(f, cell_volume=1.0):
     """Total field momentum  integral Im(F* x F)  (equals integral D x B)."""
-    f = np.asarray(f)
-    cross = np.cross(np.conj(f), f, axisa=0, axisb=0, axisc=0)
-    return np.sum(cross.imag.reshape(3, -1), axis=1) * cell_volume
+    g = poynting(np.asarray(f))
+    return np.sum(g.reshape(3, -1), axis=1) * cell_volume
 
 
 def classical_angular_momentum(f, coords, cell_volume=1.0):
@@ -249,9 +257,7 @@ def classical_angular_momentum(f, coords, cell_volume=1.0):
 
     ``coords`` is an array of shape (3, ...) of position samples matching f.
     """
-    f = np.asarray(f)
-    g = np.cross(np.conj(f), f, axisa=0, axisb=0, axisc=0).imag
-    m = np.cross(coords, g, axisa=0, axisb=0, axisc=0)
+    m = cross(coords, poynting(np.asarray(f)))
     return np.sum(m.reshape(3, -1), axis=1) * cell_volume
 
 

@@ -111,7 +111,7 @@ def _constitutive_matrices(metric: MetricField):
 
 def g_from_f(field: SixField, metric: MetricField) -> SixField:
     """Constitutive partner G of the six-component field F."""
-    if metric.spec.n != field.spec.n:
+    if metric.spec != field.spec:
         raise ShapeError("metric and field grids differ")
     m = metric.constitutive
     f = field.data[:, None]
@@ -123,7 +123,7 @@ def g_from_f(field: SixField, metric: MetricField) -> SixField:
 
 def f_from_g(gfield: SixField, metric: MetricField) -> SixField:
     """Inverse constitutive map, by exact pointwise linear solve."""
-    if metric.spec.n != gfield.spec.n:
+    if metric.spec != gfield.spec:
         raise ShapeError("metric and field grids differ")
     mm = np.moveaxis(metric.constitutive.reshape(2, 3, 3, -1), -1, 1)
     rhs = np.moveaxis(gfield.data.reshape(2, 3, -1), -1, 1)[..., None]

@@ -31,7 +31,7 @@ from scipy.special import gamma as gamma_fn, kv
 from .errors import (DomainError, GaugeSingularityError, NormalizationError,
                      ResourceError, ShapeError)
 from .evolve import free_generator
-from .fieldcore import LEVI_CIVITA, SPIN
+from .fieldcore import LEVI_CIVITA, SPIN, poynting
 from .spectral import (GridSpec, HelicitySpectrum, SixField, _decompose,
                        berry_connection_grid, decompose, synthesize, to_k,
                        to_r, triad_arrays)
@@ -49,6 +49,9 @@ __all__ = [
 
 # Brute-force double sums over point pairs are capped at this lattice size.
 DIRECT_SUM_MAX_POINTS = 4096
+_PROJECTION_RTOL = 1e-8   # non-positive-frequency content 1/H refuses
+_NORMALIZED_RTOL = 1e-8   # |<psi|psi> - 1| observables_coordinate accepts
+_DC_RTOL = 1e-12          # k = 0 energy fraction landau_peierls refuses
 
 
 @dataclass
@@ -95,7 +98,7 @@ _EPS = {(i, j): (k, float(LEVI_CIVITA[i, j, k]))
 
 
 def _check_specs(a, b):
-    if a.spec.n != b.spec.n or a.spec.length != b.spec.length:
+    if a.spec != b.spec:
         raise ShapeError("grid mismatch between operands")
 
 
@@ -190,23 +193,23 @@ def scalar_product_coordinate(a: SixField, b: SixField, method="spectral") -> co
     return complex(total)
 
 
-def inverse_hamiltonian_apply(psi: SixField, projection_rtol=1e-8) -> SixField:
+def inverse_hamiltonian_apply(psi: SixField) -> SixField:
     """Apply 1/H spectrally (division by omega per mode).
 
     Defined on positive-frequency fields only; raises DomainError when the
-    input carries non-positive-frequency content above projection_rtol.
+    input carries non-positive-frequency content above _PROJECTION_RTOL.
     """
     hat = to_k(psi.spec, psi.data)
-    out = _inverse_hamiltonian(psi, hat, _decompose(psi, hat), projection_rtol)
+    out = _inverse_hamiltonian(psi, hat, _decompose(psi, hat))
     return SixField(spec=psi.spec, data=out)
 
 
-def _inverse_hamiltonian(psi, hat, spectrum, projection_rtol=1e-8):
+def _inverse_hamiltonian(psi, hat, spectrum):
     """1/H psi from hat = to_k(psi.data) and spectrum = decompose(psi)."""
     proj = synthesize(spectrum, t=0.0)
     defect = np.sqrt(np.sum(np.abs(proj.data - psi.data) ** 2))
     scale = np.sqrt(np.sum(np.abs(psi.data) ** 2))
-    if scale > 0 and defect > projection_rtol * scale:
+    if scale > 0 and defect > _PROJECTION_RTOL * scale:
         raise DomainError(
             f"1/H needs a positive-frequency field; projection defect "
             f"{defect / scale:.3e}"
@@ -265,7 +268,7 @@ def observables_momentum(spectrum: HelicitySpectrum, pole_cone=1e-6) -> Observab
         moment_of_energy=-(g @ omega))
 
 
-def observables_coordinate(psi: SixField, normalized_rtol=1e-8) -> Observables:
+def observables_coordinate(psi: SixField) -> Observables:
     """Expectation values via 1/H followed by the local generators.
 
     Requires a positive-frequency field normalized to unit photon number;
@@ -277,7 +280,7 @@ def observables_coordinate(psi: SixField, normalized_rtol=1e-8) -> Observables:
     hat = to_k(spec, psi.data)
     spectrum = _decompose(psi, hat)
     n2 = photon_number(spectrum)
-    if abs(n2 - 1.0) > normalized_rtol:
+    if abs(n2 - 1.0) > _NORMALIZED_RTOL:
         raise NormalizationError(
             f"field is not normalized: <psi|psi> = {n2:.12e}", measured_norm=n2
         )
@@ -317,9 +320,7 @@ def energy_density(psi: SixField):
     if e_total <= 0.0:
         raise DomainError("energy density undefined for a zero field")
     rho = np.sum(np.abs(psi.data) ** 2, axis=(0, 1)) / e_total
-    cross_up = np.cross(np.conj(psi.upper), psi.upper, axisa=0, axisb=0, axisc=0).imag
-    cross_lo = np.cross(np.conj(psi.lower), psi.lower, axisa=0, axisb=0, axisc=0).imag
-    j = (cross_up - cross_lo) / e_total
+    j = (poynting(psi.upper) - poynting(psi.lower)) / e_total
     return rho, j
 
 
@@ -341,12 +342,12 @@ def energy_probability(psi: SixField, region) -> float:
     return float(np.sum(rho[mask]) * psi.spec.cell_volume)
 
 
-def landau_peierls(psi: SixField, dc_rtol=1e-12) -> SixField:
+def landau_peierls(psi: SixField) -> SixField:
     """Nonlocal (-Laplacian)^(-1/4) transform: divide modes by sqrt |k|.
 
     The transformed field has a plain L2 norm equal to the physical norm of
     the input.  Raises DomainError if the field carries k = 0 energy above
-    dc_rtol of the total.
+    _DC_RTOL of the total.
     """
     spec = psi.spec
     bhat = to_k(spec, psi.data)
@@ -354,7 +355,7 @@ def landau_peierls(psi: SixField, dc_rtol=1e-12) -> SixField:
     total = float(np.sum(np.abs(bhat) ** 2))
     bhat *= np.sqrt(spec.k_inverse())
     out = to_r(spec, bhat, overwrite=True)
-    if total > 0.0 and dc > dc_rtol * total:
+    if total > 0.0 and dc > _DC_RTOL * total:
         raise DomainError(
             f"field carries k = 0 energy fraction {dc / total:.3e}; the "
             "nonlocal transform is undefined on the DC mode"

@@ -38,7 +38,7 @@ from scipy import fft as sfft
 
 from .errors import DomainError, InconsistencyError, ShapeError
 from .evolve import check_cfl, rk4
-from .fieldcore import LEVI_CIVITA
+from .fieldcore import LEVI_CIVITA, cross, poynting
 from .spectral import GridSpec, curl, div, grad, to_k, to_r
 
 __all__ = [
@@ -49,6 +49,10 @@ __all__ = [
     "hydro_divergence_residuals", "hydro_evolution_residual",
     "quantization_integral",
 ]
+
+_HERM_RTOL = 1e-9    # hermiticity defect wigner_decompose accepts
+_RHO_FLOOR = 1e-8    # hydro variables are read where rho > _RHO_FLOOR max(rho)
+
 
 @dataclass
 class WignerField:
@@ -140,12 +144,12 @@ def wigner_marginal_r(wf: WignerField):
     return np.sum(tr, axis=(0, 1, 2)).real * wf.spec.cell_volume
 
 
-def wigner_decompose(wf: WignerField, herm_rtol=1e-9) -> WignerDecomp:
+def wigner_decompose(wf: WignerField) -> WignerDecomp:
     """Split into the real symmetric tensor and the real vector."""
     defect = wf.hermiticity_defect()
-    if defect > herm_rtol:
+    if defect > _HERM_RTOL:
         raise InconsistencyError(
-            f"Wigner matrix hermiticity defect {defect:.3e} exceeds {herm_rtol:.1e}"
+            f"Wigner matrix hermiticity defect {defect:.3e} exceeds {_HERM_RTOL:.1e}"
         )
     w_sym = 0.5 * (wf.w + np.conj(np.swapaxes(wf.w, 0, 1))).real
     u = np.einsum("ijk,ij...->k...", LEVI_CIVITA, wf.w) * 1j
@@ -170,7 +174,7 @@ def wigner_subsidiary_residual(decomp: WignerDecomp):
     """
     spec = decomp.spec
     kvec = spec.k_grid()    # broadcasts over the trailing k axes
-    lhs1 = np.cross(kvec, decomp.u, axisa=0, axisb=0, axisc=0)
+    lhs1 = cross(kvec, decomp.u)
     # one row i at a time keeps a single row's transform in memory
     rhs1 = np.stack([np.moveaxis(div(spec, _r_last(decomp.w_sym[i])),
                                  (0, 1, 2), (3, 4, 5)) for i in range(3)])
@@ -214,7 +218,7 @@ def wigner_reduced_step(spec: GridSpec, k, w, u, dt, steps, cfl_safety=0.5):
         # y packs (w, u) as (4, nx, ny, nz)
         out = np.empty_like(y)
         out[0] = -div(spec, y[1:])
-        out[1:] = -2.0 * np.cross(k, y[1:], axisb=0, axisc=0) - grad(spec, y[0])
+        out[1:] = -2.0 * cross(k, y[1:]) - grad(spec, y[0])
         return out
 
     y = np.empty((4,) + spec.n)
@@ -241,9 +245,8 @@ def hydro_from_field(spec: GridSpec, f) -> HydroState:
     if f.shape != (3,) + spec.n:
         raise ShapeError("field shape does not match the grid")
     rho = np.sum(np.abs(f) ** 2, axis=0)
-    cross = np.cross(np.conj(f), f, axisa=0, axisb=0, axisc=0).imag
     safe = np.where(rho > 0.0, rho, 1.0)
-    v = cross / safe
+    v = poynting(f) / safe
     t = np.einsum("i...,j...->ij...", np.conj(f), f)
     t = (t + np.swapaxes(t, 0, 1)).real / safe
     grad_f = grad(spec, f)      # [j, i]: d_i f_j
@@ -254,12 +257,12 @@ def hydro_from_field(spec: GridSpec, f) -> HydroState:
     return HydroState(spec=spec, rho=rho, v=v, t=t, u=u)
 
 
-def hydro_identity_residuals(state: HydroState, rho_floor=1e-8):
+def hydro_identity_residuals(state: HydroState):
     """Pointwise violations of t_ii = 2c, v_i t_ik = 0, t.t = 4c^2 - 2v^2.
 
-    Evaluated where rho > rho_floor * max(rho); returns the three maxima.
+    Evaluated where rho > _RHO_FLOOR * max(rho); returns the three maxima.
     """
-    mask = state.rho > rho_floor * np.max(state.rho)
+    mask = state.rho > _RHO_FLOOR * np.max(state.rho)
     tr = np.einsum("ii...->...", state.t)
     r1 = np.max(np.abs(tr - 2.0)[mask])
     vt = np.einsum("i...,ik...->k...", state.v, state.t)
@@ -393,7 +396,7 @@ def hydro_evolution_residual(state_m: HydroState, state_0: HydroState,
     return out
 
 
-def quantization_integral(state: HydroState, surface, rho_floor=1e-8):
+def quantization_integral(state: HydroState, surface):
     """Winding number detected through a lattice surface.
 
     surface = ("plane", axis, index) integrates over the full periodic
@@ -403,21 +406,18 @@ def quantization_integral(state: HydroState, surface, rho_floor=1e-8):
     (lo2, hi2)) restricts to the plaquettes in the given index ranges of the
     two remaining axes (in axis order); since the integrand is curl-like,
     the patch value equals the boundary circulation and counts the vortex
-    lines piercing it.  Returns (phase-wrapped circulation of u minus the
-    stress/velocity correction flux) / (2 pi), near an integer for states
-    built from a genuine field.  Raises DomainError when rho falls below
-    rho_floor * max(rho) on the surface (phase undefined).
+    lines piercing it, oriented by the +axis normal.  Returns (phase-wrapped
+    circulation of u minus the stress/velocity correction flux) / (2 pi),
+    near an integer for states built from a genuine field.  Raises
+    DomainError when rho falls below _RHO_FLOOR * max(rho) on the surface
+    (phase undefined).
     """
     kind, axis, index = surface[:3]
     if kind not in ("plane", "patch"):
         raise DomainError(f"unsupported surface kind {kind!r}")
     spec = state.spec
     ax1, ax2 = [a for a in range(3) if a != axis]
-    take = [slice(None)] * 3
-    take[axis] = index
-    take = tuple(take)
-    u1 = state.u[ax1][take]
-    u2 = state.u[ax2][take]
+    take = tuple(index if a == axis else slice(None) for a in range(3))
     d1 = spec.spacing[ax1]
     d2 = spec.spacing[ax2]
     if kind == "patch":
@@ -433,47 +433,49 @@ def quantization_integral(state: HydroState, surface, rho_floor=1e-8):
         rho_b = state.rho[take][np.ix_(idx1, idx2)]
         if np.min([rho_b[0, :].min(), rho_b[-1, :].min(),
                    rho_b[:, 0].min(), rho_b[:, -1].min()]) \
-                < rho_floor * np.max(state.rho):
+                < _RHO_FLOOR * np.max(state.rho):
             raise DomainError("rho vanishes on the patch boundary; "
                               "phase undefined")
         # boundary line integral of u, trapezoid along each edge,
-        # right-handed about the +axis normal
-        def edge(uu, fixed, along_idx, along):
-            vals = uu[fixed, along_idx] if along == 1 else uu[along_idx, fixed]
-            step = d2 if along == 1 else d1
+        # counterclockwise in the (ax1, ax2) plane
+        u1 = state.u[ax1][take][np.ix_(idx1, idx2)]
+        u2 = state.u[ax2][take][np.ix_(idx1, idx2)]
+
+        def edge(vals, step):
             return float(np.sum(0.5 * (vals[:-1] + vals[1:])) * step)
 
-        total = (edge(u1, idx2[0], idx1, 0)        # bottom, +ax1
-                 + edge(u2, idx1[-1], idx2, 1)     # right, +ax2
-                 - edge(u1, idx2[-1], idx1, 0)     # top, -ax1
-                 - edge(u2, idx1[0], idx2, 1))     # left, -ax2
+        total = (edge(u1[:, 0], d1) + edge(u2[-1], d2)      # +ax1, +ax2
+                 - edge(u1[:, -1], d1) - edge(u2[0], d2))   # -ax1, -ax2
+        # orient by the +axis normal; (axis, ax1, ax2) is odd for axis = 1
+        total *= LEVI_CIVITA[axis, ax1, ax2]
     else:
         psel = (slice(None), slice(None))
         rho_s = state.rho[take]
-        if np.min(rho_s) < rho_floor * np.max(state.rho):
+        if np.min(rho_s) < _RHO_FLOOR * np.max(state.rho):
             raise DomainError("rho vanishes on the surface; phase undefined")
         total = 0.0  # closed 2-cycle: the u circulation has no boundary
 
     # correction flux: (1/8c^3) eps_ijk (v_i dv_j x dv_k + v_i dt_jl x dt_kl
-    #                                     - 2 t_il dt_jl x dv_k) . n
-    g_v = grad(spec, state.v)
-    g_t = grad(spec, state.t)
-    corr = np.zeros((3,) + spec.n)
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                if LEVI_CIVITA[i, j, k] == 0.0:
-                    continue
-                cross_vv = np.cross(g_v[j], g_v[k], axisa=0, axisb=0, axisc=0)
-                term = state.v[i] * cross_vv
-                for l in range(3):
-                    cross_tt = np.cross(g_t[j, l], g_t[k, l],
-                                        axisa=0, axisb=0, axisc=0)
-                    cross_tv = np.cross(g_t[j, l], g_v[k],
-                                        axisa=0, axisb=0, axisc=0)
-                    term = term + state.v[i] * cross_tt \
-                        - 2.0 * state.t[i, l] * cross_tv
-                corr += LEVI_CIVITA[i, j, k] * term
+    #                                     - 2 t_il dt_jl x dv_k) . n,
+    # built for the normal component on the surface slice only
+    on_surface = (Ellipsis,) + take
+    v = state.v[on_surface]
+    t = state.t[on_surface]
+    g_v = grad(spec, state.v)[on_surface]      # [j, d]: d_d v_j
+    g_t = grad(spec, state.t)[on_surface]      # [j, l, d]: d_d t_jl
+    p, q = (axis + 1) % 3, (axis + 2) % 3
+
+    def normal_cross(a, b):
+        # the +axis component of fieldcore.cross(a, b), alone
+        return a[p] * b[q] - a[q] * b[p]
+
+    corr = np.zeros(v.shape[1:])
+    for i, j, k in np.argwhere(LEVI_CIVITA):
+        term = v[i] * normal_cross(g_v[j], g_v[k])
+        for l in range(3):
+            term = term + v[i] * normal_cross(g_t[j, l], g_t[k, l]) \
+                - 2.0 * t[i, l] * normal_cross(g_t[j, l], g_v[k])
+        corr += LEVI_CIVITA[i, j, k] * term
     corr /= 8.0
-    flux = float(np.sum(corr[axis][take][psel]) * d1 * d2)
+    flux = float(np.sum(corr[psel]) * d1 * d2)
     return (total - flux) / (2.0 * np.pi)

@@ -48,8 +48,7 @@ __all__ = [
     "polarization_triad", "triad_arrays", "berry_connection",
     "berry_connection_grid", "decompose", "synthesize",
     "positive_frequency_project", "longitudinal_residual", "translate",
-    "to_k", "to_r", "grad", "div", "curl", "release_tables", "get_workers",
-    "set_workers",
+    "to_k", "to_r", "grad", "div", "curl", "release_tables", "set_workers",
 ]
 
 # Worker count for scipy.fft; settable from the CLI (--threads / PWFN_THREADS).
@@ -59,10 +58,6 @@ _FFT_WORKERS = 1
 def set_workers(n: int) -> None:
     global _FFT_WORKERS
     _FFT_WORKERS = max(1, int(n))
-
-
-def get_workers() -> int:
-    return _FFT_WORKERS
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
+from .fieldcore import cross
 from .metrics import photon_number
 from .spectral import GridSpec, HelicitySpectrum, SixField, synthesize
 
@@ -119,7 +120,7 @@ def standing_wave_classical(spec: GridSpec, k_index=(0, 0, 1),
     coords = spec.coords()
     arg = np.tensordot(k0, coords, axes=(0, 0))
     d = pol[:, None, None, None] * (np.cos(arg) * np.cos(phase))
-    b = np.cross(k0 / kn, pol)[:, None, None, None] * (np.sin(arg) * np.sin(phase))
+    b = cross(k0 / kn, pol)[:, None, None, None] * (np.sin(arg) * np.sin(phase))
     upper = (d + 1j * b) / np.sqrt(2.0)
     return SixField(spec=spec, data=np.stack([upper, np.conj(upper)]))
 

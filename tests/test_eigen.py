@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy import integrate
 
 from pwfn import eigen
 from pwfn.cli import main
@@ -101,6 +104,37 @@ def test_cli_boost_run_evaluates_each_moment_once(tmp_path, monkeypatch):
     assert main(["boost-eigen", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 3 * 12
+
+
+def test_flagged_macdonald_quadrature_is_checked_not_warned(tmp_path,
+                                                           monkeypatch):
+    # At x = k_perp z_min = 0.057, K_{2.5i}(x) is near a zero and quad flags
+    # roundoff; its error estimate (2e-14) is far below 1e-10 * K_0(x), so
+    # the value is kept, unchanged, and no warning reaches stderr.
+    kappa, x = 2.5, np.hypot(0.3, -1.1) * 0.05
+    cfg = tmp_path / "boost.ini"
+    cfg.write_text("[scenario]\nkind = boost-eigen\n[physics]\nkappa = 2.5\n"
+                   "kx = 0.3\nky = -1.1\nz_min = 0.05\nsamples = 4\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = eigen.macdonald_imag_moment(kappa, x)
+        assert main(["boost-eigen", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+    tmax = np.arccosh(45.0 / x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        plain, _ = integrate.quad(
+            lambda t: np.exp(-x * np.cosh(t)) * np.cos(kappa * t), 0.0, tmax,
+            epsabs=1e-15 * np.exp(-x), epsrel=1e-12,
+            limit=int(12 * kappa * tmax + 60))
+    assert value == plain
+    # a flagged result outside the bound is an error the CLI classifies
+    monkeypatch.setattr(eigen, "_QUAD_FLAG_RTOL", 0.0)
+    with pytest.raises(TruncationError,
+                       match="kappa = 2.5, x = 0.057.*moment 0"):
+        eigen.macdonald_imag_moment(kappa, x)
+    assert main(["boost-eigen", "--config", str(cfg),
+                 "--out", str(tmp_path / "bad")]) == 3
 
 
 def test_boost_eigenfunction_norm_grows_with_domain():

@@ -7,7 +7,8 @@ from pwfn.evolve import (MediumMap, StepperConfig, divergence_residual,
                          medium_basis_change, propagate_free, rk4,
                          step_medium)
 from pwfn.fieldcore import RSPair, rs_from_fields, fields_from_rs
-from pwfn.spectral import SixField, synthesize
+from pwfn.spectral import (GridSpec, SixField, synthesize, to_k, to_r,
+                           triad_arrays)
 from pwfn.states import plane_wave_mode
 
 from conftest import cube, random_field, rel_err
@@ -28,6 +29,35 @@ def test_propagate_identity_and_plane_wave_phase():
     assert rel_err(propagate_free(mode, 0.0).data, mode.data) < 1e-14
     out = propagate_free(mode, 0.37)
     assert rel_err(out.data, np.exp(-1j * 2.0 * 0.37) * mode.data) < 1e-14
+
+
+def _propagate_on_triad(psi, t):
+    """Free propagation resolved on the (e, e*, n) frame of each mode."""
+    spec = psi.spec
+    e, nhat, knorm = triad_arrays(spec)
+    ec = np.conj(e)
+    ph = np.exp(-1j * knorm * t)
+    hat = to_k(spec, psi.data)
+    for bhat, ph_e in ((hat[0], ph), (hat[1], np.conj(ph))):
+        ce = np.sum(ec * bhat, axis=0)
+        cec = np.sum(e * bhat, axis=0)
+        cn = np.sum(nhat * bhat, axis=0)
+        dc = bhat[:, 0, 0, 0].copy()
+        bhat[...] = e * (ph_e * ce) + ec * (np.conj(ph_e) * cec) + nhat * cn
+        bhat[:, 0, 0, 0] = dc
+    return to_r(spec, hat)
+
+
+@pytest.mark.parametrize("n", [(16, 16, 16), (12, 8, 10)])
+def test_propagate_free_matches_triad_propagator(rng, n):
+    spec = GridSpec(n=n, length=(6.0, 7.5, 5.0))
+    # generic data: longitudinal, k = 0 and both frequency signs included
+    psi = SixField(spec=spec, data=rng.normal(size=(2, 3) + n)
+                   + 1j * rng.normal(size=(2, 3) + n))
+    for t in (0.3, -2.7, 11.0):
+        ref = _propagate_on_triad(psi, t)
+        out = propagate_free(psi, t).data
+        assert np.linalg.norm(out - ref) <= 1e-15 * np.linalg.norm(ref)
 
 
 def test_propagate_conserves_observables(rng):
@@ -79,6 +109,13 @@ def test_hamiltonian_shape_mismatch():
     psi = SixField.zeros(spec)
     with pytest.raises(ShapeError):
         hamiltonian_apply(psi, MediumMap.uniform(other))
+
+
+def test_divergence_residual_refuses_a_medium_of_another_box():
+    spec = cube(8)
+    stretched = cube(8, length=3.0)
+    with pytest.raises(ShapeError):
+        divergence_residual(SixField.zeros(spec), MediumMap.uniform(stretched))
 
 
 def test_helicity_mixing_only_through_resistance(rng):

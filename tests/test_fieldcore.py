@@ -27,6 +27,57 @@ def test_spin_conversion_rule(rng):
         assert np.max(np.abs(lhs - 1j * np.cross(a, b))) < 1e-14
 
 
+def test_cross_matches_numpy_cross_bit_for_bit(rng):
+    def npcross(a, b):
+        return np.cross(a, b, axisa=0, axisb=0, axisc=0)
+
+    point = rng.normal(size=3)
+    grid = rng.normal(size=(3, 6, 5, 4)) + 1j * rng.normal(size=(3, 6, 5, 4))
+    # a k lattice against a vector over (r, k) axes, as in the Wigner
+    # subsidiary condition
+    kvec = rng.normal(size=(3, 4, 3, 2))
+    u = rng.normal(size=(3, 4, 3, 2, 4, 3, 2))
+    for a, b in ((point, rng.normal(size=3)), (grid, np.conj(grid)),
+                 (point, grid), (kvec, u)):
+        assert np.array_equal(fc.cross(a, b), npcross(a, b))
+
+
+def test_poynting_equals_d_cross_b(rng):
+    d = rng.normal(size=(3, 4, 4, 4))
+    b = rng.normal(size=(3, 4, 4, 4))
+    f = fc.rs_from_fields(d, b).f_plus
+    # F+ = (D + i B)/sqrt(2) gives F* x F = i D x B
+    assert rel_err(fc.poynting(f), np.cross(d, b, axis=0)) < 1e-14
+
+
+def test_rodrigues_rotates_about_the_axis(rng):
+    n = rng.normal(size=3)
+    n /= np.linalg.norm(n)
+    f = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+    a = 0.83
+    out = fc.rodrigues(n, np.cos(a), np.sin(a), f)
+    # the axial part is fixed and the angle adds up
+    assert rel_err(n @ out, n @ f) < 1e-14
+    twice = fc.rodrigues(n, np.cos(a), np.sin(a), out)
+    double = fc.rodrigues(n, np.cos(2 * a), np.sin(2 * a), f)
+    assert rel_err(twice, double) < 1e-14
+    # n = 0 marks "no axis": only a zero angle is meaningful there
+    assert np.array_equal(fc.rodrigues(np.zeros(3), 1.0, 0.0, f), f)
+
+
+def test_rotation_matrix_matches_the_matrix_form(rng):
+    for _ in range(200):
+        w = rng.normal(size=3) * rng.uniform(0.0, 10.0)
+        theta = np.linalg.norm(w)
+        n = w / theta
+        k = np.array([[0.0, -n[2], n[1]],
+                      [n[2], 0.0, -n[0]],
+                      [-n[1], n[0], 0.0]])
+        ref = np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
+        assert np.max(np.abs(fc.rotation_matrix(w) - ref)) < 1e-15
+    assert np.array_equal(fc.rotation_matrix(np.zeros(3)), np.eye(3))
+
+
 def test_rho_matrices_square_to_identity(rng):
     psi = rng.normal(size=(2, 3, 2, 2, 2)) + 1j * rng.normal(size=(2, 3, 2, 2, 2))
     for op in (fc.rho1, fc.rho2, fc.rho3):
@@ -89,6 +140,19 @@ def test_boost_identity_and_composition(rng):
     assert rel_err(back, f) < 1e-12
     with pytest.raises(DomainError):
         fc.lorentz_boost(f, np.array([1.0, 0, 0]))
+
+
+def test_boost_matches_explicit_formula(rng):
+    # F' = gamma (F -/+ i v x F) - gamma^2/(gamma+1) v (v . F)
+    for _ in range(200):
+        v = rng.normal(size=3)
+        v *= rng.uniform(0.0, 0.999) / np.linalg.norm(v)
+        f = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        sign = int(rng.choice([1, -1]))
+        gamma = 1.0 / np.sqrt(1.0 - v @ v)
+        ref = (gamma * (f - sign * 1j * np.cross(v, f, axisb=0, axisc=0))
+               - gamma**2 / (gamma + 1.0) * v[:, None] * (v @ f))
+        assert rel_err(fc.lorentz_boost(f, v, sign), ref) < 1e-14
 
 
 def test_duality_rotation_phases(rng):

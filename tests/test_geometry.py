@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pwfn import geometry as geo
-from pwfn.errors import DomainError, StabilityError
+from pwfn.errors import DomainError, ShapeError, StabilityError
 from pwfn.evolve import MediumMap, StepperConfig, propagate_free, step_medium
 from pwfn.fieldcore import rotation_matrix
 from pwfn.spectral import SixField
@@ -51,6 +51,14 @@ def test_constitutive_round_trip(rng):
     assert np.array_equal(gf.data, ref)
     back = geo.f_from_g(gf, met)
     assert rel_err(back.data, psi.data) < 1e-12
+
+
+@pytest.mark.parametrize("constitutive", [geo.g_from_f, geo.f_from_g])
+def test_constitutive_maps_refuse_a_metric_of_another_box(constitutive):
+    # same point count, different box length
+    metric = geo.minkowski_metric(cube(8, length=3.0))
+    with pytest.raises(ShapeError):
+        constitutive(SixField.zeros(cube(8)), metric)
 
 
 def test_constitutive_matrices_built_once_per_metric(monkeypatch, rng):

@@ -126,6 +126,23 @@ def test_cli_run_and_reproducibility(tmp_path):
     assert spectral._grid_tables.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize("kind", ["evolve-free", "commutators"])
+def test_cli_threads_leave_outputs_unchanged(tmp_path, monkeypatch, kind):
+    # --threads sets a process-wide worker count; restore it afterwards
+    monkeypatch.setattr(spectral, "_FFT_WORKERS", spectral._FFT_WORKERS)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[scenario]\nkind = {kind}\n"
+                   + MINIMAL[kind].replace("8 8 8", "16 12 16"))
+    hashes = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main([kind, "--config", str(cfg), "--out", str(out),
+                     "--threads", threads]) == 0
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        hashes.append({Path(k).name: v for k, v in outputs.items()})
+    assert hashes[0] == hashes[1]
+
+
 def test_cli_report_idempotent(tmp_path, capsys):
     cfg = tmp_path / "free.ini"
     cfg.write_text(FREE_CONFIG)

@@ -1,10 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from pwfn import phasespace as ps
 from pwfn.errors import DomainError, InconsistencyError, StabilityError
 from pwfn.evolve import propagate_free
-from pwfn.spectral import HelicitySpectrum, synthesize, to_k
+from pwfn.fieldcore import LEVI_CIVITA
+from pwfn.spectral import GridSpec, HelicitySpectrum, grad, synthesize, to_k
 from pwfn.states import plane_wave_mode, two_mode_spectrum, vortex_field
 
 from conftest import cube, random_field, rel_err
@@ -270,6 +273,14 @@ def test_gradient_bilinear_closure_and_detector(rng):
     assert max(b1, b2) > 1e-2
 
 
+def _relabel(f, shift):
+    """The vector field f with every axis a renamed (a + shift) % 3, in its
+    components and on the lattice; a cyclic relabelling keeps handedness."""
+    f = np.roll(f, shift, axis=0)
+    return np.moveaxis(f, (1, 2, 3),
+                       tuple(1 + (a + shift) % 3 for a in range(3)))
+
+
 def test_quantization_plane_wave_and_vortex():
     spec = cube(32)
     mode = synthesize(plane_wave_mode(spec, (0, 0, 2)), t=0.0)
@@ -280,24 +291,59 @@ def test_quantization_plane_wave_and_vortex():
 
     core = (0.37, -0.81)
     field = vortex_field(spec, core_xy=core)
-    stv = ps.hydro_from_field(spec, field.upper)
     x = spec.axes()[0]
     i0 = int(np.searchsorted(x, core[0]))
     j0 = int(np.searchsorted(x, core[1]))
     m = 6
-    hit = ps.quantization_integral(
-        stv, ("patch", 2, 7, (i0 - m, i0 + m), (j0 - m, j0 + m)))
-    assert abs(hit - 1.0) < 0.05
-    # nested deformation of the same patch agrees
-    nested = ps.quantization_integral(
-        stv, ("patch", 2, 7, (i0 - m - 3, i0 + m + 2), (j0 - m + 2, j0 + m + 3)))
-    assert abs(nested - hit) < 0.05
-    # a patch avoiding all vortex lines reads zero
-    empty = ps.quantization_integral(
-        stv, ("patch", 2, 7, (i0 + 4, i0 + 12), (j0 + 4, j0 + 12)))
-    assert abs(empty) < 0.05
-    # the full periodic cross-section encloses cancelling vortex pairs
-    assert abs(ps.quantization_integral(stv, ("plane", 2, 7))) < 0.05
+    # the vortex line runs along each axis in turn; every patch is read
+    # with its ranges in axis order and oriented by the +axis normal
+    for shift in range(3):
+        stv = ps.hydro_from_field(spec, _relabel(field.upper, shift))
+        normal = (2 + shift) % 3
+
+        def patch(range_x, range_y):
+            by_axis = {shift: range_x, (1 + shift) % 3: range_y}
+            ranges = tuple(by_axis[a] for a in sorted(by_axis))
+            return ps.quantization_integral(stv, ("patch", normal, 7) + ranges)
+
+        hit = patch((i0 - m, i0 + m), (j0 - m, j0 + m))
+        assert abs(hit - 1.0) < 0.05
+        # nested deformation of the same patch agrees
+        nested = patch((i0 - m - 3, i0 + m + 2), (j0 - m + 2, j0 + m + 3))
+        assert abs(nested - hit) < 0.05
+        # a patch avoiding all vortex lines reads zero
+        empty = patch((i0 + 4, i0 + 12), (j0 + 4, j0 + 12))
+        assert abs(empty) < 0.05
+        # the full periodic cross-section encloses cancelling vortex pairs
+        assert abs(ps.quantization_integral(stv, ("plane", normal, 7))) < 0.05
+
+
+def test_quantization_flux_matches_full_grid_correction():
+    # the correction is built for the normal component on the surface only;
+    # it must equal the full-grid, all-component form bit for bit
+    spec = GridSpec(n=(16, 12, 20), length=(6.0, 5.0, 7.0))
+    st = ps.hydro_from_field(spec, vortex_field(spec, core_xy=(0.3, -0.4)).upper)
+    g_v = grad(spec, st.v)
+    g_t = grad(spec, st.t)
+
+    def npcross(a, b):
+        return np.cross(a, b, axisa=0, axisb=0, axisc=0)
+
+    corr = np.zeros((3,) + spec.n)
+    for i, j, k in itertools.permutations(range(3)):
+        term = st.v[i] * npcross(g_v[j], g_v[k])
+        for l in range(3):
+            term = term + st.v[i] * npcross(g_t[j, l], g_t[k, l]) \
+                - 2.0 * st.t[i, l] * npcross(g_t[j, l], g_v[k])
+        corr += LEVI_CIVITA[i, j, k] * term
+    corr /= 8.0
+    for axis, index in ((0, 3), (1, 5), (2, 9)):
+        take = [slice(None)] * 3
+        take[axis] = index
+        d1, d2 = (spec.spacing[a] for a in range(3) if a != axis)
+        flux = float(np.sum(corr[axis][tuple(take)]) * d1 * d2)
+        assert ps.quantization_integral(st, ("plane", axis, index)) \
+            == -flux / (2.0 * np.pi)
 
 
 def test_quantization_rho_floor_guard():
