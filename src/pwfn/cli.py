@@ -7,8 +7,9 @@ Usage:
 Exit codes: 0 success, 2 configuration error, 3 solver precondition
 violated, 4 numeric instability, 5 I/O or file-format error.  Every run
 writes a JSON manifest (config hash, resolved config values, output hashes,
-versions, wall time) next to its artifacts; identical configs produce
-identical output hashes.
+versions, wall time, and under "run" the counts of the run's forward and
+inverse transforms) next to its artifacts; identical configs produce
+identical output hashes and counts.
 
 Internals use natural units (hbar = c = eps0 = 1); the observables keys
 [output] hbar_si and c_si rescale its reported scalars on the way out.
@@ -88,11 +89,16 @@ def _metric(scenario):
 
 
 def _conserved_rows(snapshots):
-    """Rows of conserved quantities for (step, t, field) snapshots."""
+    """Rows of conserved quantities for (step, t, field) snapshots, and the
+    largest k = 0 energy fraction among them: a varying medium moves energy
+    into that mode, which the helicity amplitudes drop."""
     rows = []
     base = None
+    dc_fraction = 0.0
     for step, t, f in snapshots:
-        sp = spectral.decompose(f)
+        hat = spectral.to_k(f.spec, f.data)
+        dc_fraction = max(dc_fraction, spectral._dc_energy_fraction(hat))
+        sp = spectral._helicity_amplitudes(f, hat)
         n_ph = metrics.photon_number(sp)
         obs = metrics.observables_momentum(sp)
         row = [step, t, n_ph, obs.energy, *obs.momentum]
@@ -101,7 +107,7 @@ def _conserved_rows(snapshots):
         scale = abs(base[1]) + 1e-300  # conserved-quantity drift vs energy
         drift = max(abs(a - b) for a, b in zip(row[2:], base)) / scale
         rows.append(row + [drift])
-    return rows
+    return rows, dc_fraction
 
 
 def _run_evolve(scenario, outdir):
@@ -128,10 +134,10 @@ def _run_evolve(scenario, outdir):
     field_path = outdir / scenario.output["field"]
     gridio.write_sixfield(field_path, final)
     csv_path = outdir / scenario.output["summary"]
+    rows, extra["dc_energy_fraction"] = _conserved_rows(snapshots)
     gridio.write_csv(csv_path,
                      ["step", "t", "photon_number", "energy",
-                      "px", "py", "pz", "max_drift"],
-                     _conserved_rows(snapshots))
+                      "px", "py", "pz", "max_drift"], rows)
     return [field_path, csv_path], extra
 
 
@@ -263,12 +269,14 @@ def run_scenario(config_path, outdir, verbose=False) -> int:
     scenario = cfgmod.load_scenario(config_path)
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
+    spectral.reset_transform_counts()
     try:
         outputs, extra = _RUNNERS[scenario.kind](scenario, outdir)
     finally:
         # Held past the run, the tables would keep the heap freed around
         # them resident until another grid evicted them.
         spectral.release_tables()
+    extra["counters"] = spectral.transform_counts()
     manifest = outdir / "manifest.json"
     gridio.write_manifest(manifest, config_path, outputs, scenario.resolved(),
                           started=started, extra=extra)

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, StabilityError
 from .fieldcore import RSPair, cross, rodrigues
-from .spectral import (GridSpec, SixField, curl, div, grad, to_k, to_r,
-                       triad_arrays)
+from .spectral import (GridSpec, SixField, _curl_k, _fft, div, grad, to_k,
+                       to_r, triad_arrays)
 
 __all__ = [
     "MediumMap", "StepperConfig", "rk4", "check_cfl",
@@ -156,9 +156,15 @@ def propagate_free(psi: SixField, t: float) -> SixField:
 
 def free_generator(psi: SixField) -> SixField:
     """Apply the free Hamiltonian rho_3 (s . grad/i): (curl F+, -curl F-)."""
-    out = curl(psi.spec, psi.data)
+    return SixField(spec=psi.spec,
+                    data=_free_generator_k(psi.spec, _fft(psi.data)))
+
+
+def _free_generator_k(spec: GridSpec, hat):
+    """free_generator data of the field whose raw transform _fft(data) is hat."""
+    out = _curl_k(spec, hat)
     np.negative(out[1], out=out[1])
-    return SixField(spec=psi.spec, data=out)
+    return out
 
 
 def hamiltonian_apply(psi: SixField, medium: MediumMap) -> SixField:

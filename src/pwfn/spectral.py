@@ -49,6 +49,7 @@ __all__ = [
     "berry_connection_grid", "decompose", "synthesize",
     "positive_frequency_project", "longitudinal_residual", "translate",
     "to_k", "to_r", "grad", "div", "curl", "release_tables", "set_workers",
+    "transform_counts", "reset_transform_counts",
 ]
 
 # Worker count for scipy.fft; settable from the CLI (--threads / PWFN_THREADS).
@@ -187,13 +188,34 @@ def _table(spec: GridSpec, name, build):
     return value
 
 
+# Calls of _fft/_ifft and the points they transformed (array sizes, so a
+# six-component block counts six grids) since the last reset.  Every
+# transform of the package goes through these two functions.
+_TRANSFORM_COUNTS = dict.fromkeys(
+    ("fft_calls", "fft_points", "ifft_calls", "ifft_points"), 0)
+
+
+def transform_counts() -> dict:
+    """Copy of the transform counters: calls and points per direction."""
+    return dict(_TRANSFORM_COUNTS)
+
+
+def reset_transform_counts() -> None:
+    for key in _TRANSFORM_COUNTS:
+        _TRANSFORM_COUNTS[key] = 0
+
+
 def _fft(u):
     """Unscaled forward FFT over the last three axes."""
+    _TRANSFORM_COUNTS["fft_calls"] += 1
+    _TRANSFORM_COUNTS["fft_points"] += u.size
     return sfft.fftn(u, axes=(-3, -2, -1), workers=_FFT_WORKERS)
 
 
 def _ifft(uhat):
     """Unscaled inverse FFT over the last three axes; may overwrite uhat."""
+    _TRANSFORM_COUNTS["ifft_calls"] += 1
+    _TRANSFORM_COUNTS["ifft_points"] += uhat.size
     return sfft.ifftn(uhat, axes=(-3, -2, -1), workers=_FFT_WORKERS,
                       overwrite_x=True)
 
@@ -267,7 +289,15 @@ def curl(spec: GridSpec, data):
     vectors drop the unpaired Nyquist mode.  A real input gives a real
     result.
     """
-    hat = _fft(np.asarray(data, dtype=complex))
+    out = _curl_k(spec, _fft(np.asarray(data, dtype=complex)))
+    return out.real.copy() if np.isrealobj(data) else out
+
+
+def _curl_k(spec: GridSpec, hat):
+    """Complex curl of the field whose raw transform _fft(data) is hat.
+
+    hat is left unchanged, so one transform can serve further operators.
+    """
     kvec = spec.k_grid_diff()
     curl_hat = np.empty_like(hat)
     for c, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
@@ -275,8 +305,7 @@ def curl(spec: GridSpec, data):
         np.multiply(kvec[a], hat[..., b, :, :, :], out=out)
         out -= kvec[b] * hat[..., a, :, :, :]
     curl_hat *= 1j
-    out = _ifft(curl_hat)
-    return out.real.copy() if np.isrealobj(data) else out
+    return _ifft(curl_hat)
 
 
 @dataclass
@@ -454,16 +483,12 @@ def berry_connection_grid(spec: GridSpec, pole_cone=1e-6):
     return alpha
 
 
-def _dc_energy_warning(spec, upper_hat, lower_hat):
-    dc = (np.sum(np.abs(upper_hat[:, 0, 0, 0]) ** 2)
-          + np.sum(np.abs(lower_hat[:, 0, 0, 0]) ** 2))
-    total = np.sum(np.abs(upper_hat) ** 2) + np.sum(np.abs(lower_hat) ** 2)
-    if total > 0.0 and dc > 1e-12 * total:
-        warnings.warn(
-            f"field carries k = 0 energy fraction {dc / total:.3e}; "
-            "the DC mode has no helicity content and is dropped",
-            stacklevel=4,
-        )
+def _dc_energy_fraction(hat) -> float:
+    """Share of the energy of hat = to_k(psi.data) that sits at k = 0."""
+    dc = (np.sum(np.abs(hat[0, :, 0, 0, 0]) ** 2)
+          + np.sum(np.abs(hat[1, :, 0, 0, 0]) ** 2))
+    total = np.sum(np.abs(hat[0]) ** 2) + np.sum(np.abs(hat[1]) ** 2)
+    return float(dc / total) if total > 0.0 else 0.0
 
 
 def decompose(psi: SixField) -> HelicitySpectrum:
@@ -479,10 +504,23 @@ def decompose(psi: SixField) -> HelicitySpectrum:
 
 def _decompose(psi: SixField, hat) -> HelicitySpectrum:
     """:func:`decompose` of psi, given its transform hat = to_k(psi.data)."""
+    spectrum = _helicity_amplitudes(psi, hat)
+    fraction = _dc_energy_fraction(hat)
+    if fraction > 1e-12:
+        warnings.warn(
+            f"field carries k = 0 energy fraction {fraction:.3e}; "
+            "the DC mode has no helicity content and is dropped",
+            stacklevel=3,
+        )
+    return spectrum
+
+
+def _helicity_amplitudes(psi: SixField, hat) -> HelicitySpectrum:
+    """:func:`_decompose` without the k = 0 warning, for callers that
+    report :func:`_dc_energy_fraction` themselves."""
     if not psi.is_finite():
         raise DomainError("field contains non-finite values")
     e, _, _ = triad_arrays(psi.spec)
-    _dc_energy_warning(psi.spec, hat[0], hat[1])
     amp = np.empty((2,) + psi.spec.n, dtype=complex)
     np.sum(np.conj(e) * hat[0], axis=0, out=amp[0])
     np.sum(e * hat[1], axis=0, out=amp[1])

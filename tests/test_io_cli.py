@@ -420,3 +420,85 @@ def test_csv_formatting(tmp_path):
     text = path.read_text()
     assert "np.float64" not in text
     assert "2.25" in text and "1.0-2.0j" in text.replace(" ", "")
+
+
+def _run(tmp_path, kind, text, name="run"):
+    """Run a config through the CLI; returns the manifest's run record."""
+    cfg = tmp_path / f"{name}.ini"
+    cfg.write_text(f"[scenario]\nkind = {kind}\n" + text)
+    out = tmp_path / name
+    assert main([kind, "--config", str(cfg), "--out", str(out)]) == 0
+    return json.loads((out / "manifest.json").read_text())["run"]
+
+
+def test_manifest_counts_transforms(tmp_path, rng):
+    spec = cube(8)
+    field = tmp_path / "in.pwfn"
+    gridio.write_sixfield(field, random_field(spec, rng, kmax=2.0))
+    counters = _run(tmp_path, "commutators",
+                    GRID8 + f"[initial]\npacket = file:{field}\n")["counters"]
+    # Reading the file transforms nothing: these are the sweep's own.
+    block = 6 * spec.npoints
+    assert counters == {"fft_calls": 41, "fft_points": 41 * block,
+                        "ifft_calls": 73, "ifft_points": 73 * block}
+    # An RK4 step evaluates the right-hand side four times, and each
+    # evaluation is one forward and one inverse block transform.
+    medium = MINIMAL["evolve-medium"] + "[physics]\ndt = 0.01\nsteps = {}\n"
+    short, long = (_run(tmp_path, "evolve-medium", medium.format(steps),
+                        f"steps{steps}")["counters"] for steps in (2, 5))
+    rhs = 4 * (5 - 2)
+    assert {key: long[key] - short[key] for key in long} == {
+        "fft_calls": rhs, "fft_points": rhs * block,
+        "ifft_calls": rhs, "ifft_points": rhs * block}
+
+
+def test_medium_run_records_dc_energy_without_warning(tmp_path, capsys):
+    text = GRID8.replace("8 8 8", "16 16 16") + """
+[initial]
+packet = gaussian
+k_center = 2 1 0
+sigma_k = 0.8
+[physics]
+dt = 0.01
+steps = 20
+eps_profile = cosine:2.0,0.3
+mu_profile = cosine:1.0,0.2
+"""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run = _run(tmp_path, "evolve-medium", text)
+    assert capsys.readouterr().err == ""
+    # the medium moved this share of the energy into k = 0
+    assert 1e-6 < run["dc_energy_fraction"] < 1.1e-6
+    final = gridio.read_sixfield(tmp_path / "run" / "final_field.pwfn")
+    with pytest.warns(UserWarning, match="k = 0 energy fraction 1.026e-06"):
+        spectral.decompose(final)
+
+
+def test_cli_report_survives_header_bit_flips_and_truncation(tmp_path, rng):
+    spec = spectral.GridSpec(n=(4, 4, 4), length=(1.0, 2.0, 3.0))
+    psi = spectral.SixField(spec=spec, data=rng.normal(size=(2, 3, 4, 4, 4))
+                            + 1j * rng.normal(size=(2, 3, 4, 4, 4)))
+    path = tmp_path / "field.pwfn"
+    gridio.write_sixfield(path, psi)
+    back = gridio.read_sixfield(path)
+    assert back.spec == spec and np.array_equal(back.data, psi.data)
+    raw = path.read_bytes()
+    header = gridio._HEADER.size
+    assert header == 44
+    variants = []
+    for bit in range(8 * header):
+        flipped = bytearray(raw)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        variants.append(bytes(flipped))
+    variants += [raw[:size] for size in range(54)]
+    bad = tmp_path / "bad.pwfn"
+    codes = []
+    for data in variants:
+        bad.write_bytes(data)
+        codes.append(main(["report", str(bad)]))
+    # Only a flip of a box length can leave a valid header: 187 of its 192
+    # bits do.  The three sign bits make a length negative, and the top
+    # exponent bit turns 1.0 into inf and 2.0 into 0.  Every other flip and
+    # every truncation is a format error.
+    assert (codes.count(0), codes.count(5)) == (187, 219)

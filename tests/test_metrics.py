@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import fft as sfft
 
-from pwfn import metrics as mt
+from pwfn import metrics as mt, spectral
 from pwfn.errors import (DomainError, GaugeSingularityError,
                          NormalizationError, ResourceError)
 from pwfn.evolve import propagate_free
@@ -413,23 +415,86 @@ def test_commutator_sweep_matches_single_pairs():
         assert abs(r - single) <= 1e-15 * max(abs(single), 1e-300), (a, b)
 
 
-def test_rotation_generator_transforms_two_gradient_components(monkeypatch):
+def _transforms(fn, *args):
+    """fn(*args) and the spectral transform counters it added."""
+    spectral.reset_transform_counts()
+    out = fn(*args)
+    return out, spectral.transform_counts()
+
+
+def test_rotation_generator_transforms_two_gradient_components():
     spec = cube(8)
     psi = synthesize(plane_wave_mode(spec, (1, 0, 2)), t=0.0)
-    counts = {"to_k": 0, "to_r": 0}
-
-    def counting(name, fn):
-        def wrapper(spec_, arr, *args, **kwargs):
-            counts[name] += int(np.prod(arr.shape[:-3]))
-            return fn(spec_, arr, *args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(mt, "to_k", counting("to_k", mt.to_k))
-    monkeypatch.setattr(mt, "to_r", counting("to_r", mt.to_r))
     for tag in (G.J_X, G.J_Y, G.J_Z):
-        counts.update(to_k=0, to_r=0)
-        mt.generator_apply(tag, psi)
-        assert counts == {"to_k": 6, "to_r": 12}, tag
+        _, counts = _transforms(mt.generator_apply, tag, psi)
+        # scalar transforms: one block of six forward, two back
+        assert (counts["fft_points"] // spec.npoints,
+                counts["ifft_points"] // spec.npoints) == (6, 12), tag
+
+
+def _pairwise_sweep(psi):
+    """The 45 residuals with every second-level image applied by its own
+    generator_apply call."""
+    tags = list(G)
+    images = {tag: mt.generator_apply(tag, psi) for tag in tags}
+    out = []
+    for i, tag_a in enumerate(tags):
+        for tag_b in tags[i + 1:]:
+            resid = mt.generator_apply(tag_a, images[tag_b]).data
+            resid -= mt.generator_apply(tag_b, images[tag_a]).data
+            term = mt._commutator_term(tag_a, tag_b)
+            if term is not None:
+                resid -= images[term[0]].data * term[1]
+            out.append((tag_a, tag_b,
+                        mt._relative_norm(resid, psi.spec, psi.norm())))
+    return out
+
+
+def _balanced_packet(n):
+    spec = cube(n, length=4 * np.pi)
+    k0, sig = balanced_packet_params(spec)
+    return gaussian_packet(spec, k0, sig)
+
+
+def test_commutator_sweep_equals_pairwise_sweep():
+    psi = _balanced_packet(16)
+    assert mt.commutator_residuals(psi) == _pairwise_sweep(psi)
+    # The shared transform keeps the arithmetic of to_k and of curl.
+    spec = psi.spec
+    hat = spectral.to_k(spec, psi.data)
+    for ax, tag in enumerate((G.P_X, G.P_Y, G.P_Z)):
+        assert np.array_equal(mt.generator_apply(tag, psi).data,
+                              mt._derivative(spec, hat, ax)), tag
+    h = spectral.curl(spec, psi.data)
+    h[1] *= -1
+    assert np.array_equal(mt.generator_apply(G.H, psi).data, h)
+
+
+def test_commutator_sweep_transforms_each_image_once():
+    psi = _balanced_packet(8)
+    _, counts = _transforms(mt.commutator_residuals, psi)
+    # 100 forward and 130 inverse when each generator transforms its input
+    assert counts["fft_calls"] + counts["ifft_calls"] <= 114, counts
+    # One transform of psi serves the H, P and J images and the predicted
+    # side; each second-level image adds one, and each K image transforms
+    # x psi itself.
+    for (a, b), forward in {(G.H, G.J_X): 3, (G.P_X, G.J_Y): 3,
+                            (G.J_X, G.J_Y): 3, (G.K_X, G.P_X): 4}.items():
+        _, counts = _transforms(mt.commutator_residual, a, b, psi)
+        assert counts["fft_calls"] == forward, (a, b)
+
+
+def test_commutator_sweep_memory_bound():
+    psi = _balanced_packet(16)
+    mt.commutator_residuals(psi)   # builds the grid tables
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        mt.commutator_residuals(psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 40 * psi.data.nbytes, (peak - base) / psi.data.nbytes
 
 
 def test_commutator_j_and_k_pairs_balanced_packet():
