@@ -9,7 +9,7 @@ violated, 4 numeric instability, 5 I/O or file-format error.  Every run
 writes a JSON manifest (config hash, resolved config values, output hashes,
 versions, wall time, and under "run" the counts of the run's forward and
 inverse transforms) next to its artifacts; identical configs produce
-identical output hashes and counts.
+identical output hashes and counts.  A failed run writes no artifact.
 
 Internals use natural units (hbar = c = eps0 = 1); the observables keys
 [output] hbar_si and c_si rescale its reported scalars on the way out.
@@ -31,7 +31,8 @@ from . import config as cfgmod
 from . import (eigen, evolve, geometry, gridio, metrics, phasespace, spectral,
                states)
 from .config import checked, parse_list
-from .errors import ConfigError, FormatError, PwfnError, StabilityError
+from .errors import (ConfigError, DomainError, FormatError, PwfnError,
+                     ResourceError, StabilityError)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -110,7 +111,7 @@ def _conserved_rows(snapshots):
     return rows, dc_fraction
 
 
-def _run_evolve(scenario, outdir):
+def _run_evolve(scenario):
     phys = scenario.physics
     if scenario.kind == "evolve-free":
         # Exact propagation by any finite time, backward included; no dt.
@@ -131,17 +132,12 @@ def _run_evolve(scenario, outdir):
             final = evolve.step_medium(f0, _medium(scenario), cfg, steps)
         snapshots = [(0, 0.0, f0), (steps, steps * cfg.dt, final)]
         extra = {"steps": steps, "dt": cfg.dt}
-    field_path = outdir / scenario.output["field"]
-    gridio.write_sixfield(field_path, final)
-    csv_path = outdir / scenario.output["summary"]
     rows, extra["dc_energy_fraction"] = _conserved_rows(snapshots)
-    gridio.write_csv(csv_path,
-                     ["step", "t", "photon_number", "energy",
-                      "px", "py", "pz", "max_drift"], rows)
-    return [field_path, csv_path], extra
+    return (["step", "t", "photon_number", "energy", "px", "py", "pz",
+             "max_drift"], rows, final.data, extra)
 
 
-def _run_fiber(scenario, outdir):
+def _run_fiber(scenario):
     phys = dict(scenario.physics)
     max_modes = phys.pop("max_modes")
     spec = checked("physics", eigen.FiberSpec, **phys)
@@ -151,33 +147,25 @@ def _run_fiber(scenario, outdir):
         _, q = eigen._transverse_wavenumbers(spec, md.omega)
         rows.append([spec.m_angular, spec.k_z, md.omega, 1.0 / q,
                      md.matched_component_jump()])
-    csv_path = outdir / scenario.output["summary"]
-    gridio.write_csv(csv_path,
-                     ["m_angular", "k_z", "omega", "decay_length",
-                      "matched_jump"], rows)
-    outputs = [csv_path]
+    field = None
     if scenario.grid is not None and modes:
-        field = eigen.fiber_mode_field(modes[0], scenario.grid)
-        field_path = outdir / scenario.output["field"]
-        gridio.write_sixfield(field_path, field)
-        outputs.append(field_path)
-    return outputs, {"modes_found": len(modes)}
+        field = eigen.fiber_mode_field(modes[0], scenario.grid).data
+    return (["m_angular", "k_z", "omega", "decay_length", "matched_jump"],
+            rows, field, {"modes_found": len(modes)})
 
 
-def _run_boost(scenario, outdir):
+def _run_boost(scenario):
     phys = scenario.physics
-    b = eigen.boost_eigenfunction(phys["kappa"], phys["kx"], phys["ky"])
+    b = checked("physics", eigen.boost_eigenfunction, phys["kappa"],
+                phys["kx"], phys["ky"], keys={"k_perp": "kx/ky"})
     z = np.linspace(phys["z_min"], phys["z_max"], phys["samples"])
     psi_x, psi_y, psi_z, residual = b.profile(z)
     rows = list(zip(z, psi_z, np.abs(psi_x), np.abs(psi_y), residual))
-    csv_path = outdir / scenario.output["summary"]
-    gridio.write_csv(csv_path, ["z", "psi_z", "abs_psi_x", "abs_psi_y",
-                                "eigen_residual"], rows)
-    return [csv_path], {"kappa": b.kappa, "k_perp": b.k_perp}
+    return (["z", "psi_z", "abs_psi_x", "abs_psi_y", "eigen_residual"], rows,
+            None, {"kappa": b.kappa, "k_perp": b.k_perp})
 
 
-def _run_wigner(scenario, outdir):
-    from .errors import ResourceError
+def _run_wigner(scenario):
     if scenario.grid.npoints > 512:
         raise ResourceError(
             "the full (r, k) distribution needs npoints^2 storage; "
@@ -189,35 +177,24 @@ def _run_wigner(scenario, outdir):
     r1, r2 = phasespace.wigner_subsidiary_residual(dec)
     w_trace = np.einsum("ii...->...", dec.w_sym)
     mid = tuple(m // 2 for m in scenario.grid.n)
-    slice_path = outdir / scenario.output["field"]
-    gridio.write_grid_field(slice_path, scenario.grid,
-                            w_trace[..., mid[0], mid[1], mid[2]][None].astype(complex))
-    csv_path = outdir / scenario.output["summary"]
-    gridio.write_csv(csv_path, ["hermiticity_defect", "subsidiary_r1",
-                                "subsidiary_r2"],
-                     [[wf.hermiticity_defect(), r1, r2]])
-    return [slice_path, csv_path], {}
+    return (["hermiticity_defect", "subsidiary_r1", "subsidiary_r2"],
+            [[wf.hermiticity_defect(), r1, r2]],
+            w_trace[..., mid[0], mid[1], mid[2]], {})
 
 
-def _run_hydro(scenario, outdir):
+def _run_hydro(scenario):
     f0 = _initial_field(scenario)
     st = phasespace.hydro_from_field(scenario.grid, f0.upper)
     i1, i2, i3 = phasespace.hydro_identity_residuals(st)
     surface = ("plane", scenario.physics["surface_axis"],
                scenario.physics["surface_index"])
     winding = phasespace.quantization_integral(st, surface)
-    csv_path = outdir / scenario.output["summary"]
-    gridio.write_csv(csv_path,
-                     ["trace_identity", "orthogonality_identity",
-                      "contraction_identity", "plane_winding"],
-                     [[i1, i2, i3, winding]])
-    field_path = outdir / scenario.output["field"]
-    gridio.write_grid_field(field_path, scenario.grid,
-                            st.rho[None].astype(complex))
-    return [csv_path, field_path], {}
+    return (["trace_identity", "orthogonality_identity",
+             "contraction_identity", "plane_winding"],
+            [[i1, i2, i3, winding]], st.rho, {})
 
 
-def _run_observables(scenario, outdir):
+def _run_observables(scenario):
     f0 = _initial_field(scenario)
     sp = spectral.decompose(f0)
     n_ph = metrics.photon_number(sp)
@@ -235,20 +212,16 @@ def _run_observables(scenario, outdir):
         rows.append([f"j_{ax}", om.angular_momentum[i] * hbar,
                      oc.angular_momentum[i] * hbar])
         rows.append([f"n_{ax}", om.moment_of_energy[i], oc.moment_of_energy[i]])
-    csv_path = outdir / scenario.output["summary"]
-    gridio.write_csv(csv_path, ["quantity", "momentum_rep", "coordinate_rep"],
-                     rows)
-    return [csv_path], {"photon_number": n_ph}
+    return (["quantity", "momentum_rep", "coordinate_rep"], rows, None,
+            {"photon_number": n_ph})
 
 
-def _run_commutators(scenario, outdir):
+def _run_commutators(scenario):
     f0 = _initial_field(scenario)
     rows = [[tag_a.value, tag_b.value, r]
             for tag_a, tag_b, r in metrics.commutator_residuals(f0)]
     worst = max(row[2] for row in rows)
-    csv_path = outdir / scenario.output["summary"]
-    gridio.write_csv(csv_path, ["a", "b", "residual"], rows)
-    return [csv_path], {"worst_residual": worst}
+    return ["a", "b", "residual"], rows, None, {"worst_residual": worst}
 
 
 _RUNNERS = {
@@ -264,19 +237,35 @@ _RUNNERS = {
 }
 
 
-def run_scenario(config_path, outdir, verbose=False) -> int:
+def run_scenario(config_path, outdir, verbose=False, kind=None) -> int:
+    """Run the scenario of an INI config and write its artifacts to outdir.
+
+    kind, if given, is the kind the config must declare.  The runner of the
+    kind computes (header, rows, field, extra); only then are the summary
+    CSV, the field (if any, on the scenario's grid) and the manifest
+    written, so a failed run leaves nothing in outdir.
+    """
     started = time.monotonic()
     scenario = cfgmod.load_scenario(config_path)
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    if kind not in (None, scenario.kind):
+        raise ConfigError(f"config declares kind {scenario.kind!r} but the "
+                          f"{kind!r} subcommand was invoked")
     spectral.reset_transform_counts()
     try:
-        outputs, extra = _RUNNERS[scenario.kind](scenario, outdir)
+        header, rows, field, extra = _RUNNERS[scenario.kind](scenario)
     finally:
         # Held past the run, the tables would keep the heap freed around
         # them resident until another grid evicted them.
         spectral.release_tables()
     extra["counters"] = spectral.transform_counts()
+    outdir = Path(outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    outputs = [outdir / scenario.output["summary"]]
+    gridio.write_csv(outputs[0], header, rows)
+    if field is not None:
+        outputs.append(outdir / scenario.output["field"])
+        gridio.write_grid_field(outputs[1], scenario.grid,
+                                np.reshape(field, (-1, *scenario.grid.n)))
     manifest = outdir / "manifest.json"
     gridio.write_manifest(manifest, config_path, outputs, scenario.resolved(),
                           started=started, extra=extra)
@@ -328,20 +317,17 @@ def main(argv=None) -> int:
     try:
         if args.command == "report":
             return report(args.files)
-        threads = args.threads
+        threads, source = args.threads, "--threads"
         if threads is None:
-            threads = parse_list("PWFN_THREADS",
-                                 os.environ.get("PWFN_THREADS", "1"), 1, int)[0]
-        spectral.set_workers(threads)
-        config_path = Path(args.config)
-        scenario_kind = args.command
-        scenario = cfgmod.load_scenario(config_path)
-        if scenario.kind != scenario_kind:
-            raise ConfigError(
-                f"config declares kind {scenario.kind!r} but the "
-                f"{scenario_kind!r} subcommand was invoked"
-            )
-        return run_scenario(config_path, args.out, verbose=args.verbose)
+            source = "PWFN_THREADS"
+            threads = parse_list(source, os.environ.get(source, "1"), 1,
+                                 int)[0]
+        try:
+            spectral.set_workers(threads)
+        except DomainError as exc:
+            raise ConfigError(f"{source}: {exc}") from exc
+        return run_scenario(Path(args.config), args.out,
+                            verbose=args.verbose, kind=args.command)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

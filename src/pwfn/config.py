@@ -5,7 +5,8 @@
 default and, where no library constructor checks the value, domain.  Keys
 are named after the library arguments they feed.  ``load_scenario``
 resolves every key once; a section or key the kind does not declare is a
-ConfigError that names it, as is every malformed or out-of-domain value.
+ConfigError that names it, as is every malformed, non-finite or
+out-of-domain value.
 """
 
 from __future__ import annotations
@@ -24,14 +25,16 @@ __all__ = ["Scenario", "load_scenario", "SCHEMA", "SCENARIO_KINDS",
 
 
 def parse_list(key, text, count=None, kind=float):
-    """Whitespace- or comma-separated values of type kind; errors name key."""
+    """Whitespace- or comma-separated finite values of type kind; errors
+    name key."""
     try:
         vals = [kind(v) for v in text.replace(",", " ").split()]
     except ValueError:
         vals = None
-    if vals is None or count not in (None, len(vals)):
-        what = f"{count or 'some'} {kind.__name__} value(s)"
-        raise ConfigError(f"key {key!r} needs {what}, got {text!r}")
+    if vals is None or count not in (None, len(vals)) \
+            or not all(map(math.isfinite, vals)):
+        what = f"{count or 'some'} finite {kind.__name__} value(s)"
+        raise ConfigError(f"{key}: needs {what}, got {text!r}")
     return vals
 
 
@@ -40,19 +43,23 @@ def checked(section, make, *args, keys=None, **kwargs):
 
     The message names the [section] key behind the argument at fault:
     keys maps the constructor's argument names (None for an error that
-    names none) to config keys; unmapped arguments are their own keys.
+    names none) to config keys; unmapped arguments are their own keys, and
+    an error that names no mapped key names the section only.
     """
     try:
         return make(*args, **kwargs)
     except DomainError as exc:
         key = (keys or {}).get(exc.arg, exc.arg)
-        raise ConfigError(f"[{section}] {key}: {exc}") from exc
+        where = f"[{section}] {key}" if key else f"[{section}]"
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 class Key(NamedTuple):
     """parse(key, text) -> value; default: a value, a function of the values
     resolved so far, or None if required; domain: (test(value, values
-    resolved so far), what it asks), for values nothing else checks."""
+    resolved so far), what it asks), for values nothing else checks.
+    Numeric parsers carry their .kind and .count, NAME[:ARGS] parsers
+    their .forms."""
 
     parse: Callable
     default: object = None
@@ -63,6 +70,7 @@ def _numbers(kind, count=1):
     def parse(key, text):
         vals = parse_list(key, text, count, kind)
         return vals[0] if count == 1 else tuple(vals)
+    parse.kind, parse.count = kind, count
     return parse
 
 
@@ -72,11 +80,12 @@ def _tagged(**forms):
     def parse(key, text):
         name, colon, args = text.partition(":")
         if name not in forms or (colon and not forms[name][0]):
-            raise ConfigError(f"key {key!r} takes {' or '.join(forms)}, "
+            raise ConfigError(f"{key}: takes {' or '.join(forms)}, "
                               f"got {text!r}")
         count, default = forms[name]
         return (name, *parse_list(key, args or default, count)) if count \
             else (name,)
+    parse.forms = forms
     return parse
 
 
@@ -101,6 +110,7 @@ _PACKETS = {  # [initial] keys per packet family
 _STEPPER = {"dt": Key(_FLOAT, 0.01),
             "steps": Key(_INT, 100, (lambda v, c: v >= 0, ">= 0")),
             "cfl_safety": Key(_FLOAT, 0.5)}
+_POSITIVE = (lambda v, c: v > 0, "> 0")
 _PROFILE = Key(_tagged(uniform=(1, "1"), cosine=(2, "")), ("uniform", 1.0))
 
 
@@ -116,8 +126,7 @@ def _files(summary, field=None):
 SCHEMA = {
     "evolve-free": {
         "grid": _GRID, "initial": _PACKETS,
-        "physics": {"time": Key(_FLOAT, 1.0,
-                                (lambda v, c: math.isfinite(v), "finite"))},
+        "physics": {"time": Key(_FLOAT, 1.0)},
         "output": _files("conserved.csv", "final_field.pwfn")},
     "evolve-medium": {
         "grid": _GRID, "initial": _PACKETS,
@@ -138,8 +147,9 @@ SCHEMA = {
         "output": _files("fiber_modes.csv", "fiber_mode.pwfn")},
     "boost-eigen": {
         "physics": {"kappa": Key(_FLOAT, 1.0), "kx": Key(_FLOAT, 1.0),
-                    "ky": Key(_FLOAT, 0.0), "z_min": Key(_FLOAT, 0.1),
-                    "z_max": Key(_FLOAT, 5.0),
+                    "ky": Key(_FLOAT, 0.0),
+                    "z_min": Key(_FLOAT, 0.1, _POSITIVE),
+                    "z_max": Key(_FLOAT, 5.0, _POSITIVE),
                     "samples": Key(_INT, 64, (lambda v, c: v >= 2, ">= 2"))},
         "output": _files("boost_profile.csv")},
     "wigner": {
@@ -217,7 +227,8 @@ def _resolve(section, declared, given, ctx, owner):
 
 
 def load_scenario(path) -> Scenario:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                       interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh, source=str(path))

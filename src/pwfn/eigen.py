@@ -122,7 +122,8 @@ class BoostEigenfunction:
     def __post_init__(self):
         self.k_perp = float(np.hypot(self.kx, self.ky))
         if self.k_perp == 0.0:
-            raise DomainError("boost eigenfunction needs k_perp > 0")
+            raise DomainError("boost eigenfunction needs k_perp > 0",
+                              arg="k_perp")
 
     def _psi_z_derivatives(self, z, order):
         """(z, psi_z, psi_z', ...) up to the order-th z-derivative.
@@ -452,9 +453,10 @@ def fiber_mode_divergence_residual(mode: FiberMode):
     """Relative residual of div psi = 0 evaluated semi-analytically.
 
     In cylindrical coordinates div psi = (1/rho) d(rho f_rho)/drho
-    + i M f_phi / rho + i k_z f_z per azimuthal/axial factor; radial
-    derivatives come from Bessel recurrences.  Evaluated at radii away from
-    the interface by _INTERFACE_PAD * radius.
+    + i M f_phi / rho + i k_z f_z per azimuthal/axial factor; the radial
+    derivative d f_rho/d rho is a central difference with step 1e-6 * radius
+    over the closed-form components.  Evaluated at radii away from the
+    interface by _INTERFACE_PAD * radius.
     """
     s = mode.spec
     a = s.radius

@@ -32,7 +32,8 @@ from .errors import (DomainError, GaugeSingularityError, NormalizationError,
                      ResourceError, ShapeError)
 from .evolve import _free_generator_k, free_generator
 from .fieldcore import LEVI_CIVITA, SPIN, poynting
-from .spectral import (GridSpec, HelicitySpectrum, SixField, _decompose, _fft,
+from .spectral import (_DC_RTOL, GridSpec, HelicitySpectrum, SixField,
+                       _dc_energy_fraction, _decompose, _fft,
                        berry_connection_grid, decompose, synthesize, to_k,
                        to_r, triad_arrays)
 
@@ -51,7 +52,6 @@ __all__ = [
 DIRECT_SUM_MAX_POINTS = 4096
 _PROJECTION_RTOL = 1e-8   # non-positive-frequency content 1/H refuses
 _NORMALIZED_RTOL = 1e-8   # |<psi|psi> - 1| observables_coordinate accepts
-_DC_RTOL = 1e-12          # k = 0 energy fraction landau_peierls refuses
 
 
 @dataclass
@@ -347,17 +347,16 @@ def landau_peierls(psi: SixField) -> SixField:
 
     The transformed field has a plain L2 norm equal to the physical norm of
     the input.  Raises DomainError if the field carries k = 0 energy above
-    _DC_RTOL of the total.
+    spectral._DC_RTOL of the total.
     """
     spec = psi.spec
     bhat = to_k(spec, psi.data)
-    dc = float(np.sum(np.abs(bhat[..., 0, 0, 0]) ** 2))
-    total = float(np.sum(np.abs(bhat) ** 2))
+    fraction = _dc_energy_fraction(bhat)
     bhat *= np.sqrt(spec.k_inverse())
     out = to_r(spec, bhat, overwrite=True)
-    if total > 0.0 and dc > _DC_RTOL * total:
+    if fraction > _DC_RTOL:
         raise DomainError(
-            f"field carries k = 0 energy fraction {dc / total:.3e}; the "
+            f"field carries k = 0 energy fraction {fraction:.3e}; the "
             "nonlocal transform is undefined on the DC mode"
         )
     return SixField(spec=spec, data=out)

@@ -57,8 +57,11 @@ _FFT_WORKERS = 1
 
 
 def set_workers(n: int) -> None:
+    """Set the FFT worker count, n >= 1, for every later transform."""
     global _FFT_WORKERS
-    _FFT_WORKERS = max(1, int(n))
+    if n < 1:
+        raise DomainError(f"FFT worker count must be >= 1, got {n}", arg="n")
+    _FFT_WORKERS = int(n)
 
 
 @dataclass(frozen=True)
@@ -483,6 +486,10 @@ def berry_connection_grid(spec: GridSpec, pole_cone=1e-6):
     return alpha
 
 
+# k = 0 energy fraction above which decompose warns and landau_peierls refuses
+_DC_RTOL = 1e-12
+
+
 def _dc_energy_fraction(hat) -> float:
     """Share of the energy of hat = to_k(psi.data) that sits at k = 0."""
     dc = (np.sum(np.abs(hat[0, :, 0, 0, 0]) ** 2)
@@ -506,7 +513,7 @@ def _decompose(psi: SixField, hat) -> HelicitySpectrum:
     """:func:`decompose` of psi, given its transform hat = to_k(psi.data)."""
     spectrum = _helicity_amplitudes(psi, hat)
     fraction = _dc_energy_fraction(hat)
-    if fraction > 1e-12:
+    if fraction > _DC_RTOL:
         warnings.warn(
             f"field carries k = 0 energy fraction {fraction:.3e}; "
             "the DC mode has no helicity content and is dropped",

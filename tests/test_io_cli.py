@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 import pwfn
-from pwfn import gridio, spectral
+from pwfn import config, gridio, spectral
 from pwfn.cli import main
-from pwfn.config import SCENARIO_KINDS, SCHEMA, load_scenario
+from pwfn.config import SCENARIO_KINDS, SCHEMA, checked, load_scenario
 from pwfn.evolve import propagate_free
-from pwfn.errors import FormatError
+from pwfn.errors import ConfigError, DomainError, FormatError
 from conftest import cube, random_field
 
 FREE_CONFIG = """
@@ -279,7 +279,38 @@ cfl_safety = 1.0
                                              "k_center = 1 0 0")
              + "steps = 1\n", 2, "k_center", "packet = mode"),
             ("observables", observables + "[output]\neps0_si = 8.85e-12\n",
-             2, "eps0_si")]):
+             2, "eps0_si"),
+            # non-finite floats, refused by the parser for every key
+            ("hydro", "[scenario]\nkind = hydro\n" + GRID8
+             + "[initial]\npacket = vortex\ncore_xy = nan 0\n", 2,
+             "[initial] core_xy"),
+            ("evolve-curved", curved + "metric = conformal:nan\n", 2,
+             "[physics] metric"),
+            ("evolve-curved", curved + "metric = conformal:inf\n", 2,
+             "[physics] metric"),
+            ("evolve-medium",
+             medium + "steps = 1\neps_profile = uniform:inf\n", 2,
+             "[physics] eps_profile"),
+            ("boost-eigen", boost + "kappa = nan\n", 2, "[physics] kappa"),
+            ("boost-eigen", boost + "z_min = nan\n", 2, "[physics] z_min"),
+            ("observables", observables + "[output]\nhbar_si = nan\n", 2,
+             "[output] hbar_si"),
+            ("evolve-free", FREE_CONFIG.replace("k_center = 3 0 0",
+                                                "k_center = nan 0 0"), 2,
+             "[initial] k_center"),
+            ("evolve-free", FREE_CONFIG.replace("sigma_k = 0.8",
+                                                "r_center = inf 0 0"), 2,
+             "[initial] r_center"),
+            # config values that solvers would refuse as preconditions
+            ("boost-eigen", boost + "z_min = -1\n", 2, "[physics] z_min"),
+            ("boost-eigen", boost + "kx = 0\nky = 0\n", 2,
+             "[physics] kx/ky", "k_perp > 0"),
+            # The modes are solved, but the 2 x 2 box holds too few decay
+            # lengths to sample the first one: the run fails after its
+            # solve, and its summary must not be written either.
+            ("fiber-modes", "[scenario]\nkind = fiber-modes\n[grid]\n"
+             "n = 8 8 8\nlength = 2 2 6.283185307179586\n", 3,
+             "decay lengths")]):
         case = tmp_path / f"case{n}.ini"
         case.write_text(text)
         out = tmp_path / f"case{n}_out"
@@ -295,7 +326,54 @@ cfl_safety = 1.0
         assert "RuntimeWarning" not in err, text
         assert not [w for w in caught
                     if issubclass(w.category, RuntimeWarning)], text
-        assert not list(out.glob("*.pwfn")), text  # no partial field output
+        assert "] None:" not in err, text
+        assert not out.exists(), text  # a failed run writes nothing
+
+
+def test_cli_loads_config_once(tmp_path, monkeypatch):
+    loads = []
+
+    def counted(path):
+        loads.append(path)
+        return load_scenario(path)
+
+    monkeypatch.setattr(config, "load_scenario", counted)
+    cfg = tmp_path / "free.ini"
+    cfg.write_text(FREE_CONFIG)
+    assert main(["evolve-free", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(loads) == 1
+
+
+@pytest.mark.parametrize("threads, env, source", [
+    ("0", None, "--threads"), ("-1", None, "--threads"),
+    (None, "0", "PWFN_THREADS"), (None, "-1", "PWFN_THREADS")])
+def test_cli_refuses_thread_counts_below_one(tmp_path, monkeypatch, capsys,
+                                             threads, env, source):
+    monkeypatch.setattr(spectral, "_FFT_WORKERS", spectral._FFT_WORKERS)
+    if env is None:
+        monkeypatch.delenv("PWFN_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("PWFN_THREADS", env)
+    cfg = tmp_path / "free.ini"
+    cfg.write_text(FREE_CONFIG)
+    out = tmp_path / "out"
+    argv = ["evolve-free", "--config", str(cfg), "--out", str(out)]
+    assert main(argv + (["--threads", threads] if threads else [])) == 2
+    assert source in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(DomainError):
+        spectral.set_workers(int(threads or env))
+
+
+def test_checked_names_only_the_section_for_an_unnamed_argument():
+    def make():
+        raise DomainError("spectrum contains non-finite amplitudes")
+
+    with pytest.raises(ConfigError) as err:
+        checked("initial", make)
+    assert str(err.value) == \
+        "[initial]: spectrum contains non-finite amplitudes"
 
 
 @pytest.mark.parametrize("kind", SCENARIO_KINDS)
