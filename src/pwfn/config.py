@@ -112,6 +112,11 @@ _STEPPER = {"dt": Key(_FLOAT, 0.01),
             "cfl_safety": Key(_FLOAT, 0.5)}
 _POSITIVE = (lambda v, c: v > 0, "> 0")
 _PROFILE = Key(_tagged(uniform=(1, "1"), cosine=(2, "")), ("uniform", 1.0))
+# K_{i kappa}(x) ~ exp(-pi |kappa| / 2) sinks below the Macdonald
+# quadrature's absolute floor near |kappa| = 22, so a larger kappa gives a
+# profile of roundoff.  The cap also bounds quad's subinterval limit,
+# 12 |kappa| tmax + 60, by 2e5 wherever tmax is finite (tmax <= 711).
+_KAPPA = Key(_FLOAT, 1.0, (lambda v, c: abs(v) <= 20.0, "in [-20, 20]"))
 
 
 def _files(summary, field=None):
@@ -146,7 +151,7 @@ SCHEMA = {
                     "max_modes": Key(_INT, 8, (lambda v, c: v >= 1, ">= 1"))},
         "output": _files("fiber_modes.csv", "fiber_mode.pwfn")},
     "boost-eigen": {
-        "physics": {"kappa": Key(_FLOAT, 1.0), "kx": Key(_FLOAT, 1.0),
+        "physics": {"kappa": _KAPPA, "kx": Key(_FLOAT, 1.0),
                     "ky": Key(_FLOAT, 0.0),
                     "z_min": Key(_FLOAT, 0.1, _POSITIVE),
                     "z_max": Key(_FLOAT, 5.0, _POSITIVE),

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, StabilityError
 from .fieldcore import RSPair, cross, rodrigues
-from .spectral import (GridSpec, SixField, _curl_k, _fft, div, grad, to_k,
-                       to_r, triad_arrays)
+from .spectral import (GridSpec, SixField, _curl_k, _fft, _ifft, div, grad,
+                       triad_arrays)
 
 __all__ = [
     "MediumMap", "StepperConfig", "rk4", "check_cfl",
@@ -53,10 +53,12 @@ class MediumMap:
             if not np.all(values > 0.0):
                 raise DomainError(f"{name} must be strictly positive "
                                   f"everywhere", arg=name)
-        self.v = 1.0 / np.sqrt(self.eps * self.mu)
-        self.h = np.sqrt(self.mu / self.eps)
-        if not (np.all(np.isfinite(self.v)) and np.all(np.isfinite(self.h))):
-            raise DomainError("derived v, h must be finite")
+        # Finite eps, mu can still overflow or underflow v or h to inf or 0.
+        with np.errstate(over="ignore"):
+            self.v = 1.0 / np.sqrt(self.eps * self.mu)
+            self.h = np.sqrt(self.mu / self.eps)
+        if not all(np.all((x > 0.0) & (x < np.inf)) for x in (self.v, self.h)):
+            raise DomainError("derived v, h must be finite and > 0")
         self.sqrt_v = np.sqrt(self.v)
         self.grad_v = grad(self.spec, self.v)
         self.grad_h = grad(self.spec, self.h)
@@ -142,10 +144,10 @@ def _kinetic(spec: GridSpec, t: float):
     cos_a, sin_a = np.cos(knorm * float(t)), np.sin(knorm * float(t))
 
     def apply(data):
-        hat = to_k(spec, data)
+        hat = _fft(data)
         hat[0] = rodrigues(nhat, cos_a, sin_a, hat[0])
         hat[1] = rodrigues(nhat, cos_a, -sin_a, hat[1])
-        return to_r(spec, hat, overwrite=True)
+        return _ifft(hat)
     return apply
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .evolve import check_cfl, free_generator, rk4
 from .fieldcore import LEVI_CIVITA
-from .spectral import GridSpec, SixField, to_k, to_r
+from .spectral import GridSpec, SixField, _fft, _ifft
 
 __all__ = [
     "MetricField", "minkowski_metric", "conformal_metric",
@@ -59,11 +59,12 @@ class MetricField:
         if self.g.shape != (4, 4) + self.spec.n:
             raise ShapeError("metric shape must be (4, 4) or (4, 4, nx, ny, nz)")
         gm = np.moveaxis(self.g.reshape(4, 4, -1), -1, 0)
-        det = np.linalg.det(gm)
+        with np.errstate(over="ignore"):
+            det = np.linalg.det(gm)
         if np.any(self.g[0, 0] <= 0.0):
             raise DomainError("metric must have g_00 > 0")
-        if np.any(det >= 0.0):
-            raise DomainError("metric determinant must be negative")
+        if not np.all((det < 0.0) & (det > -np.inf)):
+            raise DomainError("metric determinant must be negative and finite")
         inv = np.linalg.inv(gm)
         self.g_inv = np.moveaxis(inv, 0, -1).reshape((4, 4) + self.spec.n)
         self.det = det.reshape(self.spec.n)
@@ -86,9 +87,12 @@ def minkowski_metric(spec: GridSpec) -> MetricField:
 
 def conformal_metric(spec: GridSpec, refractive_index) -> MetricField:
     """Static metric diag(1, -n^2, -n^2, -n^2) with n = n(r) sampled."""
-    n2 = np.asarray(refractive_index, dtype=float) ** 2
+    with np.errstate(over="ignore"):
+        n2 = np.asarray(refractive_index, dtype=float) ** 2
+    if not np.all(n2 < np.inf):
+        raise DomainError("refractive index squared must be finite")
     if n2.shape != spec.n:
-        n2 = np.full(spec.n, float(refractive_index) ** 2)
+        n2 = np.full(spec.n, float(n2))
     g = np.zeros((4, 4) + spec.n)
     g[0, 0] = 1.0
     for i in range(1, 4):
@@ -210,13 +214,13 @@ def dirac_form_step(spec: GridSpec, phi, t: float):
         raise ShapeError("spinor lattice shape does not match the grid")
     kvec = spec.k_grid()
     knorm = spec.k_norm()
-    phihat = to_k(spec, phi)
+    phihat = _fft(phi)
     akphi = np.einsum("aij,a...,j...->i...", _ALPHA, kvec, phihat)
     # At k = 0, alpha.k phi vanishes, so the value of sin(|k|t)/|k| there
     # does not matter.
     sinc = np.sin(knorm * t) * spec.k_inverse()
     out_hat = np.cos(knorm * t) * phihat - 1j * sinc * akphi
-    return to_r(spec, out_hat)
+    return _ifft(out_hat)
 
 
 def four_spinor_constraint_defect(phi) -> float:

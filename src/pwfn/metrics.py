@@ -33,7 +33,7 @@ from .errors import (DomainError, GaugeSingularityError, NormalizationError,
 from .evolve import _free_generator_k, free_generator
 from .fieldcore import LEVI_CIVITA, SPIN, poynting
 from .spectral import (_DC_RTOL, GridSpec, HelicitySpectrum, SixField,
-                       _dc_energy_fraction, _decompose, _fft,
+                       _dc_energy_fraction, _decompose, _fft, _ifft,
                        berry_connection_grid, decompose, synthesize, to_k,
                        to_r, triad_arrays)
 
@@ -294,8 +294,9 @@ def observables_coordinate(psi: SixField) -> Observables:
     # terms eps_iam x_a P_m of <J_i>.
     momentum = np.empty(3)
     ang = np.zeros(3)
+    kvec = spec.k_grid_diff()
     for m in range(3):
-        overlap = np.real(bra * _derivative(spec, hat, m))
+        overlap = np.real(bra * to_r(spec, kvec[m] * hat, overwrite=True))
         momentum[m] = float(np.sum(overlap)) * dv
         density = np.sum(overlap, axis=(0, 1))
         for a in range(3):
@@ -350,10 +351,10 @@ def landau_peierls(psi: SixField) -> SixField:
     spectral._DC_RTOL of the total.
     """
     spec = psi.spec
-    bhat = to_k(spec, psi.data)
+    bhat = _fft(psi.data)
     fraction = _dc_energy_fraction(bhat)
     bhat *= np.sqrt(spec.k_inverse())
-    out = to_r(spec, bhat, overwrite=True)
+    out = _ifft(bhat)
     if fraction > _DC_RTOL:
         raise DomainError(
             f"field carries k = 0 energy fraction {fraction:.3e}; the "
@@ -427,11 +428,6 @@ def newton_wigner_kernel(r, m):
     return out
 
 
-def _derivative(spec: GridSpec, hat, ax):
-    """(1/i) d/dx_ax in coordinate space of the transformed field hat."""
-    return to_r(spec, spec.k_grid_diff()[ax] * hat, overwrite=True)
-
-
 # Axes of the rotation generator J_i = x_j D_k - x_k D_j + S_i, per i.
 _ROTATION_AXES = ((1, 2), (2, 0), (0, 1))
 
@@ -449,9 +445,9 @@ class _GeneratorJet:
     """The ten Poincare generators applied to one field psi.
 
     psi is forward-transformed at most once, and each derivative field
-    D_m = (1/i) d_m psi is built at most once (by :func:`_derivative`), so
-    images of psi under several generators share them: H is the curl
-    multiplier on the raw transform, P_m = D_m and
+    D_m = (1/i) d_m psi is built at most once, by the multiplier k_m on
+    that transform, so images of psi under several generators share them:
+    H is the curl multiplier on the same transform, P_m = D_m and
     J_i = x_j D_k - x_k D_j + S_i psi.  K_i = H (x_i psi) transforms
     x_i psi itself.  Returned arrays may be held by the jet; callers must
     not write to them.
@@ -460,7 +456,6 @@ class _GeneratorJet:
     def __init__(self, psi: SixField):
         self.psi = psi
         self._raw = None               # _fft(psi.data)
-        self._hat = None               # to_k(psi.data), scaled from _raw
         self._derivs = [None, None, None]
 
     def _transform(self):
@@ -471,22 +466,18 @@ class _GeneratorJet:
     def derivative(self, ax):
         """D_ax = (1/i) d_ax psi."""
         if self._derivs[ax] is None:
-            spec = self.psi.spec
-            if self._hat is None:
-                # The arithmetic of to_k on the stored raw transform.
-                self._hat = self._transform() * (spec.cell_volume
-                                                 * spec.checkerboard())
-            self._derivs[ax] = _derivative(spec, self._hat, ax)
+            kvec = self.psi.spec.k_grid_diff()
+            self._derivs[ax] = _ifft(kvec[ax] * self._transform())
         return self._derivs[ax]
 
     def release(self, keep):
-        """Drop every derivative field not in keep, and the transforms once
+        """Drop every derivative field not in keep, and the transform once
         every kept one is built."""
         for ax in range(3):
             if ax not in keep:
                 self._derivs[ax] = None
         if all(self._derivs[ax] is not None for ax in keep):
-            self._raw = self._hat = None
+            self._raw = None
 
     def apply(self, tag: GeneratorTag):
         """Data of the image tag psi."""
@@ -595,7 +586,7 @@ def commutator_residuals(psi: SixField):
     derivative fields inverse-transformed once: 41 forward and 73 inverse
     block transforms per sweep, where applying each generator separately
     takes 100 and 130.  A jet keeps a derivative field only while a later
-    P or J tag reads it, so the sweep holds at most about 40 six-field
+    P or J tag reads it, so the sweep holds at most about 33 six-field
     sizes beyond psi.
     """
     tags = list(GeneratorTag)

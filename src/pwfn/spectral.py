@@ -16,6 +16,14 @@ so that sum_k (1/V) approximates integral d^3k/(2 pi)^3.  With box-centered
 coordinates the extra phase exp(-i k . r0) is the exact checkerboard
 (-1)^(mx+my+mz), applied without roundoff.
 
+Only readers of a physical spectrum or its norm (helicity amplitudes, 1/H,
+Wigner matrices) use this scaled pair, :func:`to_k` and :func:`to_r`.  Every
+other k-space multiplier m(k) runs on the raw pair as _ifft(m * _fft(u)):
+the checkerboard and cell-volume factors cancel there, as (-1)^(2m) = 1.  A
+real u is transformed as complex: scipy's real-input path rounds
+differently, and a real field must differentiate exactly like its complex
+copy.
+
 Polarization gauge
 ------------------
 The transverse triad (l1, l2, n) uses the spherical gauge l1 = theta_hat,
@@ -244,12 +252,6 @@ def to_r(spec: GridSpec, uhat, overwrite=False):
     out *= 1.0 / spec.cell_volume
     return out
 
-
-# The derivative operators below pair a raw forward and inverse FFT: the
-# checkerboard and cell-volume factors of to_k/to_r cancel exactly between
-# the two, since (-1)^(2m) = 1, so they are left out.  A real u is
-# transformed as complex: scipy's real-input path rounds differently, and a
-# real field must differentiate exactly like its complex copy.
 
 def grad(spec: GridSpec, u):
     """Spectral gradient over the last three axes of (..., nx, ny, nz).
@@ -491,7 +493,7 @@ _DC_RTOL = 1e-12
 
 
 def _dc_energy_fraction(hat) -> float:
-    """Share of the energy of hat = to_k(psi.data) that sits at k = 0."""
+    """k = 0 share of the energy in hat, the raw or scaled transform of psi."""
     dc = (np.sum(np.abs(hat[0, :, 0, 0, 0]) ** 2)
           + np.sum(np.abs(hat[1, :, 0, 0, 0]) ** 2))
     total = np.sum(np.abs(hat[0]) ** 2) + np.sum(np.abs(hat[1]) ** 2)

@@ -301,6 +301,18 @@ cfl_safety = 1.0
             ("evolve-free", FREE_CONFIG.replace("sigma_k = 0.8",
                                                 "r_center = inf 0 0"), 2,
              "[initial] r_center"),
+            # finite values whose derived quantities overflow or underflow
+            ("evolve-medium", medium + "steps = 1\n"
+             "eps_profile = uniform:1e200\nmu_profile = uniform:1e200\n", 2,
+             "[physics] eps_profile/mu_profile"),
+            ("evolve-medium", medium + "steps = 1\n"
+             "eps_profile = uniform:1e200\nmu_profile = uniform:1e-200\n", 2,
+             "[physics] eps_profile/mu_profile"),
+            ("evolve-curved", curved + "metric = conformal:1e200\n", 2,
+             "[physics] metric"),
+            ("evolve-curved", curved + "metric = conformal:1e100\n", 2,
+             "[physics] metric"),
+            ("boost-eigen", boost + "kappa = 1e300\n", 2, "[physics] kappa"),
             # config values that solvers would refuse as preconditions
             ("boost-eigen", boost + "z_min = -1\n", 2, "[physics] z_min"),
             ("boost-eigen", boost + "kx = 0\nky = 0\n", 2,

@@ -459,12 +459,12 @@ def _balanced_packet(n):
 def test_commutator_sweep_equals_pairwise_sweep():
     psi = _balanced_packet(16)
     assert mt.commutator_residuals(psi) == _pairwise_sweep(psi)
-    # The shared transform keeps the arithmetic of to_k and of curl.
+    # The shared transform keeps the arithmetic of grad and of curl.
     spec = psi.spec
-    hat = spectral.to_k(spec, psi.data)
+    grad = spectral.grad(spec, psi.data)
     for ax, tag in enumerate((G.P_X, G.P_Y, G.P_Z)):
-        assert np.array_equal(mt.generator_apply(tag, psi).data,
-                              mt._derivative(spec, hat, ax)), tag
+        assert np.array_equal(1j * mt.generator_apply(tag, psi).data,
+                              grad[:, :, ax]), tag
     h = spectral.curl(spec, psi.data)
     h[1] *= -1
     assert np.array_equal(mt.generator_apply(G.H, psi).data, h)
@@ -494,7 +494,7 @@ def test_commutator_sweep_memory_bound():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - base <= 40 * psi.data.nbytes, (peak - base) / psi.data.nbytes
+    assert peak - base <= 35 * psi.data.nbytes, (peak - base) / psi.data.nbytes
 
 
 def test_commutator_j_and_k_pairs_balanced_packet():

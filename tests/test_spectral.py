@@ -4,8 +4,11 @@ import pytest
 from pwfn import spectral
 from pwfn.errors import DomainError, GaugeSingularityError
 from pwfn.evolve import propagate_free
-from pwfn.spectral import (GridSpec, HelicitySpectrum, berry_connection,
-                           decompose, longitudinal_residual,
+from pwfn.fieldcore import rodrigues
+from pwfn.geometry import ALPHA_X, ALPHA_Y, ALPHA_Z, dirac_form_step
+from pwfn.metrics import landau_peierls
+from pwfn.spectral import (GridSpec, HelicitySpectrum, SixField,
+                           berry_connection, decompose, longitudinal_residual,
                            polarization_triad, positive_frequency_project,
                            synthesize, translate, triad_arrays)
 
@@ -144,6 +147,43 @@ def test_derivatives_match_scaled_transform_path(rng, real):
         out = op(spec, data)
         assert np.isrealobj(out) == real
         assert rel_err(out, spectral.to_r(spec, ref_hat)) <= 1e-15, op
+
+
+def _free_reference(spec, data, t=0.9):
+    _, nhat, knorm = triad_arrays(spec)
+    hat = spectral.to_k(spec, data)
+    cos_a, sin_a = np.cos(knorm * t), np.sin(knorm * t)
+    return np.stack([rodrigues(nhat, cos_a, sin_a, hat[0]),
+                     rodrigues(nhat, cos_a, -sin_a, hat[1])])
+
+
+def _dirac_reference(spec, data, t=0.9):
+    phihat = spectral.to_k(spec, data)
+    akphi = np.einsum("aij,a...,j...->i...",
+                      np.stack([ALPHA_X, ALPHA_Y, ALPHA_Z]), spec.k_grid(),
+                      phihat)
+    knorm = spec.k_norm()
+    return (np.cos(knorm * t) * phihat
+            - 1j * np.sin(knorm * t) * spec.k_inverse() * akphi)
+
+
+@pytest.mark.parametrize("apply, reference, shape", [
+    (lambda spec, d: propagate_free(SixField(spec=spec, data=d), 0.9).data,
+     _free_reference, (2, 3)),
+    (lambda spec, d: dirac_form_step(spec, d, 0.9), _dirac_reference, (4,)),
+    (lambda spec, d: landau_peierls(SixField(spec=spec, data=d)).data,
+     lambda spec, d: np.sqrt(spec.k_inverse()) * spectral.to_k(spec, d),
+     (2, 3))], ids=["propagate_free", "dirac_form_step", "landau_peierls"])
+def test_multipliers_match_scaled_transform_path(rng, apply, reference, shape):
+    # Like grad/div/curl, these multipliers run on the raw transform pair:
+    # against the same multiplier between to_k and to_r they may differ by
+    # rounding only.
+    spec = GridSpec(n=(8, 12, 10), length=(2 * np.pi, 3 * np.pi, 5.0))
+    data = rng.normal(size=shape + spec.n) \
+        + 1j * rng.normal(size=shape + spec.n)
+    data -= data.mean(axis=(-3, -2, -1), keepdims=True)  # no k = 0 content
+    out = apply(spec, data)
+    assert rel_err(out, spectral.to_r(spec, reference(spec, data))) <= 1e-15
 
 
 def test_triad_pole_conventions():
