@@ -129,7 +129,8 @@ def _run_evolve(scenario):
         if scenario.kind == "evolve-curved":
             final = geometry.step_curved(f0, _metric(scenario), cfg, steps)
         else:
-            final = evolve.step_medium(f0, _medium(scenario), cfg, steps)
+            final = checked("physics", evolve.step_medium, f0,
+                            _medium(scenario), cfg, steps)
         snapshots = [(0, 0.0, f0), (steps, steps * cfg.dt, final)]
         extra = {"steps": steps, "dt": cfg.dt}
     rows, extra["dc_energy_fraction"] = _conserved_rows(snapshots)
@@ -142,11 +143,8 @@ def _run_fiber(scenario):
     max_modes = phys.pop("max_modes")
     spec = checked("physics", eigen.FiberSpec, **phys)
     modes = eigen.fiber_modes(spec, max_modes=max_modes)
-    rows = []
-    for md in modes:
-        _, q = eigen._transverse_wavenumbers(spec, md.omega)
-        rows.append([spec.m_angular, spec.k_z, md.omega, 1.0 / q,
-                     md.matched_component_jump()])
+    rows = [[spec.m_angular, spec.k_z, md.omega, 1.0 / md.q,
+             md.matched_component_jump()] for md in modes]
     field = None
     if scenario.grid is not None and modes:
         field = eigen.fiber_mode_field(modes[0], scenario.grid).data
@@ -159,7 +157,10 @@ def _run_boost(scenario):
     b = checked("physics", eigen.boost_eigenfunction, phys["kappa"],
                 phys["kx"], phys["ky"], keys={"k_perp": "kx/ky"})
     z = np.linspace(phys["z_min"], phys["z_max"], phys["samples"])
-    psi_x, psi_y, psi_z, residual = b.profile(z)
+    # The quadrature's floor on x = k_perp z bites first at the smaller end.
+    z_lo = "z_min" if phys["z_min"] <= phys["z_max"] else "z_max"
+    psi_x, psi_y, psi_z, residual = checked("physics", b.profile, z,
+                                            keys={"x": z_lo})
     rows = list(zip(z, psi_z, np.abs(psi_x), np.abs(psi_y), residual))
     return (["z", "psi_z", "abs_psi_x", "abs_psi_y", "eigen_residual"], rows,
             None, {"kappa": b.kappa, "k_perp": b.k_perp})

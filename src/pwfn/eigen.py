@@ -56,6 +56,9 @@ __all__ = [
 # estimate, relative to K_moment(x), up to which a result quad flags is kept.
 _QUAD_RTOL = 1e-12
 _QUAD_FLAG_RTOL = 1e-10
+# The smallest x the quadrature takes: below it the second moment's scale
+# (45/x)^2, and below about 2.5e-307 also the truncation point, overflow.
+_X_MIN = 45.0 / math.sqrt(np.finfo(float).max)
 _DECAY_LENGTHS = 6.0    # exterior decay lengths fiber_mode_field needs
 _DIV_SAMPLES = 200      # radii per region of fiber_mode_divergence_residual
 _INTERFACE_PAD = 0.05   # their distance from the interface, in radii
@@ -68,12 +71,14 @@ def macdonald_imag_moment(kappa, x, moment=0):
     integrand used for d/dx terms.  Truncated where x cosh T < exp(-37)
     leaves no contribution; adaptive quadrature to relative accuracy
     _QUAD_RTOL.  A result quad flags raises TruncationError unless its error
-    estimate is within _QUAD_FLAG_RTOL * K_moment(x).
+    estimate is within _QUAD_FLAG_RTOL * K_moment(x).  x below _X_MIN
+    (about 3.4e-153) raises DomainError naming x.
     """
     x = float(x)
     kappa = float(kappa)
-    if x <= 0.0:
-        raise DomainError("macdonald quadrature needs x > 0")
+    if not x >= _X_MIN:
+        raise DomainError(f"macdonald quadrature needs x >= {_X_MIN:.3g}, "
+                          f"got x = {x:.3g}", arg="x")
     tmax = np.arccosh(max(45.0 / x, 2.0))
 
     def integrand(t):
@@ -272,25 +277,72 @@ def _omega_at(spec: FiberSpec, w):
 
 @dataclass
 class FiberMode:
-    """One guided mode: frequency and exterior/interior amplitude ratio."""
+    """One guided mode at frequency omega, which must lie in the bound window.
+
+    k_in and q are the interior and exterior transverse wavenumbers at
+    omega, and amp_ratio = A_out / A_in makes f_z / sqrt(eps) continuous at
+    rho = a; all three are derived from (omega, spec).
+    """
 
     omega: float
-    amp_ratio: complex          # A_out / A_in
     spec: FiberSpec
+    k_in: float = field(init=False)
+    q: float = field(init=False)
+    amp_ratio: complex = field(init=False)
+
+    def __post_init__(self):
+        s = self.spec
+        self.k_in, self.q = _transverse_wavenumbers(s, self.omega)
+        self.amp_ratio = complex(
+            (jv(s.m_angular, self.k_in * s.radius) / np.sqrt(s.eps_in))
+            / (kv(s.m_angular, self.q * s.radius) / np.sqrt(s.eps_out)))
+
+    def profile(self, rho, inside):
+        """(f_+, f_-, f_z) = (f_rho + i f_phi, f_rho - i f_phi, f_z) at rho.
+
+        f_rho = (i/k_perp^2)((W M / rho) f_z + k_z f_z') and
+        f_phi = -(1/k_perp^2)((M k_z / rho) f_z + W f_z'), with W = omega
+        sqrt(eps) and k_perp^2 = k_in^2 inside, -q^2 outside.  The Bessel
+        recurrences make their circular combinations regular at rho = 0:
+            f_+ = i (W - k_z)/k_in J_{M+1},  f_- = i (W + k_z)/k_in J_{M-1}
+        inside, with f_z = J_M (unit amplitude), and
+            f_+ = -i (W - k_z)/q K_{M+1},  f_- = i (W + k_z)/q K_{M-1}
+        outside, with f_z = K_M, all three scaled by amp_ratio.
+        """
+        s = self.spec
+        m = s.m_angular
+        kin, q = self.k_in, self.q
+        rho = np.asarray(rho, dtype=float)
+        if inside:
+            wloc = self.omega * np.sqrt(s.eps_in)
+            plus = 1j * (wloc - s.k_z) / kin * jv(m + 1, kin * rho)
+            minus = 1j * (wloc + s.k_z) / kin * jv(m - 1, kin * rho)
+            fz = jv(m, kin * rho).astype(complex)
+            return plus, minus, fz
+        wloc = self.omega * np.sqrt(s.eps_out)
+        plus = -1j * (wloc - s.k_z) / q * kv(m + 1, q * rho) * self.amp_ratio
+        minus = 1j * (wloc + s.k_z) / q * kv(m - 1, q * rho) * self.amp_ratio
+        fz = kv(m, q * rho) * self.amp_ratio
+        return plus, minus, fz
+
+    def _cylindrical(self, rho, inside):
+        """(f_rho, f_phi, f_z) at rho, from the profile."""
+        plus, minus, fz = self.profile(rho, inside)
+        return 0.5 * (plus + minus), -0.5j * (plus - minus), fz
 
     def matched_component_jump(self):
-        """Relative jump of (f_z/sqrt(eps), f_phi) across rho = a."""
+        """Relative jump of (f_z/sqrt(eps), f_phi) across rho = a.
+
+        The profile is written in J/K_{M+-1} and the matching determinant in
+        J_M, J_M', K_M and K_M', so a small jump also checks the root.
+        """
         s = self.spec
-        inner = _radial_components(s, self.omega, np.array([s.radius]),
-                                   inside=True)
-        outer = _radial_components(s, self.omega, np.array([s.radius]),
-                                   inside=False)
-        outer = tuple(self.amp_ratio * c for c in outer)
-        w1_in = inner[2][0] / np.sqrt(s.eps_in)
-        w1_out = outer[2][0] / np.sqrt(s.eps_out)
-        w2_in, w2_out = inner[1][0], outer[1][0]
-        scale = max(abs(w1_in), abs(w1_out), abs(w2_in), abs(w2_out))
-        return max(abs(w1_in - w1_out), abs(w2_in - w2_out)) / scale
+        _, phi_in, fz_in = self._cylindrical(s.radius, inside=True)
+        _, phi_out, fz_out = self._cylindrical(s.radius, inside=False)
+        w1_in = fz_in / np.sqrt(s.eps_in)
+        w1_out = fz_out / np.sqrt(s.eps_out)
+        scale = max(abs(w1_in), abs(w1_out), abs(phi_in), abs(phi_out))
+        return float(max(abs(w1_in - w1_out), abs(phi_in - phi_out)) / scale)
 
     def exterior_log_slope(self):
         """Fitted decay rate of the scaled tail sqrt(rho) |f_z|.
@@ -300,40 +352,12 @@ class FiberMode:
         window is chosen in units of the decay length so that the next
         asymptotic correction stays below one percent.
         """
-        s = self.spec
-        _, q = _transverse_wavenumbers(s, self.omega)
-        rho_lo = max(1.5 * s.radius, 6.0 / q)
+        q = self.q
+        rho_lo = max(1.5 * self.spec.radius, 6.0 / q)
         rr = np.linspace(rho_lo, rho_lo + 4.0 / q, 64)
-        fz = np.abs(_radial_components(s, self.omega, rr, inside=False)[2])
+        fz = np.abs(self.profile(rr, inside=False)[2])
         slope = np.polyfit(rr, np.log(np.sqrt(rr) * fz), 1)[0]
         return float(slope)
-
-
-def _radial_components(spec: FiberSpec, omega, rho, inside):
-    """(f_rho, f_phi, f_z) profiles in one region, unit amplitude.
-
-    f_rho = (i/k_perp^2)((W M / rho) f_z + k_z f_z'),
-    f_phi = -(1/k_perp^2)((M k_z / rho) f_z + W f_z'),
-    with W = omega/v the local dispersion factor and k_perp^2 signed.
-    """
-    m = spec.m_angular
-    kin, q = _transverse_wavenumbers(spec, omega)
-    rho = np.asarray(rho, dtype=float)
-    if inside:
-        kp2 = kin**2
-        wloc = omega * np.sqrt(spec.eps_in)
-        f_z = jv(m, kin * rho)
-        df_z = kin * jvp(m, kin * rho)
-    else:
-        kp2 = -q**2
-        wloc = omega * np.sqrt(spec.eps_out)
-        f_z = kv(m, q * rho)
-        df_z = q * kvp(m, q * rho)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        over_rho = np.where(rho > 0.0, 1.0 / np.where(rho == 0.0, 1.0, rho), 0.0)
-    f_rho = (1j / kp2) * (wloc * m * over_rho * f_z + spec.k_z * df_z)
-    f_phi = -(1.0 / kp2) * (m * spec.k_z * over_rho * f_z + wloc * df_z)
-    return f_rho, f_phi, f_z.astype(complex)
 
 
 def fiber_modes(spec: FiberSpec, max_modes=8, scan_points=2000):
@@ -363,36 +387,8 @@ def fiber_modes(spec: FiberSpec, max_modes=8, scan_points=2000):
                 q[i + 1] * a, q[i] * a, xtol=np.finfo(float).tiny,
                 rtol=4 * np.finfo(float).eps)
             om = _omega_at(spec, w)
-        kin, q_om = _transverse_wavenumbers(spec, om)
-        ratio = ((jv(spec.m_angular, kin * a) / np.sqrt(spec.eps_in))
-                 / (kv(spec.m_angular, q_om * a) / np.sqrt(spec.eps_out)))
-        modes.append(FiberMode(omega=float(om), amp_ratio=complex(ratio),
-                               spec=spec))
+        modes.append(FiberMode(omega=float(om), spec=spec))
     return modes
-
-
-def _mode_plus_minus(spec: FiberSpec, omega, amp_ratio, rho, inside):
-    """Smooth circular combinations f_rho +/- i f_phi via Bessel recurrences.
-
-    f_rho + i f_phi = i (W - k_z)/k_perp J_{M+1} (interior)
-                    = -i (W - k_z)/q K_{M+1}   (exterior, scaled by ratio)
-    f_rho - i f_phi = i (W + k_z)/k_perp J_{M-1} (interior)
-                    = +i (W + k_z)/q K_{M-1}   (exterior, scaled by ratio)
-    """
-    m = spec.m_angular
-    kin, q = _transverse_wavenumbers(spec, omega)
-    rho = np.asarray(rho, dtype=float)
-    if inside:
-        wloc = omega * np.sqrt(spec.eps_in)
-        plus = 1j * (wloc - spec.k_z) / kin * jv(m + 1, kin * rho)
-        minus = 1j * (wloc + spec.k_z) / kin * jv(m - 1, kin * rho)
-        fz = jv(m, kin * rho).astype(complex)
-        return plus, minus, fz
-    wloc = omega * np.sqrt(spec.eps_out)
-    plus = -1j * (wloc - spec.k_z) / q * kv(m + 1, q * rho) * amp_ratio
-    minus = 1j * (wloc + spec.k_z) / q * kv(m - 1, q * rho) * amp_ratio
-    fz = kv(m, q * rho) * amp_ratio
-    return plus, minus, fz
 
 
 def fiber_mode_field(mode: FiberMode, grid: GridSpec) -> SixField:
@@ -404,7 +400,7 @@ def fiber_mode_field(mode: FiberMode, grid: GridSpec) -> SixField:
     with the z period.
     """
     spec = mode.spec
-    kin, q = _transverse_wavenumbers(spec, mode.omega)
+    q = mode.q
     half = 0.5 * min(grid.length[0], grid.length[1])
     if half - spec.radius < _DECAY_LENGTHS / q:
         raise TruncationError(
@@ -435,9 +431,7 @@ def fiber_mode_field(mode: FiberMode, grid: GridSpec) -> SixField:
     fz = np.empty(rho.shape, dtype=complex)
     inside = rho <= spec.radius
     for region, sel in ((True, inside), (False, ~inside)):
-        p, mns, f0 = _mode_plus_minus(spec, mode.omega, mode.amp_ratio,
-                                      rho[sel], inside=region)
-        plus[sel], minus[sel], fz[sel] = p, mns, f0
+        plus[sel], minus[sel], fz[sel] = mode.profile(rho[sel], region)
     psi_plus = plus * np.exp(1j * (m + 1) * phi)
     psi_minus = minus * np.exp(1j * (m - 1) * phi)
     psi_z2d = fz * np.exp(1j * m * phi)
@@ -455,8 +449,8 @@ def fiber_mode_divergence_residual(mode: FiberMode):
     In cylindrical coordinates div psi = (1/rho) d(rho f_rho)/drho
     + i M f_phi / rho + i k_z f_z per azimuthal/axial factor; the radial
     derivative d f_rho/d rho is a central difference with step 1e-6 * radius
-    over the closed-form components.  Evaluated at radii away from the
-    interface by _INTERFACE_PAD * radius.
+    over the mode profile.  Evaluated at radii away from the interface by
+    _INTERFACE_PAD * radius.
     """
     s = mode.spec
     a = s.radius
@@ -465,16 +459,12 @@ def fiber_mode_divergence_residual(mode: FiberMode):
     for inside in (True, False):
         if inside:
             rr = np.linspace(0.05 * a, a * (1 - _INTERFACE_PAD), _DIV_SAMPLES)
-            ratio = 1.0
         else:
             rr = np.linspace(a * (1 + _INTERFACE_PAD), 4.0 * a, _DIV_SAMPLES)
-            ratio = mode.amp_ratio
-        f_rho, f_phi, f_z = (ratio * c for c in
-                             _radial_components(s, mode.omega, rr, inside))
+        f_rho, f_phi, f_z = mode._cylindrical(rr, inside)
         h = 1e-6 * a
-        f_rho_p = ratio * _radial_components(s, mode.omega, rr + h, inside)[0]
-        f_rho_m = ratio * _radial_components(s, mode.omega, rr - h, inside)[0]
-        df_rho = (f_rho_p - f_rho_m) / (2 * h)
+        df_rho = (mode._cylindrical(rr + h, inside)[0]
+                  - mode._cylindrical(rr - h, inside)[0]) / (2 * h)
         div = df_rho + f_rho / rr + 1j * m * f_phi / rr + 1j * s.k_z * f_z
         scale = np.abs(f_rho) / rr + np.abs(df_rho) + np.abs(s.k_z * f_z) + 1e-300
         out.append(np.max(np.abs(div) / scale))

@@ -54,7 +54,9 @@ class WindowError(PwfnError):
 
 
 class ResourceError(PwfnError):
-    """A brute-force cross-check was requested on a grid above its size cap."""
+    """A grid exceeds a size cap: that of the direct double-sum scalar
+    product (a brute-force cross-check), or the 512-point cap of a wigner
+    run, whose full (r, k) distribution needs npoints^2 storage."""
 
 
 class TruncationError(PwfnError):

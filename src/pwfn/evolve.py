@@ -204,7 +204,8 @@ def step_medium(psi: SixField, medium: MediumMap, cfg: StepperConfig,
                                            medium).data
         return SixField(spec=spec, data=rk4(rhs, psi.data, cfg.dt, steps))
     if not medium.is_uniform_v:
-        raise DomainError("split_step requires a uniform-speed medium")
+        raise DomainError("split_step requires a uniform-speed medium",
+                          arg="scheme")
     return _step_split(psi, medium, cfg.dt, steps)
 
 

@@ -206,8 +206,10 @@ def reduced_pair_from_wigner(decomp: WignerDecomp, k_index):
 def wigner_reduced_step(spec: GridSpec, k, w, u, dt, steps, cfl_safety=0.5):
     """RK4 integration of the closed (w, u) pair on one k fiber.
 
-    dw/dt = -c^2 div u, du/dt = -2 c (k x u)... rotation about k minus grad w:
-    du_i/dt = -2 c eps_ijk k_j u_k - grad_i w.  c = 1 internally.
+    dw/dt = -c^2 div u,  du/dt = -2 c (k x u) - grad w,
+
+    that is du_i/dt = -2 c eps_ijk k_j u_k - grad_i w: a rotation of u about
+    k and the gradient of w.  c = 1 internally.
     """
     if not dt > 0.0:
         raise DomainError(f"dt must be positive, got {dt}")

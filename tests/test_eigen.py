@@ -137,6 +137,21 @@ def test_flagged_macdonald_quadrature_is_checked_not_warned(tmp_path,
                  "--out", str(tmp_path / "bad")]) == 3
 
 
+def test_macdonald_refuses_x_below_its_floor():
+    # Below _X_MIN the moment-2 scale (45/x)^2 overflows; below about
+    # 2.5e-307 the truncation point arccosh(45/x) is infinite as well.
+    for moment in (0, 1, 2):
+        assert np.isfinite(eigen.macdonald_imag_moment(1.0, eigen._X_MIN,
+                                                       moment))
+        for x in (1e-160, 1e-310):
+            with pytest.raises(DomainError) as err:
+                eigen.macdonald_imag_moment(1.0, x, moment)
+            assert err.value.arg == "x"
+    b = eigen.boost_eigenfunction(1.0, 1.0, 0.0)
+    with pytest.raises(DomainError):
+        b.profile(np.array([1e-160, 0.1]))
+
+
 def test_boost_eigenfunction_norm_grows_with_domain():
     # continuum spectrum: transverse plane waves make the norm scale with
     # the sampled transverse area
@@ -158,6 +173,8 @@ def test_fiber_window_and_errors():
     assert abs(lo - 5.0 / 1.5) < 1e-14 and abs(hi - 5.0) < 1e-14
     with pytest.raises(WindowError):
         eigen.fiber_matching_determinant(spec, 5.5)
+    with pytest.raises(WindowError):
+        eigen.FiberMode(5.5, spec)
     with pytest.raises(DomainError):
         eigen.FiberSpec(radius=1.0, eps_in=1.0, eps_out=1.0, m_angular=0,
                         k_z=5.0)
@@ -216,22 +233,22 @@ def test_fiber_modes_against_independent_scan(m_angular):
     for md, ref in zip(modes, roots):
         assert abs(md.omega - ref) < 1e-8 * ref
         assert md.matched_component_jump() < 1e-9
-        _, q = eigen._transverse_wavenumbers(spec, md.omega)
         slope = md.exterior_log_slope()
-        assert abs(slope + q) < 0.01 * q
+        assert abs(slope + md.q) < 0.01 * md.q
         assert eigen.fiber_mode_divergence_residual(md) < 1e-6
 
 
 def test_fiber_mode_near_cutoff_matches_at_the_interface():
     # Its exterior decay q a is 0.0063; there dq/domega ~ 1/q, so a root
-    # refined in omega alone left a matched-component jump of 5e-8.
+    # refined in omega alone left a matched-component jump of 5e-8, and a
+    # J_M' form of the transverse components read div psi at 7.6e-7.
     spec = eigen.FiberSpec(radius=1.0, eps_in=2.25, eps_out=1.0,
                            m_angular=1, k_z=6.33)
     modes = eigen.fiber_modes(spec)
-    _, q = eigen._transverse_wavenumbers(spec, modes[-1].omega)
-    assert q * spec.radius < 0.01
+    assert modes[-1].q * spec.radius < 0.01
     for md in modes:
         assert md.matched_component_jump() < 1e-9
+        assert eigen.fiber_mode_divergence_residual(md) <= 1e-8
 
 
 def test_fiber_empty_spectrum_without_axial_momentum():
@@ -273,8 +290,7 @@ def _fd6(arr, ax, h):
 def _fiber_grid_setup(m_angular=1):
     spec = eigen.FiberSpec(m_angular=m_angular, **ACC_FIBER)
     mode = eigen.fiber_modes(spec)[0]
-    _, q = eigen._transverse_wavenumbers(spec, mode.omega)
-    half = (1.0 + 6.5 / q) * 1.08
+    half = (1.0 + 6.5 / mode.q) * 1.08
     grid = GridSpec(n=(96, 96, 16),
                     length=(2 * half, 2 * half, 2 * np.pi * 4 / 5))
     fld = eigen.fiber_mode_field(mode, grid)

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import re
 import struct
@@ -313,7 +315,14 @@ cfl_safety = 1.0
             ("evolve-curved", curved + "metric = conformal:1e100\n", 2,
              "[physics] metric"),
             ("boost-eigen", boost + "kappa = 1e300\n", 2, "[physics] kappa"),
+            ("boost-eigen", boost + "z_min = 1e-160\nsamples = 3\n", 2,
+             "[physics] z_min"),
+            ("boost-eigen", boost + "z_min = 1e-310\nsamples = 3\n", 2,
+             "[physics] z_min"),
             # config values that solvers would refuse as preconditions
+            ("evolve-medium", medium + "steps = 1\nscheme = split_step\n"
+             "eps_profile = cosine:2.0,0.3\n", 2, "[physics] scheme",
+             "uniform-speed"),
             ("boost-eigen", boost + "z_min = -1\n", 2, "[physics] z_min"),
             ("boost-eigen", boost + "kx = 0\nky = 0\n", 2,
              "[physics] kx/ky", "k_perp > 0"),
@@ -592,3 +601,21 @@ def test_cli_report_survives_header_bit_flips_and_truncation(tmp_path, rng):
     # exponent bit turns 1.0 into inf and 2.0 into 0.  Every other flip and
     # every truncation is a format error.
     assert (codes.count(0), codes.count(5)) == (187, 219)
+
+
+def test_benchmark_tracer_names_resolve():
+    # The benchmark's tracer wraps these (module, attribute) pairs by name;
+    # a renamed function would break its traced runs, not the untraced ones.
+    tree = ast.parse((Path(__file__).parents[1] / "benchmark" / "tracer.py")
+                     .read_text(encoding="utf-8"))
+    functions = next(ast.literal_eval(node.value) for node in tree.body
+                     if isinstance(node, ast.Assign)
+                     and [t.id for t in node.targets] == ["FUNCTIONS"])
+    assert functions
+    for module, attr in functions:
+        owner = importlib.import_module(f"pwfn.{module}")
+        if "." in attr:
+            cls_name, member = attr.split(".")
+            assert member in vars(getattr(owner, cls_name)), (module, attr)
+        else:
+            assert callable(getattr(owner, attr, None)), (module, attr)
