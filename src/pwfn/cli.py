@@ -34,6 +34,9 @@ from .config import checked, parse_list
 from .errors import (ConfigError, DomainError, FormatError, PwfnError,
                      ResourceError, StabilityError)
 
+__all__ = ["EXIT_OK", "EXIT_CONFIG", "EXIT_PRECONDITION", "EXIT_INSTABILITY",
+           "EXIT_IO", "run_scenario", "report", "main"]
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
@@ -157,10 +160,14 @@ def _run_boost(scenario):
     b = checked("physics", eigen.boost_eigenfunction, phys["kappa"],
                 phys["kx"], phys["ky"], keys={"k_perp": "kx/ky"})
     z = np.linspace(phys["z_min"], phys["z_max"], phys["samples"])
-    # The quadrature's floor on x = k_perp z bites first at the smaller end.
-    z_lo = "z_min" if phys["z_min"] <= phys["z_max"] else "z_max"
-    psi_x, psi_y, psi_z, residual = checked("physics", b.profile, z,
-                                            keys={"x": z_lo})
+    try:
+        psi_x, psi_y, psi_z, residual = b.profile(z)
+    except DomainError as exc:
+        # Name the end of the z range nearer the sample at fault; an error
+        # with no value is a z <= 0 sample, nearest the smaller end.
+        z_bad = (exc.value or 0.0) / b.k_perp
+        key = min(("z_min", "z_max"), key=lambda k: abs(phys[k] - z_bad))
+        raise ConfigError(f"[physics] {key}: {exc}") from exc
     rows = list(zip(z, psi_z, np.abs(psi_x), np.abs(psi_y), residual))
     return (["z", "psi_z", "abs_psi_x", "abs_psi_y", "eigen_residual"], rows,
             None, {"kappa": b.kappa, "k_perp": b.k_perp})

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 from .errors import ConfigError, DomainError
 from .spectral import GridSpec
 
-__all__ = ["Scenario", "load_scenario", "SCHEMA", "SCENARIO_KINDS",
+__all__ = ["Scenario", "Key", "load_scenario", "SCHEMA", "SCENARIO_KINDS",
            "parse_list", "checked"]
 
 

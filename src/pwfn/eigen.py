@@ -78,7 +78,7 @@ def macdonald_imag_moment(kappa, x, moment=0):
     kappa = float(kappa)
     if not x >= _X_MIN:
         raise DomainError(f"macdonald quadrature needs x >= {_X_MIN:.3g}, "
-                          f"got x = {x:.3g}", arg="x")
+                          f"got x = {x:.3g}", arg="x", value=x)
     tmax = np.arccosh(max(45.0 / x, 2.0))
 
     def integrand(t):
@@ -178,9 +178,16 @@ class BoostEigenfunction:
         eigenproblem K_z psi = kappa psi at the sampled z values."""
         return self.profile(z)[3]
 
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def profile(self, z):
         """(psi_x, psi_y, psi_z, eigen_residual) at the sampled z values,
-        from three quadratures per sample."""
+        from three quadratures per sample.
+
+        Raises DomainError naming x = k_perp z where a sample leaves double
+        precision: exp(-x) underflows to 0 past x of about 745, and the
+        derivative moments overflow at tiny x.  The x reported is the one
+        at fault farthest from 1, so it sits at an end of the z range.
+        """
         z, w, dw, d2w = self._psi_z_derivatives(z, 2)
         kx, ky, kap = self.kx, self.ky, self.kappa
         px, py = self._transverse(z, w, dw)
@@ -193,7 +200,15 @@ class BoostEigenfunction:
         r2 = d_zpx - 1j * kx * z * w - kap * py
         r3 = 1j * kx * z * py - 1j * ky * z * px - kap * w
         scale = np.abs(kap) * (np.abs(px) + np.abs(py) + np.abs(w)) + np.abs(z * w)
-        return px, py, w, (np.abs(r1) + np.abs(r2) + np.abs(r3)) / scale
+        res = (np.abs(r1) + np.abs(r2) + np.abs(r3)) / scale
+        # a zero scale (psi_z and its derivatives all 0) makes res 0/0
+        bad = ~np.isfinite(np.stack([px, py, w, res])).all(axis=0)
+        if bad.any():
+            x = self.k_perp * z[bad]
+            x = float(x[np.argmax(np.abs(np.log(x)))])
+            raise DomainError(f"psi under- or overflows at x = k_perp z = "
+                              f"{x:.3g}", arg="x", value=x)
+        return px, py, w, res
 
 
 def boost_eigenfunction(kappa, kx, ky) -> BoostEigenfunction:
@@ -350,10 +365,12 @@ class FiberMode:
         The sqrt(rho) factor removes the known algebraic prefactor of the
         evanescent Bessel tail, so the fit converges to -|k_perp_out|.  The
         window is chosen in units of the decay length so that the next
-        asymptotic correction stays below one percent.
+        asymptotic correction, of order (4 M^2 - 1) / (8 q rho), stays below
+        one percent: it starts max(6, 4 M^2) decay lengths out.
         """
         q = self.q
-        rho_lo = max(1.5 * self.spec.radius, 6.0 / q)
+        m = self.spec.m_angular
+        rho_lo = max(1.5 * self.spec.radius, max(6.0, 4.0 * m * m) / q)
         rr = np.linspace(rho_lo, rho_lo + 4.0 / q, 64)
         fz = np.abs(self.profile(rr, inside=False)[2])
         slope = np.polyfit(rr, np.log(np.sqrt(rr) * fz), 1)[0]

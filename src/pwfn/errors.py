@@ -5,6 +5,13 @@ code should raise the most specific class that applies instead of bare
 ValueError/RuntimeError.
 """
 
+__all__ = [
+    "PwfnError", "ConfigError", "DomainError", "InconsistencyError",
+    "ShapeError", "NormalizationError", "StabilityError",
+    "GaugeSingularityError", "WindowError", "ResourceError",
+    "TruncationError", "FormatError",
+]
+
 
 class PwfnError(Exception):
     """Base class for all errors raised by pwfn."""
@@ -17,12 +24,14 @@ class ConfigError(PwfnError):
 class DomainError(PwfnError):
     """An argument lies outside the mathematical domain of an operation.
 
-    ``arg`` names the argument at fault, when one argument is.
+    ``arg`` names the argument at fault, when one argument is, and
+    ``value`` holds its offending value, when one value is.
     """
 
-    def __init__(self, message, arg=None):
+    def __init__(self, message, arg=None, value=None):
         super().__init__(message)
         self.arg = arg
+        self.value = value
 
 
 class InconsistencyError(PwfnError):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, StabilityError
-from .fieldcore import RSPair, cross, rodrigues
+from .fieldcore import cross, rodrigues
 from .spectral import (GridSpec, SixField, _curl_k, _fft, _ifft, div, grad,
                        triad_arrays)
 
@@ -270,8 +270,9 @@ def divergence_residual(psi: SixField, medium: MediumMap | None = None) -> float
     return resn / norm
 
 
-def medium_basis_change(free_pair: RSPair, eps: float, mu: float) -> RSPair:
-    """Re-express a free-space RS pair with medium normalization (eps, mu).
+def medium_basis_change(calf, eps: float, mu: float):
+    """Re-express a free-space (2, 3, ...) RS stack with medium normalization
+    (eps, mu).
 
     F+ = [(a + b) F0+ + (a - b) F0-]/2 and F- = [(a - b) F0+ + (a + b) F0-]/2
     with a = sqrt(eps0/eps), b = sqrt(mu0/mu) and eps0 = mu0 = 1.
@@ -280,9 +281,6 @@ def medium_basis_change(free_pair: RSPair, eps: float, mu: float) -> RSPair:
         raise DomainError("eps and mu must be strictly positive")
     a = 1.0 / np.sqrt(eps)
     b = 1.0 / np.sqrt(mu)
-    fp = np.asarray(free_pair.f_plus)
-    fm = np.asarray(free_pair.f_minus)
-    return RSPair(
-        f_plus=0.5 * ((a + b) * fp + (a - b) * fm),
-        f_minus=0.5 * ((a - b) * fp + (a + b) * fm),
-    )
+    fp, fm = np.asarray(calf)
+    return 0.5 * np.stack([(a + b) * fp + (a - b) * fm,
+                           (a - b) * fp + (a + b) * fm])

@@ -26,15 +26,12 @@ mode by the angle |k| t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DomainError, InconsistencyError
 
 __all__ = [
     "SPIN_X", "SPIN_Y", "SPIN_Z", "SPIN", "LEVI_CIVITA",
-    "RSPair", "SixVector", "FieldInvariants",
     "rho1", "rho2", "rho3", "spin_dot", "cross", "poynting", "rodrigues",
     "rs_from_fields", "fields_from_rs", "invariants", "duality_rotate",
     "conjugate", "lorentz_boost", "rotation_matrix", "rotate",
@@ -54,30 +51,6 @@ SPIN_X = np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]], dtype=complex)
 SPIN_Y = np.array([[0, 0, 1j], [0, 0, 0], [-1j, 0, 0]], dtype=complex)
 SPIN_Z = np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]], dtype=complex)
 SPIN = np.stack([SPIN_X, SPIN_Y, SPIN_Z])
-
-
-@dataclass
-class RSPair:
-    """The pair (F_plus, F_minus) of complex 3-vectors at one point or grid."""
-
-    f_plus: np.ndarray
-    f_minus: np.ndarray
-
-
-@dataclass
-class SixVector:
-    """Six-component value (upper, lower); each a complex 3-vector array."""
-
-    upper: np.ndarray
-    lower: np.ndarray
-
-
-@dataclass
-class FieldInvariants:
-    """Scalar and pseudoscalar invariants with F.F = s_scalar + i p_pseudo."""
-
-    s_scalar: float
-    p_pseudo: float
 
 
 def rho1(calf):
@@ -140,30 +113,29 @@ def rs_from_fields(d, b, eps=1.0, mu=1.0):
 
     Returns
     -------
-    RSPair with f_plus = d/sqrt(2 eps) + i b/sqrt(2 mu) and
-    f_minus = conj(f_plus).
+    The (2, 3, ...) stack (F_plus, F_minus) with
+    F_plus = d/sqrt(2 eps) + i b/sqrt(2 mu) and F_minus = conj(F_plus).
     """
     eps = np.asarray(eps, dtype=float)
     mu = np.asarray(mu, dtype=float)
     if np.any(eps <= 0.0) or np.any(mu <= 0.0):
         raise DomainError("eps and mu must be strictly positive")
     f_plus = np.asarray(d) / np.sqrt(2.0 * eps) + 1j * np.asarray(b) / np.sqrt(2.0 * mu)
-    return RSPair(f_plus=f_plus, f_minus=np.conj(f_plus))
+    return np.stack([f_plus, np.conj(f_plus)])
 
 
-def fields_from_rs(pair, eps=1.0, mu=1.0, rtol=1e-12):
-    """Recover (D, B) from a conjugate-symmetric RSPair.
+def fields_from_rs(calf, eps=1.0, mu=1.0, rtol=1e-12):
+    """Recover (D, B) from a conjugate-symmetric (2, 3, ...) stack.
 
-    Raises InconsistencyError if ||f_minus - conj(f_plus)|| exceeds
-    rtol * ||pair||.
+    Raises InconsistencyError if ||F_minus - conj(F_plus)|| exceeds
+    rtol * (||F_plus|| + ||F_minus||).
     """
-    f_plus = np.asarray(pair.f_plus)
-    f_minus = np.asarray(pair.f_minus)
+    f_plus, f_minus = np.asarray(calf)
     scale = np.linalg.norm(f_plus) + np.linalg.norm(f_minus)
     defect = np.linalg.norm(f_minus - np.conj(f_plus))
     if defect > rtol * max(scale, 1e-300):
         raise InconsistencyError(
-            f"RSPair is not conjugate symmetric: defect {defect:.3e} "
+            f"F_minus is not conj(F_plus): defect {defect:.3e} "
             f"exceeds {rtol:.1e} * norm {scale:.3e}"
         )
     d = np.sqrt(2.0 * np.asarray(eps, dtype=float)) * f_plus.real
@@ -172,17 +144,14 @@ def fields_from_rs(pair, eps=1.0, mu=1.0, rtol=1e-12):
 
 
 def invariants(f):
-    """Scalar/pseudoscalar invariants of one complex field vector.
+    """The unconjugated square F.F = S + i P of one complex field vector.
 
-    Returns FieldInvariants with F.F = s_scalar + i p_pseudo, where the dot
-    product is unconjugated.  Point inputs give float fields; grid inputs
-    give pointwise invariant lattices (no sum is taken).
+    S (real part) is the scalar and P (imaginary part) the pseudoscalar
+    invariant.  Point inputs give a complex scalar; grid inputs give the
+    pointwise lattice (no sum is taken).
     """
     f = np.asarray(f)
-    sq = np.sum(f * f, axis=0)
-    if sq.ndim == 0:
-        return FieldInvariants(s_scalar=float(sq.real), p_pseudo=float(sq.imag))
-    return FieldInvariants(s_scalar=sq.real, p_pseudo=sq.imag)
+    return np.sum(f * f, axis=0)
 
 
 def duality_rotate(f, alpha):
@@ -190,9 +159,9 @@ def duality_rotate(f, alpha):
     return np.exp(1j * float(alpha)) * np.asarray(f)
 
 
-def conjugate(psi: SixVector) -> SixVector:
-    """Particle-antiparticle conjugation rho_1 psi*; an involution."""
-    return SixVector(upper=np.conj(psi.lower), lower=np.conj(psi.upper))
+def conjugate(calf):
+    """Particle-antiparticle conjugation rho_1 calF*; an involution."""
+    return rho1(np.conj(calf))
 
 
 def lorentz_boost(f, v, sign=+1):
@@ -223,16 +192,13 @@ def rotation_matrix(axis_angle):
     return rodrigues(n, np.cos(theta), np.sin(theta), np.eye(3))
 
 
-def rotate(psi: SixVector, axis_angle) -> SixVector:
+def rotate(calf, axis_angle):
     """Rotate field values of both blocks by the same real orthogonal matrix.
 
     This is the value-space action diag(C, C*) with C real orthogonal, so
     both blocks transform identically.
     """
-    r = rotation_matrix(axis_angle)
-    up = np.tensordot(r, np.asarray(psi.upper), axes=(1, 0))
-    lo = np.tensordot(r, np.asarray(psi.lower), axes=(1, 0))
-    return SixVector(upper=up, lower=lo)
+    return np.einsum("ij,aj...->ai...", rotation_matrix(axis_angle), calf)
 
 
 # Classical bilinears of a single helicity component F (densities summed with

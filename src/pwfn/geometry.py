@@ -37,9 +37,10 @@ from .spectral import GridSpec, SixField, _fft, _ifft
 
 __all__ = [
     "MetricField", "minkowski_metric", "conformal_metric",
-    "g_from_f", "f_from_g", "step_curved",
-    "SymSpinor2", "spinor_from_rs", "rs_from_spinor",
+    "g_from_f", "f_from_g", "curved_generator", "step_curved",
+    "spinor_from_rs", "rs_from_spinor",
     "four_spinor_from_rs", "rs_from_four_spinor", "dirac_form_step",
+    "four_spinor_constraint_defect",
     "ALPHA_X", "ALPHA_Y", "ALPHA_Z",
 ]
 
@@ -152,28 +153,18 @@ def step_curved(field: SixField, metric: MetricField, cfg, steps: int) -> SixFie
     return SixField(spec=spec, data=rk4(rhs, field.data, cfg.dt, steps))
 
 
-@dataclass
-class SymSpinor2:
-    """Symmetric second-rank spinor; phi_10 = phi_01 by storage."""
-
-    phi_00: np.ndarray
-    phi_01: np.ndarray
-    phi_11: np.ndarray
-
-
-def spinor_from_rs(f) -> SymSpinor2:
-    """Map one helicity vector onto the symmetric spinor components."""
+def spinor_from_rs(f):
+    """Map one helicity vector onto the (3, ...) symmetric spinor
+    (phi_00, phi_01, phi_11); phi_10 = phi_01 by storage."""
     f = np.asarray(f)
-    return SymSpinor2(phi_00=-f[0] + 1j * f[1], phi_01=f[2],
-                      phi_11=f[0] + 1j * f[1])
+    return np.stack([-f[0] + 1j * f[1], f[2], f[0] + 1j * f[1]])
 
 
-def rs_from_spinor(phi: SymSpinor2):
+def rs_from_spinor(phi):
     """Inverse of spinor_from_rs."""
-    fx = 0.5 * (phi.phi_11 - phi.phi_00)
-    fy = -0.5j * (phi.phi_11 + phi.phi_00)
-    fz = np.asarray(phi.phi_01)
-    return np.stack([np.asarray(fx), np.asarray(fy), fz])
+    phi = np.asarray(phi)
+    return np.stack([0.5 * (phi[2] - phi[0]), -0.5j * (phi[2] + phi[0]),
+                     phi[1]])
 
 
 ALPHA_X = np.array([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]],
@@ -186,9 +177,7 @@ _ALPHA = np.stack([ALPHA_X, ALPHA_Y, ALPHA_Z])
 
 def four_spinor_from_rs(f):
     """Stack (phi_00, phi_01, phi_10, phi_11) of one helicity vector."""
-    s = spinor_from_rs(f)
-    return np.stack([s.phi_00, np.asarray(s.phi_01), np.asarray(s.phi_01),
-                     s.phi_11])
+    return spinor_from_rs(f)[[0, 1, 1, 2]]
 
 
 def rs_from_four_spinor(phi):
@@ -198,9 +187,7 @@ def rs_from_four_spinor(phi):
     transversality defect and is reported by the caller if needed.
     """
     phi = np.asarray(phi)
-    sym = SymSpinor2(phi_00=phi[0], phi_01=0.5 * (phi[1] + phi[2]),
-                     phi_11=phi[3])
-    return rs_from_spinor(sym)
+    return rs_from_spinor(np.stack([phi[0], 0.5 * (phi[1] + phi[2]), phi[3]]))
 
 
 def dirac_form_step(spec: GridSpec, phi, t: float):

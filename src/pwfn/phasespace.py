@@ -37,13 +37,14 @@ import numpy as np
 from scipy import fft as sfft
 
 from .errors import DomainError, InconsistencyError, ShapeError
-from .evolve import check_cfl, rk4
+from .evolve import StepperConfig, check_cfl, rk4
 from .fieldcore import LEVI_CIVITA, cross, poynting
 from .spectral import GridSpec, curl, div, grad, to_k, to_r
 
 __all__ = [
     "WignerField", "WignerDecomp", "HydroState",
-    "wigner_build", "wigner_decompose", "wigner_subsidiary_residual",
+    "wigner_build", "wigner_marginal_r", "wigner_marginal_k",
+    "wigner_decompose", "wigner_subsidiary_residual",
     "wigner_reduced_step", "reduced_pair_from_wigner",
     "hydro_from_field", "hydro_identity_residuals", "gradient_bilinears",
     "hydro_divergence_residuals", "hydro_evolution_residual",
@@ -211,9 +212,8 @@ def wigner_reduced_step(spec: GridSpec, k, w, u, dt, steps, cfl_safety=0.5):
     that is du_i/dt = -2 c eps_ijk k_j u_k - grad_i w: a rotation of u about
     k and the gradient of w.  c = 1 internally.
     """
-    if not dt > 0.0:
-        raise DomainError(f"dt must be positive, got {dt}")
-    check_cfl(dt, spec.spacing, 1.0, cfl_safety)
+    cfg = StepperConfig(dt=dt, cfl_safety=cfl_safety)
+    check_cfl(cfg.dt, spec.spacing, 1.0, cfg.cfl_safety)
     k = np.asarray(k, dtype=float)
 
     def rhs(y):
@@ -226,7 +226,7 @@ def wigner_reduced_step(spec: GridSpec, k, w, u, dt, steps, cfl_safety=0.5):
     y = np.empty((4,) + spec.n)
     y[0] = w
     y[1:] = u
-    y = rk4(rhs, y, dt, steps)
+    y = rk4(rhs, y, cfg.dt, steps)
     return y[0], y[1:]
 
 

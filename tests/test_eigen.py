@@ -152,6 +152,19 @@ def test_macdonald_refuses_x_below_its_floor():
         b.profile(np.array([1e-160, 0.1]))
 
 
+def test_boost_profile_refuses_samples_that_under_or_overflow():
+    # past x = k_perp z of about 745, psi_z = K_{i kappa}(x) underflows to 0
+    # and the residual is 0/0; at x = 1e-152 the moment-2 term overflows.
+    # The x reported is the extreme one, at an end of the z range.
+    b = eigen.boost_eigenfunction(1.0, 1000.0, 0.0)
+    for z, x_bad in ((np.linspace(0.1, 5.0, 64), 5000.0),
+                     (np.array([1e-155, 2.5, 5.0]), 1e-152)):
+        with pytest.raises(DomainError) as err:
+            b.profile(z)
+        assert err.value.arg == "x"
+        assert err.value.value == pytest.approx(x_bad)
+
+
 def test_boost_eigenfunction_norm_grows_with_domain():
     # continuum spectrum: transverse plane waves make the norm scale with
     # the sampled transverse area
@@ -212,7 +225,7 @@ def test_fiber_determinant_continuous():
     assert np.max(steps) < 0.2 * np.max(np.abs(vals))  # no poles/jumps
 
 
-@pytest.mark.parametrize("m_angular", [0, 1])
+@pytest.mark.parametrize("m_angular", [0, 1, 2, 3])
 def test_fiber_modes_against_independent_scan(m_angular):
     spec = eigen.FiberSpec(m_angular=m_angular, **ACC_FIBER)
     modes = eigen.fiber_modes(spec)

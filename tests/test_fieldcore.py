@@ -45,7 +45,7 @@ def test_cross_matches_numpy_cross_bit_for_bit(rng):
 def test_poynting_equals_d_cross_b(rng):
     d = rng.normal(size=(3, 4, 4, 4))
     b = rng.normal(size=(3, 4, 4, 4))
-    f = fc.rs_from_fields(d, b).f_plus
+    f = fc.rs_from_fields(d, b)[0]
     # F+ = (D + i B)/sqrt(2) gives F* x F = i D x B
     assert rel_err(fc.poynting(f), np.cross(d, b, axis=0)) < 1e-14
 
@@ -85,18 +85,18 @@ def test_rho_matrices_square_to_identity(rng):
 
 
 def test_rs_from_fields_definition():
-    pair = fc.rs_from_fields(np.array([1.0, 0, 0]), np.zeros(3))
-    assert np.allclose(pair.f_plus, [1 / np.sqrt(2), 0, 0])
-    pair = fc.rs_from_fields(np.zeros(3), np.array([0, 1.0, 0]))
-    assert np.allclose(pair.f_plus, [0, 1j / np.sqrt(2), 0])
-    assert np.allclose(pair.f_minus, np.conj(pair.f_plus))
+    calf = fc.rs_from_fields(np.array([1.0, 0, 0]), np.zeros(3))
+    assert np.allclose(calf[0], [1 / np.sqrt(2), 0, 0])
+    calf = fc.rs_from_fields(np.zeros(3), np.array([0, 1.0, 0]))
+    assert np.allclose(calf[0], [0, 1j / np.sqrt(2), 0])
+    assert np.allclose(calf[1], np.conj(calf[0]))
 
 
 def test_rs_fields_round_trip(rng):
     d = rng.normal(size=(3, 4, 4, 4))
     b = rng.normal(size=(3, 4, 4, 4))
-    pair = fc.rs_from_fields(d, b, eps=2.0, mu=0.5)
-    d2, b2 = fc.fields_from_rs(pair, eps=2.0, mu=0.5)
+    calf = fc.rs_from_fields(d, b, eps=2.0, mu=0.5)
+    d2, b2 = fc.fields_from_rs(calf, eps=2.0, mu=0.5)
     assert rel_err(d, d2) < 1e-14
     assert rel_err(b, b2) < 1e-14
 
@@ -110,16 +110,16 @@ def test_rs_from_fields_rejects_bad_medium():
 
 def test_fields_from_rs_rejects_conjugacy_violation(rng):
     f = rng.normal(size=3) + 1j * rng.normal(size=3)
-    bad = fc.RSPair(f_plus=f, f_minus=np.conj(f) + 0.1)
+    bad = np.stack([f, np.conj(f) + 0.1])
     with pytest.raises(InconsistencyError):
         fc.fields_from_rs(bad)
 
 
 def test_invariants_null_field_and_real_field():
     inv = fc.invariants(np.array([1.0, 1j, 0]) / np.sqrt(2))
-    assert abs(inv.s_scalar) < 1e-15 and abs(inv.p_pseudo) < 1e-15
+    assert abs(inv.real) < 1e-15 and abs(inv.imag) < 1e-15
     inv = fc.invariants(np.array([1.0, 0, 0], dtype=complex))
-    assert inv.s_scalar == 1.0 and inv.p_pseudo == 0.0
+    assert inv.real == 1.0 and inv.imag == 0.0
 
 
 def test_invariants_boost_invariant(rng):
@@ -127,8 +127,8 @@ def test_invariants_boost_invariant(rng):
     fb = fc.lorentz_boost(f, np.array([0.3, 0.0, 0.0]), sign=+1)
     a = fc.invariants(f)
     b = fc.invariants(fb)
-    assert abs(a.s_scalar - b.s_scalar) < 1e-12 * (1 + abs(a.s_scalar))
-    assert abs(a.p_pseudo - b.p_pseudo) < 1e-12 * (1 + abs(a.p_pseudo))
+    assert abs(a.real - b.real) < 1e-12 * (1 + abs(a.real))
+    assert abs(a.imag - b.imag) < 1e-12 * (1 + abs(a.imag))
 
 
 def test_boost_identity_and_composition(rng):
@@ -162,10 +162,8 @@ def test_duality_rotation_phases(rng):
     # quarter turn swaps the real field pair: d' = -b, b' = d
     d = rng.normal(size=3)
     b = rng.normal(size=3)
-    pair = fc.rs_from_fields(d, b)
-    rotated = fc.RSPair(f_plus=fc.duality_rotate(pair.f_plus, np.pi / 2),
-                        f_minus=np.conj(fc.duality_rotate(pair.f_plus, np.pi / 2)))
-    d2, b2 = fc.fields_from_rs(rotated)
+    f_plus = fc.duality_rotate(fc.rs_from_fields(d, b)[0], np.pi / 2)
+    d2, b2 = fc.fields_from_rs(np.stack([f_plus, np.conj(f_plus)]))
     assert rel_err(d2, -b) < 1e-14
     assert rel_err(b2, d) < 1e-14
 
@@ -190,15 +188,12 @@ def test_duality_leaves_bilinears_invariant(rng):
 
 def test_conjugation_involution_and_classical_invariance(rng):
     u = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-    psi = fc.SixVector(upper=u, lower=np.zeros_like(u))
+    psi = np.stack([u, np.zeros_like(u)])
     conj = fc.conjugate(psi)
-    assert np.allclose(conj.upper, 0) and np.allclose(conj.lower, np.conj(u))
-    twice = fc.conjugate(conj)
-    assert rel_err(twice.upper, psi.upper) == 0.0
-    classical = fc.SixVector(upper=u, lower=np.conj(u))
-    cc = fc.conjugate(classical)
-    assert rel_err(cc.upper, classical.upper) == 0.0
-    assert rel_err(cc.lower, classical.lower) == 0.0
+    assert np.allclose(conj[0], 0) and np.allclose(conj[1], np.conj(u))
+    assert rel_err(fc.conjugate(conj), psi) == 0.0
+    classical = np.stack([u, np.conj(u)])
+    assert rel_err(fc.conjugate(classical), classical) == 0.0
 
 
 def test_conjugation_reproduces_negative_frequency_part(rng):
@@ -213,21 +208,19 @@ def test_conjugation_reproduces_negative_frequency_part(rng):
     psi = synthesize(HelicitySpectrum(spec=spec, amp=amp), t=0.0)
     classical = psi.data + fc.rho1(np.conj(psi.data))
     neg = classical - psi.data
-    conj = fc.conjugate(fc.SixVector(upper=psi.upper, lower=psi.lower))
-    assert rel_err(np.stack([conj.upper, conj.lower]), neg) < 1e-13
+    assert rel_err(fc.conjugate(psi.data), neg) < 1e-13
 
 
 def test_rotation_identity_full_turn_and_norm(rng):
     u = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
     l = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
-    psi = fc.SixVector(upper=u, lower=l)
-    ident = fc.rotate(psi, np.zeros(3))
-    assert rel_err(ident.upper, u) == 0.0
+    psi = np.stack([u, l])
+    assert rel_err(fc.rotate(psi, np.zeros(3)), psi) == 0.0
     full = fc.rotate(psi, np.array([0.0, 0.0, 2 * np.pi]))
-    assert rel_err(full.upper, u) < 1e-12
+    assert rel_err(full[0], u) < 1e-12
     rot = fc.rotate(psi, rng.normal(size=3))
-    n0 = np.sum(np.abs(u) ** 2 + np.abs(l) ** 2)
-    n1 = np.sum(np.abs(rot.upper) ** 2 + np.abs(rot.lower) ** 2)
+    n0 = np.sum(np.abs(psi) ** 2)
+    n1 = np.sum(np.abs(rot) ** 2)
     assert abs(n0 - n1) < 1e-12 * n0
 
 

@@ -156,9 +156,9 @@ def test_curved_divergence_transport(rng):
 
 def test_spinor_component_map():
     phi = geo.spinor_from_rs(np.array([0.0, 0.0, 1.0], dtype=complex))
-    assert phi.phi_00 == 0.0 and phi.phi_01 == 1.0 and phi.phi_11 == 0.0
+    assert np.array_equal(phi, [0.0, 1.0, 0.0])
     phi = geo.spinor_from_rs(np.array([1.0, 0.0, 0.0], dtype=complex))
-    assert phi.phi_00 == -1.0 and phi.phi_11 == 1.0 and phi.phi_01 == 0.0
+    assert np.array_equal(phi, [-1.0, 0.0, 1.0])
 
 
 def test_spinor_round_trip(rng):
@@ -210,11 +210,8 @@ def test_spinor_rotation_consistency(rng):
         r = rotation_matrix(axis_angle)
         from scipy.linalg import expm
         s = expm(-0.5j * theta * sigma[axis])
-        ph = geo.spinor_from_rs(f)
-        mat = np.array([[ph.phi_00, ph.phi_01], [ph.phi_01, ph.phi_11]])
-        rotated_then_mapped = geo.spinor_from_rs(r @ f)
-        target = np.array([[rotated_then_mapped.phi_00, rotated_then_mapped.phi_01],
-                           [rotated_then_mapped.phi_01, rotated_then_mapped.phi_11]])
+        mat = geo.four_spinor_from_rs(f).reshape(2, 2)
+        target = geo.four_spinor_from_rs(r @ f).reshape(2, 2)
         mapped_then_spun = s @ mat @ s.T
         assert rel_err(mapped_then_spun, target) < 1e-12
 

@@ -319,6 +319,11 @@ cfl_safety = 1.0
              "[physics] z_min"),
             ("boost-eigen", boost + "z_min = 1e-310\nsamples = 3\n", 2,
              "[physics] z_min"),
+            # exp(-k_perp z) underflows past k_perp z of about 745, and the
+            # derivative moments overflow at tiny k_perp z
+            ("boost-eigen", boost + "kx = 1000\n", 2, "[physics] z_max"),
+            ("boost-eigen", boost + "kx = 1000\nz_min = 1e-155\nsamples = 3\n",
+             2, "[physics] z_min"),
             # config values that solvers would refuse as preconditions
             ("evolve-medium", medium + "steps = 1\nscheme = split_step\n"
              "eps_profile = cosine:2.0,0.3\n", 2, "[physics] scheme",

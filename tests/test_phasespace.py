@@ -160,6 +160,16 @@ def test_reduced_step_cfl_guard():
                                np.zeros((3,) + spec.n), dt=10.0, steps=1)
 
 
+@pytest.mark.parametrize("cfl_safety", [5.0, -1.0])
+def test_reduced_step_rejects_bad_cfl_safety(cfl_safety):
+    spec = cube(8)
+    with pytest.raises(DomainError) as err:
+        ps.wigner_reduced_step(spec, np.zeros(3), np.zeros(spec.n),
+                               np.zeros((3,) + spec.n), dt=2 * spec.spacing[0],
+                               steps=3, cfl_safety=cfl_safety)
+    assert err.value.arg == "cfl_safety"
+
+
 def test_hydro_identities_and_plane_wave(rng):
     spec = cube(12)
     psi = random_field(spec, rng, kmax=2.5, helicities=(0,))
