@@ -203,8 +203,7 @@ def _run_hydro(scenario):
 
 
 def _run_observables(scenario):
-    f0 = _initial_field(scenario)
-    sp = spectral.decompose(f0)
+    sp = spectral.decompose(_initial_field(scenario))
     n_ph = metrics.photon_number(sp)
     sp.amp /= np.sqrt(n_ph)
     psi = spectral.synthesize(sp, 0.0)

@@ -160,14 +160,17 @@ class BoostEigenfunction:
         return self._psi_z_derivatives(z, 0)[1]
 
     def psi_x(self, z):
-        return self._transverse(*self._psi_z_derivatives(z, 1))[0]
+        return self.profile(z)[0]
 
     def psi_y(self, z):
-        return self._transverse(*self._psi_z_derivatives(z, 1))[1]
+        return self.profile(z)[1]
 
     def ode_residual(self, z):
-        """Relative residual of z^2 w'' + z w' + (kappa^2 - k_perp^2 z^2) w = 0."""
-        z, w, dw, d2w = self._psi_z_derivatives(z, 2)
+        """Relative residual of z^2 w'' + z w' + (kappa^2 - k_perp^2 z^2) w = 0.
+
+        Refuses the samples :meth:`profile` refuses, with the same error.
+        """
+        z, w, dw, d2w = self._samples(z)[:4]
         res = z**2 * d2w + z * dw + (self.kappa**2 - self.k_perp**2 * z**2) * w
         scale = (z**2 * np.abs(d2w) + z * np.abs(dw)
                  + (self.kappa**2 + self.k_perp**2 * z**2) * np.abs(w))
@@ -178,16 +181,23 @@ class BoostEigenfunction:
         eigenproblem K_z psi = kappa psi at the sampled z values."""
         return self.profile(z)[3]
 
-    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def profile(self, z):
         """(psi_x, psi_y, psi_z, eigen_residual) at the sampled z values,
         from three quadratures per sample.
 
         Raises DomainError naming x = k_perp z where a sample leaves double
-        precision: exp(-x) underflows to 0 past x of about 745, and the
-        derivative moments overflow at tiny x.  The x reported is the one
-        at fault farthest from 1, so it sits at an end of the z range.
+        precision: past x of about 708, psi_z ~ exp(-x) falls below the
+        smallest normal double and loses digits (to 0 past about 745), and
+        the derivative moments overflow at tiny x.  The x reported is the
+        one at fault farthest from 1, so it sits at an end of the z range.
         """
+        _, w, _, _, px, py, res = self._samples(z)
+        return px, py, w, res
+
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+    def _samples(self, z):
+        """(z, psi_z, psi_z', psi_z'', psi_x, psi_y, eigen_residual), with
+        the check of :meth:`profile`."""
         z, w, dw, d2w = self._psi_z_derivatives(z, 2)
         kx, ky, kap = self.kx, self.ky, self.kappa
         px, py = self._transverse(z, w, dw)
@@ -203,12 +213,13 @@ class BoostEigenfunction:
         res = (np.abs(r1) + np.abs(r2) + np.abs(r3)) / scale
         # a zero scale (psi_z and its derivatives all 0) makes res 0/0
         bad = ~np.isfinite(np.stack([px, py, w, res])).all(axis=0)
+        bad |= np.abs(w) < np.finfo(float).tiny
         if bad.any():
             x = self.k_perp * z[bad]
             x = float(x[np.argmax(np.abs(np.log(x)))])
             raise DomainError(f"psi under- or overflows at x = k_perp z = "
                               f"{x:.3g}", arg="x", value=x)
-        return px, py, w, res
+        return z, w, dw, d2w, px, py, res
 
 
 def boost_eigenfunction(kappa, kx, ky) -> BoostEigenfunction:

@@ -31,11 +31,10 @@ from scipy.special import gamma as gamma_fn, kv
 from .errors import (DomainError, GaugeSingularityError, NormalizationError,
                      ResourceError, ShapeError)
 from .evolve import _free_generator_k, free_generator
-from .fieldcore import LEVI_CIVITA, SPIN, poynting
+from .fieldcore import LEVI_CIVITA, poynting
 from .spectral import (_DC_RTOL, GridSpec, HelicitySpectrum, SixField,
                        _dc_energy_fraction, _decompose, _fft, _ifft,
-                       berry_connection_grid, decompose, synthesize, to_k,
-                       to_r, triad_arrays)
+                       berry_connection_grid, decompose, triad_arrays)
 
 __all__ = [
     "Observables", "GeneratorTag",
@@ -95,6 +94,9 @@ _VECTOR_TAGS = {
 # Levi-Civita symbol as (i, j) -> (k, eps_ijk) for i != j.
 _EPS = {(i, j): (k, float(LEVI_CIVITA[i, j, k]))
         for i, j, k in itertools.permutations(range(3))}
+# Axes (j, k) of the rotation generator J_i = x_j D_k - x_k D_j + S_i, per
+# i; (i, j, k) is cyclic, and (S_i psi)_j = -i psi_k, (S_i psi)_k = i psi_j.
+_ROTATION_AXES = ((1, 2), (2, 0), (0, 1))
 
 
 def _check_specs(a, b):
@@ -199,22 +201,42 @@ def inverse_hamiltonian_apply(psi: SixField) -> SixField:
     Defined on positive-frequency fields only; raises DomainError when the
     input carries non-positive-frequency content above _PROJECTION_RTOL.
     """
-    hat = to_k(psi.spec, psi.data)
-    out = _inverse_hamiltonian(psi, hat, _decompose(psi, hat))
-    return SixField(spec=psi.spec, data=out)
+    raw = _fft(psi.data)
+    _positive_frequency_amplitudes(psi, raw)
+    raw *= psi.spec.k_inverse()
+    return SixField(spec=psi.spec, data=_ifft(raw))
 
 
-def _inverse_hamiltonian(psi, hat, spectrum):
-    """1/H psi from hat = to_k(psi.data) and spectrum = decompose(psi)."""
-    proj = synthesize(spectrum, t=0.0)
-    defect = np.sqrt(np.sum(np.abs(proj.data - psi.data) ** 2))
-    scale = np.sqrt(np.sum(np.abs(psi.data) ** 2))
+def _positive_frequency_amplitudes(psi: SixField, raw):
+    """Helicity amplitudes of raw = _fft(psi.data), unscaled, once psi has
+    passed the checks 1/H needs.
+
+    Raises DomainError for a non-finite psi, and for one whose
+    non-positive-frequency content ||raw - P raw|| / ||raw|| exceeds
+    _PROJECTION_RTOL; warns on k = 0 energy.  P keeps e e* raw on the upper
+    block and e* e raw on the lower, and drops k = 0.  By Parseval the
+    defect equals the real-space ||psi - synthesize(decompose(psi))||
+    relative to ||psi||.  It is summed from the differences, one component
+    at a time: ||raw||^2 - ||P raw||^2 would cancel to about 1e-8, the
+    tolerance itself, on an exact positive-frequency field.
+    """
+    amp = _decompose(psi, raw).amp
+    e, _, _ = triad_arrays(psi.spec)
+    residual = np.empty(psi.spec.n, dtype=complex)
+    defect2 = scale2 = 0.0
+    for c in range(3):
+        for b, pol in enumerate((e[c], np.conj(e[c]))):
+            np.multiply(pol, amp[b], out=residual)
+            np.subtract(raw[b, c], residual, out=residual)
+            defect2 += np.sum(np.abs(residual) ** 2)
+            scale2 += np.sum(np.abs(raw[b, c]) ** 2)
+    defect, scale = np.sqrt(defect2), np.sqrt(scale2)
     if scale > 0 and defect > _PROJECTION_RTOL * scale:
         raise DomainError(
             f"1/H needs a positive-frequency field; projection defect "
             f"{defect / scale:.3e}"
         )
-    return to_r(psi.spec, psi.spec.k_inverse() * hat, overwrite=True)
+    return amp
 
 
 def _gradient_k(spec: GridSpec, amp):
@@ -275,40 +297,59 @@ def observables_coordinate(psi: SixField) -> Observables:
     raises NormalizationError (with the measured norm attached) otherwise.
     """
     spec = psi.spec
-    # One forward transform serves the norm, 1/H psi and every
-    # P_m psi = (1/i) d_m psi.
-    hat = to_k(spec, psi.data)
-    spectrum = _decompose(psi, hat)
-    n2 = photon_number(spectrum)
+    dv = spec.cell_volume
+    # One raw transform serves the checks, the norm, 1/H psi and every
+    # P_m psi = (1/i) d_m psi; 1/|k| and k_m are raw multipliers.
+    raw = _fft(psi.data)
+    amp = _positive_frequency_amplitudes(psi, raw)
+    amp *= dv * spec.checkerboard()
+    n2 = photon_number(HelicitySpectrum(spec=spec, amp=amp))
+    del amp
     if abs(n2 - 1.0) > _NORMALIZED_RTOL:
         raise NormalizationError(
             f"field is not normalized: <psi|psi> = {n2:.12e}", measured_norm=n2
         )
-    dv = spec.cell_volume
-    bra = _inverse_hamiltonian(psi, hat, spectrum)
+    bra = _ifft(spec.k_inverse() * raw)
     np.conj(bra, out=bra)
-    energy = float(np.sum(np.abs(psi.data) ** 2)) * dv
     coords = spec.coords()
-    # P_m psi is built one axis at a time.  <P_m> is its overlap with 1/H
-    # psi; the same pointwise overlap, weighted by x_a, gives the orbital
-    # terms eps_iam x_a P_m of <J_i>.
+    # P_m psi is built one axis at a time in one reused buffer.  <P_m> is
+    # its overlap with 1/H psi; the same pointwise overlap, weighted by x_a,
+    # gives the orbital terms eps_iam x_a P_m of <J_i>.  Overlaps are
+    # reduced one component at a time.
     momentum = np.empty(3)
     ang = np.zeros(3)
     kvec = spec.k_grid_diff()
+    grid = (6,) + spec.n
+    image = np.empty_like(raw)
+    product = np.empty(spec.n, dtype=complex)
+    overlap = np.empty(spec.n)
     for m in range(3):
-        overlap = np.real(bra * to_r(spec, kvec[m] * hat, overwrite=True))
+        np.multiply(kvec[m], raw, out=image)
+        image = _ifft(image)
+        overlap[...] = 0.0
+        for bra_c, image_c in zip(bra.reshape(grid), image.reshape(grid)):
+            overlap += np.multiply(bra_c, image_c, out=product).real
         momentum[m] = float(np.sum(overlap)) * dv
-        density = np.sum(overlap, axis=(0, 1))
         for a in range(3):
             if (a, m) in _EPS:
                 i, sign = _EPS[(a, m)]
-                ang[i] += sign * float(np.sum(coords[a] * density))
-    for i in range(3):
-        spin = np.einsum("jk,bk...->bj...", SPIN[i], psi.data)
-        ang[i] += float(np.sum(np.real(bra * spin)))
+                ang[i] += sign * float(np.sum(coords[a] * overlap))
+    # Re(bra . S_i psi) = Im(bra_j psi_k - bra_k psi_j), (i, j, k) cyclic.
+    # No BLAS dot product here: its worker threads keep spinning after the
+    # call and slow whatever runs next on a small host.
+    for i, (j, k) in enumerate(_ROTATION_AXES):
+        overlap[...] = 0.0
+        for b in range(2):
+            overlap += np.multiply(bra[b, j], psi.data[b, k], out=product).imag
+            overlap -= np.multiply(bra[b, k], psi.data[b, j], out=product).imag
+        ang[i] += float(np.sum(overlap))
     ang *= dv
-    # <K> reduces exactly to the energy-weighted position integral.
-    dens = np.sum(np.abs(psi.data) ** 2, axis=(0, 1))
+    # <H> is the energy integral, and <K> reduces exactly to the
+    # energy-weighted position integral.
+    dens = np.zeros(spec.n)
+    for comp in psi.data.reshape(grid):
+        dens += np.abs(comp) ** 2
+    energy = float(np.sum(dens)) * dv
     moe = np.array([float(np.sum(coords[i] * dens)) * dv for i in range(3)])
     return Observables(energy=energy, momentum=momentum,
                        angular_momentum=ang, moment_of_energy=moe)
@@ -428,10 +469,6 @@ def newton_wigner_kernel(r, m):
     return out
 
 
-# Axes of the rotation generator J_i = x_j D_k - x_k D_j + S_i, per i.
-_ROTATION_AXES = ((1, 2), (2, 0), (0, 1))
-
-
 def _derivatives_read(tag: GeneratorTag):
     """Axes m of the derivative fields D_m that the generator tag reads."""
     if tag.family == "P":
@@ -492,10 +529,11 @@ class _GeneratorJet:
             return free_generator(scaled).data
         if tag.family == "J":
             coords = spec.coords()
-            i, j = _ROTATION_AXES[ax]
-            out = coords[i] * self.derivative(j)
-            out -= coords[j] * self.derivative(i)
-            out += np.einsum("jk,bk...->bj...", SPIN[ax], self.psi.data)
+            j, k = _ROTATION_AXES[ax]
+            out = coords[j] * self.derivative(k)
+            out -= coords[k] * self.derivative(j)
+            out[:, j] -= 1j * self.psi.data[:, k]
+            out[:, k] += 1j * self.psi.data[:, j]
             return out
         raise DomainError(f"unknown generator {tag!r}")
 

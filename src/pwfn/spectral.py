@@ -16,13 +16,13 @@ so that sum_k (1/V) approximates integral d^3k/(2 pi)^3.  With box-centered
 coordinates the extra phase exp(-i k . r0) is the exact checkerboard
 (-1)^(mx+my+mz), applied without roundoff.
 
-Only readers of a physical spectrum or its norm (helicity amplitudes, 1/H,
+Only readers of a physical spectrum or its norm (helicity amplitudes,
 Wigner matrices) use this scaled pair, :func:`to_k` and :func:`to_r`.  Every
-other k-space multiplier m(k) runs on the raw pair as _ifft(m * _fft(u)):
-the checkerboard and cell-volume factors cancel there, as (-1)^(2m) = 1.  A
-real u is transformed as complex: scipy's real-input path rounds
-differently, and a real field must differentiate exactly like its complex
-copy.
+k-space multiplier m(k), 1/H = 1/|k| included, runs on the raw pair as
+_ifft(m * _fft(u)): the checkerboard and cell-volume factors cancel there,
+as (-1)^(2m) = 1.  A real u is transformed as complex: scipy's real-input
+path rounds differently, and a real field must differentiate exactly like
+its complex copy.
 
 Polarization gauge
 ------------------
@@ -512,7 +512,11 @@ def decompose(psi: SixField) -> HelicitySpectrum:
 
 
 def _decompose(psi: SixField, hat) -> HelicitySpectrum:
-    """:func:`decompose` of psi, given its transform hat = to_k(psi.data)."""
+    """:func:`decompose` of psi, given its transform hat = to_k(psi.data).
+
+    Given the raw transform _fft(psi.data) instead, it returns the
+    amplitudes of that transform, without the dV (-1)^m factor.
+    """
     spectrum = _helicity_amplitudes(psi, hat)
     fraction = _dc_energy_fraction(hat)
     if fraction > _DC_RTOL:
@@ -526,13 +530,20 @@ def _decompose(psi: SixField, hat) -> HelicitySpectrum:
 
 def _helicity_amplitudes(psi: SixField, hat) -> HelicitySpectrum:
     """:func:`_decompose` without the k = 0 warning, for callers that
-    report :func:`_dc_energy_fraction` themselves."""
+    report :func:`_dc_energy_fraction` themselves.
+
+    The sums run one Cartesian component at a time, so only grid-sized
+    temporaries are formed beside the result.
+    """
     if not psi.is_finite():
         raise DomainError("field contains non-finite values")
     e, _, _ = triad_arrays(psi.spec)
     amp = np.empty((2,) + psi.spec.n, dtype=complex)
-    np.sum(np.conj(e) * hat[0], axis=0, out=amp[0])
-    np.sum(e * hat[1], axis=0, out=amp[1])
+    np.multiply(np.conj(e[0]), hat[0, 0], out=amp[0])
+    np.multiply(e[0], hat[1, 0], out=amp[1])
+    for c in (1, 2):
+        amp[0] += np.conj(e[c]) * hat[0, c]
+        amp[1] += e[c] * hat[1, c]
     amp[:, 0, 0, 0] = 0.0
     return HelicitySpectrum(spec=psi.spec, amp=amp)
 

@@ -154,15 +154,19 @@ def test_macdonald_refuses_x_below_its_floor():
 
 def test_boost_profile_refuses_samples_that_under_or_overflow():
     # past x = k_perp z of about 745, psi_z = K_{i kappa}(x) underflows to 0
-    # and the residual is 0/0; at x = 1e-152 the moment-2 term overflows.
-    # The x reported is the extreme one, at an end of the z range.
+    # and the residual is 0/0; past about 708 it is subnormal (1.05e-315 at
+    # x = 722.2, where the eigen residual reads 3.7e-7); at x = 1e-152 the
+    # moment-2 term overflows.  The x reported is the extreme one, at an end
+    # of the z range; the readers built on the profile refuse the same x.
     b = eigen.boost_eigenfunction(1.0, 1000.0, 0.0)
     for z, x_bad in ((np.linspace(0.1, 5.0, 64), 5000.0),
+                     (np.array([0.5, 0.7222]), 722.2),
                      (np.array([1e-155, 2.5, 5.0]), 1e-152)):
-        with pytest.raises(DomainError) as err:
-            b.profile(z)
-        assert err.value.arg == "x"
-        assert err.value.value == pytest.approx(x_bad)
+        for method in (b.profile, b.ode_residual, b.psi_x, b.psi_y):
+            with pytest.raises(DomainError) as err:
+                method(z)
+            assert err.value.arg == "x", method
+            assert err.value.value == pytest.approx(x_bad), method
 
 
 def test_boost_eigenfunction_norm_grows_with_domain():

@@ -319,9 +319,12 @@ cfl_safety = 1.0
              "[physics] z_min"),
             ("boost-eigen", boost + "z_min = 1e-310\nsamples = 3\n", 2,
              "[physics] z_min"),
-            # exp(-k_perp z) underflows past k_perp z of about 745, and the
+            # exp(-k_perp z) underflows past k_perp z of about 745, and
+            # below the smallest normal double past about 708; the
             # derivative moments overflow at tiny k_perp z
             ("boost-eigen", boost + "kx = 1000\n", 2, "[physics] z_max"),
+            ("boost-eigen", boost + "kx = 1000\nz_max = 0.7222\n", 2,
+             "[physics] z_max"),
             ("boost-eigen", boost + "kx = 1000\nz_min = 1e-155\nsamples = 3\n",
              2, "[physics] z_min"),
             # config values that solvers would refuse as preconditions

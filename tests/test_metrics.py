@@ -12,7 +12,7 @@ from pwfn.fieldcore import (classical_energy, classical_moment_of_energy,
                             classical_momentum)
 from pwfn.metrics import GeneratorTag as G
 from pwfn.spectral import (GridSpec, HelicitySpectrum, SixField, decompose,
-                           synthesize)
+                           positive_frequency_project, synthesize)
 from pwfn.states import (balanced_packet_params, gaussian_packet,
                          gaussian_packet_spectrum, plane_wave_mode)
 
@@ -130,7 +130,6 @@ def test_observables_reproduce_classical_bilinears(rng):
     # unnormalized positive-frequency expectation values equal the classical
     # field integrals built from real transverse (D, B) data
     from conftest import random_classical_field
-    from pwfn.spectral import positive_frequency_project
     spec = cube(12)
     calf = random_classical_field(spec, rng, kmax=2.5, transverse=True)
     psi = positive_frequency_project(calf)
@@ -504,6 +503,64 @@ def test_commutator_j_and_k_pairs_balanced_packet():
     assert mt.commutator_residual(G.J_X, G.J_Y, psi) < 1e-8
     assert mt.commutator_residual(G.K_X, G.K_Y, psi) < 1e-6
     assert mt.commutator_residual(G.K_X, G.H, psi) < 1e-6
+
+
+def test_coordinate_observables_transform_once():
+    psi = _balanced_packet(8)
+    block = psi.data.size
+    # one raw transform serves the checks, the norm, 1/H psi and P_m psi
+    _, counts = _transforms(mt.observables_coordinate, psi)
+    assert (counts["fft_calls"], counts["fft_points"], counts["ifft_calls"],
+            counts["ifft_points"]) == (1, block, 4, 4 * block), counts
+    _, counts = _transforms(mt.inverse_hamiltonian_apply, psi)
+    assert (counts["fft_calls"], counts["fft_points"], counts["ifft_calls"],
+            counts["ifft_points"]) == (1, block, 1, block), counts
+
+
+def test_coordinate_observables_memory_bound():
+    psi = _balanced_packet(32)
+    mt.observables_coordinate(psi)   # builds the grid tables
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        mt.observables_coordinate(psi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 4.5 * psi.data.nbytes, (peak - base) / psi.data.nbytes
+
+
+def _with_non_positive_frequency(psi, level, rng):
+    """psi plus noise with neither positive-frequency nor k = 0 content,
+    of norm level * ||psi||."""
+    noise = (rng.normal(size=psi.data.shape)
+             + 1j * rng.normal(size=psi.data.shape))
+    noise -= noise.mean(axis=(2, 3, 4), keepdims=True)
+    noise -= positive_frequency_project(
+        SixField(spec=psi.spec, data=noise)).data
+    noise *= level * np.linalg.norm(psi.data) / np.linalg.norm(noise)
+    return SixField(spec=psi.spec, data=psi.data + noise)
+
+
+@pytest.mark.parametrize("apply", [mt.observables_coordinate,
+                                   mt.inverse_hamiltonian_apply])
+def test_projection_defect_threshold(apply, rng):
+    # The defect is summed from ||raw - P raw||, not read off
+    # ||raw||^2 - ||P raw||^2: that cancellation leaves about 1e-8, the
+    # tolerance itself, on an exact positive-frequency field.
+    psi = _balanced_packet(32)
+    apply(_with_non_positive_frequency(psi, 3e-9, rng))
+    with pytest.raises(DomainError, match="projection defect 3.000e-08"):
+        apply(_with_non_positive_frequency(psi, 3e-8, rng))
+
+
+def test_inverse_hamiltonian_single_mode():
+    spec = cube(8)
+    for helicity in (1, -1):
+        psi = synthesize(plane_wave_mode(spec, (1, 0, 2), helicity), t=0.0)
+        got = mt.inverse_hamiltonian_apply(psi).data
+        assert np.max(np.abs(got - psi.data / np.sqrt(5.0))) \
+            <= 1e-14 * np.max(np.abs(psi.data)), helicity
 
 
 def test_norm_invariance_under_unitaries(rng):
