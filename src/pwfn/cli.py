@@ -183,11 +183,9 @@ def _run_wigner(scenario):
     wf = phasespace.wigner_build(scenario.grid, f0.upper)
     dec = phasespace.wigner_decompose(wf)
     r1, r2 = phasespace.wigner_subsidiary_residual(dec)
-    w_trace = np.einsum("ii...->...", dec.w_sym)
-    mid = tuple(m // 2 for m in scenario.grid.n)
     return (["hermiticity_defect", "subsidiary_r1", "subsidiary_r2"],
             [[wf.hermiticity_defect(), r1, r2]],
-            w_trace[..., mid[0], mid[1], mid[2]], {})
+            phasespace.wigner_marginal_k(wf), {})
 
 
 def _run_hydro(scenario):

@@ -130,40 +130,19 @@ class BoostEigenfunction:
             raise DomainError("boost eigenfunction needs k_perp > 0",
                               arg="k_perp")
 
-    def _psi_z_derivatives(self, z, order):
-        """(z, psi_z, psi_z', ...) up to the order-th z-derivative.
-
-        d^n/dz^n K_{i kappa}(k_perp z) is (-k_perp)^n times the n-th
-        quadrature moment; each moment is evaluated once per sample.
-        """
-        z = np.atleast_1d(np.asarray(z, dtype=float))
-        if np.any(z <= 0.0):
-            raise DomainError("profiles are defined on z > 0")
-        moments = np.array([[macdonald_imag_moment(self.kappa, x, n)
-                             for n in range(order + 1)]
-                            for x in self.k_perp * z])
-        return (z, *((-self.k_perp) ** n * moments[:, n]
-                     for n in range(order + 1)))
-
-    # Transverse components solving the first-order system; the kappa term
-    # carries the 1/z, the derivative term does not:
-    #   psi_x = (i/k_perp^2) (ky kappa psi_z / z + kx psi_z'),
-    #   psi_y = (i/k_perp^2) (-kx kappa psi_z / z + ky psi_z').
-
-    def _transverse(self, z, w, dw):
-        return ((1j / self.k_perp**2) * (self.ky * self.kappa * w / z
-                                         + self.kx * dw),
-                (1j / self.k_perp**2) * (-self.kx * self.kappa * w / z
-                                         + self.ky * dw))
-
-    def psi_z(self, z):
-        return self._psi_z_derivatives(z, 0)[1]
-
     def psi_x(self, z):
         return self.profile(z)[0]
 
     def psi_y(self, z):
         return self.profile(z)[1]
+
+    def psi_z(self, z):
+        return self.profile(z)[2]
+
+    def eigen_residual(self, z):
+        """Relative residual of the three component equations of the
+        eigenproblem K_z psi = kappa psi at the sampled z values."""
+        return self.profile(z)[3]
 
     def ode_residual(self, z):
         """Relative residual of z^2 w'' + z w' + (kappa^2 - k_perp^2 z^2) w = 0.
@@ -175,11 +154,6 @@ class BoostEigenfunction:
         scale = (z**2 * np.abs(d2w) + z * np.abs(dw)
                  + (self.kappa**2 + self.k_perp**2 * z**2) * np.abs(w))
         return np.abs(res) / scale
-
-    def eigen_residual(self, z):
-        """Relative residual of the three component equations of the
-        eigenproblem K_z psi = kappa psi at the sampled z values."""
-        return self.profile(z)[3]
 
     def profile(self, z):
         """(psi_x, psi_y, psi_z, eigen_residual) at the sampled z values,
@@ -197,11 +171,24 @@ class BoostEigenfunction:
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
     def _samples(self, z):
         """(z, psi_z, psi_z', psi_z'', psi_x, psi_y, eigen_residual), with
-        the check of :meth:`profile`."""
-        z, w, dw, d2w = self._psi_z_derivatives(z, 2)
+        the check of :meth:`profile`.
+
+        d^n/dz^n K_{i kappa}(k_perp z) is (-k_perp)^n times the n-th
+        quadrature moment; each moment is evaluated once per sample.
+        """
+        z = np.atleast_1d(np.asarray(z, dtype=float))
+        if np.any(z <= 0.0):
+            raise DomainError("profiles are defined on z > 0")
         kx, ky, kap = self.kx, self.ky, self.kappa
-        px, py = self._transverse(z, w, dw)
+        moments = np.array([[macdonald_imag_moment(kap, x, n)
+                             for n in range(3)]
+                            for x in self.k_perp * z])
+        w, dw, d2w = ((-self.k_perp) ** n * moments[:, n] for n in range(3))
         kp2 = self.k_perp**2
+        # Transverse components solving the first-order system; the kappa
+        # term carries the 1/z, the derivative term does not.
+        px = (1j / kp2) * (ky * kap * w / z + kx * dw)
+        py = (1j / kp2) * (-kx * kap * w / z + ky * dw)
         # z psi_x = (i/kp2)(ky kap w + kx z w'), so
         # d/dz (z psi_x) = (i/kp2)(ky kap w' + kx (w' + z w'')); same for y.
         d_zpx = (1j / kp2) * (ky * kap * dw + kx * (dw + z * d2w))

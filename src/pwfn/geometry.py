@@ -143,7 +143,13 @@ def curved_generator(field: SixField, metric: MetricField) -> SixField:
 
 
 def step_curved(field: SixField, metric: MetricField, cfg, steps: int) -> SixField:
-    """RK4 integration of i dF/dt = rho_3 curl G(F) in a static metric."""
+    """RK4 integration of i dF/dt = rho_3 curl G(F) in a static metric.
+
+    Only the rk4 scheme is implemented; any other cfg.scheme raises.
+    """
+    if cfg.scheme != "rk4":
+        raise DomainError(f"curved-space evolution runs rk4 only, got "
+                          f"scheme {cfg.scheme!r}", arg="scheme")
     spec = field.spec
     check_cfl(cfg.dt, spec.spacing, metric.light_speed_bound(), cfg.cfl_safety)
 

@@ -7,8 +7,8 @@ Grid file layout (little endian):
     dims    3 x u32  points per axis
     box     3 x f64  edge lengths
     comps   u16      number of complex components (6 for a six-field)
-    payload comps * nx * ny * nz * 2 f64, interleaved (re, im),
-            component-major, row major with z fastest
+    payload comps * nx * ny * nz complex128 (an interleaved (re, im) f64
+            pair each), component-major, row major with z fastest
 
 The payload size must match the header exactly; reads refuse unknown magic,
 versions, or truncated payloads.  Writes are deterministic, so identical
@@ -41,17 +41,14 @@ _HEADER = struct.Struct("<4sH3I3dH")
 
 def write_grid_field(path, spec: GridSpec, data) -> None:
     """Write complex components (ncomp, nx, ny, nz) to the binary format."""
-    data = np.ascontiguousarray(data, dtype=complex)
+    data = np.ascontiguousarray(data, dtype="<c16")
     if data.ndim != 4 or data.shape[1:] != spec.n:
         raise FormatError(f"payload shape {data.shape} does not match grid {spec.n}")
     ncomp = data.shape[0]
     header = _HEADER.pack(GRID_MAGIC, GRID_VERSION, *spec.n, *spec.length, ncomp)
-    inter = np.empty(data.shape + (2,), dtype="<f8")
-    inter[..., 0] = data.real
-    inter[..., 1] = data.imag
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(inter.tobytes())
+        fh.write(data.tobytes())
 
 
 def read_grid_field(path):
@@ -66,7 +63,7 @@ def read_grid_field(path):
             raise FormatError(f"{path}: bad magic {magic!r}")
         if version != GRID_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
-        expected = ncomp * nx * ny * nz * 2 * 8
+        expected = ncomp * nx * ny * nz * 16
         payload = fh.read()
     if len(payload) != expected:
         raise FormatError(
@@ -76,8 +73,10 @@ def read_grid_field(path):
         spec = GridSpec(n=(nx, ny, nz), length=(lx, ly, lz))
     except DomainError as exc:
         raise FormatError(f"{path}: bad grid header: {exc}") from exc
-    inter = np.frombuffer(payload, dtype="<f8").reshape(ncomp, nx, ny, nz, 2)
-    return spec, np.ascontiguousarray(inter[..., 0] + 1j * inter[..., 1])
+    # Read as complex128, not rebuilt as re + 1j * im: that would turn an
+    # infinite imaginary part's real part into nan and -0.0 into +0.0.
+    data = np.frombuffer(payload, dtype="<c16").reshape(ncomp, nx, ny, nz)
+    return spec, data.astype(complex)
 
 
 def write_sixfield(path, field: SixField) -> None:

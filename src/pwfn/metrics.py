@@ -33,7 +33,7 @@ from .errors import (DomainError, GaugeSingularityError, NormalizationError,
 from .evolve import _free_generator_k, free_generator
 from .fieldcore import LEVI_CIVITA, poynting
 from .spectral import (_DC_RTOL, GridSpec, HelicitySpectrum, SixField,
-                       _dc_energy_fraction, _decompose, _fft, _ifft,
+                       _dc_energy_fraction, _fft, _helicity_amplitudes, _ifft,
                        berry_connection_grid, decompose, triad_arrays)
 
 __all__ = [
@@ -213,14 +213,17 @@ def _positive_frequency_amplitudes(psi: SixField, raw):
 
     Raises DomainError for a non-finite psi, and for one whose
     non-positive-frequency content ||raw - P raw|| / ||raw|| exceeds
-    _PROJECTION_RTOL; warns on k = 0 energy.  P keeps e e* raw on the upper
-    block and e* e raw on the lower, and drops k = 0.  By Parseval the
-    defect equals the real-space ||psi - synthesize(decompose(psi))||
-    relative to ||psi||.  It is summed from the differences, one component
-    at a time: ||raw||^2 - ||P raw||^2 would cancel to about 1e-8, the
-    tolerance itself, on an exact positive-frequency field.
+    _PROJECTION_RTOL.  P keeps e e* raw on the upper block and e* e raw on
+    the lower, and drops k = 0.  By Parseval the defect equals the
+    real-space ||psi - synthesize(decompose(psi))|| relative to ||psi||.
+    It is summed from the differences, one component at a time:
+    ||raw||^2 - ||P raw||^2 would cancel to about 1e-8, the tolerance
+    itself, on an exact positive-frequency field.
+    No k = 0 warning is given: a k = 0 energy fraction f alone makes the
+    defect at least sqrt(f), so each field :func:`decompose` warns on
+    (f > 1e-12) is refused, with a defect of at least 1e-6.
     """
-    amp = _decompose(psi, raw).amp
+    amp = _helicity_amplitudes(psi, raw).amp
     e, _, _ = triad_arrays(psi.spec)
     residual = np.empty(psi.spec.n, dtype=complex)
     defect2 = scale2 = 0.0

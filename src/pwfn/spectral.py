@@ -238,17 +238,9 @@ def to_k(spec: GridSpec, u):
     return out
 
 
-def to_r(spec: GridSpec, uhat, overwrite=False):
-    """Inverse of :func:`to_k`.
-
-    overwrite=True lets a complex uhat that the caller no longer needs be
-    transformed in place, saving one array of its size.
-    """
-    if overwrite:
-        uhat *= spec.checkerboard()
-    else:
-        uhat = uhat * spec.checkerboard()
-    out = _ifft(uhat)
+def to_r(spec: GridSpec, uhat):
+    """Inverse of :func:`to_k`."""
+    out = _ifft(uhat * spec.checkerboard())
     out *= 1.0 / spec.cell_volume
     return out
 
@@ -374,13 +366,6 @@ class HelicitySpectrum:
         expected = (2,) + self.spec.n
         if self.amp.shape != expected:
             raise ShapeError(f"amp shape {self.amp.shape} != {expected}")
-
-    @classmethod
-    def zeros(cls, spec: GridSpec):
-        return cls(spec=spec, amp=np.zeros((2,) + spec.n, dtype=complex))
-
-    def copy(self):
-        return HelicitySpectrum(spec=self.spec, amp=self.amp.copy())
 
 
 @dataclass
@@ -508,31 +493,25 @@ def decompose(psi: SixField) -> HelicitySpectrum:
     Longitudinal content is not stored; measure it with
     :func:`longitudinal_residual`.
     """
-    return _decompose(psi, to_k(psi.spec, psi.data))
-
-
-def _decompose(psi: SixField, hat) -> HelicitySpectrum:
-    """:func:`decompose` of psi, given its transform hat = to_k(psi.data).
-
-    Given the raw transform _fft(psi.data) instead, it returns the
-    amplitudes of that transform, without the dV (-1)^m factor.
-    """
+    hat = to_k(psi.spec, psi.data)
     spectrum = _helicity_amplitudes(psi, hat)
     fraction = _dc_energy_fraction(hat)
     if fraction > _DC_RTOL:
         warnings.warn(
             f"field carries k = 0 energy fraction {fraction:.3e}; "
             "the DC mode has no helicity content and is dropped",
-            stacklevel=3,
+            stacklevel=2,
         )
     return spectrum
 
 
 def _helicity_amplitudes(psi: SixField, hat) -> HelicitySpectrum:
-    """:func:`_decompose` without the k = 0 warning, for callers that
-    report :func:`_dc_energy_fraction` themselves.
+    """Helicity amplitudes of hat, a transform of psi.data, without the
+    k = 0 warning of :func:`decompose`.
 
-    The sums run one Cartesian component at a time, so only grid-sized
+    hat = to_k(psi.data) gives the amplitudes :func:`decompose` returns;
+    the raw _fft(psi.data) gives them without the dV (-1)^m factor.  The
+    sums run one Cartesian component at a time, so only grid-sized
     temporaries are formed beside the result.
     """
     if not psi.is_finite():
@@ -551,7 +530,9 @@ def _helicity_amplitudes(psi: SixField, hat) -> HelicitySpectrum:
 def synthesize(spectrum: HelicitySpectrum, t=0.0) -> SixField:
     """Rebuild the positive-frequency field from helicity amplitudes at time t.
 
-    Each mode evolves with the phase exp(-i omega t), omega = |k|.
+    Each mode evolves with the phase exp(-i omega t), omega = |k|.  The
+    inverse of :func:`to_k`'s (-1)^m is folded into that phase, so it is
+    applied on the two amplitude grids, not on the six-component block.
     """
     if not np.all(np.isfinite(spectrum.amp)):
         raise DomainError("spectrum contains non-finite amplitudes")
@@ -559,11 +540,13 @@ def synthesize(spectrum: HelicitySpectrum, t=0.0) -> SixField:
         raise DomainError("spectrum carries a k = 0 amplitude")
     spec = spectrum.spec
     e, _, knorm = triad_arrays(spec)
-    phase = np.exp(-1j * knorm * float(t))
+    phase = np.exp(-1j * knorm * float(t)) * spec.checkerboard()
     hat = np.empty((2, 3) + spec.n, dtype=complex)
     np.multiply(e, spectrum.amp[0] * phase, out=hat[0])
     np.multiply(np.conj(e), spectrum.amp[1] * phase, out=hat[1])
-    return SixField(spec=spec, data=to_r(spec, hat, overwrite=True))
+    out = _ifft(hat)
+    out *= 1.0 / spec.cell_volume
+    return SixField(spec=spec, data=out)
 
 
 def positive_frequency_project(psi: SixField) -> SixField:

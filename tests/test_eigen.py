@@ -162,7 +162,8 @@ def test_boost_profile_refuses_samples_that_under_or_overflow():
     for z, x_bad in ((np.linspace(0.1, 5.0, 64), 5000.0),
                      (np.array([0.5, 0.7222]), 722.2),
                      (np.array([1e-155, 2.5, 5.0]), 1e-152)):
-        for method in (b.profile, b.ode_residual, b.psi_x, b.psi_y):
+        for method in (b.profile, b.ode_residual, b.psi_x, b.psi_y, b.psi_z,
+                       b.eigen_residual):
             with pytest.raises(DomainError) as err:
                 method(z)
             assert err.value.arg == "x", method

@@ -144,6 +144,15 @@ def test_curved_cfl_guard(rng):
                         StepperConfig(dt=10.0), 1)
 
 
+def test_curved_evolution_refuses_other_schemes():
+    spec = cube(8)
+    cfg = StepperConfig(dt=0.01, scheme="split_step")
+    with pytest.raises(DomainError) as err:
+        geo.step_curved(SixField.zeros(spec), geo.minkowski_metric(spec),
+                        cfg, 1)
+    assert err.value.arg == "scheme"
+
+
 def test_curved_divergence_transport(rng):
     from pwfn.evolve import divergence_residual
     spec = cube(12)

@@ -15,7 +15,7 @@ from pwfn.cli import main
 from pwfn.config import SCENARIO_KINDS, SCHEMA, checked, load_scenario
 from pwfn.evolve import propagate_free
 from pwfn.errors import ConfigError, DomainError, FormatError
-from conftest import cube, random_field
+from conftest import cube, random_field, rel_err
 
 FREE_CONFIG = """
 [scenario]
@@ -77,6 +77,26 @@ def test_grid_file_round_trip(tmp_path, rng):
     path2 = tmp_path / "copy.pwfn"
     gridio.write_sixfield(path2, back)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_grid_file_rewrite_keeps_signed_zeros_and_infinities(tmp_path):
+    # The payload is read as complex128, so a -0.0 real part and the finite
+    # real part of 1+inf j come back as stored, and a rewrite is the same
+    # bytes.
+    spec = spectral.GridSpec(n=(2, 2, 2), length=(1.0, 1.0, 1.0))
+    data = np.zeros((1,) + spec.n, dtype=complex)
+    data[0, 0, 0, 0] = complex(-0.0, 2.0)
+    data[0, 0, 0, 1] = complex(1.0, np.inf)
+    data[0, 1, 0, 0] = complex(-np.inf, -0.0)
+    path, copy = tmp_path / "a.pwfn", tmp_path / "b.pwfn"
+    gridio.write_grid_field(path, spec, data)
+    payload = path.read_bytes()[gridio._HEADER.size:]
+    assert payload == data.astype("<c16").tobytes()
+    _, back = gridio.read_grid_field(path)
+    assert back.flags.writeable and back.dtype == complex
+    gridio.write_grid_field(copy, spec, back)
+    assert copy.read_bytes() == path.read_bytes()
+    assert np.signbit(back[0, 0, 0, 0].real) and back[0, 0, 0, 1].real == 1.0
 
 
 def test_grid_file_rejects_bad_magic_and_version(tmp_path, rng):
@@ -527,6 +547,56 @@ def test_csv_formatting(tmp_path):
     text = path.read_text()
     assert "np.float64" not in text
     assert "2.25" in text and "1.0-2.0j" in text.replace(" ", "")
+
+
+def test_cli_wigner_field_is_the_k_marginal(tmp_path, rng):
+    # wigner_trace.pwfn holds sum_k W_ii(r, k) / V, which is |psi_+(r)|^2
+    # on an even-mode field.
+    spec = spectral.GridSpec(n=(6, 8, 10), length=(4.2, 5.6, 7.0))
+    psi = random_field(spec, rng, kmax=2.5, even_modes=True, helicities=(0,))
+    field = tmp_path / "in.pwfn"
+    gridio.write_sixfield(field, psi)
+    _run(tmp_path, "wigner", f"[grid]\nn = 6 8 10\nlength = 4.2 5.6 7.0\n"
+         f"[initial]\npacket = file:{field}\n")
+    got_spec, got = gridio.read_grid_field(tmp_path / "run" / "wigner_trace.pwfn")
+    assert got_spec == spec and got.shape == (1,) + spec.n
+    dens = np.sum(np.abs(psi.upper) ** 2, axis=0)
+    assert rel_err(got[0], dens) <= 1e-12
+
+
+def test_cli_wigner_refuses_grids_over_its_cap(tmp_path, capsys):
+    cfg = tmp_path / "big.ini"
+    cfg.write_text("[scenario]\nkind = wigner\n" + GRID8.replace("8 8 8", "10 10 10"))
+    out = tmp_path / "out"
+    assert main(["wigner", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "cap 512" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_verbose_names_every_output_and_report_reads_the_manifest(
+        tmp_path, capsys):
+    cfg = tmp_path / "free.ini"
+    cfg.write_text(FREE_CONFIG)
+    out = tmp_path / "run"
+    assert main(["evolve-free", "--config", str(cfg), "--out", str(out),
+                 "--verbose"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"wrote {out / name}" for name in
+        ("conserved.csv", "final_field.pwfn", "manifest.json")]
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert main(["report", str(out / "manifest.json")]) == 0
+    assert capsys.readouterr().out == (
+        f"manifest.json: config {manifest['config_sha256'][:12]} outputs 2\n")
+
+
+def test_cli_out_naming_a_file_is_an_io_error(tmp_path, capsys):
+    cfg = tmp_path / "free.ini"
+    cfg.write_text(FREE_CONFIG)
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    assert main(["evolve-free", "--config", str(cfg), "--out", str(taken)]) == 5
+    assert "i/o error" in capsys.readouterr().err
+    assert taken.read_text() == "not a directory\n"
 
 
 def _run(tmp_path, kind, text, name="run"):

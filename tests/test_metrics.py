@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -552,6 +553,23 @@ def test_projection_defect_threshold(apply, rng):
     apply(_with_non_positive_frequency(psi, 3e-9, rng))
     with pytest.raises(DomainError, match="projection defect 3.000e-08"):
         apply(_with_non_positive_frequency(psi, 3e-8, rng))
+
+
+@pytest.mark.parametrize("apply", [mt.observables_coordinate,
+                                   mt.inverse_hamiltonian_apply])
+def test_k0_content_is_refused_without_a_warning(apply, rng):
+    # P drops k = 0, so a k = 0 energy fraction f alone gives a projection
+    # defect of sqrt(f): the field is refused, and no warning precedes it.
+    spec = cube(16)
+    psi = synthesize(random_spectrum(spec, rng, kmax=2.5, normalize=True))
+    fraction = 1e-9
+    offset = np.sqrt(fraction / (1.0 - fraction)
+                     * np.sum(np.abs(psi.data) ** 2) / spec.npoints)
+    psi.data[0, 0] += offset
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="projection defect 3.162e-05"):
+            apply(psi)
 
 
 def test_inverse_hamiltonian_single_mode():
