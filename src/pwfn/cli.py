@@ -180,12 +180,11 @@ def _run_wigner(scenario):
             f"grid has {scenario.grid.npoints} points (cap 512, e.g. 8x8x8)"
         )
     f0 = _initial_field(scenario)
-    wf = phasespace.wigner_build(scenario.grid, f0.upper)
-    dec = phasespace.wigner_decompose(wf)
+    dec = phasespace.wigner_build(scenario.grid, f0.upper)
     r1, r2 = phasespace.wigner_subsidiary_residual(dec)
     return (["hermiticity_defect", "subsidiary_r1", "subsidiary_r2"],
-            [[wf.hermiticity_defect(), r1, r2]],
-            phasespace.wigner_marginal_k(wf), {})
+            [[dec.hermiticity_defect, r1, r2]],
+            phasespace.wigner_marginal_k(dec), {})
 
 
 def _run_hydro(scenario):

@@ -57,7 +57,7 @@ _RHO_FLOOR = 1e-8    # hydro variables are read where rho > _RHO_FLOOR max(rho)
 
 @dataclass
 class WignerField:
-    """W_ij(r, k): complex array of shape (3, 3, nx, ny, nz, nx, ny, nz)."""
+    """A given complex W_ij(r, k), shape (3, 3, nx, ny, nz, nx, ny, nz)."""
 
     spec: GridSpec
     w: np.ndarray
@@ -67,13 +67,6 @@ class WignerField:
         if self.w.shape != expected:
             raise ShapeError(f"wigner shape {self.w.shape} != {expected}")
 
-    def hermiticity_defect(self):
-        swapped = np.conj(np.swapaxes(self.w, 0, 1))
-        scale = np.max(np.abs(self.w))
-        if scale == 0.0:
-            return 0.0
-        return float(np.max(np.abs(self.w - swapped)) / scale)
-
 
 @dataclass
 class WignerDecomp:
@@ -82,35 +75,42 @@ class WignerDecomp:
     spec: GridSpec
     w_sym: np.ndarray   # (3, 3, r..., k...) real symmetric
     u: np.ndarray       # (3, r..., k...) real
+    # max |A_ij - conj(A_ji)| / max |A| of the A whose Hermitian part W is
+    hermiticity_defect: float = 0.0
 
     def reconstruct(self):
         anti = np.einsum("ijk,k...->ij...", LEVI_CIVITA, self.u) / 2j
         return self.w_sym + anti
 
 
-def _doubled_field(spec: GridSpec, block):
-    """Exact band-limited interpolation of one block onto the 2x lattice."""
+def _split(spec: GridSpec, pair) -> WignerDecomp:
+    """Decomposition of the Hermitian part of A_ij = pair(i, j), taking A_ij
+    with A_ji: w_ij = Re(A_ij + A_ji)/2 and eps_ijk u_k = Im(A_ji - A_ij)."""
+    w_sym = np.empty((3, 3) + spec.n + spec.n)
+    u = np.empty((3,) + spec.n + spec.n)
+    defect = scale = 0.0
+    for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
+        a = pair(i, j)
+        b = np.conj(a if i == j else pair(j, i))    # conj(A_ji)
+        scale = max(scale, np.max(np.abs(a)), np.max(np.abs(b)))
+        w_sym[i, j] = w_sym[j, i] = 0.5 * (a.real + b.real)
+        if i != j:
+            u[3 - i - j] = -LEVI_CIVITA[i, j, 3 - i - j] * (a.imag + b.imag)
+        b -= a
+        defect = max(defect, np.max(np.abs(b)))
+    return WignerDecomp(spec, w_sym, u, float(defect / scale) if scale else 0.0)
+
+
+def _half_lattice(spec: GridSpec, block):
+    """The block on the doubled lattice (exact band-limited interpolation),
+    and the (r, s) index tuples of its samples at r + s/2 and r - s/2."""
     n = spec.n
     big = GridSpec(n=tuple(2 * m for m in n), length=spec.length)
-    bhat = to_k(spec, block)
     out = np.zeros((3,) + big.n, dtype=complex)
-    kx = sfft.fftfreq(n[0], 1.0 / n[0]).astype(int)
-    ky = sfft.fftfreq(n[1], 1.0 / n[1]).astype(int)
-    kz = sfft.fftfreq(n[2], 1.0 / n[2]).astype(int)
-    out[np.ix_(range(3), kx % (2 * n[0]), ky % (2 * n[1]), kz % (2 * n[2]))] = bhat
-    return to_r(big, out), big
-
-
-def wigner_build(spec: GridSpec, block) -> WignerField:
-    """Reduced Wigner matrix of one helicity block (3, nx, ny, nz array)."""
-    block = np.ascontiguousarray(block, dtype=complex)
-    if block.shape != (3,) + spec.n:
-        raise ShapeError("block shape does not match the grid")
-    half, _ = _doubled_field(spec, block)
-    n = spec.n
-    # Half-lattice indices of r + s/2 and r - s/2 (r index a on axis ax, s
-    # index b on axis 3 + ax, both box-centered): h+ = 2a + b - m/2 and
-    # h- = 2a - b + m/2 (mod 2m).
+    out[np.ix_(range(3), *(sfft.fftfreq(m, 1.0 / m).astype(int) % (2 * m)
+                           for m in n))] = to_k(spec, block)
+    # r index a on axis ax, s index b on axis 3 + ax, both box-centered:
+    # h+ = 2a + b - m/2 and h- = 2a - b + m/2 (mod 2m).
     plus, minus = [], []
     for ax, m in enumerate(n):
         a = np.arange(m)[:, None]
@@ -118,43 +118,43 @@ def wigner_build(spec: GridSpec, block) -> WignerField:
         others = tuple(d for d in range(6) if d not in (ax, 3 + ax))
         plus.append(np.expand_dims((2 * a + b) % (2 * m), others))
         minus.append(np.expand_dims((2 * a - b) % (2 * m), others))
-    w = np.empty((3, 3) + n + n, dtype=complex)
-    partners = [np.conj(half[j][tuple(minus)]) for j in range(3)]
-    for i in range(3):
-        fp = half[i][tuple(plus)]
-        for j in range(3):
-            # transform over the s axes with the box-centered convention
-            w[i, j] = to_k(spec, fp * partners[j])
-    # The s = -L/2 lag slice has no +L/2 partner on the lattice; averaging
-    # W with its matrix adjoint restores exact hermiticity (the symmetric
-    # treatment of the half-period lag).
-    w += np.conj(np.swapaxes(w, 0, 1))
-    w *= 0.5
-    return WignerField(spec=spec, w=w)
+    return to_r(big, out), tuple(plus), tuple(minus)
 
 
-def wigner_marginal_k(wf: WignerField):
+def wigner_build(spec: GridSpec, block) -> WignerDecomp:
+    """Reduced Wigner matrix of one helicity block (3, nx, ny, nz array), as
+    its real decomposition.  The s = -L/2 lag slice has no +L/2 partner on
+    the lattice, so W is the Hermitian part of the lag sums (the symmetric
+    treatment of the half-period lag); their defect is recorded."""
+    block = np.ascontiguousarray(block, dtype=complex)
+    if block.shape != (3,) + spec.n:
+        raise ShapeError("block shape does not match the grid")
+    half, plus, minus = _half_lattice(spec, block)
+    partners = [np.conj(half[j][minus]) for j in range(3)]
+    # transform over the s axes with the box-centered convention
+    return _split(spec, lambda i, j: to_k(spec, half[i][plus] * partners[j]))
+
+
+def wigner_marginal_k(decomp: WignerDecomp):
     """sum_k W_ii(r, k) / V; equals |psi(r)|^2 for a genuine distribution."""
-    tr = np.einsum("ii...->...", wf.w)
-    return np.sum(tr, axis=(-3, -2, -1)).real / wf.spec.volume
+    tr = np.einsum("ii...->...", decomp.w_sym)
+    return np.sum(tr, axis=(-3, -2, -1)) / decomp.spec.volume
 
 
-def wigner_marginal_r(wf: WignerField):
+def wigner_marginal_r(decomp: WignerDecomp):
     """sum_r W_ii(r, k) dV; equals |psi_hat(k)|^2."""
-    tr = np.einsum("ii...->...", wf.w)
-    return np.sum(tr, axis=(0, 1, 2)).real * wf.spec.cell_volume
+    tr = np.einsum("ii...->...", decomp.w_sym)
+    return np.sum(tr, axis=(0, 1, 2)) * decomp.spec.cell_volume
 
 
 def wigner_decompose(wf: WignerField) -> WignerDecomp:
-    """Split into the real symmetric tensor and the real vector."""
-    defect = wf.hermiticity_defect()
-    if defect > _HERM_RTOL:
+    """Split a given complex W; refuses a hermiticity defect over _HERM_RTOL."""
+    dec = _split(wf.spec, lambda i, j: wf.w[i, j])
+    if dec.hermiticity_defect > _HERM_RTOL:
         raise InconsistencyError(
-            f"Wigner matrix hermiticity defect {defect:.3e} exceeds {_HERM_RTOL:.1e}"
-        )
-    w_sym = 0.5 * (wf.w + np.conj(np.swapaxes(wf.w, 0, 1))).real
-    u = np.einsum("ijk,ij...->k...", LEVI_CIVITA, wf.w) * 1j
-    return WignerDecomp(spec=wf.spec, w_sym=w_sym, u=u.real)
+            f"Wigner matrix hermiticity defect {dec.hermiticity_defect:.3e} "
+            f"exceeds {_HERM_RTOL:.1e}")
+    return dec
 
 
 def _r_last(vec):
@@ -198,10 +198,9 @@ def wigner_subsidiary_residual(decomp: WignerDecomp):
 
 def reduced_pair_from_wigner(decomp: WignerDecomp, k_index):
     """Extract (w, u) on one k fiber: trace of w_sym and the vector u."""
-    w = np.einsum("ii...->...", decomp.w_sym)[..., k_index[0], k_index[1],
-                                              k_index[2]]
-    u = decomp.u[..., k_index[0], k_index[1], k_index[2]]
-    return np.ascontiguousarray(w), np.ascontiguousarray(u)
+    fiber = (Ellipsis,) + tuple(k_index)
+    w = np.einsum("ii...->...", decomp.w_sym[fiber])
+    return np.ascontiguousarray(w), np.ascontiguousarray(decomp.u[fiber])
 
 
 def wigner_reduced_step(spec: GridSpec, k, w, u, dt, steps, cfl_safety=0.5):

@@ -201,12 +201,11 @@ def test_criterion_7_boost_eigenfunctions():
 def test_criterion_8_wigner(rng):
     spec = cube(8)
     psi = random_field(spec, rng, kmax=2.5, helicities=(0,), even_modes=True)
-    wf = ps.wigner_build(spec, psi.upper)
+    dec = ps.wigner_build(spec, psi.upper)
     dens = np.sum(np.abs(psi.upper) ** 2, axis=0)
     spec_dens = np.sum(np.abs(to_k(spec, psi.upper)) ** 2, axis=0)
-    check("c8 k marginal", rel_err(ps.wigner_marginal_k(wf), dens), 1e-10)
-    check("c8 r marginal", rel_err(ps.wigner_marginal_r(wf), spec_dens), 1e-10)
-    dec = ps.wigner_decompose(wf)
+    check("c8 k marginal", rel_err(ps.wigner_marginal_k(dec), dens), 1e-10)
+    check("c8 r marginal", rel_err(ps.wigner_marginal_r(dec), spec_dens), 1e-10)
     r1, r2 = ps.wigner_subsidiary_residual(dec)
     check("c8 subsidiary condition 1", r1, 1e-8)
     check("c8 subsidiary condition 2", r2, 1e-8)
@@ -215,8 +214,7 @@ def test_criterion_8_wigner(rng):
     w0, u0 = ps.reduced_pair_from_wigner(dec, kidx)
     t_total = 0.5
     w1, u1 = ps.wigner_reduced_step(spec, kvec, w0, u0, t_total / 100, 100)
-    dec_t = ps.wigner_decompose(
-        ps.wigner_build(spec, propagate_free(psi, t_total).upper))
+    dec_t = ps.wigner_build(spec, propagate_free(psi, t_total).upper)
     w_t, u_t = ps.reduced_pair_from_wigner(dec_t, kidx)
     check("c8 reduced pair vs field path (100 steps)",
           max(rel_err(w1, w_t), rel_err(u1, u_t)), 1e-7)

@@ -564,6 +564,15 @@ def test_cli_wigner_field_is_the_k_marginal(tmp_path, rng):
     assert rel_err(got[0], dens) <= 1e-12
 
 
+def test_cli_wigner_reports_the_defect_before_symmetrization(tmp_path):
+    # The s = -L/2 lag slice has no +L/2 partner, so the lag sums of the
+    # default packet are not Hermitian until the build symmetrizes them.
+    _run(tmp_path, "wigner", MINIMAL["wigner"])
+    text = (tmp_path / "run" / "wigner_summary.csv").read_text().splitlines()
+    row = dict(zip(text[0].split(","), map(float, text[1].split(","))))
+    assert row["hermiticity_defect"] > 0.0
+
+
 def test_cli_wigner_refuses_grids_over_its_cap(tmp_path, capsys):
     cfg = tmp_path / "big.ini"
     cfg.write_text("[scenario]\nkind = wigner\n" + GRID8.replace("8 8 8", "10 10 10"))

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,8 +22,8 @@ def even_field(spec, rng, kmax):
 def test_wigner_plane_wave_concentrated():
     spec = cube(8)
     psi = synthesize(plane_wave_mode(spec, (0, 0, 2), amplitude=1.0), t=0.0)
-    wf = ps.wigner_build(spec, psi.upper)
-    power = np.abs(np.einsum("ii...->...", wf.w))
+    dec = ps.wigner_build(spec, psi.upper)
+    power = np.abs(np.einsum("ii...->...", dec.w_sym))
     ksum = power.sum(axis=(0, 1, 2))
     peak = np.unravel_index(np.argmax(ksum), ksum.shape)
     assert peak == (0, 0, 2)
@@ -36,35 +37,38 @@ def test_wigner_plane_wave_concentrated():
 def test_wigner_marginals(rng):
     spec = cube(8)
     psi = random_field(spec, rng, kmax=2.5, helicities=(0,))
-    wf = ps.wigner_build(spec, psi.upper)
+    dec = ps.wigner_build(spec, psi.upper)
     dens = np.sum(np.abs(psi.upper) ** 2, axis=0)
-    assert rel_err(ps.wigner_marginal_k(wf), dens) < 1e-10
+    assert rel_err(ps.wigner_marginal_k(dec), dens) < 1e-10
     spec_dens = np.sum(np.abs(to_k(spec, psi.upper)) ** 2, axis=0)
-    assert rel_err(ps.wigner_marginal_r(wf), spec_dens) < 1e-10
+    assert rel_err(ps.wigner_marginal_r(dec), spec_dens) < 1e-10
 
 
 def test_wigner_two_mode_midpoint_fringe():
     spec = cube(8)
     s = two_mode_spectrum(spec, (0, 0, 1), (0, 0, 3))
     psi = synthesize(s, 0.0)
-    wf = ps.wigner_build(spec, psi.upper)
-    power = np.abs(np.einsum("ii...->...", wf.w))
+    trace = np.einsum("ii...->...", ps.wigner_build(spec, psi.upper).w_sym)
+    power = np.abs(trace)
     # interference lives at the midpoint wave vector (0, 0, 2)
     fringe = power[..., 0, 0, 2]
     assert fringe.max() > 0.1 * power.max()
     # and oscillates in r along z with the difference wave number
-    line = np.real(np.einsum("ii...->...", wf.w)[0, 0, :, 0, 0, 2])
+    line = trace[0, 0, :, 0, 0, 2]
     assert line.max() > 0 > line.min()
 
 
 def test_wigner_decompose_round_trip(rng):
     spec = cube(8)
     psi = random_field(spec, rng, kmax=2.5, helicities=(0,))
-    wf = ps.wigner_build(spec, psi.upper)
-    assert wf.hermiticity_defect() < 1e-12
-    dec = ps.wigner_decompose(wf)
-    assert np.max(np.abs(dec.reconstruct() - wf.w)) < 1e-12 * np.max(np.abs(wf.w))
-    bad = ps.WignerField(spec=spec, w=wf.w + 1e-3 * 1j)
+    dec = ps.wigner_build(spec, psi.upper)
+    w = dec.reconstruct()
+    back = ps.wigner_decompose(ps.WignerField(spec=spec, w=w))
+    assert back.hermiticity_defect < 1e-12
+    scale = np.max(np.abs(w))
+    assert np.max(np.abs(back.w_sym - dec.w_sym)) < 1e-12 * scale
+    assert np.max(np.abs(back.u - dec.u)) < 1e-12 * scale
+    bad = ps.WignerField(spec=spec, w=w + 1e-3 * 1j)
     with pytest.raises(InconsistencyError):
         ps.wigner_decompose(bad)
 
@@ -86,10 +90,53 @@ def test_wigner_decompose_pure_cases():
     assert np.max(np.abs(dec2.w_sym)) < 1e-14
 
 
+def _symmetrized_lag_sums(spec, block):
+    """The complex W formed as nine whole lag-sum blocks, then symmetrized."""
+    half, plus, minus = ps._half_lattice(spec, block)
+    w = np.empty((3, 3) + spec.n + spec.n, dtype=complex)
+    for i, j in itertools.product(range(3), repeat=2):
+        w[i, j] = to_k(spec, half[i][plus] * np.conj(half[j][minus]))
+    w += np.conj(np.swapaxes(w, 0, 1))
+    w *= 0.5
+    return w
+
+
+def test_wigner_build_matches_symmetrized_lag_sums(rng):
+    spec = GridSpec(n=(6, 8, 10), length=(4.2, 5.6, 7.0))
+    block = random_field(spec, rng, kmax=2.5, helicities=(0,)).upper
+    dec = ps.wigner_build(spec, block)
+    w = _symmetrized_lag_sums(spec, block)
+    ref = ps.wigner_decompose(ps.WignerField(spec=spec, w=w))
+    # w is Hermitian bit for bit, so its split is also the whole-array
+    # w_sym = Re W, u_k = -eps_ijk Im W_ij
+    whole_u = -np.einsum("ijk,ij...->k...", LEVI_CIVITA, w.imag)
+    # value for value; an exact zero may differ in sign
+    for got in (dec, ref):
+        assert np.array_equal(got.w_sym, w.real)
+        assert np.array_equal(got.u, whole_u)
+    # a plain random field is far from Hermitian before symmetrization
+    assert dec.hermiticity_defect > 0.1
+
+
+def test_wigner_build_memory_bound(rng):
+    spec = cube(8)
+    psi = even_field(spec, rng, kmax=2.5)
+    ps.wigner_subsidiary_residual(ps.wigner_build(spec, psi.upper))  # tables
+    one_w = 9 * spec.npoints ** 2 * 16   # one complex (3, 3, N, N) matrix
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        ps.wigner_subsidiary_residual(ps.wigner_build(spec, psi.upper))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - base <= 2 * one_w, (peak - base) / one_w
+
+
 def test_wigner_subsidiary_solution_vs_detector(rng):
     spec = cube(8)
     psi = even_field(spec, rng, kmax=2.5)
-    dec = ps.wigner_decompose(ps.wigner_build(spec, psi.upper))
+    dec = ps.wigner_build(spec, psi.upper)
     r1, r2 = ps.wigner_subsidiary_residual(dec)
     assert r1 < 1e-8 and r2 < 1e-8
     junk = ps.WignerDecomp(
@@ -104,7 +151,7 @@ def test_wigner_subsidiary_solution_vs_detector(rng):
 def test_wigner_plane_wave_subsidiary_exact():
     spec = cube(8)
     psi = synthesize(plane_wave_mode(spec, (0, 2, 0)), t=0.0)
-    dec = ps.wigner_decompose(ps.wigner_build(spec, psi.upper))
+    dec = ps.wigner_build(spec, psi.upper)
     r1, r2 = ps.wigner_subsidiary_residual(dec)
     assert r1 < 1e-12 and r2 < 1e-12
 
@@ -139,15 +186,14 @@ def test_reduced_step_rotation_term_inactive_along_k():
 def test_reduced_step_matches_field_evolution(rng):
     spec = cube(8)
     psi = even_field(spec, rng, kmax=2.5)
-    dec0 = ps.wigner_decompose(ps.wigner_build(spec, psi.upper))
+    dec0 = ps.wigner_build(spec, psi.upper)
     kidx = (2, 0, 0)
     kvec = spec.k_grid()[:, kidx[0], kidx[1], kidx[2]]
     w0, u0 = ps.reduced_pair_from_wigner(dec0, kidx)
     t_total = 0.5
     steps = 100
     w1, u1 = ps.wigner_reduced_step(spec, kvec, w0, u0, t_total / steps, steps)
-    decT = ps.wigner_decompose(
-        ps.wigner_build(spec, propagate_free(psi, t_total).upper))
+    decT = ps.wigner_build(spec, propagate_free(psi, t_total).upper)
     wT, uT = ps.reduced_pair_from_wigner(decT, kidx)
     assert rel_err(w1, wT) < 1e-7
     assert rel_err(u1, uT) < 1e-7
