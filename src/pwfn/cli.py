@@ -55,6 +55,9 @@ def _initial_field(scenario):
                 f"{field.spec.n}, length = {field.spec.length}, but [grid] "
                 f"gives n = {scenario.grid.n}, "
                 f"length = {scenario.grid.length}")
+        if not field.is_finite():
+            raise ConfigError(f"[initial] packet {packet!r} holds non-finite "
+                              "values")
         return field
     if packet == "gaussian":
         return checked("initial", states.gaussian_packet, scenario.grid,

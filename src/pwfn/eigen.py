@@ -130,20 +130,6 @@ class BoostEigenfunction:
             raise DomainError("boost eigenfunction needs k_perp > 0",
                               arg="k_perp")
 
-    def psi_x(self, z):
-        return self.profile(z)[0]
-
-    def psi_y(self, z):
-        return self.profile(z)[1]
-
-    def psi_z(self, z):
-        return self.profile(z)[2]
-
-    def eigen_residual(self, z):
-        """Relative residual of the three component equations of the
-        eigenproblem K_z psi = kappa psi at the sampled z values."""
-        return self.profile(z)[3]
-
     def ode_residual(self, z):
         """Relative residual of z^2 w'' + z w' + (kappa^2 - k_perp^2 z^2) w = 0.
 
@@ -157,7 +143,8 @@ class BoostEigenfunction:
 
     def profile(self, z):
         """(psi_x, psi_y, psi_z, eigen_residual) at the sampled z values,
-        from three quadratures per sample.
+        from three quadratures per sample.  eigen_residual is the relative
+        residual of the three component equations of K_z psi = kappa psi.
 
         Raises DomainError naming x = k_perp z where a sample leaves double
         precision: past x of about 708, psi_z ~ exp(-x) falls below the

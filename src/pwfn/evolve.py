@@ -13,9 +13,9 @@ step-index geometries belong to the semi-analytic fiber solver instead.
 
 Steppers integrate i dF/dt = H F with classic RK4 (default) or, for
 uniform-speed media, Strang splitting between the exact kinetic phase and
-the pointwise helicity-coupling term.  :func:`rk4` and :func:`check_cfl`
-are the one integrator and the one step bound that the medium, curved-space
-and reduced Wigner evolutions share.
+the pointwise helicity-coupling term.  :func:`rk4` is the one integrator,
+and the one holder of its step bound, that the medium, curved-space and
+reduced Wigner evolutions share.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .spectral import (GridSpec, SixField, _curl_k, _fft, _ifft, div, grad,
                        triad_arrays)
 
 __all__ = [
-    "MediumMap", "StepperConfig", "rk4", "check_cfl",
+    "MediumMap", "StepperConfig", "rk4",
     "propagate_free", "free_generator", "hamiltonian_apply",
     "step_medium", "divergence_residual", "medium_basis_change",
 ]
@@ -64,6 +64,7 @@ class MediumMap:
         self.grad_h = grad(self.spec, self.h)
         # c = (v/2h) grad h: (v/2h) rho_2 (s . grad h) F = (c x F-, -c x F+).
         self.coupling = self.v / (2.0 * self.h) * self.grad_h
+        self.coupling_norm = np.sqrt(np.sum(self.coupling**2, axis=0))
         self.is_uniform_v = bool(np.ptp(self.v) <= 1e-14 * np.max(self.v))
         self.is_uniform_h = bool(np.ptp(self.h) <= 1e-14 * np.max(self.h))
 
@@ -80,7 +81,8 @@ class MediumMap:
 
 @dataclass
 class StepperConfig:
-    """Time-step configuration; dt must satisfy dt <= cfl_safety * dx / max v."""
+    """Time-step configuration; dt may reach cfl_safety, in (0, 1], times the
+    scheme's own step limit (see :func:`rk4` and :func:`step_medium`)."""
 
     dt: float
     scheme: str = "rk4"
@@ -98,25 +100,22 @@ class StepperConfig:
                               f"got {self.cfl_safety}", arg="cfl_safety")
 
 
-def check_cfl(dt, spacing, vmax, cfl_safety):
-    """Raise StabilityError unless dt <= cfl_safety * min(spacing) / vmax."""
-    limit = cfl_safety * min(spacing) / vmax
-    if dt > limit:
-        raise StabilityError(
-            f"dt = {dt:.3e} exceeds CFL bound {limit:.3e} "
-            f"(cfl_safety = {cfl_safety}, max speed = {vmax:.3e})"
-        )
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def rk4(rhs, y, dt, steps):
+def rk4(rhs, y, dt, steps, rate, cfl_safety):
     """Classic RK4 for dy/dt = rhs(y); returns the state after `steps` steps.
 
-    The result is a new array; y is not modified.  A blow-up turns into inf/NaN that the spectral
-    right-hand sides carry forward, so one finiteness check of the final
-    state catches it and raises StabilityError, with no numpy overflow
-    warnings on the way.
+    rate bounds the spectral radius of the linear map rhs (its spectrum lies
+    on the imaginary axis); unless |dt| rate <= cfl_safety 2 sqrt(2), rhs is
+    never called and StabilityError is raised.  The result is a new array; a
+    state that overflows anyway is caught by one finiteness check at the end.
     """
+    # |R(iy)|^2 = 1 - y^6/72 + y^8/576 <= 1 while |y| <= 2 sqrt(2)
+    limit = cfl_safety * 2.0 * np.sqrt(2.0)
+    if abs(dt) * rate > limit:
+        raise StabilityError(
+            f"dt = {dt:.3e} exceeds the RK4 stability bound {limit / rate:.3e}"
+            f" = cfl_safety * 2 sqrt(2) / rate (cfl_safety = {cfl_safety}, "
+            f"rate = {rate:.3e})")
     y = np.array(y)
     for _ in range(steps):
         k1 = rhs(y)
@@ -126,9 +125,7 @@ def rk4(rhs, y, dt, steps):
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(y)):
         raise StabilityError(
-            f"state is non-finite after {steps} RK4 steps of dt = {dt:.3e}; "
-            "the time step is beyond the stability limit of the scheme"
-        )
+            f"state is non-finite after {steps} RK4 steps of dt = {dt:.3e}")
     return y
 
 
@@ -194,18 +191,29 @@ def step_medium(psi: SixField, medium: MediumMap, cfg: StepperConfig,
 
     RK4 treats the full generator; split_step (uniform-speed media only)
     alternates the exact kinetic phase with the pointwise coupling phase in
-    Strang order.
+    Strang order.  RK4's rate bound is ||H|| <= max v * k_max + max |c|.
+    The Strang step is unitary at any dt; its rule dt <= cfl_safety
+    min(dx) / v bounds the splitting error per step, not stability.
     """
     spec = psi.spec
-    check_cfl(cfg.dt, spec.spacing, float(np.max(medium.v)), cfg.cfl_safety)
+    vmax = float(np.max(medium.v))
     if cfg.scheme == "rk4":
+        rate = vmax * spec.k_max() + np.max(medium.coupling_norm)
+
         def rhs(arr):
             return -1j * hamiltonian_apply(SixField(spec=spec, data=arr),
                                            medium).data
-        return SixField(spec=spec, data=rk4(rhs, psi.data, cfg.dt, steps))
+        return SixField(spec=spec, data=rk4(rhs, psi.data, cfg.dt, steps,
+                                            rate, cfg.cfl_safety))
     if not medium.is_uniform_v:
         raise DomainError("split_step requires a uniform-speed medium",
                           arg="scheme")
+    limit = cfg.cfl_safety * min(spec.spacing) / vmax
+    if cfg.dt > limit:
+        raise StabilityError(
+            f"dt = {cfg.dt:.3e} exceeds the split-step bound {limit:.3e} = "
+            f"cfl_safety * min(dx) / v (cfl_safety = {cfg.cfl_safety}), "
+            "which limits the splitting error per step")
     return _step_split(psi, medium, cfg.dt, steps)
 
 
@@ -221,8 +229,7 @@ def _step_split(psi, medium, dt, steps):
     #   exp(-i dt B) F = cos(theta) F + s2 c (c . F) - i s1 B F,
     # s1 = sin(theta)/|c| and s2 = (1 - cos theta)/|c|^2; np.sinc carries
     # both through their |c| -> 0 limits dt and dt^2/2.
-    c = medium.coupling
-    cnorm = np.sqrt(np.sum(c * c, axis=0))
+    c, cnorm = medium.coupling, medium.coupling_norm
     cos_t = np.cos(dt * cnorm)
     s1c = dt * np.sinc(dt * cnorm / np.pi) * c
     s2 = 0.5 * dt**2 * np.sinc(dt * cnorm / (2.0 * np.pi)) ** 2

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .evolve import check_cfl, free_generator, rk4
+from .evolve import free_generator, rk4
 from .fieldcore import LEVI_CIVITA
 from .spectral import GridSpec, SixField, _fft, _ifft
 
@@ -151,12 +151,13 @@ def step_curved(field: SixField, metric: MetricField, cfg, steps: int) -> SixFie
         raise DomainError(f"curved-space evolution runs rk4 only, got "
                           f"scheme {cfg.scheme!r}", arg="scheme")
     spec = field.spec
-    check_cfl(cfg.dt, spec.spacing, metric.light_speed_bound(), cfg.cfl_safety)
+    rate = metric.light_speed_bound() * spec.k_max()  # bounds ||H||
 
     def rhs(arr):
         return -1j * curved_generator(SixField(spec=spec, data=arr), metric).data
 
-    return SixField(spec=spec, data=rk4(rhs, field.data, cfg.dt, steps))
+    return SixField(spec=spec, data=rk4(rhs, field.data, cfg.dt, steps, rate,
+                                        cfg.cfl_safety))
 
 
 def spinor_from_rs(f):

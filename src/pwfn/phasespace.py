@@ -37,7 +37,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from .errors import DomainError, InconsistencyError, ShapeError
-from .evolve import StepperConfig, check_cfl, rk4
+from .evolve import StepperConfig, rk4
 from .fieldcore import LEVI_CIVITA, cross, poynting
 from .spectral import GridSpec, curl, div, grad, to_k, to_r
 
@@ -181,7 +181,7 @@ def wigner_subsidiary_residual(decomp: WignerDecomp):
                                  (0, 1, 2), (3, 4, 5)) for i in range(3)])
     # normalize by the representable field scale, not by the residual terms
     # themselves (which vanish identically for single modes)
-    kmax = float(np.max(spec.k_norm()))
+    kmax = spec.k_max()
     scale1 = kmax * (np.max(np.abs(decomp.u)) + np.max(np.abs(decomp.w_sym)))
     r1 = float(np.max(np.abs(lhs1 - rhs1)) / scale1) if scale1 > 0 else 0.0
 
@@ -212,8 +212,8 @@ def wigner_reduced_step(spec: GridSpec, k, w, u, dt, steps, cfl_safety=0.5):
     k and the gradient of w.  c = 1 internally.
     """
     cfg = StepperConfig(dt=dt, cfl_safety=cfl_safety)
-    check_cfl(cfg.dt, spec.spacing, 1.0, cfg.cfl_safety)
     k = np.asarray(k, dtype=float)
+    rate = spec.k_max() + 2.0 * float(np.linalg.norm(k))  # (w, u) + rotation
 
     def rhs(y):
         # y packs (w, u) as (4, nx, ny, nz)
@@ -225,7 +225,7 @@ def wigner_reduced_step(spec: GridSpec, k, w, u, dt, steps, cfl_safety=0.5):
     y = np.empty((4,) + spec.n)
     y[0] = w
     y[1:] = u
-    y = rk4(rhs, y, cfg.dt, steps)
+    y = rk4(rhs, y, cfg.dt, steps, rate, cfg.cfl_safety)
     return y[0], y[1:]
 
 

@@ -150,6 +150,9 @@ class GridSpec:
         return _table(self, "k_norm", lambda: np.sqrt(
             np.sum(self.k_grid() ** 2, axis=0)))
 
+    def k_max(self):
+        return float(np.max(self.k_norm()))
+
     def k_inverse(self):
         """1/|k| on the dual lattice and 0 at k = 0, the mode without a
         transverse frame: the k = 0 rule of every momentum-space weight.

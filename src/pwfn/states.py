@@ -42,8 +42,8 @@ def plane_wave_mode(spec: GridSpec, k_index, helicity=+1, amplitude=None):
 
 
 def gaussian_packet_spectrum(spec: GridSpec, k_center, sigma_k, helicity=+1,
-                             r_center=(0.0, 0.0, 0.0), normalize=True):
-    """Gaussian helicity amplitudes around k_center, centered at r_center."""
+                             r_center=(0.0, 0.0, 0.0)):
+    """Unit-photon-number Gaussian amplitudes around k_center, at r_center."""
     if not (np.isfinite(sigma_k) and sigma_k > 0.0):
         raise DomainError(f"sigma_k must be finite and > 0, got {sigma_k!r}",
                           arg="sigma_k")
@@ -59,16 +59,14 @@ def gaussian_packet_spectrum(spec: GridSpec, k_center, sigma_k, helicity=+1,
     amp = np.zeros((2,) + spec.n, dtype=complex)
     amp[lam] = profile
     spectrum = HelicitySpectrum(spec=spec, amp=amp)
-    if normalize:
-        spectrum.amp /= np.sqrt(photon_number(spectrum))
+    spectrum.amp /= np.sqrt(photon_number(spectrum))
     return spectrum
 
 
 def gaussian_packet(spec: GridSpec, k_center, sigma_k, helicity=+1,
-                    r_center=(0.0, 0.0, 0.0), normalize=True) -> SixField:
+                    r_center=(0.0, 0.0, 0.0)) -> SixField:
     return synthesize(gaussian_packet_spectrum(spec, k_center, sigma_k,
-                                               helicity, r_center, normalize),
-                      t=0.0)
+                                               helicity, r_center), t=0.0)
 
 
 def balanced_packet_params(spec: GridSpec):

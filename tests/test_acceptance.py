@@ -193,7 +193,7 @@ def test_criterion_7_boost_eigenfunctions():
     for kappa in (0.5, 1.0, 2.0):
         b = eigen.boost_eigenfunction(kappa, 1.0, 0.7)
         worst_ode = max(worst_ode, float(np.max(b.ode_residual(z))))
-        worst_eig = max(worst_eig, float(np.max(b.eigen_residual(z))))
+        worst_eig = max(worst_eig, float(np.max(b.profile(z)[3])))
     check("c7 radial equation residual", worst_ode, 1e-7)
     check("c7 eigen-relation residual", worst_eig, 1e-6)
 

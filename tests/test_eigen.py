@@ -71,9 +71,10 @@ def test_boost_eigenfunction_k0_case_and_decay():
     from scipy.special import kv
     b = eigen.boost_eigenfunction(0.0, 1.0, 0.0)
     z = np.array([0.5, 1.0, 2.0])
-    assert np.max(np.abs(b.psi_z(z) - kv(0, z))) < 1e-10
+    assert np.max(np.abs(b.profile(z)[2] - kv(0, z))) < 1e-10
     b2 = eigen.boost_eigenfunction(1.0, 1.0, 0.7)
-    ratio = b2.psi_z(np.array([4.0]))[0] / b2.psi_z(np.array([2.0]))[0]
+    psi_z = b2.profile(np.array([2.0, 4.0]))[2]
+    ratio = psi_z[1] / psi_z[0]
     expected = np.exp(-2.0 * b2.k_perp) * np.sqrt(2.0 / 4.0)
     assert abs(ratio - expected) < 0.2 * abs(expected)
     with pytest.raises(DomainError):
@@ -85,7 +86,7 @@ def test_boost_eigen_residuals(kappa):
     b = eigen.boost_eigenfunction(kappa, 1.0, 0.7)
     z = np.linspace(0.1, 5.0, 20)
     assert np.max(b.ode_residual(z)) < 1e-7
-    assert np.max(b.eigen_residual(z)) < 1e-6
+    assert np.max(b.profile(z)[3]) < 1e-6
 
 
 def test_cli_boost_run_evaluates_each_moment_once(tmp_path, monkeypatch):
@@ -162,8 +163,7 @@ def test_boost_profile_refuses_samples_that_under_or_overflow():
     for z, x_bad in ((np.linspace(0.1, 5.0, 64), 5000.0),
                      (np.array([0.5, 0.7222]), 722.2),
                      (np.array([1e-155, 2.5, 5.0]), 1e-152)):
-        for method in (b.profile, b.ode_residual, b.psi_x, b.psi_y, b.psi_z,
-                       b.eigen_residual):
+        for method in (b.profile, b.ode_residual):
             with pytest.raises(DomainError) as err:
                 method(z)
             assert err.value.arg == "x", method
@@ -175,9 +175,9 @@ def test_boost_eigenfunction_norm_grows_with_domain():
     # the sampled transverse area
     b = eigen.boost_eigenfunction(1.0, 1.0, 0.0)
     z = np.linspace(0.1, 6.0, 200)
-    line = np.trapezoid(np.abs(b.psi_z(z)) ** 2
-                        + np.abs(b.psi_x(z)) ** 2
-                        + np.abs(b.psi_y(z)) ** 2, z)
+    psi_x, psi_y, psi_z, _ = b.profile(z)
+    line = np.trapezoid(np.abs(psi_z) ** 2 + np.abs(psi_x) ** 2
+                        + np.abs(psi_y) ** 2, z)
     norms = [line * (2 * w) ** 2 for w in (1.0, 2.0, 4.0)]
     assert norms[1] > 2.0 * norms[0] and norms[2] > 2.0 * norms[1]
 

@@ -171,7 +171,9 @@ def test_step_medium_norm_drift_and_reversibility(rng):
     def rhs(arr):
         return -1j * hamiltonian_apply(SixField(spec=spec, data=arr), med).data
 
-    back = rk4(rhs, fwd.data, -cfg.dt, 200)
+    # ||H|| <= max v * k_max + max |c|, the rate step_medium passes
+    rate = np.max(med.v) * spec.k_max() + np.max(med.coupling_norm)
+    back = rk4(rhs, fwd.data, -cfg.dt, 200, rate, cfg.cfl_safety)
     assert rel_err(back, psi.data) < 1e-7
 
 
@@ -334,3 +336,64 @@ def test_medium_map_validation_and_smoothness():
     assert err.value.arg == "mu" and "eps" not in str(err.value)
     med = MediumMap.uniform(spec, eps=2.0)
     assert med.smoothness_metric() < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rk4_step_rule_is_the_schemes_own(monkeypatch, seed):
+    # Random even shapes up to 8 points per axis, anisotropic boxes and a
+    # uniform (eps, mu), so a random speed v.  Each RK4 caller's rate bounds
+    # its generator's spectral radius: at dt = 2 sqrt(2) / rate no mode
+    # grows, and just past it the run is refused before the first step.
+    from pwfn import evolve as ev, geometry as geo, phasespace as ps
+    rng = np.random.default_rng(seed)
+    spec = GridSpec(n=tuple(int(m) for m in rng.choice([2, 4, 6, 8], 3)),
+                    length=tuple(rng.uniform(2.0, 10.0, 3)))
+    eps, mu = rng.uniform(0.5, 4.0, 2)
+    med = MediumMap.uniform(spec, eps=eps, mu=mu)
+    v = float(np.max(med.v))
+    met = geo.conformal_metric(spec, np.sqrt(eps * mu))
+    kvec = spec.k_grid()[(slice(None),) + tuple(rng.integers(0, spec.n))]
+    psi = SixField(spec=spec, data=rng.standard_normal((2, 3) + spec.n)
+                   + 1j * rng.standard_normal((2, 3) + spec.n))
+    wu = rng.standard_normal((4,) + spec.n)
+
+    def medium(dt, steps):
+        return step_medium(psi, med, StepperConfig(dt=dt, cfl_safety=1.0),
+                           steps).data
+
+    def curved(dt, steps):
+        return geo.step_curved(psi, met, StepperConfig(dt=dt, cfl_safety=1.0),
+                               steps).data
+
+    def reduced(dt, steps):
+        return np.concatenate(ps.wigner_reduced_step(
+            spec, kvec, wu[0], wu[1:], dt, steps, cfl_safety=1.0), axis=None)
+
+    cases = [
+        (medium, v * spec.k_max() + np.max(med.coupling_norm), v, psi.data,
+         (ev, "hamiltonian_apply")),
+        (curved, met.light_speed_bound() * spec.k_max(),
+         met.light_speed_bound(), psi.data, (geo, "curved_generator")),
+        (reduced, spec.k_max() + 2.0 * np.linalg.norm(kvec), 1.0, wu,
+         (ps, "div")),
+    ]
+    for run, rate, speed, start, (module, name) in cases:
+        bound = 2.0 * np.sqrt(2.0) / rate
+        assert bound <= min(spec.spacing) / speed, run.__name__
+        out = run(bound * (1.0 - 1e-12), 200)
+        assert np.linalg.norm(out) <= np.linalg.norm(start) * (1.0 + 1e-12), \
+            run.__name__
+
+        calls = []
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _f=original: calls.append(1) or _f(*a))
+        dt = 1.01 * bound
+        with pytest.raises(StabilityError) as err:
+            run(dt, 1)
+        monkeypatch.undo()
+        assert calls == [], run.__name__
+        message = str(err.value)
+        for needle in (f"dt = {dt:.3e}", f"bound {bound:.3e}",
+                       "cfl_safety = 1.0"):
+            assert needle in message, (run.__name__, message)

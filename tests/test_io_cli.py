@@ -213,8 +213,9 @@ steps = 2
     assert main(["evolve-free", "--config", str(missing),
                  "--out", str(tmp_path / "z")]) == 2
 
-    # |k| dt = 4.1 passes the CFL guard but lies beyond RK4's imaginary-axis
-    # limit 2 sqrt(2): the run blows up and is reported as unstable.
+    # dt = 0.785 at cfl_safety = 1.0 lies beyond RK4's stability bound
+    # 2 sqrt(2) / k_max = 0.408 on this grid: the run is refused before its
+    # first step.
     medium = """
 [scenario]
 kind = evolve-medium
@@ -242,9 +243,20 @@ cfl_safety = 1.0
     gridio.write_sixfield(file8, random_field(cube(8), rng, kmax=2.0))
     on_grid6 = "[grid]\nn = 6 6 6\nlength = 6.3 6.3 6.3\n" \
         f"[initial]\npacket = file:{file8}\n"
+    # A finite field near the float maximum passes every input check and
+    # the step rule, then overflows in the first RK4 stage: the end-of-run
+    # finiteness check reports it.
+    huge = tmp_path / "huge.pwfn"
+    field = random_field(cube(8), rng, kmax=2.0)
+    field.data /= np.max(np.abs(field.data))
+    field.data *= 1e308
+    gridio.write_sixfield(huge, field)
     for n, (kind, text, code, *needles) in enumerate([
             ("evolve-medium", medium + "dt = 0.785\nsteps = 400\n", 4,
-             "non-finite"),
+             "dt = 7.850e-01", "bound 4.082e-01", "cfl_safety = 1.0"),
+            ("evolve-medium", "[scenario]\nkind = evolve-medium\n" + GRID8
+             + f"[initial]\npacket = file:{huge}\n[physics]\nsteps = 1\n",
+             4, "non-finite"),
             ("evolve-medium", medium + "dt = nan\nsteps = 2\n", 2, "dt"),
             ("evolve-medium", medium + "dt = 0.01\nsteps = -3\n", 2, "steps"),
             ("evolve-medium", medium + "steps = 1\neps_profile = cosine:1.0\n",
@@ -377,6 +389,27 @@ cfl_safety = 1.0
                     if issubclass(w.category, RuntimeWarning)], text
         assert "] None:" not in err, text
         assert not out.exists(), text  # a failed run writes nothing
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("kind", [k for k in SCENARIO_KINDS
+                                  if "initial" in SCHEMA[k]])
+def test_cli_refuses_a_non_finite_initial_field(tmp_path, capsys, rng, kind,
+                                                bad):
+    field = random_field(cube(8), rng, kmax=2.0)
+    field.data[0, 1, 2, 3, 4] = bad
+    path = tmp_path / "in.pwfn"
+    gridio.write_sixfield(path, field)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[scenario]\nkind = {kind}\n" + GRID8
+                   + f"[initial]\npacket = file:{path}\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([kind, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "[initial] packet" in capsys.readouterr().err
+    assert not caught
+    assert not out.exists()
 
 
 def test_cli_loads_config_once(tmp_path, monkeypatch):
