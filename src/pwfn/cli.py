@@ -58,6 +58,16 @@ def _initial_field(scenario):
         if not field.is_finite():
             raise ConfigError(f"[initial] packet {packet!r} holds non-finite "
                               "values")
+        # N max(1, dV)^2 g^2 sum |F|^2, g = 1 + k_max max(L), bounds every
+        # sum of squares of a run (README); its log is taken on F / max|F|.
+        spec, data = field.spec, field.data
+        scale = max(np.max(np.abs(data.real)), np.max(np.abs(data.imag)))
+        g = max(1.0, spec.cell_volume) * (1 + spec.k_max() * max(spec.length))
+        if scale > 0.0 and 2.0 * np.log10(scale) + 2.0 * np.log10(g) \
+                + np.log10(spec.npoints * np.sum(np.abs(data / scale) ** 2)) \
+                >= np.log10(np.finfo(float).max):
+            raise ConfigError(f"[initial] packet {packet!r} holds a field too "
+                              "large to run: its sums of squares overflow")
         return field
     if packet == "gaussian":
         return checked("initial", states.gaussian_packet, scenario.grid,

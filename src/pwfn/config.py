@@ -96,7 +96,7 @@ def _text(key, text):
 _FLOAT, _INT, _VEC3 = _numbers(float), _numbers(int), _numbers(float, 3)
 _GRID = {"n": Key(_numbers(int, 3)), "length": Key(_VEC3)}
 _PACKET = Key(_text, "gaussian")
-_HELICITY = Key(_INT, 1, (lambda v, c: v in (1, -1), "+1 or -1"))
+_HELICITY = Key(_INT, 1)
 _PACKETS = {  # [initial] keys per packet family
     "gaussian": {"k_center": Key(_VEC3, (3.0, 0.0, 0.0)),
                  "sigma_k": Key(_FLOAT, 0.7), "helicity": _HELICITY,

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DomainError, InconsistencyError
 
 __all__ = [
-    "SPIN_X", "SPIN_Y", "SPIN_Z", "SPIN", "LEVI_CIVITA",
+    "SPIN_X", "SPIN_Y", "SPIN_Z", "SPIN", "LEVI_CIVITA", "CYCLIC",
     "rho1", "rho2", "rho3", "spin_dot", "cross", "poynting", "rodrigues",
     "rs_from_fields", "fields_from_rs", "invariants", "duality_rotate",
     "conjugate", "lorentz_boost", "rotation_matrix", "rotate",
@@ -39,18 +39,18 @@ __all__ = [
     "classical_moment_of_energy",
 ]
 
-# Levi-Civita symbol eps_{ijk}, the one copy every module contracts with.
+# Levi-Civita symbol eps_{ijk}, the one copy every module contracts with,
+# built from CYCLIC: the (j, k) for which (i, j, k) is cyclic, i = 0, 1, 2.
+CYCLIC = ((1, 2), (2, 0), (0, 1))
 LEVI_CIVITA = np.zeros((3, 3, 3))
-for _i, _j, _k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-    LEVI_CIVITA[_i, _j, _k] = 1.0
-    LEVI_CIVITA[_i, _k, _j] = -1.0
+for _i, (_j, _k) in enumerate(CYCLIC):
+    LEVI_CIVITA[_i, _j, _k], LEVI_CIVITA[_i, _k, _j] = 1.0, -1.0
 LEVI_CIVITA.flags.writeable = False
 
 # Spin-1 matrices in the Cartesian representation; (s_i)_{jk} = -i eps_{ijk}.
-SPIN_X = np.array([[0, 0, 0], [0, 0, -1j], [0, 1j, 0]], dtype=complex)
-SPIN_Y = np.array([[0, 0, 1j], [0, 0, 0], [-1j, 0, 0]], dtype=complex)
-SPIN_Z = np.array([[0, -1j, 0], [1j, 0, 0], [0, 0, 0]], dtype=complex)
-SPIN = np.stack([SPIN_X, SPIN_Y, SPIN_Z])
+SPIN = -1j * LEVI_CIVITA
+SPIN.flags.writeable = False
+SPIN_X, SPIN_Y, SPIN_Z = SPIN
 
 
 def rho1(calf):
@@ -71,9 +71,7 @@ def rho3(calf):
 def cross(a, b):
     """a x b for 3-vectors along axis 0, broadcast over the trailing axes;
     equals numpy.cross(a, b, axisa=0, axisb=0, axisc=0) bit for bit."""
-    return np.stack([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+    return np.stack([a[j] * b[k] - a[k] * b[j] for j, k in CYCLIC])
 
 
 def poynting(f):

@@ -31,7 +31,7 @@ from scipy.special import gamma as gamma_fn, kv
 from .errors import (DomainError, GaugeSingularityError, NormalizationError,
                      ResourceError, ShapeError)
 from .evolve import _free_generator_k, free_generator
-from .fieldcore import LEVI_CIVITA, poynting
+from .fieldcore import CYCLIC, LEVI_CIVITA, poynting
 from .spectral import (_DC_RTOL, GridSpec, HelicitySpectrum, SixField,
                        _dc_energy_fraction, _fft, _helicity_amplitudes, _ifft,
                        berry_connection_grid, decompose, triad_arrays)
@@ -77,26 +77,38 @@ class GeneratorTag(enum.Enum):
 
     @property
     def axis(self):
-        name = self.value
-        return {"x": 0, "y": 1, "z": 2}.get(name[-1])
+        return {"x": 0, "y": 1, "z": 2}.get(self.value[-1])
 
     @property
     def family(self):
         return self.value[0]
 
 
-# Vector generators per family, indexed by axis.
-_VECTOR_TAGS = {
-    "P": (GeneratorTag.P_X, GeneratorTag.P_Y, GeneratorTag.P_Z),
-    "J": (GeneratorTag.J_X, GeneratorTag.J_Y, GeneratorTag.J_Z),
-    "K": (GeneratorTag.K_X, GeneratorTag.K_Y, GeneratorTag.K_Z),
-}
+# Vector generators by (family, axis).
+_VECTOR_TAGS = {(tag.family, tag.axis): tag for tag in GeneratorTag
+                if tag.axis is not None}
 # Levi-Civita symbol as (i, j) -> (k, eps_ijk) for i != j.
 _EPS = {(i, j): (k, float(LEVI_CIVITA[i, j, k]))
         for i, j, k in itertools.permutations(range(3))}
-# Axes (j, k) of the rotation generator J_i = x_j D_k - x_k D_j + S_i, per
-# i; (i, j, k) is cyclic, and (S_i psi)_j = -i psi_k, (S_i psi)_k = i psi_j.
-_ROTATION_AXES = ((1, 2), (2, 0), (0, 1))
+
+
+def _poincare_algebra():
+    """(A, B) -> (C, c) with [A, B] = c C; a pair not listed commutes."""
+    tag, table = _VECTOR_TAGS, {}
+    for (i, j), (k, sign) in _EPS.items():
+        for family in "PJK":  # [J_i, X_j] = i eps_ijk X_k
+            table[tag["J", i], tag[family, j]] = (tag[family, k], 1j * sign)
+        # [K_i, K_j] = -i eps_ijk J_k
+        table[tag["K", i], tag["K", j]] = (tag["J", k], -1j * sign)
+    for i in range(3):  # [K_i, P_j] = i delta_ij H and [K_i, H] = i P_i
+        table[tag["K", i], tag["P", i]] = (GeneratorTag.H, 1j)
+        table[tag["K", i], GeneratorTag.H] = (tag["P", i], 1j)
+    for (a, b), (c, coeff) in list(table.items()):  # [B, A] = -[A, B]
+        table.setdefault((b, a), (c, -coeff))
+    return table
+
+
+_ALGEBRA = _poincare_algebra()
 
 
 def _check_specs(a, b):
@@ -280,17 +292,20 @@ def observables_momentum(spectrum: HelicitySpectrum, pole_cone=1e-6) -> Observab
     g = alpha * helicity
     for phi in spectrum.amp:
         g += (np.conj(phi) * _gradient_k(spec, phi)).imag
-    g = g.reshape(3, -1)
     # Under the weight 1/(V |k|), k becomes n/V and omega becomes
     # (|k|/|k|)/V, which is 0 at k = 0: that mode carries no energy.
-    n = nhat.reshape(3, -1) / spec.volume
-    omega = (knorm * kinv).ravel() / spec.volume
-    power = (p2[0] + p2[1]).ravel()
-    spin = (helicity * kinv).ravel()
+    n = nhat / spec.volume
+    omega = knorm * kinv / spec.volume
+    power = p2[0] + p2[1]
+    spin = helicity * kinv
+    # np.sum products, not BLAS ones (see observables_coordinate)
+    ang = [np.sum(n[j] * g[k]) - np.sum(n[k] * g[j]) + np.sum(n[i] * spin)
+           for i, (j, k) in enumerate(CYCLIC)]
     return Observables(
-        energy=float(omega @ power), momentum=n @ power,
-        angular_momentum=np.einsum("ijk,jk->i", LEVI_CIVITA, n @ g.T) + n @ spin,
-        moment_of_energy=-(g @ omega))
+        energy=float(np.sum(omega * power)),
+        momentum=np.array([np.sum(c * power) for c in n]),
+        angular_momentum=np.array(ang),
+        moment_of_energy=-np.array([np.sum(c * omega) for c in g]))
 
 
 def observables_coordinate(psi: SixField) -> Observables:
@@ -340,7 +355,7 @@ def observables_coordinate(psi: SixField) -> Observables:
     # Re(bra . S_i psi) = Im(bra_j psi_k - bra_k psi_j), (i, j, k) cyclic.
     # No BLAS dot product here: its worker threads keep spinning after the
     # call and slow whatever runs next on a small host.
-    for i, (j, k) in enumerate(_ROTATION_AXES):
+    for i, (j, k) in enumerate(CYCLIC):
         overlap[...] = 0.0
         for b in range(2):
             overlap += np.multiply(bra[b, j], psi.data[b, k], out=product).imag
@@ -477,7 +492,7 @@ def _derivatives_read(tag: GeneratorTag):
     if tag.family == "P":
         return (tag.axis,)
     if tag.family == "J":
-        return _ROTATION_AXES[tag.axis]
+        return CYCLIC[tag.axis]
     return ()
 
 
@@ -488,9 +503,9 @@ class _GeneratorJet:
     D_m = (1/i) d_m psi is built at most once, by the multiplier k_m on
     that transform, so images of psi under several generators share them:
     H is the curl multiplier on the same transform, P_m = D_m and
-    J_i = x_j D_k - x_k D_j + S_i psi.  K_i = H (x_i psi) transforms
-    x_i psi itself.  Returned arrays may be held by the jet; callers must
-    not write to them.
+    J_i = x_j D_k - x_k D_j + S_i psi, (j, k) = CYCLIC[i].  K_i = H (x_i psi)
+    transforms x_i psi itself.  Returned arrays may be held by the jet;
+    callers must not write to them.
     """
 
     def __init__(self, psi: SixField):
@@ -532,7 +547,7 @@ class _GeneratorJet:
             return free_generator(scaled).data
         if tag.family == "J":
             coords = spec.coords()
-            j, k = _ROTATION_AXES[ax]
+            j, k = CYCLIC[ax]
             out = coords[j] * self.derivative(k)
             out -= coords[k] * self.derivative(j)
             out[:, j] -= 1j * self.psi.data[:, k]
@@ -546,40 +561,10 @@ def generator_apply(tag: GeneratorTag, psi: SixField) -> SixField:
     return SixField(spec=psi.spec, data=_GeneratorJet(psi).apply(tag))
 
 
-def _commutator_rule(tag_a: GeneratorTag, tag_b: GeneratorTag):
-    """(C, c) with [A, B] = c C for the rules written with A first, else None."""
-    fa, fb = tag_a.family, tag_b.family
-    key = (tag_a.axis, tag_b.axis)
-    # [J_i, X_j] = i eps_ijk X_k for X in {P, J, K}
-    if fa == "J" and fb in ("P", "J", "K") and key in _EPS:
-        k, sign = _EPS[key]
-        return _VECTOR_TAGS[fb][k], 1j * sign
-    # [K_i, P_j] = i delta_ij H
-    if fa == "K" and fb == "P" and tag_a.axis == tag_b.axis:
-        return GeneratorTag.H, 1j
-    # [K_i, H] = i P_i
-    if fa == "K" and fb == "H":
-        return _VECTOR_TAGS["P"][tag_a.axis], 1j
-    # [K_i, K_j] = -i eps_ijk J_k
-    if fa == "K" and fb == "K" and key in _EPS:
-        k, sign = _EPS[key]
-        return _VECTOR_TAGS["J"][k], -1j * sign
-    return None
-
-
-def _commutator_term(tag_a: GeneratorTag, tag_b: GeneratorTag):
-    """(C, c) with [A, B] = c C by the Poincare algebra; None if A, B commute."""
-    term = _commutator_rule(tag_a, tag_b)
-    if term is not None:
-        return term
-    term = _commutator_rule(tag_b, tag_a)
-    return None if term is None else (term[0], -term[1])
-
-
 def expected_commutator(tag_a: GeneratorTag, tag_b: GeneratorTag,
                         psi: SixField) -> SixField:
     """The field ([A, B]) psi predicted by the Poincare algebra."""
-    term = _commutator_term(tag_a, tag_b)
+    term = _ALGEBRA.get((tag_a, tag_b))
     if term is None:
         return SixField.zeros(psi.spec)
     out = generator_apply(term[0], psi)
@@ -598,7 +583,7 @@ def _pair_residual(tag_a, tag_b, jet_a, jet_b, images, denom) -> float:
     """Residual of (A, B) from the jets of A psi and B psi; images maps a
     tag C to the data of C psi."""
     resid = jet_b.apply(tag_a) - jet_a.apply(tag_b)
-    term = _commutator_term(tag_a, tag_b)
+    term = _ALGEBRA.get((tag_a, tag_b))
     if term is not None:
         resid -= images(term[0]) * term[1]
     return _relative_norm(resid, jet_a.psi.spec, denom)

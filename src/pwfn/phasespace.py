@@ -38,7 +38,7 @@ from scipy import fft as sfft
 
 from .errors import DomainError, InconsistencyError, ShapeError
 from .evolve import StepperConfig, rk4
-from .fieldcore import LEVI_CIVITA, cross, poynting
+from .fieldcore import CYCLIC, LEVI_CIVITA, cross, poynting
 from .spectral import GridSpec, curl, div, grad, to_k, to_r
 
 __all__ = [
@@ -173,27 +173,24 @@ def wigner_subsidiary_residual(decomp: WignerDecomp):
     forward-phase exp(-i k.s) convention used here (checked against
     solution-built distributions in the tests).
     """
-    spec = decomp.spec
+    spec, u, w_sym = decomp.spec, decomp.u, decomp.w_sym
     kvec = spec.k_grid()    # broadcasts over the trailing k axes
-    lhs1 = cross(kvec, decomp.u)
-    # one row i at a time keeps a single row's transform in memory
-    rhs1 = np.stack([np.moveaxis(div(spec, _r_last(decomp.w_sym[i])),
-                                 (0, 1, 2), (3, 4, 5)) for i in range(3)])
+    # One row i at a time, so one row's terms and transform are held.
+    defect1 = defect2 = 0.0
+    for i, (j, k) in enumerate(CYCLIC):
+        diff = kvec[j] * u[k] - kvec[k] * u[j]      # (k x u)_i
+        diff -= np.moveaxis(div(spec, _r_last(w_sym[i])), (0, 1, 2), (3, 4, 5))
+        defect1 = max(defect1, np.max(np.abs(diff)))
+    lhs2 = np.moveaxis(curl(spec, _r_last(u)), (3, 4, 5, 6), (0, 1, 2, 3))
+    for i in range(3):
+        rhs2 = sum(-4.0 * kvec[j] * w_sym[i, j] for j in range(3))
+        defect2 = max(defect2, np.max(np.abs(lhs2[i] - rhs2)))
     # normalize by the representable field scale, not by the residual terms
     # themselves (which vanish identically for single modes)
-    kmax = spec.k_max()
-    scale1 = kmax * (np.max(np.abs(decomp.u)) + np.max(np.abs(decomp.w_sym)))
-    r1 = float(np.max(np.abs(lhs1 - rhs1)) / scale1) if scale1 > 0 else 0.0
-
-    lhs2 = np.moveaxis(curl(spec, _r_last(decomp.u)), (3, 4, 5, 6), (0, 1, 2, 3))
-    rhs2 = np.stack([
-        sum(-4.0 * kvec[j] * decomp.w_sym[i, j] for j in range(3))
-        for i in range(3)
-    ])
-    scale2 = 4.0 * kmax * (np.max(np.abs(decomp.w_sym))
-                           + np.max(np.abs(decomp.u)))
-    r2 = float(np.max(np.abs(lhs2 - rhs2)) / scale2) if scale2 > 0 else 0.0
-    return r1, r2
+    scale = spec.k_max() * (np.max(np.abs(u)) + np.max(np.abs(w_sym)))
+    if scale == 0:
+        return 0.0, 0.0
+    return float(defect1 / scale), float(defect2 / (4.0 * scale))
 
 
 def reduced_pair_from_wigner(decomp: WignerDecomp, k_index):
@@ -464,10 +461,9 @@ def quantization_integral(state: HydroState, surface):
     t = state.t[on_surface]
     g_v = grad(spec, state.v)[on_surface]      # [j, d]: d_d v_j
     g_t = grad(spec, state.t)[on_surface]      # [j, l, d]: d_d t_jl
-    p, q = (axis + 1) % 3, (axis + 2) % 3
+    p, q = CYCLIC[axis]
 
-    def normal_cross(a, b):
-        # the +axis component of fieldcore.cross(a, b), alone
+    def normal_cross(a, b):  # the +axis component of cross(a, b), alone
         return a[p] * b[q] - a[q] * b[p]
 
     corr = np.zeros(v.shape[1:])

@@ -50,6 +50,7 @@ import numpy as np
 from scipy import fft as sfft
 
 from .errors import DomainError, GaugeSingularityError, ShapeError
+from .fieldcore import CYCLIC
 
 __all__ = [
     "GridSpec", "SixField", "HelicitySpectrum", "PolarizationTriad",
@@ -300,7 +301,7 @@ def _curl_k(spec: GridSpec, hat):
     """
     kvec = spec.k_grid_diff()
     curl_hat = np.empty_like(hat)
-    for c, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
+    for c, (a, b) in enumerate(CYCLIC):
         out = curl_hat[..., c, :, :, :]
         np.multiply(kvec[a], hat[..., b, :, :, :], out=out)
         out -= kvec[b] * hat[..., a, :, :, :]
@@ -577,7 +578,7 @@ def longitudinal_residual(psi: SixField) -> float:
 def translate(spectrum: HelicitySpectrum, r0=(0.0, 0.0, 0.0), t0=0.0) -> HelicitySpectrum:
     """Space-time translation: amp'(k) = exp(-i omega t0 + i k.r0) amp(k)."""
     spec = spectrum.spec
-    r0 = np.asarray(r0, dtype=float)
-    phase = np.exp(1j * np.tensordot(r0, spec.k_grid(), axes=(0, 0))
+    r0, k = np.asarray(r0, dtype=float), spec.k_grid()
+    phase = np.exp(1j * (r0[0] * k[0] + r0[1] * k[1] + r0[2] * k[2])
                    - 1j * spec.k_norm() * float(t0))
     return HelicitySpectrum(spec=spec, amp=spectrum.amp * phase)

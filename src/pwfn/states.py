@@ -21,12 +21,20 @@ __all__ = [
 ]
 
 
+def _helicity_index(helicity):
+    """Index of helicity in HelicitySpectrum.LAMBDAS, the amp axis-0 slot."""
+    if helicity not in HelicitySpectrum.LAMBDAS:
+        raise DomainError(f"helicity must be +1 or -1, got {helicity!r}",
+                          arg="helicity")
+    return HelicitySpectrum.LAMBDAS.index(helicity)
+
+
 def plane_wave_mode(spec: GridSpec, k_index, helicity=+1, amplitude=None):
     """Single helicity mode at the given dual-lattice index.
 
     With amplitude None the mode is normalized to unit photon number.
     """
-    lam = 0 if helicity == +1 else 1
+    lam = _helicity_index(helicity)
     amp = np.zeros((2,) + spec.n, dtype=complex)
     idx = tuple(int(i) % m for i, m in zip(k_index, spec.n))
     if idx == (0, 0, 0):
@@ -51,10 +59,11 @@ def gaussian_packet_spectrum(spec: GridSpec, k_center, sigma_k, helicity=+1,
     knorm = spec.k_norm()
     k0 = np.asarray(k_center, dtype=float)
     r0 = np.asarray(r_center, dtype=float)
-    lam = 0 if helicity == +1 else 1
+    lam = _helicity_index(helicity)
     profile = np.exp(-np.sum((kvec - k0[:, None, None, None]) ** 2, axis=0)
                      / (2.0 * float(sigma_k) ** 2)).astype(complex)
-    profile *= np.exp(-1j * np.tensordot(r0, kvec, axes=(0, 0)))
+    profile *= np.exp(-1j * (r0[0] * kvec[0] + r0[1] * kvec[1]
+                             + r0[2] * kvec[2]))
     profile[knorm == 0.0] = 0.0
     amp = np.zeros((2,) + spec.n, dtype=complex)
     amp[lam] = profile
@@ -87,7 +96,7 @@ def balanced_packet_params(spec: GridSpec):
 def two_mode_spectrum(spec: GridSpec, idx_a, idx_b, amp_a=1.0, amp_b=1.0,
                       helicity=+1):
     """Superposition of two lattice modes in one helicity."""
-    lam = 0 if helicity == +1 else 1
+    lam = _helicity_index(helicity)
     amp = np.zeros((2,) + spec.n, dtype=complex)
     amp[lam][tuple(np.asarray(idx_a) % spec.n)] = amp_a
     amp[lam][tuple(np.asarray(idx_b) % spec.n)] = amp_b
@@ -116,7 +125,7 @@ def standing_wave_classical(spec: GridSpec, k_index=(0, 0, 1),
         raise DomainError("polarization parallel to k")
     pol /= np.linalg.norm(pol)
     coords = spec.coords()
-    arg = np.tensordot(k0, coords, axes=(0, 0))
+    arg = k0[0] * coords[0] + k0[1] * coords[1] + k0[2] * coords[2]
     d = pol[:, None, None, None] * (np.cos(arg) * np.cos(phase))
     b = cross(k0 / kn, pol)[:, None, None, None] * (np.sin(arg) * np.sin(phase))
     upper = (d + 1j * b) / np.sqrt(2.0)

@@ -1,4 +1,5 @@
 import ast
+import csv
 import importlib
 import json
 import re
@@ -10,11 +11,12 @@ import numpy as np
 import pytest
 
 import pwfn
-from pwfn import config, gridio, spectral
+from pwfn import config, evolve, gridio, spectral, states
 from pwfn.cli import main
 from pwfn.config import SCENARIO_KINDS, SCHEMA, checked, load_scenario
 from pwfn.evolve import propagate_free
 from pwfn.errors import ConfigError, DomainError, FormatError
+from pwfn.spectral import SixField
 from conftest import cube, random_field, rel_err
 
 FREE_CONFIG = """
@@ -243,9 +245,8 @@ cfl_safety = 1.0
     gridio.write_sixfield(file8, random_field(cube(8), rng, kmax=2.0))
     on_grid6 = "[grid]\nn = 6 6 6\nlength = 6.3 6.3 6.3\n" \
         f"[initial]\npacket = file:{file8}\n"
-    # A finite field near the float maximum passes every input check and
-    # the step rule, then overflows in the first RK4 stage: the end-of-run
-    # finiteness check reports it.
+    # A finite field near the float maximum would overflow the first sums
+    # of squares of any run: it is refused at entry.
     huge = tmp_path / "huge.pwfn"
     field = random_field(cube(8), rng, kmax=2.0)
     field.data /= np.max(np.abs(field.data))
@@ -256,7 +257,7 @@ cfl_safety = 1.0
              "dt = 7.850e-01", "bound 4.082e-01", "cfl_safety = 1.0"),
             ("evolve-medium", "[scenario]\nkind = evolve-medium\n" + GRID8
              + f"[initial]\npacket = file:{huge}\n[physics]\nsteps = 1\n",
-             4, "non-finite"),
+             2, "[initial] packet", "too large"),
             ("evolve-medium", medium + "dt = nan\nsteps = 2\n", 2, "dt"),
             ("evolve-medium", medium + "dt = 0.01\nsteps = -3\n", 2, "steps"),
             ("evolve-medium", medium + "steps = 1\neps_profile = cosine:1.0\n",
@@ -408,6 +409,64 @@ def test_cli_refuses_a_non_finite_initial_field(tmp_path, capsys, rng, kind,
         warnings.simplefilter("always")
         assert main([kind, "--config", str(cfg), "--out", str(out)]) == 2
     assert "[initial] packet" in capsys.readouterr().err
+    assert not caught
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exponent", [150, 153, 160])
+@pytest.mark.parametrize("kind", [k for k in SCENARIO_KINDS
+                                  if "initial" in SCHEMA[k]])
+def test_cli_runs_or_refuses_a_huge_initial_field(tmp_path, capsys, kind,
+                                                  exponent):
+    # A finite field whose sums of squares could overflow in the run is
+    # refused at entry; the 8^3 packet at 1e150 is let through and gives
+    # finite outputs.
+    field = states.gaussian_packet(cube(8), (3.0, 0.0, 0.0), 0.8)
+    field.data *= 10.0 ** exponent / np.max(np.abs(field.data))
+    path = tmp_path / "in.pwfn"
+    gridio.write_sixfield(path, field)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[scenario]\nkind = {kind}\n" + GRID8
+                   + f"[initial]\npacket = file:{path}\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([kind, "--config", str(cfg), "--out", str(out)])
+    assert not caught
+    if exponent > 150:
+        assert code == 2
+        assert "[initial] packet" in capsys.readouterr().err
+        assert not out.exists()
+        return
+    assert code == 0
+    for table in out.glob("*.csv"):
+        rows = list(csv.DictReader(table.read_text().splitlines()))
+        values = [float(v) for row in rows for v in row.values()
+                  if re.fullmatch(r"[-+.\deE]+|nan|inf|-inf", v)]
+        assert values and all(np.isfinite(values)), table
+        assert any(v != 0.0 for v in values), table
+    for grid_file in out.glob("*.pwfn"):
+        _, data = gridio.read_grid_field(grid_file)
+        assert np.all(np.isfinite(data)), grid_file
+
+
+def test_cli_reports_a_state_that_overflows_during_rk4(tmp_path, capsys,
+                                                       monkeypatch):
+    # A right-hand side that overflows in the second stage: the end-of-run
+    # finiteness check of rk4 reports it as a stability error.
+    def overflowing(psi, medium):
+        return SixField(spec=psi.spec, data=psi.data * 1e300)
+
+    monkeypatch.setattr(evolve, "hamiltonian_apply", overflowing)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[scenario]\nkind = evolve-medium\n" + GRID8
+                   + "[initial]\npacket = mode\n[physics]\nsteps = 1\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["evolve-medium", "--config", str(cfg),
+                     "--out", str(out)]) == 4
+    assert "non-finite" in capsys.readouterr().err
     assert not caught
     assert not out.exists()
 

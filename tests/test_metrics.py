@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import warnings
 
@@ -432,6 +433,44 @@ def test_rotation_generator_transforms_two_gradient_components():
                 counts["ifft_points"] // spec.npoints) == (6, 12), tag
 
 
+def _bracket(a, b):
+    """[A, B] as {C: c} for [A, B] = c C, read from the algebra table."""
+    term = mt._ALGEBRA.get((a, b))
+    return {} if term is None else {term[0]: term[1]}
+
+
+def test_poincare_algebra_table_is_antisymmetric_and_obeys_jacobi():
+    tags = list(G)
+    for a, b in itertools.product(tags, repeat=2):
+        ab, ba = mt._ALGEBRA.get((a, b)), mt._ALGEBRA.get((b, a))
+        assert (ab is None) == (ba is None), (a, b)
+        if ab is not None:
+            assert ab[0] is ba[0] and ab[1] == -ba[1], (a, b)
+    # [[A, B], C] + [[B, C], A] + [[C, A], B] = 0 for all 1000 triples
+    worst = 0.0
+    for a, b, c in itertools.product(tags, repeat=3):
+        total = {}
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for inner, c1 in _bracket(x, y).items():
+                for outer, c2 in _bracket(inner, z).items():
+                    total[outer] = total.get(outer, 0.0) + c1 * c2
+        worst = max([worst] + [abs(v) for v in total.values()])
+    assert worst == 0.0
+    # The rules themselves: [J_i, X_j] = i eps_ijk X_k, [K_i, K_j] =
+    # -i eps_ijk J_k, [K_i, P_j] = i delta_ij H, [K_i, H] = i P_i.
+    assert len(mt._ALGEBRA) == 48
+    for (a, b), expected in {(G.J_X, G.P_Y): (G.P_Z, 1j),
+                             (G.J_Z, G.J_Y): (G.J_X, -1j),
+                             (G.J_Y, G.K_Z): (G.K_X, 1j),
+                             (G.K_X, G.K_Y): (G.J_Z, -1j),
+                             (G.K_Y, G.P_Y): (G.H, 1j),
+                             (G.K_Z, G.H): (G.P_Z, 1j)}.items():
+        assert mt._ALGEBRA[a, b] == expected, (a, b)
+    for a, b in [(G.H, G.P_X), (G.P_X, G.P_Y), (G.K_X, G.P_Y),
+                 (G.H, G.J_Z)]:
+        assert (a, b) not in mt._ALGEBRA
+
+
 def _pairwise_sweep(psi):
     """The 45 residuals with every second-level image applied by its own
     generator_apply call."""
@@ -442,7 +481,7 @@ def _pairwise_sweep(psi):
         for tag_b in tags[i + 1:]:
             resid = mt.generator_apply(tag_a, images[tag_b]).data
             resid -= mt.generator_apply(tag_b, images[tag_a]).data
-            term = mt._commutator_term(tag_a, tag_b)
+            term = mt._ALGEBRA.get((tag_a, tag_b))
             if term is not None:
                 resid -= images[term[0]].data * term[1]
             out.append((tag_a, tag_b,

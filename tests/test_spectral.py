@@ -462,3 +462,21 @@ def test_dc_mode_warning(rng):
     psi.data[0, 0] += 0.1  # constant offset carries k = 0 energy
     with pytest.warns(UserWarning, match="k = 0 energy"):
         decompose(psi)
+
+
+@pytest.mark.parametrize("helicity", [0, 2, -3])
+def test_state_builders_refuse_a_helicity_other_than_plus_or_minus_one(
+        helicity):
+    from pwfn import states
+    spec = cube(8)
+    for build, args in [(states.plane_wave_mode, ((0, 0, 2),)),
+                        (states.gaussian_packet_spectrum, ((1.0, 0, 0), 0.7)),
+                        (states.two_mode_spectrum, ((0, 0, 1), (0, 1, 0)))]:
+        with pytest.raises(DomainError) as err:
+            build(spec, *args, helicity=helicity)
+        assert err.value.arg == "helicity", build
+    # Each sign fills its own slot of HelicitySpectrum.LAMBDAS.
+    for slot, lam in enumerate(HelicitySpectrum.LAMBDAS):
+        amp = states.plane_wave_mode(spec, (0, 0, 2), helicity=lam).amp
+        assert np.count_nonzero(amp[slot]) == 1
+        assert np.count_nonzero(amp[1 - slot]) == 0
