@@ -58,12 +58,14 @@ def _initial_field(scenario):
         if not field.is_finite():
             raise ConfigError(f"[initial] packet {packet!r} holds non-finite "
                               "values")
-        # N max(1, dV)^2 g^2 sum |F|^2, g = 1 + k_max max(L), bounds every
-        # sum of squares of a run (README); its log is taken on F / max|F|.
         spec, data = field.spec, field.data
         scale = max(np.max(np.abs(data.real)), np.max(np.abs(data.imag)))
+        if scale == 0.0:
+            raise ConfigError(f"[initial] packet {packet!r} holds only zeros")
+        # N max(1, dV)^2 g^2 sum |F|^2, g = 1 + k_max max(L), bounds every
+        # sum of squares of a run (README); its log is taken on F / max|F|.
         g = max(1.0, spec.cell_volume) * (1 + spec.k_max() * max(spec.length))
-        if scale > 0.0 and 2.0 * np.log10(scale) + 2.0 * np.log10(g) \
+        if 2.0 * np.log10(scale) + 2.0 * np.log10(g) \
                 + np.log10(spec.npoints * np.sum(np.abs(data / scale) ** 2)) \
                 >= np.log10(np.finfo(float).max):
             raise ConfigError(f"[initial] packet {packet!r} holds a field too "
@@ -76,6 +78,16 @@ def _initial_field(scenario):
         return spectral.synthesize(checked(
             "initial", states.plane_wave_mode, scenario.grid, **params), t=0.0)
     return checked("initial", states.vortex_field, scenario.grid, **params)
+
+
+def _initial_upper(scenario):
+    """F+ of the initial field, read by wigner and hydro; refused if zero."""
+    f0, packet = _initial_field(scenario), scenario.initial["packet"]
+    if 0 not in spectral._live_blocks(f0.data)[0]:
+        key = "packet" if packet.startswith("file:") else "helicity"
+        raise ConfigError(f"[initial] {key}: {scenario.kind} reads F+, and "
+                          f"packet {packet!r} has a zero F+ block")
+    return f0.upper
 
 
 def _medium(scenario):
@@ -113,9 +125,8 @@ def _conserved_rows(snapshots):
     base = None
     dc_fraction = 0.0
     for step, t, f in snapshots:
-        hat = spectral.to_k(f.spec, f.data)
-        dc_fraction = max(dc_fraction, spectral._dc_energy_fraction(hat))
-        sp = spectral._helicity_amplitudes(f, hat)
+        sp, fraction = spectral._helicity_spectrum(f)
+        dc_fraction = max(dc_fraction, fraction)
         n_ph = metrics.photon_number(sp)
         obs = metrics.observables_momentum(sp)
         row = [step, t, n_ph, obs.energy, *obs.momentum]
@@ -192,8 +203,7 @@ def _run_wigner(scenario):
             "the full (r, k) distribution needs npoints^2 storage; "
             f"grid has {scenario.grid.npoints} points (cap 512, e.g. 8x8x8)"
         )
-    f0 = _initial_field(scenario)
-    dec = phasespace.wigner_build(scenario.grid, f0.upper)
+    dec = phasespace.wigner_build(scenario.grid, _initial_upper(scenario))
     r1, r2 = phasespace.wigner_subsidiary_residual(dec)
     return (["hermiticity_defect", "subsidiary_r1", "subsidiary_r2"],
             [[dec.hermiticity_defect, r1, r2]],
@@ -201,8 +211,7 @@ def _run_wigner(scenario):
 
 
 def _run_hydro(scenario):
-    f0 = _initial_field(scenario)
-    st = phasespace.hydro_from_field(scenario.grid, f0.upper)
+    st = phasespace.hydro_from_field(scenario.grid, _initial_upper(scenario))
     i1, i2, i3 = phasespace.hydro_identity_residuals(st)
     surface = ("plane", scenario.physics["surface_axis"],
                scenario.physics["surface_index"])

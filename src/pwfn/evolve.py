@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, StabilityError
 from .fieldcore import cross, rodrigues
-from .spectral import (GridSpec, SixField, _curl_k, _fft, _ifft, div, grad,
-                       triad_arrays)
+from .spectral import (GridSpec, SixField, _curl_k, _fft, _field_of_blocks,
+                       _ifft, _live_blocks, div, grad, triad_arrays)
 
 __all__ = [
     "MediumMap", "StepperConfig", "rk4",
@@ -129,8 +129,8 @@ def rk4(rhs, y, dt, steps, rate, cfl_safety):
     return y
 
 
-def _kinetic(spec: GridSpec, t: float):
-    """Exact free propagation of field data by time t, as a function.
+def _kinetic(spec: GridSpec, t: float, blocks=range(2)):
+    """Exact free propagation of the blocks `blocks` by time t, as a function.
 
     Per mode the free generator rotates the upper block by the angle |k| t
     about n = k/|k| and the lower block by -|k| t (:func:`rodrigues`); the
@@ -142,15 +142,16 @@ def _kinetic(spec: GridSpec, t: float):
 
     def apply(data):
         hat = _fft(data)
-        hat[0] = rodrigues(nhat, cos_a, sin_a, hat[0])
-        hat[1] = rodrigues(nhat, cos_a, -sin_a, hat[1])
+        for row, b in enumerate(blocks):
+            hat[row] = rodrigues(nhat, cos_a, -sin_a if b else sin_a, hat[row])
         return _ifft(hat)
     return apply
 
 
 def propagate_free(psi: SixField, t: float) -> SixField:
     """Exact free propagation by time t (see :func:`_kinetic`)."""
-    return SixField(spec=psi.spec, data=_kinetic(psi.spec, t)(psi.data))
+    blocks, live = _live_blocks(psi.data)
+    return _field_of_blocks(psi.spec, blocks, _kinetic(psi.spec, t, blocks)(live))
 
 
 def free_generator(psi: SixField) -> SixField:
@@ -159,10 +160,11 @@ def free_generator(psi: SixField) -> SixField:
                     data=_free_generator_k(psi.spec, _fft(psi.data)))
 
 
-def _free_generator_k(spec: GridSpec, hat):
-    """free_generator data of the field whose raw transform _fft(data) is hat."""
+def _free_generator_k(spec: GridSpec, hat, blocks=range(2)):
+    """free_generator data of the blocks `blocks` from hat, their raw FFT."""
     out = _curl_k(spec, hat)
-    np.negative(out[1], out=out[1])
+    if 1 in blocks:  # rho_3 negates F-, the last block of any stack
+        np.negative(out[-1], out=out[-1])
     return out
 
 

@@ -30,11 +30,12 @@ from scipy.special import gamma as gamma_fn, kv
 
 from .errors import (DomainError, GaugeSingularityError, NormalizationError,
                      ResourceError, ShapeError)
-from .evolve import _free_generator_k, free_generator
+from .evolve import _free_generator_k
 from .fieldcore import CYCLIC, LEVI_CIVITA, poynting
 from .spectral import (_DC_RTOL, GridSpec, HelicitySpectrum, SixField,
                        _dc_energy_fraction, _fft, _helicity_amplitudes, _ifft,
-                       berry_connection_grid, decompose, triad_arrays)
+                       _field_of_blocks, _live_blocks, berry_connection_grid,
+                       decompose, triad_arrays)
 
 __all__ = [
     "Observables", "GeneratorTag",
@@ -213,15 +214,16 @@ def inverse_hamiltonian_apply(psi: SixField) -> SixField:
     Defined on positive-frequency fields only; raises DomainError when the
     input carries non-positive-frequency content above _PROJECTION_RTOL.
     """
-    raw = _fft(psi.data)
-    _positive_frequency_amplitudes(psi, raw)
+    blocks, live = _live_blocks(psi.data)
+    raw = _fft(live)
+    _positive_frequency_amplitudes(psi, raw, blocks)
     raw *= psi.spec.k_inverse()
-    return SixField(spec=psi.spec, data=_ifft(raw))
+    return _field_of_blocks(psi.spec, blocks, _ifft(raw))
 
 
-def _positive_frequency_amplitudes(psi: SixField, raw):
-    """Helicity amplitudes of raw = _fft(psi.data), unscaled, once psi has
-    passed the checks 1/H needs.
+def _positive_frequency_amplitudes(psi: SixField, raw, blocks):
+    """Helicity amplitudes of raw, the unscaled transform of the stack of
+    psi's live blocks `blocks`, once psi has passed the checks 1/H needs.
 
     Raises DomainError for a non-finite psi, and for one whose
     non-positive-frequency content ||raw - P raw|| / ||raw|| exceeds
@@ -235,16 +237,16 @@ def _positive_frequency_amplitudes(psi: SixField, raw):
     defect at least sqrt(f), so each field :func:`decompose` warns on
     (f > 1e-12) is refused, with a defect of at least 1e-6.
     """
-    amp = _helicity_amplitudes(psi, raw).amp
+    amp = _helicity_amplitudes(psi, raw, blocks).amp
     e, _, _ = triad_arrays(psi.spec)
     residual = np.empty(psi.spec.n, dtype=complex)
     defect2 = scale2 = 0.0
     for c in range(3):
-        for b, pol in enumerate((e[c], np.conj(e[c]))):
-            np.multiply(pol, amp[b], out=residual)
-            np.subtract(raw[b, c], residual, out=residual)
+        for row, b in enumerate(blocks):
+            np.multiply(e[c] if b == 0 else np.conj(e[c]), amp[b], out=residual)
+            np.subtract(raw[row, c], residual, out=residual)
             defect2 += np.sum(np.abs(residual) ** 2)
-            scale2 += np.sum(np.abs(raw[b, c]) ** 2)
+            scale2 += np.sum(np.abs(raw[row, c]) ** 2)
     defect, scale = np.sqrt(defect2), np.sqrt(scale2)
     if scale > 0 and defect > _PROJECTION_RTOL * scale:
         raise DomainError(
@@ -318,8 +320,9 @@ def observables_coordinate(psi: SixField) -> Observables:
     dv = spec.cell_volume
     # One raw transform serves the checks, the norm, 1/H psi and every
     # P_m psi = (1/i) d_m psi; 1/|k| and k_m are raw multipliers.
-    raw = _fft(psi.data)
-    amp = _positive_frequency_amplitudes(psi, raw)
+    blocks, live = _live_blocks(psi.data)
+    raw = _fft(live)
+    amp = _positive_frequency_amplitudes(psi, raw, blocks)
     amp *= dv * spec.checkerboard()
     n2 = photon_number(HelicitySpectrum(spec=spec, amp=amp))
     del amp
@@ -337,7 +340,7 @@ def observables_coordinate(psi: SixField) -> Observables:
     momentum = np.empty(3)
     ang = np.zeros(3)
     kvec = spec.k_grid_diff()
-    grid = (6,) + spec.n
+    grid = (-1,) + spec.n
     image = np.empty_like(raw)
     product = np.empty(spec.n, dtype=complex)
     overlap = np.empty(spec.n)
@@ -357,15 +360,15 @@ def observables_coordinate(psi: SixField) -> Observables:
     # call and slow whatever runs next on a small host.
     for i, (j, k) in enumerate(CYCLIC):
         overlap[...] = 0.0
-        for b in range(2):
-            overlap += np.multiply(bra[b, j], psi.data[b, k], out=product).imag
-            overlap -= np.multiply(bra[b, k], psi.data[b, j], out=product).imag
+        for bra_b, live_b in zip(bra, live):
+            overlap += np.multiply(bra_b[j], live_b[k], out=product).imag
+            overlap -= np.multiply(bra_b[k], live_b[j], out=product).imag
         ang[i] += float(np.sum(overlap))
     ang *= dv
     # <H> is the energy integral, and <K> reduces exactly to the
     # energy-weighted position integral.
     dens = np.zeros(spec.n)
-    for comp in psi.data.reshape(grid):
+    for comp in live.reshape(grid):
         dens += np.abs(comp) ** 2
     energy = float(np.sum(dens)) * dv
     moe = np.array([float(np.sum(coords[i] * dens)) * dv for i in range(3)])
@@ -499,29 +502,30 @@ def _derivatives_read(tag: GeneratorTag):
 class _GeneratorJet:
     """The ten Poincare generators applied to one field psi.
 
-    psi is forward-transformed at most once, and each derivative field
-    D_m = (1/i) d_m psi is built at most once, by the multiplier k_m on
-    that transform, so images of psi under several generators share them:
-    H is the curl multiplier on the same transform, P_m = D_m and
-    J_i = x_j D_k - x_k D_j + S_i psi, (j, k) = CYCLIC[i].  K_i = H (x_i psi)
-    transforms x_i psi itself.  Returned arrays may be held by the jet;
-    callers must not write to them.
+    The jet holds data, the stack of the live blocks of psi, and images
+    are stacks of the same blocks.  data is forward-transformed at most
+    once, and each derivative field D_m = (1/i) d_m psi is built at most
+    once, by the multiplier k_m on that transform, so images of psi under
+    several generators share them: H is the curl multiplier on the same
+    transform, P_m = D_m and J_i = x_j D_k - x_k D_j + S_i psi,
+    (j, k) = CYCLIC[i].  K_i = H (x_i psi) transforms x_i psi itself.
+    Returned arrays may be held by the jet; callers must not write to them.
     """
 
-    def __init__(self, psi: SixField):
-        self.psi = psi
-        self._raw = None               # _fft(psi.data)
+    def __init__(self, spec: GridSpec, blocks, data):
+        self.spec, self.blocks, self.data = spec, blocks, data
+        self._raw = None               # _fft(data)
         self._derivs = [None, None, None]
 
     def _transform(self):
         if self._raw is None:
-            self._raw = _fft(self.psi.data)
+            self._raw = _fft(self.data)
         return self._raw
 
     def derivative(self, ax):
         """D_ax = (1/i) d_ax psi."""
         if self._derivs[ax] is None:
-            kvec = self.psi.spec.k_grid_diff()
+            kvec = self.spec.k_grid_diff()
             self._derivs[ax] = _ifft(kvec[ax] * self._transform())
         return self._derivs[ax]
 
@@ -535,30 +539,31 @@ class _GeneratorJet:
             self._raw = None
 
     def apply(self, tag: GeneratorTag):
-        """Data of the image tag psi."""
-        spec = self.psi.spec
+        """Stack of the image tag psi."""
+        spec = self.spec
         if tag is GeneratorTag.H:
-            return _free_generator_k(spec, self._transform())
+            return _free_generator_k(spec, self._transform(), self.blocks)
         ax = tag.axis
         if tag.family == "P":
             return self.derivative(ax)
         if tag.family == "K":
-            scaled = SixField(spec=spec, data=self.psi.data * spec.coords()[ax])
-            return free_generator(scaled).data
+            return _free_generator_k(spec, _fft(self.data * spec.coords()[ax]),
+                                     self.blocks)
         if tag.family == "J":
             coords = spec.coords()
             j, k = CYCLIC[ax]
             out = coords[j] * self.derivative(k)
             out -= coords[k] * self.derivative(j)
-            out[:, j] -= 1j * self.psi.data[:, k]
-            out[:, k] += 1j * self.psi.data[:, j]
+            out[:, j] -= 1j * self.data[:, k]
+            out[:, k] += 1j * self.data[:, j]
             return out
         raise DomainError(f"unknown generator {tag!r}")
 
 
 def generator_apply(tag: GeneratorTag, psi: SixField) -> SixField:
     """Apply one of the ten Poincare generators in coordinate representation."""
-    return SixField(spec=psi.spec, data=_GeneratorJet(psi).apply(tag))
+    jet = _GeneratorJet(psi.spec, *_live_blocks(psi.data))
+    return _field_of_blocks(psi.spec, jet.blocks, jet.apply(tag))
 
 
 def expected_commutator(tag_a: GeneratorTag, tag_b: GeneratorTag,
@@ -586,7 +591,7 @@ def _pair_residual(tag_a, tag_b, jet_a, jet_b, images, denom) -> float:
     term = _ALGEBRA.get((tag_a, tag_b))
     if term is not None:
         resid -= images(term[0]) * term[1]
-    return _relative_norm(resid, jet_a.psi.spec, denom)
+    return _relative_norm(resid, jet_a.spec, denom)
 
 
 def commutator_residual(tag_a: GeneratorTag, tag_b: GeneratorTag,
@@ -596,8 +601,8 @@ def commutator_residual(tag_a: GeneratorTag, tag_b: GeneratorTag,
     The images A psi, B psi and the predicted C psi share one transform of
     psi (K images transform x psi themselves).
     """
-    jet = _GeneratorJet(psi)
-    jet_a, jet_b = (_GeneratorJet(SixField(spec=psi.spec, data=jet.apply(tag)))
+    jet = _GeneratorJet(psi.spec, *_live_blocks(psi.data))
+    jet_a, jet_b = (_GeneratorJet(psi.spec, jet.blocks, jet.apply(tag))
                     for tag in (tag_a, tag_b))
     return _pair_residual(tag_a, tag_b, jet_a, jet_b, jet.apply, psi.norm())
 
@@ -613,17 +618,18 @@ def commutator_residuals(psi: SixField):
     block transforms per sweep, where applying each generator separately
     takes 100 and 130.  A jet keeps a derivative field only while a later
     P or J tag reads it, so the sweep holds at most about 33 six-field
-    sizes beyond psi.
+    sizes beyond psi, half that for a definite-helicity psi.
     """
     tags = list(GeneratorTag)
-    jet = _GeneratorJet(psi)
+    blocks, live = _live_blocks(psi.data)
+    jet = _GeneratorJet(psi.spec, blocks, live)
     images = {tag: jet.apply(tag) for tag in tags}
     del jet
     denom = psi.norm()
     jets = {}
     found = {}
     for b, tag_b in enumerate(tags):
-        jets[tag_b] = _GeneratorJet(SixField(spec=psi.spec, data=images[tag_b]))
+        jets[tag_b] = _GeneratorJet(psi.spec, blocks, images[tag_b])
         for tag_a in tags[:b]:
             found[tag_a, tag_b] = _pair_residual(
                 tag_a, tag_b, jets[tag_a], jets[tag_b], images.get, denom)

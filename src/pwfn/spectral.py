@@ -352,6 +352,24 @@ class SixField:
         return bool(np.all(np.isfinite(self.data)))
 
 
+def _live_blocks(data):
+    """(blocks, data[blocks]): the range of the blocks of data, a (2, ...)
+    array, that hold a nonzero sample (0 = F+, 1 = F-), or range(2) if none
+    does; block-diagonal operators never put content in the other block."""
+    live = [b for b in range(2) if np.any(data[b])] or [0, 1]
+    blocks = range(live[0], live[-1] + 1)
+    return blocks, data[blocks.start:blocks.stop]
+
+
+def _field_of_blocks(spec: GridSpec, blocks, stack) -> SixField:
+    """The field holding stack in its blocks `blocks` and zero elsewhere."""
+    data = stack
+    if len(blocks) == 1:
+        data = np.zeros((2, 3) + spec.n, dtype=complex)
+        data[blocks.start] = stack[0]
+    return SixField(spec=spec, data=data)
+
+
 @dataclass
 class HelicitySpectrum:
     """Helicity amplitudes on the dual lattice.
@@ -482,11 +500,17 @@ _DC_RTOL = 1e-12
 
 
 def _dc_energy_fraction(hat) -> float:
-    """k = 0 share of the energy in hat, the raw or scaled transform of psi."""
-    dc = (np.sum(np.abs(hat[0, :, 0, 0, 0]) ** 2)
-          + np.sum(np.abs(hat[1, :, 0, 0, 0]) ** 2))
-    total = np.sum(np.abs(hat[0]) ** 2) + np.sum(np.abs(hat[1]) ** 2)
+    """k = 0 energy share of hat, a transform of psi or of its live blocks."""
+    dc = sum(np.sum(np.abs(block[:, 0, 0, 0]) ** 2) for block in hat)
+    total = sum(np.sum(np.abs(block) ** 2) for block in hat)
     return float(dc / total) if total > 0.0 else 0.0
+
+
+def _helicity_spectrum(psi: SixField):
+    """decompose's spectrum of psi and the k = 0 fraction it warns on."""
+    blocks, live = _live_blocks(psi.data)
+    hat = to_k(psi.spec, live)
+    return _helicity_amplitudes(psi, hat, blocks), _dc_energy_fraction(hat)
 
 
 def decompose(psi: SixField) -> HelicitySpectrum:
@@ -497,9 +521,7 @@ def decompose(psi: SixField) -> HelicitySpectrum:
     Longitudinal content is not stored; measure it with
     :func:`longitudinal_residual`.
     """
-    hat = to_k(psi.spec, psi.data)
-    spectrum = _helicity_amplitudes(psi, hat)
-    fraction = _dc_energy_fraction(hat)
+    spectrum, fraction = _helicity_spectrum(psi)
     if fraction > _DC_RTOL:
         warnings.warn(
             f"field carries k = 0 energy fraction {fraction:.3e}; "
@@ -509,24 +531,23 @@ def decompose(psi: SixField) -> HelicitySpectrum:
     return spectrum
 
 
-def _helicity_amplitudes(psi: SixField, hat) -> HelicitySpectrum:
-    """Helicity amplitudes of hat, a transform of psi.data, without the
-    k = 0 warning of :func:`decompose`.
+def _helicity_amplitudes(psi: SixField, hat, blocks) -> HelicitySpectrum:
+    """Helicity amplitudes of hat, a transform of the stack of psi's
+    blocks `blocks`, without the k = 0 warning of :func:`decompose`.
 
     hat = to_k(psi.data) gives the amplitudes :func:`decompose` returns;
-    the raw _fft(psi.data) gives them without the dV (-1)^m factor.  The
-    sums run one Cartesian component at a time, so only grid-sized
-    temporaries are formed beside the result.
+    the raw _fft(psi.data) gives them without the dV (-1)^m factor.  A
+    block not in `blocks` has zero amplitudes.  The sums run one Cartesian
+    component at a time, so only grid-sized temporaries are formed.
     """
     if not psi.is_finite():
         raise DomainError("field contains non-finite values")
     e, _, _ = triad_arrays(psi.spec)
-    amp = np.empty((2,) + psi.spec.n, dtype=complex)
-    np.multiply(np.conj(e[0]), hat[0, 0], out=amp[0])
-    np.multiply(e[0], hat[1, 0], out=amp[1])
-    for c in (1, 2):
-        amp[0] += np.conj(e[c]) * hat[0, c]
-        amp[1] += e[c] * hat[1, c]
+    amp = np.zeros((2,) + psi.spec.n, dtype=complex)
+    for row, b in enumerate(blocks):  # e* . F+ and e . F-
+        np.multiply(np.conj(e[0]) if b == 0 else e[0], hat[row, 0], out=amp[b])
+        for c in (1, 2):
+            amp[b] += (np.conj(e[c]) if b == 0 else e[c]) * hat[row, c]
     amp[:, 0, 0, 0] = 0.0
     return HelicitySpectrum(spec=psi.spec, amp=amp)
 
@@ -537,20 +558,22 @@ def synthesize(spectrum: HelicitySpectrum, t=0.0) -> SixField:
     Each mode evolves with the phase exp(-i omega t), omega = |k|.  The
     inverse of :func:`to_k`'s (-1)^m is folded into that phase, so it is
     applied on the two amplitude grids, not on the six-component block.
+    A helicity without amplitudes gives a zero block and no transform.
     """
     if not np.all(np.isfinite(spectrum.amp)):
         raise DomainError("spectrum contains non-finite amplitudes")
     if spectrum.amp[0, 0, 0, 0] != 0.0 or spectrum.amp[1, 0, 0, 0] != 0.0:
         raise DomainError("spectrum carries a k = 0 amplitude")
     spec = spectrum.spec
+    blocks, amp = _live_blocks(spectrum.amp)
     e, _, knorm = triad_arrays(spec)
     phase = np.exp(-1j * knorm * float(t)) * spec.checkerboard()
-    hat = np.empty((2, 3) + spec.n, dtype=complex)
-    np.multiply(e, spectrum.amp[0] * phase, out=hat[0])
-    np.multiply(np.conj(e), spectrum.amp[1] * phase, out=hat[1])
+    hat = np.empty((len(blocks), 3) + spec.n, dtype=complex)
+    for row, b in enumerate(blocks):
+        np.multiply(e if b == 0 else np.conj(e), amp[row] * phase, out=hat[row])
     out = _ifft(hat)
     out *= 1.0 / spec.cell_volume
-    return SixField(spec=spec, data=out)
+    return _field_of_blocks(spec, blocks, out)
 
 
 def positive_frequency_project(psi: SixField) -> SixField:

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
+from pwfn import spectral
 from pwfn.errors import DomainError, ShapeError, StabilityError
 from pwfn.evolve import (MediumMap, StepperConfig, divergence_residual,
                          free_generator, hamiltonian_apply,
                          medium_basis_change, propagate_free, rk4,
                          step_medium)
-from pwfn.fieldcore import rs_from_fields, fields_from_rs
+from pwfn.fieldcore import fields_from_rs, rodrigues, rs_from_fields
 from pwfn.spectral import (GridSpec, SixField, synthesize, to_k, to_r,
                            triad_arrays)
 from pwfn.states import plane_wave_mode
@@ -58,6 +60,28 @@ def test_propagate_free_matches_triad_propagator(rng, n):
         ref = _propagate_on_triad(psi, t)
         out = propagate_free(psi, t).data
         assert np.linalg.norm(out - ref) <= 1e-15 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("helicities", [(0, 1), (0,), (1,)])
+def test_propagate_free_transforms_only_the_live_blocks(rng, helicities):
+    spec = GridSpec(n=(8, 12, 10), length=(6.0, 7.5, 5.0))
+    psi = random_field(spec, rng, kmax=2.0, helicities=helicities)
+    t = 0.9
+    _, nhat, knorm = triad_arrays(spec)
+    cos_a, sin_a = np.cos(knorm * t), np.sin(knorm * t)
+    axes = (-3, -2, -1)
+    hat = sfft.fftn(psi.data, axes=axes)
+    hat[0] = rodrigues(nhat, cos_a, sin_a, hat[0])
+    hat[1] = rodrigues(nhat, cos_a, -sin_a, hat[1])
+    spectral.reset_transform_counts()
+    out = propagate_free(psi, t).data
+    points = 3 * len(helicities) * spec.npoints
+    assert spectral.transform_counts() == {
+        "fft_calls": 1, "fft_points": points, "ifft_calls": 1,
+        "ifft_points": points}
+    assert np.array_equal(out, sfft.ifftn(hat, axes=axes))
+    for b in {0, 1} - set(helicities):
+        assert not np.any(out[b])
 
 
 def test_propagate_conserves_observables(rng):

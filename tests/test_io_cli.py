@@ -16,7 +16,7 @@ from pwfn.cli import main
 from pwfn.config import SCENARIO_KINDS, SCHEMA, checked, load_scenario
 from pwfn.evolve import propagate_free
 from pwfn.errors import ConfigError, DomainError, FormatError
-from pwfn.spectral import SixField
+from pwfn.spectral import GridSpec, HelicitySpectrum, SixField
 from conftest import cube, random_field, rel_err
 
 FREE_CONFIG = """
@@ -410,6 +410,55 @@ def test_cli_refuses_a_non_finite_initial_field(tmp_path, capsys, rng, kind,
         assert main([kind, "--config", str(cfg), "--out", str(out)]) == 2
     assert "[initial] packet" in capsys.readouterr().err
     assert not caught
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", [k for k in SCENARIO_KINDS
+                                  if "initial" in SCHEMA[k]])
+def test_cli_refuses_an_all_zero_initial_field(tmp_path, capsys, kind):
+    # A zero field has no state: it would run to all-zero rows, or fail
+    # late with a warning or a traceback.
+    path = tmp_path / "in.pwfn"
+    gridio.write_sixfield(path, SixField.zeros(cube(8)))
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[scenario]\nkind = {kind}\n" + GRID8
+                   + f"[initial]\npacket = file:{path}\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([kind, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "[initial] packet" in capsys.readouterr().err
+    assert not caught
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("helicity", [1, -1])
+@pytest.mark.parametrize("packet", ["gaussian", "mode", "file"])
+@pytest.mark.parametrize("kind", ["wigner", "hydro"])
+def test_cli_wigner_and_hydro_refuse_a_zero_upper_block(tmp_path, capsys,
+                                                        rng, kind, packet,
+                                                        helicity):
+    # Both read F+ only, which a helicity -1 field leaves zero.
+    text = MINIMAL[kind]
+    spec = cube(8) if kind == "wigner" else GridSpec(
+        n=(8, 8, 24), length=(2 * np.pi,) * 3)
+    initial = f"[initial]\npacket = {packet}\nhelicity = {helicity}\n"
+    if packet == "file":
+        path = tmp_path / "in.pwfn"
+        block = HelicitySpectrum.LAMBDAS.index(helicity)
+        gridio.write_sixfield(path, random_field(spec, rng, kmax=2.0,
+                                                 helicities=(block,)))
+        initial = f"[initial]\npacket = file:{path}\n"
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[scenario]\nkind = {kind}\n" + text + initial)
+    out = tmp_path / "out"
+    code = main([kind, "--config", str(cfg), "--out", str(out)])
+    if helicity == 1:
+        assert code == 0
+        return
+    key = "packet" if packet == "file" else "helicity"
+    assert code == 2
+    assert f"[initial] {key}: {kind} reads F+" in capsys.readouterr().err
     assert not out.exists()
 
 

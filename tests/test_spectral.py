@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -255,15 +257,55 @@ def test_decompose_lower_block_negative_helicity():
 def test_synthesize_equals_to_r_of_the_mode_block(rng):
     # synthesize applies the inverse checkerboard on the two amplitude
     # grids, not on the six-component block; the field is the same bits.
+    # A helicity without amplitudes gets a zero block and no transform.
     spec = GridSpec(n=(8, 6, 10), length=(5.0, 6.0, 7.0))
-    spectrum = random_spectrum(spec, rng, kmax=2.5)
     e, _, knorm = triad_arrays(spec)
-    for t in (0.0, 0.37):
+    for helicities, t in itertools.product([(0, 1), (0,), (1,)], (0.0, 0.37)):
+        spectrum = random_spectrum(spec, rng, kmax=2.5, helicities=helicities)
         phase = np.exp(-1j * knorm * t)
         block = np.stack([e * (spectrum.amp[0] * phase),
                           np.conj(e) * (spectrum.amp[1] * phase)])
-        assert np.array_equal(synthesize(spectrum, t).data,
-                              spectral.to_r(spec, block))
+        spectral.reset_transform_counts()
+        psi = synthesize(spectrum, t)
+        counts = spectral.transform_counts()
+        assert np.array_equal(psi.data, spectral.to_r(spec, block))
+        assert counts["ifft_points"] == 3 * len(helicities) * spec.npoints
+        for b in {0, 1} - set(helicities):
+            assert not np.any(psi.data[b])
+
+
+@pytest.mark.parametrize("helicities", [(0, 1), (0,), (1,)])
+def test_decompose_equals_the_whole_field_projection(rng, helicities):
+    spec = GridSpec(n=(8, 12, 10), length=(5.0, 6.0, 7.0))
+    psi = random_field(spec, rng, kmax=2.5, helicities=helicities)
+    hat = spectral.to_k(spec, psi.data)
+    e, _, _ = triad_arrays(spec)
+    ref = np.stack([np.sum(np.conj(e) * hat[0], axis=0),
+                    np.sum(e * hat[1], axis=0)])
+    ref[:, 0, 0, 0] = 0.0
+    spectral.reset_transform_counts()
+    spectrum = decompose(psi)
+    counts = spectral.transform_counts()
+    assert counts["fft_points"] == 3 * len(helicities) * spec.npoints
+    assert np.array_equal(spectrum.amp, ref)
+    for b in {0, 1} - set(helicities):
+        assert not np.any(spectrum.amp[b])
+
+
+def test_live_blocks_are_the_nonzero_ones():
+    data = np.zeros((2, 3, 2, 2, 2), dtype=complex)
+    blocks, stack = spectral._live_blocks(data)
+    assert blocks == range(2) and stack.shape == data.shape   # a zero field
+    data[1, 2, 1, 0, 1] = 5e-324j
+    blocks, stack = spectral._live_blocks(data)
+    assert blocks == range(1, 2) and np.shares_memory(stack, data)
+    assert np.array_equal(stack, data[1:])
+    data[0, 0, 0, 0, 0] = -0.0     # a signed zero is no content
+    assert spectral._live_blocks(data)[0] == range(1, 2)
+    data[0, 0, 0, 0, 0] = np.nan
+    assert spectral._live_blocks(data)[0] == range(2)
+    data[1] = 0.0
+    assert spectral._live_blocks(data)[0] == range(1)
 
 
 def test_round_trip_band_limited(rng):
