@@ -44,7 +44,8 @@ EXIT_INSTABILITY = 4
 EXIT_IO = 5
 
 
-def _initial_field(scenario):
+def _initial_state(scenario):
+    """A gaussian or mode packet's HelicitySpectrum, else its SixField."""
     params = dict(scenario.initial)
     packet = params.pop("packet")
     if packet.startswith("file:"):
@@ -72,22 +73,28 @@ def _initial_field(scenario):
                               "large to run: its sums of squares overflow")
         return field
     if packet == "gaussian":
-        return checked("initial", states.gaussian_packet, scenario.grid,
-                       **params)
-    if packet == "mode":
-        return spectral.synthesize(checked(
-            "initial", states.plane_wave_mode, scenario.grid, **params), t=0.0)
-    return checked("initial", states.vortex_field, scenario.grid, **params)
+        return checked("initial", states.gaussian_packet_spectrum,
+                       scenario.grid, **params,
+                       keys={None: "k_center/sigma_k"})
+    make = states.plane_wave_mode if packet == "mode" else states.vortex_field
+    return checked("initial", make, scenario.grid, **params)
+
+
+def _field(state):
+    """The field of an initial state: a spectrum is synthesized once."""
+    return spectral.synthesize(state, t=0.0) \
+        if isinstance(state, spectral.HelicitySpectrum) else state
 
 
 def _initial_upper(scenario):
     """F+ of the initial field, read by wigner and hydro; refused if zero."""
-    f0, packet = _initial_field(scenario), scenario.initial["packet"]
-    if 0 not in spectral._live_blocks(f0.data)[0]:
+    state, packet = _initial_state(scenario), scenario.initial["packet"]
+    blocks = state.data if isinstance(state, spectral.SixField) else state.amp
+    if 0 not in spectral._live_blocks(blocks)[0]:
         key = "packet" if packet.startswith("file:") else "helicity"
         raise ConfigError(f"[initial] {key}: {scenario.kind} reads F+, and "
                           f"packet {packet!r} has a zero F+ block")
-    return f0.upper
+    return _field(state).upper
 
 
 def _medium(scenario):
@@ -118,18 +125,18 @@ def _metric(scenario):
 
 
 def _conserved_rows(snapshots):
-    """Rows of conserved quantities for (step, t, field) snapshots, and the
-    largest k = 0 energy fraction among them: a varying medium moves energy
-    into that mode, which the helicity amplitudes drop."""
+    """Rows of conserved quantities for (step, t, spectrum or field)
+    snapshots, and the largest k = 0 energy fraction of the fields: a varying
+    medium moves energy into that mode, which the helicity amplitudes drop."""
     rows = []
     base = None
     dc_fraction = 0.0
-    for step, t, f in snapshots:
-        sp, fraction = spectral._helicity_spectrum(f)
-        dc_fraction = max(dc_fraction, fraction)
-        n_ph = metrics.photon_number(sp)
-        obs = metrics.observables_momentum(sp)
-        row = [step, t, n_ph, obs.energy, *obs.momentum]
+    for step, t, sp in snapshots:
+        if isinstance(sp, spectral.SixField):
+            sp, fraction = spectral._helicity_spectrum(sp)
+            dc_fraction = max(dc_fraction, fraction)
+        energy, momentum = metrics._mode_sums(sp.spec, np.abs(sp.amp) ** 2)[:2]
+        row = [step, t, metrics.photon_number(sp), energy, *momentum]
         if base is None:
             base = row[2:]
         scale = abs(base[1]) + 1e-300  # conserved-quantity drift vs energy
@@ -142,23 +149,27 @@ def _run_evolve(scenario):
     phys = scenario.physics
     if scenario.kind == "evolve-free":
         # Exact propagation by any finite time, backward included; no dt.
+        # A spectrum is synthesized at t, and keeps its conserved row.
         t_total = phys["time"]
-        f0 = _initial_field(scenario)
-        final = evolve.propagate_free(f0, t_total)
-        snapshots = [(0, 0.0, f0), (1, t_total, final)]
+        s0 = _initial_state(scenario)
+        spectrum = isinstance(s0, spectral.HelicitySpectrum)
+        final = checked("physics", spectral.synthesize if spectrum else
+                        evolve.propagate_free, s0, t_total, keys={"t": "time"})
+        snapshots = [(0, 0.0, s0), (1, t_total, s0 if spectrum else final)]
         extra = {"steps": 1, "time": t_total}
     else:
         cfg = checked("physics", evolve.StepperConfig,
                       **{k: phys[k] for k in ("dt", "scheme", "cfl_safety")
                          if k in phys})
         steps = phys["steps"]
-        f0 = _initial_field(scenario)
+        s0 = _initial_state(scenario)
+        f0 = _field(s0)
         if scenario.kind == "evolve-curved":
             final = geometry.step_curved(f0, _metric(scenario), cfg, steps)
         else:
             final = checked("physics", evolve.step_medium, f0,
                             _medium(scenario), cfg, steps)
-        snapshots = [(0, 0.0, f0), (steps, steps * cfg.dt, final)]
+        snapshots = [(0, 0.0, s0), (steps, steps * cfg.dt, final)]
         extra = {"steps": steps, "dt": cfg.dt}
     rows, extra["dc_energy_fraction"] = _conserved_rows(snapshots)
     return (["step", "t", "photon_number", "energy", "px", "py", "pz",
@@ -222,7 +233,8 @@ def _run_hydro(scenario):
 
 
 def _run_observables(scenario):
-    sp = spectral.decompose(_initial_field(scenario))
+    sp = _initial_state(scenario)
+    sp = spectral.decompose(sp) if isinstance(sp, spectral.SixField) else sp
     n_ph = metrics.photon_number(sp)
     sp.amp /= np.sqrt(n_ph)
     psi = spectral.synthesize(sp, 0.0)
@@ -243,7 +255,7 @@ def _run_observables(scenario):
 
 
 def _run_commutators(scenario):
-    f0 = _initial_field(scenario)
+    f0 = _field(_initial_state(scenario))
     rows = [[tag_a.value, tag_b.value, r]
             for tag_a, tag_b, r in metrics.commutator_residuals(f0)]
     worst = max(row[2] for row in rows)

@@ -26,8 +26,9 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, StabilityError
 from .fieldcore import cross, rodrigues
-from .spectral import (GridSpec, SixField, _curl_k, _fft, _field_of_blocks,
-                       _ifft, _live_blocks, div, grad, triad_arrays)
+from .spectral import (GridSpec, SixField, _check_phase, _curl_k, _fft,
+                       _field_of_blocks, _ifft, _live_blocks, div, grad,
+                       triad_arrays)
 
 __all__ = [
     "MediumMap", "StepperConfig", "rk4",
@@ -137,6 +138,7 @@ def _kinetic(spec: GridSpec, t: float, blocks=range(2)):
     k = 0 mode, where n = 0 and the angle vanishes, stays static.  The
     angles are built once, here, for every application.
     """
+    _check_phase(spec, t)
     _, nhat, knorm = triad_arrays(spec)
     cos_a, sin_a = np.cos(knorm * float(t)), np.sin(knorm * float(t))
 

@@ -278,7 +278,6 @@ def observables_momentum(spectrum: HelicitySpectrum, pole_cone=1e-6) -> Observab
     convention) raises GaugeSingularityError.
     """
     spec = spectrum.spec
-    _, nhat, knorm = triad_arrays(spec)
     p2 = np.abs(spectrum.amp) ** 2
     alpha = berry_connection_grid(spec, pole_cone)
     in_cone = np.isnan(alpha[0])
@@ -288,26 +287,31 @@ def observables_momentum(spectrum: HelicitySpectrum, pole_cone=1e-6) -> Observab
             "spectrum has support inside the gauge pole cone"
         )
     alpha[:, in_cone] = 0.0
-    kinv = spec.k_inverse()
     # g = sum_lambda Re(phi* (1/i) D phi) = Im(phi* d phi) + lambda alpha |phi|^2
     helicity = p2[0] - p2[1]
     g = alpha * helicity
     for phi in spectrum.amp:
         g += (np.conj(phi) * _gradient_k(spec, phi)).imag
-    # Under the weight 1/(V |k|), k becomes n/V and omega becomes
-    # (|k|/|k|)/V, which is 0 at k = 0: that mode carries no energy.
-    n = nhat / spec.volume
-    omega = knorm * kinv / spec.volume
-    power = p2[0] + p2[1]
-    spin = helicity * kinv
+    energy, momentum, n, omega = _mode_sums(spec, p2)
+    spin = helicity * spec.k_inverse()
     # np.sum products, not BLAS ones (see observables_coordinate)
     ang = [np.sum(n[j] * g[k]) - np.sum(n[k] * g[j]) + np.sum(n[i] * spin)
            for i, (j, k) in enumerate(CYCLIC)]
     return Observables(
-        energy=float(np.sum(omega * power)),
-        momentum=np.array([np.sum(c * power) for c in n]),
-        angular_momentum=np.array(ang),
+        energy=energy, momentum=momentum, angular_momentum=np.array(ang),
         moment_of_energy=-np.array([np.sum(c * omega) for c in g]))
+
+
+def _mode_sums(spec: GridSpec, p2):
+    """Energy, momentum and their weights n, omega: the diagonal mode sums
+    of p2 = |phi|^2 per helicity.  Under the weight 1/(V |k|), k becomes n/V
+    and omega (|k|/|k|)/V, which is 0 at k = 0: that mode carries no energy."""
+    _, nhat, knorm = triad_arrays(spec)
+    n = nhat / spec.volume
+    omega = knorm * spec.k_inverse() / spec.volume
+    power = p2[0] + p2[1]
+    return (float(np.sum(omega * power)),
+            np.array([np.sum(c * power) for c in n]), n, omega)
 
 
 def observables_coordinate(psi: SixField) -> Observables:

@@ -552,6 +552,12 @@ def _helicity_amplitudes(psi: SixField, hat, blocks) -> HelicitySpectrum:
     return HelicitySpectrum(spec=psi.spec, amp=amp)
 
 
+def _check_phase(spec: GridSpec, t):
+    """Refuse a time t at which the largest phase |k| t is not finite."""
+    if not np.isfinite(spec.k_max() * abs(float(t))):
+        raise DomainError(f"the phase |k| t overflows at t = {t!r}", arg="t")
+
+
 def synthesize(spectrum: HelicitySpectrum, t=0.0) -> SixField:
     """Rebuild the positive-frequency field from helicity amplitudes at time t.
 
@@ -565,6 +571,7 @@ def synthesize(spectrum: HelicitySpectrum, t=0.0) -> SixField:
     if spectrum.amp[0, 0, 0, 0] != 0.0 or spectrum.amp[1, 0, 0, 0] != 0.0:
         raise DomainError("spectrum carries a k = 0 amplitude")
     spec = spectrum.spec
+    _check_phase(spec, t)
     blocks, amp = _live_blocks(spectrum.amp)
     e, _, knorm = triad_arrays(spec)
     phase = np.exp(-1j * knorm * float(t)) * spec.checkerboard()

@@ -68,7 +68,11 @@ def gaussian_packet_spectrum(spec: GridSpec, k_center, sigma_k, helicity=+1,
     amp = np.zeros((2,) + spec.n, dtype=complex)
     amp[lam] = profile
     spectrum = HelicitySpectrum(spec=spec, amp=amp)
-    spectrum.amp /= np.sqrt(photon_number(spectrum))
+    number = photon_number(spectrum)
+    if not number > np.finfo(float).tiny:
+        raise DomainError(f"photon number {number:.3g} on the lattice: every "
+                          "lattice k lies too many sigma_k from k_center")
+    spectrum.amp /= np.sqrt(number)
     return spectrum
 
 

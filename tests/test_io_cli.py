@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pwfn
-from pwfn import config, evolve, gridio, spectral, states
+from pwfn import config, evolve, gridio, metrics, spectral, states
 from pwfn.cli import main
 from pwfn.config import SCENARIO_KINDS, SCHEMA, checked, load_scenario
 from pwfn.evolve import propagate_free
@@ -777,6 +777,126 @@ def test_manifest_counts_transforms(tmp_path, rng):
     assert {key: long[key] - short[key] for key in long} == {
         "fft_calls": rhs, "fft_points": rhs * block,
         "ifft_calls": rhs, "ifft_points": rhs * block}
+    # A built-in packet starts as a one-helicity spectrum: observables
+    # synthesizes it once (one three-component block) before the
+    # coordinate observables' 1/H and generators, and evolve-free only
+    # synthesizes it at t.
+    live = block // 2
+    assert _run(tmp_path, "observables", MINIMAL["observables"],
+                "obs")["counters"] == {
+        "fft_calls": 1, "fft_points": live,
+        "ifft_calls": 5, "ifft_points": 5 * live}
+    assert _run(tmp_path, "evolve-free", MINIMAL["evolve-free"],
+                "free")["counters"] == {
+        "fft_calls": 0, "fft_points": 0, "ifft_calls": 1, "ifft_points": live}
+
+
+# Built-in packets: [initial] text, and the spectrum it builds on cube(8)
+# (the default sigma_k is 0.7).
+BUILT_IN = {
+    "gaussian+": ("packet = gaussian\nk_center = 2 1 0.5\n"
+                  "r_center = 0.3 -0.2 0.1\n",
+                  lambda spec: states.gaussian_packet_spectrum(
+                      spec, (2.0, 1.0, 0.5), 0.7, 1, (0.3, -0.2, 0.1))),
+    "gaussian-": ("packet = gaussian\nk_center = 2 1 0.5\nhelicity = -1\n",
+                  lambda spec: states.gaussian_packet_spectrum(
+                      spec, (2.0, 1.0, 0.5), 0.7, -1)),
+    "mode": ("packet = mode\nk_index = 1 2 0\n",
+             lambda spec: states.plane_wave_mode(spec, (1, 2, 0))),
+}
+
+
+@pytest.mark.parametrize("t", [0.5, -0.5])
+@pytest.mark.parametrize("packet", list(BUILT_IN))
+def test_evolve_free_synthesizes_a_built_in_packet_at_t(tmp_path, packet, t):
+    # The final field is the spectrum's synthesis at t, which equals the
+    # free propagation of its synthesis at 0; both conserved rows read the
+    # one spectrum, and the run makes that one inverse transform.
+    text, build = BUILT_IN[packet]
+    run = _run(tmp_path, "evolve-free", GRID8 + "[initial]\n" + text
+               + f"[physics]\ntime = {t}\n")
+    assert (run["counters"]["fft_calls"], run["counters"]["ifft_calls"]) \
+        == (0, 1)
+    final = gridio.read_sixfield(tmp_path / "run" / "final_field.pwfn")
+    expected = propagate_free(spectral.synthesize(build(cube(8))), t)
+    assert rel_err(final.data, expected.data) <= 1e-13
+    rows = [line.split(",") for line in (tmp_path / "run" / "conserved.csv")
+            .read_text().strip().splitlines()[1:]]
+    assert rows[0][2:7] == rows[1][2:7] and float(rows[1][7]) == 0.0
+
+
+@pytest.mark.parametrize("packet", list(BUILT_IN))
+def test_observables_of_a_built_in_packet_match_the_round_trip(tmp_path,
+                                                               packet):
+    # The decompose/synthesize round trip the run no longer makes, spelled
+    # out with public functions, gives the same rows to roundoff.
+    text, build = BUILT_IN[packet]
+    run = _run(tmp_path, "observables", GRID8 + "[initial]\n" + text)
+    assert (run["counters"]["fft_calls"], run["counters"]["ifft_calls"]) \
+        == (1, 5)
+    sp = spectral.decompose(spectral.synthesize(build(cube(8))))
+    n_ph = metrics.photon_number(sp)
+    sp.amp /= np.sqrt(n_ph)
+    om = metrics.observables_momentum(sp)
+    oc = metrics.observables_coordinate(spectral.synthesize(sp))
+    old = {"photon_number": (n_ph, n_ph), "energy": (om.energy, oc.energy)}
+    for i, ax in enumerate("xyz"):
+        for name, attr in (("p", "momentum"), ("j", "angular_momentum"),
+                           ("n", "moment_of_energy")):
+            old[f"{name}_{ax}"] = (getattr(om, attr)[i], getattr(oc, attr)[i])
+    rows = {line.split(",")[0]: [float(v) for v in line.split(",")[1:]]
+            for line in (tmp_path / "run" / "observables.csv").read_text()
+            .strip().splitlines()[1:]}
+    assert rows.keys() == old.keys()
+    for col in range(2):
+        assert rel_err([rows[q][col] for q in old],
+                       [old[q][col] for q in old]) <= 1e-13
+
+
+@pytest.mark.parametrize("initial", [
+    "packet = gaussian\nk_center = 40 0 0\n",
+    "packet = gaussian\nk_center = 1.5 0 0\nsigma_k = 0.01\n"])
+@pytest.mark.parametrize("kind", [k for k in SCENARIO_KINDS
+                                  if "initial" in SCHEMA[k]])
+def test_cli_refuses_a_gaussian_with_no_amplitude_on_the_lattice(
+        tmp_path, capsys, kind, initial):
+    # Every lattice k lies so many sigma_k from k_center that the packet
+    # has photon number 0: nothing to normalize, and nothing to run.
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[scenario]\nkind = {kind}\n" + GRID8
+                   + "[initial]\n" + initial)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([kind, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "[initial] k_center/sigma_k: photon number 0" \
+        in capsys.readouterr().err
+    assert not caught
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("time", [1e308, -1e308])
+@pytest.mark.parametrize("packet", ["gaussian", "mode", "vortex", "file"])
+def test_cli_refuses_a_time_whose_phase_overflows(tmp_path, capsys, rng,
+                                                  packet, time):
+    # |k| t overflows to inf and the phases would be NaN; refused whether
+    # the run synthesizes a spectrum at t or propagates a field.
+    initial = f"packet = {packet}\n"
+    if packet == "file":
+        path = tmp_path / "in.pwfn"
+        gridio.write_sixfield(path, random_field(cube(8), rng, kmax=2.0))
+        initial = f"packet = file:{path}\n"
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[scenario]\nkind = evolve-free\n" + GRID8
+                   + f"[initial]\n{initial}[physics]\ntime = {time!r}\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["evolve-free", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+    assert "[physics] time:" in capsys.readouterr().err
+    assert not caught
+    assert not out.exists()
 
 
 def test_medium_run_records_dc_energy_without_warning(tmp_path, capsys):
