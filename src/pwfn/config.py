@@ -29,10 +29,11 @@ def parse_list(key, text, count=None, kind=float):
     name key."""
     try:
         vals = [kind(v) for v in text.replace(",", " ").split()]
-    except ValueError:
-        vals = None
-    if vals is None or count not in (None, len(vals)) \
-            or not all(map(math.isfinite, vals)):
+        # an int past the float range is not finite: isfinite overflows
+        finite = all(map(math.isfinite, vals))
+    except (ValueError, OverflowError):
+        vals, finite = None, False
+    if not finite or count not in (None, len(vals)):
         what = f"{count or 'some'} finite {kind.__name__} value(s)"
         raise ConfigError(f"{key}: needs {what}, got {text!r}")
     return vals

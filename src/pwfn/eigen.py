@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, optimize
 from scipy.special import jv, jvp, kv, kvp
 
 from .errors import DomainError, TruncationError, WindowError
@@ -74,6 +73,10 @@ def macdonald_imag_moment(kappa, x, moment=0):
     estimate is within _QUAD_FLAG_RTOL * K_moment(x).  x below _X_MIN
     (about 3.4e-153) raises DomainError naming x.
     """
+    # Loaded on first use, as scipy.optimize in fiber_modes: a run that
+    # solves no eigenproblem imports neither.
+    from scipy import integrate
+
     x = float(x)
     kappa = float(kappa)
     if not x >= _X_MIN:
@@ -370,6 +373,8 @@ def fiber_modes(spec: FiberSpec, max_modes=8, scan_points=2000):
     exterior decay.  Returns a list of FiberMode sorted by frequency; empty
     when the window is empty (k_z = 0) or holds no sign change.
     """
+    from scipy import optimize
+
     if spec.k_z == 0.0:
         return []
     lo, hi = bound_window(spec)

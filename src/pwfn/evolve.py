@@ -15,7 +15,9 @@ Steppers integrate i dF/dt = H F with classic RK4 (default) or, for
 uniform-speed media, Strang splitting between the exact kinetic phase and
 the pointwise helicity-coupling term.  :func:`rk4` is the one integrator,
 and the one holder of its step bound, that the medium, curved-space and
-reduced Wigner evolutions share.
+reduced Wigner evolutions share; where the generator is w rho_3
+(s . grad/i) with one w everywhere, :func:`_rk4_curl` evaluates the same
+RK4 steps per Fourier mode.
 """
 
 from __future__ import annotations
@@ -101,6 +103,27 @@ class StepperConfig:
                               f"got {self.cfl_safety}", arg="cfl_safety")
 
 
+def _check_rk4_step(dt, rate, cfl_safety):
+    """Refuse a step dt past RK4's bound for a generator of spectral radius
+    at most rate (its spectrum on the imaginary axis): |dt| rate must not
+    exceed cfl_safety 2 sqrt(2)."""
+    # |R(iy)|^2 = 1 - y^6/72 + y^8/576 <= 1 while |y| <= 2 sqrt(2)
+    limit = cfl_safety * 2.0 * np.sqrt(2.0)
+    if abs(dt) * rate > limit:
+        raise StabilityError(
+            f"dt = {dt:.3e} exceeds the RK4 stability bound {limit / rate:.3e}"
+            f" = cfl_safety * 2 sqrt(2) / rate (cfl_safety = {cfl_safety}, "
+            f"rate = {rate:.3e})")
+
+
+def _check_rk4_finite(y, dt, steps):
+    """y, the state after steps RK4 steps of dt, unless it overflowed."""
+    if not np.all(np.isfinite(y)):
+        raise StabilityError(
+            f"state is non-finite after {steps} RK4 steps of dt = {dt:.3e}")
+    return y
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def rk4(rhs, y, dt, steps, rate, cfl_safety):
     """Classic RK4 for dy/dt = rhs(y); returns the state after `steps` steps.
@@ -110,13 +133,7 @@ def rk4(rhs, y, dt, steps, rate, cfl_safety):
     never called and StabilityError is raised.  The result is a new array; a
     state that overflows anyway is caught by one finiteness check at the end.
     """
-    # |R(iy)|^2 = 1 - y^6/72 + y^8/576 <= 1 while |y| <= 2 sqrt(2)
-    limit = cfl_safety * 2.0 * np.sqrt(2.0)
-    if abs(dt) * rate > limit:
-        raise StabilityError(
-            f"dt = {dt:.3e} exceeds the RK4 stability bound {limit / rate:.3e}"
-            f" = cfl_safety * 2 sqrt(2) / rate (cfl_safety = {cfl_safety}, "
-            f"rate = {rate:.3e})")
+    _check_rk4_step(dt, rate, cfl_safety)
     y = np.array(y)
     for _ in range(steps):
         k1 = rhs(y)
@@ -124,30 +141,66 @@ def rk4(rhs, y, dt, steps, rate, cfl_safety):
         k3 = rhs(y + 0.5 * dt * k2)
         k4 = rhs(y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(y)):
-        raise StabilityError(
-            f"state is non-finite after {steps} RK4 steps of dt = {dt:.3e}")
-    return y
+    return _check_rk4_finite(y, dt, steps)
 
 
-def _kinetic(spec: GridSpec, t: float, blocks=range(2)):
-    """Exact free propagation of the blocks `blocks` by time t, as a function.
+def _rotation(nhat, cos_a, sin_a, blocks):
+    """Per-mode rotation of the stack of the blocks `blocks`, as a function.
 
-    Per mode the free generator rotates the upper block by the angle |k| t
-    about n = k/|k| and the lower block by -|k| t (:func:`rodrigues`); the
-    k = 0 mode, where n = 0 and the angle vanishes, stays static.  The
-    angles are built once, here, for every application.
+    Each mode of the upper block is turned by rodrigues(n, cos_a, sin_a)
+    and each of the lower by rodrigues(n, cos_a, -sin_a), between one
+    forward and one inverse transform of the stack.
     """
-    _check_phase(spec, t)
-    _, nhat, knorm = triad_arrays(spec)
-    cos_a, sin_a = np.cos(knorm * float(t)), np.sin(knorm * float(t))
-
     def apply(data):
         hat = _fft(data)
         for row, b in enumerate(blocks):
             hat[row] = rodrigues(nhat, cos_a, -sin_a if b else sin_a, hat[row])
         return _ifft(hat)
     return apply
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _rk4_curl(psi: SixField, w, dt, steps, rate, cfl_safety) -> SixField:
+    """:func:`rk4` of i dF/dt = w rho_3 (s . grad/i) F, w > 0 the same
+    everywhere, evaluated per Fourier mode.
+
+    On a mode with the odd-derivative wave vector k_d = |k_d| n_d of the
+    spectral curl, the generator is w |k_d| (n_d . s) on the upper block
+    and its negative on the lower.  n_d . s has the eigenvalues 0 and +-1,
+    so `steps` RK4 steps multiply the upper block by R(-i w |k_d| dt
+    (n_d . s))^steps, with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24: the
+    rotation rodrigues(n_d, Re g, -Im g) for g = R(-i w |k_d| dt)^steps,
+    and the lower block by that of conj(g).  This is rk4's solution up to
+    roundoff, from one forward and one inverse transform of the live
+    blocks for any steps, with rk4's step bound and finiteness check.
+    """
+    _check_rk4_step(dt, rate, cfl_safety)
+    if not steps:
+        return psi.copy()
+    spec = psi.spec
+    kd = spec.k_grid_diff()
+    kd_norm = np.sqrt(np.sum(kd**2, axis=0))
+    nd = np.divide(kd, kd_norm, out=np.zeros_like(kd), where=kd_norm > 0.0)
+    z = -1j * (w * dt) * kd_norm
+    g = (1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))) \
+        ** steps
+    blocks, live = _live_blocks(psi.data)
+    out = _rotation(nd, g.real, -g.imag, blocks)(live)
+    return _field_of_blocks(spec, blocks, _check_rk4_finite(out, dt, steps))
+
+
+def _kinetic(spec: GridSpec, t: float, blocks=range(2)):
+    """Exact free propagation of the blocks `blocks` by time t, as a function.
+
+    Per mode the free generator rotates the upper block by the angle |k| t
+    about n = k/|k| and the lower block by -|k| t (:func:`_rotation`); the
+    k = 0 mode, where n = 0 and the angle vanishes, stays static.  The
+    angles are built once, here, for every application.
+    """
+    _check_phase(spec, t)
+    _, nhat, knorm = triad_arrays(spec)
+    return _rotation(nhat, np.cos(knorm * float(t)),
+                     np.sin(knorm * float(t)), blocks)
 
 
 def propagate_free(psi: SixField, t: float) -> SixField:
@@ -195,14 +248,20 @@ def step_medium(psi: SixField, medium: MediumMap, cfg: StepperConfig,
 
     RK4 treats the full generator; split_step (uniform-speed media only)
     alternates the exact kinetic phase with the pointwise coupling phase in
-    Strang order.  RK4's rate bound is ||H|| <= max v * k_max + max |c|.
-    The Strang step is unitary at any dt; its rule dt <= cfl_safety
-    min(dx) / v bounds the splitting error per step, not stability.
+    Strang order.  RK4's rate bound is ||H|| <= max v * k_max + max |c|;
+    in a uniform medium, H = v rho_3 (s . grad/i), RK4 is evaluated per
+    Fourier mode (:func:`_rk4_curl`).  The Strang step is unitary at any
+    dt; its rule dt <= cfl_safety min(dx) / v bounds the splitting error
+    per step, not stability.
     """
+    if medium.spec != psi.spec:
+        raise ShapeError("medium and field grids differ")
     spec = psi.spec
     vmax = float(np.max(medium.v))
     if cfg.scheme == "rk4":
         rate = vmax * spec.k_max() + np.max(medium.coupling_norm)
+        if medium.is_uniform_v and medium.is_uniform_h:
+            return _rk4_curl(psi, vmax, cfg.dt, steps, rate, cfg.cfl_safety)
 
         def rhs(arr):
             return -1j * hamiltonian_apply(SixField(spec=spec, data=arr),

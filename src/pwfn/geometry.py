@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .evolve import free_generator, rk4
+from .evolve import _rk4_curl, free_generator, rk4
 from .fieldcore import LEVI_CIVITA
 from .spectral import GridSpec, SixField, _fft, _ifft
 
@@ -47,7 +47,11 @@ __all__ = [
 @dataclass
 class MetricField:
     """Static metric samples g (4, 4[, nx, ny, nz]) with cached inverse and
-    constitutive blocks M (2, 3, 3, nx, ny, nz) of G = M F, built once."""
+    constitutive blocks M (2, 3, 3, nx, ny, nz) of G = M F, built once.
+
+    uniform_scale is w where M = w I at every point and in both blocks (a
+    Minkowski or uniform conformal metric), else None.
+    """
 
     spec: GridSpec
     g: np.ndarray
@@ -70,6 +74,11 @@ class MetricField:
         self.g_inv = np.moveaxis(inv, 0, -1).reshape((4, 4) + self.spec.n)
         self.det = det.reshape(self.spec.n)
         self.constitutive = _constitutive_matrices(self)
+        # w if G = w F everywhere, with w real and equal in both blocks
+        w = self.constitutive.flat[0]
+        self.uniform_scale = float(w.real) if w.imag == 0.0 and np.all(
+            self.constitutive == w * np.eye(3)[:, :, None, None, None]) \
+            else None
 
     def light_speed_bound(self):
         """Largest local light speed, from the optical-medium equivalent."""
@@ -145,13 +154,20 @@ def curved_generator(field: SixField, metric: MetricField) -> SixField:
 def step_curved(field: SixField, metric: MetricField, cfg, steps: int) -> SixField:
     """RK4 integration of i dF/dt = rho_3 curl G(F) in a static metric.
 
-    Only the rk4 scheme is implemented; any other cfg.scheme raises.
+    Only the rk4 scheme is implemented; any other cfg.scheme raises.  Where
+    G = w F everywhere, H = w rho_3 curl and RK4 is evaluated per Fourier
+    mode (:func:`pwfn.evolve._rk4_curl`).
     """
     if cfg.scheme != "rk4":
         raise DomainError(f"curved-space evolution runs rk4 only, got "
                           f"scheme {cfg.scheme!r}", arg="scheme")
+    if metric.spec != field.spec:
+        raise ShapeError("metric and field grids differ")
     spec = field.spec
     rate = metric.light_speed_bound() * spec.k_max()  # bounds ||H||
+    if metric.uniform_scale is not None:
+        return _rk4_curl(field, metric.uniform_scale, cfg.dt, steps, rate,
+                         cfg.cfl_safety)
 
     def rhs(arr):
         return -1j * curved_generator(SixField(spec=spec, data=arr), metric).data

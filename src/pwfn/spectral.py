@@ -43,6 +43,7 @@ tests).
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -552,10 +553,14 @@ def _helicity_amplitudes(psi: SixField, hat, blocks) -> HelicitySpectrum:
     return HelicitySpectrum(spec=psi.spec, amp=amp)
 
 
-def _check_phase(spec: GridSpec, t):
-    """Refuse a time t at which the largest phase |k| t is not finite."""
-    if not np.isfinite(spec.k_max() * abs(float(t))):
-        raise DomainError(f"the phase |k| t overflows at t = {t!r}", arg="t")
+def _check_phase(spec: GridSpec, t, arg="t"):
+    """Refuse a time t, or a displacement t, at which the largest phase on
+    the lattice, |k| |t|, is not finite; the error names the argument arg.
+    """
+    size = math.hypot(*np.ravel(np.asarray(t, dtype=float)))
+    if not np.isfinite(spec.k_max() * size):
+        raise DomainError(f"the phase |k| {arg} overflows at {arg} = {t!r}",
+                          arg=arg)
 
 
 def synthesize(spectrum: HelicitySpectrum, t=0.0) -> SixField:

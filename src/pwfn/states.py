@@ -12,7 +12,8 @@ import numpy as np
 from .errors import DomainError
 from .fieldcore import cross
 from .metrics import photon_number
-from .spectral import GridSpec, HelicitySpectrum, SixField, synthesize
+from .spectral import (GridSpec, HelicitySpectrum, SixField, _check_phase,
+                       synthesize)
 
 __all__ = [
     "plane_wave_mode", "gaussian_packet_spectrum", "gaussian_packet",
@@ -51,17 +52,25 @@ def plane_wave_mode(spec: GridSpec, k_index, helicity=+1, amplitude=None):
 
 def gaussian_packet_spectrum(spec: GridSpec, k_center, sigma_k, helicity=+1,
                              r_center=(0.0, 0.0, 0.0)):
-    """Unit-photon-number Gaussian amplitudes around k_center, at r_center."""
-    if not (np.isfinite(sigma_k) and sigma_k > 0.0):
-        raise DomainError(f"sigma_k must be finite and > 0, got {sigma_k!r}",
-                          arg="sigma_k")
+    """Unit-photon-number Gaussian amplitudes around k_center, at r_center.
+
+    2 sigma_k^2 must be a normal float; an exponent that overflows is a
+    mode of zero weight.
+    """
+    sigma = float(sigma_k)
+    if not (sigma > 0.0
+            and np.finfo(float).tiny <= 2.0 * sigma * sigma < np.inf):
+        raise DomainError(f"sigma_k must be > 0 with 2 sigma_k^2 a finite "
+                          f"normal float, got {sigma_k!r}", arg="sigma_k")
+    _check_phase(spec, r_center, arg="r_center")
     kvec = spec.k_grid()
     knorm = spec.k_norm()
     k0 = np.asarray(k_center, dtype=float)
     r0 = np.asarray(r_center, dtype=float)
     lam = _helicity_index(helicity)
-    profile = np.exp(-np.sum((kvec - k0[:, None, None, None]) ** 2, axis=0)
-                     / (2.0 * float(sigma_k) ** 2)).astype(complex)
+    with np.errstate(over="ignore"):
+        profile = np.exp(-np.sum((kvec - k0[:, None, None, None]) ** 2, axis=0)
+                         / (2.0 * sigma * sigma)).astype(complex)
     profile *= np.exp(-1j * (r0[0] * kvec[0] + r0[1] * kvec[1]
                              + r0[2] * kvec[2]))
     profile[knorm == 0.0] = 0.0

@@ -133,6 +133,14 @@ def test_hamiltonian_shape_mismatch():
     psi = SixField.zeros(spec)
     with pytest.raises(ShapeError):
         hamiltonian_apply(psi, MediumMap.uniform(other))
+    # The steppers check too: a uniform medium or metric never reaches the
+    # check of its r-space generator.
+    from pwfn import geometry as geo
+    cfg = StepperConfig(dt=0.01)
+    with pytest.raises(ShapeError):
+        step_medium(psi, MediumMap.uniform(other), cfg, 1)
+    with pytest.raises(ShapeError):
+        geo.step_curved(psi, geo.minkowski_metric(other), cfg, 1)
 
 
 def test_divergence_residual_refuses_a_medium_of_another_box():
@@ -365,59 +373,130 @@ def test_medium_map_validation_and_smoothness():
 @pytest.mark.parametrize("seed", range(4))
 def test_rk4_step_rule_is_the_schemes_own(monkeypatch, seed):
     # Random even shapes up to 8 points per axis, anisotropic boxes and a
-    # uniform (eps, mu), so a random speed v.  Each RK4 caller's rate bounds
-    # its generator's spectral radius: at dt = 2 sqrt(2) / rate no mode
-    # grows, and just past it the run is refused before the first step.
+    # random (eps, mu), uniform and varying along x.  Each RK4 caller's rate
+    # bounds its generator's spectral radius: at dt = 2 sqrt(2) / rate no
+    # mode grows (a varying metric in the norm of its constitutive map), and
+    # just past it the run is refused before the first step.  The uniform
+    # medium and metric step per Fourier mode; the varying ones call their
+    # r-space generators.
     from pwfn import evolve as ev, geometry as geo, phasespace as ps
     rng = np.random.default_rng(seed)
     spec = GridSpec(n=tuple(int(m) for m in rng.choice([2, 4, 6, 8], 3)),
                     length=tuple(rng.uniform(2.0, 10.0, 3)))
     eps, mu = rng.uniform(0.5, 4.0, 2)
-    med = MediumMap.uniform(spec, eps=eps, mu=mu)
-    v = float(np.max(med.v))
-    met = geo.conformal_metric(spec, np.sqrt(eps * mu))
+    bump = 1.0 + 0.1 * np.cos(2 * np.pi * spec.coords()[0] / spec.length[0])
     kvec = spec.k_grid()[(slice(None),) + tuple(rng.integers(0, spec.n))]
     psi = SixField(spec=spec, data=rng.standard_normal((2, 3) + spec.n)
                    + 1j * rng.standard_normal((2, 3) + spec.n))
     wu = rng.standard_normal((4,) + spec.n)
 
-    def medium(dt, steps):
-        return step_medium(psi, med, StepperConfig(dt=dt, cfl_safety=1.0),
-                           steps).data
-
-    def curved(dt, steps):
-        return geo.step_curved(psi, met, StepperConfig(dt=dt, cfl_safety=1.0),
+    def medium(med):
+        def run(dt, steps):
+            return step_medium(psi, med, StepperConfig(dt=dt, cfl_safety=1.0),
                                steps).data
+        rate = np.max(med.v) * spec.k_max() + np.max(med.coupling_norm)
+        return run, rate, np.max(med.v), psi.data, 1.0, \
+            (ev, "hamiltonian_apply")
+
+    def curved(index):
+        met = geo.conformal_metric(spec, index)
+
+        def run(dt, steps):
+            return geo.step_curved(psi, met, StepperConfig(
+                dt=dt, cfl_safety=1.0), steps).data
+        speed = met.light_speed_bound()
+        return run, speed * spec.k_max(), speed, psi.data, \
+            1.0 / np.sqrt(index), (geo, "curved_generator")
 
     def reduced(dt, steps):
         return np.concatenate(ps.wigner_reduced_step(
             spec, kvec, wu[0], wu[1:], dt, steps, cfl_safety=1.0), axis=None)
 
-    cases = [
-        (medium, v * spec.k_max() + np.max(med.coupling_norm), v, psi.data,
-         (ev, "hamiltonian_apply")),
-        (curved, met.light_speed_bound() * spec.k_max(),
-         met.light_speed_bound(), psi.data, (geo, "curved_generator")),
-        (reduced, spec.k_max() + 2.0 * np.linalg.norm(kvec), 1.0, wu,
-         (ps, "div")),
-    ]
-    for run, rate, speed, start, (module, name) in cases:
+    cases = {
+        "uniform medium": medium(MediumMap.uniform(spec, eps=eps, mu=mu)),
+        "varying medium": medium(MediumMap(spec=spec, eps=eps * bump,
+                                           mu=np.full(spec.n, mu))),
+        "uniform metric": curved(np.sqrt(eps * mu)),
+        "varying metric": curved(np.sqrt(eps * mu) * bump),
+        "reduced": (reduced, spec.k_max() + 2.0 * np.linalg.norm(kvec), 1.0,
+                    wu, 1.0, (ps, "div")),
+    }
+    for label, (run, rate, speed, start, weight, (module, name)) in \
+            cases.items():
         bound = 2.0 * np.sqrt(2.0) / rate
-        assert bound <= min(spec.spacing) / speed, run.__name__
-        out = run(bound * (1.0 - 1e-12), 200)
-        assert np.linalg.norm(out) <= np.linalg.norm(start) * (1.0 + 1e-12), \
-            run.__name__
-
+        assert bound <= min(spec.spacing) / speed, label
         calls = []
         original = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *a, _f=original: calls.append(1) or _f(*a))
+        out = run(bound * (1.0 - 1e-12), 200)
+        assert np.linalg.norm(out * weight) \
+            <= np.linalg.norm(start * weight) * (1.0 + 1e-12), label
+        assert bool(calls) == (not label.startswith("uniform")), label
+
+        calls.clear()
         dt = 1.01 * bound
         with pytest.raises(StabilityError) as err:
             run(dt, 1)
         monkeypatch.undo()
-        assert calls == [], run.__name__
+        assert calls == [], label
         message = str(err.value)
         for needle in (f"dt = {dt:.3e}", f"bound {bound:.3e}",
                        "cfl_safety = 1.0"):
-            assert needle in message, (run.__name__, message)
+            assert needle in message, (label, message)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rk4_per_mode_is_r_space_rk4(seed):
+    # A generator w rho_3 (s . grad/i) with one w everywhere (a uniform
+    # medium, the Minkowski metric, a uniform conformal metric) is stepped
+    # per Fourier mode: the result is r-space rk4's up to roundoff, on
+    # random grids with 2-point axes and full-spectrum fields, for both
+    # signs of dt, and steps = 0 returns the input.  step_medium and
+    # step_curved take that path, with one forward and one inverse
+    # transform for any steps.
+    from pwfn import evolve as ev, geometry as geo
+    rng = np.random.default_rng(100 + seed)
+    spec = GridSpec(n=tuple(int(m) for m in rng.choice([2, 4, 6, 10], 3)),
+                    length=tuple(rng.uniform(2.0, 10.0, 3)))
+    psi = SixField(spec=spec, data=rng.standard_normal((2, 3) + spec.n)
+                   + 1j * rng.standard_normal((2, 3) + spec.n))
+    eps, mu, index = rng.uniform(0.5, 4.0, 3)
+    med = MediumMap.uniform(spec, eps=eps, mu=mu)
+    metrics = [geo.minkowski_metric(spec), geo.conformal_metric(spec, index)]
+    cases = [(float(np.max(med.v)), lambda f: hamiltonian_apply(f, med),
+              np.max(med.v) * spec.k_max() + np.max(med.coupling_norm),
+              lambda cfg, steps: step_medium(psi, med, cfg, steps))]
+    for met in metrics:
+        cases.append((met.uniform_scale,
+                      lambda f, met=met: geo.curved_generator(f, met),
+                      met.light_speed_bound() * spec.k_max(),
+                      lambda cfg, steps, met=met: geo.step_curved(
+                          psi, met, cfg, steps)))
+    assert metrics[0].uniform_scale == 1.0
+    assert rel_err(metrics[1].uniform_scale, 1.0 / index) <= 1e-15
+    for w, generator, rate, stepper in cases:
+        def rhs(arr, generator=generator):
+            return -1j * generator(SixField(spec=spec, data=arr)).data
+
+        for sign in (1.0, -1.0):
+            dt = sign * rng.uniform(0.05, 0.95) * 2.0 * np.sqrt(2.0) / rate
+            steps = int(rng.integers(1, 40))
+            ref = rk4(rhs, psi.data, dt, steps, rate, 1.0)
+            out = ev._rk4_curl(psi, w, dt, steps, rate, 1.0)
+            assert rel_err(out.data, ref) <= 1e-13, (sign, steps)
+            assert np.array_equal(
+                ev._rk4_curl(psi, w, dt, 0, rate, 1.0).data, psi.data)
+        cfg = StepperConfig(dt=abs(dt), cfl_safety=1.0)
+        spectral.reset_transform_counts()
+        out = stepper(cfg, steps)
+        assert spectral.transform_counts() == {
+            "fft_calls": 1, "fft_points": psi.data.size,
+            "ifft_calls": 1, "ifft_points": psi.data.size}
+        ref = rk4(rhs, psi.data, abs(dt), steps, rate, 1.0)
+        assert rel_err(out.data, ref) <= 1e-13
+        assert np.array_equal(stepper(cfg, 0).data, psi.data)
+        # A state that overflows in the transforms ends as rk4's does.
+        huge = SixField(spec=spec, data=np.full(psi.data.shape, 1e308))
+        with pytest.raises(StabilityError, match="non-finite"):
+            ev._rk4_curl(huge, w, dt, 1, rate, 1.0)

@@ -2,8 +2,11 @@ import ast
 import csv
 import importlib
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -255,6 +258,8 @@ cfl_safety = 1.0
     for n, (kind, text, code, *needles) in enumerate([
             ("evolve-medium", medium + "dt = 0.785\nsteps = 400\n", 4,
              "dt = 7.850e-01", "bound 4.082e-01", "cfl_safety = 1.0"),
+            ("evolve-curved", curved + "dt = 0.785\nsteps = 400\n", 4,
+             "dt = 7.850e-01", "bound 4.082e-01", "cfl_safety = 1.0"),
             ("evolve-medium", "[scenario]\nkind = evolve-medium\n" + GRID8
              + f"[initial]\npacket = file:{huge}\n[physics]\nsteps = 1\n",
              2, "[initial] packet", "too large"),
@@ -336,6 +341,12 @@ cfl_safety = 1.0
             ("evolve-free", FREE_CONFIG.replace("sigma_k = 0.8",
                                                 "r_center = inf 0 0"), 2,
              "[initial] r_center"),
+            # integers past the float range, refused by the parser
+            ("evolve-medium", medium + "steps = 1" + "0" * 400 + "\n", 2,
+             "[physics] steps"),
+            ("evolve-free", FREE_CONFIG.replace("n = 8 8 8",
+                                                "n = 8 8 8" + "0" * 400), 2,
+             "[grid] n"),
             # finite values whose derived quantities overflow or underflow
             ("evolve-medium", medium + "steps = 1\n"
              "eps_profile = uniform:1e200\nmu_profile = uniform:1e200\n", 2,
@@ -347,6 +358,21 @@ cfl_safety = 1.0
              "[physics] metric"),
             ("evolve-curved", curved + "metric = conformal:1e100\n", 2,
              "[physics] metric"),
+            # a packet whose phase k . r_center overflows, whose exponent
+            # |k - k_center|^2 / 2 sigma_k^2 divides by zero or by inf, or
+            # whose exponent overflows at every lattice k
+            ("evolve-free", FREE_CONFIG.replace("sigma_k = 0.8",
+                                                "r_center = 1e308 0 0"), 2,
+             "[initial] r_center"),
+            ("observables", observables.replace("sigma_k = 0.8",
+                                                "sigma_k = 1e-300"), 2,
+             "[initial] sigma_k"),
+            ("observables", observables.replace("sigma_k = 0.8",
+                                                "sigma_k = 1e200"), 2,
+             "[initial] sigma_k"),
+            ("observables", observables.replace("k_center = 3 0 0",
+                                                "k_center = 1e200 0 0"), 2,
+             "[initial] k_center/sigma_k"),
             ("boost-eigen", boost + "kappa = 1e300\n", 2, "[physics] kappa"),
             ("boost-eigen", boost + "z_min = 1e-160\nsamples = 3\n", 2,
              "[physics] z_min"),
@@ -502,14 +528,16 @@ def test_cli_runs_or_refuses_a_huge_initial_field(tmp_path, capsys, kind,
 def test_cli_reports_a_state_that_overflows_during_rk4(tmp_path, capsys,
                                                        monkeypatch):
     # A right-hand side that overflows in the second stage: the end-of-run
-    # finiteness check of rk4 reports it as a stability error.
+    # finiteness check of rk4 reports it as a stability error.  A varying
+    # eps keeps the run on the r-space right-hand side.
     def overflowing(psi, medium):
         return SixField(spec=psi.spec, data=psi.data * 1e300)
 
     monkeypatch.setattr(evolve, "hamiltonian_apply", overflowing)
     cfg = tmp_path / "run.ini"
     cfg.write_text("[scenario]\nkind = evolve-medium\n" + GRID8
-                   + "[initial]\npacket = mode\n[physics]\nsteps = 1\n")
+                   + "[initial]\npacket = mode\n[physics]\nsteps = 1\n"
+                   "eps_profile = cosine:1.0,0.1\n")
     out = tmp_path / "out"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -518,6 +546,17 @@ def test_cli_reports_a_state_that_overflows_during_rk4(tmp_path, capsys,
     assert "non-finite" in capsys.readouterr().err
     assert not caught
     assert not out.exists()
+
+
+def test_cli_import_leaves_out_the_eigen_solvers_scipy_modules():
+    # scipy.integrate and scipy.optimize serve the boost and fiber solvers
+    # only, which load them on first use.
+    code = ("import sys, pwfn.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+    env = {**os.environ, "PYTHONPATH": str(Path(pwfn.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"
 
 
 def test_cli_loads_config_once(tmp_path, monkeypatch):
@@ -766,22 +805,44 @@ def test_manifest_counts_transforms(tmp_path, rng):
                     GRID8 + f"[initial]\npacket = file:{field}\n")["counters"]
     # Reading the file transforms nothing: these are the sweep's own.
     block = 6 * spec.npoints
+    live = block // 2
     assert counters == {"fft_calls": 41, "fft_points": 41 * block,
                         "ifft_calls": 73, "ifft_points": 73 * block}
-    # An RK4 step evaluates the right-hand side four times, and each
-    # evaluation is one forward and one inverse block transform.
+    # In a varying medium an RK4 step evaluates the right-hand side four
+    # times, and each evaluation is one forward and one inverse block
+    # transform.
     medium = MINIMAL["evolve-medium"] + "[physics]\ndt = 0.01\nsteps = {}\n"
-    short, long = (_run(tmp_path, "evolve-medium", medium.format(steps),
+    varying = medium + "eps_profile = cosine:1.0,0.1\n"
+    short, long = (_run(tmp_path, "evolve-medium", varying.format(steps),
                         f"steps{steps}")["counters"] for steps in (2, 5))
     rhs = 4 * (5 - 2)
     assert {key: long[key] - short[key] for key in long} == {
         "fft_calls": rhs, "fft_points": rhs * block,
         "ifft_calls": rhs, "ifft_points": rhs * block}
+    # A uniform medium or metric steps per Fourier mode: one forward and
+    # one inverse transform of the packet's live block for any steps,
+    # between its one synthesis and the final row's one decomposition.
+    # A medium adds the spectral gradients of v and h (3 + 3 components).
+    curved = MINIMAL["evolve-curved"].replace("vortex", "mode") \
+        + "[physics]\ndt = 0.01\nsteps = {}\nmetric = "
+    grads = {"fft_calls": 2, "fft_points": 2 * spec.npoints,
+             "ifft_calls": 6, "ifft_points": 6 * spec.npoints}
+    for n, (kind, text, setup) in enumerate([
+            ("evolve-medium", medium, grads),
+            ("evolve-medium", medium + "eps_profile = uniform:2.0\n", grads),
+            ("evolve-curved", curved + "minkowski\n", {}),
+            ("evolve-curved", curved + "conformal:1.3\n", {})]):
+        for steps in (2, 5):
+            counters = _run(tmp_path, kind, text.format(steps),
+                            f"uniform{n}_{steps}")["counters"]
+            assert {key: value - setup.get(key, 0)
+                    for key, value in counters.items()} == {
+                "fft_calls": 2, "fft_points": 2 * live,
+                "ifft_calls": 2, "ifft_points": 2 * live}, (text, steps)
     # A built-in packet starts as a one-helicity spectrum: observables
     # synthesizes it once (one three-component block) before the
     # coordinate observables' 1/H and generators, and evolve-free only
     # synthesizes it at t.
-    live = block // 2
     assert _run(tmp_path, "observables", MINIMAL["observables"],
                 "obs")["counters"] == {
         "fft_calls": 1, "fft_points": live,
