@@ -17,7 +17,9 @@ the pointwise helicity-coupling term.  :func:`rk4` is the one integrator,
 and the one holder of its step bound, that the medium, curved-space and
 reduced Wigner evolutions share; where the generator is w rho_3
 (s . grad/i) with one w everywhere, :func:`_rk4_curl` evaluates the same
-RK4 steps per Fourier mode.
+RK4 steps per Fourier mode.  In a varying medium RK4 steps G = sqrt(v) F,
+whose generator v rho_3 (s . grad/i) + B needs sqrt(v) once per run, not
+twice per right-hand side (:func:`_medium_rhs`).
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, StabilityError
-from .fieldcore import cross, rodrigues
-from .spectral import (GridSpec, SixField, _check_phase, _curl_k, _fft,
-                       _field_of_blocks, _ifft, _live_blocks, div, grad,
+from .fieldcore import CYCLIC, cross, rodrigues
+from .spectral import (GridSpec, SixField, _check_phase, _cross_k, _curl_k,
+                       _fft, _field_of_blocks, _ifft, _live_blocks, div, grad,
                        triad_arrays)
 
 __all__ = [
@@ -37,6 +39,10 @@ __all__ = [
     "propagate_free", "free_generator", "hamiltonian_apply",
     "step_medium", "divergence_residual", "medium_basis_change",
 ]
+
+# The 3 x 3 identity with lattice axes, on which rodrigues builds per-mode
+# rotation tables.
+_IDENTITY = np.eye(3)[:, :, None, None, None]
 
 
 @dataclass
@@ -128,6 +134,13 @@ def _check_rk4_finite(y, dt, steps):
 def rk4(rhs, y, dt, steps, rate, cfl_safety):
     """Classic RK4 for dy/dt = rhs(y); returns the state after `steps` steps.
 
+    rhs must be linear and time independent, as for every caller here.
+    Each step is then evaluated in nested form, u <- y + (dt/m) rhs(u) for
+    m = 4, 3, 2, 1 starting from u = y: the classic four stages' polynomial
+    R(dt L) = 1 + dt L (1 + dt L/2 (1 + dt L/3 (1 + dt L/4))) with four rhs
+    calls, holding y, u and one rhs output instead of k1 ... k4.  rhs must
+    return a new array, which is updated in place.
+
     rate bounds the spectral radius of the linear map rhs (its spectrum lies
     on the imaginary axis); unless |dt| rate <= cfl_safety 2 sqrt(2), rhs is
     never called and StabilityError is raised.  The result is a new array; a
@@ -136,11 +149,12 @@ def rk4(rhs, y, dt, steps, rate, cfl_safety):
     _check_rk4_step(dt, rate, cfl_safety)
     y = np.array(y)
     for _ in range(steps):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        u = y
+        for m in (4.0, 3.0, 2.0, 1.0):
+            u = rhs(u)
+            u *= dt / m
+            u += y
+        y = u
     return _check_rk4_finite(y, dt, steps)
 
 
@@ -148,14 +162,24 @@ def _rotation(nhat, cos_a, sin_a, blocks):
     """Per-mode rotation of the stack of the blocks `blocks`, as a function.
 
     Each mode of the upper block is turned by rodrigues(n, cos_a, sin_a)
-    and each of the lower by rodrigues(n, cos_a, -sin_a), between one
-    forward and one inverse transform of the stack.
+    and each of the lower by rodrigues(n, cos_a, -sin_a), its transpose,
+    between one forward and one inverse transform of the stack.  The 3 x 3
+    table of the rotation is built once, here, for every application.
     """
+    table = rodrigues(nhat, cos_a, sin_a, _IDENTITY)
+
     def apply(data):
         hat = _fft(data)
+        out = np.empty_like(hat)
+        buf = np.empty_like(hat[0, 0])
         for row, b in enumerate(blocks):
-            hat[row] = rodrigues(nhat, cos_a, -sin_a if b else sin_a, hat[row])
-        return _ifft(hat)
+            turn = table.swapaxes(0, 1) if b else table
+            for i in range(3):
+                np.multiply(turn[i, 0], hat[row, 0], out=out[row, i])
+                for j in (1, 2):
+                    np.multiply(turn[i, j], hat[row, j], out=buf)
+                    out[row, i] += buf
+        return _ifft(out)
     return apply
 
 
@@ -226,20 +250,52 @@ def _free_generator_k(spec: GridSpec, hat, blocks=range(2)):
 def hamiltonian_apply(psi: SixField, medium: MediumMap) -> SixField:
     """Apply the medium Hamiltonian to a six-component field.
 
-    H F = sqrt(v) rho_3 (s . grad/i)(sqrt(v) F) + (v/2h) rho_2 (s . grad h) F.
-    (s . grad/i) X is evaluated as the spectral curl of X.
+    H F = sqrt(v) rho_3 (s . grad/i)(sqrt(v) F) + (v/2h) rho_2 (s . grad h) F,
+    evaluated as the generator of G = sqrt(v) F conjugated by sqrt(v):
+    H F = i _medium_rhs(sqrt(v) F) / sqrt(v).
     """
     if medium.spec != psi.spec:
         raise ShapeError("medium and field grids differ")
-    spec = psi.spec
     sv = medium.sqrt_v
-    out = free_generator(SixField(spec=spec, data=sv * psi.data)).data
-    out *= sv
-    if not medium.is_uniform_h:
-        # rho_2 mixes the blocks: + c x F- above, - c x F+ below.
-        out[0] += cross(medium.coupling, psi.lower)
-        out[1] -= cross(medium.coupling, psi.upper)
-    return SixField(spec=spec, data=out)
+    out = _medium_rhs(psi.spec, sv * psi.data, *_medium_tables(medium))
+    out *= 1j
+    out /= sv
+    return SixField(spec=psi.spec, data=out)
+
+
+def _medium_tables(medium: MediumMap):
+    """The tables of :func:`_medium_rhs`: rho_3 v as a (2, 1, nx, ny, nz)
+    array, and (-i c, i c) as a (2, 3, nx, ny, nz) stack, or None where h
+    is uniform and c vanishes."""
+    speed = np.stack([medium.v, -medium.v])[:, None]
+    if medium.is_uniform_h:
+        return speed, None
+    ic = 1j * medium.coupling
+    return speed, np.stack([-ic, ic])
+
+
+def _medium_rhs(spec: GridSpec, g, speed, coupling):
+    """-i (v rho_3 (s . grad/i) + B) G for the data g of G = sqrt(v) F.
+
+    With G = sqrt(v) F the medium equation i dF/dt = H F becomes
+    i dG/dt = (v rho_3 (s . grad/i) + B) G, B G = (c x G-, -c x G+) the
+    pointwise coupling: the same H conjugated by sqrt(v), so its spectral
+    radius has H's bound.  -i (s . grad/i) G = -i curl G is _ifft(k_d x
+    hat G); -i B G is (-i c) x G- above and (i c) x G+ below, one cross
+    product of the table coupling with the swapped view g[::-1].  speed
+    and coupling are the tables of :func:`_medium_tables`.
+    """
+    out = _ifft(_cross_k(spec, _fft(g)))
+    out *= speed
+    if coupling is not None:
+        swapped = g[::-1]
+        buf = np.empty_like(out[:, 0])
+        for c, (a, b) in enumerate(CYCLIC):
+            np.multiply(coupling[:, a], swapped[:, b], out=buf)
+            out[:, c] += buf
+            np.multiply(coupling[:, b], swapped[:, a], out=buf)
+            out[:, c] -= buf
+    return out
 
 
 def step_medium(psi: SixField, medium: MediumMap, cfg: StepperConfig,
@@ -250,9 +306,10 @@ def step_medium(psi: SixField, medium: MediumMap, cfg: StepperConfig,
     alternates the exact kinetic phase with the pointwise coupling phase in
     Strang order.  RK4's rate bound is ||H|| <= max v * k_max + max |c|;
     in a uniform medium, H = v rho_3 (s . grad/i), RK4 is evaluated per
-    Fourier mode (:func:`_rk4_curl`).  The Strang step is unitary at any
-    dt; its rule dt <= cfl_safety min(dx) / v bounds the splitting error
-    per step, not stability.
+    Fourier mode (:func:`_rk4_curl`), and otherwise RK4 steps G = sqrt(v) F
+    with :func:`_medium_rhs` and returns F = G / sqrt(v).  The Strang step
+    is unitary at any dt; its rule dt <= cfl_safety min(dx) / v bounds the
+    splitting error per step, not stability.
     """
     if medium.spec != psi.spec:
         raise ShapeError("medium and field grids differ")
@@ -262,12 +319,15 @@ def step_medium(psi: SixField, medium: MediumMap, cfg: StepperConfig,
         rate = vmax * spec.k_max() + np.max(medium.coupling_norm)
         if medium.is_uniform_v and medium.is_uniform_h:
             return _rk4_curl(psi, vmax, cfg.dt, steps, rate, cfg.cfl_safety)
+        tables = _medium_tables(medium)
 
-        def rhs(arr):
-            return -1j * hamiltonian_apply(SixField(spec=spec, data=arr),
-                                           medium).data
-        return SixField(spec=spec, data=rk4(rhs, psi.data, cfg.dt, steps,
-                                            rate, cfg.cfl_safety))
+        def rhs(g):
+            return _medium_rhs(spec, g, *tables)
+        sv = medium.sqrt_v
+        out = rk4(rhs, sv * psi.data, cfg.dt, steps, rate, cfg.cfl_safety)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out /= sv
+        return SixField(spec=spec, data=_check_rk4_finite(out, cfg.dt, steps))
     if not medium.is_uniform_v:
         raise DomainError("split_step requires a uniform-speed medium",
                           arg="scheme")

@@ -49,6 +49,10 @@ class MetricField:
     """Static metric samples g (4, 4[, nx, ny, nz]) with cached inverse and
     constitutive blocks M (2, 3, 3, nx, ny, nz) of G = M F, built once.
 
+    Where g is one 4 x 4 matrix everywhere, given as such or as equal
+    samples, the determinant, inverse, constitutive blocks and optical
+    equivalent are computed on that matrix alone, and g, g_inv, det and
+    constitutive are read-only views that broadcast it over the lattice.
     uniform_scale is w where M = w I at every point and in both blocks (a
     Minkowski or uniform conformal metric), else None.
     """
@@ -57,33 +61,39 @@ class MetricField:
     g: np.ndarray
 
     def __post_init__(self):
-        self.g = np.asarray(self.g, dtype=float)
-        if self.g.shape == (4, 4):
-            self.g = np.broadcast_to(self.g[:, :, None, None, None],
-                                     (4, 4) + self.spec.n).copy()
-        if self.g.shape != (4, 4) + self.spec.n:
+        g = np.asarray(self.g, dtype=float)
+        lattice = self.spec.n
+        if g.shape == (4, 4):
+            g = g[:, :, None, None, None]
+        elif g.shape != (4, 4) + lattice:
             raise ShapeError("metric shape must be (4, 4) or (4, 4, nx, ny, nz)")
-        gm = np.moveaxis(self.g.reshape(4, 4, -1), -1, 0)
+        elif np.all(g == g[:, :, :1, :1, :1]):
+            g = g[:, :, :1, :1, :1]
+        points = g.shape[2:]  # (1, 1, 1) for one matrix, else the lattice
+        gm = np.moveaxis(g.reshape(4, 4, -1), -1, 0)
         with np.errstate(over="ignore"):
             det = np.linalg.det(gm)
-        if np.any(self.g[0, 0] <= 0.0):
+        if np.any(g[0, 0] <= 0.0):
             raise DomainError("metric must have g_00 > 0")
         if not np.all((det < 0.0) & (det > -np.inf)):
             raise DomainError("metric determinant must be negative and finite")
         inv = np.linalg.inv(gm)
-        self.g_inv = np.moveaxis(inv, 0, -1).reshape((4, 4) + self.spec.n)
-        self.det = det.reshape(self.spec.n)
-        self.constitutive = _constitutive_matrices(self)
+        self._points = (g, np.moveaxis(inv, 0, -1).reshape((4, 4) + points),
+                        det.reshape(points))
+        constitutive = _constitutive_matrices(self)
         # w if G = w F everywhere, with w real and equal in both blocks
-        w = self.constitutive.flat[0]
+        w = constitutive.flat[0]
         self.uniform_scale = float(w.real) if w.imag == 0.0 and np.all(
-            self.constitutive == w * np.eye(3)[:, :, None, None, None]) \
+            constitutive == w * np.eye(3)[:, :, None, None, None]) \
             else None
+        self.g, self.g_inv, self.det, self.constitutive = (
+            np.broadcast_to(x, x.shape[:-3] + lattice)
+            for x in self._points + (constitutive,))
 
     def light_speed_bound(self):
         """Largest local light speed, from the optical-medium equivalent."""
-        eps_eq = np.sqrt(-self.det)[None, None] * (-self.g_inv[1:, 1:]) \
-            / self.g[0, 0]
+        g, g_inv, det = self._points
+        eps_eq = np.sqrt(-det)[None, None] * (-g_inv[1:, 1:]) / g[0, 0]
         em = np.moveaxis(eps_eq.reshape(3, 3, -1), -1, 0)
         eig = np.linalg.eigvalsh(0.5 * (em + np.swapaxes(em, 1, 2)))
         if np.any(eig <= 0.0):
@@ -112,13 +122,14 @@ def conformal_metric(spec: GridSpec, refractive_index) -> MetricField:
 
 def _constitutive_matrices(metric: MetricField):
     """Pointwise blocks -(A0 -/+ i B)/g^00 of G = -(1/g^00)(A0 - i rho_3 B) F,
-    with A0 = g_ij/sqrt(-g) symmetric and B built from g^{0k}."""
-    ginv = metric.g_inv
-    g00_up = ginv[0, 0]
+    with A0 = g_ij/sqrt(-g) symmetric and B built from g^{0k}, on the
+    metric's distinct points (one matrix where g is the same everywhere)."""
+    g, g_inv, det = metric._points
+    g00_up = g_inv[0, 0]
     if np.any(g00_up == 0.0):
         raise DomainError("metric has g^00 = 0 somewhere (degenerate)")
-    a0 = metric.g[1:, 1:] / np.sqrt(-metric.det)[None, None]
-    b = np.einsum("k...,ikj->ij...", ginv[0, 1:], LEVI_CIVITA)
+    a0 = g[1:, 1:] / np.sqrt(-det)[None, None]
+    b = np.einsum("k...,ikj->ij...", g_inv[0, 1:], LEVI_CIVITA)
     return np.stack([-(a0 - 1j * sign * b) / g00_up[None, None]
                      for sign in (+1.0, -1.0)])
 

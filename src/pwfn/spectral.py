@@ -300,14 +300,21 @@ def _curl_k(spec: GridSpec, hat):
 
     hat is left unchanged, so one transform can serve further operators.
     """
-    kvec = spec.k_grid_diff()
-    curl_hat = np.empty_like(hat)
-    for c, (a, b) in enumerate(CYCLIC):
-        out = curl_hat[..., c, :, :, :]
-        np.multiply(kvec[a], hat[..., b, :, :, :], out=out)
-        out -= kvec[b] * hat[..., a, :, :, :]
+    curl_hat = _cross_k(spec, hat)
     curl_hat *= 1j
     return _ifft(curl_hat)
+
+
+def _cross_k(spec: GridSpec, hat):
+    """k_d x hat per mode, for vectors along axis -4 of hat, with the real
+    odd-derivative wave vectors k_d: _ifft of it is -i times the curl."""
+    kvec = spec.k_grid_diff()
+    out = np.empty_like(hat)
+    for c, (a, b) in enumerate(CYCLIC):
+        row = out[..., c, :, :, :]
+        np.multiply(kvec[a], hat[..., b, :, :, :], out=row)
+        row -= kvec[b] * hat[..., a, :, :, :]
+    return out
 
 
 @dataclass

@@ -71,8 +71,12 @@ def test_propagate_free_transforms_only_the_live_blocks(rng, helicities):
     cos_a, sin_a = np.cos(knorm * t), np.sin(knorm * t)
     axes = (-3, -2, -1)
     hat = sfft.fftn(psi.data, axes=axes)
-    hat[0] = rodrigues(nhat, cos_a, sin_a, hat[0])
-    hat[1] = rodrigues(nhat, cos_a, -sin_a, hat[1])
+    # The per-mode table of rodrigues(n, cos, sin), applied as a 3 x 3
+    # product: the table above, its transpose below.
+    turn = rodrigues(nhat, cos_a, sin_a, np.eye(3)[:, :, None, None, None])
+    for b, m in ((0, turn), (1, turn.swapaxes(0, 1))):
+        hat[b] = np.stack([m[i, 0] * hat[b, 0] + m[i, 1] * hat[b, 1]
+                           + m[i, 2] * hat[b, 2] for i in range(3)])
     spectral.reset_transform_counts()
     out = propagate_free(psi, t).data
     points = 3 * len(helicities) * spec.npoints
@@ -396,7 +400,7 @@ def test_rk4_step_rule_is_the_schemes_own(monkeypatch, seed):
                                steps).data
         rate = np.max(med.v) * spec.k_max() + np.max(med.coupling_norm)
         return run, rate, np.max(med.v), psi.data, 1.0, \
-            (ev, "hamiltonian_apply")
+            (ev, "_medium_rhs")
 
     def curved(index):
         met = geo.conformal_metric(spec, index)
@@ -500,3 +504,151 @@ def test_rk4_per_mode_is_r_space_rk4(seed):
         huge = SixField(spec=spec, data=np.full(psi.data.shape, 1e308))
         with pytest.raises(StabilityError, match="non-finite"):
             ev._rk4_curl(huge, w, dt, 1, rate, 1.0)
+
+
+def _classic_rk4(rhs, y, dt, steps):
+    """The four classic RK4 stages, written out."""
+    for _ in range(steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * dt * k1)
+        k3 = rhs(y + 0.5 * dt * k2)
+        k4 = rhs(y + dt * k3)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return y
+
+
+def _cosine_medium(spec):
+    """A medium whose v and h both vary: eps along x, mu along y."""
+    x = spec.coords()
+    return MediumMap(
+        spec=spec, eps=1.0 + 0.2 * np.cos(2 * np.pi * x[0] / spec.length[0]),
+        mu=1.0 + 0.15 * np.cos(2 * np.pi * x[1] / spec.length[1]))
+
+
+def _medium_rate(spec, med):
+    return np.max(med.v) * spec.k_max() + np.max(med.coupling_norm)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 7])
+def test_nested_rk4_is_classic_rk4(rng, steps):
+    # rk4 evaluates each step in nested form.  For a linear, time-independent
+    # rhs that is the classic four-stage polynomial up to roundoff: on a
+    # complex medium rhs and on the real (w, u) pair rhs of the reduced
+    # Wigner evolution, for both signs of dt.
+    from pwfn.fieldcore import cross
+    from pwfn.spectral import div, grad
+    spec = GridSpec(n=(8, 6, 10), length=(6.0, 5.0, 7.0))
+    med = _cosine_medium(spec)
+    psi = random_field(spec, rng, kmax=3.0)
+    k = np.array([0.4, -0.7, 1.1])
+    wu = rng.standard_normal((4,) + spec.n)
+
+    def medium_rhs(arr):
+        return -1j * hamiltonian_apply(SixField(spec=spec, data=arr), med).data
+
+    def pair_rhs(y):
+        out = np.empty_like(y)
+        out[0] = -div(spec, y[1:])
+        out[1:] = -2.0 * cross(k, y[1:]) - grad(spec, y[0])
+        return out
+
+    for rhs, start, rate in (
+            (medium_rhs, psi.data, _medium_rate(spec, med)),
+            (pair_rhs, wu, spec.k_max() + 2.0 * np.linalg.norm(k))):
+        for sign in (1.0, -1.0):
+            dt = sign * 0.9 * 2.0 * np.sqrt(2.0) / rate
+            out = rk4(rhs, start, dt, steps, rate, 1.0)
+            assert out.dtype == start.dtype and out is not start
+            ref = _classic_rk4(rhs, start, dt, steps)
+            assert rel_err(out, ref) <= 1e-13, (rhs.__name__, sign)
+
+
+def test_step_medium_rk4_is_classic_rk4_of_hamiltonian_apply(rng):
+    # step_medium steps G = sqrt(v) F with the generator of G and returns
+    # G / sqrt(v): classic RK4 of the public hamiltonian_apply up to
+    # roundoff, in a medium whose v and h both vary.  hamiltonian_apply is
+    # in turn H F as the medium equation writes it.
+    from pwfn.fieldcore import cross
+    spec = GridSpec(n=(12, 10, 8), length=(6.0, 5.0, 7.0))
+    med = _cosine_medium(spec)
+    assert not (med.is_uniform_v or med.is_uniform_h)
+    psi = random_field(spec, rng, kmax=3.0)
+    sv = med.sqrt_v
+    direct = sv * free_generator(SixField(spec=spec, data=sv * psi.data)).data
+    direct[0] += cross(med.coupling, psi.data[1])
+    direct[1] -= cross(med.coupling, psi.data[0])
+    assert rel_err(hamiltonian_apply(psi, med).data, direct) <= 1e-13
+
+    def rhs(arr):
+        return -1j * hamiltonian_apply(SixField(spec=spec, data=arr), med).data
+
+    for dt, steps in ((0.01, 1), (0.02, 9)):
+        out = step_medium(psi, med, StepperConfig(dt=dt), steps)
+        ref = _classic_rk4(rhs, psi.data, dt, steps)
+        assert rel_err(out.data, ref) <= 1e-13, (dt, steps)
+
+
+@pytest.mark.parametrize("n", [(8, 6, 10), (2, 4, 6)])
+def test_rotation_table_is_rodrigues_per_mode(rng, n):
+    # propagate_free and _rk4_curl turn every mode with one 3 x 3 table;
+    # that is rodrigues applied per mode up to roundoff, for both signs of
+    # t and dt, on grids whose Nyquist modes k_d drops (a 2-point axis
+    # holds only k = 0 and its Nyquist mode).
+    from pwfn import evolve as ev
+    spec = GridSpec(n=n, length=(6.0, 5.0, 7.0))
+    psi = SixField(spec=spec, data=rng.standard_normal((2, 3) + n)
+                   + 1j * rng.standard_normal((2, 3) + n))
+    axes = (-3, -2, -1)
+
+    def per_mode(nhat, cos_a, sin_a):
+        hat = sfft.fftn(psi.data, axes=axes)
+        hat[0] = rodrigues(nhat, cos_a, sin_a, hat[0])
+        hat[1] = rodrigues(nhat, cos_a, -sin_a, hat[1])
+        return sfft.ifftn(hat, axes=axes)
+
+    _, nhat, knorm = triad_arrays(spec)
+    for t in (0.7, -2.3):
+        ref = per_mode(nhat, np.cos(knorm * t), np.sin(knorm * t))
+        assert rel_err(propagate_free(psi, t).data, ref) <= 1e-13, t
+    kd = spec.k_grid_diff()
+    kd_norm = np.sqrt(np.sum(kd**2, axis=0))
+    nd = np.divide(kd, kd_norm, out=np.zeros_like(kd), where=kd_norm > 0.0)
+    w = 0.8
+    rate = w * spec.k_max()
+    for dt, steps in ((0.3 / rate, 5), (-1.1 / rate, 3)):
+        z = -1j * w * dt * kd_norm
+        g = (1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0) ** steps
+        ref = per_mode(nd, g.real, -g.imag)
+        out = ev._rk4_curl(psi, w, dt, steps, rate, 1.0)
+        assert rel_err(out.data, ref) <= 1e-13, (dt, steps)
+
+
+def test_rk4_peak_memory_in_states():
+    # Nested RK4 holds y, u and one rhs output; the medium rhs of a 16^3
+    # run forms its transform and k x hat beside them.  Peak above the
+    # input, in units of the state: 5.0 measured (numpy 2.4, scipy 1.17),
+    # against 10.0 for the classic stages k1 ... k4 and their temporaries.
+    import tracemalloc
+    from pwfn import evolve as ev
+    spec = cube(16)
+    med = _cosine_medium(spec)
+    psi = random_field(spec, np.random.default_rng(7), kmax=3.0)
+    tables = ev._medium_tables(med)
+
+    def run():
+        return rk4(lambda g: ev._medium_rhs(spec, g, *tables), psi.data,
+                   0.002, 3, _medium_rate(spec, med), 0.5)
+
+    run()   # builds the grid tables
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    states, bound = (peak - base) / psi.data.nbytes, 6.0
+    ok = states <= bound
+    print(f"[{'PASS' if ok else 'FAIL'}] rk4 peak memory [states]: "
+          f"{states:.3e} (<= {bound:.3e})")
+    assert ok, (states, bound)

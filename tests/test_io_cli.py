@@ -530,10 +530,10 @@ def test_cli_reports_a_state_that_overflows_during_rk4(tmp_path, capsys,
     # A right-hand side that overflows in the second stage: the end-of-run
     # finiteness check of rk4 reports it as a stability error.  A varying
     # eps keeps the run on the r-space right-hand side.
-    def overflowing(psi, medium):
-        return SixField(spec=psi.spec, data=psi.data * 1e300)
+    def overflowing(spec, g, *tables):
+        return g * 1e300
 
-    monkeypatch.setattr(evolve, "hamiltonian_apply", overflowing)
+    monkeypatch.setattr(evolve, "_medium_rhs", overflowing)
     cfg = tmp_path / "run.ini"
     cfg.write_text("[scenario]\nkind = evolve-medium\n" + GRID8
                    + "[initial]\npacket = mode\n[physics]\nsteps = 1\n"
