@@ -323,17 +323,24 @@ def report(paths) -> int:
             norm2 = float(np.sum(np.abs(data) ** 2) * spec.cell_volume)
             print(f"{path.name}: grid {spec.n} box {spec.length} "
                   f"components {data.shape[0]} norm2 {norm2:.12e}")
-        elif path.suffix == ".json":
+            continue
+        try:
             with open(path, "r", encoding="utf-8") as fh:
-                manifest = json.load(fh)
-            print(f"{path.name}: config {manifest['config_sha256'][:12]} "
-                  f"outputs {len(manifest['outputs'])}")
-        else:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.read().strip().splitlines()
-            print(f"{path.name}: {lines[0]}")
-            for line in lines[1:]:
-                print(f"  {line}")
+                text = fh.read()
+            if path.suffix == ".json":
+                manifest = json.loads(text)
+                lines = [f"config {manifest['config_sha256'][:12]} "
+                         f"outputs {len(manifest['outputs'])}"]
+            else:
+                lines = text.strip().splitlines()
+            head = lines[0]
+        except (ValueError, LookupError, TypeError) as exc:
+            # not UTF-8, not JSON, a manifest without its keys, or empty
+            raise FormatError(f"{path}: not a pwfn artifact "
+                              f"({type(exc).__name__}: {exc})") from exc
+        print(f"{path.name}: {head}")
+        for line in lines[1:]:
+            print(f"  {line}")
     return EXIT_OK
 
 

@@ -24,12 +24,13 @@ twice per right-hand side (:func:`_medium_rhs`).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ShapeError, StabilityError
-from .fieldcore import CYCLIC, cross, rodrigues
+from .fieldcore import CYCLIC, rodrigues
 from .spectral import (GridSpec, SixField, _check_phase, _cross_k, _curl_k,
                        _fft, _field_of_blocks, _ifft, _live_blocks, div, grad,
                        triad_arrays)
@@ -40,7 +41,7 @@ __all__ = [
     "step_medium", "divergence_residual", "medium_basis_change",
 ]
 
-# The 3 x 3 identity with lattice axes, on which rodrigues builds per-mode
+# The 3 x 3 identity with lattice axes, on which rodrigues builds per-point
 # rotation tables.
 _IDENTITY = np.eye(3)[:, :, None, None, None]
 
@@ -122,6 +123,18 @@ def _check_rk4_step(dt, rate, cfl_safety):
             f"rate = {rate:.3e})")
 
 
+def _check_steps(steps):
+    """steps as an int, unless it is negative or not an integer."""
+    try:
+        count = operator.index(steps)
+    except TypeError:
+        count = -1
+    if count < 0:
+        raise DomainError(f"steps must be a non-negative integer, got "
+                          f"{steps!r}", arg="steps", value=steps)
+    return count
+
+
 def _check_rk4_finite(y, dt, steps):
     """y, the state after steps RK4 steps of dt, unless it overflowed."""
     if not np.all(np.isfinite(y)):
@@ -146,6 +159,7 @@ def rk4(rhs, y, dt, steps, rate, cfl_safety):
     never called and StabilityError is raised.  The result is a new array; a
     state that overflows anyway is caught by one finiteness check at the end.
     """
+    steps = _check_steps(steps)
     _check_rk4_step(dt, rate, cfl_safety)
     y = np.array(y)
     for _ in range(steps):
@@ -158,29 +172,28 @@ def rk4(rhs, y, dt, steps, rate, cfl_safety):
     return _check_rk4_finite(y, dt, steps)
 
 
+def _turner(table, data, blocks=range(2)):
+    """T above, T^T below: each row of data, a stack of the blocks `blocks`,
+    times the pointwise 3 x 3 table T (upper block) or its transpose (lower
+    block), as three products per component summed in column order."""
+    out = np.empty_like(data)
+    buf = np.empty_like(out[0, 0])
+    for row, b in enumerate(blocks):
+        turn = table.swapaxes(0, 1) if b else table
+        for i in range(3):
+            np.multiply(turn[i, 0], data[row, 0], out=out[row, i])
+            for j in (1, 2):
+                np.multiply(turn[i, j], data[row, j], out=buf)
+                out[row, i] += buf
+    return out
+
+
 def _rotation(nhat, cos_a, sin_a, blocks):
-    """Per-mode rotation of the stack of the blocks `blocks`, as a function.
-
-    Each mode of the upper block is turned by rodrigues(n, cos_a, sin_a)
-    and each of the lower by rodrigues(n, cos_a, -sin_a), its transpose,
-    between one forward and one inverse transform of the stack.  The 3 x 3
-    table of the rotation is built once, here, for every application.
-    """
+    """Per-mode rotation of the stack of the blocks `blocks`, as a function:
+    the table rodrigues(n, cos_a, sin_a), built once, here, applied by
+    :func:`_turner` between one forward and one inverse transform."""
     table = rodrigues(nhat, cos_a, sin_a, _IDENTITY)
-
-    def apply(data):
-        hat = _fft(data)
-        out = np.empty_like(hat)
-        buf = np.empty_like(hat[0, 0])
-        for row, b in enumerate(blocks):
-            turn = table.swapaxes(0, 1) if b else table
-            for i in range(3):
-                np.multiply(turn[i, 0], hat[row, 0], out=out[row, i])
-                for j in (1, 2):
-                    np.multiply(turn[i, j], hat[row, j], out=buf)
-                    out[row, i] += buf
-        return _ifft(out)
-    return apply
+    return lambda data: _ifft(_turner(table, _fft(data), blocks))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -198,6 +211,7 @@ def _rk4_curl(psi: SixField, w, dt, steps, rate, cfl_safety) -> SixField:
     roundoff, from one forward and one inverse transform of the live
     blocks for any steps, with rk4's step bound and finiteness check.
     """
+    steps = _check_steps(steps)
     _check_rk4_step(dt, rate, cfl_safety)
     if not steps:
         return psi.copy()
@@ -341,27 +355,29 @@ def step_medium(psi: SixField, medium: MediumMap, cfg: StepperConfig,
 
 
 def _step_split(psi, medium, dt, steps):
+    steps = _check_steps(steps)
     spec = psi.spec
     v0 = float(np.mean(medium.v))
     if not steps:
         return psi.copy()
     if medium.is_uniform_h:
         return propagate_free(psi, v0 * dt * steps)
-    # The pointwise coupling B F = (c x F-, -c x F+) obeys B^3 = |c|^2 B and
-    # B^2 F = |c|^2 F - c (c . F) per block, so with theta = dt |c|
-    #   exp(-i dt B) F = cos(theta) F + s2 c (c . F) - i s1 B F,
-    # s1 = sin(theta)/|c| and s2 = (1 - cos theta)/|c|^2; np.sinc carries
-    # both through their |c| -> 0 limits dt and dt^2/2.
+    # On X = F+ - i F- and Y = F+ + i F- the coupling B F = (c x F-, -c x F+)
+    # is +/-(c . s): exp(-i dt B) turns X by dt |c| about c/|c| and Y by the
+    # transpose, and F+ = (X + Y)/2, F- = i (X - Y)/2.
     c, cnorm = medium.coupling, medium.coupling_norm
-    cos_t = np.cos(dt * cnorm)
-    s1c = dt * np.sinc(dt * cnorm / np.pi) * c
-    s2 = 0.5 * dt**2 * np.sinc(dt * cnorm / (2.0 * np.pi)) ** 2
+    chat = np.divide(c, cnorm, out=np.zeros_like(c), where=cnorm > 0.0)
+    table = rodrigues(chat, np.cos(dt * cnorm), np.sin(dt * cnorm), _IDENTITY)
+    xy = np.empty_like(psi.data)
 
-    def apply_coupling(arr):
-        out = cos_t * arr
-        out += c * (s2 * np.sum(c * arr, axis=1))[:, None]
-        out[0] -= 1j * cross(s1c, arr[1])
-        out[1] += 1j * cross(s1c, arr[0])
+    def apply_coupling(data):
+        np.multiply.outer((-1j, 1j), data[1], out=xy)
+        np.add(xy, data[0], out=xy)
+        x, y = out = _turner(table, xy)
+        np.add(x, y, out=xy[0])
+        np.subtract(x, y, out=y)
+        y *= 0.5j
+        np.multiply(xy[0], 0.5, out=x)
         return out
 
     # Strang order K/2 C K/2 per step; the closing K/2 of one step and the

@@ -20,8 +20,11 @@ rule (a . s) b = i a x b for any 3-vectors a, b.
 The pointwise vector algebra of the package lives here: :func:`cross` is
 the one cross product, :func:`poynting` the one bilinear Im(F* x F) = D x B
 and :func:`rodrigues` the one rotation exponential, which rotates with a
-real angle, boosts with an imaginary one and propagates each free Fourier
-mode by the angle |k| t.
+real angle, boosts with an imaginary one, propagates each free Fourier
+mode by the angle |k| t and steps the Strang coupling of a varying
+resistance on F+ -/+ i F-.  Applied to the identity it gives a 3 x 3 table
+T; a pointwise map of the six-component stack is T on the upper block and
+T^T on the lower, as the curved-space constitutive map G = (M F+, M^T F-).
 """
 
 from __future__ import annotations

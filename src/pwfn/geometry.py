@@ -10,8 +10,10 @@ partner G:
     G_i = -(1/g^00) (g_ij / sqrt(-g) - i rho_3 g^0k eps_ikj) F_j,
 
 inverted exactly at every point.  The map contains only rho_3, so the two
-helicity blocks never mix, in contrast with material media.  Sign and index
-conventions are anchored by the exact Minkowski reduction G = F.
+helicity blocks never mix, in contrast with material media.  Its g_ij part
+is symmetric and its g^0k part antisymmetric, so it is one 3 x 3 table M
+per point: G = (M F+, M^T F-).  Sign and index conventions are anchored by
+the exact Minkowski reduction G = F.
 
 Spinor form
 -----------
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .evolve import _rk4_curl, free_generator, rk4
+from .evolve import _rk4_curl, _turner, free_generator, rk4
 from .fieldcore import LEVI_CIVITA
 from .spectral import GridSpec, SixField, _fft, _ifft
 
@@ -46,14 +48,14 @@ __all__ = [
 
 @dataclass
 class MetricField:
-    """Static metric samples g (4, 4[, nx, ny, nz]) with cached inverse and
-    constitutive blocks M (2, 3, 3, nx, ny, nz) of G = M F, built once.
+    """Symmetric static metric samples g (4, 4[, nx, ny, nz]) with cached
+    inverse and table M (3, 3, nx, ny, nz) of G = (M F+, M^T F-), built once.
 
     Where g is one 4 x 4 matrix everywhere, given as such or as equal
-    samples, the determinant, inverse, constitutive blocks and optical
+    samples, the determinant, inverse, constitutive table and optical
     equivalent are computed on that matrix alone, and g, g_inv, det and
     constitutive are read-only views that broadcast it over the lattice.
-    uniform_scale is w where M = w I at every point and in both blocks (a
+    uniform_scale is w where M = w I with w real at every point (a
     Minkowski or uniform conformal metric), else None.
     """
 
@@ -69,6 +71,9 @@ class MetricField:
             raise ShapeError("metric shape must be (4, 4) or (4, 4, nx, ny, nz)")
         elif np.all(g == g[:, :, :1, :1, :1]):
             g = g[:, :, :1, :1, :1]
+        if not np.array_equal(g, g.swapaxes(0, 1), equal_nan=True):
+            raise DomainError("metric must be symmetric, g_munu = g_numu",
+                              arg="g")
         points = g.shape[2:]  # (1, 1, 1) for one matrix, else the lattice
         gm = np.moveaxis(g.reshape(4, 4, -1), -1, 0)
         with np.errstate(over="ignore"):
@@ -81,11 +86,9 @@ class MetricField:
         self._points = (g, np.moveaxis(inv, 0, -1).reshape((4, 4) + points),
                         det.reshape(points))
         constitutive = _constitutive_matrices(self)
-        # w if G = w F everywhere, with w real and equal in both blocks
-        w = constitutive.flat[0]
+        w = constitutive.flat[0]  # w if G = w F everywhere, with w real
         self.uniform_scale = float(w.real) if w.imag == 0.0 and np.all(
-            constitutive == w * np.eye(3)[:, :, None, None, None]) \
-            else None
+            constitutive == w * np.eye(3)[:, :, None, None, None]) else None
         self.g, self.g_inv, self.det, self.constitutive = (
             np.broadcast_to(x, x.shape[:-3] + lattice)
             for x in self._points + (constitutive,))
@@ -121,38 +124,33 @@ def conformal_metric(spec: GridSpec, refractive_index) -> MetricField:
 
 
 def _constitutive_matrices(metric: MetricField):
-    """Pointwise blocks -(A0 -/+ i B)/g^00 of G = -(1/g^00)(A0 - i rho_3 B) F,
-    with A0 = g_ij/sqrt(-g) symmetric and B built from g^{0k}, on the
-    metric's distinct points (one matrix where g is the same everywhere)."""
+    """Upper block M = -(A0 - i B)/g^00 of G = -(1/g^00)(A0 - i rho_3 B) F,
+    A0 = g_ij/sqrt(-g) symmetric and B from g^{0k} antisymmetric (lower M^T),
+    on the metric's distinct points (one where g is the same everywhere)."""
     g, g_inv, det = metric._points
     g00_up = g_inv[0, 0]
     if np.any(g00_up == 0.0):
         raise DomainError("metric has g^00 = 0 somewhere (degenerate)")
     a0 = g[1:, 1:] / np.sqrt(-det)[None, None]
     b = np.einsum("k...,ikj->ij...", g_inv[0, 1:], LEVI_CIVITA)
-    return np.stack([-(a0 - 1j * sign * b) / g00_up[None, None]
-                     for sign in (+1.0, -1.0)])
+    return -(a0 - 1j * b) / g00_up[None, None]
 
 
 def g_from_f(field: SixField, metric: MetricField) -> SixField:
-    """Constitutive partner G of the six-component field F."""
+    """Constitutive partner G = (M F+, M^T F-) of the six-component field F."""
     if metric.spec != field.spec:
         raise ShapeError("metric and field grids differ")
-    m = metric.constitutive
-    f = field.data[:, None]
-    out = m[:, :, 0] * f[:, :, 0]
-    out += m[:, :, 1] * f[:, :, 1]
-    out += m[:, :, 2] * f[:, :, 2]
-    return SixField(spec=field.spec, data=out)
+    return SixField(spec=field.spec,
+                    data=_turner(metric.constitutive, field.data))
 
 
 def f_from_g(gfield: SixField, metric: MetricField) -> SixField:
-    """Inverse constitutive map, by exact pointwise linear solve."""
+    """Inverse constitutive map: exact pointwise linear solve of (M, M^T)."""
     if metric.spec != gfield.spec:
         raise ShapeError("metric and field grids differ")
-    mm = np.moveaxis(metric.constitutive.reshape(2, 3, 3, -1), -1, 1)
+    m = np.moveaxis(metric.constitutive.reshape(3, 3, -1), -1, 0)
     rhs = np.moveaxis(gfield.data.reshape(2, 3, -1), -1, 1)[..., None]
-    sol = np.linalg.solve(mm, rhs)[..., 0]
+    sol = np.linalg.solve(np.stack([m, m.swapaxes(1, 2)]), rhs)[..., 0]
     out = np.moveaxis(sol, 1, -1).reshape(gfield.data.shape)
     return SixField(spec=gfield.spec, data=out)
 

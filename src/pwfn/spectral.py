@@ -461,46 +461,53 @@ def triad_arrays(spec: GridSpec):
     return _table(spec, "triad", build)
 
 
+def _spherical_connection(n, k_inverse, pole_cone):
+    """-cot(theta)/|k| phi_hat from unit vectors n (3, ...) and 1/|k|, with
+    phi_hat = (-n_y, n_x, 0)/sin(theta); 0 on the z axis (and where n = 0),
+    NaN inside the pole cone 0 < sin(theta) < pole_cone."""
+    sth = np.hypot(n[0], n[1])
+    off_axis = sth > 0.0
+    inv_sth = np.divide(1.0, sth, out=np.zeros_like(sth), where=off_axis)
+    mag = -(n[2] * inv_sth) * k_inverse
+    alpha = np.stack([-n[1] * inv_sth * mag, n[0] * inv_sth * mag,
+                      np.zeros_like(mag)])
+    alpha[:, off_axis & (sth < pole_cone)] = np.nan
+    return alpha
+
+
 def berry_connection(k, pole_cone=1e-6):
     """Connection of the spherical gauge at one k, entering D = d/dk + i lambda alpha.
 
     alpha(k) = -cot(theta)/|k| * phi_hat away from the z axis.  Exactly on the
     axis the frame is constant by convention and alpha = 0.  Inside the
     excluded cone around the axis (0 < sin(theta) < pole_cone) the gauge is
-    singular and GaugeSingularityError is raised.
+    singular and GaugeSingularityError is raised.  The value is that of
+    :func:`berry_connection_grid` at the same k.
     """
     k = np.asarray(k, dtype=float)
-    kn = float(np.linalg.norm(k))
+    if not np.all(np.isfinite(k)):
+        raise DomainError(f"berry connection needs a finite k, got {k}",
+                          arg="k")
+    kn = np.sqrt(np.sum(k**2))
     if kn == 0.0:
         raise DomainError("berry connection undefined at k = 0")
     n = k / kn
-    sth = float(np.hypot(n[0], n[1]))
-    if sth == 0.0:
-        return np.zeros(3)
-    if sth < pole_cone:
+    alpha = _spherical_connection(n[:, None], 1.0 / kn[None], pole_cone)[:, 0]
+    if np.isnan(alpha[0]):
         raise GaugeSingularityError(
-            f"k direction lies in the gauge pole cone (sin theta = {sth:.2e})"
-        )
-    phi = np.arctan2(n[1], n[0])
-    phihat = np.array([-np.sin(phi), np.cos(phi), 0.0])
-    return -(n[2] / sth) / kn * phihat
+            f"k direction lies in the gauge pole cone "
+            f"(sin theta = {np.hypot(n[0], n[1]):.2e})")
+    return alpha
 
 
 def berry_connection_grid(spec: GridSpec, pole_cone=1e-6):
     """Gridded connection; exact-axis points and k = 0 get 0, cone points get NaN.
 
-    Built on the cached frame of :func:`triad_arrays`, with
-    phi_hat = (-n_y, n_x, 0)/sin(theta).
+    Built on the cached frame of :func:`triad_arrays`; k = 0 has n = 0 and
+    counts as on the axis.
     """
     _, n, _ = triad_arrays(spec)
-    sth = np.hypot(n[0], n[1])
-    off_axis = sth > 0.0   # k = 0 has n = 0 and counts as on the axis
-    inv_sth = np.divide(1.0, sth, out=np.zeros_like(sth), where=off_axis)
-    mag = -(n[2] * inv_sth) * spec.k_inverse()
-    alpha = np.stack([-n[1] * inv_sth * mag, n[0] * inv_sth * mag,
-                      np.zeros_like(mag)])
-    alpha[:, off_axis & (sth < pole_cone)] = np.nan
-    return alpha
+    return _spherical_connection(n, spec.k_inverse(), pole_cone)
 
 
 # k = 0 energy fraction above which decompose warns and landau_peierls refuses

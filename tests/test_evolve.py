@@ -652,3 +652,93 @@ def test_rk4_peak_memory_in_states():
     print(f"[{'PASS' if ok else 'FAIL'}] rk4 peak memory [states]: "
           f"{states:.3e} (<= {bound:.3e})")
     assert ok, (states, bound)
+
+
+@pytest.mark.parametrize("blocks", [(0,), (1,), (0, 1)])
+def test_turner_is_t_above_and_its_transpose_below(rng, blocks):
+    # One table per point, T on an upper-block row of the stack and T^T on
+    # a lower-block row: the per-point matrix product, written as einsum.
+    from pwfn.evolve import _turner
+    n = (3, 4, 5)
+    table = rng.standard_normal((3, 3) + n) + 1j * rng.standard_normal(
+        (3, 3) + n)
+    data = rng.standard_normal((len(blocks), 3) + n) \
+        + 1j * rng.standard_normal((len(blocks), 3) + n)
+    ref = np.stack([np.einsum("ij...,j...->i...",
+                              table.swapaxes(0, 1) if b else table, data[row])
+                    for row, b in enumerate(blocks)])
+    out = _turner(table, data, blocks)
+    assert out.shape == data.shape
+    assert rel_err(out, ref) <= 1e-15
+    # a table broadcast from one point serves the whole lattice
+    one = table[:, :, :1, :1, :1]
+    ref = np.stack([np.einsum("ij,j...->i...",
+                              (one.swapaxes(0, 1) if b else one)[..., 0, 0, 0],
+                              data[row])
+                    for row, b in enumerate(blocks)])
+    assert rel_err(_turner(np.broadcast_to(one, table.shape), data, blocks),
+                   ref) <= 1e-15
+
+
+def _steppers(spec):
+    """Every stepper of the package as a function of steps returning the
+    final state's array, on spec."""
+    from pwfn import geometry as geo
+    from pwfn.phasespace import wigner_reduced_step
+    psi = random_field(spec, np.random.default_rng(3), kmax=2.0)
+    x = spec.coords()
+    profile = 1.0 + 0.15 * np.cos(x[0]) * np.cos(x[1])
+    varying_h = MediumMap(spec=spec, eps=profile, mu=1.0 / profile)
+    cases = {
+        "uniform rk4": (MediumMap.uniform(spec, 1.5, 1.0), "rk4"),
+        "varying rk4": (_cosine_medium(spec), "rk4"),
+        "uniform-h split": (MediumMap.uniform(spec), "split_step"),
+        "varying-h split": (varying_h, "split_step"),
+    }
+    out = {name: (lambda steps, med=med, scheme=scheme: step_medium(
+        psi, med, StepperConfig(dt=0.02, scheme=scheme), steps).data)
+        for name, (med, scheme) in cases.items()}
+    for name, metric in (("minkowski", geo.minkowski_metric(spec)),
+                         ("conformal", geo.conformal_metric(spec, profile))):
+        out[name] = (lambda steps, metric=metric: geo.step_curved(
+            psi, metric, StepperConfig(dt=0.02), steps).data)
+
+    def wigner(steps):
+        w, u = wigner_reduced_step(spec, (0.0, 0.0, 1.0), np.cos(x[0]),
+                                   np.zeros((3,) + spec.n), 0.02, steps)
+        return np.concatenate([w[None], u])
+
+    out["wigner"] = wigner
+    out["rk4"] = lambda steps: rk4(lambda y: -1j * y, np.ones(4), 0.1, steps,
+                                   1.0, 0.5)
+    return psi, out
+
+
+@pytest.mark.parametrize("steps", [-1, 2.5, 1.0, "2", None])
+def test_every_stepper_refuses_bad_steps_before_any_work(monkeypatch, steps):
+    # Unchecked, steps = -1 steps backwards once (uniform medium, Minkowski),
+    # returns the input (varying RK4) or makes half a kinetic step
+    # (split_step), and 2.5 takes a fractional power of the per-mode RK4
+    # factor.
+    from pwfn import evolve as ev
+    spec = cube(8)
+    psi, steppers = _steppers(spec)
+    before = psi.data.copy()
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done before the steps check")
+
+    for name in ("_fft", "_ifft", "_medium_rhs", "_kinetic", "_turner"):
+        monkeypatch.setattr(ev, name, no_work)
+    for name, run in steppers.items():
+        with pytest.raises(DomainError, match="steps") as err:
+            run(steps)
+        assert err.value.arg == "steps", name
+    assert np.array_equal(psi.data, before)
+
+
+def test_steps_accepts_integers_of_any_integer_type():
+    spec = cube(8)
+    _, steppers = _steppers(spec)
+    for name, run in steppers.items():
+        assert np.array_equal(run(2), run(np.int64(2))), name

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -44,3 +45,35 @@ def test_every_traced_name_resolves():
         if not found:
             missing.append((module, attr))
     assert missing == []
+
+
+def _unused_imports(source):
+    """Names a module imports but never reads; names in __all__ count as
+    read.  Attribute chains read their base name."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {name: _unused_imports(
+        (Path(pwfn.__path__[0]) / f"{name}.py").read_text(encoding="utf-8"))
+        for name in MODULES}
+    assert {name: found for name, found in unused.items() if found} == {}
+    # the check itself sees a name left behind after its last use went
+    assert _unused_imports("from .fieldcore import CYCLIC, cross\n"
+                           "x = CYCLIC\n") == [(1, "cross")]

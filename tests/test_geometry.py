@@ -33,6 +33,20 @@ def test_metric_validation():
         geo.MetricField(spec=spec, g=g)
 
 
+def test_metric_refuses_an_asymmetric_g():
+    # Only a symmetric g makes the lower constitutive block M^T exactly.
+    spec = cube(4)
+    g = np.diag([1.0, -1.0, -1.0, -1.0])
+    g[1, 2] = 0.1
+    samples = np.broadcast_to(np.diag([1.0, -1.0, -1.0, -1.0])[
+        :, :, None, None, None], (4, 4) + spec.n).copy()
+    samples[0, 3, 1, 2, 3] = 1e-3
+    for bad in (g, samples):
+        with pytest.raises(DomainError, match="symmetric") as err:
+            geo.MetricField(spec=spec, g=bad)
+        assert err.value.arg == "g"
+
+
 def test_minkowski_reduction(rng):
     spec = cube(8)
     psi = random_field(spec, rng, kmax=2.5)
@@ -45,9 +59,11 @@ def test_constitutive_round_trip(rng):
     psi = random_field(spec, rng, kmax=2.5)
     met = offdiag_metric(spec)
     gf = geo.g_from_f(psi, met)
-    # the multiply-adds over the column index are the einsum, bit for bit
-    ref = np.stack([np.einsum("ij...,j...->i...", met.constitutive[b],
-                              psi.data[b]) for b in range(2)])
+    # G = (M F+, M^T F-): the multiply-adds over the column index are the
+    # einsum, bit for bit
+    m = met.constitutive
+    ref = np.stack([np.einsum("ij...,j...->i...", table, psi.data[b])
+                    for b, table in enumerate((m, m.swapaxes(0, 1)))])
     assert np.array_equal(gf.data, ref)
     back = geo.f_from_g(gf, met)
     assert rel_err(back.data, psi.data) < 1e-12

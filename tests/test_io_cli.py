@@ -672,7 +672,7 @@ def test_cli_free_propagation_backward(tmp_path):
     assert np.max(np.abs(forward.data - f0.data)) <= 1e-12 * scale
 
 
-def test_cli_report_corrupt_file(tmp_path):
+def test_cli_report_corrupt_file(tmp_path, capsys):
     bad = tmp_path / "bad.pwfn"
     bad.write_bytes(b"JUNKJUNKJUNK")
     assert main(["report", str(bad)]) == 5
@@ -683,6 +683,20 @@ def test_cli_report_corrupt_file(tmp_path):
                                      *dims, *box, 1)
         bad.write_bytes(header + bytes(16 * int(np.prod(dims))))
         assert main(["report", str(bad)]) == 5, dims
+    # Text artifacts: exit 5 naming the file, not a traceback.
+    for name, content in [("empty.csv", b""),
+                          ("blank.csv", b"\n \n"),
+                          ("manifest.json", b"{not json"),
+                          ("keys.json", b'{"outputs": []}'),
+                          ("list.json", b"[1, 2]"),
+                          ("latin1.csv", "t,\xe9nergie\n".encode("latin-1")),
+                          ("latin1.json", "{\"\xe9\": 1}".encode("latin-1"))]:
+        path = tmp_path / name
+        path.write_bytes(content)
+        capsys.readouterr()
+        assert main(["report", str(path)]) == 5, name
+        err = capsys.readouterr().err
+        assert "file format error" in err and str(path) in err, (name, err)
 
 
 def test_cli_fiber_and_observables(tmp_path):
