@@ -7,9 +7,10 @@ Usage:
 Exit codes: 0 success, 2 configuration error, 3 solver precondition
 violated, 4 numeric instability, 5 I/O or file-format error.  Every run
 writes a JSON manifest (config hash, resolved config values, output hashes,
-versions, wall time, and under "run" the counts of the run's forward and
-inverse transforms) next to its artifacts; identical configs produce
-identical output hashes and counts.  A failed run writes no artifact.
+versions, wall time, peak resident memory, and under "run" the counts of
+the run's forward and inverse transforms) next to its artifacts; identical
+configs produce identical output hashes and counts.  A failed run writes
+no artifact.
 
 Internals use natural units (hbar = c = eps0 = 1); the observables keys
 [output] hbar_si and c_si rescale its reported scalars on the way out.
@@ -105,10 +106,10 @@ def _medium(scenario):
         if kind == "uniform":
             return np.full(spec.n, args[0])
         base, amp = args
-        x = spec.coords()
+        x = spec.coord_lines()
         wave = np.cos(2 * np.pi * x[0] / spec.length[0]) \
             * np.cos(2 * np.pi * x[1] / spec.length[1])
-        return base + amp * wave
+        return base + amp * np.broadcast_to(wave, spec.n)
 
     return checked("physics", evolve.MediumMap, spec=spec,
                    eps=profile("eps_profile"), mu=profile("mu_profile"),
@@ -237,8 +238,9 @@ def _run_observables(scenario):
     sp = spectral.decompose(sp) if isinstance(sp, spectral.SixField) else sp
     n_ph = metrics.photon_number(sp)
     sp.amp /= np.sqrt(n_ph)
-    psi = spectral.synthesize(sp, 0.0)
     om = metrics.observables_momentum(sp)
+    psi = spectral.synthesize(sp, 0.0)
+    del sp  # the coordinate pass reads psi alone
     oc = metrics.observables_coordinate(psi)
     hbar, c = scenario.output["hbar_si"], scenario.output["c_si"]
     rows = [

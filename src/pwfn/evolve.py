@@ -32,8 +32,8 @@ import numpy as np
 from .errors import DomainError, ShapeError, StabilityError
 from .fieldcore import CYCLIC, rodrigues
 from .spectral import (GridSpec, SixField, _check_phase, _cross_k, _curl_k,
-                       _fft, _field_of_blocks, _ifft, _live_blocks, div, grad,
-                       triad_arrays)
+                       _expand, _fft, _field_of_blocks, _ifft, _length,
+                       _live_blocks, div, grad, triad_arrays)
 
 __all__ = [
     "MediumMap", "StepperConfig", "rk4",
@@ -216,9 +216,11 @@ def _rk4_curl(psi: SixField, w, dt, steps, rate, cfl_safety) -> SixField:
     if not steps:
         return psi.copy()
     spec = psi.spec
-    kd = spec.k_grid_diff()
-    kd_norm = np.sqrt(np.sum(kd**2, axis=0))
-    nd = np.divide(kd, kd_norm, out=np.zeros_like(kd), where=kd_norm > 0.0)
+    kd = spec.k_diff_lines()
+    kd_norm = _length(kd)
+    nd = np.zeros((3,) + spec.n)
+    for k, row in zip(kd, nd):
+        np.divide(k, kd_norm, out=row, where=kd_norm > 0.0)
     z = -1j * (w * dt) * kd_norm
     g = (1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))) \
         ** steps
@@ -271,24 +273,27 @@ def hamiltonian_apply(psi: SixField, medium: MediumMap) -> SixField:
     if medium.spec != psi.spec:
         raise ShapeError("medium and field grids differ")
     sv = medium.sqrt_v
-    out = _medium_rhs(psi.spec, sv * psi.data, *_medium_tables(medium))
+    out = _medium_rhs(sv * psi.data, *_medium_tables(medium))
     out *= 1j
     out /= sv
     return SixField(spec=psi.spec, data=out)
 
 
 def _medium_tables(medium: MediumMap):
-    """The tables of :func:`_medium_rhs`: rho_3 v as a (2, 1, nx, ny, nz)
-    array, and (-i c, i c) as a (2, 3, nx, ny, nz) stack, or None where h
-    is uniform and c vanishes."""
+    """The tables of :func:`_medium_rhs`: the odd-derivative wave vectors
+    as the full (3, nx, ny, nz) table, for a run of many right-hand sides
+    on a small grid; rho_3 v as a (2, 1, nx, ny, nz) array; and (-i c, i c)
+    as a (2, 3, nx, ny, nz) stack, or None where h is uniform and c
+    vanishes."""
+    kd = _expand(medium.spec.k_diff_lines())
     speed = np.stack([medium.v, -medium.v])[:, None]
     if medium.is_uniform_h:
-        return speed, None
+        return kd, speed, None
     ic = 1j * medium.coupling
-    return speed, np.stack([-ic, ic])
+    return kd, speed, np.stack([-ic, ic])
 
 
-def _medium_rhs(spec: GridSpec, g, speed, coupling):
+def _medium_rhs(g, kd, speed, coupling):
     """-i (v rho_3 (s . grad/i) + B) G for the data g of G = sqrt(v) F.
 
     With G = sqrt(v) F the medium equation i dF/dt = H F becomes
@@ -296,10 +301,10 @@ def _medium_rhs(spec: GridSpec, g, speed, coupling):
     pointwise coupling: the same H conjugated by sqrt(v), so its spectral
     radius has H's bound.  -i (s . grad/i) G = -i curl G is _ifft(k_d x
     hat G); -i B G is (-i c) x G- above and (i c) x G+ below, one cross
-    product of the table coupling with the swapped view g[::-1].  speed
-    and coupling are the tables of :func:`_medium_tables`.
+    product of the table coupling with the swapped view g[::-1].  kd,
+    speed and coupling are the tables of :func:`_medium_tables`.
     """
-    out = _ifft(_cross_k(spec, _fft(g)))
+    out = _ifft(_cross_k(kd, _fft(g)))
     out *= speed
     if coupling is not None:
         swapped = g[::-1]
@@ -336,7 +341,7 @@ def step_medium(psi: SixField, medium: MediumMap, cfg: StepperConfig,
         tables = _medium_tables(medium)
 
         def rhs(g):
-            return _medium_rhs(spec, g, *tables)
+            return _medium_rhs(g, *tables)
         sv = medium.sqrt_v
         out = rk4(rhs, sv * psi.data, cfg.dt, steps, rate, cfg.cfl_safety)
         with np.errstate(over="ignore", invalid="ignore"):

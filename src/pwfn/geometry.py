@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .evolve import _rk4_curl, _turner, free_generator, rk4
 from .fieldcore import LEVI_CIVITA
-from .spectral import GridSpec, SixField, _fft, _ifft
+from .spectral import GridSpec, SixField, _expand, _fft, _ifft
 
 __all__ = [
     "MetricField", "minkowski_metric", "conformal_metric",
@@ -231,7 +231,7 @@ def dirac_form_step(spec: GridSpec, phi, t: float):
     phi = np.ascontiguousarray(phi, dtype=complex)
     if phi.shape != (4,) + spec.n:
         raise ShapeError("spinor lattice shape does not match the grid")
-    kvec = spec.k_grid()
+    kvec = _expand(spec.k_lines())
     knorm = spec.k_norm()
     phihat = _fft(phi)
     akphi = np.einsum("aij,a...,j...->i...", _ALPHA, kvec, phihat)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import resource
 import struct
 import time
 
@@ -121,7 +122,9 @@ def file_sha256(path) -> str:
 def write_manifest(path, config_path, outputs, resolved, started,
                    extra=None) -> None:
     """JSON run manifest: input hash, every resolved config value (defaults
-    applied), output hashes, versions, wall time."""
+    applied), output hashes, versions, wall time, and the process's peak
+    resident memory so far (ru_maxrss; for a CLI process, the run's peak).
+    Neither of the last two is part of a run's reproducible record."""
     import scipy
 
     manifest = {
@@ -135,6 +138,8 @@ def write_manifest(path, config_path, outputs, resolved, started,
             "scipy": scipy.__version__,
         },
         "wall_time_s": time.monotonic() - started,
+        "peak_rss_mb": resource.getrusage(
+            resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     if extra:
         manifest["run"] = extra

@@ -256,13 +256,14 @@ def _positive_frequency_amplitudes(psi: SixField, raw, blocks):
     return amp
 
 
-def _gradient_k(spec: GridSpec, amp):
-    """Centered differences of a dual-lattice function along the k axes
-    (periodic neighbours in FFT order, so no shift to centered order)."""
-    out = np.empty((3,) + amp.shape, dtype=complex)
-    for ax, L in enumerate(spec.length):
-        dk = 2.0 * np.pi / L
-        out[ax] = (np.roll(amp, -1, axis=ax) - np.roll(amp, 1, axis=ax)) / (2 * dk)
+def _difference_k(spec: GridSpec, amp, ax, out):
+    """Centered difference of a dual-lattice function along k axis ax, into
+    out (periodic neighbours in FFT order, so no shift to centered order)."""
+    a, d = np.moveaxis(amp, ax, 0), np.moveaxis(out, ax, 0)
+    np.subtract(a[2:], a[:-2], out=d[1:-1])
+    np.subtract(a[1], a[-1], out=d[0])
+    np.subtract(a[0], a[-2], out=d[-1])
+    d /= 2 * (2.0 * np.pi / spec.length[ax])
     return out
 
 
@@ -287,11 +288,17 @@ def observables_momentum(spectrum: HelicitySpectrum, pole_cone=1e-6) -> Observab
             "spectrum has support inside the gauge pole cone"
         )
     alpha[:, in_cone] = 0.0
-    # g = sum_lambda Re(phi* (1/i) D phi) = Im(phi* d phi) + lambda alpha |phi|^2
+    # g = sum_lambda Re(phi* (1/i) D phi) = Im(phi* d phi) + lambda alpha |phi|^2,
+    # differentiated one k axis at a time; a zero helicity adds nothing.
     helicity = p2[0] - p2[1]
-    g = alpha * helicity
-    for phi in spectrum.amp:
-        g += (np.conj(phi) * _gradient_k(spec, phi)).imag
+    g = alpha
+    g *= helicity
+    live = [phi for phi in spectrum.amp if np.any(phi)]
+    diff = np.empty(spec.n, dtype=complex)
+    for ax in range(3):
+        for phi in live:
+            _difference_k(spec, phi, ax, diff)
+            g[ax] += np.multiply(np.conj(phi), diff, out=diff).imag
     energy, momentum, n, omega = _mode_sums(spec, p2)
     spin = helicity * spec.k_inverse()
     # np.sum products, not BLAS ones (see observables_coordinate)
@@ -327,7 +334,7 @@ def observables_coordinate(psi: SixField) -> Observables:
     blocks, live = _live_blocks(psi.data)
     raw = _fft(live)
     amp = _positive_frequency_amplitudes(psi, raw, blocks)
-    amp *= dv * spec.checkerboard()
+    amp[blocks.start:blocks.stop] *= dv * spec.checkerboard()
     n2 = photon_number(HelicitySpectrum(spec=spec, amp=amp))
     del amp
     if abs(n2 - 1.0) > _NORMALIZED_RTOL:
@@ -336,14 +343,14 @@ def observables_coordinate(psi: SixField) -> Observables:
         )
     bra = _ifft(spec.k_inverse() * raw)
     np.conj(bra, out=bra)
-    coords = spec.coords()
+    coords = spec.coord_lines()
     # P_m psi is built one axis at a time in one reused buffer.  <P_m> is
     # its overlap with 1/H psi; the same pointwise overlap, weighted by x_a,
     # gives the orbital terms eps_iam x_a P_m of <J_i>.  Overlaps are
     # reduced one component at a time.
     momentum = np.empty(3)
     ang = np.zeros(3)
-    kvec = spec.k_grid_diff()
+    kvec = spec.k_diff_lines()
     grid = (-1,) + spec.n
     image = np.empty_like(raw)
     product = np.empty(spec.n, dtype=complex)
@@ -398,7 +405,7 @@ def energy_probability(psi: SixField, region) -> float:
     coordinates; an empty region returns 0 with a warning.
     """
     rho, _ = energy_density(psi)
-    coords = psi.spec.coords()
+    coords = psi.spec.coord_lines()
     mask = np.ones(psi.spec.n, dtype=bool)
     for ax in range(3):
         lo, hi = region[ax]
@@ -529,7 +536,7 @@ class _GeneratorJet:
     def derivative(self, ax):
         """D_ax = (1/i) d_ax psi."""
         if self._derivs[ax] is None:
-            kvec = self.spec.k_grid_diff()
+            kvec = self.spec.k_diff_lines()
             self._derivs[ax] = _ifft(kvec[ax] * self._transform())
         return self._derivs[ax]
 
@@ -551,10 +558,10 @@ class _GeneratorJet:
         if tag.family == "P":
             return self.derivative(ax)
         if tag.family == "K":
-            return _free_generator_k(spec, _fft(self.data * spec.coords()[ax]),
+            return _free_generator_k(spec, _fft(self.data * spec.coord_lines()[ax]),
                                      self.blocks)
         if tag.family == "J":
-            coords = spec.coords()
+            coords = spec.coord_lines()
             j, k = CYCLIC[ax]
             out = coords[j] * self.derivative(k)
             out -= coords[k] * self.derivative(j)

@@ -174,23 +174,31 @@ def wigner_subsidiary_residual(decomp: WignerDecomp):
     solution-built distributions in the tests).
     """
     spec, u, w_sym = decomp.spec, decomp.u, decomp.w_sym
-    kvec = spec.k_grid()    # broadcasts over the trailing k axes
+    kvec = spec.k_lines()    # broadcasts over the trailing k axes
     # One row i at a time, so one row's terms and transform are held.
     defect1 = defect2 = 0.0
     for i, (j, k) in enumerate(CYCLIC):
         diff = kvec[j] * u[k] - kvec[k] * u[j]      # (k x u)_i
         diff -= np.moveaxis(div(spec, _r_last(w_sym[i])), (0, 1, 2), (3, 4, 5))
         defect1 = max(defect1, np.max(np.abs(diff)))
+    del diff
     lhs2 = np.moveaxis(curl(spec, _r_last(u)), (3, 4, 5, 6), (0, 1, 2, 3))
     for i in range(3):
         rhs2 = sum(-4.0 * kvec[j] * w_sym[i, j] for j in range(3))
         defect2 = max(defect2, np.max(np.abs(lhs2[i] - rhs2)))
     # normalize by the representable field scale, not by the residual terms
-    # themselves (which vanish identically for single modes)
-    scale = spec.k_max() * (np.max(np.abs(u)) + np.max(np.abs(w_sym)))
+    # themselves (which vanish identically for single modes); max |.| is
+    # taken one row at a time
+    scale = spec.k_max() * (_max_abs(u)
+                            + np.max([_max_abs(rows) for rows in w_sym]))
     if scale == 0:
         return 0.0, 0.0
     return float(defect1 / scale), float(defect2 / (4.0 * scale))
+
+
+def _max_abs(rows):
+    """np.max(np.abs(rows)), with one row's |.| held at a time."""
+    return np.max([np.max(np.abs(row)) for row in rows])
 
 
 def reduced_pair_from_wigner(decomp: WignerDecomp, k_index):

@@ -118,10 +118,15 @@ class GridSpec:
             (np.arange(m) - m // 2) * (L / m) for m, L in zip(self.n, self.length)
         )
 
+    def coord_lines(self):
+        """Box-centered coordinates as three read-only arrays of shapes
+        (nx, 1, 1), (1, ny, 1) and (1, 1, nz): each broadcasts over the
+        lattice to the matching row of :meth:`coords`."""
+        return _table(self, "coord_lines", lambda: _lines(self.axes()))
+
     def coords(self):
         """Array (3, nx, ny, nz) of box-centered coordinates."""
-        return _table(self, "coords", lambda: np.stack(
-            np.meshgrid(*self.axes(), indexing="ij")))
+        return _table(self, "coords", lambda: _expand(self.coord_lines()))
 
     def k_axes(self):
         """Dual-lattice wave numbers per axis in FFT order."""
@@ -129,13 +134,14 @@ class GridSpec:
             2.0 * np.pi * sfft.fftfreq(m, d=L / m) for m, L in zip(self.n, self.length)
         )
 
-    def k_grid(self):
-        """Array (3, nx, ny, nz) of wave vectors in FFT order."""
-        return _table(self, "k_grid", lambda: np.stack(
-            np.meshgrid(*self.k_axes(), indexing="ij")))
+    def k_lines(self):
+        """Wave numbers as three broadcastable arrays, as :meth:`coord_lines`
+        gives the coordinates: the rows of :meth:`k_grid`."""
+        return _table(self, "k_lines", lambda: _lines(self.k_axes()))
 
-    def k_grid_diff(self):
-        """Wave vectors for odd-order derivative multipliers.
+    def k_diff_lines(self):
+        """Wave numbers for odd-order derivative multipliers, as three
+        broadcastable arrays: the rows of :meth:`k_grid_diff`.
 
         The unpaired Nyquist component is zeroed per axis: it has no
         conjugation-consistent odd derivative, and keeping it breaks the
@@ -145,15 +151,26 @@ class GridSpec:
             axes = self.k_axes()
             for k, m in zip(axes, self.n):
                 k[m // 2] = 0.0
-            return np.stack(np.meshgrid(*axes, indexing="ij"))
-        return _table(self, "k_grid_diff", build)
+            return _lines(axes)
+        return _table(self, "k_diff_lines", build)
+
+    def k_grid(self):
+        """Array (3, nx, ny, nz) of wave vectors in FFT order."""
+        return _table(self, "k_grid", lambda: _expand(self.k_lines()))
+
+    def k_grid_diff(self):
+        """Array (3, nx, ny, nz) of the wave vectors of :meth:`k_diff_lines`."""
+        return _table(self, "k_grid_diff",
+                      lambda: _expand(self.k_diff_lines()))
 
     def k_norm(self):
-        return _table(self, "k_norm", lambda: np.sqrt(
-            np.sum(self.k_grid() ** 2, axis=0)))
+        return _table(self, "k_norm", lambda: _length(self.k_lines()))
 
     def k_max(self):
-        return float(np.max(self.k_norm()))
+        """max |k| on the lattice: the |k| of the corner point of largest
+        |k_x|, |k_y| and |k_z|, by the expression of :meth:`k_norm`, so
+        equal to the maximum of that table without building it."""
+        return float(_length([np.max(np.abs(k)) for k in self.k_axes()]))
 
     def k_inverse(self):
         """1/|k| on the dual lattice and 0 at k = 0, the mode without a
@@ -169,11 +186,28 @@ class GridSpec:
     def checkerboard(self):
         """(-1)^(mx+my+mz) on the dual lattice: exp(-i k . r0) exactly."""
         def build():
-            signs = [1 - 2 * (np.abs(sfft.fftfreq(m, d=1.0 / m)).astype(int) % 2)
-                     for m in self.n]
-            return (signs[0][:, None, None] * signs[1][None, :, None]
-                    * signs[2][None, None, :]).astype(float)
+            signs = _lines([
+                1 - 2 * (np.abs(sfft.fftfreq(m, d=1.0 / m)).astype(int) % 2)
+                for m in self.n])
+            return (signs[0] * signs[1] * signs[2]).astype(float)
         return _table(self, "checkerboard", build)
+
+
+def _lines(axes):
+    """Three 1-D axes as arrays of shapes (nx, 1, 1), (1, ny, 1), (1, 1, nz)."""
+    return tuple(np.reshape(a, [-1 if d == i else 1 for d in range(3)])
+                 for i, a in enumerate(axes))
+
+
+def _expand(lines):
+    """The (3, nx, ny, nz) stack of three broadcastable lines."""
+    return np.stack(np.broadcast_arrays(*lines))
+
+
+def _length(lines):
+    """sqrt(a^2 + b^2 + c^2) of three broadcastable lines (or numbers),
+    summed in axis order."""
+    return np.sqrt((lines[0] ** 2 + lines[1] ** 2) + lines[2] ** 2)
 
 
 @functools.lru_cache(maxsize=1)
@@ -222,10 +256,18 @@ def reset_transform_counts() -> None:
 
 
 def _fft(u):
-    """Unscaled forward FFT over the last three axes."""
+    """Unscaled forward FFT over the last three axes.
+
+    A real u is transformed as a complex copy, overwritten in place: scipy's
+    real-input path rounds differently, and a real field must transform
+    exactly like its complex copy.
+    """
     _TRANSFORM_COUNTS["fft_calls"] += 1
     _TRANSFORM_COUNTS["fft_points"] += u.size
-    return sfft.fftn(u, axes=(-3, -2, -1), workers=_FFT_WORKERS)
+    if np.iscomplexobj(u):
+        return sfft.fftn(u, axes=(-3, -2, -1), workers=_FFT_WORKERS)
+    return sfft.fftn(np.array(u, dtype=complex), axes=(-3, -2, -1),
+                     workers=_FFT_WORKERS, overwrite_x=True)
 
 
 def _ifft(uhat):
@@ -261,8 +303,8 @@ def grad(spec: GridSpec, u):
     transform of u and that buffer are held.  The odd-derivative wave
     vectors drop the unpaired Nyquist mode.
     """
-    hat = _fft(np.asarray(u, dtype=complex))
-    kvec = spec.k_grid_diff()
+    hat = _fft(u)
+    kvec = spec.k_diff_lines()
     real = np.isrealobj(u)
     out = np.empty(hat.shape[:-3] + (3,) + spec.n,
                    dtype=float if real else complex)
@@ -277,21 +319,33 @@ def grad(spec: GridSpec, u):
 def div(spec: GridSpec, u):
     """Spectral divergence of vectors stored along axis -4 of (..., 3, nx, ny, nz).
 
-    Returns (..., nx, ny, nz); a real u gives a real result.
+    Returns (..., nx, ny, nz); a real u gives a real result.  The terms
+    k_a hat_a are summed in axis order into one component-sized buffer,
+    the last two formed in place in the transform of u.
     """
-    hat = _fft(np.asarray(u, dtype=complex))
-    out = _ifft(1j * np.sum(spec.k_grid_diff() * hat, axis=-4))
+    hat = _fft(u)
+    kvec = spec.k_diff_lines()
+    total = kvec[0] * hat[..., 0, :, :, :]
+    for a in (1, 2):
+        row = hat[..., a, :, :, :]
+        total += np.multiply(kvec[a], row, out=row)
+    del hat, row
+    total *= 1j
+    out = _ifft(total)
     return out.real.copy() if np.isrealobj(u) else out
 
 
 def curl(spec: GridSpec, data):
     """Spectral curl of vectors stored along axis -4 of (..., 3, nx, ny, nz).
 
-    All components are transformed together; the odd-derivative wave
-    vectors drop the unpaired Nyquist mode.  A real input gives a real
-    result.
+    All components are transformed together, and the curl is formed in
+    place in their transform (:func:`_cross_k_in_place`); the
+    odd-derivative wave vectors drop the unpaired Nyquist mode.  A real
+    input gives a real result.
     """
-    out = _curl_k(spec, _fft(np.asarray(data, dtype=complex)))
+    curl_hat = _cross_k_in_place(spec.k_diff_lines(), _fft(data))
+    curl_hat *= 1j
+    out = _ifft(curl_hat)
     return out.real.copy() if np.isrealobj(data) else out
 
 
@@ -300,21 +354,53 @@ def _curl_k(spec: GridSpec, hat):
 
     hat is left unchanged, so one transform can serve further operators.
     """
-    curl_hat = _cross_k(spec, hat)
+    curl_hat = _cross_k(spec.k_diff_lines(), hat)
     curl_hat *= 1j
     return _ifft(curl_hat)
 
 
-def _cross_k(spec: GridSpec, hat):
+def _cross_k(kvec, hat):
     """k_d x hat per mode, for vectors along axis -4 of hat, with the real
-    odd-derivative wave vectors k_d: _ifft of it is -i times the curl."""
-    kvec = spec.k_grid_diff()
+    odd-derivative wave vectors k_d: _ifft of it is -i times the curl.
+
+    Row c is k_a hat_b - k_b hat_a, (a, b) = CYCLIC[c], each product
+    formed before the difference.  kvec holds k_d as
+    :meth:`GridSpec.k_diff_lines` or as a full (3, nx, ny, nz) table, which
+    is faster where the products run many times on a small grid (the RK4
+    medium loop), each broadcast product there being a short loop.  hat
+    is left unchanged.
+    """
     out = np.empty_like(hat)
     for c, (a, b) in enumerate(CYCLIC):
         row = out[..., c, :, :, :]
         np.multiply(kvec[a], hat[..., b, :, :, :], out=row)
         row -= kvec[b] * hat[..., a, :, :, :]
     return out
+
+
+def _cross_k_in_place(kvec, hat):
+    """:func:`_cross_k`, written over hat, which is returned.
+
+    Every row of hat feeds two rows of the product, so rows 0 and 1 wait
+    in two component-sized buffers while row 2 is formed in the slot of
+    hat's row 2, which they no longer read: besides hat, two components
+    are held, where :func:`_cross_k` holds three and a product.  The
+    products and differences are those of :func:`_cross_k`, bit for bit;
+    that one stays for callers whose transform must survive, and for the
+    RK4 medium loop, which runs slower with the two row copies here.
+    """
+    h0, h1, h2 = (hat[..., c, :, :, :] for c in range(3))
+    k0, k1, k2 = kvec
+    row0 = np.multiply(k1, h2)
+    row1 = np.multiply(k2, h1)
+    row0 -= row1
+    np.multiply(k2, h0, out=row1)
+    row1 -= np.multiply(k0, h2, out=h2)
+    np.multiply(k0, h1, out=h2)
+    h2 -= np.multiply(k1, h0, out=h0)
+    h0[...] = row0
+    h1[...] = row1
+    return hat
 
 
 @dataclass
@@ -451,7 +537,10 @@ def triad_arrays(spec: GridSpec):
     def build():
         knorm = spec.k_norm()
         dc = knorm == 0.0
-        nhat = spec.k_grid() / np.where(dc, 1.0, knorm)
+        safe = np.where(dc, 1.0, knorm)
+        nhat = np.empty((3,) + spec.n)
+        for k, row in zip(spec.k_lines(), nhat):
+            np.divide(k, safe, out=row)
         nhat[:, dc] = 0.0
         l1, l2 = _triads_from_khat(nhat[0], nhat[1], nhat[2])
         l1[:, dc] = 0.0
@@ -627,7 +716,7 @@ def longitudinal_residual(psi: SixField) -> float:
 def translate(spectrum: HelicitySpectrum, r0=(0.0, 0.0, 0.0), t0=0.0) -> HelicitySpectrum:
     """Space-time translation: amp'(k) = exp(-i omega t0 + i k.r0) amp(k)."""
     spec = spectrum.spec
-    r0, k = np.asarray(r0, dtype=float), spec.k_grid()
+    r0, k = np.asarray(r0, dtype=float), spec.k_lines()
     phase = np.exp(1j * (r0[0] * k[0] + r0[1] * k[1] + r0[2] * k[2])
                    - 1j * spec.k_norm() * float(t0))
     return HelicitySpectrum(spec=spec, amp=spectrum.amp * phase)

@@ -63,13 +63,14 @@ def gaussian_packet_spectrum(spec: GridSpec, k_center, sigma_k, helicity=+1,
         raise DomainError(f"sigma_k must be > 0 with 2 sigma_k^2 a finite "
                           f"normal float, got {sigma_k!r}", arg="sigma_k")
     _check_phase(spec, r_center, arg="r_center")
-    kvec = spec.k_grid()
+    kvec = spec.k_lines()
     knorm = spec.k_norm()
     k0 = np.asarray(k_center, dtype=float)
     r0 = np.asarray(r_center, dtype=float)
     lam = _helicity_index(helicity)
     with np.errstate(over="ignore"):
-        profile = np.exp(-np.sum((kvec - k0[:, None, None, None]) ** 2, axis=0)
+        d2 = [(k - c) ** 2 for k, c in zip(kvec, k0)]
+        profile = np.exp(-((d2[0] + d2[1]) + d2[2])
                          / (2.0 * sigma * sigma)).astype(complex)
     profile *= np.exp(-1j * (r0[0] * kvec[0] + r0[1] * kvec[1]
                              + r0[2] * kvec[2]))
@@ -126,9 +127,8 @@ def standing_wave_classical(spec: GridSpec, k_index=(0, 0, 1),
     two counter-propagating waves.  At the default quarter-period phase both
     field patterns are equally strong and the energy density is uniform.
     """
-    kvec = spec.k_grid()
     idx = tuple(int(i) % m for i, m in zip(k_index, spec.n))
-    k0 = kvec[:, idx[0], idx[1], idx[2]]
+    k0 = np.array([k[i] for k, i in zip(spec.k_axes(), idx)])
     kn = np.linalg.norm(k0)
     if kn == 0.0:
         raise DomainError("standing wave needs a nonzero wave vector")
@@ -137,7 +137,7 @@ def standing_wave_classical(spec: GridSpec, k_index=(0, 0, 1),
     if np.linalg.norm(pol) == 0.0:
         raise DomainError("polarization parallel to k")
     pol /= np.linalg.norm(pol)
-    coords = spec.coords()
+    coords = spec.coord_lines()
     arg = k0[0] * coords[0] + k0[1] * coords[1] + k0[2] * coords[2]
     d = pol[:, None, None, None] * (np.cos(arg) * np.cos(phase))
     b = cross(k0 / kn, pol)[:, None, None, None] * (np.sin(arg) * np.sin(phase))
@@ -154,7 +154,7 @@ def vortex_field(spec: GridSpec, core_xy=(0.0, 0.0), k_z_index=2,
     whose u field winds by 2 pi around each vortex line.
     """
     x0, y0 = core_xy
-    coords = spec.coords()
+    coords = spec.coord_lines()
     qx = 2.0 * np.pi * transverse_k_index / spec.length[0]
     qy = 2.0 * np.pi * transverse_k_index / spec.length[1]
     kz = 2.0 * np.pi * k_z_index / spec.length[2]

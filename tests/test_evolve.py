@@ -636,7 +636,7 @@ def test_rk4_peak_memory_in_states():
     tables = ev._medium_tables(med)
 
     def run():
-        return rk4(lambda g: ev._medium_rhs(spec, g, *tables), psi.data,
+        return rk4(lambda g: ev._medium_rhs(g, *tables), psi.data,
                    0.002, 3, _medium_rate(spec, med), 0.5)
 
     run()   # builds the grid tables

@@ -77,3 +77,28 @@ def test_no_module_imports_a_name_it_never_uses():
     # the check itself sees a name left behind after its last use went
     assert _unused_imports("from .fieldcore import CYCLIC, cross\n"
                            "x = CYCLIC\n") == [(1, "cross")]
+
+
+FULL_TABLES = {"k_grid", "k_grid_diff", "coords"}
+
+
+def _full_table_calls(source):
+    """(line, name) of every call of a full lattice table accessor."""
+    return sorted((node.lineno, node.func.attr)
+                  for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in FULL_TABLES)
+
+
+def test_no_module_reads_a_full_lattice_table():
+    # The library reads wave vectors and coordinates as axis arrays
+    # (GridSpec.k_lines, k_diff_lines, coord_lines); the (3, nx, ny, nz)
+    # tables are for callers outside the package.
+    calls = {name: _full_table_calls(
+        (Path(pwfn.__path__[0]) / f"{name}.py").read_text(encoding="utf-8"))
+        for name in MODULES}
+    assert {name: found for name, found in calls.items() if found} == {}
+    # the check itself sees such a call
+    assert _full_table_calls("x = spec.coords()[0]\ny = self.k_grid_diff()\n"
+                             ) == [(1, "coords"), (2, "k_grid_diff")]

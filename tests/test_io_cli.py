@@ -530,7 +530,7 @@ def test_cli_reports_a_state_that_overflows_during_rk4(tmp_path, capsys,
     # A right-hand side that overflows in the second stage: the end-of-run
     # finiteness check of rk4 reports it as a stability error.  A varying
     # eps keeps the run on the r-space right-hand side.
-    def overflowing(spec, g, *tables):
+    def overflowing(g, *tables):
         return g * 1e300
 
     monkeypatch.setattr(evolve, "_medium_rhs", overflowing)
@@ -809,6 +809,61 @@ def _run(tmp_path, kind, text, name="run"):
     out = tmp_path / name
     assert main([kind, "--config", str(cfg), "--out", str(out)]) == 0
     return json.loads((out / "manifest.json").read_text())["run"]
+
+
+def test_manifest_records_peak_memory_outside_the_run_record(tmp_path):
+    cfg = tmp_path / "obs.ini"
+    cfg.write_text("[scenario]\nkind = observables\n" + MINIMAL["observables"])
+    assert main(["observables", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["peak_rss_mb"] > 0.0
+    assert "peak_rss_mb" not in manifest["run"]
+
+
+@pytest.mark.parametrize("kind", SCENARIO_KINDS)
+def test_cli_runs_build_no_full_lattice_tables(tmp_path, monkeypatch, kind):
+    # Wave vectors and coordinates are read as axis arrays: a run caches
+    # |k|, the checkerboard and the triad, never a (3, nx, ny, nz) table.
+    built = set()
+    table = spectral._table
+
+    def recording_table(spec, name, build):
+        built.add(name)
+        return table(spec, name, build)
+
+    monkeypatch.setattr(spectral, "_table", recording_table)
+    _run(tmp_path, kind, MINIMAL[kind])
+    assert not {"k_grid", "k_grid_diff", "coords"} & built, built
+    assert spectral._grid_tables.cache_info().currsize == 0
+
+
+def test_cold_observables_run_memory(tmp_path):
+    # A cold 32^3 observables run, its per-grid tables included (every run
+    # releases them at its end): 3.87 six-field sizes (numpy 2.4, scipy
+    # 1.17), where full wave-vector and coordinate tables and the spectrum
+    # held through the coordinate pass took 4.93.
+    import tracemalloc
+    spec = cube(32, length=4 * np.pi)
+    grid = (f"[grid]\nn = 32 32 32\nlength = {spec.length[0]!r} "
+            f"{spec.length[1]!r} {spec.length[2]!r}\n")
+    packet = ("[initial]\npacket = gaussian\nk_center = 1.5 2.0 1.2\n"
+              "sigma_k = 0.7\nhelicity = -1\nr_center = 0.3 -0.6 0.8\n")
+    _run(tmp_path, "observables", MINIMAL["observables"], "warm")  # imports
+    assert spectral._grid_tables.cache_info().currsize == 0
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        _run(tmp_path, "observables", grid + packet, "cold")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    six_field = 6 * spec.npoints * 16
+    measured, bound = (peak - base) / six_field, 4.2
+    ok = measured <= bound
+    print(f"[{'PASS' if ok else 'FAIL'}] cold 32^3 observables run peak "
+          f"memory [six-field sizes]: {measured:.3e} (<= {bound:.3e})")
+    assert ok, (measured, bound)
 
 
 def test_manifest_counts_transforms(tmp_path, rng):

@@ -133,6 +133,28 @@ def test_wigner_build_memory_bound(rng):
     assert peak - base <= 2 * one_w, (peak - base) / one_w
 
 
+def test_wigner_subsidiary_residual_memory(rng):
+    # The residual forms r1's divergence in the transform of one row of w
+    # and r2's curl in place in the one transform of u: 0.559 W above its
+    # input (numpy 2.4, scipy 1.17), where the curl held 0.84 W.
+    spec = cube(8)
+    dec = ps.wigner_build(spec, even_field(spec, rng, kmax=2.5).upper)
+    ps.wigner_subsidiary_residual(dec)  # tables
+    one_w = 9 * spec.npoints ** 2 * 16
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        ps.wigner_subsidiary_residual(dec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    measured, bound = (peak - base) / one_w, 0.6
+    ok = measured <= bound
+    print(f"[{'PASS' if ok else 'FAIL'}] wigner residual peak memory [W]: "
+          f"{measured:.3e} (<= {bound:.3e})")
+    assert ok, (measured, bound)
+
+
 def test_wigner_subsidiary_solution_vs_detector(rng):
     spec = cube(8)
     psi = even_field(spec, rng, kmax=2.5)
