@@ -15,19 +15,25 @@ Steppers integrate i dF/dt = H F with classic RK4 (default) or, for
 uniform-speed media, Strang splitting between the exact kinetic phase and
 the pointwise helicity-coupling term.  :func:`rk4` is the one integrator,
 and the one holder of its step bound, that the medium, curved-space and
-reduced Wigner evolutions share; where the generator is w rho_3
-(s . grad/i) with one w everywhere, :func:`_rk4_curl` evaluates the same
-RK4 steps per Fourier mode.  In a varying medium RK4 steps G = sqrt(v) F,
-whose generator v rho_3 (s . grad/i) + B needs sqrt(v) once per run, not
-twice per right-hand side (:func:`_medium_rhs`).
+reduced Wigner evolutions share.  H is static with real spectrum in
+[-rate, rate], so a run of RK4 steps is one polynomial of the generator,
+R(dt L)^steps, which rk4 evaluates as one Chebyshev series in L / rate:
+about rate |dt| steps + O(log 1/eps) generator applications, and never
+more than the 4 steps that stepping makes.  Where the generator is
+w rho_3 (s . grad/i) with one w everywhere, :func:`_rk4_curl` evaluates
+the same polynomial per Fourier mode.  In a varying medium RK4 runs on
+G = sqrt(v) F, whose generator v rho_3 (s . grad/i) + B needs sqrt(v)
+once per run, not twice per right-hand side (:func:`_medium_rhs`).
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sfft
 
 from .errors import DomainError, ShapeError, StabilityError
 from .fieldcore import CYCLIC, rodrigues
@@ -113,10 +119,10 @@ class StepperConfig:
 def _check_rk4_step(dt, rate, cfl_safety):
     """Refuse a step dt past RK4's bound for a generator of spectral radius
     at most rate (its spectrum on the imaginary axis): |dt| rate must not
-    exceed cfl_safety 2 sqrt(2)."""
+    exceed cfl_safety 2 sqrt(2), and a NaN rate is refused."""
     # |R(iy)|^2 = 1 - y^6/72 + y^8/576 <= 1 while |y| <= 2 sqrt(2)
     limit = cfl_safety * 2.0 * np.sqrt(2.0)
-    if abs(dt) * rate > limit:
+    if not abs(dt) * rate <= limit:
         raise StabilityError(
             f"dt = {dt:.3e} exceeds the RK4 stability bound {limit / rate:.3e}"
             f" = cfl_safety * 2 sqrt(2) / rate (cfl_safety = {cfl_safety}, "
@@ -143,33 +149,113 @@ def _check_rk4_finite(y, dt, steps):
     return y
 
 
+# The Chebyshev series of a run keeps its terms through the last |d_k| above
+# _SERIES_TOL sum |d_k|; one series covers at most |dt| rate steps =
+# _SERIES_SPAN, which bounds its samples to about 2 _SERIES_SPAN.
+_SERIES_TOL = 1e-16
+_SERIES_SPAN = 4096.0
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def rk4(rhs, y, dt, steps, rate, cfl_safety):
     """Classic RK4 for dy/dt = rhs(y); returns the state after `steps` steps.
 
-    rhs must be linear and time independent, as for every caller here.
-    Each step is then evaluated in nested form, u <- y + (dt/m) rhs(u) for
-    m = 4, 3, 2, 1 starting from u = y: the classic four stages' polynomial
-    R(dt L) = 1 + dt L (1 + dt L/2 (1 + dt L/3 (1 + dt L/4))) with four rhs
-    calls, holding y, u and one rhs output instead of k1 ... k4.  rhs must
-    return a new array, which is updated in place.
+    rhs must be linear and time independent, as for every caller here, with
+    its spectrum in i[-rate, rate].  One RK4 step is then the polynomial
+    R(dt L) = 1 + dt L + (dt L)^2/2 + (dt L)^3/6 + (dt L)^4/24 of L = rhs,
+    and the run is R(dt L)^steps y, evaluated as one Chebyshev series in
+    X = rhs / rate (:func:`_rk4_series`, :func:`_clenshaw`).  That costs
+    about |dt| rate steps + O(log 1/eps) rhs calls instead of 4 steps, and
+    never more than 4 steps; runs with |dt| rate steps past _SERIES_SPAN
+    apply one series per span of steps.  The series holds y, two partial
+    sums and one rhs output.  rhs must return a new array, which is updated
+    in place.
 
-    rate bounds the spectral radius of the linear map rhs (its spectrum lies
-    on the imaginary axis); unless |dt| rate <= cfl_safety 2 sqrt(2), rhs is
-    never called and StabilityError is raised.  The result is a new array; a
-    state that overflows anyway is caught by one finiteness check at the end.
+    rate bounds the spectral radius of rhs and sets the series' domain: an
+    underestimate breaks the series, not only RK4's stability.  Unless
+    |dt| rate <= cfl_safety 2 sqrt(2), rhs is never called and
+    StabilityError is raised.  The result is a new array; a state that
+    overflows anyway is caught by one finiteness check at the end.
     """
     steps = _check_steps(steps)
     _check_rk4_step(dt, rate, cfl_safety)
-    y = np.array(y)
-    for _ in range(steps):
-        u = y
-        for m in (4.0, 3.0, 2.0, 1.0):
-            u = rhs(u)
-            u *= dt / m
-            u += y
-        y = u
+    a = dt * rate
+    span = max(1, steps if abs(a) * steps <= _SERIES_SPAN
+               else int(_SERIES_SPAN / abs(a)))
+    full, rest = divmod(steps, span)
+    series, last = _rk4_series(a, span), _rk4_series(a, rest)
+    y = np.asarray(y)
+    for d in itertools.chain(itertools.repeat(series, full), [last]):
+        y = _clenshaw(rhs, y, d, rate)
     return _check_rk4_finite(y, dt, steps)
+
+
+def _rk4_series(a, steps):
+    """Real d_0 ... d_{K-1} with R(a X)^steps = sum_k d_k W_k(X) on X with
+    spectrum in i[-1, 1], a = dt rate; W_0 = 1, W_1 = X and
+    W_{k+1} = 2 X W_k + W_{k-1}.
+
+    With H = i rate X of real spectrum, f(s) = R(-i a s)^steps =
+    sum_k c_k T_k(s) on [-1, 1] and T_k(iX) = i^k W_k(X), so d_k = i^k c_k;
+    f(-s) = conj f(s) makes them real.  The c_k come from samples at n + 1
+    Chebyshev-Lobatto points, in extended precision where the platform has
+    it, through one FFT of their even extension.  n starts near
+    |a| steps + 64 and doubles until the last eighth of the coefficients
+    falls under the truncation threshold, and never passes 4 steps, the
+    degree of f, where the interpolation is exact.
+    """
+    top = 4 * steps
+    if not top:
+        return np.ones(1)
+    n = min(top, 64 + int(np.ceil(abs(a) * steps)))
+    pi = np.arccos(np.longdouble(-1.0))
+    while True:
+        s = np.cos(pi * (np.arange(n + 1, dtype=np.longdouble) / n))
+        f = _rk4_power(-1j * (a * s), steps)
+        c = sfft.fft(np.concatenate([f, f[-2:0:-1]]))[:n + 1] / n
+        c[[0, n]] /= 2.0
+        d = np.empty(n + 1)   # Re(i^k c_k)
+        d[0::4], d[1::4] = c[0::4].real, -c[1::4].imag
+        d[2::4], d[3::4] = -c[2::4].real, c[3::4].imag
+        absd = np.abs(d)
+        keep = np.flatnonzero(absd > _SERIES_TOL * np.sum(absd))[-1] + 1
+        if keep <= n - n // 8 or n == top:
+            return d[:keep]
+        n = min(2 * n, top)
+
+
+def _rk4_power(z, steps):
+    """R(z)^steps as exp(steps (z + log(1 + w))), w = R(z) e^-z - 1 =
+    -e^-z sum_{m>=5} z^m/m!, for |z| <= 2 sqrt(2): unlike the power of
+    R(z), its roundoff does not grow with steps."""
+    term = z**5 / 120.0
+    tail = term.copy()
+    for m in range(6, 40):
+        term *= z / m
+        tail += term
+    w = -tail * np.exp(-z)
+    # log(1 + w) to full precision for small |w|: log|1 + w| as
+    # log1p(2 Re w + |w|^2) / 2 and arg(1 + w) by atan2.
+    log = 0.5 * np.log1p(w.real * (2.0 + w.real) + w.imag**2) \
+        + 1j * np.arctan2(w.imag, 1.0 + w.real)
+    return np.exp(steps * (z + log))
+
+
+def _clenshaw(rhs, y, d, rate):
+    """sum_k d_k W_k(X) y for X = rhs / rate (see :func:`_rk4_series`), by
+    Clenshaw's recurrence b_k = d_k y + 2 X b_{k+1} + b_{k+2}, ending with
+    d_0 y + X b_1 + b_2: len(d) - 1 rhs calls, holding y, b_{k+1}, b_{k+2}
+    and one rhs output."""
+    b1 = float(d[-1]) * y
+    b2 = np.zeros_like(b1)
+    for k in range(len(d) - 2, -1, -1):
+        b = rhs(b1)
+        b *= (2.0 if k else 1.0) / rate
+        b += b2
+        np.multiply(y, d[k], out=b2)
+        b += b2
+        b1, b2 = b, b1
+    return b1
 
 
 def _turner(table, data, blocks=range(2)):

@@ -83,15 +83,20 @@ class WignerDecomp:
         return self.w_sym + anti
 
 
-def _split(spec: GridSpec, pair) -> WignerDecomp:
+def _split(spec: GridSpec, pair, fresh=False) -> WignerDecomp:
     """Decomposition of the Hermitian part of A_ij = pair(i, j), taking A_ij
-    with A_ji: w_ij = Re(A_ij + A_ji)/2 and eps_ijk u_k = Im(A_ji - A_ij)."""
+    with A_ji: w_ij = Re(A_ij + A_ji)/2 and eps_ijk u_k = Im(A_ji - A_ij).
+    Where pair returns a fresh array (fresh), A_ji is conjugated in place."""
     w_sym = np.empty((3, 3) + spec.n + spec.n)
     u = np.empty((3,) + spec.n + spec.n)
     defect = scale = 0.0
     for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
         a = pair(i, j)
-        b = np.conj(a if i == j else pair(j, i))    # conj(A_ji)
+        if i == j:
+            b = np.conj(a)
+        else:
+            b = pair(j, i)
+            b = np.conjugate(b, out=b if fresh else None)   # conj(A_ji)
         scale = max(scale, np.max(np.abs(a)), np.max(np.abs(b)))
         w_sym[i, j] = w_sym[j, i] = 0.5 * (a.real + b.real)
         if i != j:
@@ -131,8 +136,15 @@ def wigner_build(spec: GridSpec, block) -> WignerDecomp:
         raise ShapeError("block shape does not match the grid")
     half, plus, minus = _half_lattice(spec, block)
     partners = [np.conj(half[j][minus]) for j in range(3)]
-    # transform over the s axes with the box-centered convention
-    return _split(spec, lambda i, j: to_k(spec, half[i][plus] * partners[j]))
+
+    def pair(i, j):
+        # transform over the s axes with the box-centered convention, in
+        # place in the fresh product
+        product = half[i][plus]
+        product *= partners[j]
+        return to_k(spec, product, overwrite=True)
+
+    return _split(spec, pair, fresh=True)
 
 
 def wigner_marginal_k(decomp: WignerDecomp):

@@ -255,8 +255,9 @@ def reset_transform_counts() -> None:
         _TRANSFORM_COUNTS[key] = 0
 
 
-def _fft(u):
-    """Unscaled forward FFT over the last three axes.
+def _fft(u, overwrite=False):
+    """Unscaled forward FFT over the last three axes; overwrites a complex u
+    in place where overwrite is set.
 
     A real u is transformed as a complex copy, overwritten in place: scipy's
     real-input path rounds differently, and a real field must transform
@@ -265,7 +266,8 @@ def _fft(u):
     _TRANSFORM_COUNTS["fft_calls"] += 1
     _TRANSFORM_COUNTS["fft_points"] += u.size
     if np.iscomplexobj(u):
-        return sfft.fftn(u, axes=(-3, -2, -1), workers=_FFT_WORKERS)
+        return sfft.fftn(u, axes=(-3, -2, -1), workers=_FFT_WORKERS,
+                         overwrite_x=overwrite)
     return sfft.fftn(np.array(u, dtype=complex), axes=(-3, -2, -1),
                      workers=_FFT_WORKERS, overwrite_x=True)
 
@@ -278,9 +280,10 @@ def _ifft(uhat):
                       overwrite_x=True)
 
 
-def to_k(spec: GridSpec, u):
-    """Forward transform dV * sum_r u exp(-i k.r) over the last three axes."""
-    out = _fft(u)
+def to_k(spec: GridSpec, u, overwrite=False):
+    """Forward transform dV * sum_r u exp(-i k.r) over the last three axes;
+    with overwrite, a complex u may be overwritten by the result."""
+    out = _fft(u, overwrite)
     out *= spec.cell_volume * spec.checkerboard()
     return out
 

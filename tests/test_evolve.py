@@ -1,3 +1,6 @@
+import decimal
+from decimal import Decimal
+
 import numpy as np
 import pytest
 from scipy import fft as sfft
@@ -652,6 +655,158 @@ def test_rk4_peak_memory_in_states():
     print(f"[{'PASS' if ok else 'FAIL'}] rk4 peak memory [states]: "
           f"{states:.3e} (<= {bound:.3e})")
     assert ok, (states, bound)
+
+
+def _rk4_power_decimal(y, steps):
+    """R(iy)^steps for the Decimal y, to 50 digits: the RK4 step polynomial
+    of i y in decimal arithmetic, raised by repeated squaring."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        y2 = y * y
+        base = (1 - y2 / 2 + y2 * y2 / 24, y - y * y2 / 6)
+        out = (Decimal(1), Decimal(0))
+
+        def times(p, q):
+            return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+        while steps:
+            if steps & 1:
+                out = times(out, base)
+            base = times(base, base)
+            steps >>= 1
+        return complex(float(out[0]), float(out[1]))
+
+
+def test_rk4_series_is_the_scalar_step_power():
+    # On a diagonal rhs = -i lam y, rk4 is R(-i lam dt)^steps per entry: for
+    # lam over [-rate, rate] with both ends and 0, 1 to 10^5 steps, |dt|
+    # rate from 1e-4 to the step bound, both signs of dt, and runs past one
+    # series span (|dt| rate steps = 5000).  A run of s steps makes at most
+    # 4 s rhs calls, and the reference is exact to 50 digits.
+    rate = 2.0
+    lam = rate * np.array([-1.0, -0.73, -0.31, 0.0, 0.12, 0.5, 0.88, 1.0])
+    y = np.exp(1j * np.arange(8.0))
+    calls = []
+
+    def rhs(u):
+        calls.append(1)
+        return -1j * lam * u
+
+    cases = [(steps, scaled) for steps in (1, 7, 200)
+             for scaled in (1e-4, 0.05, 1.0, 2.0 * np.sqrt(2.0))]
+    cases += [(10**5, 1e-4), (10**5, 0.05)]
+    for steps, scaled in cases:
+        for sign in (1.0, -1.0):
+            dt = sign * scaled / rate
+            calls.clear()
+            out = rk4(rhs, y, dt, steps, rate, 1.0)
+            ref = y * np.array([_rk4_power_decimal(
+                -Decimal(x) * Decimal(dt), steps) for x in lam])
+            assert np.max(np.abs(out - ref)) <= 1e-13, (steps, scaled, sign)
+            assert len(calls) <= 4 * steps, (steps, scaled, len(calls))
+
+
+def test_rk4_series_needs_only_a_bound_on_the_rate(rng):
+    # The series runs on [-rate, rate]; a rate 1.5 times the spectral-radius
+    # bound gives the same state, in a varying medium, a varying metric and
+    # on the reduced Wigner pair.
+    from pwfn import evolve as ev, geometry as geo
+    from pwfn.fieldcore import cross
+    from pwfn.spectral import div, grad
+    spec = GridSpec(n=(8, 6, 10), length=(6.0, 5.0, 7.0))
+    psi = random_field(spec, rng, kmax=3.0)
+    med = _cosine_medium(spec)
+    tables = ev._medium_tables(med)
+    x = spec.coords()
+    metric = geo.conformal_metric(spec, 1.2 + 0.1 * np.cos(
+        2 * np.pi * x[0] / spec.length[0]))
+    k = np.array([0.4, -0.7, 1.1])
+
+    def pair_rhs(y):
+        out = np.empty_like(y)
+        out[0] = -div(spec, y[1:])
+        out[1:] = -2.0 * cross(k, y[1:]) - grad(spec, y[0])
+        return out
+
+    cases = {
+        "medium": (lambda g: ev._medium_rhs(g, *tables), psi.data,
+                   _medium_rate(spec, med)),
+        "metric": (lambda f: -1j * geo.curved_generator(
+            SixField(spec=spec, data=f), metric).data, psi.data,
+            metric.light_speed_bound() * spec.k_max()),
+        "wigner": (pair_rhs, rng.standard_normal((4,) + spec.n),
+                   spec.k_max() + 2.0 * np.linalg.norm(k)),
+    }
+    for name, (rhs, start, rate) in cases.items():
+        for dt, steps in ((0.6 / rate, 30), (-1.8 / rate, 5)):
+            out = rk4(rhs, start, dt, steps, rate, 1.0)
+            wide = rk4(rhs, start, dt, steps, 1.5 * rate, 1.0)
+            assert rel_err(wide, out) <= 1e-13, (name, dt, steps)
+
+
+def test_rk4_refuses_a_nan_rate_before_any_rhs_call():
+    # A NaN rate passes no step bound and gives the series no domain.
+    def rhs(u):
+        raise AssertionError("rhs called")
+
+    with pytest.raises(StabilityError, match="rate = nan"):
+        rk4(rhs, np.ones(4), 0.1, 3, np.nan, 1.0)
+
+
+def test_benchmark_medium_run_applies_the_generator_at_most_40_times(
+        monkeypatch):
+    # 200 RK4 steps of dt = 0.002 on 16^3 in the cosine medium eps = 1 +
+    # 0.15 cos x cos y: 800 right-hand sides when stepped.
+    from pwfn import evolve as ev
+    spec = cube(16)
+    x = spec.coords()
+    wave = np.cos(2 * np.pi * x[0] / spec.length[0]) \
+        * np.cos(2 * np.pi * x[1] / spec.length[1])
+    med = MediumMap(spec=spec, eps=1.0 + 0.15 * wave, mu=np.ones(spec.n))
+    psi = random_field(spec, np.random.default_rng(5), kmax=3.0)
+    calls = []
+    medium_rhs = ev._medium_rhs
+
+    def counted(*args):
+        calls.append(1)
+        return medium_rhs(*args)
+
+    monkeypatch.setattr(ev, "_medium_rhs", counted)
+    step_medium(psi, med, StepperConfig(dt=0.002), 200)
+    rate = _medium_rate(spec, med)
+    assert len(calls) == len(ev._rk4_series(0.002 * rate, 200)) - 1 <= 40
+
+
+def test_rk4_series_tables_stay_small():
+    # A run's coefficients come from samples near |dt| rate steps + 64, not
+    # 4 steps + 1, and one series spans at most _SERIES_SPAN, so 10^5 steps
+    # at a tiny dt, or at the step bound, sample a few thousand points
+    # before the first rhs call, not 4e5 (a larger steps would make a
+    # regression here allocate gigabytes).
+    import tracemalloc
+    from pwfn import evolve as ev
+
+    class FirstCall(Exception):
+        pass
+
+    def stop(u):
+        raise FirstCall
+
+    ev._rk4_series(1e-9, 10)   # imports and caches outside the measurement
+    for run, bound in ((lambda: ev._rk4_series(1e-9, 10**5), 1e6),
+                       (lambda: rk4(stop, np.ones(4), 2.0 * np.sqrt(2.0),
+                                    10**5, 1.0, 1.0), 4e6)):
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            try:
+                run()
+            except FirstCall:
+                pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= bound, (peak - base, bound)
 
 
 @pytest.mark.parametrize("blocks", [(0,), (1,), (0, 1)])

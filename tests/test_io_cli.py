@@ -877,14 +877,23 @@ def test_manifest_counts_transforms(tmp_path, rng):
     live = block // 2
     assert counters == {"fft_calls": 41, "fft_points": 41 * block,
                         "ifft_calls": 73, "ifft_points": 73 * block}
-    # In a varying medium an RK4 step evaluates the right-hand side four
-    # times, and each evaluation is one forward and one inverse block
-    # transform.
+    # In a varying medium a run of RK4 steps evaluates the right-hand side
+    # once per term of its Chebyshev series but one, never more than four
+    # times per step, and each evaluation is one forward and one inverse
+    # block transform.
     medium = MINIMAL["evolve-medium"] + "[physics]\ndt = 0.01\nsteps = {}\n"
     varying = medium + "eps_profile = cosine:1.0,0.1\n"
     short, long = (_run(tmp_path, "evolve-medium", varying.format(steps),
                         f"steps{steps}")["counters"] for steps in (2, 5))
-    rhs = 4 * (5 - 2)
+    x = spec.coords()
+    wave = np.cos(2 * np.pi * x[0] / spec.length[0]) \
+        * np.cos(2 * np.pi * x[1] / spec.length[1])
+    med = evolve.MediumMap(spec=spec, eps=1.0 + 0.1 * wave, mu=np.ones(spec.n))
+    rate = np.max(med.v) * spec.k_max() + np.max(med.coupling_norm)
+    calls = [len(evolve._rk4_series(0.01 * rate, steps)) - 1
+             for steps in (2, 5)]
+    assert all(count <= 4 * steps for count, steps in zip(calls, (2, 5)))
+    rhs = calls[1] - calls[0]
     assert {key: long[key] - short[key] for key in long} == {
         "fft_calls": rhs, "fft_points": rhs * block,
         "ifft_calls": rhs, "ifft_points": rhs * block}

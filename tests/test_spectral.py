@@ -104,6 +104,22 @@ def _trig_case(name):
     return spec, u, g, (m @ q)[:, None, None, None] * np.cos(phase)
 
 
+def test_to_k_in_place_is_to_k(rng):
+    # overwrite transforms a complex input in its own buffer, bit for bit
+    # as the out-of-place transform; a real input is never overwritten.
+    spec = GridSpec(n=(4, 2, 6), length=(5.0, 6.0, 7.0))
+    data = (rng.normal(size=(3,) + spec.n + spec.n)
+            + 1j * rng.normal(size=(3,) + spec.n + spec.n))
+    ref = spectral.to_k(spec, data)
+    work = data.copy()
+    out = spectral.to_k(spec, work, overwrite=True)
+    assert np.array_equal(out, ref) and np.shares_memory(out, work)
+    real = data.real.copy()
+    out = spectral.to_k(spec, real, overwrite=True)
+    assert np.array_equal(out, spectral.to_k(spec, data.real))
+    assert np.array_equal(real, data.real)
+
+
 @pytest.mark.parametrize("name", ["real scalar", "complex vector",
                                   "3x3 tensor"])
 def test_grad_div_match_trig_derivatives(name):
