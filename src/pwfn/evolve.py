@@ -23,7 +23,14 @@ more than the 4 steps that stepping makes.  Where the generator is
 w rho_3 (s . grad/i) with one w everywhere, :func:`_rk4_curl` evaluates
 the same polynomial per Fourier mode.  In a varying medium RK4 runs on
 G = sqrt(v) F, whose generator v rho_3 (s . grad/i) + B needs sqrt(v)
-once per run, not twice per right-hand side (:func:`_medium_rhs`).
+once per run, not twice per right-hand side (:func:`_medium_rhs`), and
+only on the live helicity blocks where h is uniform.
+
+Every profile the CLI builds is uniform along z, as a fiber is along its
+axis, so k_z is conserved.  Along such uniform axes both schemes
+step the sectors of the state (:class:`_Sectors`): the state is
+transformed along them once per run, and each right-hand side or Strang
+step transforms only the varying axes of the k slabs that carry field.
 """
 
 from __future__ import annotations
@@ -83,6 +90,12 @@ class MediumMap:
         self.coupling_norm = np.sqrt(np.sum(self.coupling**2, axis=0))
         self.is_uniform_v = bool(np.ptp(self.v) <= 1e-14 * np.max(self.v))
         self.is_uniform_h = bool(np.ptp(self.h) <= 1e-14 * np.max(self.h))
+        # The lattice axes along which the tables the steppers read, v and
+        # (where h varies) c, are exactly constant: step_medium transforms
+        # the state along them once per run (see _Sectors).
+        read = (self.v,) if self.is_uniform_h else (self.v, self.coupling)
+        self.uniform_axes = tuple(d for d in range(3) if all(
+            np.all(t == np.take(t, [0], axis=d - 3)) for t in read))
 
     @classmethod
     def uniform(cls, spec: GridSpec, eps=1.0, mu=1.0):
@@ -274,12 +287,24 @@ def _turner(table, data, blocks=range(2)):
     return out
 
 
-def _rotation(nhat, cos_a, sin_a, blocks):
+def _rotation(nhat, cos_a, sin_a, blocks, axes=(-3, -2, -1)):
     """Per-mode rotation of the stack of the blocks `blocks`, as a function:
     the table rodrigues(n, cos_a, sin_a), built once, here, applied by
-    :func:`_turner` between one forward and one inverse transform."""
+    :func:`_turner` between one forward and one inverse transform over the
+    lattice axes `axes`."""
     table = rodrigues(nhat, cos_a, sin_a, _IDENTITY)
-    return lambda data: _ifft(_turner(table, _fft(data), blocks))
+    return lambda data: _ifft(_turner(table, _fft(data, axes=axes), blocks),
+                              axes=axes)
+
+
+def _directions(lines):
+    """(n, |k|) of three broadcastable wave-vector lines: the unit vectors
+    k/|k| as a (3, ...) array, 0 where k = 0, and the lengths."""
+    norm = _length(lines)
+    nhat = np.zeros((3,) + norm.shape)
+    for k, row in zip(lines, nhat):
+        np.divide(k, norm, out=row, where=norm > 0.0)
+    return nhat, norm
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -293,46 +318,135 @@ def _rk4_curl(psi: SixField, w, dt, steps, rate, cfl_safety) -> SixField:
     so `steps` RK4 steps multiply the upper block by R(-i w |k_d| dt
     (n_d . s))^steps, with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24: the
     rotation rodrigues(n_d, Re g, -Im g) for g = R(-i w |k_d| dt)^steps,
-    and the lower block by that of conj(g).  This is rk4's solution up to
-    roundoff, from one forward and one inverse transform of the live
-    blocks for any steps, with rk4's step bound and finiteness check.
+    and the lower block by that of conj(g).  g comes from
+    :func:`_rk4_power` in extended precision, once per distinct |k_d| of
+    the grid, so its roundoff does not grow with steps.  This is rk4's
+    solution up to roundoff, from one forward and one inverse transform
+    of the live blocks for any steps, with rk4's step bound and finiteness
+    check.
     """
     steps = _check_steps(steps)
     _check_rk4_step(dt, rate, cfl_safety)
     if not steps:
         return psi.copy()
     spec = psi.spec
-    kd = spec.k_diff_lines()
-    kd_norm = _length(kd)
-    nd = np.zeros((3,) + spec.n)
-    for k, row in zip(kd, nd):
-        np.divide(k, kd_norm, out=row, where=kd_norm > 0.0)
-    z = -1j * (w * dt) * kd_norm
-    g = (1.0 + z * (1.0 + z / 2.0 * (1.0 + z / 3.0 * (1.0 + z / 4.0)))) \
-        ** steps
+    nd, kd_norm = _directions(spec.k_diff_lines())
+    norms, where = np.unique(kd_norm, return_inverse=True)
+    g = _rk4_power(-1j * (np.longdouble(w * dt) * norms), steps)
+    g = g.astype(complex)[where].reshape(kd_norm.shape)
     blocks, live = _live_blocks(psi.data)
     out = _rotation(nd, g.real, -g.imag, blocks)(live)
     return _field_of_blocks(spec, blocks, _check_rk4_finite(out, dt, steps))
 
 
-def _kinetic(spec: GridSpec, t: float, blocks=range(2)):
-    """Exact free propagation of the blocks `blocks` by time t, as a function.
+# A slab of a run's state along a uniform axis is stepped where its largest
+# |amplitude| exceeds _SECTOR_TOL times the state's largest; the others hold
+# the roundoff of the field's r-space round trip.
+_SECTOR_TOL = 16.0 * np.finfo(float).eps
+
+
+class _Sectors:
+    """The representation a run in a medium uniform along the lattice axes
+    `uniform` steps in: those axes in k-space, the others in r-space.
+
+    Along a uniform axis the kinetic rotation, the curl, rho_3 v, -+ic and
+    the coupling rotation are all diagonal in k, so its k index slabs never
+    mix and an empty one stays empty.  :meth:`gather` transforms the state
+    along the uniform axes and keeps the product of their live slabs, with
+    the uniform axes moved ahead of the varying ones, so that each step
+    transforms the last, contiguous `axes` of that stack; :meth:`scatter`
+    puts the slabs back among zeros and transforms back.  Tables follow
+    the stack's layout: r-space ones are read at the first sample along
+    the uniform axes (:meth:`r_table`) and k-space ones at the live
+    indices (:meth:`lines`).  With no uniform axis the stack is the
+    r-space state and each method returns its input.
+    """
+
+    def __init__(self, spec: GridSpec, uniform=(), live=()):
+        self.spec = spec
+        self.uniform = tuple(uniform)
+        self.live = dict(zip(self.uniform, live))
+        varying = [d for d in range(3) if d not in self.live]
+        self.order = self.uniform + tuple(varying)
+        self.axes = tuple(range(-len(varying), 0))
+        self.index = (Ellipsis,) + np.ix_(*(
+            self.live.get(d, np.arange(m)) for d, m in enumerate(spec.n)))
+
+    def _layout(self, arr, order=None):
+        """arr, of lattice axes (x, y, z) last, with those axes in the
+        stack's order (or in `order`)."""
+        order = self.order if order is None else order
+        lead = tuple(range(arr.ndim - 3))
+        return arr.transpose(lead + tuple(arr.ndim - 3 + d for d in order))
+
+    @classmethod
+    def gather(cls, spec: GridSpec, uniform, data):
+        """(sectors, stack): data, a (..., nx, ny, nz) state, transformed
+        along the axes `uniform` and cut to its live slabs.  A state with
+        no finite nonzero largest amplitude keeps every slab."""
+        if not uniform:
+            return cls(spec), data
+        hat = _fft(data, axes=tuple(d - 3 for d in uniform))
+        size = np.abs(hat)
+        top = np.max(size)
+        live = []
+        for d in uniform:
+            peak = np.max(size, axis=tuple(
+                a for a in range(size.ndim) if a != size.ndim - 3 + d))
+            keep = np.flatnonzero(peak > _SECTOR_TOL * top)
+            live.append(keep if 0.0 < top < np.inf else np.arange(spec.n[d]))
+        sectors = cls(spec, uniform, live)
+        return sectors, np.ascontiguousarray(
+            sectors._layout(hat[sectors.index]))
+
+    def scatter(self, stack):
+        """The r-space state of which stack holds the live slabs."""
+        if not self.live:
+            return stack
+        hat = np.zeros(stack.shape[:-3] + self.spec.n, dtype=complex)
+        hat[self.index] = self._layout(stack, np.argsort(self.order))
+        return _ifft(hat, axes=tuple(d - 3 for d in self.uniform))
+
+    def lines(self, lines):
+        """Three broadcastable k-space lines at the live indices."""
+        return tuple(self._layout(
+            np.take(line, self.live[d], axis=d) if d in self.live else line)
+            for d, line in enumerate(lines))
+
+    def r_table(self, table):
+        """A (..., nx, ny, nz) table, constant along the uniform axes, at
+        their first sample: it broadcasts over the stack."""
+        return self._layout(table[(Ellipsis,) + tuple(
+            slice(0, 1) if d in self.live else slice(None) for d in range(3))])
+
+    def triad(self):
+        """(n, |k|) on the stack's wave vectors; the cached
+        :func:`triad_arrays` tables where there is no uniform axis."""
+        if not self.live:
+            return triad_arrays(self.spec)[1:]
+        return _directions(self.lines(self.spec.k_lines()))
+
+
+def _kinetic(sectors: _Sectors, t: float, blocks=range(2)):
+    """Exact free propagation of the blocks `blocks` of a stack of sectors
+    by time t, as a function.
 
     Per mode the free generator rotates the upper block by the angle |k| t
     about n = k/|k| and the lower block by -|k| t (:func:`_rotation`); the
     k = 0 mode, where n = 0 and the angle vanishes, stays static.  The
     angles are built once, here, for every application.
     """
-    _check_phase(spec, t)
-    _, nhat, knorm = triad_arrays(spec)
+    _check_phase(sectors.spec, t)
+    nhat, knorm = sectors.triad()
     return _rotation(nhat, np.cos(knorm * float(t)),
-                     np.sin(knorm * float(t)), blocks)
+                     np.sin(knorm * float(t)), blocks, sectors.axes)
 
 
 def propagate_free(psi: SixField, t: float) -> SixField:
     """Exact free propagation by time t (see :func:`_kinetic`)."""
     blocks, live = _live_blocks(psi.data)
-    return _field_of_blocks(psi.spec, blocks, _kinetic(psi.spec, t, blocks)(live))
+    return _field_of_blocks(psi.spec, blocks,
+                            _kinetic(_Sectors(psi.spec), t, blocks)(live))
 
 
 def free_generator(psi: SixField) -> SixField:
@@ -365,21 +479,24 @@ def hamiltonian_apply(psi: SixField, medium: MediumMap) -> SixField:
     return SixField(spec=psi.spec, data=out)
 
 
-def _medium_tables(medium: MediumMap):
-    """The tables of :func:`_medium_rhs`: the odd-derivative wave vectors
-    as the full (3, nx, ny, nz) table, for a run of many right-hand sides
-    on a small grid; rho_3 v as a (2, 1, nx, ny, nz) array; and (-i c, i c)
-    as a (2, 3, nx, ny, nz) stack, or None where h is uniform and c
-    vanishes."""
-    kd = _expand(medium.spec.k_diff_lines())
-    speed = np.stack([medium.v, -medium.v])[:, None]
+def _medium_tables(medium: MediumMap, sectors=None, blocks=range(2)):
+    """The tables of :func:`_medium_rhs` for a stack of the blocks `blocks`
+    of sectors (default: the r-space state): the odd-derivative wave
+    vectors as one full table of the stack's lattice, for a run of many
+    right-hand sides on a small grid; rho_3 v as a (len(blocks), 1, ...)
+    array; (-i c, i c) as a (2, 3, ...) stack, or None where h is uniform
+    and c vanishes; and the axes the stack is transformed along."""
+    sectors = sectors or _Sectors(medium.spec)
+    kd = _expand(sectors.lines(medium.spec.k_diff_lines()))
+    v = sectors.r_table(medium.v)
+    speed = np.stack([v, -v])[blocks.start:blocks.stop, None]
     if medium.is_uniform_h:
-        return kd, speed, None
-    ic = 1j * medium.coupling
-    return kd, speed, np.stack([-ic, ic])
+        return kd, speed, None, sectors.axes
+    ic = 1j * sectors.r_table(medium.coupling)
+    return kd, speed, np.stack([-ic, ic]), sectors.axes
 
 
-def _medium_rhs(g, kd, speed, coupling):
+def _medium_rhs(g, kd, speed, coupling, axes=(-3, -2, -1)):
     """-i (v rho_3 (s . grad/i) + B) G for the data g of G = sqrt(v) F.
 
     With G = sqrt(v) F the medium equation i dF/dt = H F becomes
@@ -388,9 +505,9 @@ def _medium_rhs(g, kd, speed, coupling):
     radius has H's bound.  -i (s . grad/i) G = -i curl G is _ifft(k_d x
     hat G); -i B G is (-i c) x G- above and (i c) x G+ below, one cross
     product of the table coupling with the swapped view g[::-1].  kd,
-    speed and coupling are the tables of :func:`_medium_tables`.
+    speed, coupling and axes are the tables of :func:`_medium_tables`.
     """
-    out = _ifft(_cross_k(kd, _fft(g)))
+    out = _ifft(_cross_k(kd, _fft(g, axes=axes)), axes=axes)
     out *= speed
     if coupling is not None:
         swapped = g[::-1]
@@ -412,9 +529,17 @@ def step_medium(psi: SixField, medium: MediumMap, cfg: StepperConfig,
     Strang order.  RK4's rate bound is ||H|| <= max v * k_max + max |c|;
     in a uniform medium, H = v rho_3 (s . grad/i), RK4 is evaluated per
     Fourier mode (:func:`_rk4_curl`), and otherwise RK4 steps G = sqrt(v) F
-    with :func:`_medium_rhs` and returns F = G / sqrt(v).  The Strang step
+    with :func:`_medium_rhs` and returns F = G / sqrt(v); where h is
+    uniform, only the live helicity blocks are stepped.  The Strang step
     is unitary at any dt; its rule dt <= cfl_safety min(dx) / v bounds the
     splitting error per step, not stability.
+
+    Both schemes run on the sectors of the medium's uniform axes
+    (:class:`_Sectors`, ``MediumMap.uniform_axes``): the state is
+    transformed along those axes once at the start and once at the end,
+    and each right-hand side or Strang step transforms only the varying
+    axes of the slabs that carry field.  A medium varying along every
+    axis steps the r-space state.
     """
     if medium.spec != psi.spec:
         raise ShapeError("medium and field grids differ")
@@ -424,15 +549,7 @@ def step_medium(psi: SixField, medium: MediumMap, cfg: StepperConfig,
         rate = vmax * spec.k_max() + np.max(medium.coupling_norm)
         if medium.is_uniform_v and medium.is_uniform_h:
             return _rk4_curl(psi, vmax, cfg.dt, steps, rate, cfg.cfl_safety)
-        tables = _medium_tables(medium)
-
-        def rhs(g):
-            return _medium_rhs(g, *tables)
-        sv = medium.sqrt_v
-        out = rk4(rhs, sv * psi.data, cfg.dt, steps, rate, cfg.cfl_safety)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out /= sv
-        return SixField(spec=spec, data=_check_rk4_finite(out, cfg.dt, steps))
+        return _step_rk4(psi, medium, cfg, steps, rate)
     if not medium.is_uniform_v:
         raise DomainError("split_step requires a uniform-speed medium",
                           arg="scheme")
@@ -445,6 +562,24 @@ def step_medium(psi: SixField, medium: MediumMap, cfg: StepperConfig,
     return _step_split(psi, medium, cfg.dt, steps)
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _step_rk4(psi, medium, cfg, steps, rate):
+    steps = _check_steps(steps)
+    _check_rk4_step(cfg.dt, rate, cfg.cfl_safety)
+    blocks, data = (_live_blocks(psi.data) if medium.is_uniform_h
+                    else (range(2), psi.data))
+    sectors, stack = _Sectors.gather(psi.spec, medium.uniform_axes, data)
+    tables = _medium_tables(medium, sectors, blocks)
+
+    def rhs(g):
+        return _medium_rhs(g, *tables)
+    sv = sectors.r_table(medium.sqrt_v)
+    out = rk4(rhs, sv * stack, cfg.dt, steps, rate, cfg.cfl_safety)
+    out /= sv
+    out = _check_rk4_finite(sectors.scatter(out), cfg.dt, steps)
+    return _field_of_blocks(psi.spec, blocks, out)
+
+
 def _step_split(psi, medium, dt, steps):
     steps = _check_steps(steps)
     spec = psi.spec
@@ -453,13 +588,15 @@ def _step_split(psi, medium, dt, steps):
         return psi.copy()
     if medium.is_uniform_h:
         return propagate_free(psi, v0 * dt * steps)
+    sectors, data = _Sectors.gather(spec, medium.uniform_axes, psi.data)
     # On X = F+ - i F- and Y = F+ + i F- the coupling B F = (c x F-, -c x F+)
     # is +/-(c . s): exp(-i dt B) turns X by dt |c| about c/|c| and Y by the
     # transpose, and F+ = (X + Y)/2, F- = i (X - Y)/2.
-    c, cnorm = medium.coupling, medium.coupling_norm
+    c = sectors.r_table(medium.coupling)
+    cnorm = sectors.r_table(medium.coupling_norm)
     chat = np.divide(c, cnorm, out=np.zeros_like(c), where=cnorm > 0.0)
     table = rodrigues(chat, np.cos(dt * cnorm), np.sin(dt * cnorm), _IDENTITY)
-    xy = np.empty_like(psi.data)
+    xy = np.empty_like(data)
 
     def apply_coupling(data):
         np.multiply.outer((-1j, 1j), data[1], out=xy)
@@ -475,13 +612,13 @@ def _step_split(psi, medium, dt, steps):
     # opening K/2 of the next merge into one kinetic step K.  Both kinetic
     # propagators are built once for the run.
     half = 0.5 * v0 * dt
-    kinetic_half = _kinetic(spec, half)
-    kinetic_full = _kinetic(spec, 2.0 * half)
-    data = kinetic_half(psi.data)
+    kinetic_half = _kinetic(sectors, half)
+    kinetic_full = _kinetic(sectors, 2.0 * half)
+    data = kinetic_half(data)
     for step in range(steps):
         data = apply_coupling(data)
         data = (kinetic_full if step < steps - 1 else kinetic_half)(data)
-    return SixField(spec=spec, data=data)
+    return SixField(spec=spec, data=sectors.scatter(data))
 
 
 def divergence_residual(psi: SixField, medium: MediumMap | None = None) -> float:

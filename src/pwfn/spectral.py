@@ -239,8 +239,9 @@ def _table(spec: GridSpec, name, build):
 
 
 # Calls of _fft/_ifft and the points they transformed (array sizes, so a
-# six-component block counts six grids) since the last reset.  Every
-# transform of the package goes through these two functions.
+# six-component block counts six grids, along as many axes as the call
+# transforms) since the last reset.  Every transform of the package goes
+# through these two functions.
 _TRANSFORM_COUNTS = dict.fromkeys(
     ("fft_calls", "fft_points", "ifft_calls", "ifft_points"), 0)
 
@@ -255,9 +256,9 @@ def reset_transform_counts() -> None:
         _TRANSFORM_COUNTS[key] = 0
 
 
-def _fft(u, overwrite=False):
-    """Unscaled forward FFT over the last three axes; overwrites a complex u
-    in place where overwrite is set.
+def _fft(u, overwrite=False, axes=(-3, -2, -1)):
+    """Unscaled forward FFT over the lattice axes `axes` (default all
+    three); overwrites a complex u in place where overwrite is set.
 
     A real u is transformed as a complex copy, overwritten in place: scipy's
     real-input path rounds differently, and a real field must transform
@@ -266,17 +267,18 @@ def _fft(u, overwrite=False):
     _TRANSFORM_COUNTS["fft_calls"] += 1
     _TRANSFORM_COUNTS["fft_points"] += u.size
     if np.iscomplexobj(u):
-        return sfft.fftn(u, axes=(-3, -2, -1), workers=_FFT_WORKERS,
+        return sfft.fftn(u, axes=axes, workers=_FFT_WORKERS,
                          overwrite_x=overwrite)
-    return sfft.fftn(np.array(u, dtype=complex), axes=(-3, -2, -1),
+    return sfft.fftn(np.array(u, dtype=complex), axes=axes,
                      workers=_FFT_WORKERS, overwrite_x=True)
 
 
-def _ifft(uhat):
-    """Unscaled inverse FFT over the last three axes; may overwrite uhat."""
+def _ifft(uhat, axes=(-3, -2, -1)):
+    """Unscaled inverse FFT over the lattice axes `axes` (default all
+    three); may overwrite uhat."""
     _TRANSFORM_COUNTS["ifft_calls"] += 1
     _TRANSFORM_COUNTS["ifft_points"] += uhat.size
-    return sfft.ifftn(uhat, axes=(-3, -2, -1), workers=_FFT_WORKERS,
+    return sfft.ifftn(uhat, axes=axes, workers=_FFT_WORKERS,
                       overwrite_x=True)
 
 

@@ -274,13 +274,14 @@ def test_split_step_merges_kinetic_half_steps(monkeypatch, rng):
     x = spec.coords()
     mu = 1.0 + 0.1 * np.cos(x[0])
     med = MediumMap(spec=spec, eps=1.0 / mu, mu=mu)
+    assert med.uniform_axes == (1, 2)   # the kinetic tables are sectors'
     times = []
     builds = []
     kinetic = ev._kinetic
 
-    def counting(spec_, t):
+    def counting(sectors, t):
         builds.append(t)
-        apply = kinetic(spec_, t)
+        apply = kinetic(sectors, t)
 
         def counted(data):
             times.append(t)
@@ -299,30 +300,186 @@ def test_split_step_merges_kinetic_half_steps(monkeypatch, rng):
         assert len(builds) == (2 if steps else 0)
 
 
+def _coupling_exp(med, dt):
+    """exp(-i dt B) per point, as (points, 6, 6), of the pointwise Hermitian
+    6x6 generator B = (v/2h) rho_2 (s . grad h), (s.a)_jk = -i a_a eps_ajk,
+    by eigh."""
+    from pwfn.fieldcore import LEVI_CIVITA
+    coef = med.v / (2.0 * med.h)
+    sdot = -1j * np.einsum("a...,ajk->jk...", med.grad_h, LEVI_CIVITA)
+    b = np.zeros((6, 6) + med.spec.n, dtype=complex)
+    b[0:3, 3:6] = -1j * coef * sdot
+    b[3:6, 0:3] = 1j * coef * sdot
+    w, q = np.linalg.eigh(np.moveaxis(b.reshape(6, 6, -1), -1, 0))
+    return np.einsum("pij,pj,pkj->pik", q, np.exp(-1j * dt * w), np.conj(q))
+
+
+def _apply_points(expb, data):
+    """The per-point 6x6 matrices expb applied to a (2, 3, ...) state."""
+    return np.einsum("pik,kp->ip", expb, data.reshape(6, -1)).reshape(
+        data.shape)
+
+
 def test_split_coupling_matches_eigh_reference(monkeypatch, rng):
     import pwfn.evolve as ev
-    from pwfn.fieldcore import LEVI_CIVITA
     spec = cube(16)
     psi = random_field(spec, rng, kmax=3.0)
     x = spec.coords()
     mu = 1.0 + 0.5 * np.cos(x[0]) * np.sin(x[1]) + 0.2 * np.cos(x[2])
     med = MediumMap(spec=spec, eps=1.0 / mu, mu=mu)
     dt = 0.35    # dt |c| reaches 0.14
-    # exp(-i dt B) of the pointwise Hermitian 6x6 generator
-    # B = (v/2h) rho_2 (s . grad h), (s.a)_jk = -i a_a eps_ajk, by eigh
-    coef = med.v / (2.0 * med.h)
-    sdot = -1j * np.einsum("a...,ajk->jk...", med.grad_h, LEVI_CIVITA)
-    b = np.zeros((6, 6) + spec.n, dtype=complex)
-    b[0:3, 3:6] = -1j * coef * sdot
-    b[3:6, 0:3] = 1j * coef * sdot
-    w, q = np.linalg.eigh(np.moveaxis(b.reshape(6, 6, -1), -1, 0))
-    expb = np.einsum("pij,pj,pkj->pik", q, np.exp(-1j * dt * w), np.conj(q))
-    ref = np.einsum("pik,kp->ip", expb, psi.data.reshape(6, -1))
+    ref = _apply_points(_coupling_exp(med, dt), psi.data)
     # one split step with the kinetic part switched off is one coupling step
-    monkeypatch.setattr(ev, "_kinetic", lambda spec_, t: lambda data: data)
+    monkeypatch.setattr(ev, "_kinetic", lambda sectors, t: lambda data: data)
     out = step_medium(psi, med, StepperConfig(dt=dt, scheme="split_step",
                                                 cfl_safety=1.0), 1)
-    assert rel_err(out.data, ref.reshape(psi.data.shape)) <= 1e-14
+    assert rel_err(out.data, ref) <= 1e-14
+
+
+# Media for the sector tests: a profile p of the coordinates and the axes
+# along which it is uniform.
+SECTOR_MEDIA = {
+    "z-invariant": (lambda x: 1.0 + 0.15 * np.cos(x[0]) * np.cos(x[1]), (2,)),
+    "y,z-invariant": (lambda x: 1.0 + 0.1 * np.cos(x[0]), (1, 2)),
+    "varying": (lambda x: 1.0 + 0.1 * np.cos(x[0]) * np.cos(x[1])
+                + 0.05 * np.sin(x[2]), ()),
+}
+
+
+def _sector_medium(spec, case, scheme):
+    """The medium of case for scheme: eps = p with mu = 1 for rk4, and
+    mu = 1/p for split_step."""
+    profile, uniform = SECTOR_MEDIA[case]
+    p = profile(spec.coords())
+    med = MediumMap(spec=spec, eps=p,
+                    mu=1.0 / p if scheme == "split_step" else np.ones(spec.n))
+    assert med.uniform_axes == uniform
+    return med
+
+
+def _sector_run(psi, case, scheme):
+    """The run of psi in the medium of case for scheme as step_medium makes
+    it, the run's transform counters, the same run on the full grid (rk4
+    of the public hamiltonian_apply, or Strang steps of propagate_free and
+    the per-point exponential of the coupling), and the number of
+    right-hand sides or kinetic steps."""
+    from pwfn import evolve as ev
+    spec = psi.spec
+    med = _sector_medium(spec, case, scheme)
+    if scheme == "rk4":
+        dt, steps = 0.02, 20
+        rate = _medium_rate(spec, med)
+        ref = rk4(lambda a: -1j * hamiltonian_apply(
+            SixField(spec=spec, data=a), med).data, psi.data, dt, steps,
+            rate, 0.5)
+        applications = len(ev._rk4_series(dt * rate, steps)) - 1
+    else:
+        dt, steps = 0.1, 10
+        expb = _coupling_exp(med, dt)
+        half = 0.5 * float(np.mean(med.v)) * dt
+        ref = psi
+        for _ in range(steps):
+            ref = propagate_free(ref, half)
+            ref = propagate_free(SixField(spec=spec, data=_apply_points(
+                expb, ref.data)), half)
+        ref = ref.data
+        applications = steps + 1
+    spectral.reset_transform_counts()
+    out = step_medium(psi, med, StepperConfig(dt=dt, scheme=scheme), steps)
+    return out.data, spectral.transform_counts(), ref, applications
+
+
+def _live_slabs(data, axes):
+    """The live slab count along each of the lattice axes `axes` of data, by
+    the steppers' rule: its largest |amplitude| after transforming along
+    `axes` above 16 eps times the largest of the state."""
+    size = np.abs(sfft.fftn(data, axes=[d - 3 for d in axes]))
+    return [np.count_nonzero(
+        np.max(size, axis=tuple(a for a in range(5) if a != d + 2))
+        > 16 * np.finfo(float).eps * size.max()) for d in axes]
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "split_step"])
+@pytest.mark.parametrize("case", list(SECTOR_MEDIA))
+def test_step_medium_steps_the_live_sectors_of_uniform_axes(rng, case,
+                                                            scheme):
+    # Along an axis where the medium is uniform every operator of a run is
+    # diagonal in k: the state is transformed along the uniform axes once
+    # at each end, and each right-hand side or Strang step transforms the
+    # varying axes of the slabs that carry field: 5 of 8 k_z planes, and
+    # 5 x 5 of 12 x 8 (k_y, k_z) pairs.  The result is the full-grid
+    # evolution's.  A medium varying along every axis transforms all
+    # three axes per step.
+    spec = GridSpec(n=(16, 12, 8), length=(2.0 * np.pi,) * 3)
+    psi = random_field(spec, rng, kmax=2.5)
+    out, counts, ref, applications = _sector_run(psi, case, scheme)
+    assert rel_err(out, ref) <= 1e-13
+    uniform = SECTOR_MEDIA[case][1]
+    live = _live_slabs(psi.data, uniform)
+    assert live == [5] * len(uniform)
+    block = psi.data.size
+    sector = block * np.prod(live) // np.prod([spec.n[d] for d in uniform])
+    ends = 1 if uniform else 0
+    assert counts == {
+        "fft_calls": ends + applications,
+        "fft_points": ends * block + applications * sector,
+        "ifft_calls": ends + applications,
+        "ifft_points": ends * block + applications * sector}
+    if scheme == "rk4":   # a state that overflows ends as rk4's does
+        huge = SixField(spec=spec, data=np.full(psi.data.shape, 1e308))
+        with pytest.raises(StabilityError, match="non-finite"):
+            step_medium(huge, _sector_medium(spec, case, scheme),
+                        StepperConfig(dt=0.02), 2)
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "split_step"])
+def test_sector_runs_keep_a_faint_plane(rng, scheme):
+    # A k_z plane holding 1e-10 of the state's largest amplitude is far
+    # above the round-off the steppers skip: it is stepped, and the run
+    # matches the full-grid evolution, which dropping it would miss by
+    # about 1e-10.
+    spec = GridSpec(n=(16, 12, 8), length=(2.0 * np.pi,) * 3)
+    psi = random_field(spec, rng, kmax=2.5)
+    assert _live_slabs(psi.data, (2,)) == [5]
+    hat = sfft.fft(psi.data, axis=-1)
+    hat[..., 4] = 1e-10 * np.max(np.abs(hat)) * np.exp(
+        1j * rng.uniform(0.0, 2.0 * np.pi, hat[..., 4].shape))
+    psi = SixField(spec=spec, data=sfft.ifft(hat, axis=-1))
+    assert _live_slabs(psi.data, (2,)) == [6]
+    out, counts, ref, applications = _sector_run(psi, "z-invariant", scheme)
+    assert rel_err(out, ref) <= 1e-13
+    sector = 6 * 16 * 12 * 6
+    assert counts["fft_points"] == psi.data.size + applications * sector
+
+
+@pytest.mark.parametrize("helicity", [0, 1])
+def test_block_diagonal_medium_rk4_steps_only_the_live_block(monkeypatch,
+                                                             helicity):
+    # Where h is uniform (eps = mu) the medium does not couple the helicity
+    # blocks, so RK4 steps only the live block of a definite-helicity field:
+    # the other stays exactly zero, the live one is bit for bit that of a
+    # run stepping both blocks, and half the points are transformed.
+    from pwfn import evolve as ev
+    spec = GridSpec(n=(16, 12, 8), length=(2.0 * np.pi,) * 3)
+    psi = random_field(spec, np.random.default_rng(11), kmax=2.5,
+                       helicities=(helicity,))
+    assert not np.any(psi.data[1 - helicity])
+    p = SECTOR_MEDIA["z-invariant"][0](spec.coords())
+    med = MediumMap(spec=spec, eps=p, mu=p)
+    assert med.is_uniform_h and not med.is_uniform_v
+    runs = []
+    for both in (False, True):
+        if both:
+            monkeypatch.setattr(ev, "_live_blocks",
+                                lambda data: (range(2), data))
+        spectral.reset_transform_counts()
+        out = step_medium(psi, med, StepperConfig(dt=0.02), 20).data
+        runs.append((out, spectral.transform_counts()))
+    (one, counts), (two, both_counts) = runs
+    assert not np.any(one[1 - helicity])
+    assert np.array_equal(one, two)
+    assert counts == {key: value // 2 if key.endswith("points") else value
+                      for key, value in both_counts.items()}
 
 
 def test_divergence_residual_detector(rng):
@@ -507,6 +664,19 @@ def test_rk4_per_mode_is_r_space_rk4(seed):
         huge = SixField(spec=spec, data=np.full(psi.data.shape, 1e308))
         with pytest.raises(StabilityError, match="non-finite"):
             ev._rk4_curl(huge, w, dt, 1, rate, 1.0)
+        # Long runs: the per-mode factor R(-i (w dt) |k_d|)^steps against its
+        # 50-digit value, where a float64 power is off by 5e-13 at 10^4
+        # steps and 3e-12 at 10^5.
+        nd, kd_norm = _odd_directions(spec)
+        for steps in (10**4, 10**5):
+            dt = -dt * rng.uniform(0.1, 0.3) / (abs(dt) * rate)
+            norms, where = np.unique(kd_norm, return_inverse=True)
+            g = np.array([_rk4_power_decimal(
+                -Decimal(w * dt) * Decimal(float(k)), steps) for k in norms])
+            g = g[where].reshape(kd_norm.shape)
+            ref = _per_mode(psi.data, nd, g.real, -g.imag)
+            out = ev._rk4_curl(psi, w, dt, steps, rate, 1.0)
+            assert rel_err(out.data, ref) <= 1e-14, (steps, dt)
 
 
 def _classic_rk4(rhs, y, dt, steps):
@@ -591,6 +761,24 @@ def test_step_medium_rk4_is_classic_rk4_of_hamiltonian_apply(rng):
         assert rel_err(out.data, ref) <= 1e-13, (dt, steps)
 
 
+def _per_mode(data, nhat, cos_a, sin_a):
+    """rodrigues(n, cos_a, sin_a) on each Fourier mode of the upper block of
+    data and rodrigues(n, cos_a, -sin_a) on the lower."""
+    axes = (-3, -2, -1)
+    hat = sfft.fftn(data, axes=axes)
+    hat[0] = rodrigues(nhat, cos_a, sin_a, hat[0])
+    hat[1] = rodrigues(nhat, cos_a, -sin_a, hat[1])
+    return sfft.ifftn(hat, axes=axes)
+
+
+def _odd_directions(spec):
+    """(n_d, |k_d|) of the odd-derivative wave vectors, as full tables."""
+    kd = spec.k_grid_diff()
+    kd_norm = np.sqrt(np.sum(kd**2, axis=0))
+    nd = np.divide(kd, kd_norm, out=np.zeros_like(kd), where=kd_norm > 0.0)
+    return nd, kd_norm
+
+
 @pytest.mark.parametrize("n", [(8, 6, 10), (2, 4, 6)])
 def test_rotation_table_is_rodrigues_per_mode(rng, n):
     # propagate_free and _rk4_curl turn every mode with one 3 x 3 table;
@@ -601,27 +789,17 @@ def test_rotation_table_is_rodrigues_per_mode(rng, n):
     spec = GridSpec(n=n, length=(6.0, 5.0, 7.0))
     psi = SixField(spec=spec, data=rng.standard_normal((2, 3) + n)
                    + 1j * rng.standard_normal((2, 3) + n))
-    axes = (-3, -2, -1)
-
-    def per_mode(nhat, cos_a, sin_a):
-        hat = sfft.fftn(psi.data, axes=axes)
-        hat[0] = rodrigues(nhat, cos_a, sin_a, hat[0])
-        hat[1] = rodrigues(nhat, cos_a, -sin_a, hat[1])
-        return sfft.ifftn(hat, axes=axes)
-
     _, nhat, knorm = triad_arrays(spec)
     for t in (0.7, -2.3):
-        ref = per_mode(nhat, np.cos(knorm * t), np.sin(knorm * t))
+        ref = _per_mode(psi.data, nhat, np.cos(knorm * t), np.sin(knorm * t))
         assert rel_err(propagate_free(psi, t).data, ref) <= 1e-13, t
-    kd = spec.k_grid_diff()
-    kd_norm = np.sqrt(np.sum(kd**2, axis=0))
-    nd = np.divide(kd, kd_norm, out=np.zeros_like(kd), where=kd_norm > 0.0)
+    nd, kd_norm = _odd_directions(spec)
     w = 0.8
     rate = w * spec.k_max()
     for dt, steps in ((0.3 / rate, 5), (-1.1 / rate, 3)):
         z = -1j * w * dt * kd_norm
         g = (1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0) ** steps
-        ref = per_mode(nd, g.real, -g.imag)
+        ref = _per_mode(psi.data, nd, g.real, -g.imag)
         out = ev._rk4_curl(psi, w, dt, steps, rate, 1.0)
         assert rel_err(out.data, ref) <= 1e-13, (dt, steps)
 

@@ -879,8 +879,12 @@ def test_manifest_counts_transforms(tmp_path, rng):
                         "ifft_calls": 73, "ifft_points": 73 * block}
     # In a varying medium a run of RK4 steps evaluates the right-hand side
     # once per term of its Chebyshev series but one, never more than four
-    # times per step, and each evaluation is one forward and one inverse
-    # block transform.
+    # times per step.  The cosine medium is uniform along z, so a run
+    # transforms the state along z once at its start and once at its end,
+    # and each evaluation is one forward and one inverse transform along x
+    # and y of the k_z planes that carry field: the mode's one plane.  The
+    # rest is the medium's gradients of v and h (3 + 3 components), the
+    # packet's one synthesis and the final row's one decomposition.
     medium = MINIMAL["evolve-medium"] + "[physics]\ndt = 0.01\nsteps = {}\n"
     varying = medium + "eps_profile = cosine:1.0,0.1\n"
     short, long = (_run(tmp_path, "evolve-medium", varying.format(steps),
@@ -889,14 +893,22 @@ def test_manifest_counts_transforms(tmp_path, rng):
     wave = np.cos(2 * np.pi * x[0] / spec.length[0]) \
         * np.cos(2 * np.pi * x[1] / spec.length[1])
     med = evolve.MediumMap(spec=spec, eps=1.0 + 0.1 * wave, mu=np.ones(spec.n))
+    assert med.uniform_axes == (2,)
     rate = np.max(med.v) * spec.k_max() + np.max(med.coupling_norm)
     calls = [len(evolve._rk4_series(0.01 * rate, steps)) - 1
              for steps in (2, 5)]
     assert all(count <= 4 * steps for count, steps in zip(calls, (2, 5)))
-    rhs = calls[1] - calls[0]
-    assert {key: long[key] - short[key] for key in long} == {
-        "fft_calls": rhs, "fft_points": rhs * block,
-        "ifft_calls": rhs, "ifft_points": rhs * block}
+    mode = spectral.synthesize(states.plane_wave_mode(spec, (0, 0, 2))).data
+    peak = np.max(np.abs(np.fft.fft(mode, axis=-1)), axis=(0, 1, 2, 3))
+    planes = np.count_nonzero(peak > 16 * np.finfo(float).eps * peak.max())
+    assert planes == 1
+    sector = 6 * spec.n[0] * spec.n[1] * planes
+    for counters, rhs in zip((short, long), calls):
+        assert counters == {
+            "fft_calls": 2 + 2 + rhs,
+            "fft_points": 2 * spec.npoints + 2 * block + rhs * sector,
+            "ifft_calls": 6 + 2 + rhs,
+            "ifft_points": 6 * spec.npoints + live + block + rhs * sector}
     # A uniform medium or metric steps per Fourier mode: one forward and
     # one inverse transform of the packet's live block for any steps,
     # between its one synthesis and the final row's one decomposition.
