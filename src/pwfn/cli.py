@@ -104,12 +104,11 @@ def _medium(scenario):
     def profile(key):
         kind, *args = scenario.physics[key]
         if kind == "uniform":
-            return np.full(spec.n, args[0])
+            return args[0]
         base, amp = args
         x = spec.coord_lines()
-        wave = np.cos(2 * np.pi * x[0] / spec.length[0]) \
-            * np.cos(2 * np.pi * x[1] / spec.length[1])
-        return base + amp * np.broadcast_to(wave, spec.n)
+        return base + amp * (np.cos(2 * np.pi * x[0] / spec.length[0])
+                             * np.cos(2 * np.pi * x[1] / spec.length[1]))
 
     return checked("physics", evolve.MediumMap, spec=spec,
                    eps=profile("eps_profile"), mu=profile("mu_profile"),

@@ -27,10 +27,8 @@ once per run, not twice per right-hand side (:func:`_medium_rhs`), and
 only on the live helicity blocks where h is uniform.
 
 Every profile the CLI builds is uniform along z, as a fiber is along its
-axis, so k_z is conserved.  Along such uniform axes both schemes
-step the sectors of the state (:class:`_Sectors`): the state is
-transformed along them once per run, and each right-hand side or Strang
-step transforms only the varying axes of the k slabs that carry field.
+axis, so k_z is conserved: both schemes step the k sectors of a medium's
+uniform axes (:class:`_Sectors`).
 """
 
 from __future__ import annotations
@@ -45,8 +43,8 @@ from scipy import fft as sfft
 from .errors import DomainError, ShapeError, StabilityError
 from .fieldcore import CYCLIC, rodrigues
 from .spectral import (GridSpec, SixField, _check_phase, _cross_k, _curl_k,
-                       _expand, _fft, _field_of_blocks, _ifft, _length,
-                       _live_blocks, div, grad, triad_arrays)
+                       _distinct, _expand, _fft, _field_of_blocks, _ifft,
+                       _length, _live_blocks, div, grad, triad_arrays)
 
 __all__ = [
     "MediumMap", "StepperConfig", "rk4",
@@ -61,51 +59,51 @@ _IDENTITY = np.eye(3)[:, :, None, None, None]
 
 @dataclass
 class MediumMap:
-    """Samples of eps(r), mu(r) with derived speed and resistance fields."""
+    """Samples of eps(r), mu(r), numbers or arrays with each lattice axis 1
+    or n_d, and the speed and resistance fields derived from them: each is
+    computed at the distinct points, of size 1 along the axes where eps and
+    mu are exactly constant (``uniform_axes``), and read as a read-only
+    view that broadcasts it over the lattice."""
 
     spec: GridSpec
     eps: np.ndarray
     mu: np.ndarray
 
     def __post_init__(self):
-        self.eps = np.ascontiguousarray(self.eps, dtype=float)
-        self.mu = np.ascontiguousarray(self.mu, dtype=float)
-        if self.eps.shape != self.spec.n or self.mu.shape != self.spec.n:
-            raise ShapeError("eps/mu shape does not match the grid")
-        for name, values in (("eps", self.eps), ("mu", self.mu)):
+        eps, mu = (_distinct(x, self.spec.n, "eps/mu shape does not match "
+                             "the grid") for x in (self.eps, self.mu))
+        for name, values in (("eps", eps), ("mu", mu)):
             if not np.all(values > 0.0):
                 raise DomainError(f"{name} must be strictly positive "
                                   f"everywhere", arg=name)
         # Finite eps, mu can still overflow or underflow v or h to inf or 0.
         with np.errstate(over="ignore"):
-            self.v = 1.0 / np.sqrt(self.eps * self.mu)
-            self.h = np.sqrt(self.mu / self.eps)
-        if not all(np.all((x > 0.0) & (x < np.inf)) for x in (self.v, self.h)):
+            v = 1.0 / np.sqrt(eps * mu)
+            h = np.sqrt(mu / eps)
+        if not all(np.all((x > 0.0) & (x < np.inf)) for x in (v, h)):
             raise DomainError("derived v, h must be finite and > 0")
-        self.sqrt_v = np.sqrt(self.v)
-        self.grad_v = grad(self.spec, self.v)
-        self.grad_h = grad(self.spec, self.h)
+        grad_h = grad(self.spec, h)
         # c = (v/2h) grad h: (v/2h) rho_2 (s . grad h) F = (c x F-, -c x F+).
-        self.coupling = self.v / (2.0 * self.h) * self.grad_h
-        self.coupling_norm = np.sqrt(np.sum(self.coupling**2, axis=0))
-        self.is_uniform_v = bool(np.ptp(self.v) <= 1e-14 * np.max(self.v))
-        self.is_uniform_h = bool(np.ptp(self.h) <= 1e-14 * np.max(self.h))
-        # The lattice axes along which the tables the steppers read, v and
-        # (where h varies) c, are exactly constant: step_medium transforms
-        # the state along them once per run (see _Sectors).
-        read = (self.v,) if self.is_uniform_h else (self.v, self.coupling)
-        self.uniform_axes = tuple(d for d in range(3) if all(
-            np.all(t == np.take(t, [0], axis=d - 3)) for t in read))
+        coupling = v / (2.0 * h) * grad_h
+        self._points = dict(
+            eps=eps, mu=mu, v=v, h=h, sqrt_v=np.sqrt(v), grad_h=grad_h,
+            coupling=coupling, coupling_norm=np.linalg.norm(coupling, axis=0))
+        for name, x in self._points.items():
+            setattr(self, name, np.broadcast_to(x, x.shape[:-3] + self.spec.n))
+        self.is_uniform_v = bool(np.ptp(v) <= 1e-14 * np.max(v))
+        self.is_uniform_h = bool(np.ptp(h) <= 1e-14 * np.max(h))
+        self.uniform_axes = tuple(d for d in range(3) if v.shape[d] == 1)
 
     @classmethod
     def uniform(cls, spec: GridSpec, eps=1.0, mu=1.0):
-        return cls(spec=spec, eps=np.full(spec.n, float(eps)),
-                   mu=np.full(spec.n, float(mu)))
+        return cls(spec=spec, eps=float(eps), mu=float(mu))
 
     def smoothness_metric(self):
         """max |grad v| * dx / v; large values mean an under-resolved medium."""
+        v = self._points["v"]
         dx = max(self.spec.spacing)
-        return float(np.max(np.sqrt(np.sum(self.grad_v**2, axis=0)) * dx / self.v))
+        return float(np.max(np.sqrt(np.sum(grad(self.spec, v)**2, axis=0))
+                            * dx / v))
 
 
 @dataclass
@@ -356,10 +354,10 @@ class _Sectors:
     the uniform axes moved ahead of the varying ones, so that each step
     transforms the last, contiguous `axes` of that stack; :meth:`scatter`
     puts the slabs back among zeros and transforms back.  Tables follow
-    the stack's layout: r-space ones are read at the first sample along
-    the uniform axes (:meth:`r_table`) and k-space ones at the live
-    indices (:meth:`lines`).  With no uniform axis the stack is the
-    r-space state and each method returns its input.
+    the stack's layout: r-space ones, a medium's tables at its distinct
+    points (of size 1 along the uniform axes), by :meth:`_layout`, and
+    k-space ones at the live indices (:meth:`lines`).  With no uniform axis
+    the stack is the r-space state and each method returns its input.
     """
 
     def __init__(self, spec: GridSpec, uniform=(), live=()):
@@ -412,12 +410,6 @@ class _Sectors:
         return tuple(self._layout(
             np.take(line, self.live[d], axis=d) if d in self.live else line)
             for d, line in enumerate(lines))
-
-    def r_table(self, table):
-        """A (..., nx, ny, nz) table, constant along the uniform axes, at
-        their first sample: it broadcasts over the stack."""
-        return self._layout(table[(Ellipsis,) + tuple(
-            slice(0, 1) if d in self.live else slice(None) for d in range(3))])
 
     def triad(self):
         """(n, |k|) on the stack's wave vectors; the cached
@@ -472,7 +464,7 @@ def hamiltonian_apply(psi: SixField, medium: MediumMap) -> SixField:
     """
     if medium.spec != psi.spec:
         raise ShapeError("medium and field grids differ")
-    sv = medium.sqrt_v
+    sv = medium._points["sqrt_v"]
     out = _medium_rhs(sv * psi.data, *_medium_tables(medium))
     out *= 1j
     out /= sv
@@ -488,11 +480,11 @@ def _medium_tables(medium: MediumMap, sectors=None, blocks=range(2)):
     and c vanishes; and the axes the stack is transformed along."""
     sectors = sectors or _Sectors(medium.spec)
     kd = _expand(sectors.lines(medium.spec.k_diff_lines()))
-    v = sectors.r_table(medium.v)
+    v = sectors._layout(medium._points["v"])
     speed = np.stack([v, -v])[blocks.start:blocks.stop, None]
     if medium.is_uniform_h:
         return kd, speed, None, sectors.axes
-    ic = 1j * sectors.r_table(medium.coupling)
+    ic = 1j * sectors._layout(medium._points["coupling"])
     return kd, speed, np.stack([-ic, ic]), sectors.axes
 
 
@@ -532,21 +524,17 @@ def step_medium(psi: SixField, medium: MediumMap, cfg: StepperConfig,
     with :func:`_medium_rhs` and returns F = G / sqrt(v); where h is
     uniform, only the live helicity blocks are stepped.  The Strang step
     is unitary at any dt; its rule dt <= cfl_safety min(dx) / v bounds the
-    splitting error per step, not stability.
-
-    Both schemes run on the sectors of the medium's uniform axes
-    (:class:`_Sectors`, ``MediumMap.uniform_axes``): the state is
-    transformed along those axes once at the start and once at the end,
-    and each right-hand side or Strang step transforms only the varying
-    axes of the slabs that carry field.  A medium varying along every
-    axis steps the r-space state.
+    splitting error per step, not stability.  Both schemes step the
+    sectors of ``MediumMap.uniform_axes`` (:class:`_Sectors`), and a
+    medium varying along every axis steps the r-space state.
     """
     if medium.spec != psi.spec:
         raise ShapeError("medium and field grids differ")
+    steps = _check_steps(steps)
     spec = psi.spec
-    vmax = float(np.max(medium.v))
+    vmax = float(np.max(medium._points["v"]))
     if cfg.scheme == "rk4":
-        rate = vmax * spec.k_max() + np.max(medium.coupling_norm)
+        rate = vmax * spec.k_max() + np.max(medium._points["coupling_norm"])
         if medium.is_uniform_v and medium.is_uniform_h:
             return _rk4_curl(psi, vmax, cfg.dt, steps, rate, cfg.cfl_safety)
         return _step_rk4(psi, medium, cfg, steps, rate)
@@ -564,8 +552,9 @@ def step_medium(psi: SixField, medium: MediumMap, cfg: StepperConfig,
 
 @np.errstate(over="ignore", invalid="ignore")
 def _step_rk4(psi, medium, cfg, steps, rate):
-    steps = _check_steps(steps)
     _check_rk4_step(cfg.dt, rate, cfg.cfl_safety)
+    if not steps:
+        return psi.copy()
     blocks, data = (_live_blocks(psi.data) if medium.is_uniform_h
                     else (range(2), psi.data))
     sectors, stack = _Sectors.gather(psi.spec, medium.uniform_axes, data)
@@ -573,7 +562,7 @@ def _step_rk4(psi, medium, cfg, steps, rate):
 
     def rhs(g):
         return _medium_rhs(g, *tables)
-    sv = sectors.r_table(medium.sqrt_v)
+    sv = sectors._layout(medium._points["sqrt_v"])
     out = rk4(rhs, sv * stack, cfg.dt, steps, rate, cfg.cfl_safety)
     out /= sv
     out = _check_rk4_finite(sectors.scatter(out), cfg.dt, steps)
@@ -581,19 +570,18 @@ def _step_rk4(psi, medium, cfg, steps, rate):
 
 
 def _step_split(psi, medium, dt, steps):
-    steps = _check_steps(steps)
-    spec = psi.spec
-    v0 = float(np.mean(medium.v))
     if not steps:
         return psi.copy()
+    spec = psi.spec
+    v0 = float(np.mean(medium._points["v"]))
     if medium.is_uniform_h:
         return propagate_free(psi, v0 * dt * steps)
     sectors, data = _Sectors.gather(spec, medium.uniform_axes, psi.data)
     # On X = F+ - i F- and Y = F+ + i F- the coupling B F = (c x F-, -c x F+)
     # is +/-(c . s): exp(-i dt B) turns X by dt |c| about c/|c| and Y by the
     # transpose, and F+ = (X + Y)/2, F- = i (X - Y)/2.
-    c = sectors.r_table(medium.coupling)
-    cnorm = sectors.r_table(medium.coupling_norm)
+    c = sectors._layout(medium._points["coupling"])
+    cnorm = sectors._layout(medium._points["coupling_norm"])
     chat = np.divide(c, cnorm, out=np.zeros_like(c), where=cnorm > 0.0)
     table = rodrigues(chat, np.cos(dt * cnorm), np.sin(dt * cnorm), _IDENTITY)
     xy = np.empty_like(data)
@@ -633,8 +621,9 @@ def divergence_residual(psi: SixField, medium: MediumMap | None = None) -> float
     if medium is not None:
         if medium.spec != spec:
             raise ShapeError("medium and field grids differ")
-        fv = np.sum(psi.data * medium.grad_v, axis=1) / (2.0 * medium.v)
-        fh = np.sum(psi.data * medium.grad_h, axis=1) / (2.0 * medium.h)
+        p = medium._points
+        fv = np.sum(psi.data * grad(spec, p["v"]), axis=1) / (2.0 * p["v"])
+        fh = np.sum(psi.data * p["grad_h"], axis=1) / (2.0 * p["h"])
         res[0] -= fv[0] + fh[1]
         res[1] -= fv[1] + fh[0]
     norm = psi.norm()

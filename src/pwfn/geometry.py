@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .evolve import _rk4_curl, _turner, free_generator, rk4
 from .fieldcore import LEVI_CIVITA
-from .spectral import GridSpec, SixField, _expand, _fft, _ifft
+from .spectral import GridSpec, SixField, _distinct, _expand, _fft, _ifft
 
 __all__ = [
     "MetricField", "minkowski_metric", "conformal_metric",
@@ -51,30 +51,24 @@ class MetricField:
     """Symmetric static metric samples g (4, 4[, nx, ny, nz]) with cached
     inverse and table M (3, 3, nx, ny, nz) of G = (M F+, M^T F-), built once.
 
-    Where g is one 4 x 4 matrix everywhere, given as such or as equal
-    samples, the determinant, inverse, constitutive table and optical
-    equivalent are computed on that matrix alone, and g, g_inv, det and
-    constitutive are read-only views that broadcast it over the lattice.
-    uniform_scale is w where M = w I with w real at every point (a
-    Minkowski or uniform conformal metric), else None.
+    Each lattice axis of g is 1 or n_d.  The determinant, inverse,
+    constitutive table and optical equivalent are computed at g's distinct
+    points, of size 1 along each axis where g is exactly constant, and g,
+    g_inv, det and constitutive are read-only views broadcasting them over
+    the lattice.  uniform_scale is w where M = w I everywhere with w real
+    (a Minkowski or uniform conformal metric), else None.
     """
 
     spec: GridSpec
     g: np.ndarray
 
     def __post_init__(self):
-        g = np.asarray(self.g, dtype=float)
-        lattice = self.spec.n
-        if g.shape == (4, 4):
-            g = g[:, :, None, None, None]
-        elif g.shape != (4, 4) + lattice:
-            raise ShapeError("metric shape must be (4, 4) or (4, 4, nx, ny, nz)")
-        elif np.all(g == g[:, :, :1, :1, :1]):
-            g = g[:, :, :1, :1, :1]
+        g = _distinct(self.g, self.spec.n, "metric shape must be (4, 4) or "
+                      "(4, 4, nx, ny, nz)", lead=(4, 4))
         if not np.array_equal(g, g.swapaxes(0, 1), equal_nan=True):
             raise DomainError("metric must be symmetric, g_munu = g_numu",
                               arg="g")
-        points = g.shape[2:]  # (1, 1, 1) for one matrix, else the lattice
+        points = g.shape[2:]
         gm = np.moveaxis(g.reshape(4, 4, -1), -1, 0)
         with np.errstate(over="ignore"):
             det = np.linalg.det(gm)
@@ -90,7 +84,7 @@ class MetricField:
         self.uniform_scale = float(w.real) if w.imag == 0.0 and np.all(
             constitutive == w * np.eye(3)[:, :, None, None, None]) else None
         self.g, self.g_inv, self.det, self.constitutive = (
-            np.broadcast_to(x, x.shape[:-3] + lattice)
+            np.broadcast_to(x, x.shape[:-3] + self.spec.n)
             for x in self._points + (constitutive,))
 
     def light_speed_bound(self):
@@ -114,12 +108,8 @@ def conformal_metric(spec: GridSpec, refractive_index) -> MetricField:
         n2 = np.asarray(refractive_index, dtype=float) ** 2
     if not np.all(n2 < np.inf):
         raise DomainError("refractive index squared must be finite")
-    if n2.shape != spec.n:
-        n2 = np.full(spec.n, float(n2))
-    g = np.zeros((4, 4) + spec.n)
+    g = np.multiply.outer(np.diag([1.0, -1.0, -1.0, -1.0]), n2)
     g[0, 0] = 1.0
-    for i in range(1, 4):
-        g[i, i] = -n2
     return MetricField(spec=spec, g=g)
 
 

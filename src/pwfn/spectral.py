@@ -204,6 +204,23 @@ def _expand(lines):
     return np.stack(np.broadcast_arrays(*lines))
 
 
+def _distinct(table, n, message, lead=()):
+    """A float table of shape lead + (a, b, c), each of a, b, c 1 or n_d (the
+    shape lead alone reads as (1, 1, 1)), at its distinct points: sliced to
+    size 1 along each lattice axis where it is exactly constant (by ==, so
+    a NaN keeps its axis).  Any other shape raises ShapeError(message)."""
+    table = np.asarray(table, dtype=float)
+    if table.shape == lead:
+        table = table.reshape(lead + (1, 1, 1))
+    if table.shape[:-3] != lead or table.ndim != len(lead) + 3 or any(
+            m not in (1, size) for m, size in zip(table.shape[-3:], n)):
+        raise ShapeError(message)
+    for axis in range(len(lead), table.ndim):
+        first = table[(slice(None),) * axis + (slice(0, 1),)]
+        table = first if np.all(table == first) else table
+    return table
+
+
 def _length(lines):
     """sqrt(a^2 + b^2 + c^2) of three broadcastable lines (or numbers),
     summed in axis order."""
@@ -302,21 +319,26 @@ def grad(spec: GridSpec, u):
 
     Returns (..., 3, nx, ny, nz): the derivative index sits at axis -4,
     where :func:`div` and :func:`curl` keep the vector index.  A real u
-    gives a real gradient.  One forward transform of u serves all three
-    axes; each derivative is formed in one reused buffer, transformed back
-    in place and copied into the output, so besides the result only the
-    transform of u and that buffer are held.  The odd-derivative wave
-    vectors drop the unpaired Nyquist mode.
+    gives a real gradient.  Along a lattice axis of size 1, where u is
+    constant, the derivative is 0 and u is not transformed.  One forward
+    transform of u serves every axis; each derivative is formed in one
+    reused buffer, transformed back in place and copied into the output,
+    so besides the result only the transform of u and that buffer are
+    held.  The odd-derivative wave vectors drop the unpaired Nyquist mode.
     """
-    hat = _fft(u)
-    kvec = spec.k_diff_lines()
+    shape = np.shape(u)
+    axes = tuple(a for a in (-3, -2, -1) if shape[a] > 1)
     real = np.isrealobj(u)
-    out = np.empty(hat.shape[:-3] + (3,) + spec.n,
+    out = np.zeros(shape[:-3] + (3,) + shape[-3:],
                    dtype=float if real else complex)
+    if not axes:
+        return out
+    hat = _fft(u, axes=axes)
+    kvec = spec.k_diff_lines()
     buf = np.empty_like(hat)
-    for a in range(3):
+    for a in axes:   # lattice axis a is derivative row a of the 3 rows
         np.multiply(1j * kvec[a], hat, out=buf)
-        d = _ifft(buf)
+        d = _ifft(buf, axes=axes)
         out[..., a, :, :, :] = d.real if real else d
     return out
 

@@ -406,30 +406,32 @@ def test_step_medium_steps_the_live_sectors_of_uniform_axes(rng, case,
     # Along an axis where the medium is uniform every operator of a run is
     # diagonal in k: the state is transformed along the uniform axes once
     # at each end, and each right-hand side or Strang step transforms the
-    # varying axes of the slabs that carry field: 5 of 8 k_z planes, and
-    # 5 x 5 of 12 x 8 (k_y, k_z) pairs.  The result is the full-grid
-    # evolution's.  A medium varying along every axis transforms all
-    # three axes per step.
-    spec = GridSpec(n=(16, 12, 8), length=(2.0 * np.pi,) * 3)
-    psi = random_field(spec, rng, kmax=2.5)
-    out, counts, ref, applications = _sector_run(psi, case, scheme)
-    assert rel_err(out, ref) <= 1e-13
-    uniform = SECTOR_MEDIA[case][1]
-    live = _live_slabs(psi.data, uniform)
-    assert live == [5] * len(uniform)
-    block = psi.data.size
-    sector = block * np.prod(live) // np.prod([spec.n[d] for d in uniform])
-    ends = 1 if uniform else 0
-    assert counts == {
-        "fft_calls": ends + applications,
-        "fft_points": ends * block + applications * sector,
-        "ifft_calls": ends + applications,
-        "ifft_points": ends * block + applications * sector}
-    if scheme == "rk4":   # a state that overflows ends as rk4's does
-        huge = SixField(spec=spec, data=np.full(psi.data.shape, 1e308))
-        with pytest.raises(StabilityError, match="non-finite"):
-            step_medium(huge, _sector_medium(spec, case, scheme),
-                        StepperConfig(dt=0.02), 2)
+    # varying axes of the slabs that carry field: 5 of 8 (or 10) k_z
+    # planes, and 5 x 5 of 12 x 8 (or 6 x 10) (k_y, k_z) pairs.  The result
+    # is the full-grid evolution's.  A medium varying along every axis
+    # transforms all three axes per step.  The axis counts 6 and 10 have
+    # the prime factors 3 and 5.
+    for n in [(16, 12, 8), (8, 6, 10)]:
+        spec = GridSpec(n=n, length=(2.0 * np.pi,) * 3)
+        psi = random_field(spec, rng, kmax=2.5)
+        out, counts, ref, applications = _sector_run(psi, case, scheme)
+        assert rel_err(out, ref) <= 1e-13, n
+        uniform = SECTOR_MEDIA[case][1]
+        live = _live_slabs(psi.data, uniform)
+        assert live == [5] * len(uniform), n
+        block = psi.data.size
+        sector = block * np.prod(live) // np.prod([n[d] for d in uniform])
+        ends = 1 if uniform else 0
+        assert counts == {
+            "fft_calls": ends + applications,
+            "fft_points": ends * block + applications * sector,
+            "ifft_calls": ends + applications,
+            "ifft_points": ends * block + applications * sector}, n
+        if scheme == "rk4":   # a state that overflows ends as rk4's does
+            huge = SixField(spec=spec, data=np.full(psi.data.shape, 1e308))
+            with pytest.raises(StabilityError, match="non-finite"):
+                step_medium(huge, _sector_medium(spec, case, scheme),
+                            StepperConfig(dt=0.02), 2)
 
 
 @pytest.mark.parametrize("scheme", ["rk4", "split_step"])
@@ -532,6 +534,94 @@ def test_medium_map_validation_and_smoothness():
     assert err.value.arg == "mu" and "eps" not in str(err.value)
     med = MediumMap.uniform(spec, eps=2.0)
     assert med.smoothness_metric() < 1e-12
+    # eps and mu may be given at their distinct points: a number, or an
+    # array of size 1 along the axes where they are constant.  That is the
+    # medium of the full arrays, bit for bit.
+    plane = 1.0 + 0.15 * np.cos(spec.coord_lines()[0]) \
+        * np.cos(spec.coord_lines()[1])
+    assert plane.shape == (8, 8, 1)
+    full = np.broadcast_to(plane, spec.n).copy()
+    psi = random_field(spec, np.random.default_rng(4), kmax=2.5)
+    cases = [((plane, 1.0), (full, np.ones(spec.n)), ("rk4",)),
+             ((plane, 1.0 / plane), (full, 1.0 / full), ("rk4", "split_step")),
+             ((2.0, 1.5), (np.full(spec.n, 2.0), np.full(spec.n, 1.5)),
+              ("rk4", "split_step"))]
+    for (eps, mu), (eps_full, mu_full), schemes in cases:
+        meds = [MediumMap(spec=spec, eps=eps, mu=mu),
+                MediumMap(spec=spec, eps=eps_full, mu=mu_full)]
+        assert meds[0].uniform_axes == meds[1].uniform_axes
+        for name in ("eps", "mu", "v", "h", "sqrt_v", "grad_h", "coupling",
+                     "coupling_norm"):
+            a, b = (getattr(m, name) for m in meds)
+            assert a.shape == b.shape and np.array_equal(a, b), name
+            assert not a.flags.writeable, name
+        for scheme in schemes:
+            a, b = (step_medium(psi, m, StepperConfig(dt=0.02, scheme=scheme),
+                                5).data for m in meds)
+            assert np.array_equal(a, b), scheme
+        a, b = (hamiltonian_apply(psi, m).data for m in meds)
+        assert np.array_equal(a, b)
+        assert divergence_residual(psi, meds[0]) \
+            == divergence_residual(psi, meds[1])
+    for shape in [(8,), (8, 8), (10, 8, 1)]:
+        with pytest.raises(ShapeError):
+            MediumMap(spec=spec, eps=np.ones(shape), mu=1.0)
+        with pytest.raises(ShapeError):
+            MediumMap(spec=spec, eps=1.0, mu=np.ones(shape))
+    for name in ("eps", "mu"):
+        bad = plane.copy()
+        bad[3, 2, 0] = np.nan
+        for value in (bad, np.nan):
+            with pytest.raises(DomainError) as err:
+                MediumMap(spec=spec, **{name: value, ("mu" if name == "eps"
+                                                      else "eps"): plane})
+            assert err.value.arg == name
+    # A metric is kept at its distinct points the same way.
+    from pwfn import geometry as geo
+    g = np.zeros((4, 4, 8, 8, 1))
+    g[0, 0] = 1.0
+    for i in (1, 2, 3):
+        g[i, i] = -plane**2
+    g_full = np.broadcast_to(g, (4, 4) + spec.n).copy()
+    mets = [geo.MetricField(spec=spec, g=g),
+            geo.MetricField(spec=spec, g=g_full)]
+    assert [m._points[0].shape for m in mets] == [(4, 4, 8, 8, 1)] * 2
+    for name in ("g", "g_inv", "det", "constitutive"):
+        a, b = (getattr(m, name) for m in mets)
+        assert a.shape == b.shape and np.array_equal(a, b), name
+    a, b = (geo.step_curved(psi, m, StepperConfig(dt=0.02), 5).data
+            for m in mets)
+    assert np.array_equal(a, b)
+    for shape in [(8,), (8, 8), (10, 8, 1)]:
+        with pytest.raises(ShapeError):
+            geo.MetricField(spec=spec, g=np.ones((4, 4) + shape))
+
+
+def test_medium_map_builds_at_its_distinct_points():
+    # A uniform medium makes no transform.  A z-invariant one takes the
+    # gradient of h on its one x-y plane: one forward and two inverse
+    # transforms of nx ny points.  Today's CLI cosine profile is z-invariant
+    # on any grid, including those whose z count has a prime factor of 5
+    # or more.
+    spec = GridSpec(n=(8, 6, 10), length=(6.0, 5.0, 7.0))
+    spectral.reset_transform_counts()
+    assert MediumMap.uniform(spec, eps=2.0, mu=1.5).uniform_axes == (0, 1, 2)
+    assert spectral.transform_counts() == dict.fromkeys(
+        ("fft_calls", "fft_points", "ifft_calls", "ifft_points"), 0)
+    for n in [(8, 6, 10), (20, 30, 10), (64, 48, 40)]:
+        spec = GridSpec(n=n, length=(2.0 * np.pi,) * 3)
+        x = spec.coord_lines()
+        eps = 1.0 + 0.15 * np.cos(x[0]) * np.cos(x[1])
+        spectral.reset_transform_counts()
+        med = MediumMap(spec=spec, eps=np.broadcast_to(eps, n), mu=1.0)
+        plane = n[0] * n[1]
+        assert spectral.transform_counts() == {
+            "fft_calls": 1, "fft_points": plane,
+            "ifft_calls": 2, "ifft_points": 2 * plane}, n
+        assert med.uniform_axes == (2,), n
+        for table in (med.v, med.coupling):
+            assert np.array_equal(table, np.broadcast_to(
+                table[..., :1], table.shape)), n
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -1075,3 +1165,17 @@ def test_steps_accepts_integers_of_any_integer_type():
     _, steppers = _steppers(spec)
     for name, run in steppers.items():
         assert np.array_equal(run(2), run(np.int64(2))), name
+
+
+def test_zero_steps_return_the_input_exactly():
+    # After the steps and step-bound checks, no step is no work: a varying
+    # medium's RK4 does not pass the state through sqrt(v) and the sector
+    # transforms.
+    spec = cube(8)
+    psi, steppers = _steppers(spec)
+    x = spec.coords()
+    starts = {"wigner": np.concatenate([np.cos(x[0])[None],
+                                        np.zeros((3,) + spec.n)]),
+              "rk4": np.ones(4)}
+    for name, run in steppers.items():
+        assert np.array_equal(run(0), starts.get(name, psi.data)), name

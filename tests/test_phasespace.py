@@ -266,9 +266,9 @@ def test_hydro_from_field_transforms_field_once(monkeypatch, rng):
     calls = {"_fft": [], "_ifft": []}
 
     def counting(name, fn):
-        def wrapper(arr):
+        def wrapper(arr, **kwargs):
             calls[name].append(int(np.prod(arr.shape[:-3])))
-            return fn(arr)
+            return fn(arr, **kwargs)
         return wrapper
 
     # every transform of the package goes through these two
