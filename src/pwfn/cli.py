@@ -233,9 +233,16 @@ def _run_hydro(scenario):
 
 
 def _run_observables(scenario):
-    sp = _initial_state(scenario)
-    sp = spectral.decompose(sp) if isinstance(sp, spectral.SixField) else sp
+    sp, energy = _initial_state(scenario), 0.0
+    if isinstance(sp, spectral.SixField):
+        sp, energy = spectral.decompose(sp), sp.norm2()
     n_ph = metrics.photon_number(sp)
+    # A field without helicity content has no photon to normalize to.
+    if not n_ph > spectral._DC_RTOL * energy:
+        raise ConfigError(
+            f"[initial] packet {scenario.initial['packet']!r} has photon "
+            f"number {n_ph:.3e} at energy {energy:.3e}: it carries no "
+            "helicity content to normalize")
     sp.amp /= np.sqrt(n_ph)
     om = metrics.observables_momentum(sp)
     psi = spectral.synthesize(sp, 0.0)

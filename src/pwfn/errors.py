@@ -55,7 +55,8 @@ class StabilityError(PwfnError):
 
 
 class GaugeSingularityError(PwfnError):
-    """A momentum-space quantity was requested inside the gauge pole cone."""
+    """The spherical-gauge connection was requested inside its pole cone
+    (:func:`pwfn.spectral.berry_connection`); no observable reads it."""
 
 
 class WindowError(PwfnError):

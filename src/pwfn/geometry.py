@@ -135,14 +135,14 @@ def g_from_f(field: SixField, metric: MetricField) -> SixField:
 
 
 def f_from_g(gfield: SixField, metric: MetricField) -> SixField:
-    """Inverse constitutive map: exact pointwise linear solve of (M, M^T)."""
+    """Inverse constitutive map F = (M^-1 G+, M^-T G-), with M inverted once
+    at the metric's distinct points."""
     if metric.spec != gfield.spec:
         raise ShapeError("metric and field grids differ")
-    m = np.moveaxis(metric.constitutive.reshape(3, 3, -1), -1, 0)
-    rhs = np.moveaxis(gfield.data.reshape(2, 3, -1), -1, 1)[..., None]
-    sol = np.linalg.solve(np.stack([m, m.swapaxes(1, 2)]), rhs)[..., 0]
-    out = np.moveaxis(sol, 1, -1).reshape(gfield.data.shape)
-    return SixField(spec=gfield.spec, data=out)
+    m = _constitutive_matrices(metric)
+    inv = np.linalg.inv(np.moveaxis(m.reshape(3, 3, -1), -1, 0))
+    inv = np.moveaxis(inv, 0, -1).reshape(m.shape)
+    return SixField(spec=gfield.spec, data=_turner(inv, gfield.data))
 
 
 def curved_generator(field: SixField, metric: MetricField) -> SixField:

@@ -9,9 +9,10 @@ which equals the coordinate-space double integral with the |r - r'|^(-2)
 kernel.  Expectation values of the ten Poincare generators are available in
 both representations: momentum representation uses the diagonal multipliers
 omega and k plus the covariant derivative D_k = d/dk + i lambda alpha(k)
-(centered differences in the fixed spherical gauge, analytic connection),
+(the spectral k derivative of the Cartesian amplitude e phi, no gauge),
 coordinate representation applies 1/H spectrally followed by the local
 operators H = rho_3 (s . grad/i), P = grad/i, J = r x grad/i + s, K = H r.
+By Parseval the two agree to roundoff.
 
 Position multiplication uses box-centered coordinates in [-L/2, L/2); fields
 should be localized away from the box seam for position-dependent
@@ -28,14 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma as gamma_fn, kv
 
-from .errors import (DomainError, GaugeSingularityError, NormalizationError,
-                     ResourceError, ShapeError)
+from .errors import DomainError, NormalizationError, ResourceError, ShapeError
 from .evolve import _free_generator_k
 from .fieldcore import CYCLIC, LEVI_CIVITA, poynting
 from .spectral import (_DC_RTOL, GridSpec, HelicitySpectrum, SixField,
                        _dc_energy_fraction, _fft, _helicity_amplitudes, _ifft,
-                       _field_of_blocks, _live_blocks, berry_connection_grid,
-                       decompose, triad_arrays)
+                       _field_of_blocks, _live_blocks, decompose, triad_arrays)
 
 __all__ = [
     "Observables", "GeneratorTag",
@@ -256,49 +255,39 @@ def _positive_frequency_amplitudes(psi: SixField, raw, blocks):
     return amp
 
 
-def _difference_k(spec: GridSpec, amp, ax, out):
-    """Centered difference of a dual-lattice function along k axis ax, into
-    out (periodic neighbours in FFT order, so no shift to centered order)."""
-    a, d = np.moveaxis(amp, ax, 0), np.moveaxis(out, ax, 0)
-    np.subtract(a[2:], a[:-2], out=d[1:-1])
-    np.subtract(a[1], a[-1], out=d[0])
-    np.subtract(a[0], a[-2], out=d[-1])
-    d /= 2 * (2.0 * np.pi / spec.length[ax])
-    return out
-
-
-def observables_momentum(spectrum: HelicitySpectrum, pole_cone=1e-6) -> Observables:
+def observables_momentum(spectrum: HelicitySpectrum) -> Observables:
     """Expectation values evaluated on helicity amplitudes.
 
     Energy and momentum are diagonal mode sums.  Angular momentum and moment
-    of energy use the gauge-covariant derivative with centered differences
-    plus the analytic connection of the spherical gauge; the helicity term
-    lambda k/|k| is added to the angular momentum.  Amplitudes are expected
-    band limited with support away from the k-box edge.  Support inside the
-    pole cone (excluding exact axis points, where the frame is constant by
-    convention) raises GaugeSingularityError.
+    of energy read D = d/dk + i lambda alpha through the Cartesian amplitude
+    a = e phi (e* phi for lambda = -1), as Im(phi* D phi) = Im(a* . d a) in
+    any gauge; d_m a is spectral, one inverse and one forward transform
+    along k axis m.  The helicity term lambda k/|k| is added to the angular
+    momentum.  Amplitudes are expected band limited with support away from
+    the k-box edge.
     """
     spec = spectrum.spec
     p2 = np.abs(spectrum.amp) ** 2
-    alpha = berry_connection_grid(spec, pole_cone)
-    in_cone = np.isnan(alpha[0])
-    # Support is power above 1e-12 of the peak of its helicity.
-    if np.any(in_cone & (p2 > 1e-12 * p2.max(axis=(1, 2, 3), keepdims=True))):
-        raise GaugeSingularityError(
-            "spectrum has support inside the gauge pole cone"
-        )
-    alpha[:, in_cone] = 0.0
-    # g = sum_lambda Re(phi* (1/i) D phi) = Im(phi* d phi) + lambda alpha |phi|^2,
-    # differentiated one k axis at a time; a zero helicity adds nothing.
+    e, _, _ = triad_arrays(spec)
+    # x_m in FFT order: its shift from box-centered order is the checkerboard.
+    coords = [np.fft.ifftshift(x, axes=m)
+              for m, x in enumerate(spec.coord_lines())]
+    # g = sum_lambda Re(phi* (1/i) D phi), one component and k axis at a time.
+    g = np.zeros((3,) + spec.n)
+    conj_a, buf = np.empty((2,) + spec.n, dtype=complex)
+    for b, phi in enumerate(spectrum.amp):
+        if not np.any(phi):
+            continue
+        for c in range(3):
+            np.multiply(e[c] if b == 0 else np.conj(e[c]), phi, out=conj_a)
+            np.conj(conj_a, out=conj_a)
+            for m in range(3):
+                image = _ifft(np.conj(conj_a, out=buf), axes=(m,))
+                image *= coords[m]
+                image = _fft(image, overwrite=True, axes=(m,))
+                # d_m a = -i image, so Im(a* d_m a) = -Re(a* image)
+                g[m] -= np.multiply(conj_a, image, out=image).real
     helicity = p2[0] - p2[1]
-    g = alpha
-    g *= helicity
-    live = [phi for phi in spectrum.amp if np.any(phi)]
-    diff = np.empty(spec.n, dtype=complex)
-    for ax in range(3):
-        for phi in live:
-            _difference_k(spec, phi, ax, diff)
-            g[ax] += np.multiply(np.conj(phi), diff, out=diff).imag
     energy, momentum, n, omega = _mode_sums(spec, p2)
     spin = helicity * spec.k_inverse()
     # np.sum products, not BLAS ones (see observables_coordinate)

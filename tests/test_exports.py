@@ -27,13 +27,19 @@ def test_all_lists_exactly_the_public_api(name):
     assert [n for n in defined if n not in exported] == []
 
 
-def test_every_traced_name_resolves():
-    # The benchmark's tracer wraps these names by getattr; a deleted or
-    # renamed one would break every traced run.
+def _benchmark_tracer():
+    """benchmark/tracer.py, loaded by path."""
     path = Path(__file__).resolve().parents[1] / "benchmark" / "tracer.py"
     spec = importlib.util.spec_from_file_location("pwfn_bench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_traced_name_resolves():
+    # The benchmark's tracer wraps these names by getattr; a deleted or
+    # renamed one would break every traced run.
+    tracer = _benchmark_tracer()
     missing = []
     for module, attr in tracer.FUNCTIONS:
         mod = importlib.import_module(f"pwfn.{module}")
@@ -45,6 +51,29 @@ def test_every_traced_name_resolves():
         if not found:
             missing.append((module, attr))
     assert missing == []
+
+
+def test_tracer_installs_on_pwfn_and_restores_it():
+    # A traced benchmark run wraps every name at Tracer.install and puts
+    # each binding back at uninstall; both run here on the package itself.
+    tracer = _benchmark_tracer()
+    modules = {name: importlib.import_module(f"pwfn.{name}")
+               for name in MODULES}
+    owners = list(modules.values()) + [
+        getattr(modules[module], attr.split(".")[0])
+        for module, attr in tracer.FUNCTIONS if "." in attr]
+    before = [dict(vars(owner)) for owner in owners]
+    traced = tracer.Tracer()
+    traced.install(modules)
+    try:
+        for module, attr in tracer.FUNCTIONS:
+            owner, _, member = attr.rpartition(".")
+            host = getattr(modules[module], owner) if owner else modules[module]
+            assert hasattr(vars(host)[member], "__wrapped__"), attr
+    finally:
+        traced.uninstall()
+    for owner, saved in zip(owners, before):
+        assert all(vars(owner)[key] is value for key, value in saved.items())
 
 
 def _unused_imports(source):

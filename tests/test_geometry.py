@@ -57,16 +57,20 @@ def test_minkowski_reduction(rng):
 def test_constitutive_round_trip(rng):
     spec = cube(8)
     psi = random_field(spec, rng, kmax=2.5)
-    met = offdiag_metric(spec)
-    gf = geo.g_from_f(psi, met)
-    # G = (M F+, M^T F-): the multiply-adds over the column index are the
-    # einsum, bit for bit
-    m = met.constitutive
-    ref = np.stack([np.einsum("ij...,j...->i...", table, psi.data[b])
-                    for b, table in enumerate((m, m.swapaxes(0, 1)))])
-    assert np.array_equal(gf.data, ref)
-    back = geo.f_from_g(gf, met)
-    assert rel_err(back.data, psi.data) < 1e-12
+    # the off-diagonal metric, the same everywhere and varying along x and y
+    g = offdiag_metric(spec).g[..., :1].copy()
+    g[0, 1] = g[1, 0] = 0.2 * (1.0 + 0.5 * np.cos(spec.coord_lines()[0])
+                               * np.cos(spec.coord_lines()[1]))
+    for met in (offdiag_metric(spec), geo.MetricField(spec=spec, g=g)):
+        gf = geo.g_from_f(psi, met)
+        # G = (M F+, M^T F-): the multiply-adds over the column index are
+        # the einsum, bit for bit
+        m = met.constitutive
+        ref = np.stack([np.einsum("ij...,j...->i...", table, psi.data[b])
+                        for b, table in enumerate((m, m.swapaxes(0, 1)))])
+        assert np.array_equal(gf.data, ref)
+        back = geo.f_from_g(gf, met)
+        assert rel_err(back.data, psi.data) < 1e-12
 
 
 @pytest.mark.parametrize("constitutive", [geo.g_from_f, geo.f_from_g])

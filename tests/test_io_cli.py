@@ -458,6 +458,30 @@ def test_cli_refuses_an_all_zero_initial_field(tmp_path, capsys, kind):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content", ["uniform", "longitudinal"])
+def test_cli_observables_refuses_a_field_without_helicity_content(
+        tmp_path, capsys, content):
+    # Neither field has a photon to normalize to: a uniform field is all
+    # k = 0, and F+- = x exp(2 pi i x / L) is all along its k.
+    spec = cube(8)
+    field = SixField.zeros(spec)
+    field.data[:, 0] = 1.0 if content == "uniform" else np.exp(
+        2j * np.pi * spec.coord_lines()[0] / spec.length[0])
+    path = tmp_path / "in.pwfn"
+    gridio.write_sixfield(path, field)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[scenario]\nkind = observables\n" + GRID8
+                   + f"[initial]\npacket = file:{path}\n")
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["observables", "--config", str(cfg),
+                     "--out", str(out)]) == 2
+    assert "[initial] packet" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("helicity", [1, -1])
 @pytest.mark.parametrize("packet", ["gaussian", "mode", "file"])
 @pytest.mark.parametrize("kind", ["wigner", "hydro"])
@@ -866,6 +890,13 @@ def test_cold_observables_run_memory(tmp_path):
     assert ok, (measured, bound)
 
 
+def _momentum_derivative_transforms(helicities):
+    """Transform calls, each way, of observables_momentum's k derivatives:
+    per live helicity, one inverse and one forward transform of one grid
+    along each k axis, for each Cartesian component."""
+    return 3 * 3 * helicities
+
+
 def test_manifest_counts_transforms(tmp_path, rng):
     spec = cube(8)
     field = tmp_path / "in.pwfn"
@@ -929,13 +960,15 @@ def test_manifest_counts_transforms(tmp_path, rng):
                 "fft_calls": 2, "fft_points": 2 * live,
                 "ifft_calls": 2, "ifft_points": 2 * live}, (text, steps)
     # A built-in packet starts as a one-helicity spectrum: observables
-    # synthesizes it once (one three-component block) before the
-    # coordinate observables' 1/H and generators, and evolve-free only
-    # synthesizes it at t.
+    # reads its k derivatives, synthesizes it once (one three-component
+    # block) before the coordinate observables' 1/H and generators, and
+    # evolve-free only synthesizes it at t.
+    calls = _momentum_derivative_transforms(1)
     assert _run(tmp_path, "observables", MINIMAL["observables"],
                 "obs")["counters"] == {
-        "fft_calls": 1, "fft_points": live,
-        "ifft_calls": 5, "ifft_points": 5 * live}
+        "fft_calls": 1 + calls, "fft_points": live + calls * spec.npoints,
+        "ifft_calls": 5 + calls,
+        "ifft_points": 5 * live + calls * spec.npoints}
     assert _run(tmp_path, "evolve-free", MINIMAL["evolve-free"],
                 "free")["counters"] == {
         "fft_calls": 0, "fft_points": 0, "ifft_calls": 1, "ifft_points": live}
@@ -982,8 +1015,10 @@ def test_observables_of_a_built_in_packet_match_the_round_trip(tmp_path,
     # out with public functions, gives the same rows to roundoff.
     text, build = BUILT_IN[packet]
     run = _run(tmp_path, "observables", GRID8 + "[initial]\n" + text)
+    helicities = sum(bool(np.any(amp)) for amp in build(cube(8)).amp)
+    calls = _momentum_derivative_transforms(helicities)
     assert (run["counters"]["fft_calls"], run["counters"]["ifft_calls"]) \
-        == (1, 5)
+        == (1 + calls, 5 + calls)
     sp = spectral.decompose(spectral.synthesize(build(cube(8))))
     n_ph = metrics.photon_number(sp)
     sp.amp /= np.sqrt(n_ph)

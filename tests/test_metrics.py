@@ -7,8 +7,7 @@ import pytest
 from scipy import fft as sfft
 
 from pwfn import metrics as mt, spectral
-from pwfn.errors import (DomainError, GaugeSingularityError,
-                         NormalizationError, ResourceError)
+from pwfn.errors import DomainError, NormalizationError, ResourceError
 from pwfn.evolve import propagate_free
 from pwfn.fieldcore import (CYCLIC, classical_energy,
                             classical_moment_of_energy, classical_momentum)
@@ -96,23 +95,25 @@ def test_observables_dual_representation_diagonal(rng):
     assert np.max(np.abs(om.momentum - oc.momentum)) < 1e-11 * om.energy
 
 
+def _momentum_coordinate_gap(spectrum):
+    """Largest |J| and |K| difference between the two representations of
+    a spectrum normalized to one photon, relative to its energy."""
+    spectrum.amp /= np.sqrt(mt.photon_number(spectrum))
+    om = mt.observables_momentum(spectrum)
+    oc = mt.observables_coordinate(synthesize(spectrum, 0.0))
+    return max(np.max(np.abs(om.angular_momentum - oc.angular_momentum)),
+               np.max(np.abs(om.moment_of_energy - oc.moment_of_energy))) \
+        / oc.energy
+
+
 def test_observables_dual_representation_position_weighted():
-    # centered-difference covariant derivative: packet-scale agreement that
-    # improves at second order when the k lattice is refined
-    diffs = []
+    # the spectral k derivative is the coordinate x by Parseval, so the two
+    # representations agree to roundoff on either grid
     for n, lf in ((24, 2.0), (48, 4.0)):
         spec = cube(n, length=2 * np.pi * lf)
         spectrum = gaussian_packet_spectrum(spec, (3.0, 0.5, 1.0), 0.6,
                                             r_center=(0.4, -0.3, 0.2))
-        psi = synthesize(spectrum, 0.0)
-        om = mt.observables_momentum(spectrum)
-        oc = mt.observables_coordinate(psi)
-        diffs.append(max(np.max(np.abs(om.angular_momentum
-                                       - oc.angular_momentum)),
-                         np.max(np.abs(om.moment_of_energy
-                                       - oc.moment_of_energy))))
-    assert diffs[0] < 0.25
-    assert diffs[1] < 0.35 * diffs[0]
+        assert _momentum_coordinate_gap(spectrum) <= 1e-12
 
 
 def test_observables_moment_tracks_energy_centroid():
@@ -153,27 +154,47 @@ def test_observables_reproduce_classical_bilinears(rng):
     assert np.max(np.abs(n_q - n_cl)) < 0.05 * e_cl
 
 
-def test_observables_pole_cone_guard():
+def test_observables_near_the_k_z_axis_match_coordinate():
+    # support on the k_z axis, and at (1, 0, 2), inside the cone of
+    # sin(theta) < 0.9 where the spherical gauge's connection is large:
+    # the derivative of the Cartesian amplitude needs no gauge
     spec = cube(8)
-    amp = np.zeros((2,) + spec.n, dtype=complex)
-    amp[0, 0, 0, 2] = 1.0
-    # exact axis support is fine by the constant-frame convention
-    mt.observables_momentum(HelicitySpectrum(spec=spec, amp=amp))
-    # support just off the axis inside the cone is not
-    stretched = cube(8)
-    bad = np.zeros((2,) + stretched.n, dtype=complex)
-    bad[0, 1, 0, 2] = 1.0
-    spec_narrow = stretched
-    import pwfn.metrics as m2
-    with pytest.raises(GaugeSingularityError):
-        m2.observables_momentum(HelicitySpectrum(spec=spec_narrow, amp=bad),
-                                pole_cone=0.9)
+    for index in ((0, 0, 2), (1, 0, 2)):
+        amp = np.zeros((2,) + spec.n, dtype=complex)
+        amp[(0,) + index] = 1.0
+        assert _momentum_coordinate_gap(
+            HelicitySpectrum(spec=spec, amp=amp)) <= 1e-12
+
+
+# Packets that the centered k difference in the spherical gauge got wrong
+# at order one: a translated packet (K_y 2.2561 against 2.5456) and a
+# packet along k_z off the origin (J_x 0.163 against 1.826).
+PROBE_PACKETS = {
+    "translated": ((2.4, -0.8, 1.6), (0.0, 0.65, 0.0)),
+    "k_z axis": ((0.0, 0.0, 2.0), (0.2, 0.1, 0.0)),
+}
+
+
+@pytest.mark.parametrize("helicity", [1, -1])
+@pytest.mark.parametrize("packet", list(PROBE_PACKETS))
+def test_observables_probe_packets_match_coordinate(packet, helicity):
+    k_center, r_center = PROBE_PACKETS[packet]
+    spec = cube(32, length=4 * np.pi)
+    spectrum = gaussian_packet_spectrum(spec, k_center, 0.66, helicity,
+                                        r_center)
+    measured, bound = _momentum_coordinate_gap(spectrum), 1e-12
+    ok = measured <= bound
+    print(f"[{'PASS' if ok else 'FAIL'}] {packet} packet, helicity "
+          f"{helicity:+d}: J and K, momentum vs coordinate rep / energy: "
+          f"{measured:.3e} (<= {bound:.3e})")
+    assert ok, (measured, bound)
 
 
 def _observables_momentum_reference(spectrum):
     """observables_momentum written out per component: explicit n and
-    1/(V |k|) weight, the connection from arctan2, fftshift centered
-    differences and np.cross."""
+    1/(V |k|) weight, the k derivative of the Cartesian amplitude
+    a = e phi (e* phi for lambda = -1) as the 3-D form to_k(-i x to_r(a)),
+    and np.cross."""
     spec = spectrum.spec
     kvec = spec.k_grid()
     knorm = spec.k_norm()
@@ -182,13 +203,8 @@ def _observables_momentum_reference(spectrum):
     weight[nz] = 1.0 / (spec.volume * knorm[nz])
     nhat = np.zeros_like(kvec)
     nhat[:, nz] = kvec[:, nz] / knorm[nz]
-    sth = np.hypot(nhat[0], nhat[1])
-    phi_angle = np.arctan2(nhat[1], nhat[0])
-    mag = np.zeros_like(knorm)
-    off = sth > 0
-    mag[off] = -(nhat[2][off] / sth[off]) / knorm[off]
-    alpha = np.stack([-np.sin(phi_angle) * mag, np.cos(phi_angle) * mag,
-                      np.zeros_like(mag)])
+    e, _, _ = spectral.triad_arrays(spec)
+    x = spec.coords()
     energy = 0.0
     momentum = np.zeros(3)
     ang = np.zeros(3)
@@ -198,19 +214,18 @@ def _observables_momentum_reference(spectrum):
         p2 = np.abs(phi) ** 2
         energy += float(np.sum(p2[nz] / spec.volume))
         momentum += [np.sum(weight * kvec[i] * p2) for i in range(3)]
-        shifted = sfft.fftshift(phi)
-        dphi = np.empty((3,) + spec.n, dtype=complex)
-        for ax, L in enumerate(spec.length):
-            dk = 2.0 * np.pi / L
-            dphi[ax] = sfft.ifftshift((np.roll(shifted, -1, axis=ax)
-                                       - np.roll(shifted, 1, axis=ax)) / (2 * dk))
-        covd = -1j * dphi + lam * alpha * phi
-        kxd = np.cross(kvec, covd, axisa=0, axisb=0, axisc=0)
-        ang += [np.sum(weight * np.real(np.conj(phi) * kxd[i]))
-                + lam * np.sum(weight * nhat[i] * p2) for i in range(3)]
-        moe += [np.sum(weight * knorm * (np.real(1j * np.conj(phi) * dphi[i])
-                                         - lam * alpha[i] * p2))
+        a = (e if lam == 1 else np.conj(e)) * phi
+        # g = Re(phi* (1/i) D phi) = sum_c Im(a_c* d a_c)
+        g = np.zeros((3,) + spec.n)
+        for c in range(3):
+            field = spectral.to_r(spec, a[c])
+            for m in range(3):
+                da = spectral.to_k(spec, -1j * x[m] * field)
+                g[m] += np.imag(np.conj(a[c]) * da)
+        kxg = np.cross(kvec, g, axisa=0, axisb=0, axisc=0)
+        ang += [np.sum(weight * kxg[i]) + lam * np.sum(weight * nhat[i] * p2)
                 for i in range(3)]
+        moe -= [np.sum(weight * knorm * g[i]) for i in range(3)]
     return energy, momentum, ang, moe
 
 
@@ -230,18 +245,6 @@ def test_observables_momentum_matches_component_form():
         assert np.max(np.abs(got - ref)) <= 1e-14 * energy
     assert np.max(np.abs(ang)) > 0.1 * energy   # the J terms are exercised
     assert np.max(np.abs(moe)) > 0.1 * energy
-
-
-def test_gradient_k_matches_centered_order(rng):
-    spec = GridSpec(n=(8, 6, 10), length=(5.0, 4.0, 7.0))
-    amp = rng.normal(size=spec.n) + 1j * rng.normal(size=spec.n)
-    shifted = sfft.fftshift(amp)
-    for ax, L in enumerate(spec.length):
-        got = mt._difference_k(spec, amp, ax, np.empty_like(amp))
-        dk = 2.0 * np.pi / L
-        ref = sfft.ifftshift((np.roll(shifted, -1, axis=ax)
-                              - np.roll(shifted, 1, axis=ax)) / (2 * dk))
-        assert np.array_equal(got, ref)
 
 
 def test_observables_coordinate_requires_normalization(rng):
