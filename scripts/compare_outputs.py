@@ -1,0 +1,194 @@
+"""Compare the outputs of two source trees of pwfn.
+
+    python scripts/compare_outputs.py PARENT [CHANGE]
+
+PARENT and CHANGE are checkouts (each holding ``src/`` and ``tests/``);
+CHANGE defaults to the tree this script sits in.  Both run the nine
+``MINIMAL`` configs of CHANGE's ``tests/test_io_cli.py`` through the CLI,
+and ``pytest -s tests/test_acceptance.py`` from their own tests.  Printed,
+one line each: every CSV value, ``.pwfn`` payload, manifest counter and
+acceptance ``check(...)`` line that differs, with its relative change.
+Runtime checks and the wall-clock fields of manifests are not compared.
+Each tree runs in its own processes, with ``PYTHONPATH`` set to its
+``src``; nothing is installed.  Exits 1 if a run fails, 0 otherwise.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+HERE = Path(__file__).resolve().parent.parent
+CHECK = re.compile(r"^\[(?:PASS|FAIL)\] (.+?): (\S+) \((?:<=|>=) \S+\)$")
+
+
+def _env(tree):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(tree / "src")
+    return env
+
+
+def _minimal(tree):
+    """The MINIMAL configs, imported from tree's CLI tests."""
+    sys.path[:0] = [str(tree / "tests"), str(tree / "src")]
+    try:
+        import test_io_cli
+    finally:
+        del sys.path[:2]
+    return test_io_cli.MINIMAL
+
+
+def _run_configs(tree, configs, work):
+    """Run each config through tree's CLI into work/KIND; returns failures."""
+    failed = []
+    for kind, text in configs.items():
+        cfg = work / f"{kind}.ini"
+        cfg.write_text(f"[scenario]\nkind = {kind}\n" + text)
+        done = subprocess.run(
+            [sys.executable, "-m", "pwfn.cli", kind, "--config", str(cfg),
+             "--out", str(work / kind)], env=_env(tree),
+            capture_output=True, text=True)
+        if done.returncode:
+            failed.append(f"{tree}: {kind} exited {done.returncode}: "
+                          f"{done.stderr.strip()}")
+    return failed
+
+
+def _checks(tree):
+    """{label: value} of tree's acceptance printout, runtimes left out."""
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-s", "-q", "-p", "no:cacheprovider",
+         "tests/test_acceptance.py"], cwd=tree, env=_env(tree),
+        capture_output=True, text=True)
+    found = {}
+    for line in done.stdout.splitlines():
+        match = CHECK.match(line.strip())
+        if match and "runtime" not in match.group(1):
+            found[match.group(1)] = float(match.group(2))
+    return found, done.returncode
+
+
+def _relative(old, new):
+    if old == new:
+        return 0.0
+    scale = max(abs(old), abs(new))
+    return abs(new - old) / scale if scale else float("inf")
+
+
+def _number(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def _compare_csv(name, old_path, new_path):
+    old = [line.split(",") for line in old_path.read_text().splitlines()]
+    new = [line.split(",") for line in new_path.read_text().splitlines()]
+    if len(old) != len(new) or old[:1] != new[:1]:
+        yield f"{name}: header or row count differs"
+        return
+    header = old[0]
+    for row, (row_old, row_new) in enumerate(zip(old[1:], new[1:]), 1):
+        # a row is named by its number and its leading text cells
+        label = " ".join([str(row)] + [cell for cell in row_old[:2]
+                                       if _number(cell) is None])
+        for col, (a, b) in enumerate(zip(row_old, row_new)):
+            if a == b:
+                continue
+            x, y = _number(a), _number(b)
+            change = ("" if x is None or y is None
+                      else f" (relative {_relative(x, y):.3e})")
+            yield f"{name} [{label}, {header[col]}]: {a} -> {b}{change}"
+
+
+def _compare_field(name, old_path, new_path):
+    if old_path.read_bytes() == new_path.read_bytes():
+        return
+    sys.path.insert(0, str(HERE / "src"))
+    try:
+        from pwfn.gridio import read_grid_field
+    finally:
+        del sys.path[0]
+    (_, a), (_, b) = read_grid_field(old_path), read_grid_field(new_path)
+    if a.shape != b.shape:
+        yield f"{name}: payload shape {a.shape} -> {b.shape}"
+        return
+    scale = max(np.max(np.abs(a)), np.max(np.abs(b)))
+    worst = np.max(np.abs(a - b)) / scale if scale else 0.0
+    differ = np.count_nonzero(a.view(float) != b.view(float))
+    yield (f"{name}: {differ} of {2 * a.size} payload numbers differ, "
+           f"max |change| / max |value| {worst:.3e}")
+
+
+def _compare_counters(name, old_path, new_path):
+    old = json.loads(old_path.read_text())["run"].get("counters", {})
+    new = json.loads(new_path.read_text())["run"].get("counters", {})
+    for key in sorted(set(old) | set(new)):
+        if old.get(key) != new.get(key):
+            yield f"{name} counters.{key}: {old.get(key)} -> {new.get(key)}"
+
+
+def compare(parent, change):
+    configs = _minimal(change)
+    lines, failed = [], []
+    with tempfile.TemporaryDirectory() as tmp:
+        work = {}
+        for side, tree in (("parent", parent), ("change", change)):
+            work[side] = Path(tmp) / side
+            work[side].mkdir()
+            failed += _run_configs(tree, configs, work[side])
+        for kind in configs:
+            old_dir, new_dir = work["parent"] / kind, work["change"] / kind
+            if not (old_dir.is_dir() and new_dir.is_dir()):
+                continue
+            for old_path in sorted(old_dir.iterdir()):
+                new_path = new_dir / old_path.name
+                name = f"{kind}/{old_path.name}"
+                if not new_path.exists():
+                    lines.append(f"{name}: missing in the change")
+                elif old_path.suffix == ".csv":
+                    lines += _compare_csv(name, old_path, new_path)
+                elif old_path.suffix == ".pwfn":
+                    lines += _compare_field(name, old_path, new_path)
+                elif old_path.name == "manifest.json":
+                    lines += _compare_counters(name, old_path, new_path)
+    (old_checks, old_code), (new_checks, new_code) = (
+        _checks(parent), _checks(change))
+    failed += [f"{tree}: acceptance suite exited {code}"
+               for tree, code in ((parent, old_code), (change, new_code))
+               if code]
+    for label in sorted(set(old_checks) | set(new_checks)):
+        a, b = old_checks.get(label), new_checks.get(label)
+        if a is None or b is None:
+            lines.append(f"check {label!r}: {a} -> {b}")
+        elif a != b:
+            lines.append(f"check {label!r}: {a:.3e} -> {b:.3e} "
+                         f"(relative {_relative(a, b):.3e})")
+    return lines, failed
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path, nargs="?", default=HERE)
+    args = parser.parse_args(argv)
+    lines, failed = compare(args.parent.resolve(), args.change.resolve())
+    for line in lines:
+        print(line)
+    print(f"{len(lines)} differing values")
+    for line in failed:
+        print("FAILED:", line, file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -42,9 +42,9 @@ from scipy import fft as sfft
 
 from .errors import DomainError, ShapeError, StabilityError
 from .fieldcore import CYCLIC, rodrigues
-from .spectral import (GridSpec, SixField, _check_phase, _cross_k, _curl_k,
+from .spectral import (GridSpec, SixField, _check_phase, _cross_k,
                        _distinct, _expand, _fft, _field_of_blocks, _ifft,
-                       _length, _live_blocks, div, grad, triad_arrays)
+                       _length, _live_blocks, curl, div, grad, triad_arrays)
 
 __all__ = [
     "MediumMap", "StepperConfig", "rk4",
@@ -443,16 +443,9 @@ def propagate_free(psi: SixField, t: float) -> SixField:
 
 def free_generator(psi: SixField) -> SixField:
     """Apply the free Hamiltonian rho_3 (s . grad/i): (curl F+, -curl F-)."""
-    return SixField(spec=psi.spec,
-                    data=_free_generator_k(psi.spec, _fft(psi.data)))
-
-
-def _free_generator_k(spec: GridSpec, hat, blocks=range(2)):
-    """free_generator data of the blocks `blocks` from hat, their raw FFT."""
-    out = _curl_k(spec, hat)
-    if 1 in blocks:  # rho_3 negates F-, the last block of any stack
-        np.negative(out[-1], out=out[-1])
-    return out
+    out = curl(psi.spec, psi.data)
+    np.negative(out[1], out=out[1])
+    return SixField(spec=psi.spec, data=out)
 
 
 def hamiltonian_apply(psi: SixField, medium: MediumMap) -> SixField:

@@ -30,11 +30,11 @@ import numpy as np
 from scipy.special import gamma as gamma_fn, kv
 
 from .errors import DomainError, NormalizationError, ResourceError, ShapeError
-from .evolve import _free_generator_k
 from .fieldcore import CYCLIC, LEVI_CIVITA, poynting
-from .spectral import (_DC_RTOL, GridSpec, HelicitySpectrum, SixField,
-                       _dc_energy_fraction, _fft, _helicity_amplitudes, _ifft,
-                       _field_of_blocks, _live_blocks, decompose, triad_arrays)
+from .spectral import (_DC_RTOL, GridSpec, HelicitySpectrum, SixField, _curl,
+                       _dc_energy_fraction, _derivative, _fft,
+                       _helicity_amplitudes, _ifft, _field_of_blocks,
+                       _live_blocks, decompose, triad_arrays)
 
 __all__ = [
     "Observables", "GeneratorTag",
@@ -318,8 +318,9 @@ def observables_coordinate(psi: SixField) -> Observables:
     """
     spec = psi.spec
     dv = spec.cell_volume
-    # One raw transform serves the checks, the norm, 1/H psi and every
-    # P_m psi = (1/i) d_m psi; 1/|k| and k_m are raw multipliers.
+    # One raw transform serves the checks, the norm and 1/H psi, with 1/|k|
+    # a raw multiplier; each P_m psi = (1/i) d_m psi is one transform pair
+    # along axis m.
     blocks, live = _live_blocks(psi.data)
     raw = _fft(live)
     amp = _positive_frequency_amplitudes(psi, raw, blocks)
@@ -331,6 +332,7 @@ def observables_coordinate(psi: SixField) -> Observables:
             f"field is not normalized: <psi|psi> = {n2:.12e}", measured_norm=n2
         )
     bra = _ifft(spec.k_inverse() * raw)
+    del raw
     np.conj(bra, out=bra)
     coords = spec.coord_lines()
     # P_m psi is built one axis at a time in one reused buffer.  <P_m> is
@@ -339,14 +341,13 @@ def observables_coordinate(psi: SixField) -> Observables:
     # reduced one component at a time.
     momentum = np.empty(3)
     ang = np.zeros(3)
-    kvec = spec.k_diff_lines()
     grid = (-1,) + spec.n
-    image = np.empty_like(raw)
+    image = np.empty_like(bra)
     product = np.empty(spec.n, dtype=complex)
     overlap = np.empty(spec.n)
     for m in range(3):
-        np.multiply(kvec[m], raw, out=image)
-        image = _ifft(image)
+        np.copyto(image, live)
+        image = _derivative(spec, image, m, overwrite=True)
         overlap[...] = 0.0
         for bra_c, image_c in zip(bra.reshape(grid), image.reshape(grid)):
             overlap += np.multiply(bra_c, image_c, out=product).real
@@ -503,52 +504,60 @@ class _GeneratorJet:
     """The ten Poincare generators applied to one field psi.
 
     The jet holds data, the stack of the live blocks of psi, and images
-    are stacks of the same blocks.  data is forward-transformed at most
-    once, and each derivative field D_m = (1/i) d_m psi is built at most
-    once, by the multiplier k_m on that transform, so images of psi under
-    several generators share them: H is the curl multiplier on the same
-    transform, P_m = D_m and J_i = x_j D_k - x_k D_j + S_i psi,
-    (j, k) = CYCLIC[i].  K_i = H (x_i psi) transforms x_i psi itself.
-    Returned arrays may be held by the jet; callers must not write to them.
+    are stacks of the same blocks.  P_m = D_m = (1/i) d_m psi and
+    J_i = x_j D_k - x_k D_j + S_i psi, (j, k) = CYCLIC[i], read derivative
+    fields, each built at most once while held.  H = rho_3 curl psi and
+    K_i = H (x_i psi) form the curl as spectral.curl does from the terms
+    D_a psi_b, a != b; K_i takes x_i D_a psi_b along each axis a != i,
+    where x_i is constant, and transforms x_i psi_b along axis i.  A term
+    comes from a held field, from one built and held if its axis is in
+    keep, or else from psi_b alone.  Returned arrays may be held by the
+    jet; callers must not write to them.
     """
 
-    def __init__(self, spec: GridSpec, blocks, data):
+    def __init__(self, spec: GridSpec, blocks, data, keep=()):
         self.spec, self.blocks, self.data = spec, blocks, data
-        self._raw = None               # _fft(data)
+        self.keep = set(keep)
         self._derivs = [None, None, None]
-
-    def _transform(self):
-        if self._raw is None:
-            self._raw = _fft(self.data)
-        return self._raw
 
     def derivative(self, ax):
         """D_ax = (1/i) d_ax psi."""
         if self._derivs[ax] is None:
-            kvec = self.spec.k_diff_lines()
-            self._derivs[ax] = _ifft(kvec[ax] * self._transform())
+            self._derivs[ax] = _derivative(self.spec, self.data, ax)
         return self._derivs[ax]
 
+    def _term(self, a, b):
+        """D_a psi_b."""
+        if self._derivs[a] is None and a not in self.keep:
+            return _derivative(self.spec, self.data[:, b], a)
+        return self.derivative(a)[:, b]
+
     def release(self, keep):
-        """Drop every derivative field not in keep, and the transform once
-        every kept one is built."""
+        """Hold from now on only the derivative fields along the axes keep."""
+        self.keep = set(keep)
         for ax in range(3):
-            if ax not in keep:
+            if ax not in self.keep:
                 self._derivs[ax] = None
-        if all(self._derivs[ax] is not None for ax in keep):
-            self._raw = None
 
     def apply(self, tag: GeneratorTag):
         """Stack of the image tag psi."""
-        spec = self.spec
-        if tag is GeneratorTag.H:
-            return _free_generator_k(spec, self._transform(), self.blocks)
-        ax = tag.axis
+        spec, ax = self.spec, tag.axis
+        if tag.family in "HK":
+            term = self._term
+            if tag.family == "K":
+                x = spec.coord_lines()[ax]
+
+                def term(a, b):   # D_a (x psi_b)
+                    if a != ax:
+                        return x * self._term(a, b)
+                    weighted = x * self.data[:, b]
+                    return _derivative(spec, weighted, ax, overwrite=True)
+            out = _curl(term, self.data.shape)
+            if 1 in self.blocks:  # rho_3 negates F-, the last block
+                np.negative(out[-1], out=out[-1])
+            return out
         if tag.family == "P":
             return self.derivative(ax)
-        if tag.family == "K":
-            return _free_generator_k(spec, _fft(self.data * spec.coord_lines()[ax]),
-                                     self.blocks)
         if tag.family == "J":
             coords = spec.coord_lines()
             j, k = CYCLIC[ax]
@@ -598,8 +607,8 @@ def commutator_residual(tag_a: GeneratorTag, tag_b: GeneratorTag,
                         psi: SixField) -> float:
     """|| ([A,B] - expected) psi || / || psi || on a band-limited field.
 
-    The images A psi, B psi and the predicted C psi share one transform of
-    psi (K images transform x psi themselves).
+    The images A psi, B psi and the predicted C psi share the derivative
+    fields of psi that P and J build.
     """
     jet = _GeneratorJet(psi.spec, *_live_blocks(psi.data))
     jet_a, jet_b = (_GeneratorJet(psi.spec, jet.blocks, jet.apply(tag))
@@ -607,33 +616,44 @@ def commutator_residual(tag_a: GeneratorTag, tag_b: GeneratorTag,
     return _pair_residual(tag_a, tag_b, jet_a, jet_b, jet.apply, psi.norm())
 
 
+# The order the sweep makes the image jets in (see commutator_residuals).
+_SWEEP_ORDER = tuple(GeneratorTag[name] for name in (
+    "H", "P_X", "J_Y", "K_Y", "J_Z", "P_Z", "K_X", "J_X", "K_Z", "P_Y"))
+
+
 def commutator_residuals(psi: SixField):
     """commutator_residual for all 45 pairs of distinct generators.
 
     Returns [(A, B, residual)] with A before B in GeneratorTag order.  The
     ten images G psi come from one jet of psi, and each image gets a jet of
-    its own, built in tag order; pair (A, B) is computed once B's jet
-    exists.  Each image is thus transformed once and each of its
-    derivative fields inverse-transformed once: 41 forward and 73 inverse
-    block transforms per sweep, where applying each generator separately
-    takes 100 and 130.  A jet keeps a derivative field only while a later
-    P or J tag reads it, so the sweep holds at most about 33 six-field
-    sizes beyond psi, half that for a definite-helicity psi.
+    its own, made in _SWEEP_ORDER; pair (A, B) is computed once both jets
+    exist.  A jet builds its three derivative fields when it is made, and
+    keeps one only while a P or J made later reads it; H and K otherwise
+    transform each term alone (a K from nothing takes 12 one-axis passes
+    of a grid, the 3-D form 18).  In that order 22 of the 30 K find both
+    fields they read held and 8 one (in tag order 24 came after the last J
+    and found none): 109 forward and 109 inverse one-axis transforms, per
+    live block 350 passes of one grid along one axis (3-D made 1026).
+    The sweep holds at most about 30 six-field sizes beyond psi, half that
+    for a definite-helicity psi.
     """
     tags = list(GeneratorTag)
     blocks, live = _live_blocks(psi.data)
-    jet = _GeneratorJet(psi.spec, blocks, live)
+    jet = _GeneratorJet(psi.spec, blocks, live, keep=range(3))
     images = {tag: jet.apply(tag) for tag in tags}
     del jet
     denom = psi.norm()
     jets = {}
     found = {}
-    for b, tag_b in enumerate(tags):
-        jets[tag_b] = _GeneratorJet(psi.spec, blocks, images[tag_b])
-        for tag_a in tags[:b]:
-            found[tag_a, tag_b] = _pair_residual(
-                tag_a, tag_b, jets[tag_a], jets[tag_b], images.get, denom)
-        keep = {ax for later in tags[b + 1:] for ax in _derivatives_read(later)}
+    for made, tag in enumerate(_SWEEP_ORDER):
+        jets[tag] = _GeneratorJet(psi.spec, blocks, images[tag],
+                                  keep=range(3))
+        for earlier in _SWEEP_ORDER[:made]:
+            a, b = sorted((earlier, tag), key=tags.index)
+            found[a, b] = _pair_residual(a, b, jets[a], jets[b], images.get,
+                                         denom)
+        keep = {ax for later in _SWEEP_ORDER[made + 1:]
+                for ax in _derivatives_read(later)}
         for held in jets.values():
             held.release(keep)
     return [(tag_a, tag_b, found[tag_a, tag_b])

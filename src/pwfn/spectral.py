@@ -20,9 +20,11 @@ Only readers of a physical spectrum or its norm (helicity amplitudes,
 Wigner matrices) use this scaled pair, :func:`to_k` and :func:`to_r`.  Every
 k-space multiplier m(k), 1/H = 1/|k| included, runs on the raw pair as
 _ifft(m * _fft(u)): the checkerboard and cell-volume factors cancel there,
-as (-1)^(2m) = 1.  A real u is transformed as complex: scipy's real-input
-path rounds differently, and a real field must differentiate exactly like
-its complex copy.
+as (-1)^(2m) = 1.  A derivative multiplier k_m varies along k axis m alone,
+so every spectral derivative is a transform pair along its own axis only
+(:func:`_derivative`).  A real u is transformed as complex: scipy's
+real-input path rounds differently, and a real field must differentiate
+exactly like its complex copy.
 
 Polarization gauge
 ------------------
@@ -255,16 +257,17 @@ def _table(spec: GridSpec, name, build):
     return value
 
 
-# Calls of _fft/_ifft and the points they transformed (array sizes, so a
-# six-component block counts six grids, along as many axes as the call
-# transforms) since the last reset.  Every transform of the package goes
-# through these two functions.
+# Calls of _fft/_ifft since the last reset, the points they transformed
+# (array sizes, so a six-component block counts six grids) and the axis
+# points (sizes times axes transformed: a one-axis call counts a third of a
+# 3-D one).  Every transform of the package goes through these two.
 _TRANSFORM_COUNTS = dict.fromkeys(
-    ("fft_calls", "fft_points", "ifft_calls", "ifft_points"), 0)
+    ("fft_calls", "fft_points", "ifft_calls", "ifft_points",
+     "fft_axis_points", "ifft_axis_points"), 0)
 
 
 def transform_counts() -> dict:
-    """Copy of the transform counters: calls and points per direction."""
+    """Copy of the counters: calls, points and axis points per direction."""
     return dict(_TRANSFORM_COUNTS)
 
 
@@ -283,6 +286,7 @@ def _fft(u, overwrite=False, axes=(-3, -2, -1)):
     """
     _TRANSFORM_COUNTS["fft_calls"] += 1
     _TRANSFORM_COUNTS["fft_points"] += u.size
+    _TRANSFORM_COUNTS["fft_axis_points"] += u.size * len(axes)
     if np.iscomplexobj(u):
         return sfft.fftn(u, axes=axes, workers=_FFT_WORKERS,
                          overwrite_x=overwrite)
@@ -295,6 +299,7 @@ def _ifft(uhat, axes=(-3, -2, -1)):
     three); may overwrite uhat."""
     _TRANSFORM_COUNTS["ifft_calls"] += 1
     _TRANSFORM_COUNTS["ifft_points"] += uhat.size
+    _TRANSFORM_COUNTS["ifft_axis_points"] += uhat.size * len(axes)
     return sfft.ifftn(uhat, axes=axes, workers=_FFT_WORKERS,
                       overwrite_x=True)
 
@@ -314,31 +319,36 @@ def to_r(spec: GridSpec, uhat):
     return out
 
 
+def _derivative(spec: GridSpec, u, axis, overwrite=False):
+    """D u = (1/i) du/dx_axis of u, (..., nx, ny, nz), by one forward and
+    one inverse transform along lattice axis `axis` alone: pairs along the
+    other axes would cancel.  Where u has size 1 along `axis` it is constant
+    there, and D u is 0 with no transform.  The odd-derivative wave numbers
+    drop the unpaired Nyquist mode.  Complex, of u's shape; with overwrite,
+    a complex u may be overwritten by it.
+    """
+    if np.shape(u)[axis - 3] == 1:
+        return np.zeros(np.shape(u), dtype=complex)
+    hat = _fft(u, overwrite=overwrite, axes=(axis - 3,))
+    hat *= spec.k_diff_lines()[axis]
+    return _ifft(hat, axes=(axis - 3,))
+
+
 def grad(spec: GridSpec, u):
     """Spectral gradient over the last three axes of (..., nx, ny, nz).
 
     Returns (..., 3, nx, ny, nz): the derivative index sits at axis -4,
-    where :func:`div` and :func:`curl` keep the vector index.  A real u
-    gives a real gradient.  Along a lattice axis of size 1, where u is
-    constant, the derivative is 0 and u is not transformed.  One forward
-    transform of u serves every axis; each derivative is formed in one
-    reused buffer, transformed back in place and copied into the output,
-    so besides the result only the transform of u and that buffer are
-    held.  The odd-derivative wave vectors drop the unpaired Nyquist mode.
+    where :func:`div` and :func:`curl` keep the vector index.  Row a is
+    i D_a u (:func:`_derivative`), 0 along a lattice axis where u has size
+    1.  A real u gives a real gradient.
     """
     shape = np.shape(u)
-    axes = tuple(a for a in (-3, -2, -1) if shape[a] > 1)
     real = np.isrealobj(u)
-    out = np.zeros(shape[:-3] + (3,) + shape[-3:],
+    out = np.empty(shape[:-3] + (3,) + shape[-3:],
                    dtype=float if real else complex)
-    if not axes:
-        return out
-    hat = _fft(u, axes=axes)
-    kvec = spec.k_diff_lines()
-    buf = np.empty_like(hat)
-    for a in axes:   # lattice axis a is derivative row a of the 3 rows
-        np.multiply(1j * kvec[a], hat, out=buf)
-        d = _ifft(buf, axes=axes)
+    for a in range(3):
+        d = _derivative(spec, u, a)
+        d *= 1j
         out[..., a, :, :, :] = d.real if real else d
     return out
 
@@ -346,44 +356,41 @@ def grad(spec: GridSpec, u):
 def div(spec: GridSpec, u):
     """Spectral divergence of vectors stored along axis -4 of (..., 3, nx, ny, nz).
 
-    Returns (..., nx, ny, nz); a real u gives a real result.  The terms
-    k_a hat_a are summed in axis order into one component-sized buffer,
-    the last two formed in place in the transform of u.
+    Returns (..., nx, ny, nz), i times the sum of D_a u_a in axis order
+    (:func:`_derivative`), each term 0 along a lattice axis where u has
+    size 1; a real u gives a real result.
     """
-    hat = _fft(u)
-    kvec = spec.k_diff_lines()
-    total = kvec[0] * hat[..., 0, :, :, :]
+    total = _derivative(spec, u[..., 0, :, :, :], 0)
     for a in (1, 2):
-        row = hat[..., a, :, :, :]
-        total += np.multiply(kvec[a], row, out=row)
-    del hat, row
+        total += _derivative(spec, u[..., a, :, :, :], a)
     total *= 1j
-    out = _ifft(total)
-    return out.real.copy() if np.isrealobj(u) else out
+    return total.real.copy() if np.isrealobj(u) else total
 
 
 def curl(spec: GridSpec, data):
     """Spectral curl of vectors stored along axis -4 of (..., 3, nx, ny, nz).
 
-    All components are transformed together, and the curl is formed in
-    place in their transform (:func:`_cross_k_in_place`); the
-    odd-derivative wave vectors drop the unpaired Nyquist mode.  A real
-    input gives a real result.
+    Each derivative term D_a u_b transforms its one component along its
+    one axis (:func:`_derivative`; 0 along a lattice axis where data has
+    size 1), and the terms are combined by :func:`_curl`.  A real input
+    gives a real result.
     """
-    curl_hat = _cross_k_in_place(spec.k_diff_lines(), _fft(data))
-    curl_hat *= 1j
-    out = _ifft(curl_hat)
+    out = _curl(lambda a, b: _derivative(spec, data[..., b, :, :, :], a),
+                np.shape(data))
     return out.real.copy() if np.isrealobj(data) else out
 
 
-def _curl_k(spec: GridSpec, hat):
-    """Complex curl of the field whose raw transform _fft(data) is hat.
-
-    hat is left unchanged, so one transform can serve further operators.
-    """
-    curl_hat = _cross_k(spec.k_diff_lines(), hat)
-    curl_hat *= 1j
-    return _ifft(curl_hat)
+def _curl(term, shape):
+    """The curl, shaped `shape` = (..., 3, nx, ny, nz), from its derivative
+    terms term(a, b) = D_a u_b = (1/i) d_a u_b: row c is
+    i (term(a, b) - term(b, a)), (a, b) = CYCLIC[c].  :func:`curl` and the
+    Poincare generators H and K form the curl here, so they agree bit for
+    bit on equal terms."""
+    out = np.empty(shape, dtype=complex)
+    for c, (a, b) in enumerate(CYCLIC):
+        np.subtract(term(a, b), term(b, a), out=out[..., c, :, :, :])
+    out *= 1j
+    return out
 
 
 def _cross_k(kvec, hat):
@@ -391,11 +398,9 @@ def _cross_k(kvec, hat):
     odd-derivative wave vectors k_d: _ifft of it is -i times the curl.
 
     Row c is k_a hat_b - k_b hat_a, (a, b) = CYCLIC[c], each product
-    formed before the difference.  kvec holds k_d as
-    :meth:`GridSpec.k_diff_lines` or as a full (3, nx, ny, nz) table, which
-    is faster where the products run many times on a small grid (the RK4
-    medium loop), each broadcast product there being a short loop.  hat
-    is left unchanged.
+    formed before the difference.  kvec holds k_d as broadcastable lines
+    or, for the RK4 medium loop, where each broadcast product on a small
+    grid is a short loop, as a full (3, nx, ny, nz) table.
     """
     out = np.empty_like(hat)
     for c, (a, b) in enumerate(CYCLIC):
@@ -403,31 +408,6 @@ def _cross_k(kvec, hat):
         np.multiply(kvec[a], hat[..., b, :, :, :], out=row)
         row -= kvec[b] * hat[..., a, :, :, :]
     return out
-
-
-def _cross_k_in_place(kvec, hat):
-    """:func:`_cross_k`, written over hat, which is returned.
-
-    Every row of hat feeds two rows of the product, so rows 0 and 1 wait
-    in two component-sized buffers while row 2 is formed in the slot of
-    hat's row 2, which they no longer read: besides hat, two components
-    are held, where :func:`_cross_k` holds three and a product.  The
-    products and differences are those of :func:`_cross_k`, bit for bit;
-    that one stays for callers whose transform must survive, and for the
-    RK4 medium loop, which runs slower with the two row copies here.
-    """
-    h0, h1, h2 = (hat[..., c, :, :, :] for c in range(3))
-    k0, k1, k2 = kvec
-    row0 = np.multiply(k1, h2)
-    row1 = np.multiply(k2, h1)
-    row0 -= row1
-    np.multiply(k2, h0, out=row1)
-    row1 -= np.multiply(k0, h2, out=h2)
-    np.multiply(k0, h1, out=h2)
-    h2 -= np.multiply(k1, h0, out=h0)
-    h0[...] = row0
-    h1[...] = row1
-    return hat
 
 
 @dataclass
@@ -699,6 +679,8 @@ def synthesize(spectrum: HelicitySpectrum, t=0.0) -> SixField:
     Each mode evolves with the phase exp(-i omega t), omega = |k|.  The
     inverse of :func:`to_k`'s (-1)^m is folded into that phase, so it is
     applied on the two amplitude grids, not on the six-component block.
+    At t = 0 it is the checkerboard taken as complex, the bits of
+    exp(-i omega 0) (-1)^m, signed zeros included, with no exponential.
     A helicity without amplitudes gives a zero block and no transform.
     """
     if not np.all(np.isfinite(spectrum.amp)):
@@ -709,7 +691,8 @@ def synthesize(spectrum: HelicitySpectrum, t=0.0) -> SixField:
     _check_phase(spec, t)
     blocks, amp = _live_blocks(spectrum.amp)
     e, _, knorm = triad_arrays(spec)
-    phase = np.exp(-1j * knorm * float(t)) * spec.checkerboard()
+    phase = (np.exp(-1j * knorm * float(t)) * spec.checkerboard()
+             if float(t) else spec.checkerboard().astype(complex))
     hat = np.empty((len(blocks), 3) + spec.n, dtype=complex)
     for row, b in enumerate(blocks):
         np.multiply(e if b == 0 else np.conj(e), amp[row] * phase, out=hat[row])

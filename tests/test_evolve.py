@@ -85,7 +85,8 @@ def test_propagate_free_transforms_only_the_live_blocks(rng, helicities):
     points = 3 * len(helicities) * spec.npoints
     assert spectral.transform_counts() == {
         "fft_calls": 1, "fft_points": points, "ifft_calls": 1,
-        "ifft_points": points}
+        "ifft_points": points, "fft_axis_points": 3 * points,
+        "ifft_axis_points": 3 * points}
     assert np.array_equal(out, sfft.ifftn(hat, axes=axes))
     for b in {0, 1} - set(helicities):
         assert not np.any(out[b])
@@ -422,11 +423,16 @@ def test_step_medium_steps_the_live_sectors_of_uniform_axes(rng, case,
         block = psi.data.size
         sector = block * np.prod(live) // np.prod([n[d] for d in uniform])
         ends = 1 if uniform else 0
+        varying = 3 - len(uniform)
+        axis_points = (len(uniform) * ends * block
+                       + varying * applications * sector)
         assert counts == {
             "fft_calls": ends + applications,
             "fft_points": ends * block + applications * sector,
             "ifft_calls": ends + applications,
-            "ifft_points": ends * block + applications * sector}, n
+            "ifft_points": ends * block + applications * sector,
+            "fft_axis_points": axis_points,
+            "ifft_axis_points": axis_points}, n
         if scheme == "rk4":   # a state that overflows ends as rk4's does
             huge = SixField(spec=spec, data=np.full(psi.data.shape, 1e308))
             with pytest.raises(StabilityError, match="non-finite"):
@@ -599,15 +605,16 @@ def test_medium_map_validation_and_smoothness():
 
 def test_medium_map_builds_at_its_distinct_points():
     # A uniform medium makes no transform.  A z-invariant one takes the
-    # gradient of h on its one x-y plane: one forward and two inverse
-    # transforms of nx ny points.  Today's CLI cosine profile is z-invariant
-    # on any grid, including those whose z count has a prime factor of 5
-    # or more.
+    # gradient of h on its one x-y plane: one forward and one inverse
+    # transform of nx ny points along x, and the same along y.  Today's CLI
+    # cosine profile is z-invariant on any grid, including those whose z
+    # count has a prime factor of 5 or more.
     spec = GridSpec(n=(8, 6, 10), length=(6.0, 5.0, 7.0))
     spectral.reset_transform_counts()
     assert MediumMap.uniform(spec, eps=2.0, mu=1.5).uniform_axes == (0, 1, 2)
     assert spectral.transform_counts() == dict.fromkeys(
-        ("fft_calls", "fft_points", "ifft_calls", "ifft_points"), 0)
+        ("fft_calls", "fft_points", "ifft_calls", "ifft_points",
+         "fft_axis_points", "ifft_axis_points"), 0)
     for n in [(8, 6, 10), (20, 30, 10), (64, 48, 40)]:
         spec = GridSpec(n=n, length=(2.0 * np.pi,) * 3)
         x = spec.coord_lines()
@@ -616,8 +623,9 @@ def test_medium_map_builds_at_its_distinct_points():
         med = MediumMap(spec=spec, eps=np.broadcast_to(eps, n), mu=1.0)
         plane = n[0] * n[1]
         assert spectral.transform_counts() == {
-            "fft_calls": 1, "fft_points": plane,
-            "ifft_calls": 2, "ifft_points": 2 * plane}, n
+            "fft_calls": 2, "fft_points": 2 * plane,
+            "ifft_calls": 2, "ifft_points": 2 * plane,
+            "fft_axis_points": 2 * plane, "ifft_axis_points": 2 * plane}, n
         assert med.uniform_axes == (2,), n
         for table in (med.v, med.coupling):
             assert np.array_equal(table, np.broadcast_to(
@@ -746,7 +754,9 @@ def test_rk4_per_mode_is_r_space_rk4(seed):
         out = stepper(cfg, steps)
         assert spectral.transform_counts() == {
             "fft_calls": 1, "fft_points": psi.data.size,
-            "ifft_calls": 1, "ifft_points": psi.data.size}
+            "ifft_calls": 1, "ifft_points": psi.data.size,
+            "fft_axis_points": 3 * psi.data.size,
+            "ifft_axis_points": 3 * psi.data.size}
         ref = rk4(rhs, psi.data, abs(dt), steps, rate, 1.0)
         assert rel_err(out.data, ref) <= 1e-13
         assert np.array_equal(stepper(cfg, 0).data, psi.data)

@@ -903,11 +903,16 @@ def test_manifest_counts_transforms(tmp_path, rng):
     gridio.write_sixfield(field, random_field(spec, rng, kmax=2.0))
     counters = _run(tmp_path, "commutators",
                     GRID8 + f"[initial]\npacket = file:{field}\n")["counters"]
-    # Reading the file transforms nothing: these are the sweep's own.
+    # Reading the file transforms nothing: these are the sweep's own, each
+    # a transform pair along one axis: 33 of the whole stack (three
+    # derivative fields for each of 11 jets) and 76 of one component (the
+    # terms of K; see test_commutator_sweep_transforms_each_image_once).
     block = 6 * spec.npoints
     live = block // 2
-    assert counters == {"fft_calls": 41, "fft_points": 41 * block,
-                        "ifft_calls": 73, "ifft_points": 73 * block}
+    sweep = 33 * block + 76 * block // 3
+    assert counters == {"fft_calls": 109, "fft_points": sweep,
+                        "ifft_calls": 109, "ifft_points": sweep,
+                        "fft_axis_points": sweep, "ifft_axis_points": sweep}
     # In a varying medium a run of RK4 steps evaluates the right-hand side
     # once per term of its Chebyshev series but one, never more than four
     # times per step.  The cosine medium is uniform along z, so a run
@@ -915,8 +920,9 @@ def test_manifest_counts_transforms(tmp_path, rng):
     # and each evaluation is one forward and one inverse transform along x
     # and y of the k_z planes that carry field: the mode's one plane.  The
     # rest is the medium's gradient of h, taken at its distinct points (one
-    # forward and two inverse transforms of one x-y plane), the packet's
-    # one synthesis and the final row's one decomposition.
+    # forward and one inverse transform of one x-y plane along x, and the
+    # same along y), the packet's one synthesis and the final row's one
+    # decomposition.
     medium = MINIMAL["evolve-medium"] + "[physics]\ndt = 0.01\nsteps = {}\n"
     varying = medium + "eps_profile = cosine:1.0,0.1\n"
     short, long = (_run(tmp_path, "evolve-medium", varying.format(steps),
@@ -938,10 +944,14 @@ def test_manifest_counts_transforms(tmp_path, rng):
     plane = spec.n[0] * spec.n[1]
     for counters, rhs in zip((short, long), calls):
         assert counters == {
-            "fft_calls": 1 + 2 + rhs,
-            "fft_points": plane + 2 * block + rhs * sector,
+            "fft_calls": 2 + 2 + rhs,
+            "fft_points": 2 * plane + 2 * block + rhs * sector,
             "ifft_calls": 2 + 2 + rhs,
-            "ifft_points": 2 * plane + live + block + rhs * sector}
+            "ifft_points": 2 * plane + live + block + rhs * sector,
+            "fft_axis_points": 2 * plane + block + 3 * block
+            + 2 * rhs * sector,
+            "ifft_axis_points": 2 * plane + 3 * live + block
+            + 2 * rhs * sector}
     # A uniform medium or metric steps per Fourier mode: one forward and
     # one inverse transform of the packet's live block for any steps,
     # between its one synthesis and the final row's one decomposition.
@@ -958,20 +968,25 @@ def test_manifest_counts_transforms(tmp_path, rng):
                             f"uniform{n}_{steps}")["counters"]
             assert counters == {
                 "fft_calls": 2, "fft_points": 2 * live,
-                "ifft_calls": 2, "ifft_points": 2 * live}, (text, steps)
+                "ifft_calls": 2, "ifft_points": 2 * live,
+                "fft_axis_points": 6 * live,
+                "ifft_axis_points": 6 * live}, (text, steps)
     # A built-in packet starts as a one-helicity spectrum: observables
     # reads its k derivatives, synthesizes it once (one three-component
-    # block) before the coordinate observables' 1/H and generators, and
-    # evolve-free only synthesizes it at t.
+    # block) before the coordinate observables' raw transform, 1/H and
+    # three one-axis P_m pairs, and evolve-free only synthesizes it at t.
     calls = _momentum_derivative_transforms(1)
+    derivatives = calls * spec.npoints
     assert _run(tmp_path, "observables", MINIMAL["observables"],
                 "obs")["counters"] == {
-        "fft_calls": 1 + calls, "fft_points": live + calls * spec.npoints,
-        "ifft_calls": 5 + calls,
-        "ifft_points": 5 * live + calls * spec.npoints}
+        "fft_calls": 4 + calls, "fft_points": 4 * live + derivatives,
+        "ifft_calls": 5 + calls, "ifft_points": 5 * live + derivatives,
+        "fft_axis_points": 6 * live + derivatives,
+        "ifft_axis_points": 9 * live + derivatives}
     assert _run(tmp_path, "evolve-free", MINIMAL["evolve-free"],
                 "free")["counters"] == {
-        "fft_calls": 0, "fft_points": 0, "ifft_calls": 1, "ifft_points": live}
+        "fft_calls": 0, "fft_points": 0, "ifft_calls": 1, "ifft_points": live,
+        "fft_axis_points": 0, "ifft_axis_points": 3 * live}
 
 
 # Built-in packets: [initial] text, and the spectrum it builds on cube(8)
@@ -1018,7 +1033,7 @@ def test_observables_of_a_built_in_packet_match_the_round_trip(tmp_path,
     helicities = sum(bool(np.any(amp)) for amp in build(cube(8)).amp)
     calls = _momentum_derivative_transforms(helicities)
     assert (run["counters"]["fft_calls"], run["counters"]["ifft_calls"]) \
-        == (1 + calls, 5 + calls)
+        == (4 + calls, 5 + calls)
     sp = spectral.decompose(spectral.synthesize(build(cube(8))))
     n_ph = metrics.photon_number(sp)
     sp.amp /= np.sqrt(n_ph)

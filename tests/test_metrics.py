@@ -435,11 +435,13 @@ def test_rotation_generator_transforms_two_gradient_components(rng):
             (random_field(spec, rng, kmax=2.5), 6)):
         for tag in (G.J_X, G.J_Y, G.J_Z):
             _, counts = _transforms(mt.generator_apply, tag, psi)
-            # the live blocks forward, two gradient components back
-            assert (counts["fft_calls"], counts["ifft_calls"]) == (1, 2), tag
-            assert (counts["fft_points"] // spec.npoints,
-                    counts["ifft_points"] // spec.npoints) == (
-                        components, 2 * components), tag
+            # two gradient components, each one transform pair of the live
+            # blocks along its own axis
+            points = 2 * components * spec.npoints
+            assert counts == {"fft_calls": 2, "fft_points": points,
+                              "ifft_calls": 2, "ifft_points": points,
+                              "fft_axis_points": points,
+                              "ifft_axis_points": points}, tag
 
 
 def _bracket(a, b):
@@ -534,12 +536,23 @@ def _definite_helicity_packet(helicity):
 
 def _reference_image(tag, spec, data):
     """tag psi on whole (2, 3, n...) data from the public grad and curl."""
+    deriv = -1j * spectral.grad(spec, data)   # (1/i) d_m at [:, :, m]
     if tag.family in "HK":
-        out = spectral.curl(spec, data if tag is G.H
-                            else data * spec.coords()[tag.axis])
+        if tag is G.H:
+            out = spectral.curl(spec, data)
+        else:
+            # K_i = H (x_i psi): along each axis a != i, where x_i is
+            # constant, x_i times the terms of psi; along axis i those of
+            # x_i psi
+            i, x = tag.axis, spec.coords()[tag.axis]
+            along_i = -1j * spectral.grad(spec, x * data)
+
+            def term(a, b):
+                return x * deriv[:, b, a] if a != i else along_i[:, b, i]
+            out = np.stack([1j * (term(a, b) - term(b, a))
+                            for a, b in CYCLIC], axis=1)
         out[1] *= -1
         return out
-    deriv = -1j * spectral.grad(spec, data)   # (1/i) d_m at [:, :, m]
     if tag.family == "P":
         return deriv[:, :, tag.axis]
     x = spec.coords()
@@ -584,17 +597,35 @@ def test_coordinate_observables_of_the_live_block_equal_the_whole_field(
 
 
 def test_commutator_sweep_transforms_each_image_once():
-    psi = _balanced_packet(8)
-    _, counts = _transforms(mt.commutator_residuals, psi)
-    # 100 forward and 130 inverse when each generator transforms its input
-    assert counts["fft_calls"] + counts["ifft_calls"] <= 114, counts
-    # One transform of psi serves the H, P and J images and the predicted
-    # side; each second-level image adds one, and each K image transforms
-    # x psi itself.
-    for (a, b), forward in {(G.H, G.J_X): 3, (G.P_X, G.J_Y): 3,
-                            (G.J_X, G.J_Y): 3, (G.K_X, G.P_X): 4}.items():
+    # Every transform is a pair along one axis.  psi and each of the ten
+    # images get a jet, which builds its three derivative fields once: 33
+    # pairs of the live block.  Each of the 30 K_i applications transforms
+    # x_i psi_b along axis i for the two b != i; it reads its other terms
+    # D_a psi_b, a != i, from the fields along the two axes a, and the jets
+    # are made in an order in which 22 find both fields held and 8 find
+    # one, transforming the other axis's two terms alone: 30 x 2 + 8 x 2 =
+    # 76 one-component pairs.
+    for n in (8, 32):
+        psi = _balanced_packet(n)
+        stack = psi.data.size // 2
+        _, counts = _transforms(mt.commutator_residuals, psi)
+        points = 33 * stack + 76 * stack // 3
+        assert counts == {"fft_calls": 109, "fft_points": points,
+                          "ifft_calls": 109, "ifft_points": points,
+                          "fft_axis_points": points,
+                          "ifft_axis_points": points}, n
+        # 350 passes of one grid along one axis; 3-D transforms of the
+        # block (41 forward, 73 inverse) made 1026
+        passes = 2 * points // psi.spec.npoints
+        print(f"{n}^3 sweep: {passes} grid-axis passes (<= 600)")
+        assert passes == 350 <= 600
+    # Pairs apart: P and J read whole derivative fields, and psi's serve
+    # the predicted side; H and K transform one component per term they
+    # read from no held field (H 6 of them, K 4 + 2).
+    for (a, b), forward in {(G.H, G.J_X): 4 + 12, (G.P_X, G.J_Y): 5,
+                            (G.J_X, G.J_Y): 7, (G.K_X, G.P_X): 2 + 16}.items():
         _, counts = _transforms(mt.commutator_residual, a, b, psi)
-        assert counts["fft_calls"] == forward, (a, b)
+        assert counts["fft_calls"] == counts["ifft_calls"] == forward, (a, b)
 
 
 def _two_helicity_packet(n, rng):
@@ -641,15 +672,18 @@ def test_coordinate_observables_transform_once(rng):
     size = _balanced_packet(8).data.size
     for psi, block in ((_balanced_packet(8), size // 2),
                        (_two_helicity_packet(8, rng), size)):
-        # one raw transform serves the checks, the norm, 1/H psi and P_m psi
+        # one raw transform serves the checks, the norm and 1/H psi; each
+        # P_m psi is one transform pair along axis m
         _, counts = _transforms(mt.observables_coordinate, psi)
-        assert (counts["fft_calls"], counts["fft_points"],
-                counts["ifft_calls"], counts["ifft_points"]) == (
-                    1, block, 4, 4 * block), counts
+        assert counts == {"fft_calls": 4, "fft_points": 4 * block,
+                          "ifft_calls": 4, "ifft_points": 4 * block,
+                          "fft_axis_points": 6 * block,
+                          "ifft_axis_points": 6 * block}, counts
         _, counts = _transforms(mt.inverse_hamiltonian_apply, psi)
-        assert (counts["fft_calls"], counts["fft_points"],
-                counts["ifft_calls"], counts["ifft_points"]) == (
-                    1, block, 1, block), counts
+        assert counts == {"fft_calls": 1, "fft_points": block,
+                          "ifft_calls": 1, "ifft_points": block,
+                          "fft_axis_points": 3 * block,
+                          "ifft_axis_points": 3 * block}, counts
 
 
 def test_coordinate_observables_memory_bound(rng):

@@ -267,7 +267,8 @@ def test_hydro_from_field_transforms_field_once(monkeypatch, rng):
 
     def counting(name, fn):
         def wrapper(arr, **kwargs):
-            calls[name].append(int(np.prod(arr.shape[:-3])))
+            calls[name].append((int(np.prod(arr.shape[:-3])),
+                                kwargs["axes"]))
             return fn(arr, **kwargs)
         return wrapper
 
@@ -275,8 +276,9 @@ def test_hydro_from_field_transforms_field_once(monkeypatch, rng):
     monkeypatch.setattr(spectral, "_fft", counting("_fft", spectral._fft))
     monkeypatch.setattr(spectral, "_ifft", counting("_ifft", spectral._ifft))
     ps.hydro_from_field(spec, psi.upper)
-    # one block transform of the three components; one inverse per axis
-    assert calls == {"_fft": [3], "_ifft": [3, 3, 3]}
+    # one transform pair of the three components along each axis alone
+    along = [(3, (-3,)), (3, (-2,)), (3, (-1,))]
+    assert calls == {"_fft": along, "_ifft": along}
 
 
 def test_hydro_standing_wave_nodal_velocity():

@@ -5,10 +5,10 @@ import pytest
 
 from pwfn import spectral
 from pwfn.errors import DomainError, GaugeSingularityError
-from pwfn.evolve import propagate_free
-from pwfn.fieldcore import rodrigues
+from pwfn.evolve import free_generator, propagate_free
+from pwfn.fieldcore import CYCLIC, rodrigues
 from pwfn.geometry import ALPHA_X, ALPHA_Y, ALPHA_Z, dirac_form_step
-from pwfn.metrics import landau_peierls
+from pwfn.metrics import GeneratorTag as G, generator_apply, landau_peierls
 from pwfn.spectral import (GridSpec, HelicitySpectrum, SixField,
                            berry_connection, decompose, longitudinal_residual,
                            polarization_triad, positive_frequency_project,
@@ -164,6 +164,125 @@ def test_derivatives_match_scaled_transform_path(rng, real):
         out = op(spec, data)
         assert np.isrealobj(out) == real
         assert rel_err(out, spectral.to_r(spec, ref_hat)) <= 1e-15, op
+
+
+def _3d(spec, multiplier, u):
+    """The 3-D multiplier form _ifft(m(k) _fft(u)) over all three axes."""
+    return spectral._ifft(multiplier * spectral._fft(u))
+
+
+def _3d_references(spec, u):
+    """grad, div and curl of u, (2, 3, nx, ny, nz), in the 3-D form."""
+    k = spec.k_diff_lines()
+    grad = np.stack([_3d(spec, 1j * k[a], u) for a in range(3)], axis=-4)
+    hat = spectral._fft(u)
+    div = spectral._ifft(1j * (k[0] * hat[:, 0] + k[1] * hat[:, 1]
+                               + k[2] * hat[:, 2]))
+    curl = spectral._ifft(1j * spectral._cross_k(k, hat))
+    return {"grad": grad, "div": div, "curl": curl}
+
+
+def _3d_generator(tag, spec, data):
+    """tag psi in the 3-D form; K_i is rho_3 curl of x_i psi."""
+    x = spec.coord_lines()
+    if tag.family in "HK":
+        out = _3d_references(spec, data if tag is G.H
+                             else x[tag.axis] * data)["curl"]
+        out[1] *= -1
+        return out
+    p = [_3d(spec, k, data) for k in spec.k_diff_lines()]
+    if tag.family == "P":
+        return p[tag.axis]
+    j, k = CYCLIC[tag.axis]
+    out = x[j] * p[k] - x[k] * p[j]
+    out[:, j] -= 1j * data[:, k]
+    out[:, k] += 1j * data[:, j]
+    return out
+
+
+def _relative_norm_error(a, b):
+    return float(np.linalg.norm(np.ravel(a - b)) / np.linalg.norm(np.ravel(b)))
+
+
+@pytest.mark.parametrize("real", [False, True])
+def test_one_axis_derivatives_equal_the_3d_multiplier_form(rng, real):
+    # Each derivative transforms only its own axis; the transform pairs
+    # along the other two axes, which the 3-D form runs, cancel.  The two
+    # differ by roundoff only, on an anisotropic grid and on a table of
+    # size 1 along z, whose 3-D form is that of its broadcast full table.
+    spec = GridSpec(n=(8, 12, 10), length=(2 * np.pi, 3 * np.pi, 5.0))
+    data = rng.normal(size=(2, 3) + spec.n)
+    if not real:
+        data = data + 1j * rng.normal(size=data.shape)
+    bound = 1e-14
+    worst = 0.0
+    for table in (data, data[..., :1]):
+        full = np.broadcast_to(table, data.shape)
+        for name, ref in _3d_references(spec, full).items():
+            out = getattr(spectral, name)(spec, table)
+            assert np.isrealobj(out) == real, name
+            err = _relative_norm_error(np.broadcast_to(out, ref.shape), ref)
+            print(f"{name} {table.shape[-3:]}: {err:.3e} (<= {bound:.0e})")
+            worst = max(worst, err)
+    psi = SixField(spec=spec, data=data)
+    ref = _3d_references(spec, psi.data)["curl"]
+    ref[1] *= -1
+    err = _relative_norm_error(free_generator(psi).data, ref)
+    print(f"free_generator: {err:.3e} (<= {bound:.0e})")
+    worst = max(worst, err)
+    for tag in G:
+        err = _relative_norm_error(generator_apply(tag, psi).data,
+                                   _3d_generator(tag, spec, psi.data))
+        print(f"generator_apply {tag.value}: {err:.3e} (<= {bound:.0e})")
+        worst = max(worst, err)
+    assert worst <= bound
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_derivatives_of_a_size_one_table_equal_the_broadcast_table(rng,
+                                                                   axis):
+    # A distinct-point table of size 1 along a lattice axis is constant
+    # along it: no transform runs there, and each derivative equals that
+    # of the broadcast full table (along whose constant axis the transforms
+    # leave at most roundoff), not a broadcasting error.
+    spec = cube(8)
+    shape = [8, 8, 8]
+    shape[axis] = 1
+    for table in (rng.normal(size=[3] + shape),
+                  rng.normal(size=[2, 3] + shape)
+                  + 1j * rng.normal(size=[2, 3] + shape)):
+        full = np.broadcast_to(table, table.shape[:-3] + spec.n)
+        for op in (spectral.grad, spectral.div, spectral.curl):
+            out, ref = op(spec, table), op(spec, full)
+            assert out.shape == ref.shape[:-3] + tuple(shape), op
+            err = rel_err(np.broadcast_to(out, ref.shape), ref)
+            print(f"{op.__name__} size 1 along {axis}: {err:.3e} "
+                  f"(<= 1e-14)")
+            assert err <= 1e-14, op
+
+
+def test_one_axis_derivative_transforms_only_its_axis(rng):
+    # One forward and one inverse transform along the axis, a third of the
+    # axis points of a 3-D pair; none along an axis of size 1.
+    spec = GridSpec(n=(8, 12, 10), length=(2 * np.pi, 3 * np.pi, 5.0))
+    u = rng.normal(size=(3,) + spec.n)
+    for axis in range(3):
+        spectral.reset_transform_counts()
+        spectral._derivative(spec, u, axis)
+        assert spectral.transform_counts() == {
+            "fft_calls": 1, "fft_points": u.size, "ifft_calls": 1,
+            "ifft_points": u.size, "fft_axis_points": u.size,
+            "ifft_axis_points": u.size}, axis
+    spectral.reset_transform_counts()
+    flat = spectral._derivative(spec, u[..., :1], 2)
+    assert flat.shape == (3, 8, 12, 1) and not np.any(flat)
+    assert not any(spectral.transform_counts().values())
+    spectral.reset_transform_counts()
+    spectral._ifft(spectral._fft(u))
+    assert spectral.transform_counts() == {
+        "fft_calls": 1, "fft_points": u.size, "ifft_calls": 1,
+        "ifft_points": u.size, "fft_axis_points": 3 * u.size,
+        "ifft_axis_points": 3 * u.size}
 
 
 def _free_reference(spec, data, t=0.9):
