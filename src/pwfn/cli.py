@@ -163,12 +163,10 @@ def _run_evolve(scenario):
                          if k in phys})
         steps = phys["steps"]
         s0 = _initial_state(scenario)
-        f0 = _field(s0)
-        if scenario.kind == "evolve-curved":
-            final = geometry.step_curved(f0, _metric(scenario), cfg, steps)
-        else:
-            final = checked("physics", evolve.step_medium, f0,
-                            _medium(scenario), cfg, steps)
+        curved = scenario.kind == "evolve-curved"
+        stepper = geometry.step_curved if curved else evolve.step_medium
+        background = (_metric if curved else _medium)(scenario)
+        final = checked("physics", stepper, _field(s0), background, cfg, steps)
         snapshots = [(0, 0.0, s0), (steps, steps * cfg.dt, final)]
         extra = {"steps": steps, "dt": cfg.dt}
     rows, extra["dc_energy_fraction"] = _conserved_rows(snapshots)

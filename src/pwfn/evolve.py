@@ -1,4 +1,4 @@
-"""Time evolution of six-component fields in free space and in media.
+"""Time evolution of six-component fields: free, in media and metrics.
 
 Free-space propagation is exact per Fourier mode.  In a linear, static,
 isotropic medium with permittivity eps(r) and permeability mu(r) the
@@ -11,24 +11,18 @@ medium resistance.  Only a spatially varying h couples the two helicity
 blocks.  Derivatives are spectral, so media must be smooth and periodic;
 step-index geometries belong to the semi-analytic fiber solver instead.
 
-Steppers integrate i dF/dt = H F with classic RK4 (default) or, for
-uniform-speed media, Strang splitting between the exact kinetic phase and
-the pointwise helicity-coupling term.  :func:`rk4` is the one integrator,
-and the one holder of its step bound, that the medium, curved-space and
-reduced Wigner evolutions share.  H is static with real spectrum in
-[-rate, rate], so a run of RK4 steps is one polynomial of the generator,
-R(dt L)^steps, which rk4 evaluates as one Chebyshev series in L / rate:
-about rate |dt| steps + O(log 1/eps) generator applications, and never
-more than the 4 steps that stepping makes.  Where the generator is
-w rho_3 (s . grad/i) with one w everywhere, :func:`_rk4_curl` evaluates
-the same polynomial per Fourier mode.  In a varying medium RK4 runs on
-G = sqrt(v) F, whose generator v rho_3 (s . grad/i) + B needs sqrt(v)
-once per run, not twice per right-hand side (:func:`_medium_rhs`), and
-only on the live helicity blocks where h is uniform.
-
-Every profile the CLI builds is uniform along z, as a fiber is along its
-axis, so k_z is conserved: both schemes step the k sectors of a medium's
-uniform axes (:class:`_Sectors`).
+One private runner, :func:`_run`, steps a medium or a static metric (an
+equivalent medium, ``geometry.MetricField``) with classic RK4 (default)
+or, for uniform-speed media, Strang splitting between the exact kinetic
+phase and the pointwise helicity coupling.  H is static with real
+spectrum in [-rate, rate], so a run of RK4 steps is one polynomial of
+the generator, R(dt L)^steps: :func:`rk4`, which the reduced Wigner
+evolution shares, sums it as one Chebyshev series in L / rate, in about
+rate |dt| steps + O(log 1/eps) generator applications, and
+:func:`_rk4_curl` per Fourier mode where the generator is
+w rho_3 (s . grad/i) with one w.  Every profile the CLI builds is uniform
+along z, as a fiber is along its axis, so k_z is conserved: the runner
+steps the k sectors of a background's uniform axes (:class:`_Sectors`).
 """
 
 from __future__ import annotations
@@ -63,7 +57,8 @@ class MediumMap:
     or n_d, and the speed and resistance fields derived from them: each is
     computed at the distinct points, of size 1 along the axes where eps and
     mu are exactly constant (``uniform_axes``), and read as a read-only
-    view that broadcasts it over the lattice."""
+    view that broadcasts it over the lattice.  uniform_scale is v where
+    H = v rho_3 (s . grad/i) (v and h uniform), else None."""
 
     spec: GridSpec
     eps: np.ndarray
@@ -93,10 +88,21 @@ class MediumMap:
         self.is_uniform_v = bool(np.ptp(v) <= 1e-14 * np.max(v))
         self.is_uniform_h = bool(np.ptp(h) <= 1e-14 * np.max(h))
         self.uniform_axes = tuple(d for d in range(3) if v.shape[d] == 1)
+        self.uniform_scale = float(np.max(v)) if (
+            self.is_uniform_v and self.is_uniform_h) else None
 
     @classmethod
     def uniform(cls, spec: GridSpec, eps=1.0, mu=1.0):
         return cls(spec=spec, eps=float(eps), mu=float(mu))
+
+    def _tables(self):
+        """:func:`_run`'s tables: G = sqrt(v) F at speed v, coupled by c, and
+        RK4's rate bound ||H|| <= max v k_max + max |c|."""
+        p = self._points
+        rate = float(np.max(p["v"])) * self.spec.k_max() \
+            + np.max(p["coupling_norm"])
+        return (p["sqrt_v"], None, p["v"],
+                None if self.is_uniform_h else p["coupling"], rate)
 
     def smoothness_metric(self):
         """max |grad v| * dx / v; large values mean an under-resolved medium."""
@@ -152,11 +158,11 @@ def _check_steps(steps):
     return count
 
 
-def _check_rk4_finite(y, dt, steps):
-    """y, the state after steps RK4 steps of dt, unless it overflowed."""
+def _check_finite(y, scheme, dt, steps):
+    """y, the state after steps steps of dt of scheme, unless non-finite."""
     if not np.all(np.isfinite(y)):
-        raise StabilityError(
-            f"state is non-finite after {steps} RK4 steps of dt = {dt:.3e}")
+        raise StabilityError(f"state is non-finite after {steps} {scheme} "
+                             f"steps of dt = {dt:.3e}")
     return y
 
 
@@ -190,15 +196,20 @@ def rk4(rhs, y, dt, steps, rate, cfl_safety):
     """
     steps = _check_steps(steps)
     _check_rk4_step(dt, rate, cfl_safety)
+    return _check_finite(_rk4_run(rhs, np.asarray(y), dt, steps, rate),
+                         "rk4", dt, steps)
+
+
+def _rk4_run(rhs, y, dt, steps, rate):
+    """The series of :func:`rk4`, with its checks left to the caller."""
     a = dt * rate
     span = max(1, steps if abs(a) * steps <= _SERIES_SPAN
                else int(_SERIES_SPAN / abs(a)))
     full, rest = divmod(steps, span)
     series, last = _rk4_series(a, span), _rk4_series(a, rest)
-    y = np.asarray(y)
     for d in itertools.chain(itertools.repeat(series, full), [last]):
         y = _clenshaw(rhs, y, d, rate)
-    return _check_rk4_finite(y, dt, steps)
+    return y
 
 
 def _rk4_series(a, steps):
@@ -305,36 +316,26 @@ def _directions(lines):
     return nhat, norm
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def _rk4_curl(psi: SixField, w, dt, steps, rate, cfl_safety) -> SixField:
-    """:func:`rk4` of i dF/dt = w rho_3 (s . grad/i) F, w > 0 the same
-    everywhere, evaluated per Fourier mode.
+def _rk4_curl(spec: GridSpec, w, dt, steps, blocks=range(2)):
+    """`steps` steps of :func:`rk4` for i dF/dt = w rho_3 (s . grad/i) F,
+    w > 0 the same everywhere, on a stack of the blocks `blocks`, as a
+    function evaluated per Fourier mode; the checks are the caller's.
 
     On a mode with the odd-derivative wave vector k_d = |k_d| n_d of the
     spectral curl, the generator is w |k_d| (n_d . s) on the upper block
     and its negative on the lower.  n_d . s has the eigenvalues 0 and +-1,
-    so `steps` RK4 steps multiply the upper block by R(-i w |k_d| dt
-    (n_d . s))^steps, with R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24: the
-    rotation rodrigues(n_d, Re g, -Im g) for g = R(-i w |k_d| dt)^steps,
-    and the lower block by that of conj(g).  g comes from
-    :func:`_rk4_power` in extended precision, once per distinct |k_d| of
-    the grid, so its roundoff does not grow with steps.  This is rk4's
-    solution up to roundoff, from one forward and one inverse transform
-    of the live blocks for any steps, with rk4's step bound and finiteness
-    check.
+    so the run turns the upper block by rodrigues(n_d, Re g, -Im g) for
+    g = R(-i w |k_d| dt)^steps, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, and
+    the lower block by that of conj(g).  g comes from :func:`_rk4_power` in
+    extended precision, once per distinct |k_d|, so its roundoff does not
+    grow with steps: rk4's solution up to roundoff, from one transform
+    each way for any steps.
     """
-    steps = _check_steps(steps)
-    _check_rk4_step(dt, rate, cfl_safety)
-    if not steps:
-        return psi.copy()
-    spec = psi.spec
     nd, kd_norm = _directions(spec.k_diff_lines())
     norms, where = np.unique(kd_norm, return_inverse=True)
     g = _rk4_power(-1j * (np.longdouble(w * dt) * norms), steps)
     g = g.astype(complex)[where].reshape(kd_norm.shape)
-    blocks, live = _live_blocks(psi.data)
-    out = _rotation(nd, g.real, -g.imag, blocks)(live)
-    return _field_of_blocks(spec, blocks, _check_rk4_finite(out, dt, steps))
+    return _rotation(nd, g.real, -g.imag, blocks)
 
 
 # A slab of a run's state along a uniform axis is stepped where its largest
@@ -344,17 +345,17 @@ _SECTOR_TOL = 16.0 * np.finfo(float).eps
 
 
 class _Sectors:
-    """The representation a run in a medium uniform along the lattice axes
-    `uniform` steps in: those axes in k-space, the others in r-space.
+    """The representation a run in a background uniform along the lattice
+    axes `uniform` steps in: those axes in k-space, the others in r-space.
 
-    Along a uniform axis the kinetic rotation, the curl, rho_3 v, -+ic and
-    the coupling rotation are all diagonal in k, so its k index slabs never
-    mix and an empty one stays empty.  :meth:`gather` transforms the state
+    Along a uniform axis the kinetic rotation, the curl and every pointwise
+    table of the run are diagonal in k, so its k index slabs never mix and
+    an empty one stays empty.  :meth:`gather` transforms the state
     along the uniform axes and keeps the product of their live slabs, with
     the uniform axes moved ahead of the varying ones, so that each step
     transforms the last, contiguous `axes` of that stack; :meth:`scatter`
     puts the slabs back among zeros and transforms back.  Tables follow
-    the stack's layout: r-space ones, a medium's tables at its distinct
+    the stack's layout: r-space ones, a background's tables at its distinct
     points (of size 1 along the uniform axes), by :meth:`_layout`, and
     k-space ones at the live indices (:meth:`lines`).  With no uniform axis
     the stack is the r-space state and each method returns its input.
@@ -421,13 +422,9 @@ class _Sectors:
 
 def _kinetic(sectors: _Sectors, t: float, blocks=range(2)):
     """Exact free propagation of the blocks `blocks` of a stack of sectors
-    by time t, as a function.
-
-    Per mode the free generator rotates the upper block by the angle |k| t
-    about n = k/|k| and the lower block by -|k| t (:func:`_rotation`); the
-    k = 0 mode, where n = 0 and the angle vanishes, stays static.  The
-    angles are built once, here, for every application.
-    """
+    by time t, as a function: per mode, the upper block turns by the angle
+    |k| t about n = k/|k| and the lower by -|k| t (:func:`_rotation`), and
+    k = 0 stays static.  The angles are built once, here."""
     _check_phase(sectors.spec, t)
     nhat, knorm = sectors.triad()
     return _rotation(nhat, np.cos(knorm * float(t)),
@@ -457,28 +454,24 @@ def hamiltonian_apply(psi: SixField, medium: MediumMap) -> SixField:
     """
     if medium.spec != psi.spec:
         raise ShapeError("medium and field grids differ")
-    sv = medium._points["sqrt_v"]
-    out = _medium_rhs(sv * psi.data, *_medium_tables(medium))
+    sv, _, v, c, _ = medium._tables()
+    out = _medium_rhs(sv * psi.data, *_medium_tables(_Sectors(psi.spec), v,
+                                                     range(2), c))
     out *= 1j
     out /= sv
     return SixField(spec=psi.spec, data=out)
 
 
-def _medium_tables(medium: MediumMap, sectors=None, blocks=range(2)):
-    """The tables of :func:`_medium_rhs` for a stack of the blocks `blocks`
-    of sectors (default: the r-space state): the odd-derivative wave
-    vectors as one full table of the stack's lattice, for a run of many
-    right-hand sides on a small grid; rho_3 v as a (len(blocks), 1, ...)
-    array; (-i c, i c) as a (2, 3, ...) stack, or None where h is uniform
-    and c vanishes; and the axes the stack is transformed along."""
-    sectors = sectors or _Sectors(medium.spec)
-    kd = _expand(sectors.lines(medium.spec.k_diff_lines()))
-    v = sectors._layout(medium._points["v"])
+def _medium_tables(sectors: _Sectors, v, blocks, c=None):
+    """The tables of :func:`_medium_rhs` for the speed v and coupling c (or
+    None) in the layout of a stack of the blocks `blocks` of sectors: the
+    wave vectors k_d as one full table, for a run of many right-hand sides
+    on a small grid; rho_3 v as (len(blocks), 1, ...); (-i c, i c) as
+    (2, 3, ...), or None; and the axes the stack is transformed along."""
+    kd = _expand(sectors.lines(sectors.spec.k_diff_lines()))
     speed = np.stack([v, -v])[blocks.start:blocks.stop, None]
-    if medium.is_uniform_h:
-        return kd, speed, None, sectors.axes
-    ic = 1j * sectors._layout(medium._points["coupling"])
-    return kd, speed, np.stack([-ic, ic]), sectors.axes
+    ic = None if c is None else 1j * c
+    return kd, speed, None if c is None else np.stack([-ic, ic]), sectors.axes
 
 
 def _medium_rhs(g, kd, speed, coupling, axes=(-3, -2, -1)):
@@ -507,74 +500,83 @@ def _medium_rhs(g, kd, speed, coupling, axes=(-3, -2, -1)):
 
 def step_medium(psi: SixField, medium: MediumMap, cfg: StepperConfig,
                 steps: int) -> SixField:
-    """Integrate i dF/dt = H F for the given number of steps.
+    """Integrate i dF/dt = H F for the given number of steps (:func:`_run`).
 
-    RK4 treats the full generator; split_step (uniform-speed media only)
-    alternates the exact kinetic phase with the pointwise coupling phase in
-    Strang order.  RK4's rate bound is ||H|| <= max v * k_max + max |c|;
-    in a uniform medium, H = v rho_3 (s . grad/i), RK4 is evaluated per
-    Fourier mode (:func:`_rk4_curl`), and otherwise RK4 steps G = sqrt(v) F
-    with :func:`_medium_rhs` and returns F = G / sqrt(v); where h is
-    uniform, only the live helicity blocks are stepped.  The Strang step
-    is unitary at any dt; its rule dt <= cfl_safety min(dx) / v bounds the
-    splitting error per step, not stability.  Both schemes step the
-    sectors of ``MediumMap.uniform_axes`` (:class:`_Sectors`), and a
-    medium varying along every axis steps the r-space state.
+    split_step (uniform-speed media only) is Strang splitting, unitary at
+    any dt; its rule dt <= cfl_safety min(dx) / v bounds the splitting
+    error per step, not stability.
     """
-    if medium.spec != psi.spec:
-        raise ShapeError("medium and field grids differ")
-    steps = _check_steps(steps)
-    spec = psi.spec
-    vmax = float(np.max(medium._points["v"]))
-    if cfg.scheme == "rk4":
-        rate = vmax * spec.k_max() + np.max(medium._points["coupling_norm"])
-        if medium.is_uniform_v and medium.is_uniform_h:
-            return _rk4_curl(psi, vmax, cfg.dt, steps, rate, cfg.cfl_safety)
-        return _step_rk4(psi, medium, cfg, steps, rate)
-    if not medium.is_uniform_v:
-        raise DomainError("split_step requires a uniform-speed medium",
-                          arg="scheme")
-    limit = cfg.cfl_safety * min(spec.spacing) / vmax
-    if cfg.dt > limit:
-        raise StabilityError(
-            f"dt = {cfg.dt:.3e} exceeds the split-step bound {limit:.3e} = "
-            f"cfl_safety * min(dx) / v (cfl_safety = {cfg.cfl_safety}), "
-            "which limits the splitting error per step")
-    return _step_split(psi, medium, cfg.dt, steps)
+    return _run(psi, medium, cfg, steps)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _step_rk4(psi, medium, cfg, steps, rate):
-    _check_rk4_step(cfg.dt, rate, cfg.cfl_safety)
+def _run(psi: SixField, background, cfg: StepperConfig, steps) -> SixField:
+    """`steps` steps of cfg's scheme from psi in a static background: a
+    :class:`MediumMap` or a ``geometry.MetricField``.
+
+    A background has ``uniform_axes``, ``uniform_scale`` (w where its
+    generator is w rho_3 (s . grad/i), else None) and ``_tables()``: at its
+    distinct points, the factor into the stepped variable, a table T
+    applied as (T x+, T^T x-) before the curl (or None), the speed and the
+    coupling c (or None), and then RK4's rate bound.  Only c mixes
+    the helicity blocks; without it only the live ones are stepped.  RK4
+    runs per mode given a uniform scale (:func:`_rk4_curl`), else as one
+    series of :func:`_medium_rhs` on the k sectors of the uniform axes;
+    split_step is free propagation where c is None, else Strang steps on
+    the sectors.  One finiteness check closes the run.
+    """
+    if background.spec != psi.spec:
+        raise ShapeError("background and field grids differ")
+    steps = _check_steps(steps)
+    spec, dt, scheme = psi.spec, cfg.dt, cfg.scheme
+    into, turn, v, c, rate = background._tables()
+    if scheme == "rk4":
+        _check_rk4_step(dt, rate, cfg.cfl_safety)
+    elif not background.is_uniform_v:
+        raise DomainError("split_step requires a uniform-speed medium",
+                          arg="scheme")
+    elif dt > (limit := cfg.cfl_safety * min(spec.spacing)
+               / float(np.max(v))):
+        raise StabilityError(
+            f"dt = {dt:.3e} exceeds the split-step bound {limit:.3e} = "
+            f"cfl_safety * min(dx) / v (cfl_safety = {cfg.cfl_safety}), "
+            "which limits the splitting error per step")
     if not steps:
         return psi.copy()
-    blocks, data = (_live_blocks(psi.data) if medium.is_uniform_h
-                    else (range(2), psi.data))
-    sectors, stack = _Sectors.gather(psi.spec, medium.uniform_axes, data)
-    tables = _medium_tables(medium, sectors, blocks)
+    blocks, data = ((range(2), psi.data) if c is not None
+                    else _live_blocks(psi.data))
+    if scheme == "rk4" and background.uniform_scale is not None:
+        out = _rk4_curl(spec, background.uniform_scale, dt, steps,
+                        blocks)(data)
+    elif scheme != "rk4" and c is None:
+        out = _kinetic(_Sectors(spec), float(np.mean(v)) * dt * steps,
+                       blocks)(data)
+    else:
+        sectors, stack = _Sectors.gather(spec, background.uniform_axes, data)
+        into, turn, c = (x if x is None else sectors._layout(x)
+                         for x in (into, turn, c))
+        if scheme == "rk4":
+            tables = _medium_tables(sectors, sectors._layout(v), blocks, c)
 
-    def rhs(g):
-        return _medium_rhs(g, *tables)
-    sv = sectors._layout(medium._points["sqrt_v"])
-    out = rk4(rhs, sv * stack, cfg.dt, steps, rate, cfg.cfl_safety)
-    out /= sv
-    out = _check_rk4_finite(sectors.scatter(out), cfg.dt, steps)
-    return _field_of_blocks(psi.spec, blocks, out)
+            def rhs(g):
+                return _medium_rhs(g if turn is None
+                                   else _turner(turn, g, blocks), *tables)
+            stack = _rk4_run(rhs, into * stack, dt, steps, rate)
+            stack /= into
+        else:
+            stack = _step_split(sectors, stack, c, dt, steps,
+                                float(np.mean(v)))
+        out = sectors.scatter(stack)
+    return _field_of_blocks(spec, blocks,
+                            _check_finite(out, scheme, dt, steps))
 
 
-def _step_split(psi, medium, dt, steps):
-    if not steps:
-        return psi.copy()
-    spec = psi.spec
-    v0 = float(np.mean(medium._points["v"]))
-    if medium.is_uniform_h:
-        return propagate_free(psi, v0 * dt * steps)
-    sectors, data = _Sectors.gather(spec, medium.uniform_axes, psi.data)
+def _step_split(sectors: _Sectors, data, c, dt, steps, v0):
+    """`steps` Strang steps of dt, speed v0 and coupling c from a stack."""
     # On X = F+ - i F- and Y = F+ + i F- the coupling B F = (c x F-, -c x F+)
     # is +/-(c . s): exp(-i dt B) turns X by dt |c| about c/|c| and Y by the
     # transpose, and F+ = (X + Y)/2, F- = i (X - Y)/2.
-    c = sectors._layout(medium._points["coupling"])
-    cnorm = sectors._layout(medium._points["coupling_norm"])
+    cnorm = np.linalg.norm(c, axis=0)
     chat = np.divide(c, cnorm, out=np.zeros_like(c), where=cnorm > 0.0)
     table = rodrigues(chat, np.cos(dt * cnorm), np.sin(dt * cnorm), _IDENTITY)
     xy = np.empty_like(data)
@@ -599,7 +601,7 @@ def _step_split(psi, medium, dt, steps):
     for step in range(steps):
         data = apply_coupling(data)
         data = (kinetic_full if step < steps - 1 else kinetic_half)(data)
-    return SixField(spec=spec, data=sectors.scatter(data))
+    return data
 
 
 def divergence_residual(psi: SixField, medium: MediumMap | None = None) -> float:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .evolve import _rk4_curl, _turner, free_generator, rk4
+from .evolve import _run, _turner, free_generator
 from .fieldcore import LEVI_CIVITA
 from .spectral import GridSpec, SixField, _distinct, _expand, _fft, _ifft
 
@@ -79,13 +79,22 @@ class MetricField:
         inv = np.linalg.inv(gm)
         self._points = (g, np.moveaxis(inv, 0, -1).reshape((4, 4) + points),
                         det.reshape(points))
-        constitutive = _constitutive_matrices(self)
+        self._table = constitutive = _constitutive_matrices(self)
         w = constitutive.flat[0]  # w if G = w F everywhere, with w real
         self.uniform_scale = float(w.real) if w.imag == 0.0 and np.all(
             constitutive == w * np.eye(3)[:, :, None, None, None]) else None
         self.g, self.g_inv, self.det, self.constitutive = (
             np.broadcast_to(x, x.shape[:-3] + self.spec.n)
             for x in self._points + (constitutive,))
+        self.uniform_axes = tuple(d for d in range(3) if points[d] == 1)
+
+    def _tables(self):
+        """:func:`pwfn.evolve._run`'s tables: F turned to G = (M F+, M^T F-),
+        at speed 1, uncoupled, and the rate (largest light speed) k_max.  M,
+        of size 1 along each uniform axis, commutes with transforms there."""
+        one = np.ones((1, 1, 1))
+        return (one, self._table, one, None,
+                self.light_speed_bound() * self.spec.k_max())
 
     def light_speed_bound(self):
         """Largest local light speed, from the optical-medium equivalent."""
@@ -139,7 +148,7 @@ def f_from_g(gfield: SixField, metric: MetricField) -> SixField:
     at the metric's distinct points."""
     if metric.spec != gfield.spec:
         raise ShapeError("metric and field grids differ")
-    m = _constitutive_matrices(metric)
+    m = metric._table
     inv = np.linalg.inv(np.moveaxis(m.reshape(3, 3, -1), -1, 0))
     inv = np.moveaxis(inv, 0, -1).reshape(m.shape)
     return SixField(spec=gfield.spec, data=_turner(inv, gfield.data))
@@ -151,28 +160,13 @@ def curved_generator(field: SixField, metric: MetricField) -> SixField:
 
 
 def step_curved(field: SixField, metric: MetricField, cfg, steps: int) -> SixField:
-    """RK4 integration of i dF/dt = rho_3 curl G(F) in a static metric.
-
-    Only the rk4 scheme is implemented; any other cfg.scheme raises.  Where
-    G = w F everywhere, H = w rho_3 curl and RK4 is evaluated per Fourier
-    mode (:func:`pwfn.evolve._rk4_curl`).
-    """
+    """RK4 integration of i dF/dt = rho_3 curl G(F) in a static metric, by
+    the runner of media (:func:`pwfn.evolve._run`); any other cfg.scheme
+    raises."""
     if cfg.scheme != "rk4":
         raise DomainError(f"curved-space evolution runs rk4 only, got "
                           f"scheme {cfg.scheme!r}", arg="scheme")
-    if metric.spec != field.spec:
-        raise ShapeError("metric and field grids differ")
-    spec = field.spec
-    rate = metric.light_speed_bound() * spec.k_max()  # bounds ||H||
-    if metric.uniform_scale is not None:
-        return _rk4_curl(field, metric.uniform_scale, cfg.dt, steps, rate,
-                         cfg.cfl_safety)
-
-    def rhs(arr):
-        return -1j * curved_generator(SixField(spec=spec, data=arr), metric).data
-
-    return SixField(spec=spec, data=rk4(rhs, field.data, cfg.dt, steps, rate,
-                                        cfg.cfl_safety))
+    return _run(field, metric, cfg, steps)
 
 
 def spinor_from_rs(f):

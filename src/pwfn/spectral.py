@@ -278,12 +278,15 @@ def reset_transform_counts() -> None:
 
 def _fft(u, overwrite=False, axes=(-3, -2, -1)):
     """Unscaled forward FFT over the lattice axes `axes` (default all
-    three); overwrites a complex u in place where overwrite is set.
+    three); overwrites a complex u in place where overwrite is set.  No
+    `axes` returns a complex copy and counts no call.
 
     A real u is transformed as a complex copy, overwritten in place: scipy's
     real-input path rounds differently, and a real field must transform
     exactly like its complex copy.
     """
+    if not axes:
+        return np.array(u, dtype=complex)
     _TRANSFORM_COUNTS["fft_calls"] += 1
     _TRANSFORM_COUNTS["fft_points"] += u.size
     _TRANSFORM_COUNTS["fft_axis_points"] += u.size * len(axes)
@@ -296,7 +299,9 @@ def _fft(u, overwrite=False, axes=(-3, -2, -1)):
 
 def _ifft(uhat, axes=(-3, -2, -1)):
     """Unscaled inverse FFT over the lattice axes `axes` (default all
-    three); may overwrite uhat."""
+    three); may overwrite uhat.  No `axes` returns uhat, counting none."""
+    if not axes:
+        return uhat
     _TRANSFORM_COUNTS["ifft_calls"] += 1
     _TRANSFORM_COUNTS["ifft_points"] += uhat.size
     _TRANSFORM_COUNTS["ifft_axis_points"] += uhat.size * len(axes)

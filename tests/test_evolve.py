@@ -337,40 +337,65 @@ def test_split_coupling_matches_eigh_reference(monkeypatch, rng):
     assert rel_err(out.data, ref) <= 1e-14
 
 
-# Media for the sector tests: a profile p of the coordinates and the axes
-# along which it is uniform.
+# Backgrounds for the sector tests: a profile p of the coordinates (None
+# for the off-diagonal metric, the same everywhere) and the axes along
+# which it is uniform.
 SECTOR_MEDIA = {
     "z-invariant": (lambda x: 1.0 + 0.15 * np.cos(x[0]) * np.cos(x[1]), (2,)),
     "y,z-invariant": (lambda x: 1.0 + 0.1 * np.cos(x[0]), (1, 2)),
     "varying": (lambda x: 1.0 + 0.1 * np.cos(x[0]) * np.cos(x[1])
                 + 0.05 * np.sin(x[2]), ()),
+    "uniform": (None, (0, 1, 2)),
 }
+# (case, scheme) pairs; "curved" is step_curved's rk4 in a metric.
+SECTOR_CASES = [(case, scheme) for case in SECTOR_MEDIA
+                for scheme in ("rk4", "split_step", "curved")
+                if case != "uniform" or scheme == "curved"]
 
 
 def _sector_medium(spec, case, scheme):
-    """The medium of case for scheme: eps = p with mu = 1 for rk4, and
-    mu = 1/p for split_step."""
+    """The background of case for scheme: eps = p with mu = 1 for rk4, and
+    mu = 1/p for split_step; for curved, the conformal metric of index p,
+    or the off-diagonal metric of the uniform case."""
+    from pwfn import geometry as geo
+    from test_geometry import offdiag_metric
     profile, uniform = SECTOR_MEDIA[case]
-    p = profile(spec.coords())
-    med = MediumMap(spec=spec, eps=p,
-                    mu=1.0 / p if scheme == "split_step" else np.ones(spec.n))
+    if scheme == "curved":
+        med = offdiag_metric(spec) if profile is None else \
+            geo.conformal_metric(spec, profile(spec.coords()))
+    else:
+        p = profile(spec.coords())
+        med = MediumMap(spec=spec, eps=p, mu=1.0 / p
+                        if scheme == "split_step" else np.ones(spec.n))
     assert med.uniform_axes == uniform
     return med
 
 
+def _sector_step(psi, med, scheme, dt, steps):
+    """step_curved's rk4 of psi in a metric, else step_medium's scheme."""
+    from pwfn import geometry as geo
+    if scheme == "curved":
+        return geo.step_curved(psi, med, StepperConfig(dt=dt), steps)
+    return step_medium(psi, med, StepperConfig(dt=dt, scheme=scheme), steps)
+
+
 def _sector_run(psi, case, scheme):
-    """The run of psi in the medium of case for scheme as step_medium makes
-    it, the run's transform counters, the same run on the full grid (rk4
-    of the public hamiltonian_apply, or Strang steps of propagate_free and
-    the per-point exponential of the coupling), and the number of
-    right-hand sides or kinetic steps."""
-    from pwfn import evolve as ev
+    """The run of psi in the background of case for scheme as the stepper
+    makes it, the run's transform counters, the same run on the full grid
+    (rk4 of the public hamiltonian_apply or curved_generator, or Strang
+    steps of propagate_free and the per-point exponential of the
+    coupling), and the number of right-hand sides or kinetic steps."""
+    from pwfn import evolve as ev, geometry as geo
     spec = psi.spec
     med = _sector_medium(spec, case, scheme)
-    if scheme == "rk4":
+    if scheme != "split_step":
         dt, steps = 0.02, 20
-        rate = _medium_rate(spec, med)
-        ref = rk4(lambda a: -1j * hamiltonian_apply(
+        if scheme == "curved":
+            rate = med.light_speed_bound() * spec.k_max()
+            generator = geo.curved_generator
+        else:
+            rate, generator = _medium_rate(spec, med), hamiltonian_apply
+        ref = rk4(lambda a: -1j * generator(
             SixField(spec=spec, data=a), med).data, psi.data, dt, steps,
             rate, 0.5)
         applications = len(ev._rk4_series(dt * rate, steps)) - 1
@@ -386,7 +411,7 @@ def _sector_run(psi, case, scheme):
         ref = ref.data
         applications = steps + 1
     spectral.reset_transform_counts()
-    out = step_medium(psi, med, StepperConfig(dt=dt, scheme=scheme), steps)
+    out = _sector_step(psi, med, scheme, dt, steps)
     return out.data, spectral.transform_counts(), ref, applications
 
 
@@ -400,18 +425,19 @@ def _live_slabs(data, axes):
         > 16 * np.finfo(float).eps * size.max()) for d in axes]
 
 
-@pytest.mark.parametrize("scheme", ["rk4", "split_step"])
-@pytest.mark.parametrize("case", list(SECTOR_MEDIA))
+@pytest.mark.parametrize("case,scheme", SECTOR_CASES)
 def test_step_medium_steps_the_live_sectors_of_uniform_axes(rng, case,
                                                             scheme):
-    # Along an axis where the medium is uniform every operator of a run is
-    # diagonal in k: the state is transformed along the uniform axes once
-    # at each end, and each right-hand side or Strang step transforms the
-    # varying axes of the slabs that carry field: 5 of 8 (or 10) k_z
-    # planes, and 5 x 5 of 12 x 8 (or 6 x 10) (k_y, k_z) pairs.  The result
-    # is the full-grid evolution's.  A medium varying along every axis
-    # transforms all three axes per step.  The axis counts 6 and 10 have
-    # the prime factors 3 and 5.
+    # Along an axis where the medium or metric is uniform every operator of
+    # a run is diagonal in k: the state is transformed along the uniform
+    # axes once at each end, and each right-hand side or Strang step
+    # transforms the varying axes of the slabs that carry field: 5 of 8
+    # (or 10) k_z planes, and 5 x 5 of 12 x 8 (or 6 x 10) (k_y, k_z)
+    # pairs.  The result is the full-grid evolution's.  A background
+    # varying along every axis transforms all three axes per step, and
+    # the off-diagonal metric, uniform along every axis, none: its run
+    # is held in k-space between the two ends.  The axis counts 6 and 10
+    # have the prime factors 3 and 5.
     for n in [(16, 12, 8), (8, 6, 10)]:
         spec = GridSpec(n=n, length=(2.0 * np.pi,) * 3)
         psi = random_field(spec, rng, kmax=2.5)
@@ -424,23 +450,25 @@ def test_step_medium_steps_the_live_sectors_of_uniform_axes(rng, case,
         sector = block * np.prod(live) // np.prod([n[d] for d in uniform])
         ends = 1 if uniform else 0
         varying = 3 - len(uniform)
+        transformed = applications if varying else 0
         axis_points = (len(uniform) * ends * block
                        + varying * applications * sector)
         assert counts == {
-            "fft_calls": ends + applications,
-            "fft_points": ends * block + applications * sector,
-            "ifft_calls": ends + applications,
-            "ifft_points": ends * block + applications * sector,
+            "fft_calls": ends + transformed,
+            "fft_points": ends * block + transformed * sector,
+            "ifft_calls": ends + transformed,
+            "ifft_points": ends * block + transformed * sector,
             "fft_axis_points": axis_points,
             "ifft_axis_points": axis_points}, n
-        if scheme == "rk4":   # a state that overflows ends as rk4's does
-            huge = SixField(spec=spec, data=np.full(psi.data.shape, 1e308))
-            with pytest.raises(StabilityError, match="non-finite"):
-                step_medium(huge, _sector_medium(spec, case, scheme),
-                            StepperConfig(dt=0.02), 2)
+        # A state that overflows ends as a non-finite one, in every scheme.
+        huge = SixField(spec=spec, data=np.full(psi.data.shape, 1e308))
+        with pytest.raises(StabilityError, match=f"non-finite after 2 "
+                           f"{scheme.replace('curved', 'rk4')} steps"):
+            _sector_step(huge, _sector_medium(spec, case, scheme), scheme,
+                         0.02, 2)
 
 
-@pytest.mark.parametrize("scheme", ["rk4", "split_step"])
+@pytest.mark.parametrize("scheme", ["rk4", "split_step", "curved"])
 def test_sector_runs_keep_a_faint_plane(rng, scheme):
     # A k_z plane holding 1e-10 of the state's largest amplitude is far
     # above the round-off the steppers skip: it is stepped, and the run
@@ -466,8 +494,10 @@ def test_block_diagonal_medium_rk4_steps_only_the_live_block(monkeypatch,
     # Where h is uniform (eps = mu) the medium does not couple the helicity
     # blocks, so RK4 steps only the live block of a definite-helicity field:
     # the other stays exactly zero, the live one is bit for bit that of a
-    # run stepping both blocks, and half the points are transformed.
-    from pwfn import evolve as ev
+    # run stepping both blocks, and half the points are transformed.  A
+    # metric never couples them: the same holds for the conformal metric
+    # of the same profile.
+    from pwfn import evolve as ev, geometry as geo
     spec = GridSpec(n=(16, 12, 8), length=(2.0 * np.pi,) * 3)
     psi = random_field(spec, np.random.default_rng(11), kmax=2.5,
                        helicities=(helicity,))
@@ -475,19 +505,23 @@ def test_block_diagonal_medium_rk4_steps_only_the_live_block(monkeypatch,
     p = SECTOR_MEDIA["z-invariant"][0](spec.coords())
     med = MediumMap(spec=spec, eps=p, mu=p)
     assert med.is_uniform_h and not med.is_uniform_v
-    runs = []
-    for both in (False, True):
-        if both:
-            monkeypatch.setattr(ev, "_live_blocks",
-                                lambda data: (range(2), data))
-        spectral.reset_transform_counts()
-        out = step_medium(psi, med, StepperConfig(dt=0.02), 20).data
-        runs.append((out, spectral.transform_counts()))
-    (one, counts), (two, both_counts) = runs
-    assert not np.any(one[1 - helicity])
-    assert np.array_equal(one, two)
-    assert counts == {key: value // 2 if key.endswith("points") else value
-                      for key, value in both_counts.items()}
+    met = geo.conformal_metric(spec, p)
+    assert met.uniform_scale is None
+    for background, step in ((med, step_medium), (met, geo.step_curved)):
+        runs = []
+        for both in (False, True):
+            if both:
+                monkeypatch.setattr(ev, "_live_blocks",
+                                    lambda data: (range(2), data))
+            spectral.reset_transform_counts()
+            out = step(psi, background, StepperConfig(dt=0.02), 20).data
+            runs.append((out, spectral.transform_counts()))
+        monkeypatch.undo()
+        (one, counts), (two, both_counts) = runs
+        assert not np.any(one[1 - helicity]), step.__name__
+        assert np.array_equal(one, two), step.__name__
+        assert counts == {key: value // 2 if key.endswith("points")
+                          else value for key, value in both_counts.items()}
 
 
 def test_divergence_residual_detector(rng):
@@ -639,8 +673,8 @@ def test_rk4_step_rule_is_the_schemes_own(monkeypatch, seed):
     # bounds its generator's spectral radius: at dt = 2 sqrt(2) / rate no
     # mode grows (a varying metric in the norm of its constitutive map), and
     # just past it the run is refused before the first step.  The uniform
-    # medium and metric step per Fourier mode; the varying ones call their
-    # r-space generators.
+    # medium and metric step per Fourier mode; the varying ones call the
+    # runner's right-hand side.
     from pwfn import evolve as ev, geometry as geo, phasespace as ps
     rng = np.random.default_rng(seed)
     spec = GridSpec(n=tuple(int(m) for m in rng.choice([2, 4, 6, 8], 3)),
@@ -668,7 +702,7 @@ def test_rk4_step_rule_is_the_schemes_own(monkeypatch, seed):
                 dt=dt, cfl_safety=1.0), steps).data
         speed = met.light_speed_bound()
         return run, speed * spec.k_max(), speed, psi.data, \
-            1.0 / np.sqrt(index), (geo, "curved_generator")
+            1.0 / np.sqrt(index), (ev, "_medium_rhs")
 
     def reduced(dt, steps):
         return np.concatenate(ps.wigner_reduced_step(
@@ -714,9 +748,9 @@ def test_rk4_per_mode_is_r_space_rk4(seed):
     # medium, the Minkowski metric, a uniform conformal metric) is stepped
     # per Fourier mode: the result is r-space rk4's up to roundoff, on
     # random grids with 2-point axes and full-spectrum fields, for both
-    # signs of dt, and steps = 0 returns the input.  step_medium and
-    # step_curved take that path, with one forward and one inverse
-    # transform for any steps.
+    # signs of dt.  step_medium and step_curved take that path, with one
+    # forward and one inverse transform for any steps, return the input
+    # for steps = 0 and refuse a state that overflows.
     from pwfn import evolve as ev, geometry as geo
     rng = np.random.default_rng(100 + seed)
     spec = GridSpec(n=tuple(int(m) for m in rng.choice([2, 4, 6, 10], 3)),
@@ -728,13 +762,13 @@ def test_rk4_per_mode_is_r_space_rk4(seed):
     metrics = [geo.minkowski_metric(spec), geo.conformal_metric(spec, index)]
     cases = [(float(np.max(med.v)), lambda f: hamiltonian_apply(f, med),
               np.max(med.v) * spec.k_max() + np.max(med.coupling_norm),
-              lambda cfg, steps: step_medium(psi, med, cfg, steps))]
+              lambda f, cfg, steps: step_medium(f, med, cfg, steps))]
     for met in metrics:
         cases.append((met.uniform_scale,
                       lambda f, met=met: geo.curved_generator(f, met),
                       met.light_speed_bound() * spec.k_max(),
-                      lambda cfg, steps, met=met: geo.step_curved(
-                          psi, met, cfg, steps)))
+                      lambda f, cfg, steps, met=met: geo.step_curved(
+                          f, met, cfg, steps)))
     assert metrics[0].uniform_scale == 1.0
     assert rel_err(metrics[1].uniform_scale, 1.0 / index) <= 1e-15
     for w, generator, rate, stepper in cases:
@@ -745,13 +779,11 @@ def test_rk4_per_mode_is_r_space_rk4(seed):
             dt = sign * rng.uniform(0.05, 0.95) * 2.0 * np.sqrt(2.0) / rate
             steps = int(rng.integers(1, 40))
             ref = rk4(rhs, psi.data, dt, steps, rate, 1.0)
-            out = ev._rk4_curl(psi, w, dt, steps, rate, 1.0)
-            assert rel_err(out.data, ref) <= 1e-13, (sign, steps)
-            assert np.array_equal(
-                ev._rk4_curl(psi, w, dt, 0, rate, 1.0).data, psi.data)
+            out = ev._rk4_curl(spec, w, dt, steps)(psi.data)
+            assert rel_err(out, ref) <= 1e-13, (sign, steps)
         cfg = StepperConfig(dt=abs(dt), cfl_safety=1.0)
         spectral.reset_transform_counts()
-        out = stepper(cfg, steps)
+        out = stepper(psi, cfg, steps)
         assert spectral.transform_counts() == {
             "fft_calls": 1, "fft_points": psi.data.size,
             "ifft_calls": 1, "ifft_points": psi.data.size,
@@ -759,11 +791,11 @@ def test_rk4_per_mode_is_r_space_rk4(seed):
             "ifft_axis_points": 3 * psi.data.size}
         ref = rk4(rhs, psi.data, abs(dt), steps, rate, 1.0)
         assert rel_err(out.data, ref) <= 1e-13
-        assert np.array_equal(stepper(cfg, 0).data, psi.data)
+        assert np.array_equal(stepper(psi, cfg, 0).data, psi.data)
         # A state that overflows in the transforms ends as rk4's does.
         huge = SixField(spec=spec, data=np.full(psi.data.shape, 1e308))
         with pytest.raises(StabilityError, match="non-finite"):
-            ev._rk4_curl(huge, w, dt, 1, rate, 1.0)
+            stepper(huge, cfg, 1)
         # Long runs: the per-mode factor R(-i (w dt) |k_d|)^steps against its
         # 50-digit value, where a float64 power is off by 5e-13 at 10^4
         # steps and 3e-12 at 10^5.
@@ -775,8 +807,8 @@ def test_rk4_per_mode_is_r_space_rk4(seed):
                 -Decimal(w * dt) * Decimal(float(k)), steps) for k in norms])
             g = g[where].reshape(kd_norm.shape)
             ref = _per_mode(psi.data, nd, g.real, -g.imag)
-            out = ev._rk4_curl(psi, w, dt, steps, rate, 1.0)
-            assert rel_err(out.data, ref) <= 1e-14, (steps, dt)
+            out = ev._rk4_curl(spec, w, dt, steps)(psi.data)
+            assert rel_err(out, ref) <= 1e-14, (steps, dt)
 
 
 def _classic_rk4(rhs, y, dt, steps):
@@ -900,8 +932,8 @@ def test_rotation_table_is_rodrigues_per_mode(rng, n):
         z = -1j * w * dt * kd_norm
         g = (1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0) ** steps
         ref = _per_mode(psi.data, nd, g.real, -g.imag)
-        out = ev._rk4_curl(psi, w, dt, steps, rate, 1.0)
-        assert rel_err(out.data, ref) <= 1e-13, (dt, steps)
+        out = ev._rk4_curl(spec, w, dt, steps)(psi.data)
+        assert rel_err(out, ref) <= 1e-13, (dt, steps)
 
 
 def test_rk4_peak_memory_in_states():
@@ -914,7 +946,8 @@ def test_rk4_peak_memory_in_states():
     spec = cube(16)
     med = _cosine_medium(spec)
     psi = random_field(spec, np.random.default_rng(7), kmax=3.0)
-    tables = ev._medium_tables(med)
+    tables = ev._medium_tables(ev._Sectors(spec), med.v, range(2),
+                               med.coupling)
 
     def run():
         return rk4(lambda g: ev._medium_rhs(g, *tables), psi.data,
@@ -994,7 +1027,8 @@ def test_rk4_series_needs_only_a_bound_on_the_rate(rng):
     spec = GridSpec(n=(8, 6, 10), length=(6.0, 5.0, 7.0))
     psi = random_field(spec, rng, kmax=3.0)
     med = _cosine_medium(spec)
-    tables = ev._medium_tables(med)
+    tables = ev._medium_tables(ev._Sectors(spec), med.v, range(2),
+                               med.coupling)
     x = spec.coords()
     metric = geo.conformal_metric(spec, 1.2 + 0.1 * np.cos(
         2 * np.pi * x[0] / spec.length[0]))
