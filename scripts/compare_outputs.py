@@ -5,7 +5,8 @@
 PARENT and CHANGE are checkouts (each holding ``src/`` and ``tests/``);
 CHANGE defaults to the tree this script sits in.  Both run the nine
 ``MINIMAL`` configs of CHANGE's ``tests/test_io_cli.py`` through the CLI,
-and ``pytest -s tests/test_acceptance.py`` from their own tests.  Printed,
+plus an ``evolve-medium`` run in cosine eps and mu (``EXTRA``), and
+``pytest -s tests/test_acceptance.py`` from their own tests.  Printed,
 one line each: every CSV value, ``.pwfn`` payload, manifest counter and
 acceptance ``check(...)`` line that differs, with its relative change.
 Runtime checks and the wall-clock fields of manifests are not compared.
@@ -29,6 +30,13 @@ import numpy as np
 HERE = Path(__file__).resolve().parent.parent
 CHECK = re.compile(r"^\[(?:PASS|FAIL)\] (.+?): (\S+) \((?:<=|>=) \S+\)$")
 
+# Runs beyond MINIMAL, name: (kind, text added to MINIMAL[kind]).  Every
+# MINIMAL medium is uniform; this one varies eps and mu, so its runs step
+# the varying-medium right-hand side and the helicity coupling.
+EXTRA = {"evolve-medium-cosine": ("evolve-medium", "[physics]\nsteps = 20\n"
+                                  "eps_profile = cosine:1.0,0.15\n"
+                                  "mu_profile = cosine:1.0,-0.1\n")}
+
 
 def _env(tree):
     env = dict(os.environ)
@@ -36,28 +44,32 @@ def _env(tree):
     return env
 
 
-def _minimal(tree):
-    """The MINIMAL configs, imported from tree's CLI tests."""
+def _configs(tree):
+    """{name: (kind, text)}: the MINIMAL configs, imported from tree's CLI
+    tests, each named by its kind, and those of EXTRA."""
     sys.path[:0] = [str(tree / "tests"), str(tree / "src")]
     try:
         import test_io_cli
     finally:
         del sys.path[:2]
-    return test_io_cli.MINIMAL
+    minimal = test_io_cli.MINIMAL
+    return {**{kind: (kind, text) for kind, text in minimal.items()},
+            **{name: (kind, minimal[kind] + text)
+               for name, (kind, text) in EXTRA.items()}}
 
 
 def _run_configs(tree, configs, work):
-    """Run each config through tree's CLI into work/KIND; returns failures."""
+    """Run each config through tree's CLI into work/NAME; returns failures."""
     failed = []
-    for kind, text in configs.items():
-        cfg = work / f"{kind}.ini"
+    for name, (kind, text) in configs.items():
+        cfg = work / f"{name}.ini"
         cfg.write_text(f"[scenario]\nkind = {kind}\n" + text)
         done = subprocess.run(
             [sys.executable, "-m", "pwfn.cli", kind, "--config", str(cfg),
-             "--out", str(work / kind)], env=_env(tree),
+             "--out", str(work / name)], env=_env(tree),
             capture_output=True, text=True)
         if done.returncode:
-            failed.append(f"{tree}: {kind} exited {done.returncode}: "
+            failed.append(f"{tree}: {name} exited {done.returncode}: "
                           f"{done.stderr.strip()}")
     return failed
 
@@ -138,7 +150,7 @@ def _compare_counters(name, old_path, new_path):
 
 
 def compare(parent, change):
-    configs = _minimal(change)
+    configs = _configs(change)
     lines, failed = [], []
     with tempfile.TemporaryDirectory() as tmp:
         work = {}
@@ -146,13 +158,13 @@ def compare(parent, change):
             work[side] = Path(tmp) / side
             work[side].mkdir()
             failed += _run_configs(tree, configs, work[side])
-        for kind in configs:
-            old_dir, new_dir = work["parent"] / kind, work["change"] / kind
+        for run in configs:
+            old_dir, new_dir = work["parent"] / run, work["change"] / run
             if not (old_dir.is_dir() and new_dir.is_dir()):
                 continue
             for old_path in sorted(old_dir.iterdir()):
                 new_path = new_dir / old_path.name
-                name = f"{kind}/{old_path.name}"
+                name = f"{run}/{old_path.name}"
                 if not new_path.exists():
                     lines.append(f"{name}: missing in the change")
                 elif old_path.suffix == ".csv":

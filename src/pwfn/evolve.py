@@ -35,9 +35,9 @@ import numpy as np
 from scipy import fft as sfft
 
 from .errors import DomainError, ShapeError, StabilityError
-from .fieldcore import CYCLIC, rodrigues
-from .spectral import (GridSpec, SixField, _check_phase, _cross_k,
-                       _distinct, _expand, _fft, _field_of_blocks, _ifft,
+from .fieldcore import rodrigues
+from .spectral import (GridSpec, SixField, _check_phase, _curl, _derivative,
+                       _directions, _distinct, _fft, _field_of_blocks, _ifft,
                        _length, _live_blocks, curl, div, grad, triad_arrays)
 
 __all__ = [
@@ -82,7 +82,7 @@ class MediumMap:
         coupling = v / (2.0 * h) * grad_h
         self._points = dict(
             eps=eps, mu=mu, v=v, h=h, sqrt_v=np.sqrt(v), grad_h=grad_h,
-            coupling=coupling, coupling_norm=np.linalg.norm(coupling, axis=0))
+            coupling=coupling, coupling_norm=_length(coupling))
         for name, x in self._points.items():
             setattr(self, name, np.broadcast_to(x, x.shape[:-3] + self.spec.n))
         self.is_uniform_v = bool(np.ptp(v) <= 1e-14 * np.max(v))
@@ -106,10 +106,8 @@ class MediumMap:
 
     def smoothness_metric(self):
         """max |grad v| * dx / v; large values mean an under-resolved medium."""
-        v = self._points["v"]
-        dx = max(self.spec.spacing)
-        return float(np.max(np.sqrt(np.sum(grad(self.spec, v)**2, axis=0))
-                            * dx / v))
+        v, dx = self._points["v"], max(self.spec.spacing)
+        return float(np.max(_length(grad(self.spec, v)) * dx / v))
 
 
 @dataclass
@@ -306,16 +304,6 @@ def _rotation(nhat, cos_a, sin_a, blocks, axes=(-3, -2, -1)):
                               axes=axes)
 
 
-def _directions(lines):
-    """(n, |k|) of three broadcastable wave-vector lines: the unit vectors
-    k/|k| as a (3, ...) array, 0 where k = 0, and the lengths."""
-    norm = _length(lines)
-    nhat = np.zeros((3,) + norm.shape)
-    for k, row in zip(lines, nhat):
-        np.divide(k, norm, out=row, where=norm > 0.0)
-    return nhat, norm
-
-
 def _rk4_curl(spec: GridSpec, w, dt, steps, blocks=range(2)):
     """`steps` steps of :func:`rk4` for i dF/dt = w rho_3 (s . grad/i) F,
     w > 0 the same everywhere, on a stack of the blocks `blocks`, as a
@@ -370,6 +358,7 @@ class _Sectors:
         self.axes = tuple(range(-len(varying), 0))
         self.index = (Ellipsis,) + np.ix_(*(
             self.live.get(d, np.arange(m)) for d, m in enumerate(spec.n)))
+        self.k_diff = self.lines(spec.k_diff_lines())
 
     def _layout(self, arr, order=None):
         """arr, of lattice axes (x, y, z) last, with those axes in the
@@ -411,6 +400,15 @@ class _Sectors:
         return tuple(self._layout(
             np.take(line, self.live[d], axis=d) if d in self.live else line)
             for d, line in enumerate(lines))
+
+    def derivative(self, u, axis):
+        """D u = (1/i) du/dx_axis of a stack u, which it may overwrite: a
+        product in k-space along a uniform axis, else :func:`_derivative`."""
+        if axis not in self.live:
+            return _derivative(self.spec, u, axis, overwrite=True,
+                               at=self.order.index(axis) - 3)
+        u *= self.k_diff[axis]
+        return u
 
     def triad(self):
         """(n, |k|) on the stack's wave vectors; the cached
@@ -465,37 +463,38 @@ def hamiltonian_apply(psi: SixField, medium: MediumMap) -> SixField:
 def _medium_tables(sectors: _Sectors, v, blocks, c=None):
     """The tables of :func:`_medium_rhs` for the speed v and coupling c (or
     None) in the layout of a stack of the blocks `blocks` of sectors: the
-    wave vectors k_d as one full table, for a run of many right-hand sides
-    on a small grid; rho_3 v as (len(blocks), 1, ...); (-i c, i c) as
-    (2, 3, ...), or None; and the axes the stack is transformed along."""
-    kd = _expand(sectors.lines(sectors.spec.k_diff_lines()))
-    speed = np.stack([v, -v])[blocks.start:blocks.stop, None]
-    ic = None if c is None else 1j * c
-    return kd, speed, None if c is None else np.stack([-ic, ic]), sectors.axes
+    sectors, which take its derivatives; -i rho_3 v as
+    (len(blocks), 1, ...); and (-c, c) as (2, 3, ...), or None."""
+    speed = -1j * np.stack([v, -v])[blocks.start:blocks.stop, None]
+    return sectors, speed, None if c is None else np.stack([-c, c])
 
 
-def _medium_rhs(g, kd, speed, coupling, axes=(-3, -2, -1)):
+def _medium_rhs(g, sectors, speed, coupling):
     """-i (v rho_3 (s . grad/i) + B) G for the data g of G = sqrt(v) F.
 
     With G = sqrt(v) F the medium equation i dF/dt = H F becomes
     i dG/dt = (v rho_3 (s . grad/i) + B) G, B G = (c x G-, -c x G+) the
     pointwise coupling: the same H conjugated by sqrt(v), so its spectral
-    radius has H's bound.  -i (s . grad/i) G = -i curl G is _ifft(k_d x
-    hat G); -i B G is (-i c) x G- above and (i c) x G+ below, one cross
-    product of the table coupling with the swapped view g[::-1].  kd,
-    speed, coupling and axes are the tables of :func:`_medium_tables`.
+    radius has H's bound.  Both parts are one curl (:func:`_curl`) of the
+    terms (-i rho_3 v) D_a g_b + (-+c)_a (g[::-1])_b.  D_a g_b comes for
+    both b != a at once (:meth:`_Sectors.derivative`), and each term is
+    handed out once, so the pair is freed after its second.  sectors,
+    speed and coupling are the tables of :func:`_medium_tables`.
     """
-    out = _ifft(_cross_k(kd, _fft(g, axes=axes)), axes=axes)
-    out *= speed
-    if coupling is not None:
-        swapped = g[::-1]
-        buf = np.empty_like(out[:, 0])
-        for c, (a, b) in enumerate(CYCLIC):
-            np.multiply(coupling[:, a], swapped[:, b], out=buf)
-            out[:, c] += buf
-            np.multiply(coupling[:, b], swapped[:, a], out=buf)
-            out[:, c] -= buf
-    return out
+    terms = {}
+
+    def term(a, b):
+        if a not in terms:
+            others = [x for x in range(3) if x != a]
+            d = sectors.derivative(g[:, others], a)
+            d *= speed
+            terms[a] = dict(zip(others, d.swapaxes(0, 1)))
+        out = terms[a].pop(b)
+        if coupling is not None:
+            out += coupling[:, a] * g[::-1, b]
+        return out
+
+    return _curl(term, g.shape)
 
 
 def step_medium(psi: SixField, medium: MediumMap, cfg: StepperConfig,
@@ -576,8 +575,7 @@ def _step_split(sectors: _Sectors, data, c, dt, steps, v0):
     # On X = F+ - i F- and Y = F+ + i F- the coupling B F = (c x F-, -c x F+)
     # is +/-(c . s): exp(-i dt B) turns X by dt |c| about c/|c| and Y by the
     # transpose, and F+ = (X + Y)/2, F- = i (X - Y)/2.
-    cnorm = np.linalg.norm(c, axis=0)
-    chat = np.divide(c, cnorm, out=np.zeros_like(c), where=cnorm > 0.0)
+    chat, cnorm = _directions(c)
     table = rodrigues(chat, np.cos(dt * cnorm), np.sin(dt * cnorm), _IDENTITY)
     xy = np.empty_like(data)
 

@@ -35,7 +35,8 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .evolve import _run, _turner, free_generator
 from .fieldcore import LEVI_CIVITA
-from .spectral import GridSpec, SixField, _distinct, _expand, _fft, _ifft
+from .spectral import (GridSpec, SixField, _check_phase, _distinct, _expand,
+                       _fft, _ifft)
 
 __all__ = [
     "MetricField", "minkowski_metric", "conformal_metric",
@@ -210,11 +211,13 @@ def dirac_form_step(spec: GridSpec, phi, t: float):
     """Exact spectral evolution of i d(phi)/dt = alpha . (grad/i) phi.
 
     Uses (alpha.k)^2 = |k|^2: exp(-i alpha.k t) = cos(|k|t) - i sin(|k|t)
-    (alpha.k)/|k| per mode.  phi has shape (4, nx, ny, nz).
+    (alpha.k)/|k| per mode, phi (4, nx, ny, nz); a t whose phase |k| t is
+    not finite on the lattice raises DomainError.
     """
     phi = np.ascontiguousarray(phi, dtype=complex)
     if phi.shape != (4,) + spec.n:
         raise ShapeError("spinor lattice shape does not match the grid")
+    _check_phase(spec, t)
     kvec = _expand(spec.k_lines())
     knorm = spec.k_norm()
     phihat = _fft(phi)

@@ -475,12 +475,13 @@ def quantization_integral(state: HydroState, surface):
 
     # correction flux: (1/8c^3) eps_ijk (v_i dv_j x dv_k + v_i dt_jl x dt_kl
     #                                     - 2 t_il dt_jl x dv_k) . n,
-    # built for the normal component on the surface slice only
+    # built for the normal component on the surface slice only, from the
+    # in-plane derivatives of its one-point slab (the normal one is 0)
     on_surface = (Ellipsis,) + take
     v = state.v[on_surface]
     t = state.t[on_surface]
-    g_v = grad(spec, state.v)[on_surface]      # [j, d]: d_d v_j
-    g_t = grad(spec, state.t)[on_surface]      # [j, l, d]: d_d t_jl
+    g_v, g_t = (grad(spec, np.take(u, [index], axis - 3)).squeeze(axis - 3)
+                for u in (state.v, state.t))  # d_d v_j [j, d], t_jl [j, l, d]
     p, q = CYCLIC[axis]
 
     def normal_cross(a, b):  # the +axis component of cross(a, b), alone

@@ -22,9 +22,10 @@ k-space multiplier m(k), 1/H = 1/|k| included, runs on the raw pair as
 _ifft(m * _fft(u)): the checkerboard and cell-volume factors cancel there,
 as (-1)^(2m) = 1.  A derivative multiplier k_m varies along k axis m alone,
 so every spectral derivative is a transform pair along its own axis only
-(:func:`_derivative`).  A real u is transformed as complex: scipy's
-real-input path rounds differently, and a real field must differentiate
-exactly like its complex copy.
+(:func:`_derivative`), and every curl is :func:`_curl` of such terms.
+A real u is transformed as complex: scipy's real-input path rounds
+differently, and a real field must differentiate exactly like its complex
+copy.
 
 Polarization gauge
 ------------------
@@ -229,6 +230,17 @@ def _length(lines):
     return np.sqrt((lines[0] ** 2 + lines[1] ** 2) + lines[2] ** 2)
 
 
+def _directions(lines, norm=None):
+    """(v/|v|, |v|) of real vectors v given as three broadcastable lines or
+    a (3, ...) array, with v/|v| = 0 where v = 0 and |v| :func:`_length`'s
+    unless given as norm: the package's one unit-vector rule."""
+    norm = _length(lines) if norm is None else norm
+    nhat = np.zeros((3,) + norm.shape)
+    for v, row in zip(lines, nhat):
+        np.divide(v, norm, out=row, where=norm > 0.0)
+    return nhat, norm
+
+
 @functools.lru_cache(maxsize=1)
 def _grid_tables(spec: GridSpec) -> dict:
     """Per-grid tables of the one grid most recently used.
@@ -324,19 +336,21 @@ def to_r(spec: GridSpec, uhat):
     return out
 
 
-def _derivative(spec: GridSpec, u, axis, overwrite=False):
+def _derivative(spec: GridSpec, u, axis, overwrite=False, at=None):
     """D u = (1/i) du/dx_axis of u, (..., nx, ny, nz), by one forward and
     one inverse transform along lattice axis `axis` alone: pairs along the
     other axes would cancel.  Where u has size 1 along `axis` it is constant
     there, and D u is 0 with no transform.  The odd-derivative wave numbers
     drop the unpaired Nyquist mode.  Complex, of u's shape; with overwrite,
-    a complex u may be overwritten by it.
+    a complex u may be overwritten by it.  The array axis `at` (by default
+    axis - 3) holds lattice axis `axis`, in a stack of permuted axes.
     """
-    if np.shape(u)[axis - 3] == 1:
+    at = axis - 3 if at is None else at
+    if np.shape(u)[at] == 1:
         return np.zeros(np.shape(u), dtype=complex)
-    hat = _fft(u, overwrite=overwrite, axes=(axis - 3,))
-    hat *= spec.k_diff_lines()[axis]
-    return _ifft(hat, axes=(axis - 3,))
+    hat = _fft(u, overwrite=overwrite, axes=(at,))
+    hat *= np.moveaxis(spec.k_diff_lines()[axis], axis - 3, at)
+    return _ifft(hat, axes=(at,))
 
 
 def grad(spec: GridSpec, u):
@@ -388,30 +402,15 @@ def curl(spec: GridSpec, data):
 def _curl(term, shape):
     """The curl, shaped `shape` = (..., 3, nx, ny, nz), from its derivative
     terms term(a, b) = D_a u_b = (1/i) d_a u_b: row c is
-    i (term(a, b) - term(b, a)), (a, b) = CYCLIC[c].  :func:`curl` and the
-    Poincare generators H and K form the curl here, so they agree bit for
-    bit on equal terms."""
+    i (term(a, b) - term(b, a)), (a, b) = CYCLIC[c], each term read into
+    its row before the next is formed.  Every curl of the package is formed
+    here (:func:`curl`, H and K, the evolution runner's right-hand side),
+    so they agree bit for bit on equal terms."""
     out = np.empty(shape, dtype=complex)
     for c, (a, b) in enumerate(CYCLIC):
-        np.subtract(term(a, b), term(b, a), out=out[..., c, :, :, :])
+        out[..., c, :, :, :] = term(a, b)
+        out[..., c, :, :, :] -= term(b, a)
     out *= 1j
-    return out
-
-
-def _cross_k(kvec, hat):
-    """k_d x hat per mode, for vectors along axis -4 of hat, with the real
-    odd-derivative wave vectors k_d: _ifft of it is -i times the curl.
-
-    Row c is k_a hat_b - k_b hat_a, (a, b) = CYCLIC[c], each product
-    formed before the difference.  kvec holds k_d as broadcastable lines
-    or, for the RK4 medium loop, where each broadcast product on a small
-    grid is a short loop, as a full (3, nx, ny, nz) table.
-    """
-    out = np.empty_like(hat)
-    for c, (a, b) in enumerate(CYCLIC):
-        row = out[..., c, :, :, :]
-        np.multiply(kvec[a], hat[..., b, :, :, :], out=row)
-        row -= kvec[b] * hat[..., a, :, :, :]
     return out
 
 
@@ -547,13 +546,8 @@ def triad_arrays(spec: GridSpec):
     cached per grid and read-only.
     """
     def build():
-        knorm = spec.k_norm()
+        nhat, knorm = _directions(spec.k_lines(), spec.k_norm())
         dc = knorm == 0.0
-        safe = np.where(dc, 1.0, knorm)
-        nhat = np.empty((3,) + spec.n)
-        for k, row in zip(spec.k_lines(), nhat):
-            np.divide(k, safe, out=row)
-        nhat[:, dc] = 0.0
         l1, l2 = _triads_from_khat(nhat[0], nhat[1], nhat[2])
         l1[:, dc] = 0.0
         l2[:, dc] = 0.0
@@ -674,8 +668,7 @@ def _check_phase(spec: GridSpec, t, arg="t"):
     """
     size = math.hypot(*np.ravel(np.asarray(t, dtype=float)))
     if not np.isfinite(spec.k_max() * size):
-        raise DomainError(f"the phase |k| {arg} overflows at {arg} = {t!r}",
-                          arg=arg)
+        raise DomainError(f"|k| {arg} is not finite at {arg} = {t!r}", arg=arg)
 
 
 def synthesize(spectrum: HelicitySpectrum, t=0.0) -> SixField:
@@ -729,8 +722,11 @@ def longitudinal_residual(psi: SixField) -> float:
 
 
 def translate(spectrum: HelicitySpectrum, r0=(0.0, 0.0, 0.0), t0=0.0) -> HelicitySpectrum:
-    """Space-time translation: amp'(k) = exp(-i omega t0 + i k.r0) amp(k)."""
+    """Space-time translation: amp'(k) = exp(-i omega t0 + i k.r0) amp(k);
+    r0 or t0 with a non-finite phase on the lattice raises DomainError."""
     spec = spectrum.spec
+    _check_phase(spec, r0, "r0")
+    _check_phase(spec, t0, "t0")
     r0, k = np.asarray(r0, dtype=float), spec.k_lines()
     phase = np.exp(1j * (r0[0] * k[0] + r0[1] * k[1] + r0[2] * k[2])
                    - 1j * spec.k_norm() * float(t0))

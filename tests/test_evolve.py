@@ -116,6 +116,19 @@ def test_hamiltonian_uniform_reduces_to_free(rng):
                    free_generator(psi).data) < 1e-13
 
 
+def test_hamiltonian_in_vacuum_is_the_free_generator_bit_for_bit(rng):
+    # In vacuum the runner's right-hand side and free_generator form one
+    # curl (spectral._curl) of the same one-axis derivatives, and the
+    # factors sqrt(v) = v = 1 and -i rho_3 are exact: the two agree bit for
+    # bit, on an anisotropic grid with every mode, Nyquist planes included,
+    # occupied.
+    spec = GridSpec(n=(12, 10, 8), length=(6.0, 5.0, 7.0))
+    psi = SixField(spec=spec, data=rng.normal(size=(2, 3) + spec.n)
+                   + 1j * rng.normal(size=(2, 3) + spec.n))
+    assert np.array_equal(hamiltonian_apply(psi, MediumMap.uniform(spec)).data,
+                          free_generator(psi).data)
+
+
 def test_hamiltonian_dispersion_halves_at_quarter_eps():
     spec = cube(12)
     mode = synthesize(plane_wave_mode(spec, (0, 0, 2)), t=0.0)
@@ -433,7 +446,10 @@ def test_step_medium_steps_the_live_sectors_of_uniform_axes(rng, case,
     # axes once at each end, and each right-hand side or Strang step
     # transforms the varying axes of the slabs that carry field: 5 of 8
     # (or 10) k_z planes, and 5 x 5 of 12 x 8 (or 6 x 10) (k_y, k_z)
-    # pairs.  The result is the full-grid evolution's.  A background
+    # pairs.  A Strang step transforms the slabs along all varying axes
+    # in one call; a right-hand side makes one call per varying axis a,
+    # of the two components its curl differentiates along a, 2/3 of the
+    # slabs.  The result is the full-grid evolution's.  A background
     # varying along every axis transforms all three axes per step, and
     # the off-diagonal metric, uniform along every axis, none: its run
     # is held in k-space between the two ends.  The axis counts 6 and 10
@@ -450,14 +466,17 @@ def test_step_medium_steps_the_live_sectors_of_uniform_axes(rng, case,
         sector = block * np.prod(live) // np.prod([n[d] for d in uniform])
         ends = 1 if uniform else 0
         varying = 3 - len(uniform)
-        transformed = applications if varying else 0
-        axis_points = (len(uniform) * ends * block
-                       + varying * applications * sector)
+        if scheme == "split_step":   # per step: calls, points, axis points
+            calls, points, along = 1, sector, varying * sector
+        else:
+            calls, points = varying, varying * 2 * sector // 3
+            along = points
+        axis_points = len(uniform) * ends * block + applications * along
         assert counts == {
-            "fft_calls": ends + transformed,
-            "fft_points": ends * block + transformed * sector,
-            "ifft_calls": ends + transformed,
-            "ifft_points": ends * block + transformed * sector,
+            "fft_calls": ends + applications * calls,
+            "fft_points": ends * block + applications * points,
+            "ifft_calls": ends + applications * calls,
+            "ifft_points": ends * block + applications * points,
             "fft_axis_points": axis_points,
             "ifft_axis_points": axis_points}, n
         # A state that overflows ends as a non-finite one, in every scheme.
@@ -473,7 +492,9 @@ def test_sector_runs_keep_a_faint_plane(rng, scheme):
     # A k_z plane holding 1e-10 of the state's largest amplitude is far
     # above the round-off the steppers skip: it is stepped, and the run
     # matches the full-grid evolution, which dropping it would miss by
-    # about 1e-10.
+    # about 1e-10.  A Strang step transforms the 6 live planes along x and
+    # y at once, a right-hand side two components of them along x and two
+    # along y.
     spec = GridSpec(n=(16, 12, 8), length=(2.0 * np.pi,) * 3)
     psi = random_field(spec, rng, kmax=2.5)
     assert _live_slabs(psi.data, (2,)) == [5]
@@ -485,7 +506,8 @@ def test_sector_runs_keep_a_faint_plane(rng, scheme):
     out, counts, ref, applications = _sector_run(psi, "z-invariant", scheme)
     assert rel_err(out, ref) <= 1e-13
     sector = 6 * 16 * 12 * 6
-    assert counts["fft_points"] == psi.data.size + applications * sector
+    per_step = sector if scheme == "split_step" else 2 * (2 * sector // 3)
+    assert counts["fft_points"] == psi.data.size + applications * per_step
 
 
 @pytest.mark.parametrize("helicity", [0, 1])
@@ -938,8 +960,9 @@ def test_rotation_table_is_rodrigues_per_mode(rng, n):
 
 def test_rk4_peak_memory_in_states():
     # Nested RK4 holds y, u and one rhs output; the medium rhs of a 16^3
-    # run forms its transform and k x hat beside them.  Peak above the
-    # input, in units of the state: 5.0 measured (numpy 2.4, scipy 1.17),
+    # run forms its curl beside them from at most two derivative pairs,
+    # each 2/3 of the state, and one coupling product.  Peak above the
+    # input, in units of the state: 5.35 measured (numpy 2.4, scipy 1.17),
     # against 10.0 for the classic stages k1 ... k4 and their temporaries.
     import tracemalloc
     from pwfn import evolve as ev

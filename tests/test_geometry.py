@@ -226,6 +226,17 @@ def test_dirac_form_plane_wave_phase():
     assert rel_err(phi_t, np.exp(-1j * 2.0 * 0.4) * phi0) < 1e-12
 
 
+@pytest.mark.parametrize("t", [1e308, -1e308, np.inf, np.nan])
+def test_dirac_form_step_refuses_a_time_whose_phase_is_not_finite(t):
+    # |k| t past the float range would give NaN cos and sin phases.
+    spec = cube(8)
+    phi = np.ones((4,) + spec.n, dtype=complex)
+    with pytest.raises(DomainError, match=r"\|k\| t is not finite") \
+            as err:
+        geo.dirac_form_step(spec, phi, t)
+    assert err.value.arg == "t"
+
+
 def test_spinor_rotation_consistency(rng):
     # rotating the vector then mapping equals mapping then acting with the
     # tensor square of the spin-1/2 rotation

@@ -916,13 +916,14 @@ def test_manifest_counts_transforms(tmp_path, rng):
     # In a varying medium a run of RK4 steps evaluates the right-hand side
     # once per term of its Chebyshev series but one, never more than four
     # times per step.  The cosine medium is uniform along z, so a run
-    # transforms the state along z once at its start and once at its end,
-    # and each evaluation is one forward and one inverse transform along x
-    # and y of the k_z planes that carry field: the mode's one plane.  The
-    # rest is the medium's gradient of h, taken at its distinct points (one
-    # forward and one inverse transform of one x-y plane along x, and the
-    # same along y), the packet's one synthesis and the final row's one
-    # decomposition.
+    # transforms the state along z once at its start and once at its end.
+    # Each evaluation transforms the k_z planes that carry field (the
+    # mode's one plane) by two pairs: one along x of their y and z
+    # components, one along y of their z and x components, each 2/3 of
+    # the planes.  The rest is the medium's gradient of h, taken at its
+    # distinct points (one forward and one inverse transform of one x-y
+    # plane along x, and the same along y), the packet's one synthesis and
+    # the final row's one decomposition.
     medium = MINIMAL["evolve-medium"] + "[physics]\ndt = 0.01\nsteps = {}\n"
     varying = medium + "eps_profile = cosine:1.0,0.1\n"
     short, long = (_run(tmp_path, "evolve-medium", varying.format(steps),
@@ -944,14 +945,14 @@ def test_manifest_counts_transforms(tmp_path, rng):
     plane = spec.n[0] * spec.n[1]
     for counters, rhs in zip((short, long), calls):
         assert counters == {
-            "fft_calls": 2 + 2 + rhs,
-            "fft_points": 2 * plane + 2 * block + rhs * sector,
-            "ifft_calls": 2 + 2 + rhs,
-            "ifft_points": 2 * plane + live + block + rhs * sector,
+            "fft_calls": 2 + 2 + 2 * rhs,
+            "fft_points": 2 * plane + 2 * block + 4 * rhs * sector // 3,
+            "ifft_calls": 2 + 2 + 2 * rhs,
+            "ifft_points": 2 * plane + live + block + 4 * rhs * sector // 3,
             "fft_axis_points": 2 * plane + block + 3 * block
-            + 2 * rhs * sector,
+            + 4 * rhs * sector // 3,
             "ifft_axis_points": 2 * plane + 3 * live + block
-            + 2 * rhs * sector}
+            + 4 * rhs * sector // 3}
     # A uniform medium or metric steps per Fourier mode: one forward and
     # one inverse transform of the packet's live block for any steps,
     # between its one synthesis and the final row's one decomposition.

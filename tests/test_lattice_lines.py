@@ -33,15 +33,6 @@ def _diff_axes(spec):
     return axes
 
 
-def _old_cross_k(kvec, hat):
-    """k x hat row by row with full tables, as a reference."""
-    out = np.empty_like(hat)
-    for c, (a, b) in enumerate(((1, 2), (2, 0), (0, 1))):
-        out[..., c, :, :, :] = (kvec[a] * hat[..., b, :, :, :]
-                                - kvec[b] * hat[..., a, :, :, :])
-    return out
-
-
 def _one_axis(kvec, v, a):
     """(1/i) d_a v by one transform pair along lattice axis a, with the
     full table kvec[a], as a reference."""
@@ -80,8 +71,6 @@ def _results(spec, data):
     spectrum = states.gaussian_packet_spectrum(
         spec, (1.3, 0.4, -0.9), 0.9, helicity=-1, r_center=(0.3, -0.2, 0.5))
     psi = synthesize(spectrum)
-    kd = spec.k_diff_lines()
-    hat = spectral._fft(data)
     om = metrics.observables_momentum(spectrum)
     oc = metrics.observables_coordinate(psi)
     out = {
@@ -95,7 +84,6 @@ def _results(spec, data):
         "div": spectral.div(spec, data),
         "curl real": spectral.curl(spec, data.real),
         "curl": spectral.curl(spec, data),
-        "cross": spectral._cross_k(kd, hat),
         "J_x": metrics.generator_apply(GeneratorTag.J_X, psi).data,
         "K_z": metrics.generator_apply(GeneratorTag.K_Z, psi).data,
         "dirac": dirac_form_step(spec, data[0, :2].repeat(2, axis=0), 0.7),
@@ -116,8 +104,6 @@ def test_broadcast_results_equal_meshgrid_tables(spec, monkeypatch, rng):
     got = _results(spec, data)
     # In-test references on full meshgrid tables
     kd = np.stack(_mesh(_diff_axes(spec)))
-    hat = spectral._fft(data)
-    assert np.array_equal(got["cross"], _old_cross_k(kd, hat))
     div_ref = 1j * (_one_axis(kd, data[:, 0], 0) + _one_axis(kd, data[:, 1], 1)
                     + _one_axis(kd, data[:, 2], 2))
     assert np.array_equal(got["div"], div_ref)

@@ -178,7 +178,9 @@ def _3d_references(spec, u):
     hat = spectral._fft(u)
     div = spectral._ifft(1j * (k[0] * hat[:, 0] + k[1] * hat[:, 1]
                                + k[2] * hat[:, 2]))
-    curl = spectral._ifft(1j * spectral._cross_k(k, hat))
+    cross = np.stack([k[a] * hat[:, b] - k[b] * hat[:, a]
+                      for a, b in CYCLIC], axis=1)    # k x hat per mode
+    curl = spectral._ifft(1j * cross)
     return {"grad": grad, "div": div, "curl": curl}
 
 
@@ -616,6 +618,31 @@ def test_translate_phases_and_shift_theorem(rng):
     rolled = np.roll(synthesize(spectrum, t=0.0).data,
                      shift=tuple(-c for c in shift_cells), axis=(-3, -2, -1))
     assert rel_err(shifted.data, rolled) < 1e-12
+
+
+@pytest.mark.parametrize("r0,t0,arg", [
+    ((1e308, 0.0, 0.0), 0.0, "r0"), ((np.nan, 0.0, 0.0), 0.0, "r0"),
+    ((0.0, 0.0, 0.0), np.inf, "t0"), ((0.0, 0.0, 0.0), np.nan, "t0")])
+def test_translate_refuses_a_shift_whose_phase_is_not_finite(rng, r0, t0,
+                                                             arg):
+    # k.r0 or |k| t0 past the float range would overflow or give NaN phases;
+    # a NaN shift would give NaN amplitudes.  Each is refused by name.
+    spectrum = random_spectrum(cube(8), rng, kmax=2.0)
+    with pytest.raises(DomainError, match=rf"\|k\| {arg} is not finite") \
+            as err:
+        translate(spectrum, r0, t0)
+    assert err.value.arg == arg
+
+
+@pytest.mark.parametrize("n", [(8, 8, 8), (12, 10, 8)])
+def test_triad_directions_follow_the_one_unit_vector_rule(n):
+    # n(k) and |k| of the frame are those of spectral._directions, the rule
+    # every per-mode rotation and the split-step coupling use.
+    spec = GridSpec(n=n, length=(5.0, 6.0, 7.0))
+    spectral.release_tables()
+    _, nhat, knorm = triad_arrays(spec)
+    ref_n, ref_k = spectral._directions(spec.k_lines())
+    assert np.array_equal(nhat, ref_n) and np.array_equal(knorm, ref_k)
 
 
 def test_projection_commutes_with_propagation(rng):
