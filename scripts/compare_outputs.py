@@ -8,7 +8,9 @@ CHANGE defaults to the tree this script sits in.  Both run the nine
 plus an ``evolve-medium`` run in cosine eps and mu (``EXTRA``), and
 ``pytest -s tests/test_acceptance.py`` from their own tests.  Printed,
 one line each: every CSV value, ``.pwfn`` payload, manifest counter and
-acceptance ``check(...)`` line that differs, with its relative change.
+acceptance ``check(...)`` line that differs, with its relative change (a
+CSV value's relative to the largest |value| of its row, a check's to its
+own size).
 Runtime checks and the wall-clock fields of manifests are not compared.
 Each tree runs in its own processes, with ``PYTHONPATH`` set to its
 ``src``; nothing is installed.  Exits 1 if a run fails, 0 otherwise.
@@ -88,10 +90,11 @@ def _checks(tree):
     return found, done.returncode
 
 
-def _relative(old, new):
+def _relative(old, new, scale=None):
+    """|new - old| / scale, by default max(|old|, |new|)."""
     if old == new:
         return 0.0
-    scale = max(abs(old), abs(new))
+    scale = max(abs(old), abs(new)) if scale is None else scale
     return abs(new - old) / scale if scale else float("inf")
 
 
@@ -113,12 +116,16 @@ def _compare_csv(name, old_path, new_path):
         # a row is named by its number and its leading text cells
         label = " ".join([str(row)] + [cell for cell in row_old[:2]
                                        if _number(cell) is None])
+        # a CSV column has no scale of its own: a change is relative to the
+        # largest |value| of its row on either side
+        scale = max((abs(x) for x in map(_number, row_old + row_new)
+                     if x is not None and np.isfinite(x)), default=0.0)
         for col, (a, b) in enumerate(zip(row_old, row_new)):
             if a == b:
                 continue
             x, y = _number(a), _number(b)
             change = ("" if x is None or y is None
-                      else f" (relative {_relative(x, y):.3e})")
+                      else f" (relative {_relative(x, y, scale):.3e})")
             yield f"{name} [{label}, {header[col]}]: {a} -> {b}{change}"
 
 

@@ -11,18 +11,17 @@ medium resistance.  Only a spatially varying h couples the two helicity
 blocks.  Derivatives are spectral, so media must be smooth and periodic;
 step-index geometries belong to the semi-analytic fiber solver instead.
 
-One private runner, :func:`_run`, steps a medium or a static metric (an
-equivalent medium, ``geometry.MetricField``) with classic RK4 (default)
-or, for uniform-speed media, Strang splitting between the exact kinetic
-phase and the pointwise helicity coupling.  H is static with real
-spectrum in [-rate, rate], so a run of RK4 steps is one polynomial of
-the generator, R(dt L)^steps: :func:`rk4`, which the reduced Wigner
-evolution shares, sums it as one Chebyshev series in L / rate, in about
-rate |dt| steps + O(log 1/eps) generator applications, and
-:func:`_rk4_curl` per Fourier mode where the generator is
-w rho_3 (s . grad/i) with one w.  Every profile the CLI builds is uniform
-along z, as a fiber is along its axis, so k_z is conserved: the runner
-steps the k sectors of a background's uniform axes (:class:`_Sectors`).
+A static metric acts as a medium (``geometry.MetricField``).  Each
+background has one right-hand side, :func:`_generator`, which
+:func:`hamiltonian_apply` applies and one private runner, :func:`_run`,
+steps with classic RK4 (default) or, for uniform-speed media, Strang
+splitting.  A run of RK4 steps of the static H is one polynomial,
+R(dt L)^steps, which :func:`rk4` sums as one Chebyshev series in
+L / rate; where H is w rho_3 (s . grad/i) with one w, it is one factor
+per Fourier mode, as free propagation is (:func:`_per_mode`).  Every
+profile the CLI builds is uniform along z, as a fiber is along its axis,
+so k_z is conserved: the runner steps the k sectors of a background's
+uniform axes (:class:`_Sectors`).
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .errors import DomainError, ShapeError, StabilityError
 from .fieldcore import rodrigues
 from .spectral import (GridSpec, SixField, _check_phase, _curl, _derivative,
                        _directions, _distinct, _fft, _field_of_blocks, _ifft,
-                       _length, _live_blocks, curl, div, grad, triad_arrays)
+                       _length, _live_blocks, curl, div, grad)
 
 __all__ = [
     "MediumMap", "StepperConfig", "rk4",
@@ -294,38 +293,6 @@ def _turner(table, data, blocks=range(2)):
     return out
 
 
-def _rotation(nhat, cos_a, sin_a, blocks, axes=(-3, -2, -1)):
-    """Per-mode rotation of the stack of the blocks `blocks`, as a function:
-    the table rodrigues(n, cos_a, sin_a), built once, here, applied by
-    :func:`_turner` between one forward and one inverse transform over the
-    lattice axes `axes`."""
-    table = rodrigues(nhat, cos_a, sin_a, _IDENTITY)
-    return lambda data: _ifft(_turner(table, _fft(data, axes=axes), blocks),
-                              axes=axes)
-
-
-def _rk4_curl(spec: GridSpec, w, dt, steps, blocks=range(2)):
-    """`steps` steps of :func:`rk4` for i dF/dt = w rho_3 (s . grad/i) F,
-    w > 0 the same everywhere, on a stack of the blocks `blocks`, as a
-    function evaluated per Fourier mode; the checks are the caller's.
-
-    On a mode with the odd-derivative wave vector k_d = |k_d| n_d of the
-    spectral curl, the generator is w |k_d| (n_d . s) on the upper block
-    and its negative on the lower.  n_d . s has the eigenvalues 0 and +-1,
-    so the run turns the upper block by rodrigues(n_d, Re g, -Im g) for
-    g = R(-i w |k_d| dt)^steps, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, and
-    the lower block by that of conj(g).  g comes from :func:`_rk4_power` in
-    extended precision, once per distinct |k_d|, so its roundoff does not
-    grow with steps: rk4's solution up to roundoff, from one transform
-    each way for any steps.
-    """
-    nd, kd_norm = _directions(spec.k_diff_lines())
-    norms, where = np.unique(kd_norm, return_inverse=True)
-    g = _rk4_power(-1j * (np.longdouble(w * dt) * norms), steps)
-    g = g.astype(complex)[where].reshape(kd_norm.shape)
-    return _rotation(nd, g.real, -g.imag, blocks)
-
-
 # A slab of a run's state along a uniform axis is stepped where its largest
 # |amplitude| exceeds _SECTOR_TOL times the state's largest; the others hold
 # the roundoff of the field's r-space round trip.
@@ -410,23 +377,46 @@ class _Sectors:
         u *= self.k_diff[axis]
         return u
 
-    def triad(self):
-        """(n, |k|) on the stack's wave vectors; the cached
-        :func:`triad_arrays` tables where there is no uniform axis."""
-        if not self.live:
-            return triad_arrays(self.spec)[1:]
-        return _directions(self.lines(self.spec.k_lines()))
+
+def _per_mode(sectors, lines, factor, blocks=range(2)):
+    """Per mode k = |k| n of the k-space `lines`, the eigenstates
+    n . s = 1, -1, 0 of the upper block of a stack of sectors times
+    g = factor(|k|), conj(g), 1 and those of the lower block times conj(g),
+    g, 1, as a function: the table rodrigues(n, Re g, -Im g), with factor
+    evaluated once per distinct |k|, applied by :func:`_turner` to the
+    blocks `blocks` between one forward and one inverse transform over the
+    stack's axes."""
+    nhat, norm = _directions(sectors.lines(lines))
+    norms, where = np.unique(norm, return_inverse=True)
+    g_bar = np.conj(np.asarray(factor(norms), dtype=complex))
+    g_bar = g_bar[where].reshape(norm.shape)
+    del norm, where  # the table's build holds only n and conj(g)
+    table = rodrigues(nhat, g_bar.real, g_bar.imag, _IDENTITY)
+    axes = sectors.axes
+    return lambda data: _ifft(_turner(table, _fft(data, axes=axes), blocks),
+                              axes=axes)
+
+
+def _rk4_curl(sectors, w, dt, steps, blocks=range(2)):
+    """`steps` steps of :func:`rk4` for i dF/dt = w rho_3 (s . grad/i) F,
+    w > 0 the same everywhere, per mode (:func:`_per_mode`); the checks
+    are the caller's.  On a mode k_d = |k_d| n_d of the spectral curl the
+    generator is +-w |k_d| (n_d . s), so the factor is
+    R(-i w |k_d| dt)^steps, R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, from
+    :func:`_rk4_power` in extended precision: rk4's solution up to a
+    roundoff that does not grow with steps."""
+    scaled = np.longdouble(w * dt)
+    return _per_mode(sectors, sectors.spec.k_diff_lines(),
+                     lambda k: _rk4_power(-1j * (scaled * k), steps), blocks)
 
 
 def _kinetic(sectors: _Sectors, t: float, blocks=range(2)):
     """Exact free propagation of the blocks `blocks` of a stack of sectors
-    by time t, as a function: per mode, the upper block turns by the angle
-    |k| t about n = k/|k| and the lower by -|k| t (:func:`_rotation`), and
-    k = 0 stays static.  The angles are built once, here."""
+    by time t, per mode (:func:`_per_mode`): the factor exp(-i |k| t)."""
     _check_phase(sectors.spec, t)
-    nhat, knorm = sectors.triad()
-    return _rotation(nhat, np.cos(knorm * float(t)),
-                     np.sin(knorm * float(t)), blocks, sectors.axes)
+    t = float(t)
+    return _per_mode(sectors, sectors.spec.k_lines(),
+                     lambda k: np.exp(-1j * (k * t)), blocks)
 
 
 def propagate_free(psi: SixField, t: float) -> SixField:
@@ -443,30 +433,33 @@ def free_generator(psi: SixField) -> SixField:
     return SixField(spec=psi.spec, data=out)
 
 
-def hamiltonian_apply(psi: SixField, medium: MediumMap) -> SixField:
-    """Apply the medium Hamiltonian to a six-component field.
-
-    H F = sqrt(v) rho_3 (s . grad/i)(sqrt(v) F) + (v/2h) rho_2 (s . grad h) F,
-    evaluated as the generator of G = sqrt(v) F conjugated by sqrt(v):
-    H F = i _medium_rhs(sqrt(v) F) / sqrt(v).
-    """
-    if medium.spec != psi.spec:
-        raise ShapeError("medium and field grids differ")
-    sv, _, v, c, _ = medium._tables()
-    out = _medium_rhs(sv * psi.data, *_medium_tables(_Sectors(psi.spec), v,
-                                                     range(2), c))
+def hamiltonian_apply(psi: SixField, background) -> SixField:
+    """Apply the generator of a static background, a :class:`MediumMap` or
+    a ``geometry.MetricField``, to a six-component field: i times the
+    right-hand side of the stepped variable (:func:`_generator`)."""
+    if background.spec != psi.spec:
+        raise ShapeError("background and field grids differ")
+    into, rhs = _generator(background, _Sectors(psi.spec), range(2))
+    out = rhs(into * psi.data)
     out *= 1j
-    out /= sv
+    out /= into
     return SixField(spec=psi.spec, data=out)
 
 
-def _medium_tables(sectors: _Sectors, v, blocks, c=None):
-    """The tables of :func:`_medium_rhs` for the speed v and coupling c (or
-    None) in the layout of a stack of the blocks `blocks` of sectors: the
-    sectors, which take its derivatives; -i rho_3 v as
-    (len(blocks), 1, ...); and (-c, c) as (2, 3, ...), or None."""
+def _generator(background, sectors: _Sectors, blocks):
+    """(into, rhs): the factor into the stepped variable G and its
+    right-hand side -i (v rho_3 (s . grad/i) + B) T G (:func:`_medium_rhs`)
+    on a stack of the blocks `blocks` of sectors, from the background's
+    tables (see :func:`_run`) laid out for the stack."""
+    into, turn, v, c = (x if x is None else sectors._layout(x)
+                        for x in background._tables()[:4])
     speed = -1j * np.stack([v, -v])[blocks.start:blocks.stop, None]
-    return sectors, speed, None if c is None else np.stack([-c, c])
+    coupling = None if c is None else np.stack([-c, c])
+
+    def rhs(g):
+        return _medium_rhs(g if turn is None else _turner(turn, g, blocks),
+                           sectors, speed, coupling)
+    return into, rhs
 
 
 def _medium_rhs(g, sectors, speed, coupling):
@@ -478,8 +471,8 @@ def _medium_rhs(g, sectors, speed, coupling):
     radius has H's bound.  Both parts are one curl (:func:`_curl`) of the
     terms (-i rho_3 v) D_a g_b + (-+c)_a (g[::-1])_b.  D_a g_b comes for
     both b != a at once (:meth:`_Sectors.derivative`), and each term is
-    handed out once, so the pair is freed after its second.  sectors,
-    speed and coupling are the tables of :func:`_medium_tables`.
+    handed out once, so the pair is freed after its second.  speed and
+    coupling, -i rho_3 v and (-c, c) or None, are :func:`_generator`'s.
     """
     terms = {}
 
@@ -518,17 +511,17 @@ def _run(psi: SixField, background, cfg: StepperConfig, steps) -> SixField:
     distinct points, the factor into the stepped variable, a table T
     applied as (T x+, T^T x-) before the curl (or None), the speed and the
     coupling c (or None), and then RK4's rate bound.  Only c mixes
-    the helicity blocks; without it only the live ones are stepped.  RK4
-    runs per mode given a uniform scale (:func:`_rk4_curl`), else as one
-    series of :func:`_medium_rhs` on the k sectors of the uniform axes;
-    split_step is free propagation where c is None, else Strang steps on
-    the sectors.  One finiteness check closes the run.
+    the helicity blocks; without it only the live ones are stepped.  Given
+    a uniform scale, a run is one per-mode factor (:func:`_rk4_curl`,
+    :func:`_kinetic`); otherwise RK4 sums one series of
+    :func:`_generator` and split_step takes Strang steps, on the k sectors
+    of the uniform axes.  One finiteness check closes the run.
     """
     if background.spec != psi.spec:
         raise ShapeError("background and field grids differ")
     steps = _check_steps(steps)
     spec, dt, scheme = psi.spec, cfg.dt, cfg.scheme
-    into, turn, v, c, rate = background._tables()
+    _, _, v, c, rate = background._tables()
     if scheme == "rk4":
         _check_rk4_step(dt, rate, cfg.cfl_safety)
     elif not background.is_uniform_v:
@@ -544,26 +537,19 @@ def _run(psi: SixField, background, cfg: StepperConfig, steps) -> SixField:
         return psi.copy()
     blocks, data = ((range(2), psi.data) if c is not None
                     else _live_blocks(psi.data))
-    if scheme == "rk4" and background.uniform_scale is not None:
-        out = _rk4_curl(spec, background.uniform_scale, dt, steps,
-                        blocks)(data)
-    elif scheme != "rk4" and c is None:
-        out = _kinetic(_Sectors(spec), float(np.mean(v)) * dt * steps,
-                       blocks)(data)
+    w = background.uniform_scale
+    if w is not None:
+        sectors = _Sectors(spec)
+        out = (_rk4_curl(sectors, w, dt, steps, blocks) if scheme == "rk4"
+               else _kinetic(sectors, w * dt * steps, blocks))(data)
     else:
         sectors, stack = _Sectors.gather(spec, background.uniform_axes, data)
-        into, turn, c = (x if x is None else sectors._layout(x)
-                         for x in (into, turn, c))
         if scheme == "rk4":
-            tables = _medium_tables(sectors, sectors._layout(v), blocks, c)
-
-            def rhs(g):
-                return _medium_rhs(g if turn is None
-                                   else _turner(turn, g, blocks), *tables)
+            into, rhs = _generator(background, sectors, blocks)
             stack = _rk4_run(rhs, into * stack, dt, steps, rate)
             stack /= into
         else:
-            stack = _step_split(sectors, stack, c, dt, steps,
+            stack = _step_split(sectors, stack, sectors._layout(c), dt, steps,
                                 float(np.mean(v)))
         out = sectors.scatter(stack)
     return _field_of_blocks(spec, blocks,

@@ -13,7 +13,8 @@ inverted exactly at every point.  The map contains only rho_3, so the two
 helicity blocks never mix, in contrast with material media.  Its g_ij part
 is symmetric and its g^0k part antisymmetric, so it is one 3 x 3 table M
 per point: G = (M F+, M^T F-).  Sign and index conventions are anchored by
-the exact Minkowski reduction G = F.
+the exact Minkowski reduction G = F.  A metric is thus applied and stepped
+as a medium is, by the generator and runner of :mod:`pwfn.evolve`.
 
 Spinor form
 -----------
@@ -28,12 +29,13 @@ phi_01 = phi_10 being preserved.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .evolve import _run, _turner, free_generator
+from .evolve import _run, _turner, hamiltonian_apply
 from .fieldcore import LEVI_CIVITA
 from .spectral import (GridSpec, SixField, _check_phase, _distinct, _expand,
                        _fft, _ifft)
@@ -94,8 +96,12 @@ class MetricField:
         at speed 1, uncoupled, and the rate (largest light speed) k_max.  M,
         of size 1 along each uniform axis, commutes with transforms there."""
         one = np.ones((1, 1, 1))
-        return (one, self._table, one, None,
-                self.light_speed_bound() * self.spec.k_max())
+        return one, self._table, one, None, self._rate
+
+    @functools.cached_property
+    def _rate(self):
+        """RK4's rate bound, found once: a run reads the tables twice."""
+        return self.light_speed_bound() * self.spec.k_max()
 
     def light_speed_bound(self):
         """Largest local light speed, from the optical-medium equivalent."""
@@ -156,8 +162,9 @@ def f_from_g(gfield: SixField, metric: MetricField) -> SixField:
 
 
 def curved_generator(field: SixField, metric: MetricField) -> SixField:
-    """Apply the curved-space generator: H F = rho_3 curl G(F)."""
-    return free_generator(g_from_f(field, metric))
+    """Apply the curved-space generator H F = rho_3 curl G(F): the metric's
+    generator as a medium's (:func:`pwfn.evolve.hamiltonian_apply`)."""
+    return hamiltonian_apply(field, metric)
 
 
 def step_curved(field: SixField, metric: MetricField, cfg, steps: int) -> SixField:

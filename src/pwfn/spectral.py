@@ -290,15 +290,12 @@ def reset_transform_counts() -> None:
 
 def _fft(u, overwrite=False, axes=(-3, -2, -1)):
     """Unscaled forward FFT over the lattice axes `axes` (default all
-    three); overwrites a complex u in place where overwrite is set.  No
-    `axes` returns a complex copy and counts no call.
+    three); overwrites a complex u in place where overwrite is set.
 
     A real u is transformed as a complex copy, overwritten in place: scipy's
     real-input path rounds differently, and a real field must transform
     exactly like its complex copy.
     """
-    if not axes:
-        return np.array(u, dtype=complex)
     _TRANSFORM_COUNTS["fft_calls"] += 1
     _TRANSFORM_COUNTS["fft_points"] += u.size
     _TRANSFORM_COUNTS["fft_axis_points"] += u.size * len(axes)
@@ -311,9 +308,7 @@ def _fft(u, overwrite=False, axes=(-3, -2, -1)):
 
 def _ifft(uhat, axes=(-3, -2, -1)):
     """Unscaled inverse FFT over the lattice axes `axes` (default all
-    three); may overwrite uhat.  No `axes` returns uhat, counting none."""
-    if not axes:
-        return uhat
+    three); may overwrite uhat."""
     _TRANSFORM_COUNTS["ifft_calls"] += 1
     _TRANSFORM_COUNTS["ifft_points"] += uhat.size
     _TRANSFORM_COUNTS["ifft_axis_points"] += uhat.size * len(axes)
@@ -528,14 +523,15 @@ def _triads_from_khat(nx, ny, nz):
 
 
 def polarization_triad(k):
-    """Transverse triad (l1, l2, n) and circular vector e at one k != 0."""
-    k = np.asarray(k, dtype=float)
-    kn = float(np.linalg.norm(k))
-    if kn == 0.0:
+    """Transverse triad (l1, l2, n) and circular vector e at one k != 0,
+    with n = k/|k| by :func:`_directions`, so the frame is that of
+    :func:`triad_arrays` at a lattice k."""
+    nhat, kn = _directions(np.asarray(k, dtype=float).reshape(3, 1))
+    if kn[0] == 0.0:
         raise DomainError("polarization triad is undefined at k = 0")
-    n = k / kn
-    l1, l2 = _triads_from_khat(n[0:1], n[1:2], n[2:3])
-    return PolarizationTriad(l1=l1.reshape(3), l2=l2.reshape(3), n_hat=n)
+    l1, l2 = _triads_from_khat(*nhat)
+    return PolarizationTriad(l1=l1.reshape(3), l2=l2.reshape(3),
+                             n_hat=nhat.reshape(3))
 
 
 def triad_arrays(spec: GridSpec):

@@ -33,7 +33,8 @@ def _helicity_index(helicity):
 def plane_wave_mode(spec: GridSpec, k_index, helicity=+1, amplitude=None):
     """Single helicity mode at the given dual-lattice index.
 
-    With amplitude None the mode is normalized to unit photon number.
+    With amplitude None the mode is normalized to unit photon number.  An
+    index n_d/2 along any axis d, a Nyquist k, is refused (see below).
     """
     lam = _helicity_index(helicity)
     amp = np.zeros((2,) + spec.n, dtype=complex)
@@ -41,6 +42,11 @@ def plane_wave_mode(spec: GridSpec, k_index, helicity=+1, amplitude=None):
     if idx == (0, 0, 0):
         raise DomainError("the k = 0 mode carries no helicity state",
                           arg="k_index")
+    for d, (i, m) in enumerate(zip(idx, spec.n)):
+        if 2 * i == m:  # |k| keeps the component, k_diff_lines do not
+            raise DomainError(f"index {i} along axis {d} is the Nyquist "
+                              "index n/2, which the lattice curl drops: no "
+                              "eigenmode of the generator", arg="k_index")
     amp[lam][idx] = 1.0
     spectrum = HelicitySpectrum(spec=spec, amp=amp)
     if amplitude is None:

@@ -801,7 +801,7 @@ def test_rk4_per_mode_is_r_space_rk4(seed):
             dt = sign * rng.uniform(0.05, 0.95) * 2.0 * np.sqrt(2.0) / rate
             steps = int(rng.integers(1, 40))
             ref = rk4(rhs, psi.data, dt, steps, rate, 1.0)
-            out = ev._rk4_curl(spec, w, dt, steps)(psi.data)
+            out = ev._rk4_curl(ev._Sectors(spec), w, dt, steps)(psi.data)
             assert rel_err(out, ref) <= 1e-13, (sign, steps)
         cfg = StepperConfig(dt=abs(dt), cfl_safety=1.0)
         spectral.reset_transform_counts()
@@ -829,7 +829,7 @@ def test_rk4_per_mode_is_r_space_rk4(seed):
                 -Decimal(w * dt) * Decimal(float(k)), steps) for k in norms])
             g = g[where].reshape(kd_norm.shape)
             ref = _per_mode(psi.data, nd, g.real, -g.imag)
-            out = ev._rk4_curl(spec, w, dt, steps)(psi.data)
+            out = ev._rk4_curl(ev._Sectors(spec), w, dt, steps)(psi.data)
             assert rel_err(out, ref) <= 1e-14, (steps, dt)
 
 
@@ -954,7 +954,7 @@ def test_rotation_table_is_rodrigues_per_mode(rng, n):
         z = -1j * w * dt * kd_norm
         g = (1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0) ** steps
         ref = _per_mode(psi.data, nd, g.real, -g.imag)
-        out = ev._rk4_curl(spec, w, dt, steps)(psi.data)
+        out = ev._rk4_curl(ev._Sectors(spec), w, dt, steps)(psi.data)
         assert rel_err(out, ref) <= 1e-13, (dt, steps)
 
 
@@ -969,12 +969,10 @@ def test_rk4_peak_memory_in_states():
     spec = cube(16)
     med = _cosine_medium(spec)
     psi = random_field(spec, np.random.default_rng(7), kmax=3.0)
-    tables = ev._medium_tables(ev._Sectors(spec), med.v, range(2),
-                               med.coupling)
+    _, rhs = ev._generator(med, ev._Sectors(spec), range(2))
 
     def run():
-        return rk4(lambda g: ev._medium_rhs(g, *tables), psi.data,
-                   0.002, 3, _medium_rate(spec, med), 0.5)
+        return rk4(rhs, psi.data, 0.002, 3, _medium_rate(spec, med), 0.5)
 
     run()   # builds the grid tables
     tracemalloc.start()
@@ -1050,8 +1048,7 @@ def test_rk4_series_needs_only_a_bound_on_the_rate(rng):
     spec = GridSpec(n=(8, 6, 10), length=(6.0, 5.0, 7.0))
     psi = random_field(spec, rng, kmax=3.0)
     med = _cosine_medium(spec)
-    tables = ev._medium_tables(ev._Sectors(spec), med.v, range(2),
-                               med.coupling)
+    _, medium_rhs = ev._generator(med, ev._Sectors(spec), range(2))
     x = spec.coords()
     metric = geo.conformal_metric(spec, 1.2 + 0.1 * np.cos(
         2 * np.pi * x[0] / spec.length[0]))
@@ -1064,7 +1061,7 @@ def test_rk4_series_needs_only_a_bound_on_the_rate(rng):
         return out
 
     cases = {
-        "medium": (lambda g: ev._medium_rhs(g, *tables), psi.data,
+        "medium": (medium_rhs, psi.data,
                    _medium_rate(spec, med)),
         "metric": (lambda f: -1j * geo.curved_generator(
             SixField(spec=spec, data=f), metric).data, psi.data,

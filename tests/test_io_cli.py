@@ -393,6 +393,29 @@ cfl_safety = 1.0
             ("boost-eigen", boost + "z_min = -1\n", 2, "[physics] z_min"),
             ("boost-eigen", boost + "kx = 0\nky = 0\n", 2,
              "[physics] kx/ky", "k_perp > 0"),
+            # a mode on a Nyquist plane, whose k the lattice curl drops
+            ("observables", "[scenario]\nkind = observables\n" + GRID8
+             + "[initial]\npacket = mode\nk_index = 4 1 0\n", 2,
+             "[initial] k_index", "Nyquist"),
+            ("evolve-medium", medium.replace("k_index = 3 3 3",
+                                             "k_index = 0 0 -4")
+             + "steps = 1\n", 2, "[initial] k_index", "Nyquist"),
+            # split_step past its splitting-error bound cfl_safety min(dx)/v
+            ("evolve-medium", "[scenario]\nkind = evolve-medium\n" + GRID8
+             + "[physics]\nscheme = split_step\ndt = 0.5\nsteps = 1\n", 4,
+             "dt = 5.000e-01 exceeds the split-step bound 3.927e-01"),
+            # configs the reader refuses before any key is parsed
+            ("evolve-free", "[scenario]\nkind = evolve-free\n[grid]\n"
+             "n = 8 8 8\n", 2, "[grid] missing key 'length'"),
+            ("evolve-free", FREE_CONFIG.replace("time = 0.5", "time 0.5"), 2,
+             "config parse error"),
+            ("evolve-free", GRID8, 2, "config needs [scenario] kind"),
+            ("observables", "[scenario]\nkind = observables\n", 2,
+             "scenario 'observables' requires a [grid] section"),
+            ("evolve-free", FREE_CONFIG.replace("packet = gaussian",
+                                                "packet = plane"), 2,
+             "[initial] packet must be gaussian, mode, vortex or file:PATH",
+             "'plane'"),
             # The modes are solved, but the 2 x 2 box holds too few decay
             # lengths to sample the first one: the run fails after its
             # solve, and its summary must not be written either.

@@ -450,6 +450,21 @@ def _bracket(a, b):
     return {} if term is None else {term[0]: term[1]}
 
 
+def test_expected_commutator_is_the_algebra_image(rng):
+    # [K_x, P_x] = i H and [J_x, J_y] = i J_z, each as i times the image
+    # of generator_apply bit for bit; a commuting pair predicts zeros.
+    spec = cube(8)
+    psi = random_field(spec, rng, kmax=2.0)
+    for a, b, c in ((G.K_X, G.P_X, G.H), (G.J_X, G.J_Y, G.J_Z)):
+        out = mt.expected_commutator(a, b, psi)
+        assert out.spec == spec
+        assert np.array_equal(out.data, 1j * mt.generator_apply(c, psi).data)
+    for a, b in ((G.P_X, G.P_Y), (G.H, G.J_Z)):
+        out = mt.expected_commutator(a, b, psi)
+        assert out.spec == spec and out.data.shape == psi.data.shape
+        assert not np.any(out.data)
+
+
 def test_poincare_algebra_table_is_antisymmetric_and_obeys_jacobi():
     tags = list(G)
     for a, b in itertools.product(tags, repeat=2):

@@ -645,6 +645,22 @@ def test_triad_directions_follow_the_one_unit_vector_rule(n):
     assert np.array_equal(nhat, ref_n) and np.array_equal(knorm, ref_k)
 
 
+def test_polarization_triad_is_the_lattice_frame_bit_for_bit():
+    # polarization_triad at a lattice k reads n and e exactly as
+    # triad_arrays holds them there, at every nonzero k.
+    spec = GridSpec(n=(12, 10, 8), length=(6.1, 5.3, 4.7))
+    e, nhat, knorm = triad_arrays(spec)
+    k = spec.k_grid()
+    count = 0
+    for idx in zip(*np.nonzero(knorm)):
+        at = (slice(None),) + idx
+        triad = polarization_triad(k[at])
+        assert np.array_equal(triad.n_hat, nhat[at]), idx
+        assert np.array_equal(triad.e, e[at]), idx
+        count += 1
+    assert count == spec.npoints - 1
+
+
 def test_projection_commutes_with_propagation(rng):
     spec = cube(12)
     from conftest import random_classical_field
@@ -669,6 +685,24 @@ def test_dc_mode_warning(rng):
     psi.data[0, 0] += 0.1  # constant offset carries k = 0 energy
     with pytest.warns(UserWarning, match="k = 0 energy"):
         decompose(psi)
+
+
+@pytest.mark.parametrize("n, k_index", [
+    ((8, 8, 8), (4, 1, 0)), ((8, 8, 8), (0, 0, -4)), ((8, 8, 8), (1, 12, 3)),
+    ((12, 10, 8), (0, 5, 1)), ((2, 4, 6), (1, 1, 1))])
+def test_plane_wave_mode_refuses_a_nyquist_index(n, k_index):
+    # The lattice curl drops the Nyquist component of k, which |k| keeps:
+    # such a mode is no eigenmode of the free generator, and is refused.
+    from pwfn import states
+    spec = GridSpec(n=n, length=(2 * np.pi,) * 3)
+    with pytest.raises(DomainError, match="Nyquist") as err:
+        states.plane_wave_mode(spec, k_index)
+    assert err.value.arg == "k_index"
+    # The same index off the Nyquist planes is an eigenmode, |k| psi.
+    inner = tuple(min(abs(i) % m, m // 2 - 1) for i, m in zip(k_index, n))
+    mode = synthesize(states.plane_wave_mode(spec, inner), t=0.0)
+    knorm = np.sqrt(sum(i * i for i in inner))
+    assert rel_err(free_generator(mode).data, knorm * mode.data) <= 1e-13
 
 
 @pytest.mark.parametrize("helicity", [0, 2, -3])
