@@ -5,7 +5,8 @@
 PARENT and CHANGE are checkouts (each holding ``src/`` and ``tests/``);
 CHANGE defaults to the tree this script sits in.  Both run the nine
 ``MINIMAL`` configs of CHANGE's ``tests/test_io_cli.py`` through the CLI,
-plus an ``evolve-medium`` run in cosine eps and mu (``EXTRA``), and
+plus an ``evolve-medium`` run in cosine eps and mu (``EXTRA``) and an
+``observables`` run of a Gaussian packet on ``16^3`` (``OWN``), and
 ``pytest -s tests/test_acceptance.py`` from their own tests.  Printed,
 one line each: every CSV value, ``.pwfn`` payload, manifest counter and
 acceptance ``check(...)`` line that differs, with its relative change (a
@@ -38,6 +39,16 @@ CHECK = re.compile(r"^\[(?:PASS|FAIL)\] (.+?): (\S+) \((?:<=|>=) \S+\)$")
 EXTRA = {"evolve-medium-cosine": ("evolve-medium", "[physics]\nsteps = 20\n"
                                   "eps_profile = cosine:1.0,0.15\n"
                                   "mu_profile = cosine:1.0,-0.1\n")}
+# Runs with configs of their own, name: (kind, config text).  The MINIMAL
+# mode packet occupies one k line per axis; this Gaussian, off every axis,
+# carries amplitude on about 40% of the lines along each axis, so the
+# momentum observables drop the others.
+OWN = {"observables-gaussian": ("observables", "[grid]\nn = 16 16 16\n"
+                                "length = 6.283185307179586 "
+                                "6.283185307179586 6.283185307179586\n"
+                                "[initial]\npacket = gaussian\n"
+                                "k_center = 2.0 -1.5 1.0\nsigma_k = 0.7\n"
+                                "helicity = -1\nr_center = 0.3 -0.6 0.8\n")}
 
 
 def _env(tree):
@@ -48,7 +59,7 @@ def _env(tree):
 
 def _configs(tree):
     """{name: (kind, text)}: the MINIMAL configs, imported from tree's CLI
-    tests, each named by its kind, and those of EXTRA."""
+    tests, each named by its kind, and those of EXTRA and OWN."""
     sys.path[:0] = [str(tree / "tests"), str(tree / "src")]
     try:
         import test_io_cli
@@ -57,7 +68,7 @@ def _configs(tree):
     minimal = test_io_cli.MINIMAL
     return {**{kind: (kind, text) for kind, text in minimal.items()},
             **{name: (kind, minimal[kind] + text)
-               for name, (kind, text) in EXTRA.items()}}
+               for name, (kind, text) in EXTRA.items()}, **OWN}
 
 
 def _run_configs(tree, configs, work):

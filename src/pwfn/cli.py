@@ -243,9 +243,7 @@ def _run_observables(scenario):
             "helicity content to normalize")
     sp.amp /= np.sqrt(n_ph)
     om = metrics.observables_momentum(sp)
-    psi = spectral.synthesize(sp, 0.0)
-    del sp  # the coordinate pass reads psi alone
-    oc = metrics.observables_coordinate(psi)
+    oc = metrics.observables_coordinate(sp)
     hbar, c = scenario.output["hbar_si"], scenario.output["c_si"]
     rows = [
         ["photon_number", n_ph, n_ph],

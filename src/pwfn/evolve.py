@@ -37,7 +37,7 @@ from .errors import DomainError, ShapeError, StabilityError
 from .fieldcore import rodrigues
 from .spectral import (GridSpec, SixField, _check_phase, _curl, _derivative,
                        _directions, _distinct, _fft, _field_of_blocks, _ifft,
-                       _length, _live_blocks, curl, div, grad)
+                       _length, _live, _live_blocks, curl, div, grad)
 
 __all__ = [
     "MediumMap", "StepperConfig", "rk4",
@@ -293,12 +293,6 @@ def _turner(table, data, blocks=range(2)):
     return out
 
 
-# A slab of a run's state along a uniform axis is stepped where its largest
-# |amplitude| exceeds _SECTOR_TOL times the state's largest; the others hold
-# the roundoff of the field's r-space round trip.
-_SECTOR_TOL = 16.0 * np.finfo(float).eps
-
-
 class _Sectors:
     """The representation a run in a background uniform along the lattice
     axes `uniform` steps in: those axes in k-space, the others in r-space.
@@ -337,8 +331,8 @@ class _Sectors:
     @classmethod
     def gather(cls, spec: GridSpec, uniform, data):
         """(sectors, stack): data, a (..., nx, ny, nz) state, transformed
-        along the axes `uniform` and cut to its live slabs.  A state with
-        no finite nonzero largest amplitude keeps every slab."""
+        along the axes `uniform` and cut to its live slabs
+        (:func:`spectral._live`)."""
         if not uniform:
             return cls(spec), data
         hat = _fft(data, axes=tuple(d - 3 for d in uniform))
@@ -348,8 +342,7 @@ class _Sectors:
         for d in uniform:
             peak = np.max(size, axis=tuple(
                 a for a in range(size.ndim) if a != size.ndim - 3 + d))
-            keep = np.flatnonzero(peak > _SECTOR_TOL * top)
-            live.append(keep if 0.0 < top < np.inf else np.arange(spec.n[d]))
+            live.append(np.flatnonzero(_live(peak, top)))
         sectors = cls(spec, uniform, live)
         return sectors, np.ascontiguousarray(
             sectors._layout(hat[sectors.index]))

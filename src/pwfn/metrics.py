@@ -33,8 +33,8 @@ from .errors import DomainError, NormalizationError, ResourceError, ShapeError
 from .fieldcore import CYCLIC, LEVI_CIVITA, poynting
 from .spectral import (_DC_RTOL, GridSpec, HelicitySpectrum, SixField, _curl,
                        _dc_energy_fraction, _derivative, _fft,
-                       _helicity_amplitudes, _ifft, _field_of_blocks,
-                       _live_blocks, decompose, triad_arrays)
+                       _helicity_amplitudes, _ifft, _field_of_blocks, _live,
+                       _live_blocks, _synthesis, decompose, triad_arrays)
 
 __all__ = [
     "Observables", "GeneratorTag",
@@ -262,31 +262,41 @@ def observables_momentum(spectrum: HelicitySpectrum) -> Observables:
     of energy read D = d/dk + i lambda alpha through the Cartesian amplitude
     a = e phi (e* phi for lambda = -1), as Im(phi* D phi) = Im(a* . d a) in
     any gauge; d_m a is spectral, one inverse and one forward transform
-    along k axis m.  The helicity term lambda k/|k| is added to the angular
-    momentum.  Amplitudes are expected band limited with support away from
-    the k-box edge.
+    along k axis m.  It is formed only on the k lines along axis m that
+    carry amplitude (:func:`spectral._live`, against the spectrum's largest
+    |phi|): the terms dropped are below (16 eps)^2 of the energy.  The
+    helicity term lambda k/|k| is added to the angular momentum.  Amplitudes
+    are expected band limited with support away from the k-box edge.
     """
     spec = spectrum.spec
-    p2 = np.abs(spectrum.amp) ** 2
+    size = np.abs(spectrum.amp)
+    top = np.max(size)
     e, _, _ = triad_arrays(spec)
     # x_m in FFT order: its shift from box-centered order is the checkerboard.
-    coords = [np.fft.ifftshift(x, axes=m)
+    coords = [np.broadcast_to(np.fft.ifftshift(x, axes=m), spec.n)
               for m, x in enumerate(spec.coord_lines())]
-    # g = sum_lambda Re(phi* (1/i) D phi), one component and k axis at a time.
+    # g = sum_lambda Re(phi* (1/i) D phi), one k axis at a time, on the live
+    # lines along it, gathered into (3, lines, n_m) stacks of a's components.
     g = np.zeros((3,) + spec.n)
-    conj_a, buf = np.empty((2,) + spec.n, dtype=complex)
     for b, phi in enumerate(spectrum.amp):
         if not np.any(phi):
             continue
-        for c in range(3):
-            np.multiply(e[c] if b == 0 else np.conj(e[c]), phi, out=conj_a)
-            np.conj(conj_a, out=conj_a)
-            for m in range(3):
-                image = _ifft(np.conj(conj_a, out=buf), axes=(m,))
-                image *= coords[m]
-                image = _fft(image, overwrite=True, axes=(m,))
-                # d_m a = -i image, so Im(a* d_m a) = -Re(a* image)
-                g[m] -= np.multiply(conj_a, image, out=image).real
+        for m in range(3):
+            live = _live(np.max(size[b], axis=m), top)
+            a = np.moveaxis(e, m + 1, -1)[:, live]
+            if b:
+                np.conj(a, out=a)
+            a *= np.moveaxis(phi, m, -1)[live]
+            conj_a = np.conj(a)
+            image = _ifft(a, axes=(-1,))
+            image *= np.moveaxis(coords[m], m, -1)[live]
+            image = _fft(image, overwrite=True, axes=(-1,))
+            # d_m a = -i image, so Im(a* d_m a) = -Re(a* image)
+            g_lines = np.moveaxis(g[m], m, -1)
+            for conj_c, image_c in zip(conj_a, image):
+                g_lines[live] -= np.multiply(conj_c, image_c,
+                                             out=image_c).real
+    p2 = np.square(size, out=size)
     helicity = p2[0] - p2[1]
     energy, momentum, n, omega = _mode_sums(spec, p2)
     spin = helicity * spec.k_inverse()
@@ -310,35 +320,48 @@ def _mode_sums(spec: GridSpec, p2):
             np.array([np.sum(c * power) for c in n]), n, omega)
 
 
-def observables_coordinate(psi: SixField) -> Observables:
-    """Expectation values via 1/H followed by the local generators.
-
-    Requires a positive-frequency field normalized to unit photon number;
-    raises NormalizationError (with the measured norm attached) otherwise.
-    """
-    spec = psi.spec
-    dv = spec.cell_volume
-    # One raw transform serves the checks, the norm and 1/H psi, with 1/|k|
-    # a raw multiplier; each P_m psi = (1/i) d_m psi is one transform pair
-    # along axis m.
-    blocks, live = _live_blocks(psi.data)
-    raw = _fft(live)
-    amp = _positive_frequency_amplitudes(psi, raw, blocks)
-    amp[blocks.start:blocks.stop] *= dv * spec.checkerboard()
-    n2 = photon_number(HelicitySpectrum(spec=spec, amp=amp))
-    del amp
+def _check_normalized(n2):
+    """Refuse a photon number n2 off 1 by more than _NORMALIZED_RTOL."""
     if abs(n2 - 1.0) > _NORMALIZED_RTOL:
         raise NormalizationError(
             f"field is not normalized: <psi|psi> = {n2:.12e}", measured_norm=n2
         )
-    bra = _ifft(spec.k_inverse() * raw)
-    del raw
+
+
+def observables_coordinate(psi: SixField | HelicitySpectrum) -> Observables:
+    """Expectation values via 1/H followed by the local generators.
+
+    psi is a positive-frequency SixField, or the HelicitySpectrum of one,
+    normalized to unit photon number; NormalizationError (with the measured
+    norm attached) is raised otherwise.  A spectrum's psi and 1/H psi are
+    synthesized from its amplitudes, over its live blocks; a field's are
+    read from one raw transform of its live blocks, which is checked to be
+    of positive frequency first.
+    """
+    spec = psi.spec
+    dv = spec.cell_volume
+    if isinstance(psi, HelicitySpectrum):
+        _, live = _synthesis(psi)
+        _check_normalized(photon_number(psi))
+        _, bra = _synthesis(psi, weight=spec.k_inverse())
+    else:
+        # One raw transform serves the checks, the norm and 1/H psi, with
+        # 1/|k| a raw multiplier.
+        blocks, live = _live_blocks(psi.data)
+        raw = _fft(live)
+        amp = _positive_frequency_amplitudes(psi, raw, blocks)
+        amp[blocks.start:blocks.stop] *= dv * spec.checkerboard()
+        _check_normalized(photon_number(HelicitySpectrum(spec=spec, amp=amp)))
+        del amp
+        bra = _ifft(spec.k_inverse() * raw)
+        del raw
     np.conj(bra, out=bra)
     coords = spec.coord_lines()
-    # P_m psi is built one axis at a time in one reused buffer.  <P_m> is
-    # its overlap with 1/H psi; the same pointwise overlap, weighted by x_a,
-    # gives the orbital terms eps_iam x_a P_m of <J_i>.  Overlaps are
-    # reduced one component at a time.
+    # Each P_m psi = (1/i) d_m psi is one transform pair along axis m, built
+    # one axis at a time in one reused buffer.  <P_m> is its overlap with
+    # 1/H psi; the same pointwise overlap, weighted by x_a, gives the
+    # orbital terms eps_iam x_a P_m of <J_i>.  Overlaps are reduced one
+    # component at a time.
     momentum = np.empty(3)
     ang = np.zeros(3)
     grid = (-1,) + spec.n

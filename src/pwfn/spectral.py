@@ -452,6 +452,21 @@ class SixField:
         return bool(np.all(np.isfinite(self.data)))
 
 
+# A line or slab of a state carries amplitude where its largest |amplitude|
+# exceeds _LIVE_TOL times the state's largest; the others hold the roundoff
+# of the field's r-space round trip.
+_LIVE_TOL = 16.0 * np.finfo(float).eps
+
+
+def _live(peak, top):
+    """Mask of the lines or slabs, of largest |amplitude| peak, that carry
+    amplitude in a state of largest |amplitude| top: all of them unless
+    top is finite and nonzero."""
+    if not 0.0 < top < np.inf:
+        return np.ones(np.shape(peak), dtype=bool)
+    return peak > _LIVE_TOL * top
+
+
 def _live_blocks(data):
     """(blocks, data[blocks]): the range of the blocks of data, a (2, ...)
     array, that hold a nonzero sample (0 = F+, 1 = F-), or range(2) if none
@@ -677,6 +692,13 @@ def synthesize(spectrum: HelicitySpectrum, t=0.0) -> SixField:
     exp(-i omega 0) (-1)^m, signed zeros included, with no exponential.
     A helicity without amplitudes gives a zero block and no transform.
     """
+    return _field_of_blocks(spectrum.spec, *_synthesis(spectrum, t))
+
+
+def _synthesis(spectrum: HelicitySpectrum, t=0.0, weight=None):
+    """(blocks, stack): synthesize(spectrum, t) as the stack of its live
+    blocks (:func:`_live_blocks` of the amplitudes); with weight, a real
+    k-space table, the synthesis of the amplitudes times weight."""
     if not np.all(np.isfinite(spectrum.amp)):
         raise DomainError("spectrum contains non-finite amplitudes")
     if spectrum.amp[0, 0, 0, 0] != 0.0 or spectrum.amp[1, 0, 0, 0] != 0.0:
@@ -687,12 +709,14 @@ def synthesize(spectrum: HelicitySpectrum, t=0.0) -> SixField:
     e, _, knorm = triad_arrays(spec)
     phase = (np.exp(-1j * knorm * float(t)) * spec.checkerboard()
              if float(t) else spec.checkerboard().astype(complex))
+    if weight is not None:
+        phase *= weight
     hat = np.empty((len(blocks), 3) + spec.n, dtype=complex)
     for row, b in enumerate(blocks):
         np.multiply(e if b == 0 else np.conj(e), amp[row] * phase, out=hat[row])
     out = _ifft(hat)
     out *= 1.0 / spec.cell_volume
-    return _field_of_blocks(spec, blocks, out)
+    return blocks, out
 
 
 def positive_frequency_project(psi: SixField) -> SixField:

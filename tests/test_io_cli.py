@@ -913,11 +913,20 @@ def test_cold_observables_run_memory(tmp_path):
     assert ok, (measured, bound)
 
 
-def _momentum_derivative_transforms(helicities):
-    """Transform calls, each way, of observables_momentum's k derivatives:
-    per live helicity, one inverse and one forward transform of one grid
-    along each k axis, for each Cartesian component."""
-    return 3 * 3 * helicities
+def _momentum_derivative_transforms(spectrum):
+    """(calls, points), each way, of observables_momentum's k derivatives:
+    per live helicity, one inverse and one forward transform along each k
+    axis m of the three Cartesian components on the k lines along m whose
+    largest |phi| exceeds 16 eps of the spectrum's largest."""
+    size = np.abs(spectrum.amp)
+    tol = 16 * np.finfo(float).eps * np.max(size)
+    calls = points = 0
+    for block in size:
+        if np.any(block):
+            for m, n_m in enumerate(spectrum.spec.n):
+                lines = np.count_nonzero(np.max(block, axis=m) > tol)
+                calls, points = calls + 1, points + 3 * lines * n_m
+    return calls, points
 
 
 def test_manifest_counts_transforms(tmp_path, rng):
@@ -996,16 +1005,18 @@ def test_manifest_counts_transforms(tmp_path, rng):
                 "fft_axis_points": 6 * live,
                 "ifft_axis_points": 6 * live}, (text, steps)
     # A built-in packet starts as a one-helicity spectrum: observables
-    # reads its k derivatives, synthesizes it once (one three-component
-    # block) before the coordinate observables' raw transform, 1/H and
-    # three one-axis P_m pairs, and evolve-free only synthesizes it at t.
-    calls = _momentum_derivative_transforms(1)
-    derivatives = calls * spec.npoints
+    # reads its k derivatives on the live k lines (the mode's one line
+    # along each axis), synthesizes psi and 1/H psi from it (each one
+    # three-component block) and takes three one-axis P_m pairs, and
+    # evolve-free only synthesizes it at t.
+    calls, derivatives = _momentum_derivative_transforms(
+        states.plane_wave_mode(spec, (0, 0, 2)))
+    assert (calls, derivatives) == (3, 3 * 3 * 1 * spec.n[0])
     assert _run(tmp_path, "observables", MINIMAL["observables"],
                 "obs")["counters"] == {
-        "fft_calls": 4 + calls, "fft_points": 4 * live + derivatives,
+        "fft_calls": 3 + calls, "fft_points": 3 * live + derivatives,
         "ifft_calls": 5 + calls, "ifft_points": 5 * live + derivatives,
-        "fft_axis_points": 6 * live + derivatives,
+        "fft_axis_points": 3 * live + derivatives,
         "ifft_axis_points": 9 * live + derivatives}
     assert _run(tmp_path, "evolve-free", MINIMAL["evolve-free"],
                 "free")["counters"] == {
@@ -1054,10 +1065,14 @@ def test_observables_of_a_built_in_packet_match_the_round_trip(tmp_path,
     # out with public functions, gives the same rows to roundoff.
     text, build = BUILT_IN[packet]
     run = _run(tmp_path, "observables", GRID8 + "[initial]\n" + text)
-    helicities = sum(bool(np.any(amp)) for amp in build(cube(8)).amp)
-    calls = _momentum_derivative_transforms(helicities)
-    assert (run["counters"]["fft_calls"], run["counters"]["ifft_calls"]) \
-        == (4 + calls, 5 + calls)
+    # Every built-in packet has one helicity: one live block.
+    calls, derivatives = _momentum_derivative_transforms(build(cube(8)))
+    live = 3 * cube(8).npoints
+    assert {key: run["counters"][key] for key in (
+        "fft_calls", "ifft_calls", "fft_points", "ifft_points")} == {
+        "fft_calls": 3 + calls, "ifft_calls": 5 + calls,
+        "fft_points": 3 * live + derivatives,
+        "ifft_points": 5 * live + derivatives}
     sp = spectral.decompose(spectral.synthesize(build(cube(8))))
     n_ph = metrics.photon_number(sp)
     sp.amp /= np.sqrt(n_ph)

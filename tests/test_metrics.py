@@ -247,12 +247,78 @@ def test_observables_momentum_matches_component_form():
     assert np.max(np.abs(moe)) > 0.1 * energy
 
 
+# Amplitudes of a spectrum on a few k points, (helicity, index): value.
+# The two (+) points at (1, 2, *) share their line along k_z, and the
+# 1e-17 point lies below the live tolerance, 16 eps of the largest |phi|.
+FEW_LINES = {(0, (1, 2, 3)): 1.0 + 0.5j, (0, (1, 2, -2)): -0.7j,
+             (0, (-3, 1, 2)): 0.4, (0, (2, -4, -1)): 1e-13,
+             (0, (4, 3, 1)): 1e-17, (1, (2, -1, 1)): 0.8 - 0.3j,
+             (1, (-1, 0, -3)): 0.6}
+
+
+def test_momentum_observables_transform_the_live_k_lines_only():
+    spec = GridSpec(n=(12, 10, 8), length=(7.0, 6.0, 5.0))
+    amp = np.zeros((2,) + spec.n, dtype=complex)
+    for (b, index), value in FEW_LINES.items():
+        amp[(b,) + index] = value
+    spectrum = HelicitySpectrum(spec=spec, amp=amp)
+    obs, counts = _transforms(mt.observables_momentum, spectrum)
+    # per helicity and axis m, one transform each way of the three
+    # components on the lines along m through the live points
+    points = 0
+    for b in range(2):
+        live = [index for (h, index), value in FEW_LINES.items()
+                if h == b and abs(value) > 1e-15]
+        for m, n_m in enumerate(spec.n):
+            lines = {index[:m] + index[m + 1:] for index in live}
+            points += 3 * len(lines) * n_m
+    assert points < 0.1 * 2 * 3 * 3 * spec.npoints
+    assert counts == {"fft_calls": 6, "fft_points": points,
+                      "ifft_calls": 6, "ifft_points": points,
+                      "fft_axis_points": points,
+                      "ifft_axis_points": points}, counts
+    energy, momentum, ang, moe = _observables_momentum_reference(spectrum)
+    assert abs(obs.energy - energy) <= 1e-14 * energy
+    for got, ref in ((obs.momentum, momentum), (obs.angular_momentum, ang),
+                     (obs.moment_of_energy, moe)):
+        assert np.max(np.abs(got - ref)) <= 1e-14 * energy
+
+
+@pytest.mark.parametrize("helicities", [(0,), (1,), (0, 1)])
+def test_coordinate_observables_of_a_spectrum_equal_its_synthesis(
+        rng, helicities):
+    # A spectrum's psi and 1/H psi are synthesized from its amplitudes, a
+    # field's read from its raw transform: they agree to roundoff.
+    spec = GridSpec(n=(16, 12, 10), length=(8.0, 7.0, 6.0))
+    spectrum = random_spectrum(spec, rng, kmax=2.5, helicities=helicities,
+                               normalize=True)
+    spectrum = spectral.translate(spectrum, (0.4, -0.3, 0.2))
+    got, counts = _transforms(mt.observables_coordinate, spectrum)
+    ref = mt.observables_coordinate(synthesize(spectrum))
+    for name in ("energy", "momentum", "angular_momentum",
+                 "moment_of_energy"):
+        gap = np.max(np.abs(getattr(got, name) - getattr(ref, name)))
+        assert gap <= 1e-15 * ref.energy, (name, gap)
+    # two syntheses of the live blocks and three one-axis P_m pairs; no
+    # forward transform of psi
+    block = 3 * len(helicities) * spec.npoints
+    assert counts == {"fft_calls": 3, "fft_points": 3 * block,
+                      "ifft_calls": 5, "ifft_points": 5 * block,
+                      "fft_axis_points": 3 * block,
+                      "ifft_axis_points": 9 * block}, counts
+
+
 def test_observables_coordinate_requires_normalization(rng):
     spec = cube(8)
     psi = random_field(spec, rng, kmax=2.0)
     with pytest.raises(NormalizationError) as err:
         mt.observables_coordinate(psi)
     assert err.value.measured_norm is not None
+    spectrum = random_spectrum(spec, rng, kmax=2.0)
+    n2 = mt.photon_number(spectrum)
+    with pytest.raises(NormalizationError) as err:
+        mt.observables_coordinate(spectrum)
+    assert err.value.measured_norm == n2 != 1.0
 
 
 def test_energy_density_and_current(rng):
