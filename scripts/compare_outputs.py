@@ -14,7 +14,9 @@ CSV value's relative to the largest |value| of its row, a check's to its
 own size).
 Runtime checks and the wall-clock fields of manifests are not compared.
 Each tree runs in its own processes, with ``PYTHONPATH`` set to its
-``src``; nothing is installed.  Exits 1 if a run fails, 0 otherwise.
+``src``; nothing is installed.  Exits 1 if a run fails, if a printed
+``[PASS]``/``[FAIL]`` line does not parse, or if the two trees print
+different check labels; 0 otherwise.
 """
 
 from __future__ import annotations
@@ -31,7 +33,12 @@ from pathlib import Path
 import numpy as np
 
 HERE = Path(__file__).resolve().parent.parent
-CHECK = re.compile(r"^\[(?:PASS|FAIL)\] (.+?): (\S+) \((?:<=|>=) \S+\)$")
+# A check line, found anywhere on its line (under ``pytest -s -q`` the
+# previous test's progress dot precedes the first line a test prints): a
+# label with its value and bound, or a label alone.
+MARK = re.compile(r"\[(?:PASS|FAIL)\] ")
+CHECK = re.compile(MARK.pattern + r"(.+?): (\S+) \((?:<=|>=) \S+\)$")
+LABEL = re.compile(MARK.pattern + r"([^:]+)$")
 
 # Runs beyond MINIMAL, name: (kind, text added to MINIMAL[kind]).  Every
 # MINIMAL medium is uniform; this one varies eps and mu, so its runs step
@@ -87,18 +94,34 @@ def _run_configs(tree, configs, work):
     return failed
 
 
+def parse_checks(text):
+    """({label: value}, [lines]) of a printout: the value of each check
+    (None for a label alone), runtimes left out, and each check line that
+    does not parse."""
+    found, unparsed = {}, []
+    for line in map(str.strip, text.splitlines()):
+        valued, bare = CHECK.search(line), LABEL.search(line)
+        if valued and _number(valued.group(2)) is not None:
+            label, value = valued.group(1), _number(valued.group(2))
+        elif bare:
+            label, value = bare.group(1), None
+        else:
+            if MARK.search(line):
+                unparsed.append(line)
+            continue
+        if "runtime" not in label:
+            found[label] = value
+    return found, unparsed
+
+
 def _checks(tree):
-    """{label: value} of tree's acceptance printout, runtimes left out."""
+    """(checks, unparsed, exit code) of tree's acceptance printout."""
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-s", "-q", "-p", "no:cacheprovider",
          "tests/test_acceptance.py"], cwd=tree, env=_env(tree),
         capture_output=True, text=True)
-    found = {}
-    for line in done.stdout.splitlines():
-        match = CHECK.match(line.strip())
-        if match and "runtime" not in match.group(1):
-            found[match.group(1)] = float(match.group(2))
-    return found, done.returncode
+    found, unparsed = parse_checks(done.stdout)
+    return found, unparsed, done.returncode
 
 
 def _relative(old, new, scale=None):
@@ -191,16 +214,24 @@ def compare(parent, change):
                     lines += _compare_field(name, old_path, new_path)
                 elif old_path.name == "manifest.json":
                     lines += _compare_counters(name, old_path, new_path)
-    (old_checks, old_code), (new_checks, new_code) = (
-        _checks(parent), _checks(change))
-    failed += [f"{tree}: acceptance suite exited {code}"
-               for tree, code in ((parent, old_code), (change, new_code))
-               if code]
+    checks = []
+    for tree in (parent, change):
+        found, unparsed, code = _checks(tree)
+        checks.append(found)
+        failed += [f"{tree}: unparsed check line {line!r}"
+                   for line in unparsed]
+        if code:
+            failed.append(f"{tree}: acceptance suite exited {code}")
+    old_checks, new_checks = checks
+    for label in sorted(set(old_checks) ^ set(new_checks)):
+        failed.append(f"check {label!r} is printed by one tree only")
     for label in sorted(set(old_checks) | set(new_checks)):
         a, b = old_checks.get(label), new_checks.get(label)
+        if a == b:
+            continue
         if a is None or b is None:
             lines.append(f"check {label!r}: {a} -> {b}")
-        elif a != b:
+        else:
             lines.append(f"check {label!r}: {a:.3e} -> {b:.3e} "
                          f"(relative {_relative(a, b):.3e})")
     return lines, failed

@@ -113,10 +113,10 @@ _STEPPER = {"dt": Key(_FLOAT, 0.01),
             "cfl_safety": Key(_FLOAT, 0.5)}
 _POSITIVE = (lambda v, c: v > 0, "> 0")
 _PROFILE = Key(_tagged(uniform=(1, "1"), cosine=(2, "")), ("uniform", 1.0))
-# K_{i kappa}(x) ~ exp(-pi |kappa| / 2) sinks below the Macdonald
-# quadrature's absolute floor near |kappa| = 22, so a larger kappa gives a
-# profile of roundoff.  The cap also bounds quad's subinterval limit,
-# 12 |kappa| tmax + 60, by 2e5 wherever tmax is finite (tmax <= 711).
+# K_{i kappa}(x) ~ exp(-pi |kappa| / 2), about 2e-14 at |kappa| = 20, nears
+# the roundoff of the Macdonald trapezoidal sum, about 2e-15 of the
+# integrand's scale exp(-x) at small x, so a larger kappa gives a profile
+# of roundoff.
 _KAPPA = Key(_FLOAT, 1.0, (lambda v, c: abs(v) <= 20.0, "in [-20, 20]"))
 
 

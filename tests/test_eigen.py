@@ -2,7 +2,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 from pwfn import eigen
 from pwfn.cli import main
@@ -45,8 +44,9 @@ def test_macdonald_asymptotic_and_evenness():
     assert abs(val - asym) < 0.005 * asym  # 1 + O(1/x) band at zero index
     for kappa, x in ((0.5, 0.3), (2.0, 1.7)):
         assert eigen.macdonald_imag(kappa, x) == eigen.macdonald_imag(-kappa, x)
-    with pytest.raises(DomainError):
-        eigen.macdonald_imag(1.0, 0.0)
+    for x in (0.0, np.inf):
+        with pytest.raises(DomainError):
+            eigen.macdonald_imag(1.0, x)
 
 
 def test_macdonald_ode_residual_finite_differences():
@@ -91,51 +91,91 @@ def test_boost_eigen_residuals(kappa):
 
 def test_cli_boost_run_evaluates_each_moment_once(tmp_path, monkeypatch):
     # psi_z, psi_x, psi_y and the eigen residual share one evaluation: one
-    # quadrature of each of the moments 0, 1 and 2 per sample.
+    # call for each of the moments 0, 1 and 2, each over all samples.
     calls = []
     moment = eigen.macdonald_imag_moment
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return moment(*args, **kwargs)
+    def counted(kappa, x, n=0):
+        calls.append((n, np.shape(x)))
+        return moment(kappa, x, n)
 
     monkeypatch.setattr(eigen, "macdonald_imag_moment", counted)
     cfg = tmp_path / "boost.ini"
     cfg.write_text("[scenario]\nkind = boost-eigen\n[physics]\nsamples = 12\n")
     assert main(["boost-eigen", "--config", str(cfg),
                  "--out", str(tmp_path / "out")]) == 0
-    assert len(calls) == 3 * 12
+    assert calls == [(0, (12,)), (1, (12,)), (2, (12,))]
 
 
-def test_flagged_macdonald_quadrature_is_checked_not_warned(tmp_path,
-                                                           monkeypatch):
-    # At x = k_perp z_min = 0.057, K_{2.5i}(x) is near a zero and quad flags
-    # roundoff; its error estimate (2e-14) is far below 1e-10 * K_0(x), so
-    # the value is kept, unchanged, and no warning reaches stderr.
-    kappa, x = 2.5, np.hypot(0.3, -1.1) * 0.05
+def test_boost_run_near_a_zero_of_psi_z_is_not_warned(tmp_path):
+    # At x = k_perp z_min = 0.057, K_{2.5i}(x) is near a zero: it reads
+    # -3.9e-4, against K_0(x) = 3.0.  No warning reaches stderr.
     cfg = tmp_path / "boost.ini"
     cfg.write_text("[scenario]\nkind = boost-eigen\n[physics]\nkappa = 2.5\n"
                    "kx = 0.3\nky = -1.1\nz_min = 0.05\nsamples = 4\n")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        value = eigen.macdonald_imag_moment(kappa, x)
         assert main(["boost-eigen", "--config", str(cfg),
                      "--out", str(tmp_path / "out")]) == 0
-    tmax = np.arccosh(45.0 / x)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        plain, _ = integrate.quad(
-            lambda t: np.exp(-x * np.cosh(t)) * np.cos(kappa * t), 0.0, tmax,
-            epsabs=1e-15 * np.exp(-x), epsrel=1e-12,
-            limit=int(12 * kappa * tmax + 60))
-    assert value == plain
-    # a flagged result outside the bound is an error the CLI classifies
-    monkeypatch.setattr(eigen, "_QUAD_FLAG_RTOL", 0.0)
-    with pytest.raises(TruncationError,
-                       match="kappa = 2.5, x = 0.057.*moment 0"):
-        eigen.macdonald_imag_moment(kappa, x)
-    assert main(["boost-eigen", "--config", str(cfg),
-                 "--out", str(tmp_path / "bad")]) == 3
+
+
+def test_macdonald_moments_at_zero_index_match_scipy():
+    # At kappa = 0 the moments are K_0, K_1 and (K_0 + K_2)/2, since
+    # cosh^2 t = (1 + cosh 2t)/2; on an array of x and on each float x.
+    from scipy.special import kv
+    x = np.geomspace(1e-3, 500.0, 200)
+    refs = (kv(0, x), kv(1, x), 0.5 * (kv(0, x) + kv(2, x)))
+    for n, ref in enumerate(refs):
+        got = eigen.macdonald_imag_moment(0.0, x, n)
+        assert np.max(np.abs(got - ref) / ref) < 1e-13, n
+        assert got[7] == eigen.macdonald_imag_moment(0.0, x[7], n)
+    assert type(eigen.macdonald_imag_moment(0.0, 1.0)) is float
+
+
+def _trapezoid_at_half_step(kappa, x, moment):
+    """The rule of macdonald_imag_moment on [0, T] at step h/2, summed
+    from one (samples, nodes) table."""
+    tmax = np.arccosh(1.0 + 45.0 / x)
+    h = 0.5 * np.minimum(0.1, 0.5 / np.sqrt(x))
+    t = h[:, None] * np.arange(int(np.max(tmax / h)) + 1)
+    cosh = np.cosh(t)
+    f = np.exp(-x[:, None] * cosh) * cosh**moment * np.cos(kappa * t)
+    f[:, 0] *= 0.5
+    return h * np.sum(np.where(t <= tmax[:, None], f, 0.0), axis=1)
+
+
+def test_macdonald_rule_is_converged_in_its_step():
+    # Halving h moves no value by more than 1e-13 of the integrand's scale
+    # exp(-x) max(1, 45/x)^moment, so the step resolves every kappa the
+    # config admits.
+    x = np.geomspace(1e-3, 700.0, 120)
+    worst = 0.0
+    for kappa in (0.0, 0.7, -3.0, 8.5, 13.0, -20.0, 20.0):
+        for n in range(3):
+            scale = np.exp(-x) * np.maximum(1.0, 45.0 / x) ** n
+            change = (eigen.macdonald_imag_moment(kappa, x, n)
+                      - _trapezoid_at_half_step(kappa, x, n))
+            worst = max(worst, float(np.max(np.abs(change) / scale)))
+    assert worst < 1e-13, worst
+
+
+def test_boost_profile_memory_is_a_few_arrays_of_the_samples():
+    # Each moment is summed node by node into arrays of the samples' size.
+    # At k_perp z = 1e-3 the rule takes 115 nodes, so a (samples, nodes)
+    # table alone would hold 115 such arrays.
+    import tracemalloc
+    b = eigen.boost_eigenfunction(1.0, 1.0, 0.0)
+    z = np.linspace(1e-3, 5.0, 10_000)
+    b.profile(z[:2])
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        b.profile(z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays, bound = (peak - base) / z.nbytes, 40.0
+    assert arrays <= bound, (arrays, bound)
 
 
 def test_macdonald_refuses_x_below_its_floor():

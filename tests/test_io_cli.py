@@ -595,15 +595,21 @@ def test_cli_reports_a_state_that_overflows_during_rk4(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_cli_import_leaves_out_the_eigen_solvers_scipy_modules():
-    # scipy.integrate and scipy.optimize serve the boost and fiber solvers
-    # only, which load them on first use.
-    code = ("import sys, pwfn.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+def test_cli_import_leaves_out_the_eigen_solvers_scipy_modules(tmp_path):
+    # scipy.optimize serves the fiber solver only, which loads it on first
+    # use; the boost solver loads no scipy.integrate, not even in its run.
+    cfg = tmp_path / "boost.ini"
+    cfg.write_text("[scenario]\nkind = boost-eigen\n")
+    loaded = ("sorted(m for m in sys.modules if m.startswith("
+              "('scipy.integrate', 'scipy.optimize')))")
+    code = (f"import sys, pwfn.cli; print({loaded}); "
+            f"pwfn.cli.main(['boost-eigen', '--config', {str(cfg)!r}, "
+            f"'--out', {str(tmp_path / 'out')!r}]); print({loaded})")
     env = {**os.environ, "PYTHONPATH": str(Path(pwfn.__file__).parents[1])}
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
-    assert result.stdout.strip() == "[]"
+    assert result.stdout.split() == ["[]", "[]"]
+    assert (tmp_path / "out" / "boost_profile.csv").exists()
 
 
 def test_cli_loads_config_once(tmp_path, monkeypatch):
