@@ -5,8 +5,9 @@
 PARENT and CHANGE are checkouts (each holding ``src/`` and ``tests/``);
 CHANGE defaults to the tree this script sits in.  Both run the nine
 ``MINIMAL`` configs of CHANGE's ``tests/test_io_cli.py`` through the CLI,
-plus an ``evolve-medium`` run in cosine eps and mu (``EXTRA``) and an
-``observables`` run of a Gaussian packet on ``16^3`` (``OWN``), and
+plus an ``evolve-medium`` run in cosine eps and mu (``EXTRA``), two
+``observables`` runs of Gaussian packets (on ``16^3`` and on ``24 20 16``)
+and a vortex ``evolve-free`` run (``OWN``), and
 ``pytest -s tests/test_acceptance.py`` from their own tests.  Printed,
 one line each: every CSV value, ``.pwfn`` payload, manifest counter and
 acceptance ``check(...)`` line that differs, with its relative change (a
@@ -49,13 +50,27 @@ EXTRA = {"evolve-medium-cosine": ("evolve-medium", "[physics]\nsteps = 20\n"
 # Runs with configs of their own, name: (kind, config text).  The MINIMAL
 # mode packet occupies one k line per axis; this Gaussian, off every axis,
 # carries amplitude on about 40% of the lines along each axis, so the
-# momentum observables drop the others.
+# momentum observables drop the others.  The anisotropic Gaussian's live k
+# box wraps the FFT-order seam along y and z (it holds the first and the
+# last indices, not the middle ones), and the vortex evolve-free run
+# reaches propagate_free and the conserved rows of a field.
 OWN = {"observables-gaussian": ("observables", "[grid]\nn = 16 16 16\n"
                                 "length = 6.283185307179586 "
                                 "6.283185307179586 6.283185307179586\n"
                                 "[initial]\npacket = gaussian\n"
                                 "k_center = 2.0 -1.5 1.0\nsigma_k = 0.7\n"
-                                "helicity = -1\nr_center = 0.3 -0.6 0.8\n")}
+                                "helicity = -1\nr_center = 0.3 -0.6 0.8\n"),
+       "observables-anisotropic": ("observables", "[grid]\nn = 24 20 16\n"
+                                   "length = 9.0 8.0 7.0\n"
+                                   "[initial]\npacket = gaussian\n"
+                                   "k_center = 2.0 0.3 -0.5\n"
+                                   "sigma_k = 0.7\nhelicity = 1\n"
+                                   "r_center = -0.4 0.2 0.5\n"),
+       "evolve-free-vortex": ("evolve-free", "[grid]\nn = 8 8 8\n"
+                              "length = 6.283185307179586 "
+                              "6.283185307179586 6.283185307179586\n"
+                              "[initial]\npacket = vortex\n"
+                              "[physics]\ntime = 0.7\n")}
 
 
 def _env(tree):

@@ -135,8 +135,8 @@ def _conserved_rows(snapshots):
         if isinstance(sp, spectral.SixField):
             sp, fraction = spectral._helicity_spectrum(sp)
             dc_fraction = max(dc_fraction, fraction)
-        energy, momentum = metrics._mode_sums(sp.spec, np.abs(sp.amp) ** 2)[:2]
-        row = [step, t, metrics.photon_number(sp), energy, *momentum]
+        number, energy, momentum = metrics._diagonal_sums(sp)
+        row = [step, t, number, energy, *momentum]
         if base is None:
             base = row[2:]
         scale = abs(base[1]) + 1e-300  # conserved-quantity drift vs energy
@@ -178,7 +178,7 @@ def _run_fiber(scenario):
     phys = dict(scenario.physics)
     max_modes = phys.pop("max_modes")
     spec = checked("physics", eigen.FiberSpec, **phys)
-    modes = eigen.fiber_modes(spec, max_modes=max_modes)
+    modes = checked("physics", eigen.fiber_modes, spec, max_modes=max_modes)
     rows = [[spec.m_angular, spec.k_z, md.omega, 1.0 / md.q,
              md.matched_component_jump()] for md in modes]
     field = None

@@ -54,6 +54,12 @@ __all__ = [
 # The smallest x the rule takes: below it the second moment's scale
 # (45/x)^2, and below about 2.5e-307 also the truncation point, overflow.
 _X_MIN = 45.0 / math.sqrt(np.finfo(float).max)
+# The largest k_perp a profile takes: k_perp^2 stays finite.
+_K_PERP_MAX = math.sqrt(np.finfo(float).max)
+# The largest exterior decay q a over a fiber's bound window: past about 705
+# K_M(q a) falls below the smallest normal double, and the matched
+# amplitude ratio J_M / K_M overflows.
+_QA_MAX = 700.0
 _DECAY_LENGTHS = 6.0    # exterior decay lengths fiber_mode_field needs
 _DIV_SAMPLES = 200      # radii per region of fiber_mode_divergence_residual
 _INTERFACE_PAD = 0.05   # their distance from the interface, in radii
@@ -116,9 +122,11 @@ class BoostEigenfunction:
 
     def __post_init__(self):
         self.k_perp = float(np.hypot(self.kx, self.ky))
-        if self.k_perp == 0.0:
-            raise DomainError("boost eigenfunction needs k_perp > 0",
-                              arg="k_perp")
+        if not 0.0 < self.k_perp <= _K_PERP_MAX:
+            raise DomainError(f"boost eigenfunction needs k_perp > 0 with "
+                              f"k_perp^2 finite (k_perp <= "
+                              f"{_K_PERP_MAX:.3g}), got k_perp = "
+                              f"{self.k_perp:.3g}", arg="k_perp")
 
     def ode_residual(self, z):
         """Relative residual of z^2 w'' + z w' + (kappa^2 - k_perp^2 z^2) w = 0.
@@ -212,6 +220,21 @@ class FiberSpec:
                               arg="eps_in")
         if not math.isfinite(self.k_z):
             raise DomainError("k_z must be finite", arg="k_z")
+        # The window's squares run from eps_out k_z^2 to eps_in k_z^2.
+        square = self.k_z * self.k_z
+        if self.k_z and not (np.finfo(float).tiny <= self.eps_out * square
+                             and self.eps_in * square < np.inf):
+            raise DomainError(f"eps k_z^2 must be a finite normal float for "
+                              f"eps from eps_out to eps_in, got k_z = "
+                              f"{self.k_z:.3g}", arg="k_z")
+        qa = abs(self.k_z) * self.radius \
+            * math.sqrt(1.0 - self.eps_out / self.eps_in)
+        if not qa <= _QA_MAX:
+            raise DomainError(f"the bound window reaches the exterior decay "
+                              f"q a = |k_z| radius sqrt(1 - eps_out/eps_in) "
+                              f"= {qa:.3g}, past {_QA_MAX:g}, where K_M(q a) "
+                              f"underflows: lower radius or |k_z|",
+                              arg="radius")
 
 
 def bound_window(spec: FiberSpec):
@@ -366,19 +389,44 @@ def fiber_modes(spec: FiberSpec, max_modes=8, scan_points=2000):
     lo, hi = bound_window(spec)
     margin = 1e-6 * (hi - lo)
     grid = np.linspace(lo + margin, hi - margin, scan_points)
-    vals = fiber_matching_determinant(spec, grid)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = fiber_matching_determinant(spec, grid)
+    # FiberSpec bounds k_z^2 and the exterior decay q a over the window; an
+    # index contrast eps_in/eps_out far from 1 is left to overflow the
+    # determinant or to make the interior phase k_in a too fine to scan.
+    ratio = spec.eps_in / spec.eps_out
+    contrast = (f"omega up to {hi:.3g}, k_in a up to "
+                f"{np.sqrt(ratio - 1.0) * abs(spec.k_z) * spec.radius:.3g} "
+                f"at eps_in/eps_out = {ratio:.3g}")
+    if not np.all(np.isfinite(vals)):
+        raise DomainError(f"the matching determinant is not finite on the "
+                          f"bound window scan ({contrast})",
+                          arg="eps_in/eps_out")
     _, q = _transverse_wavenumbers(spec, grid)
     a = spec.radius
-    hits = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
+    signs = np.sign(vals)
+    hits = np.flatnonzero((vals[:-1] == 0.0) | (signs[:-1] * signs[1:] < 0.0))
     modes = []
+
+    def det(w):
+        return fiber_matching_determinant(spec, _omega_at(spec, w))
+
     for i in hits[:max_modes]:
         om = grid[i]
         if vals[i] != 0.0:
             # q falls as omega rises; the tiny xtol leaves rtol in charge.
-            w = optimize.brentq(
-                lambda w: fiber_matching_determinant(spec, _omega_at(spec, w)),
-                q[i + 1] * a, q[i] * a, xtol=np.finfo(float).tiny,
-                rtol=4 * np.finfo(float).eps)
+            ends = q[i + 1] * a, q[i] * a
+            with np.errstate(over="ignore", invalid="ignore"):
+                signs = np.sign(det(ends[0])) * np.sign(det(ends[1]))
+            if not signs < 0.0:
+                raise DomainError(
+                    f"the determinant's sign change between omega = "
+                    f"{grid[i]:.6g} and {grid[i + 1]:.6g} is not one across "
+                    f"q a from {ends[0]:.6g} to {ends[1]:.6g}: the scan does "
+                    f"not resolve the window ({contrast})",
+                    arg="eps_in/eps_out")
+            w = optimize.brentq(det, *ends, xtol=np.finfo(float).tiny,
+                                rtol=4 * np.finfo(float).eps)
             om = _omega_at(spec, w)
         modes.append(FiberMode(omega=float(om), spec=spec))
     return modes

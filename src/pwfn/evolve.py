@@ -35,9 +35,10 @@ from scipy import fft as sfft
 
 from .errors import DomainError, ShapeError, StabilityError
 from .fieldcore import rodrigues
-from .spectral import (GridSpec, SixField, _check_phase, _curl, _derivative,
-                       _directions, _distinct, _fft, _field_of_blocks, _ifft,
-                       _length, _live, _live_blocks, curl, div, grad)
+from .spectral import (GridSpec, SixField, _box_take, _check_phase, _curl,
+                       _derivative, _directions, _distinct, _fft,
+                       _field_of_blocks, _ifft, _length, _live_blocks,
+                       _live_indices, curl, div, grad)
 
 __all__ = [
     "MediumMap", "StepperConfig", "rk4",
@@ -307,7 +308,8 @@ class _Sectors:
     the stack's layout: r-space ones, a background's tables at its distinct
     points (of size 1 along the uniform axes), by :meth:`_layout`, and
     k-space ones at the live indices (:meth:`lines`).  With no uniform axis
-    the stack is the r-space state and each method returns its input.
+    the stack is the r-space state and each method returns its input; with
+    all three it is the state's live k box, and no step transforms it.
     """
 
     def __init__(self, spec: GridSpec, uniform=(), live=()):
@@ -317,8 +319,9 @@ class _Sectors:
         varying = [d for d in range(3) if d not in self.live]
         self.order = self.uniform + tuple(varying)
         self.axes = tuple(range(-len(varying), 0))
-        self.index = (Ellipsis,) + np.ix_(*(
-            self.live.get(d, np.arange(m)) for d, m in enumerate(spec.n)))
+        self.box = [self.live.get(d, np.arange(m))
+                    for d, m in enumerate(spec.n)]
+        self.index = (Ellipsis,) + np.ix_(*self.box)
         self.k_diff = self.lines(spec.k_diff_lines())
 
     def _layout(self, arr, order=None):
@@ -332,18 +335,13 @@ class _Sectors:
     def gather(cls, spec: GridSpec, uniform, data):
         """(sectors, stack): data, a (..., nx, ny, nz) state, transformed
         along the axes `uniform` and cut to its live slabs
-        (:func:`spectral._live`)."""
+        (:func:`spectral._live_indices`); over all three axes, its live
+        k box."""
+        uniform = tuple(uniform)
         if not uniform:
             return cls(spec), data
         hat = _fft(data, axes=tuple(d - 3 for d in uniform))
-        size = np.abs(hat)
-        top = np.max(size)
-        live = []
-        for d in uniform:
-            peak = np.max(size, axis=tuple(
-                a for a in range(size.ndim) if a != size.ndim - 3 + d))
-            live.append(np.flatnonzero(_live(peak, top)))
-        sectors = cls(spec, uniform, live)
+        sectors = cls(spec, uniform, _live_indices(np.abs(hat), uniform))
         return sectors, np.ascontiguousarray(
             sectors._layout(hat[sectors.index]))
 
@@ -357,9 +355,8 @@ class _Sectors:
 
     def lines(self, lines):
         """Three broadcastable k-space lines at the live indices."""
-        return tuple(self._layout(
-            np.take(line, self.live[d], axis=d) if d in self.live else line)
-            for d, line in enumerate(lines))
+        return tuple(self._layout(_box_take(line, self.box))
+                     for line in lines)
 
     def derivative(self, u, axis):
         """D u = (1/i) du/dx_axis of a stack u, which it may overwrite: a
@@ -378,7 +375,8 @@ def _per_mode(sectors, lines, factor, blocks=range(2)):
     g, 1, as a function: the table rodrigues(n, Re g, -Im g), with factor
     evaluated once per distinct |k|, applied by :func:`_turner` to the
     blocks `blocks` between one forward and one inverse transform over the
-    stack's axes."""
+    stack's axes; with none (sectors gathered along every axis, on their
+    live k box) the stack is in k-space already and is turned alone."""
     nhat, norm = _directions(sectors.lines(lines))
     norms, where = np.unique(norm, return_inverse=True)
     g_bar = np.conj(np.asarray(factor(norms), dtype=complex))
@@ -386,6 +384,8 @@ def _per_mode(sectors, lines, factor, blocks=range(2)):
     del norm, where  # the table's build holds only n and conj(g)
     table = rodrigues(nhat, g_bar.real, g_bar.imag, _IDENTITY)
     axes = sectors.axes
+    if not axes:
+        return lambda data: _turner(table, data, blocks)
     return lambda data: _ifft(_turner(table, _fft(data, axes=axes), blocks),
                               axes=axes)
 
@@ -413,10 +413,12 @@ def _kinetic(sectors: _Sectors, t: float, blocks=range(2)):
 
 
 def propagate_free(psi: SixField, t: float) -> SixField:
-    """Exact free propagation by time t (see :func:`_kinetic`)."""
+    """Exact free propagation by time t (see :func:`_kinetic`), on the live
+    k box of psi's live blocks (:meth:`_Sectors.gather` along every axis)."""
     blocks, live = _live_blocks(psi.data)
-    return _field_of_blocks(psi.spec, blocks,
-                            _kinetic(_Sectors(psi.spec), t, blocks)(live))
+    sectors, stack = _Sectors.gather(psi.spec, range(3), live)
+    return _field_of_blocks(psi.spec, blocks, sectors.scatter(
+        _kinetic(sectors, t, blocks)(stack)))
 
 
 def free_generator(psi: SixField) -> SixField:
@@ -506,9 +508,10 @@ def _run(psi: SixField, background, cfg: StepperConfig, steps) -> SixField:
     coupling c (or None), and then RK4's rate bound.  Only c mixes
     the helicity blocks; without it only the live ones are stepped.  Given
     a uniform scale, a run is one per-mode factor (:func:`_rk4_curl`,
-    :func:`_kinetic`); otherwise RK4 sums one series of
-    :func:`_generator` and split_step takes Strang steps, on the k sectors
-    of the uniform axes.  One finiteness check closes the run.
+    :func:`_kinetic`) on the k sectors of all three axes, the live k box;
+    otherwise RK4 sums one series of :func:`_generator` and split_step
+    takes Strang steps, on the k sectors of the uniform axes.  One
+    finiteness check closes the run.
     """
     if background.spec != psi.spec:
         raise ShapeError("background and field grids differ")
@@ -531,20 +534,19 @@ def _run(psi: SixField, background, cfg: StepperConfig, steps) -> SixField:
     blocks, data = ((range(2), psi.data) if c is not None
                     else _live_blocks(psi.data))
     w = background.uniform_scale
+    sectors, stack = _Sectors.gather(
+        spec, range(3) if w is not None else background.uniform_axes, data)
     if w is not None:
-        sectors = _Sectors(spec)
-        out = (_rk4_curl(sectors, w, dt, steps, blocks) if scheme == "rk4"
-               else _kinetic(sectors, w * dt * steps, blocks))(data)
+        stack = (_rk4_curl(sectors, w, dt, steps, blocks) if scheme == "rk4"
+                 else _kinetic(sectors, w * dt * steps, blocks))(stack)
+    elif scheme == "rk4":
+        into, rhs = _generator(background, sectors, blocks)
+        stack = _rk4_run(rhs, into * stack, dt, steps, rate)
+        stack /= into
     else:
-        sectors, stack = _Sectors.gather(spec, background.uniform_axes, data)
-        if scheme == "rk4":
-            into, rhs = _generator(background, sectors, blocks)
-            stack = _rk4_run(rhs, into * stack, dt, steps, rate)
-            stack /= into
-        else:
-            stack = _step_split(sectors, stack, sectors._layout(c), dt, steps,
-                                float(np.mean(v)))
-        out = sectors.scatter(stack)
+        stack = _step_split(sectors, stack, sectors._layout(c), dt, steps,
+                            float(np.mean(v)))
+    out = sectors.scatter(stack)
     return _field_of_blocks(spec, blocks,
                             _check_finite(out, scheme, dt, steps))
 

@@ -31,10 +31,12 @@ from scipy.special import gamma as gamma_fn, kv
 
 from .errors import DomainError, NormalizationError, ResourceError, ShapeError
 from .fieldcore import CYCLIC, LEVI_CIVITA, poynting
-from .spectral import (_DC_RTOL, GridSpec, HelicitySpectrum, SixField, _curl,
-                       _dc_energy_fraction, _derivative, _fft,
-                       _helicity_amplitudes, _ifft, _field_of_blocks, _live,
-                       _live_blocks, _synthesis, decompose, triad_arrays)
+from .spectral import (_DC_RTOL, GridSpec, HelicitySpectrum, SixField,
+                       _amplitude_box, _box_lines, _curl, _dc_energy_fraction,
+                       _derivative, _directions, _fft, _frame,
+                       _helicity_amplitudes, _ifft, _field_of_blocks,
+                       _inverse, _length, _live, _live_blocks, _synthesis,
+                       decompose)
 
 __all__ = [
     "Observables", "GeneratorTag",
@@ -117,10 +119,30 @@ def _check_specs(a, b):
 
 
 def scalar_product_momentum(a: HelicitySpectrum, b: HelicitySpectrum) -> complex:
-    """Physical scalar product sum_lambda,k conj(a) b / (V |k|)."""
+    """Physical scalar product sum_lambda,k conj(a) b / (V |k|), summed on
+    the k box where both carry amplitude: the per-axis intersection of
+    their live boxes (:func:`spectral._live_indices`)."""
     _check_specs(a, b)
-    weight = a.spec.k_inverse() / a.spec.volume
-    return complex(np.sum(weight * np.conj(a.amp) * b.amp))
+    box = _amplitude_box(a.amp)
+    if b is not a:
+        box = [np.intersect1d(i, j) for i, j in
+               zip(box, _amplitude_box(b.amp))]
+    index = (slice(None),) + np.ix_(*box)
+    return _product(a.spec.volume, _length(_box_lines(a.spec, box)),
+                    a.amp[index], b.amp[index])
+
+
+def _live_amplitudes(spectrum: HelicitySpectrum):
+    """(box, amp): the live k box of a spectrum
+    (:func:`spectral._amplitude_box`) and its amplitudes there."""
+    box = _amplitude_box(spectrum.amp)
+    return box, spectrum.amp[(slice(None),) + np.ix_(*box)]
+
+
+def _product(volume, knorm, a, b):
+    """sum conj(a) b / (V |k|) of amplitudes a, b given at the wave numbers
+    |k| = knorm; the k = 0 mode has weight 0."""
+    return complex(np.sum(_inverse(knorm) / volume * np.conj(a) * b))
 
 
 def photon_number(spectrum: HelicitySpectrum) -> float:
@@ -229,21 +251,24 @@ def _positive_frequency_amplitudes(psi: SixField, raw, blocks):
     _PROJECTION_RTOL.  P keeps e e* raw on the upper block and e* e raw on
     the lower, and drops k = 0.  By Parseval the defect equals the
     real-space ||psi - synthesize(decompose(psi))|| relative to ||psi||.
-    It is summed from the differences, one component at a time:
+    It is summed over the whole lattice from the differences, one
+    component at a time, so content outside the live box counts against it:
     ||raw||^2 - ||P raw||^2 would cancel to about 1e-8, the tolerance
     itself, on an exact positive-frequency field.
     No k = 0 warning is given: a k = 0 energy fraction f alone makes the
     defect at least sqrt(f), so each field :func:`decompose` warns on
     (f > 1e-12) is refused, with a defect of at least 1e-6.
     """
-    amp = _helicity_amplitudes(psi, raw, blocks).amp
-    e, _, _ = triad_arrays(psi.spec)
+    spectrum, index, e = _helicity_amplitudes(psi, raw, blocks)
+    amp = spectrum.amp
     residual = np.empty(psi.spec.n, dtype=complex)
     defect2 = scale2 = 0.0
     for c in range(3):
         for row, b in enumerate(blocks):
-            np.multiply(e[c] if b == 0 else np.conj(e[c]), amp[b], out=residual)
-            np.subtract(raw[row, c], residual, out=residual)
+            # P raw is formed on the live box and is 0 outside it.
+            np.copyto(residual, raw[row, c])
+            residual[index] -= (e[c] if b == 0 else np.conj(e[c])) \
+                * amp[b][index]
             defect2 += np.sum(np.abs(residual) ** 2)
             scale2 += np.sum(np.abs(raw[row, c]) ** 2)
     defect, scale = np.sqrt(defect2), np.sqrt(scale2)
@@ -265,41 +290,45 @@ def observables_momentum(spectrum: HelicitySpectrum) -> Observables:
     along k axis m.  It is formed only on the k lines along axis m that
     carry amplitude (:func:`spectral._live`, against the spectrum's largest
     |phi|): the terms dropped are below (16 eps)^2 of the energy.  The
-    helicity term lambda k/|k| is added to the angular momentum.  Amplitudes
-    are expected band limited with support away from the k-box edge.
+    helicity term lambda k/|k| is added to the angular momentum.  Every
+    table and sum is formed on the live box of the spectrum
+    (:func:`spectral._live_indices`), a line along m scattered into zeros
+    along the whole axis for its transforms.  Amplitudes are expected band
+    limited with support away from the k-box edge.
     """
     spec = spectrum.spec
-    size = np.abs(spectrum.amp)
+    box, amp = _live_amplitudes(spectrum)
+    size = np.abs(amp)
     top = np.max(size)
-    e, _, _ = triad_arrays(spec)
+    e, nhat, knorm = _frame(_box_lines(spec, box))
     # x_m in FFT order: its shift from box-centered order is the checkerboard.
-    coords = [np.broadcast_to(np.fft.ifftshift(x, axes=m), spec.n)
-              for m, x in enumerate(spec.coord_lines())]
+    coords = [np.fft.ifftshift(x) for x in spec.axes()]
     # g = sum_lambda Re(phi* (1/i) D phi), one k axis at a time, on the live
     # lines along it, gathered into (3, lines, n_m) stacks of a's components.
-    g = np.zeros((3,) + spec.n)
-    for b, phi in enumerate(spectrum.amp):
+    g = np.zeros((3,) + size.shape[1:])
+    for b, phi in enumerate(amp):
         if not np.any(phi):
             continue
         for m in range(3):
             live = _live(np.max(size[b], axis=m), top)
-            a = np.moveaxis(e, m + 1, -1)[:, live]
+            on_box = np.moveaxis(e, m + 1, -1)[:, live]
             if b:
-                np.conj(a, out=a)
-            a *= np.moveaxis(phi, m, -1)[live]
-            conj_a = np.conj(a)
+                np.conj(on_box, out=on_box)
+            on_box *= np.moveaxis(phi, m, -1)[live]
+            a = np.zeros(on_box.shape[:-1] + (spec.n[m],), dtype=complex)
+            a[..., box[m]] = on_box
             image = _ifft(a, axes=(-1,))
-            image *= np.moveaxis(coords[m], m, -1)[live]
-            image = _fft(image, overwrite=True, axes=(-1,))
+            image *= coords[m]
+            image = _fft(image, overwrite=True, axes=(-1,))[..., box[m]]
             # d_m a = -i image, so Im(a* d_m a) = -Re(a* image)
             g_lines = np.moveaxis(g[m], m, -1)
-            for conj_c, image_c in zip(conj_a, image):
+            for conj_c, image_c in zip(np.conj(on_box), image):
                 g_lines[live] -= np.multiply(conj_c, image_c,
                                              out=image_c).real
     p2 = np.square(size, out=size)
     helicity = p2[0] - p2[1]
-    energy, momentum, n, omega = _mode_sums(spec, p2)
-    spin = helicity * spec.k_inverse()
+    energy, momentum, n, omega = _mode_sums(spec.volume, nhat, knorm, p2)
+    spin = helicity * _inverse(knorm)
     # np.sum products, not BLAS ones (see observables_coordinate)
     ang = [np.sum(n[j] * g[k]) - np.sum(n[k] * g[j]) + np.sum(n[i] * spin)
            for i, (j, k) in enumerate(CYCLIC)]
@@ -308,16 +337,27 @@ def observables_momentum(spectrum: HelicitySpectrum) -> Observables:
         moment_of_energy=-np.array([np.sum(c * omega) for c in g]))
 
 
-def _mode_sums(spec: GridSpec, p2):
+def _mode_sums(volume, nhat, knorm, p2):
     """Energy, momentum and their weights n, omega: the diagonal mode sums
-    of p2 = |phi|^2 per helicity.  Under the weight 1/(V |k|), k becomes n/V
-    and omega (|k|/|k|)/V, which is 0 at k = 0: that mode carries no energy."""
-    _, nhat, knorm = triad_arrays(spec)
-    n = nhat / spec.volume
-    omega = knorm * spec.k_inverse() / spec.volume
+    of p2 = |phi|^2 per helicity at the wave vectors of directions nhat and
+    norms knorm.  Under the weight 1/(V |k|), k becomes n/V and omega
+    (|k|/|k|)/V, which is 0 at k = 0: that mode carries no energy."""
+    n = nhat / volume
+    omega = knorm * _inverse(knorm) / volume
     power = p2[0] + p2[1]
     return (float(np.sum(omega * power)),
             np.array([np.sum(c * power) for c in n]), n, omega)
+
+
+def _diagonal_sums(spectrum: HelicitySpectrum):
+    """(photon number, energy, momentum) of a spectrum: its diagonal mode
+    sums, on its live box."""
+    spec = spectrum.spec
+    box, amp = _live_amplitudes(spectrum)
+    nhat, knorm = _directions(_box_lines(spec, box))
+    energy, momentum = _mode_sums(spec.volume, nhat, knorm,
+                                  np.abs(amp) ** 2)[:2]
+    return _product(spec.volume, knorm, amp, amp).real, energy, momentum
 
 
 def _check_normalized(n2):
@@ -343,7 +383,7 @@ def observables_coordinate(psi: SixField | HelicitySpectrum) -> Observables:
     if isinstance(psi, HelicitySpectrum):
         _, live = _synthesis(psi)
         _check_normalized(photon_number(psi))
-        _, bra = _synthesis(psi, weight=spec.k_inverse())
+        _, bra = _synthesis(psi, weight=_inverse)
     else:
         # One raw transform serves the checks, the norm and 1/H psi, with
         # 1/|k| a raw multiplier.

@@ -176,24 +176,17 @@ class GridSpec:
         return float(_length([np.max(np.abs(k)) for k in self.k_axes()]))
 
     def k_inverse(self):
-        """1/|k| on the dual lattice and 0 at k = 0, the mode without a
-        transverse frame: the k = 0 rule of every momentum-space weight.
+        """1/|k| on the dual lattice (:func:`_inverse`).
 
         Built on each call: a cached copy would keep one more grid-sized
         array resident beside the per-grid tables.
         """
-        knorm = self.k_norm()
-        return np.divide(1.0, knorm, out=np.zeros_like(knorm),
-                         where=knorm > 0.0)
+        return _inverse(self.k_norm())
 
     def checkerboard(self):
         """(-1)^(mx+my+mz) on the dual lattice: exp(-i k . r0) exactly."""
-        def build():
-            signs = _lines([
-                1 - 2 * (np.abs(sfft.fftfreq(m, d=1.0 / m)).astype(int) % 2)
-                for m in self.n])
-            return (signs[0] * signs[1] * signs[2]).astype(float)
-        return _table(self, "checkerboard", build)
+        return _table(self, "checkerboard", lambda: _checkerboard(
+            [np.arange(m) for m in self.n]))
 
 
 def _lines(axes):
@@ -228,6 +221,19 @@ def _length(lines):
     """sqrt(a^2 + b^2 + c^2) of three broadcastable lines (or numbers),
     summed in axis order."""
     return np.sqrt((lines[0] ** 2 + lines[1] ** 2) + lines[2] ** 2)
+
+
+def _inverse(knorm):
+    """1/|k| of a table of |k|, and 0 at k = 0, the mode without a
+    transverse frame: the k = 0 rule of every momentum-space weight."""
+    return np.divide(1.0, knorm, out=np.zeros_like(knorm), where=knorm > 0.0)
+
+
+def _checkerboard(box):
+    """(-1)^(mx+my+mz) at the lattice indices of the box `box` (per axis an
+    index array): with every n_d even, m_d and the index have one parity."""
+    signs = _lines([1 - 2 * (np.asarray(i) % 2) for i in box])
+    return (signs[0] * signs[1] * signs[2]).astype(float)
 
 
 def _directions(lines, norm=None):
@@ -467,6 +473,40 @@ def _live(peak, top):
     return peak > _LIVE_TOL * top
 
 
+def _live_indices(size, axes=(0, 1, 2)):
+    """Per lattice axis d of `axes`, the sorted indices along d of the
+    slabs of size, |amplitudes| of shape (..., nx, ny, nz), that carry
+    amplitude (:func:`_live` of each slab's largest entry against the
+    largest of size).  Over the three axes they give the live box of a
+    state, the product of the three index sets, which holds every entry
+    above _LIVE_TOL of the largest; k-space work runs on it, and a state
+    the package builds is 0 outside it."""
+    lead = tuple(range(np.ndim(size) - 3))
+    peak = np.max(size, axis=lead) if lead else size
+    top = np.max(peak)
+    return [np.flatnonzero(_live(np.max(peak, axis=tuple(
+        a for a in range(3) if a != d)), top)) for d in axes]
+
+
+def _amplitude_box(amp):
+    """:func:`_live_indices` of |amp|, helicity amplitudes (2, nx, ny, nz),
+    read from their nonzero blocks (:func:`_live_blocks`)."""
+    return _live_indices(np.abs(_live_blocks(amp)[1]))
+
+
+def _box_take(table, box):
+    """table, of lattice axes (last three) each 1 or n_d, at the box `box`
+    (per axis an index array): gathered by np.ix_ along each axis of
+    size n_d."""
+    return table[(Ellipsis,) + np.ix_(*(
+        i if m > 1 else [0] for i, m in zip(box, np.shape(table)[-3:])))]
+
+
+def _box_lines(spec: GridSpec, box):
+    """The wave numbers of the box `box` as three broadcastable lines."""
+    return tuple(_box_take(line, box) for line in spec.k_lines())
+
+
 def _live_blocks(data):
     """(blocks, data[blocks]): the range of the blocks of data, a (2, ...)
     array, that hold a nonzero sample (0 = F+, 1 = F-), or range(2) if none
@@ -549,22 +589,28 @@ def polarization_triad(k):
                              n_hat=nhat.reshape(3))
 
 
+def _frame(lines):
+    """(e, n_hat, knorm) at the wave vectors of three broadcastable k lines
+    (or tables): n and |k| by :func:`_directions` and the circular vector
+    e = (l1 + i l2)/sqrt(2) of the spherical gauge, zero at k = 0, where no
+    transverse frame exists.  The package's one frame formula, for any set
+    of k lines."""
+    nhat, knorm = _directions(lines)
+    dc = knorm == 0.0
+    l1, l2 = _triads_from_khat(nhat[0], nhat[1], nhat[2])
+    l1[:, dc] = 0.0
+    l2[:, dc] = 0.0
+    return (l1 + 1j * l2) / np.sqrt(2.0), nhat, knorm
+
+
 def triad_arrays(spec: GridSpec):
     """Gridded e(k), e*(k) and n(k) on the dual lattice.
 
-    Returns (e, n_hat, knorm); e has shape (3, nx, ny, nz) and is zero at
-    the k = 0 point, where no transverse frame exists.  The arrays are
-    cached per grid and read-only.
+    Returns (e, n_hat, knorm) of :func:`_frame` on the whole lattice; e has
+    shape (3, nx, ny, nz).  The arrays are cached per grid and read-only.
+    The package's own k-space stages form the frame on their live box.
     """
-    def build():
-        nhat, knorm = _directions(spec.k_lines(), spec.k_norm())
-        dc = knorm == 0.0
-        l1, l2 = _triads_from_khat(nhat[0], nhat[1], nhat[2])
-        l1[:, dc] = 0.0
-        l2[:, dc] = 0.0
-        e = (l1 + 1j * l2) / np.sqrt(2.0)
-        return e, nhat, knorm
-    return _table(spec, "triad", build)
+    return _table(spec, "triad", lambda: _frame(spec.k_lines()))
 
 
 def _spherical_connection(n, k_inverse, pole_cone):
@@ -631,7 +677,7 @@ def _helicity_spectrum(psi: SixField):
     """decompose's spectrum of psi and the k = 0 fraction it warns on."""
     blocks, live = _live_blocks(psi.data)
     hat = to_k(psi.spec, live)
-    return _helicity_amplitudes(psi, hat, blocks), _dc_energy_fraction(hat)
+    return _helicity_amplitudes(psi, hat, blocks)[0], _dc_energy_fraction(hat)
 
 
 def decompose(psi: SixField) -> HelicitySpectrum:
@@ -652,25 +698,36 @@ def decompose(psi: SixField) -> HelicitySpectrum:
     return spectrum
 
 
-def _helicity_amplitudes(psi: SixField, hat, blocks) -> HelicitySpectrum:
-    """Helicity amplitudes of hat, a transform of the stack of psi's
-    blocks `blocks`, without the k = 0 warning of :func:`decompose`.
+def _helicity_amplitudes(psi: SixField, hat, blocks):
+    """(spectrum, index, e): the helicity amplitudes of hat, a transform of
+    the stack of psi's blocks `blocks`, without the k = 0 warning of
+    :func:`decompose`; the np.ix_ index of the live box of hat
+    (:func:`_live_indices` of its largest |component| per k); and the frame
+    e there.
 
     hat = to_k(psi.data) gives the amplitudes :func:`decompose` returns;
-    the raw _fft(psi.data) gives them without the dV (-1)^m factor.  A
-    block not in `blocks` has zero amplitudes.  The sums run one Cartesian
-    component at a time, so only grid-sized temporaries are formed.
+    the raw _fft(psi.data) gives them without the dV (-1)^m factor.  They
+    are formed on the box and are 0 outside it, as in a block not in
+    `blocks`.  The sums run one Cartesian component at a time.
     """
     if not psi.is_finite():
         raise DomainError("field contains non-finite values")
-    e, _, _ = triad_arrays(psi.spec)
-    amp = np.zeros((2,) + psi.spec.n, dtype=complex)
+    spec = psi.spec
+    size = np.abs(hat[0, 0])
+    for comp in hat.reshape((-1,) + spec.n)[1:]:
+        np.maximum(size, np.abs(comp), out=size)
+    box = _live_indices(size)
+    index = np.ix_(*box)
+    e, _, _ = _frame(_box_lines(spec, box))
+    amp = np.zeros((2,) + spec.n, dtype=complex)
     for row, b in enumerate(blocks):  # e* . F+ and e . F-
-        np.multiply(np.conj(e[0]) if b == 0 else e[0], hat[row, 0], out=amp[b])
+        part = hat[row][(slice(None),) + index]
+        on_box = (np.conj(e[0]) if b == 0 else e[0]) * part[0]
         for c in (1, 2):
-            amp[b] += (np.conj(e[c]) if b == 0 else e[c]) * hat[row, c]
+            on_box += (np.conj(e[c]) if b == 0 else e[c]) * part[c]
+        amp[b][index] = on_box
     amp[:, 0, 0, 0] = 0.0
-    return HelicitySpectrum(spec=psi.spec, amp=amp)
+    return HelicitySpectrum(spec=spec, amp=amp), index, e
 
 
 def _check_phase(spec: GridSpec, t, arg="t"):
@@ -697,8 +754,11 @@ def synthesize(spectrum: HelicitySpectrum, t=0.0) -> SixField:
 
 def _synthesis(spectrum: HelicitySpectrum, t=0.0, weight=None):
     """(blocks, stack): synthesize(spectrum, t) as the stack of its live
-    blocks (:func:`_live_blocks` of the amplitudes); with weight, a real
-    k-space table, the synthesis of the amplitudes times weight."""
+    blocks (:func:`_live_blocks` of the amplitudes); with weight, a
+    function of |k| such as :func:`_inverse`, the synthesis of the
+    amplitudes times weight(|k|).  e phi times the phase is formed on the
+    live box of the amplitudes (:func:`_live_indices`) and scattered into
+    zeros for one inverse transform."""
     if not np.all(np.isfinite(spectrum.amp)):
         raise DomainError("spectrum contains non-finite amplitudes")
     if spectrum.amp[0, 0, 0, 0] != 0.0 or spectrum.amp[1, 0, 0, 0] != 0.0:
@@ -706,14 +766,18 @@ def _synthesis(spectrum: HelicitySpectrum, t=0.0, weight=None):
     spec = spectrum.spec
     _check_phase(spec, t)
     blocks, amp = _live_blocks(spectrum.amp)
-    e, _, knorm = triad_arrays(spec)
-    phase = (np.exp(-1j * knorm * float(t)) * spec.checkerboard()
-             if float(t) else spec.checkerboard().astype(complex))
+    box = _live_indices(np.abs(amp))
+    index = np.ix_(*box)
+    e, _, knorm = _frame(_box_lines(spec, box))
+    signs = _checkerboard(box)
+    phase = (np.exp(-1j * knorm * float(t)) * signs
+             if float(t) else signs.astype(complex))
     if weight is not None:
-        phase *= weight
-    hat = np.empty((len(blocks), 3) + spec.n, dtype=complex)
+        phase *= weight(knorm)
+    hat = np.zeros((len(blocks), 3) + spec.n, dtype=complex)
     for row, b in enumerate(blocks):
-        np.multiply(e if b == 0 else np.conj(e), amp[row] * phase, out=hat[row])
+        phi = amp[row][index] * phase
+        hat[row][(slice(None),) + index] = (e if b == 0 else np.conj(e)) * phi
     out = _ifft(hat)
     out *= 1.0 / spec.cell_volume
     return blocks, out

@@ -11,8 +11,9 @@ import numpy as np
 
 from .errors import DomainError
 from .fieldcore import cross
-from .metrics import photon_number
-from .spectral import (GridSpec, HelicitySpectrum, SixField, _check_phase,
+from .metrics import _product, photon_number
+from .spectral import (GridSpec, HelicitySpectrum, SixField, _box_lines,
+                       _check_phase, _length, _lines, _live, _live_indices,
                        synthesize)
 
 __all__ = [
@@ -61,7 +62,11 @@ def gaussian_packet_spectrum(spec: GridSpec, k_center, sigma_k, helicity=+1,
     """Unit-photon-number Gaussian amplitudes around k_center, at r_center.
 
     2 sigma_k^2 must be a normal float; an exponent that overflows is a
-    mode of zero weight.
+    mode of zero weight.  The amplitudes are formed on their live k box
+    alone (:func:`spectral._live_indices`) and are 0 outside it: the
+    exponent is a sum of one term per axis, so the largest value of each
+    k slab sits at the other axes' smallest terms, and the 1-D terms give
+    the box.
     """
     sigma = float(sigma_k)
     if not (sigma > 0.0
@@ -69,27 +74,40 @@ def gaussian_packet_spectrum(spec: GridSpec, k_center, sigma_k, helicity=+1,
         raise DomainError(f"sigma_k must be > 0 with 2 sigma_k^2 a finite "
                           f"normal float, got {sigma_k!r}", arg="sigma_k")
     _check_phase(spec, r_center, arg="r_center")
-    kvec = spec.k_lines()
-    knorm = spec.k_norm()
     k0 = np.asarray(k_center, dtype=float)
     r0 = np.asarray(r_center, dtype=float)
     lam = _helicity_index(helicity)
+    scale = 2.0 * sigma * sigma
     with np.errstate(over="ignore"):
-        d2 = [(k - c) ** 2 for k, c in zip(kvec, k0)]
-        profile = np.exp(-((d2[0] + d2[1]) + d2[2])
-                         / (2.0 * sigma * sigma)).astype(complex)
+        d2 = [(k - c) ** 2 for k, c in zip(spec.k_axes(), k0)]
+    least = [np.min(d) for d in d2]
+    peaks = []
+    for axis in range(3):
+        terms = least[:axis] + [d2[axis]] + least[axis + 1:]
+        peaks.append(np.exp(-((terms[0] + terms[1]) + terms[2]) / scale))
+    # Where the largest value is the k = 0 mode's, which is dropped, every
+    # slab is kept and the box is found from the values.
+    top = 0.0 if all(d[0] == m for d, m in zip(d2, least)) \
+        else np.max(peaks[0])
+    box = [np.flatnonzero(_live(p, top)) for p in peaks]
+    kvec = _box_lines(spec, box)
+    d2 = _lines([d[i] for d, i in zip(d2, box)])
+    profile = np.exp(-((d2[0] + d2[1]) + d2[2]) / scale).astype(complex)
     profile *= np.exp(-1j * (r0[0] * kvec[0] + r0[1] * kvec[1]
                              + r0[2] * kvec[2]))
-    profile[knorm == 0.0] = 0.0
-    amp = np.zeros((2,) + spec.n, dtype=complex)
-    amp[lam] = profile
-    spectrum = HelicitySpectrum(spec=spec, amp=amp)
-    number = photon_number(spectrum)
+    if all(i[0] == 0 for i in box):
+        profile[0, 0, 0] = 0.0   # k = 0
+    keep = _live_indices(np.abs(profile))
+    box = [i[j] for i, j in zip(box, keep)]
+    profile = profile[np.ix_(*keep)]
+    number = _product(spec.volume, _length(_box_lines(spec, box)), profile,
+                      profile).real
     if not number > np.finfo(float).tiny:
         raise DomainError(f"photon number {number:.3g} on the lattice: every "
                           "lattice k lies too many sigma_k from k_center")
-    spectrum.amp /= np.sqrt(number)
-    return spectrum
+    amp = np.zeros((2,) + spec.n, dtype=complex)
+    amp[lam][np.ix_(*box)] = profile / np.sqrt(number)
+    return HelicitySpectrum(spec=spec, amp=amp)
 
 
 def gaussian_packet(spec: GridSpec, k_center, sigma_k, helicity=+1,

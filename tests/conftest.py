@@ -72,6 +72,21 @@ def random_classical_field(spec, rng, kmax, transverse=False) -> SixField:
     return SixField(spec=spec, data=np.stack([upper, np.conj(upper)]))
 
 
+def live_box(size):
+    """The live k box of |amplitudes| size, (..., nx, ny, nz), by its
+    definition: per lattice axis, the indices of the slabs whose largest
+    entry exceeds 16 eps of the largest entry.  Returns (box, mask), mask
+    the (nx, ny, nz) product of the three sets."""
+    top = np.max(size)
+    lead = size.ndim - 3
+    box = [np.flatnonzero(np.max(size, axis=tuple(
+        a for a in range(size.ndim) if a != lead + d))
+        > 16 * np.finfo(float).eps * top) for d in range(3)]
+    mask = np.zeros(size.shape[-3:], dtype=bool)
+    mask[np.ix_(*box)] = True
+    return box, mask
+
+
 def rel_err(a, b):
     a = np.asarray(a)
     b = np.asarray(b)

@@ -298,6 +298,23 @@ cfl_safety = 1.0
             ("fiber-modes", fiber + "eps_in = nan\n", 2, "[physics] eps_in"),
             ("fiber-modes", fiber + "eps_out = 0\n", 2, "[physics] eps_out"),
             ("fiber-modes", fiber + "k_z = inf\n", 2, "[physics] k_z"),
+            # finite values past the solvers' float range: k_perp^2 and
+            # eps k_z^2 overflow (or underflow), the exterior decay q a of
+            # the window is past where K_M(q a) is a normal float, and an
+            # index contrast overflows the determinant or makes the scan's
+            # sign changes no brackets; no CSV is written
+            ("boost-eigen", boost + "kx = 1e200\n", 2, "[physics] kx/ky",
+             "k_perp^2 finite"),
+            ("boost-eigen", boost + "ky = -1e300\n", 2, "[physics] kx/ky"),
+            ("fiber-modes", fiber + "k_z = 1e300\n", 2, "[physics] k_z"),
+            ("fiber-modes", fiber + "k_z = -1e300\n", 2, "[physics] k_z"),
+            ("fiber-modes", fiber + "k_z = 1e-300\n", 2, "[physics] k_z"),
+            ("fiber-modes", fiber + "radius = 1e300\n", 2, "[physics] radius",
+             "K_M(q a) underflows"),
+            ("fiber-modes", fiber + "eps_in = 1e300\n", 2,
+             "[physics] eps_in/eps_out", "does not resolve"),
+            ("fiber-modes", fiber + "eps_out = 1e-300\n", 2,
+             "[physics] eps_in/eps_out", "not finite"),
             ("evolve-free", FREE_CONFIG.replace("sigma_k = 0.8",
                                                 "sigma_k = 0"), 2,
              "[initial] sigma_k"),
@@ -889,6 +906,46 @@ def test_cli_runs_build_no_full_lattice_tables(tmp_path, monkeypatch, kind):
     _run(tmp_path, kind, MINIMAL[kind])
     assert not {"k_grid", "k_grid_diff", "coords"} & built, built
     assert spectral._grid_tables.cache_info().currsize == 0
+
+
+# Runs whose k-space stages all read a live k box: observables of a
+# Gaussian, a mode and a field file, and a vortex stepped by evolve-free
+# and by evolve-curved.
+BOX_RUNS = {
+    "observables gaussian": ("observables", GRID8 + "[initial]\n"
+                             "packet = gaussian\nk_center = 2 1 0.5\n"),
+    "observables mode": ("observables", MINIMAL["observables"]),
+    "observables file": ("observables", GRID8 + "[initial]\n"
+                         "packet = file:{file}\n"),
+    "evolve-free vortex": ("evolve-free", GRID8 + "[initial]\n"
+                           "packet = vortex\n[physics]\ntime = 0.7\n"),
+    "evolve-curved vortex": ("evolve-curved", MINIMAL["evolve-curved"]),
+}
+
+
+@pytest.mark.parametrize("name", list(BOX_RUNS))
+def test_cli_k_space_stages_build_no_lattice_frame(tmp_path, monkeypatch,
+                                                   rng, name):
+    # No run builds the whole lattice's frame, |k| or 1/|k|: each stage
+    # forms them on the live box of its state.
+    field = tmp_path / "in.pwfn"
+    gridio.write_sixfield(field, random_field(cube(8), rng, kmax=2.0))
+    called = []
+
+    def spy(label, function):
+        def wrapper(*args, **kwargs):
+            called.append(label)
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spectral, "triad_arrays",
+                        spy("triad_arrays", spectral.triad_arrays))
+    for method in ("k_norm", "k_inverse"):
+        monkeypatch.setattr(GridSpec, method,
+                            spy(method, getattr(GridSpec, method)))
+    kind, text = BOX_RUNS[name]
+    _run(tmp_path, kind, text.format(file=field))
+    assert called == []
 
 
 def test_cold_observables_run_memory(tmp_path):

@@ -17,7 +17,7 @@ from pwfn.spectral import (GridSpec, HelicitySpectrum, SixField, decompose,
 from pwfn.states import (balanced_packet_params, gaussian_packet,
                          gaussian_packet_spectrum, plane_wave_mode)
 
-from conftest import cube, random_field, random_spectrum, rel_err
+from conftest import cube, live_box, random_field, random_spectrum, rel_err
 
 
 def test_scalar_product_momentum_basics(rng):
@@ -282,6 +282,106 @@ def test_momentum_observables_transform_the_live_k_lines_only():
     for got, ref in ((obs.momentum, momentum), (obs.angular_momentum, ang),
                      (obs.moment_of_energy, moe)):
         assert np.max(np.abs(got - ref)) <= 1e-14 * energy
+
+
+def _dense_stages(spectrum):
+    """The k-space stages of an observables run written out on the whole
+    lattice, with full tables and every k line: photon number, the
+    momentum observables (energy, P, J, K) by the one-axis derivative of
+    a = e phi, and psi and 1/H psi by one inverse transform each."""
+    spec = spectrum.spec
+    e, nhat, knorm = spectral.triad_arrays(spec)
+    kinv = spec.k_inverse()
+    g = np.zeros((3,) + spec.n)
+    psi, bra = (np.empty((2, 3) + spec.n, dtype=complex) for _ in range(2))
+    for b, phi in enumerate(spectrum.amp):
+        a = (np.conj(e) if b else e) * phi
+        for m in range(3):
+            x = np.fft.ifftshift(spec.axes()[m]).reshape(
+                [-1 if d == m else 1 for d in range(3)])
+            image = sfft.fft(sfft.ifft(a, axis=m + 1) * x, axis=m + 1)
+            g[m] -= np.sum((np.conj(a) * image).real, axis=0)
+        hat = a * spec.checkerboard() / spec.cell_volume
+        psi[b] = sfft.ifftn(hat, axes=(-3, -2, -1))
+        bra[b] = sfft.ifftn(hat * kinv, axes=(-3, -2, -1))
+    p2 = np.abs(spectrum.amp) ** 2
+    power = p2[0] + p2[1]
+    n = nhat / spec.volume
+    omega = knorm * kinv / spec.volume
+    spin = (p2[0] - p2[1]) * kinv
+    obs = mt.Observables(
+        energy=np.sum(omega * power),
+        momentum=np.array([np.sum(c * power) for c in n]),
+        angular_momentum=np.array([
+            np.sum(n[j] * g[k]) - np.sum(n[k] * g[j]) + np.sum(n[i] * spin)
+            for i, (j, k) in enumerate(CYCLIC)]),
+        moment_of_energy=-np.array([np.sum(c * omega) for c in g]))
+    return np.sum(kinv / spec.volume * p2), obs, psi, bra
+
+
+def _seam_spectrum(rng):
+    # Two helicities on an anisotropic grid, centred near k_y = 0 and
+    # k_z = 0: the live box holds the first and the last indices along y
+    # and z, across the FFT-order seam, and not the middle ones.
+    spec = GridSpec(n=(24, 20, 16), length=(9.0, 8.0, 7.0))
+    amp = gaussian_packet_spectrum(spec, (2.0, 0.3, -0.5), 0.7, 1,
+                                   (-0.4, 0.2, 0.5)).amp
+    amp += gaussian_packet_spectrum(spec, (-1.0, -0.6, 0.8), 0.6, -1,
+                                    (0.5, -0.3, 0.1)).amp
+    return HelicitySpectrum(spec=spec, amp=amp / np.sqrt(2.0))
+
+
+BOX_SPECTRA = {
+    "two helicities across the seam": _seam_spectrum,
+    # The largest value would be the dropped k = 0 mode's: the builder
+    # keeps every slab and finds the box from the values.
+    "Gaussian on k = 0": lambda rng: gaussian_packet_spectrum(
+        GridSpec(n=(16, 12, 10), length=(20.0, 16.0, 12.0)),
+        (0.05, -0.1, 0.1), 0.15, -1),
+    "plane wave mode": lambda rng: plane_wave_mode(
+        GridSpec(n=(12, 10, 8), length=(7.0, 6.0, 5.0)), (2, -3, 1), -1),
+    "balanced 32^3 packet": lambda rng: gaussian_packet_spectrum(
+        cube(32, 4 * np.pi), *balanced_packet_params(cube(32, 4 * np.pi))),
+    "full support": lambda rng: random_spectrum(
+        GridSpec(n=(10, 8, 6), length=(6.0, 5.0, 4.0)), rng, kmax=np.inf,
+        normalize=True),
+}
+
+
+@pytest.mark.parametrize("case", list(BOX_SPECTRA))
+def test_k_space_stages_on_the_live_box_equal_dense_references(rng, case):
+    # Photon number, the momentum observables and the syntheses of psi and
+    # 1/H psi read the live k box of the amplitudes: against the whole
+    # lattice they agree to 1e-15 of the energy (of the largest |psi|).
+    spectrum = BOX_SPECTRA[case](rng)
+    spec = spectrum.spec
+    size = np.abs(spectrum.amp)
+    box, mask = live_box(size)
+    assert all(np.array_equal(a, b) for a, b in
+               zip(spectral._amplitude_box(spectrum.amp), box))
+    # every amplitude above 16 eps of the top lies in the box, and every
+    # one outside it is exactly 0
+    assert np.all(mask[np.any(size > 16 * np.finfo(float).eps
+                              * np.max(size), axis=0)])
+    assert not np.any(spectrum.amp[:, ~mask])
+    if case == "full support":
+        assert mask.all()
+    else:
+        assert np.count_nonzero(mask) < 0.7 * mask.size
+    if case.startswith("two"):
+        for d in (1, 2):
+            assert box[d][0] == 0 and box[d][-1] == spec.n[d] - 1
+            assert len(box[d]) < spec.n[d]
+    number, ref, psi, bra = _dense_stages(spectrum)
+    assert abs(mt.photon_number(spectrum) - number) <= 1e-15 * number
+    obs = mt.observables_momentum(spectrum)
+    for name in ("energy", "momentum", "angular_momentum",
+                 "moment_of_energy"):
+        gap = np.max(np.abs(getattr(obs, name) - getattr(ref, name)))
+        assert gap <= 1e-15 * ref.energy, (name, gap)
+    assert rel_err(synthesize(spectrum).data, psi) <= 1e-15
+    assert rel_err(spectral._field_of_blocks(spec, *spectral._synthesis(
+        spectrum, weight=spectral._inverse)).data, bra) <= 1e-15
 
 
 @pytest.mark.parametrize("helicities", [(0,), (1,), (0, 1)])
@@ -798,6 +898,25 @@ def test_projection_defect_threshold(apply, rng):
     apply(_with_non_positive_frequency(psi, 3e-9, rng))
     with pytest.raises(DomainError, match="projection defect 3.000e-08"):
         apply(_with_non_positive_frequency(psi, 3e-8, rng))
+
+
+@pytest.mark.parametrize("apply", [mt.observables_coordinate,
+                                   mt.inverse_hamiltonian_apply])
+def test_projection_defect_counts_content_outside_the_live_box(
+        apply, monkeypatch):
+    # P raw is formed on the live k box and is 0 outside it, and the defect
+    # is summed over the whole lattice: a mode at 2e-15 of the top, on k
+    # slabs below 16 eps of it, is dropped from the amplitudes and counts
+    # against the check (here tightened to 1e-15, above the roundoff of
+    # the live mode alone).
+    spec = cube(16)
+    psi = synthesize(plane_wave_mode(spec, (1, 2, 3)))
+    far = synthesize(plane_wave_mode(spec, (-5, 6, -7))).data
+    monkeypatch.setattr(mt, "_PROJECTION_RTOL", 1e-15)
+    apply(psi)
+    psi.data += 2e-15 * np.max(np.abs(psi.data)) / np.max(np.abs(far)) * far
+    with pytest.raises(DomainError, match=r"projection defect 2\.\d+e-15"):
+        apply(psi)
 
 
 @pytest.mark.parametrize("apply", [mt.observables_coordinate,

@@ -14,7 +14,7 @@ from pwfn.spectral import (GridSpec, HelicitySpectrum, SixField,
                            polarization_triad, positive_frequency_project,
                            synthesize, translate, triad_arrays)
 
-from conftest import cube, random_field, random_spectrum, rel_err
+from conftest import cube, live_box, random_field, random_spectrum, rel_err
 
 
 def test_gridspec_validation():
@@ -420,11 +420,18 @@ def test_decompose_equals_the_whole_field_projection(rng, helicities):
     ref = np.stack([np.sum(np.conj(e) * hat[0], axis=0),
                     np.sum(e * hat[1], axis=0)])
     ref[:, 0, 0, 0] = 0.0
+    dense = ref.copy()
+    # The amplitudes are formed on the live k box of the transform; the
+    # roundoff of the band-limited field outside it is dropped.
+    _, box = live_box(np.abs(hat))
+    assert 0 < np.count_nonzero(box) < box.size
+    ref[:, ~box] = 0.0
     spectral.reset_transform_counts()
     spectrum = decompose(psi)
     counts = spectral.transform_counts()
     assert counts["fft_points"] == 3 * len(helicities) * spec.npoints
     assert np.array_equal(spectrum.amp, ref)
+    assert rel_err(spectrum.amp, dense) <= 1e-15
     for b in {0, 1} - set(helicities):
         assert not np.any(spectrum.amp[b])
 
