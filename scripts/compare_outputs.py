@@ -6,8 +6,10 @@ PARENT and CHANGE are checkouts (each holding ``src/`` and ``tests/``);
 CHANGE defaults to the tree this script sits in.  Both run the nine
 ``MINIMAL`` configs of CHANGE's ``tests/test_io_cli.py`` through the CLI,
 plus an ``evolve-medium`` run in cosine eps and mu (``EXTRA``), two
-``observables`` runs of Gaussian packets (on ``16^3`` and on ``24 20 16``)
-and a vortex ``evolve-free`` run (``OWN``), and
+``observables`` runs of Gaussian packets (on ``16^3`` and on ``24 20 16``),
+a vortex ``evolve-free`` run, a ``fiber-modes`` run that samples its first
+mode on a grid and an ``observables`` run of a ``file:`` packet, written
+once by this script so both trees read the same bytes (``OWN``), and
 ``pytest -s tests/test_acceptance.py`` from their own tests.  Printed,
 one line each: every CSV value, ``.pwfn`` payload, manifest counter and
 acceptance ``check(...)`` line that differs, with its relative change (a
@@ -53,7 +55,10 @@ EXTRA = {"evolve-medium-cosine": ("evolve-medium", "[physics]\nsteps = 20\n"
 # momentum observables drop the others.  The anisotropic Gaussian's live k
 # box wraps the FFT-order seam along y and z (it holds the first and the
 # last indices, not the middle ones), and the vortex evolve-free run
-# reaches propagate_free and the conserved rows of a field.
+# reaches propagate_free and the conserved rows of a field.  The fiber run
+# writes fiber_mode.pwfn through fiber_mode_field, and the file packet
+# ({field}, see _write_field) reaches read_grid_field, decompose of a field
+# and to_k.
 OWN = {"observables-gaussian": ("observables", "[grid]\nn = 16 16 16\n"
                                 "length = 6.283185307179586 "
                                 "6.283185307179586 6.283185307179586\n"
@@ -70,7 +75,12 @@ OWN = {"observables-gaussian": ("observables", "[grid]\nn = 16 16 16\n"
                               "length = 6.283185307179586 "
                               "6.283185307179586 6.283185307179586\n"
                               "[initial]\npacket = vortex\n"
-                              "[physics]\ntime = 0.7\n")}
+                              "[physics]\ntime = 0.7\n"),
+       "fiber-modes-field": ("fiber-modes", "[grid]\nn = 16 16 8\n"
+                             "length = 12 12 2.5132741228718345\n"),
+       "observables-file": ("observables", "[grid]\nn = 12 10 8\n"
+                            "length = 6.0 5.0 4.0\n"
+                            "[initial]\npacket = file:{field}\n")}
 
 
 def _env(tree):
@@ -93,12 +103,42 @@ def _configs(tree):
                for name, (kind, text) in EXTRA.items()}, **OWN}
 
 
-def _run_configs(tree, configs, work):
-    """Run each config through tree's CLI into work/NAME; returns failures."""
+def _import_pwfn():
+    """This tree's pwfn package."""
+    sys.path.insert(0, str(HERE / "src"))
+    try:
+        import pwfn.gridio
+        import pwfn.spectral
+    finally:
+        del sys.path[0]
+    return pwfn
+
+
+def _write_field(path):
+    """Write the file packet: a transverse positive-frequency field on the
+    12 x 10 x 8 grid of its config, seeded helicity amplitudes on
+    0 < |k| <= 2."""
+    pwfn = _import_pwfn()
+    spec = pwfn.spectral.GridSpec(n=(12, 10, 8), length=(6.0, 5.0, 4.0))
+    knorm = spec.k_norm()
+    mask = (knorm > 0.0) & (knorm <= 2.0)
+    rng = np.random.default_rng(42)
+    amp = np.zeros((2,) + spec.n, dtype=complex)
+    amp[:, mask] = (rng.normal(size=(2, mask.sum()))
+                    + 1j * rng.normal(size=(2, mask.sum())))
+    field = pwfn.spectral.synthesize(
+        pwfn.spectral.HelicitySpectrum(spec=spec, amp=amp))
+    pwfn.gridio.write_sixfield(path, field)
+
+
+def _run_configs(tree, configs, work, field):
+    """Run each config through tree's CLI into work/NAME, with {field} the
+    path of the file packet; returns failures."""
     failed = []
     for name, (kind, text) in configs.items():
         cfg = work / f"{name}.ini"
-        cfg.write_text(f"[scenario]\nkind = {kind}\n" + text)
+        cfg.write_text(f"[scenario]\nkind = {kind}\n"
+                       + text.replace("{field}", str(field)))
         done = subprocess.run(
             [sys.executable, "-m", "pwfn.cli", kind, "--config", str(cfg),
              "--out", str(work / name)], env=_env(tree),
@@ -181,11 +221,7 @@ def _compare_csv(name, old_path, new_path):
 def _compare_field(name, old_path, new_path):
     if old_path.read_bytes() == new_path.read_bytes():
         return
-    sys.path.insert(0, str(HERE / "src"))
-    try:
-        from pwfn.gridio import read_grid_field
-    finally:
-        del sys.path[0]
+    read_grid_field = _import_pwfn().gridio.read_grid_field
     (_, a), (_, b) = read_grid_field(old_path), read_grid_field(new_path)
     if a.shape != b.shape:
         yield f"{name}: payload shape {a.shape} -> {b.shape}"
@@ -209,11 +245,13 @@ def compare(parent, change):
     configs = _configs(change)
     lines, failed = [], []
     with tempfile.TemporaryDirectory() as tmp:
+        field = Path(tmp) / "field.pwfn"
+        _write_field(field)
         work = {}
         for side, tree in (("parent", parent), ("change", change)):
             work[side] = Path(tmp) / side
             work[side].mkdir()
-            failed += _run_configs(tree, configs, work[side])
+            failed += _run_configs(tree, configs, work[side], field)
         for run in configs:
             old_dir, new_dir = work["parent"] / run, work["change"] / run
             if not (old_dir.is_dir() and new_dir.is_dir()):

@@ -293,12 +293,7 @@ def run_scenario(config_path, outdir, verbose=False, kind=None) -> int:
         raise ConfigError(f"config declares kind {scenario.kind!r} but the "
                           f"{kind!r} subcommand was invoked")
     spectral.reset_transform_counts()
-    try:
-        header, rows, field, extra = _RUNNERS[scenario.kind](scenario)
-    finally:
-        # Held past the run, the tables would keep the heap freed around
-        # them resident until another grid evicted them.
-        spectral.release_tables()
+    header, rows, field, extra = _RUNNERS[scenario.kind](scenario)
     extra["counters"] = spectral.transform_counts()
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -402,6 +402,12 @@ def fiber_modes(spec: FiberSpec, max_modes=8, scan_points=2000):
         raise DomainError(f"the matching determinant is not finite on the "
                           f"bound window scan ({contrast})",
                           arg="eps_in/eps_out")
+    # A root is an isolated zero: adjacent exact zeros are an underflow.
+    zero = vals == 0.0
+    if np.any(zero[:-1] & zero[1:]):
+        raise DomainError(f"the matching determinant underflows to 0 on the "
+                          f"bound window scan at k_z = {spec.k_z:.3g}",
+                          arg="k_z")
     _, q = _transverse_wavenumbers(spec, grid)
     a = spec.radius
     signs = np.sign(vals)

@@ -104,11 +104,6 @@ class MediumMap:
         return (p["sqrt_v"], None, p["v"],
                 None if self.is_uniform_h else p["coupling"], rate)
 
-    def smoothness_metric(self):
-        """max |grad v| * dx / v; large values mean an under-resolved medium."""
-        v, dx = self._points["v"], max(self.spec.spacing)
-        return float(np.max(_length(grad(self.spec, v)) * dx / v))
-
 
 @dataclass
 class StepperConfig:

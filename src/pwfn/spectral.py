@@ -45,7 +45,6 @@ tests).
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -61,7 +60,7 @@ __all__ = [
     "polarization_triad", "triad_arrays", "berry_connection",
     "berry_connection_grid", "decompose", "synthesize",
     "positive_frequency_project", "longitudinal_residual", "translate",
-    "to_k", "to_r", "grad", "div", "curl", "release_tables", "set_workers",
+    "to_k", "to_r", "grad", "div", "curl", "set_workers",
     "transform_counts", "reset_transform_counts",
 ]
 
@@ -79,7 +78,11 @@ def set_workers(n: int) -> None:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Periodic box: points per axis (even) and physical edge lengths."""
+    """Periodic box: points per axis (even) and physical edge lengths.
+
+    The grid holds its axis lines, built once and read-only; every
+    whole-lattice table is built on each call.
+    """
 
     n: tuple
     length: tuple
@@ -92,11 +95,17 @@ class GridSpec:
         if any(v <= 0 or v % 2 for v in n):
             raise DomainError(f"point counts must be positive and even, "
                               f"got {n}", arg="n")
-        if not all(0.0 < v < np.inf for v in length):
-            raise DomainError(f"box lengths must be positive and finite, "
-                              f"got {length}", arg="length")
+        _check_box(n, length)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "length", length)
+        diff = self.k_axes()
+        for k, m in zip(diff, n):
+            k[m // 2] = 0.0
+        lines = {"coord": _lines(self.axes()), "k": _lines(self.k_axes()),
+                 "k_diff": _lines(diff)}
+        for line in (line for group in lines.values() for line in group):
+            line.flags.writeable = False
+        object.__setattr__(self, "_axis_lines", lines)
 
     @property
     def spacing(self):
@@ -123,13 +132,13 @@ class GridSpec:
 
     def coord_lines(self):
         """Box-centered coordinates as three read-only arrays of shapes
-        (nx, 1, 1), (1, ny, 1) and (1, 1, nz): each broadcasts over the
-        lattice to the matching row of :meth:`coords`."""
-        return _table(self, "coord_lines", lambda: _lines(self.axes()))
+        (nx, 1, 1), (1, ny, 1) and (1, 1, nz), held by the grid: each
+        broadcasts over the lattice to the matching row of :meth:`coords`."""
+        return self._axis_lines["coord"]
 
     def coords(self):
         """Array (3, nx, ny, nz) of box-centered coordinates."""
-        return _table(self, "coords", lambda: _expand(self.coord_lines()))
+        return _expand(self.coord_lines())
 
     def k_axes(self):
         """Dual-lattice wave numbers per axis in FFT order."""
@@ -138,55 +147,68 @@ class GridSpec:
         )
 
     def k_lines(self):
-        """Wave numbers as three broadcastable arrays, as :meth:`coord_lines`
-        gives the coordinates: the rows of :meth:`k_grid`."""
-        return _table(self, "k_lines", lambda: _lines(self.k_axes()))
+        """Wave numbers as three read-only broadcastable arrays held by the
+        grid, as :meth:`coord_lines` gives the coordinates: the rows of
+        :meth:`k_grid`."""
+        return self._axis_lines["k"]
 
     def k_diff_lines(self):
         """Wave numbers for odd-order derivative multipliers, as three
-        broadcastable arrays: the rows of :meth:`k_grid_diff`.
+        read-only broadcastable arrays held by the grid: the rows of
+        :meth:`k_grid_diff`.
 
         The unpaired Nyquist component is zeroed per axis: it has no
         conjugation-consistent odd derivative, and keeping it breaks the
         reality/conjugation symmetry of differentiated aliased products.
         """
-        def build():
-            axes = self.k_axes()
-            for k, m in zip(axes, self.n):
-                k[m // 2] = 0.0
-            return _lines(axes)
-        return _table(self, "k_diff_lines", build)
+        return self._axis_lines["k_diff"]
 
     def k_grid(self):
         """Array (3, nx, ny, nz) of wave vectors in FFT order."""
-        return _table(self, "k_grid", lambda: _expand(self.k_lines()))
+        return _expand(self.k_lines())
 
     def k_grid_diff(self):
         """Array (3, nx, ny, nz) of the wave vectors of :meth:`k_diff_lines`."""
-        return _table(self, "k_grid_diff",
-                      lambda: _expand(self.k_diff_lines()))
+        return _expand(self.k_diff_lines())
 
     def k_norm(self):
-        return _table(self, "k_norm", lambda: _length(self.k_lines()))
+        return _length(self.k_lines())
 
     def k_max(self):
         """max |k| on the lattice: the |k| of the corner point of largest
         |k_x|, |k_y| and |k_z|, by the expression of :meth:`k_norm`, so
         equal to the maximum of that table without building it."""
-        return float(_length([np.max(np.abs(k)) for k in self.k_axes()]))
+        return float(_length([np.max(np.abs(k)) for k in self.k_lines()]))
 
     def k_inverse(self):
-        """1/|k| on the dual lattice (:func:`_inverse`).
-
-        Built on each call: a cached copy would keep one more grid-sized
-        array resident beside the per-grid tables.
-        """
+        """1/|k| on the dual lattice (:func:`_inverse`)."""
         return _inverse(self.k_norm())
 
     def checkerboard(self):
         """(-1)^(mx+my+mz) on the dual lattice: exp(-i k . r0) exactly."""
-        return _table(self, "checkerboard", lambda: _checkerboard(
-            [np.arange(m) for m in self.n]))
+        return _checkerboard([np.arange(m) for m in self.n])
+
+
+_TINY = np.finfo(float).tiny
+
+
+def _check_box(n, length):
+    """Refuse a box any of whose lengths, volume, cell volume or k_max^2 is
+    not a finite normal float: the grid's tables would under- or overflow.
+    Each largest |k| is formed as fftfreq forms it, so k_max^2 here is the
+    square :meth:`GridSpec.k_max` reads; plain floats raise no warning."""
+    sizes = list(length)
+    if all(_TINY <= v < math.inf for v in length):
+        top = [2.0 * math.pi * ((m // 2) * (1.0 / (m * (L / m))))
+               for m, L in zip(n, length)]
+        spacing = [L / m for L, m in zip(length, n)]
+        sizes += [length[0] * length[1] * length[2],
+                  spacing[0] * spacing[1] * spacing[2],
+                  (top[0] * top[0] + top[1] * top[1]) + top[2] * top[2]]
+    if not all(_TINY <= v < math.inf for v in sizes):
+        raise DomainError(f"box lengths, volume, cell volume and k_max^2 "
+                          f"must be finite normal floats, got length = "
+                          f"{length}", arg="length")
 
 
 def _lines(axes):
@@ -245,34 +267,6 @@ def _directions(lines, norm=None):
     for v, row in zip(lines, nhat):
         np.divide(v, norm, out=row, where=norm > 0.0)
     return nhat, norm
-
-
-@functools.lru_cache(maxsize=1)
-def _grid_tables(spec: GridSpec) -> dict:
-    """Per-grid tables of the one grid most recently used.
-
-    A new grid evicts every table of the previous one, so the cache never
-    holds more than one grid's arrays; alternating between two grids
-    rebuilds them, which costs time but never serves a stale grid.
-    """
-    return {}
-
-
-def release_tables() -> None:
-    """Drop the cached per-grid tables; the next use rebuilds them."""
-    _grid_tables.cache_clear()
-
-
-def _table(spec: GridSpec, name, build):
-    """The read-only table ``name`` of ``spec``, built on first use."""
-    tables = _grid_tables(spec)
-    value = tables.get(name)
-    if value is None:
-        value = build()
-        for arr in value if isinstance(value, tuple) else (value,):
-            arr.flags.writeable = False
-        tables[name] = value
-    return value
 
 
 # Calls of _fft/_ifft since the last reset, the points they transformed
@@ -607,10 +601,10 @@ def triad_arrays(spec: GridSpec):
     """Gridded e(k), e*(k) and n(k) on the dual lattice.
 
     Returns (e, n_hat, knorm) of :func:`_frame` on the whole lattice; e has
-    shape (3, nx, ny, nz).  The arrays are cached per grid and read-only.
-    The package's own k-space stages form the frame on their live box.
+    shape (3, nx, ny, nz).  The arrays are built on each call; the
+    package's own k-space stages form the frame on their live box.
     """
-    return _table(spec, "triad", lambda: _frame(spec.k_lines()))
+    return _frame(spec.k_lines())
 
 
 def _spherical_connection(n, k_inverse, pole_cone):
@@ -655,7 +649,7 @@ def berry_connection(k, pole_cone=1e-6):
 def berry_connection_grid(spec: GridSpec, pole_cone=1e-6):
     """Gridded connection; exact-axis points and k = 0 get 0, cone points get NaN.
 
-    Built on the cached frame of :func:`triad_arrays`; k = 0 has n = 0 and
+    Built on the frame of :func:`triad_arrays`; k = 0 has n = 0 and
     counts as on the axis.
     """
     _, n, _ = triad_arrays(spec)

@@ -315,6 +315,17 @@ def test_fiber_empty_spectrum_without_axial_momentum():
     assert eigen.fiber_modes(spec) == []
 
 
+def test_fiber_scan_that_underflows_to_zero_is_refused():
+    # At k_z = 1e-150 the determinant's k_in^2, q^2 and g terms underflow:
+    # the scan reads exact zeros at adjacent frequencies, none of them a
+    # root.
+    spec = eigen.FiberSpec(radius=1.0, eps_in=2.25, eps_out=1.0,
+                           m_angular=0, k_z=1e-150)
+    with pytest.raises(DomainError, match="underflows to 0") as err:
+        eigen.fiber_modes(spec)
+    assert err.value.arg == "k_z"
+
+
 def test_fiber_eigenvalues_stable_under_scan_density():
     spec = eigen.FiberSpec(m_angular=1, **ACC_FIBER)
     a = [m.omega for m in eigen.fiber_modes(spec, scan_points=1000)]

@@ -601,8 +601,8 @@ def test_medium_map_validation_and_smoothness():
     with pytest.raises(DomainError) as err:
         MediumMap(spec=spec, eps=np.ones(spec.n), mu=mu)
     assert err.value.arg == "mu" and "eps" not in str(err.value)
-    med = MediumMap.uniform(spec, eps=2.0)
-    assert med.smoothness_metric() < 1e-12
+    # A uniform medium is constant along every lattice axis.
+    assert MediumMap.uniform(spec, eps=2.0).uniform_axes == (0, 1, 2)
     # eps and mu may be given at their distinct points: a number, or an
     # array of size 1 along the axes where they are constant.  That is the
     # medium of the full arrays, bit for bit.

@@ -149,8 +149,6 @@ def test_cli_run_and_reproducibility(tmp_path):
     assert sorted(m1["outputs"].values()) == sorted(m2["outputs"].values())
     assert m1["config_sha256"] == m2["config_sha256"]
     assert m1["versions"]["pwfn"] == pwfn.__version__
-    # A finished run holds no per-grid tables.
-    assert spectral._grid_tables.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("kind", ["evolve-free", "commutators"])
@@ -375,6 +373,17 @@ cfl_safety = 1.0
              "[physics] metric"),
             ("evolve-curved", curved + "metric = conformal:1e100\n", 2,
              "[physics] metric"),
+            # a box whose k_max^2, volume or cell volume is not a finite
+            # normal float, and a fiber whose determinant underflows to 0
+            # along the scan
+            *[(kind, f"[scenario]\nkind = {kind}\n[grid]\nn = 8 8 8\n"
+               f"length = {length}\n[initial]\npacket = mode\n", 2,
+               "[grid] length", "normal floats")
+              for kind in ("observables", "commutators")
+              for length in ("1e-300 1 1", "1e200 1e200 1e200",
+                             "1e-120 1e-120 1e-120")],
+            ("fiber-modes", fiber + "k_z = 1e-150\n", 2, "[physics] k_z",
+             "underflows to 0"),
             # a packet whose phase k . r_center overflows, whose exponent
             # |k - k_center|^2 / 2 sigma_k^2 divides by zero or by inf, or
             # whose exponent overflows at every lattice k
@@ -456,6 +465,11 @@ cfl_safety = 1.0
                     if issubclass(w.category, RuntimeWarning)], text
         assert "] None:" not in err, text
         assert not out.exists(), text  # a failed run writes nothing
+    # A box long along one axis stays inside the float range.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _run(tmp_path, "commutators", "[grid]\nn = 8 8 8\n"
+             "length = 1e150 1 1\n[initial]\npacket = mode\n", "long")
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -893,19 +907,20 @@ def test_manifest_records_peak_memory_outside_the_run_record(tmp_path):
 
 @pytest.mark.parametrize("kind", SCENARIO_KINDS)
 def test_cli_runs_build_no_full_lattice_tables(tmp_path, monkeypatch, kind):
-    # Wave vectors and coordinates are read as axis arrays: a run caches
-    # |k|, the checkerboard and the triad, never a (3, nx, ny, nz) table.
-    built = set()
-    table = spectral._table
+    # Wave vectors and coordinates are read as axis arrays: a run never
+    # builds a (3, nx, ny, nz) table.
+    built = []
 
-    def recording_table(spec, name, build):
-        built.add(name)
-        return table(spec, name, build)
+    def spy(name, method):
+        def wrapper(*args, **kwargs):
+            built.append(name)
+            return method(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(spectral, "_table", recording_table)
+    for name in ("k_grid", "k_grid_diff", "coords"):
+        monkeypatch.setattr(GridSpec, name, spy(name, getattr(GridSpec, name)))
     _run(tmp_path, kind, MINIMAL[kind])
-    assert not {"k_grid", "k_grid_diff", "coords"} & built, built
-    assert spectral._grid_tables.cache_info().currsize == 0
+    assert built == []
 
 
 # Runs whose k-space stages all read a live k box: observables of a
@@ -949,10 +964,10 @@ def test_cli_k_space_stages_build_no_lattice_frame(tmp_path, monkeypatch,
 
 
 def test_cold_observables_run_memory(tmp_path):
-    # A cold 32^3 observables run, its per-grid tables included (every run
-    # releases them at its end): 3.87 six-field sizes (numpy 2.4, scipy
-    # 1.17), where full wave-vector and coordinate tables and the spectrum
-    # held through the coordinate pass took 4.93.
+    # A cold 32^3 observables run, the tables it builds included: 2.30
+    # six-field sizes (numpy 2.4, scipy 1.17), where full wave-vector and
+    # coordinate tables and the spectrum held through the coordinate pass
+    # took 4.93.
     import tracemalloc
     spec = cube(32, length=4 * np.pi)
     grid = (f"[grid]\nn = 32 32 32\nlength = {spec.length[0]!r} "
@@ -960,7 +975,6 @@ def test_cold_observables_run_memory(tmp_path):
     packet = ("[initial]\npacket = gaussian\nk_center = 1.5 2.0 1.2\n"
               "sigma_k = 0.7\nhelicity = -1\nr_center = 0.3 -0.6 0.8\n")
     _run(tmp_path, "observables", MINIMAL["observables"], "warm")  # imports
-    assert spectral._grid_tables.cache_info().currsize == 0
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
@@ -1246,11 +1260,12 @@ def test_cli_report_survives_header_bit_flips_and_truncation(tmp_path, rng):
     for data in variants:
         bad.write_bytes(data)
         codes.append(main(["report", str(bad)]))
-    # Only a flip of a box length can leave a valid header: 187 of its 192
+    # Only a flip of a box length can leave a valid header: 185 of its 192
     # bits do.  The three sign bits make a length negative, and the top
-    # exponent bit turns 1.0 into inf and 2.0 into 0.  Every other flip and
-    # every truncation is a format error.
-    assert (codes.count(0), codes.count(5)) == (187, 219)
+    # exponent bit turns 1.0 into inf, 2.0 into 0 and 3.0 into a subnormal;
+    # the next exponent bit turns 1.0 into 2^-512, past which k_max^2
+    # overflows.  Every other flip and every truncation is a format error.
+    assert (codes.count(0), codes.count(5)) == (185, 221)
 
 
 def test_benchmark_tracer_names_resolve():

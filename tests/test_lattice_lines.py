@@ -40,16 +40,22 @@ def _one_axis(kvec, v, a):
 
 
 @pytest.mark.parametrize("spec", GRIDS, ids=str)
-def test_k_max_is_the_largest_k_norm_without_its_table(spec):
-    spectral.release_tables()
+def test_k_max_is_the_largest_k_norm_without_its_table(spec, monkeypatch):
+    called = []
+    k_norm = GridSpec.k_norm
+
+    def spy(self):
+        called.append(self)
+        return k_norm(self)
+
+    monkeypatch.setattr(GridSpec, "k_norm", spy)
     k_max = spec.k_max()
-    assert "k_norm" not in spectral._grid_tables(spec)
+    assert called == []
     assert k_max == np.max(spec.k_norm())
 
 
 @pytest.mark.parametrize("spec", GRIDS, ids=str)
 def test_axis_arrays_broadcast_to_the_meshgrid_tables(spec):
-    spectral.release_tables()
     for lines, axes, full in [
             (spec.k_lines(), spec.k_axes(), spec.k_grid()),
             (spec.k_diff_lines(), _diff_axes(spec), spec.k_grid_diff()),
@@ -66,8 +72,7 @@ def test_axis_arrays_broadcast_to_the_meshgrid_tables(spec):
 
 
 def _results(spec, data):
-    """Every result built on the axis arrays, from a cold cache."""
-    spectral.release_tables()
+    """Every result built on the axis arrays."""
     spectrum = states.gaussian_packet_spectrum(
         spec, (1.3, 0.4, -0.9), 0.9, helicity=-1, r_center=(0.3, -0.2, 0.5))
     psi = synthesize(spectrum)
@@ -119,7 +124,6 @@ def test_broadcast_results_equal_meshgrid_tables(spec, monkeypatch, rng):
     monkeypatch.setattr(GridSpec, "coord_lines",
                         lambda self: _mesh(self.axes()))
     ref = _results(spec, data)
-    spectral.release_tables()
     for name, value in got.items():
         for a, b in zip(*(v if isinstance(v, tuple) else (v,)
                           for v in (value, ref[name]))):

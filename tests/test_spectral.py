@@ -26,41 +26,27 @@ def test_gridspec_validation():
         with pytest.raises(DomainError) as err:
             GridSpec(n=(8, 8, 8), length=(1.0, bad, 1.0))
         assert err.value.arg == "length"
+    # A box whose k_max^2, volume or cell volume leaves the normal floats.
+    for length in ((1e-300, 1.0, 1.0), (1e200,) * 3, (1e-120,) * 3,
+                   (1.0, 5e-324, 1.0)):
+        with pytest.raises(DomainError, match="normal floats") as err:
+            GridSpec(n=(8, 8, 8), length=length)
+        assert err.value.arg == "length"
+    spec = GridSpec(n=(8, 8, 8), length=(1e150, 1.0, 1.0))
+    assert 0.0 < spec.k_max() ** 2 < np.inf
 
 
-def test_grid_tables_cached_read_only():
+def test_grid_holds_read_only_axis_lines():
     spec = cube(8)
     twin = GridSpec(n=spec.n, length=spec.length)
-    for name in ("checkerboard", "k_grid", "k_grid_diff", "k_norm", "coords"):
-        table = getattr(spec, name)()
-        assert not table.flags.writeable, name
-        assert getattr(spec, name)() is table, name
-        assert getattr(twin, name)() is table, name
-        with pytest.raises(ValueError):
-            table[(0,) * table.ndim] = 1.0
-    triad = triad_arrays(spec)
-    assert triad_arrays(spec) is triad
-    assert not any(arr.flags.writeable for arr in triad)
-
-
-def test_grid_tables_alternating_grids_match_cold_calls(rng):
-    grids = {"a": cube(8), "b": GridSpec(n=(6, 8, 10), length=(5.0, 6.0, 7.0))}
-    fields = {key: random_field(spec, rng, kmax=2.0)
-              for key, spec in grids.items()}
-
-    def run(key):
-        spectrum = decompose(fields[key])
-        return (spectrum.amp, synthesize(spectrum, t=0.4).data,
-                propagate_free(fields[key], 0.3).data)
-
-    cold = {}
-    for key in grids:
-        spectral.release_tables()
-        cold[key] = run(key)
-    for key in ("a", "b", "a"):
-        for warm, ref in zip(run(key), cold[key]):
-            assert np.array_equal(warm, ref), key
-        assert spectral._grid_tables.cache_info().currsize == 1
+    for name in ("k_lines", "k_diff_lines", "coord_lines"):
+        lines = getattr(spec, name)()
+        assert getattr(spec, name)() is lines, name
+        for line, same in zip(lines, getattr(twin, name)()):
+            assert not line.flags.writeable, name
+            with pytest.raises(ValueError):
+                line[(0,) * line.ndim] = 1.0
+            assert np.array_equal(line, same), name
 
 
 def test_block_transforms_match_component_loop(rng):
@@ -646,7 +632,6 @@ def test_triad_directions_follow_the_one_unit_vector_rule(n):
     # n(k) and |k| of the frame are those of spectral._directions, the rule
     # every per-mode rotation and the split-step coupling use.
     spec = GridSpec(n=n, length=(5.0, 6.0, 7.0))
-    spectral.release_tables()
     _, nhat, knorm = triad_arrays(spec)
     ref_n, ref_k = spectral._directions(spec.k_lines())
     assert np.array_equal(nhat, ref_n) and np.array_equal(knorm, ref_k)
