@@ -6,13 +6,13 @@ Grid file layout (little endian):
     version u16      currently 1
     dims    3 x u32  points per axis
     box     3 x f64  edge lengths
-    comps   u16      number of complex components (6 for a six-field)
+    comps   u16      number of complex components, >= 1 (6 for a six-field)
     payload comps * nx * ny * nz complex128 (an interleaved (re, im) f64
             pair each), component-major, row major with z fastest
 
 The payload size must match the header exactly; reads refuse unknown magic,
-versions, or truncated payloads.  Writes are deterministic, so identical
-inputs produce byte-identical files.
+versions, no components, or truncated payloads.  Writes are deterministic,
+so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ _HEADER = struct.Struct("<4sH3I3dH")
 def write_grid_field(path, spec: GridSpec, data) -> None:
     """Write complex components (ncomp, nx, ny, nz) to the binary format."""
     data = np.ascontiguousarray(data, dtype="<c16")
-    if data.ndim != 4 or data.shape[1:] != spec.n:
+    if data.ndim != 4 or data.shape[1:] != spec.n or not data.shape[0]:
         raise FormatError(f"payload shape {data.shape} does not match grid {spec.n}")
     ncomp = data.shape[0]
     header = _HEADER.pack(GRID_MAGIC, GRID_VERSION, *spec.n, *spec.length, ncomp)
@@ -64,6 +64,8 @@ def read_grid_field(path):
             raise FormatError(f"{path}: bad magic {magic!r}")
         if version != GRID_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
+        if not ncomp:
+            raise FormatError(f"{path}: no components")
         expected = ncomp * nx * ny * nz * 16
         payload = fh.read()
     if len(payload) != expected:

@@ -48,6 +48,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import fft as sfft
@@ -80,7 +81,7 @@ def set_workers(n: int) -> None:
 class GridSpec:
     """Periodic box: points per axis (even) and physical edge lengths.
 
-    The grid holds its axis lines, built once and read-only; every
+    The grid holds its axis lines, read-only and built on first use; every
     whole-lattice table is built on each call.
     """
 
@@ -95,17 +96,23 @@ class GridSpec:
         if any(v <= 0 or v % 2 for v in n):
             raise DomainError(f"point counts must be positive and even, "
                               f"got {n}", arg="n")
-        _check_box(n, length)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "length", length)
-        diff = self.k_axes()
-        for k, m in zip(diff, n):
-            k[m // 2] = 0.0
-        lines = {"coord": _lines(self.axes()), "k": _lines(self.k_axes()),
+        _check_box(self)
+
+    @cached_property
+    def _axis_lines(self):
+        """The read-only lines, built on first use; not a field, so equality
+        and hash read n and length alone."""
+        k = self.k_axes()
+        diff = [a.copy() for a in k]
+        for a, m in zip(diff, self.n):
+            a[m // 2] = 0.0
+        lines = {"coord": _lines(self.axes()), "k": _lines(k),
                  "k_diff": _lines(diff)}
         for line in (line for group in lines.values() for line in group):
             line.flags.writeable = False
-        object.__setattr__(self, "_axis_lines", lines)
+        return lines
 
     @property
     def spacing(self):
@@ -192,23 +199,21 @@ class GridSpec:
 _TINY = np.finfo(float).tiny
 
 
-def _check_box(n, length):
+def _check_box(spec):
     """Refuse a box any of whose lengths, volume, cell volume or k_max^2 is
     not a finite normal float: the grid's tables would under- or overflow.
     Each largest |k| is formed as fftfreq forms it, so k_max^2 here is the
     square :meth:`GridSpec.k_max` reads; plain floats raise no warning."""
-    sizes = list(length)
-    if all(_TINY <= v < math.inf for v in length):
-        top = [2.0 * math.pi * ((m // 2) * (1.0 / (m * (L / m))))
-               for m, L in zip(n, length)]
-        spacing = [L / m for L, m in zip(length, n)]
-        sizes += [length[0] * length[1] * length[2],
-                  spacing[0] * spacing[1] * spacing[2],
+    sizes = list(spec.length)
+    if all(_TINY <= v < math.inf for v in sizes):
+        top = [2.0 * math.pi * ((m // 2) * (1.0 / (m * d)))
+               for m, d in zip(spec.n, spec.spacing)]
+        sizes += [spec.volume, spec.cell_volume,
                   (top[0] * top[0] + top[1] * top[1]) + top[2] * top[2]]
     if not all(_TINY <= v < math.inf for v in sizes):
         raise DomainError(f"box lengths, volume, cell volume and k_max^2 "
                           f"must be finite normal floats, got length = "
-                          f"{length}", arg="length")
+                          f"{spec.length}", arg="length")
 
 
 def _lines(axes):

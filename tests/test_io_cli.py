@@ -760,13 +760,18 @@ def test_cli_report_corrupt_file(tmp_path, capsys):
     bad = tmp_path / "bad.pwfn"
     bad.write_bytes(b"JUNKJUNKJUNK")
     assert main(["report", str(bad)]) == 5
-    # A header whose grid GridSpec refuses is a format error as well.
-    for dims, box in [((3, 4, 4), (1.0, 1.0, 1.0)),
-                      ((4, 4, 4), (np.nan, 1.0, 1.0))]:
+    # A header whose grid GridSpec refuses is a format error as well, and so
+    # is one without components, whose payload check bounds no n.
+    for dims, box, ncomp in [((3, 4, 4), (1.0, 1.0, 1.0), 1),
+                             ((4, 4, 4), (np.nan, 1.0, 1.0), 1),
+                             ((4, 4, 4), (1.0, 1.0, 1.0), 0),
+                             ((200_000_000,) * 3, (1.0, 1.0, 1.0), 0)]:
         header = gridio._HEADER.pack(gridio.GRID_MAGIC, gridio.GRID_VERSION,
-                                     *dims, *box, 1)
-        bad.write_bytes(header + bytes(16 * int(np.prod(dims))))
+                                     *dims, *box, ncomp)
+        bad.write_bytes(header + bytes(16 * ncomp * int(np.prod(dims))))
         assert main(["report", str(bad)]) == 5, dims
+    with pytest.raises(FormatError, match="does not match"):
+        gridio.write_grid_field(bad, cube(4), np.zeros((0, 4, 4, 4)))
     # Text artifacts: exit 5 naming the file, not a traceback.
     for name, content in [("empty.csv", b""),
                           ("blank.csv", b"\n \n"),

@@ -39,6 +39,7 @@ def test_gridspec_validation():
 def test_grid_holds_read_only_axis_lines():
     spec = cube(8)
     twin = GridSpec(n=spec.n, length=spec.length)
+    assert "_axis_lines" not in vars(spec)    # built on first use
     for name in ("k_lines", "k_diff_lines", "coord_lines"):
         lines = getattr(spec, name)()
         assert getattr(spec, name)() is lines, name
